@@ -188,7 +188,7 @@ std::unique_ptr<ssp::SspChannel> MakeShardedChannel(
   sopts.seed = seed;
   auto channel = core::ShardedChannel::Create(
       cluster.config,
-      [](const ssp::ClusterNode& node) { return TcpFactory(node.port); },
+      [](const ssp::ClusterNode& node) { return TcpFactory(node.port)(); },
       sopts);
   if (!channel.ok()) {
     std::fprintf(stderr, "bench_load: sharded channel: %s\n",

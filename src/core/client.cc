@@ -214,11 +214,12 @@ Status SharoesClient::Mount() {
       return Status::InvalidArgument(
           "no SSP channel and no ClientOptions::cluster config");
     }
-    ShardedChannelOptions sopts;
-    sopts.node_retry = options_.transport_retry;
-    sopts.timeouts = options_.transport_timeouts;
-    SHAROES_ASSIGN_OR_RETURN(owned_conn_,
-                             ShardedChannel::Open(options_.cluster, sopts));
+    SHAROES_ASSIGN_OR_RETURN(
+        owned_conn_,
+        ShardedChannel::Open(options_.cluster,
+                             ShardedChannelOptions::FromRetry(
+                                 options_.transport_retry,
+                                 options_.transport_timeouts)));
     conn_ = owned_conn_.get();
   }
   principal_ = identity_->PrincipalOf(uid_);

@@ -92,8 +92,9 @@ struct ClientOptions {
   /// daemons at Mount() — consistent-hash routing, K-way replicated
   /// quorum writes/reads, placement refresh on kWrongShard — instead of
   /// using the single `conn` passed to the constructor (which may then
-  /// be null). transport_retry/transport_timeouts configure the
-  /// per-node connections; maps from `--cluster` in the tools.
+  /// be null). transport_retry becomes the channel's quorum round
+  /// budget (ShardedChannelOptions::FromRetry) and transport_timeouts
+  /// its per-node deadlines; maps from `--cluster` in the tools.
   std::string cluster;
 };
 

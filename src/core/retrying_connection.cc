@@ -11,8 +11,6 @@
 namespace sharoes::core {
 
 namespace {
-Rng MakeRng(uint64_t seed) { return seed == 0 ? Rng() : Rng(seed); }
-
 /// Process-wide retry accounting (every RetryingConnection sums here;
 /// per-instance counts remain available via retries()/reconnects()).
 struct RetryMetrics {
@@ -75,29 +73,24 @@ bool IsReplaySafe(const ssp::Request& req) {
 }
 }  // namespace
 
+void SleepBackoff(uint32_t initial_ms, uint32_t max_ms, double jitter,
+                  int retry, Rng* rng) {
+  uint64_t base = initial_ms;
+  for (int i = 0; i < retry && base < max_ms; ++i) base *= 2;
+  base = std::min<uint64_t>(base, max_ms);
+  if (jitter > 0) {
+    double factor = 1.0 + jitter * (2.0 * rng->NextDouble() - 1.0);
+    base = static_cast<uint64_t>(static_cast<double>(base) * factor);
+  }
+  if (base > 0) std::this_thread::sleep_for(std::chrono::milliseconds(base));
+}
+
 RetryingConnection::RetryingConnection(ChannelFactory factory,
                                        const RetryOptions& options)
     : factory_(std::move(factory)),
       options_(options),
-      rng_(MakeRng(options.seed)) {
+      rng_(options.seed != 0 ? Rng(options.seed) : Rng()) {
   if (options_.max_attempts < 1) options_.max_attempts = 1;
-}
-
-void RetryingConnection::Backoff(int attempt) {
-  uint64_t base = options_.initial_backoff_ms;
-  for (int i = 0; i < attempt && base < options_.max_backoff_ms; ++i) {
-    base *= 2;
-  }
-  base = std::min<uint64_t>(base, options_.max_backoff_ms);
-  double jitter = options_.jitter;
-  if (jitter > 0) {
-    // Uniform in [1 - jitter, 1 + jitter].
-    double factor = 1.0 + jitter * (2.0 * rng_.NextDouble() - 1.0);
-    base = static_cast<uint64_t>(static_cast<double>(base) * factor);
-  }
-  if (base > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(base));
-  }
 }
 
 Result<ssp::Response> RetryingConnection::Call(const ssp::Request& req) {
@@ -113,7 +106,8 @@ Result<ssp::Response> RetryingConnection::Call(const ssp::Request& req) {
     if (attempt > 0) {
       ++retries_;
       Metrics().retries->Increment();
-      Backoff(attempt - 1);
+      SleepBackoff(options_.initial_backoff_ms, options_.max_backoff_ms,
+                   options_.jitter, attempt - 1, &rng_);
     }
     if (channel_ == nullptr) {
       auto fresh = factory_();

@@ -42,7 +42,8 @@
 namespace sharoes::core {
 
 /// Knobs for RetryingConnection (and the sharoes_cli flags that map onto
-/// them; see ClientOptions::transport_retry).
+/// them; see ClientOptions::transport_retry). In cluster mode the same
+/// knobs become ShardedChannel's round budget instead.
 struct RetryOptions {
   /// Total attempts per Call, including the first; 1 disables retry.
   int max_attempts = 8;
@@ -54,6 +55,12 @@ struct RetryOptions {
   /// Seed for the jitter stream; 0 draws a nondeterministic seed.
   uint64_t seed = 0;
 };
+
+/// The one backoff of RetryingConnection and ShardedChannel's rounds:
+/// sleeps `initial_ms` doubled `retry` times (0-based), capped at
+/// `max_ms`, times a uniform factor in [1 - jitter, 1 + jitter].
+void SleepBackoff(uint32_t initial_ms, uint32_t max_ms, double jitter,
+                  int retry, Rng* rng);
 
 class RetryingConnection : public ssp::SspChannel {
  public:
@@ -86,7 +93,6 @@ class RetryingConnection : public ssp::SspChannel {
   static bool IsRetryable(const Status& status) {
     return status.IsIoError() || status.IsDeadlineExceeded();
   }
-  void Backoff(int attempt);
 
   ChannelFactory factory_;
   RetryOptions options_;

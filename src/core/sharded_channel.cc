@@ -1,8 +1,8 @@
 #include "core/sharded_channel.h"
 
 #include <algorithm>
-#include <chrono>
 #include <optional>
+#include <set>
 #include <thread>
 
 #include "core/object_codec.h"
@@ -23,6 +23,24 @@ using ssp::Response;
 
 bool IsAdminOp(OpCode op) {
   return op == OpCode::kGetStats || op == OpCode::kGetTraces;
+}
+
+constexpr double kRoundJitter = 0.2;  // Clients re-quorum out of lockstep.
+
+/// Runs fn(0) .. fn(n - 1) in parallel, one short-lived thread per index
+/// (inline when n == 1). Threads adopt the caller's trace and round.
+void FanOut(size_t n, const std::function<void(size_t)>& fn) {
+  if (n == 1) return fn(0);
+  const obs::TraceContext trace = obs::CurrentTrace();
+  std::vector<std::thread> pack;
+  pack.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    pack.emplace_back([&fn, trace, i] {
+      obs::SetCurrentTrace(trace);
+      fn(i);
+    });
+  }
+  for (std::thread& th : pack) th.join();
 }
 
 /// The put that rewrites one object from a get's winning payload — the
@@ -119,18 +137,13 @@ Result<std::unique_ptr<ShardedChannel>> ShardedChannel::Open(
     const std::string& config_path, const ShardedChannelOptions& options) {
   SHAROES_ASSIGN_OR_RETURN(ssp::ClusterConfig config,
                            ssp::ClusterConfig::LoadFromFile(config_path));
-  net::TcpTimeouts timeouts = options.timeouts;
-  NodeFactory factory =
-      [timeouts](const ssp::ClusterNode& node)
-      -> RetryingConnection::ChannelFactory {
-    std::string host = node.host;
-    uint16_t port = node.port;
-    return [host, port,
-            timeouts]() -> Result<std::unique_ptr<ssp::SspChannel>> {
-      auto channel = ssp::TcpSspChannel::Connect(host, port, timeouts);
-      if (!channel.ok()) return channel.status();
-      return std::unique_ptr<ssp::SspChannel>(std::move(*channel));
-    };
+  NodeFactory factory = [timeouts = options.timeouts](
+                            const ssp::ClusterNode& node)
+      -> Result<std::unique_ptr<ssp::SspChannel>> {
+    SHAROES_ASSIGN_OR_RETURN(
+        auto channel,
+        ssp::TcpSspChannel::Connect(node.host, node.port, timeouts));
+    return std::unique_ptr<ssp::SspChannel>(std::move(channel));
   };
   ConfigSource refresh = [config_path]() {
     return ssp::ClusterConfig::LoadFromFile(config_path);
@@ -161,31 +174,66 @@ ShardedChannel::ShardedChannel(ssp::PlacementRing ring, NodeFactory factory,
           obs::MetricsRegistry::Global().histogram("client.rpc.shard_fanout")) {
 }
 
-RetryingConnection* ShardedChannel::NodeConn(uint32_t node_index) {
-  const ssp::ClusterNode& node = ring_.config().nodes[node_index];
-  auto it = conns_.find(node.id);
-  if (it == conns_.end()) {
-    NodeConnSlot slot;
-    slot.host = node.host;
-    slot.port = node.port;
-    slot.conn = std::make_unique<RetryingConnection>(factory_(node),
-                                                     options_.node_retry);
-    it = conns_.emplace(node.id, std::move(slot)).first;
-  }
-  return it->second.conn.get();
+ShardedChannelOptions ShardedChannelOptions::FromRetry(
+    const RetryOptions& retry, const net::TcpTimeouts& timeouts) {
+  return {.timeouts = timeouts,
+          .quorum_rounds = retry.max_attempts,
+          .round_backoff_ms = retry.initial_backoff_ms,
+          .max_round_backoff_ms = retry.max_backoff_ms,
+          .seed = retry.seed};
 }
 
-Result<Response> ShardedChannel::CallNode(uint32_t node_index,
+ShardedChannel::NodeConnSlot* ShardedChannel::Slot(
+    const ssp::ClusterNode& node) {
+  auto [it, fresh] = conns_.try_emplace(node.id);
+  if (fresh) it->second.node = node;
+  return &it->second;
+}
+
+Result<Response> ShardedChannel::CallSlot(NodeConnSlot* slot,
                                           const Request& req) {
-  return NodeConn(node_index)->Call(req);
+  if (slot->channel == nullptr) {
+    SHAROES_ASSIGN_OR_RETURN(slot->channel, factory_(slot->node));
+  }
+  auto resp = slot->channel->Call(req);
+  if (!resp.ok()) slot->channel.reset();  // Possibly mid-frame: redial.
+  return resp;
+}
+
+void ShardedChannel::BeginRound(int round, obs::RpcTraceScope* trace) {
+  if (round > 0) {
+    SleepBackoff(options_.round_backoff_ms, options_.max_round_backoff_ms,
+                 kRoundJitter, round - 1, &rng_);
+    ++quorum_retry_rounds_;
+  }
+  trace->set_attempt(static_cast<uint8_t>(std::min(round, 255)));
+}
+
+std::vector<Result<Response>> ShardedChannel::AskNodes(
+    const std::vector<ssp::ClusterNode>& nodes, const Request& wire) {
+  std::vector<Result<Response>> results(nodes.size(),
+                                        Status::IoError("not asked"));
+  obs::RpcTraceScope trace_scope;
+  for (int round = 0; round < std::max(1, options_.quorum_rounds); ++round) {
+    std::vector<std::pair<size_t, NodeConnSlot*>> pending;
+    for (size_t i = 0; i < results.size(); ++i) {
+      if (!results[i].ok() || results[i]->status == RespStatus::kError) {
+        pending.emplace_back(i, Slot(nodes[i]));
+      }
+    }
+    if (pending.empty()) break;
+    BeginRound(round, &trace_scope);
+    FanOut(pending.size(), [&](size_t j) {
+      results[pending[j].first] = CallSlot(pending[j].second, wire);
+    });
+  }
+  return results;
 }
 
 Result<Response> ShardedChannel::CallOnNode(uint32_t node_id,
                                             const Request& req) {
-  const ssp::ClusterConfig& config = ring_.config();
-  for (uint32_t i = 0; i < config.nodes.size(); ++i) {
-    if (config.nodes[i].id == node_id) return CallNode(i, req);
-  }
+  const ssp::ClusterNode* node = ring_.config().FindNode(node_id);
+  if (node != nullptr) return AskNodes({*node}, req)[0];
   return Status::NotFound("no cluster node with id " +
                           std::to_string(node_id));
 }
@@ -200,31 +248,17 @@ void ShardedChannel::RebuildRing(ssp::ClusterConfig config) {
   ring_ = std::move(*rebuilt);
   // Keep live sockets only for node ids that survived the refresh AT
   // THEIR OLD ENDPOINT. A connection whose node id moved to a new
-  // host:port must go too: its factory captured the old address at
-  // creation, so keeping it would mean reconnect-looping against a dead
-  // endpoint (and leaking one stale fd per refresh) forever.
+  // host:port must go too: its slot still dials the old address, so
+  // keeping it would mean reconnect-looping against a dead endpoint
+  // (and leaking one stale fd per refresh) forever.
   for (auto it = conns_.begin(); it != conns_.end();) {
     const ssp::ClusterNode* node = ring_.config().FindNode(it->first);
-    if (node == nullptr || node->host != it->second.host ||
-        node->port != it->second.port) {
+    if (node == nullptr || node->host != it->second.node.host ||
+        node->port != it->second.node.port) {
       it = conns_.erase(it);
     } else {
       ++it;
     }
-  }
-}
-
-void ShardedChannel::BackoffRound(int round) {
-  uint64_t base = options_.round_backoff_ms;
-  for (int i = 1; i < round && base < options_.max_round_backoff_ms; ++i) {
-    base *= 2;
-  }
-  base = std::min<uint64_t>(base, options_.max_round_backoff_ms);
-  // ±20% jitter so a fleet of clients re-quorums out of lockstep.
-  double factor = 0.8 + 0.4 * rng_.NextDouble();
-  base = static_cast<uint64_t>(static_cast<double>(base) * factor);
-  if (base > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(base));
   }
 }
 
@@ -352,24 +386,7 @@ Result<Response> ShardedChannel::CallAdmin(const Request& req) {
   // still applies the payload's prefix filter itself.
   if (req.op == OpCode::kGetStats) wire.binary_stats = true;
 
-  // Same short-lived thread-per-node fan-out as ExecuteSubOps; the
-  // connections are materialized on this thread first.
-  std::vector<RetryingConnection*> conns(n);
-  for (size_t i = 0; i < n; ++i) {
-    conns[i] = NodeConn(static_cast<uint32_t>(i));
-  }
-  std::vector<std::optional<Result<Response>>> results(n);
-  if (n == 1) {
-    results[0] = conns[0]->Call(wire);
-  } else {
-    std::vector<std::thread> pack;
-    pack.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      pack.emplace_back(
-          [&, i] { results[i] = conns[i]->Call(wire); });
-    }
-    for (std::thread& th : pack) th.join();
-  }
+  std::vector<Result<Response>> results = AskNodes(config.nodes, wire);
   fanout_hist_->Record(n);
 
   if (req.op == OpCode::kGetStats) {
@@ -380,7 +397,7 @@ Result<Response> ShardedChannel::CallAdmin(const Request& req) {
     obs::RegistrySnapshot merged;
     uint64_t reporting = 0;
     for (size_t i = 0; i < n; ++i) {
-      const auto& r = *results[i];
+      const auto& r = results[i];
       if (!r.ok() || r->status != RespStatus::kOk) continue;
       auto snap = obs::RegistrySnapshot::DeserializeBinary(r->payload);
       if (!snap.ok()) {
@@ -408,7 +425,7 @@ Result<Response> ShardedChannel::CallAdmin(const Request& req) {
   obs::JsonObjectWriter w;
   uint64_t reporting = 0;
   for (size_t i = 0; i < n; ++i) {
-    const auto& r = *results[i];
+    const auto& r = results[i];
     if (!r.ok() || r->status != RespStatus::kOk) continue;
     std::string doc(r->payload.begin(), r->payload.end());
     w.RawField("node_" + std::to_string(config.nodes[i].id), doc);
@@ -440,25 +457,20 @@ bool ShardedChannel::ExecuteSubOps(const std::vector<const Request*>& subs,
   // plus each one's replica position, shipped as a single request.
   struct NodeTask {
     uint32_t node = 0;
-    RetryingConnection* conn = nullptr;
+    NodeConnSlot* slot = nullptr;
     std::vector<std::pair<size_t, uint32_t>> items;  // (sub idx, position).
     Request wire;
     bool wrapped = false;
     std::optional<Result<Response>> result;
   };
 
-  std::vector<uint32_t> fanout_nodes;
+  std::set<uint32_t> fanout_nodes;
   bool any_wrong_shard = false;
+  obs::RpcTraceScope trace_scope;
   for (int round = 0; round < std::max(1, options_.quorum_rounds); ++round) {
-    if (round > 0) {
-      BackoffRound(round);
-      ++quorum_retry_rounds_;
-    }
-    // Plan the round. Writes: every replica that has not acked the sub
-    // yet — even for subs whose quorum is already met — so each node
-    // receives the sub-ops it is missing in submission order (a node
-    // must never apply a key's older write after its newer one because
-    // the older sub straggled). Reads: enough untried replicas to
+    // Plan the round for the unfinished subs. Writes: every replica that
+    // has not acked the sub yet, so each node receives the sub-ops it
+    // is missing in submission order. Reads: enough untried replicas to
     // complete the R quorum, preferring the ring order and failing
     // over to further replicas only when earlier ones went unusable.
     std::vector<NodeTask> tasks;
@@ -470,11 +482,9 @@ bool ShardedChannel::ExecuteSubOps(const std::vector<const Request*>& subs,
       tasks.back().node = node;
       return tasks.back();
     };
-    bool all_done = true;
     for (size_t i = 0; i < states.size(); ++i) {
       SubState& s = states[i];
       if (s.done) continue;
-      all_done = false;
       if (s.mutating) {
         for (uint32_t pos = 0; pos < s.replicas.size(); ++pos) {
           if (!s.acked[pos]) {
@@ -500,27 +510,15 @@ bool ShardedChannel::ExecuteSubOps(const std::vector<const Request*>& subs,
         }
       }
     }
-    if (all_done) break;
-
-    // Mutating subs whose quorum is met keep replicating above, but a
-    // round that is ONLY backfill must not hold the call: stop when no
-    // unfinished sub has work planned.
-    bool planned_unfinished = false;
-    for (NodeTask& t : tasks) {
-      for (auto& [sub_idx, pos] : t.items) {
-        (void)pos;
-        if (!states[sub_idx].done) planned_unfinished = true;
-      }
-    }
-    if (!planned_unfinished) break;
+    // Every unfinished sub plans at least one replica, so an empty plan
+    // means every sub is settled: stop before backing off.
+    if (tasks.empty()) break;
+    BeginRound(round, &trace_scope);
 
     // Materialize wires + connections on this thread, then fan out.
     for (NodeTask& t : tasks) {
-      t.conn = NodeConn(t.node);
-      if (std::find(fanout_nodes.begin(), fanout_nodes.end(), t.node) ==
-          fanout_nodes.end()) {
-        fanout_nodes.push_back(t.node);
-      }
+      t.slot = Slot(config.nodes[t.node]);
+      fanout_nodes.insert(t.node);
       if (t.items.size() == 1) {
         t.wire = *states[t.items[0].first].req;
       } else {
@@ -540,16 +538,9 @@ bool ShardedChannel::ExecuteSubOps(const std::vector<const Request*>& subs,
       // and is a no-op for mutating ops.
       t.wire.want_version = true;
     }
-    if (tasks.size() == 1) {
-      tasks[0].result = tasks[0].conn->Call(tasks[0].wire);
-    } else {
-      std::vector<std::thread> pack;
-      pack.reserve(tasks.size());
-      for (NodeTask& t : tasks) {
-        pack.emplace_back([&t] { t.result = t.conn->Call(t.wire); });
-      }
-      for (std::thread& th : pack) th.join();
-    }
+    FanOut(tasks.size(), [this, &tasks](size_t i) {
+      tasks[i].result = CallSlot(tasks[i].slot, tasks[i].wire);
+    });
 
     // Absorb replies.
     for (NodeTask& t : tasks) {
@@ -807,7 +798,6 @@ void ShardedChannel::SettleRead(SubState* sub) {
 
 void ShardedChannel::RepairStale(const SubState& sub, bool deleted,
                                  const Bytes& payload, uint64_t gen) {
-  if (!options_.read_repair) return;
   for (const auto& u : sub.usable) {
     if (deleted) {
       // Only live stale repliers get the tombstone. kNotFound already
@@ -829,7 +819,8 @@ void ShardedChannel::RepairStale(const SubState& sub, bool deleted,
       fix.has_store_gen = true;
       fix.store_gen = gen;
     }
-    auto repaired = CallNode(sub.replicas[u.pos], fix);
+    const ssp::ClusterNode& node = ring_.config().nodes[sub.replicas[u.pos]];
+    auto repaired = CallSlot(Slot(node), fix);
     ++read_repairs_;
     if (!repaired.ok() || (repaired->status != RespStatus::kOk &&
                            repaired->status != RespStatus::kNotFound)) {

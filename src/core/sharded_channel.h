@@ -3,7 +3,7 @@
 // An SspChannel over N daemons instead of one. Every Call is split by
 // the placement ring (ssp/placement.h): sub-ops of a kBatch — and the
 // single op of a plain request — are grouped by owning replica set,
-// issued in parallel over per-node RetryingConnections, and the
+// issued in parallel over one plain connection per node, and the
 // per-sub-op responses are re-stitched in submission order, so
 // SharoesClient's whole batching machinery (MultiGet, the write-behind
 // stage, readahead) works against a cluster unchanged. Because the
@@ -13,33 +13,23 @@
 // sum — which keeps the PR-5/PR-6 RTT gates meaningful; the fan-out
 // width itself is observable as `client.rpc.shard_fanout`.
 //
-// Replication (DESIGN.md §15):
-//   - A write goes to all K replicas of its key and needs W acks; a
-//     kBadRequest from any replica is definitive; fewer than W acks
-//     after the round budget is a transient kError (the layers above
-//     already treat kError as retry-me).
-//   - A read asks the R preferred replicas, failing over to further
-//     replicas when one is down, and needs R usable replies. Reads are
-//     issued versioned (kExtensionTagWantVersion), so every reply
-//     carries its replica's per-key store generation and deletes are
-//     visible as kDeleted tombstone replies instead of masquerading as
-//     absence. Among the replies the freshest copy wins: highest
-//     generation first — a tombstone beating any live value it ties or
-//     exceeds, so a replicated delete stays deleted — then, only when
-//     generations tie ambiguously across live replies, the legacy
-//     evidence chain (this channel's fingerprint of its own last
-//     quorum-acked write, the AEAD header write_gen for data blocks,
-//     strict payload majority). Detected-stale replicas are healed by
-//     re-putting the winning copy — or re-deleting it when a tombstone
-//     won — stamped with the winner's generation so the receiving
-//     store applies the repair *at* that version (gen-gated, never
-//     clobbering anything fresher). Tombstones are never repaired onto
-//     replicas that answered kNotFound: missing already agrees with
-//     deleted, and re-creating the tombstone would fight the
-//     scrubber's GC forever.
-//   - With R + W > K (enforced by ClusterConfig::Validate) every read
-//     quorum overlaps every acknowledged write quorum, so the freshest
-//     acked copy is always among the R replies.
+// Replication (DESIGN.md §15, §16): a write goes to all K replicas of
+// its key and needs W acks; a read asks the R preferred replicas,
+// failing over past dead ones, and needs R usable versioned replies,
+// of which the freshest wins (SettleRead) and heals stale or deleted
+// copies on the other repliers (RepairStale). A kBadRequest from any
+// replica is definitive; a quorum still missing after the round budget
+// is a transient kError (the layers above treat it as retry-me). With
+// R + W > K (enforced by ClusterConfig::Validate) every read quorum
+// overlaps every acknowledged write quorum, so the freshest acked copy
+// is always among the R replies.
+//
+// Retry (DESIGN.md §8): the quorum round loop is the cluster path's
+// only retry layer, as RetryingConnection is a lone daemon's. A node's
+// plain connection is dropped on a transport failure and redialed when
+// the next round reaches it, so a Call waits at most
+//   quorum_rounds × (connect_ms + send_ms + recv_ms) + Σ backoff,
+// backing off only before a round that has unfinished work.
 //
 // What this gives — and honestly does not give: one client observes
 // its own writes across replica failures (session consistency, enough
@@ -52,9 +42,9 @@
 // without touching the security argument.
 //
 // Threading: like RetryingConnection, a ShardedChannel is used by one
-// client thread at a time; internally each Call spawns one short-lived
+// client thread at a time; internally each round spawns one short-lived
 // thread per contacted node (the per-node connections are touched only
-// by their node's thread within a Call).
+// by their node's thread within a round).
 
 #ifndef SHAROES_CORE_SHARDED_CHANNEL_H_
 #define SHAROES_CORE_SHARDED_CHANNEL_H_
@@ -67,45 +57,36 @@
 
 #include "core/retrying_connection.h"
 #include "net/tcp_stream.h"
+#include "obs/trace.h"
 #include "ssp/placement.h"
 
 namespace sharoes::core {
 
 struct ShardedChannelOptions {
-  /// Per-node transport retry. Deliberately shorter-fused than the
-  /// single-daemon default: a dead replica should fail fast so the
-  /// quorum layer can make progress with the live ones, instead of
-  /// riding one node's full reconnect budget.
-  RetryOptions node_retry = [] {
-    RetryOptions r;
-    r.max_attempts = 3;
-    r.initial_backoff_ms = 5;
-    r.max_backoff_ms = 100;
-    return r;
-  }();
   /// Stream deadlines for the TCP factories Open() builds.
   net::TcpTimeouts timeouts{/*connect_ms=*/2000, /*send_ms=*/5000,
                             /*recv_ms=*/5000};
-  /// Cluster-level retry: how many rounds a Call may take to assemble
-  /// its quorums, re-asking unacked/unanswered replicas with capped
-  /// backoff between rounds (all sub-ops are idempotent, the same
-  /// property RetryingConnection's replay rests on). 1 = no quorum
-  /// retry: a round that misses its quorum fails the sub-op.
+  /// The cluster path's one retry budget: rounds a Call may take to
+  /// assemble its quorums, re-asking unacked/unanswered replicas (every
+  /// sub-op is idempotent) after a capped doubling backoff, ±20%
+  /// jittered. 1 = no retry: a round that misses its quorum fails.
   int quorum_rounds = 6;
   uint32_t round_backoff_ms = 20;
   uint32_t max_round_backoff_ms = 500;
-  /// Heal replicas that answered a read with a stale or missing copy by
-  /// re-putting the winning payload.
-  bool read_repair = true;
   /// Jitter seed for round backoff; 0 draws nondeterministically.
   uint64_t seed = 0;
+
+  /// A transport retry budget as rounds (ClientOptions::transport_retry
+  /// and sharoes_cli's --retries flags in cluster mode).
+  static ShardedChannelOptions FromRetry(const RetryOptions& retry,
+                                         const net::TcpTimeouts& timeouts);
 };
 
 class ShardedChannel : public ssp::SspChannel {
  public:
-  /// Builds the RetryingConnection factory for one cluster node (tests
-  /// route this at RestartableDaemons; Open() at host:port sockets).
-  using NodeFactory = std::function<RetryingConnection::ChannelFactory(
+  /// Dials one cluster node (tests: RestartableDaemons; Open(): TCP).
+  /// Fan-out threads call it concurrently, each for its own node.
+  using NodeFactory = std::function<Result<std::unique_ptr<ssp::SspChannel>>(
       const ssp::ClusterNode&)>;
   /// Re-reads the cluster config after a kWrongShard told us ours is
   /// stale. May return an error (refresh failed: keep the old ring).
@@ -126,8 +107,9 @@ class ShardedChannel : public ssp::SspChannel {
   Result<ssp::Response> Call(const ssp::Request& req) override;
 
   /// Sends `req` to exactly the node with id `node_id` (admin tools
-  /// inspecting one daemon: `sharoes_cli stats --node N`). Unknown ids
-  /// are NotFound. No placement routing, no quorum.
+  /// inspecting one daemon: `sharoes_cli stats --node N`), redialing
+  /// within the round budget. Unknown ids are NotFound. No placement
+  /// routing, no quorum.
   Result<ssp::Response> CallOnNode(uint32_t node_id,
                                    const ssp::Request& req);
 
@@ -165,14 +147,13 @@ class ShardedChannel : public ssp::SspChannel {
     Bytes digest;  // SHA-256 of the acked payload; empty when deleted.
   };
 
-  /// One per-node connection plus the endpoint it was dialed for. The
-  /// RetryingConnection factory captures host:port at creation, so a
+  /// One node's connection plus the endpoint it is dialed at. A
   /// placement refresh that moves a node id to a new address must drop
-  /// the old connection or it reconnects to the dead endpoint forever.
+  /// the slot or it redials the dead endpoint forever. `channel` is
+  /// null until dialed.
   struct NodeConnSlot {
-    std::string host;
-    uint16_t port = 0;
-    std::unique_ptr<RetryingConnection> conn;
+    ssp::ClusterNode node;
+    std::unique_ptr<ssp::SspChannel> channel;
   };
 
   ShardedChannel(ssp::PlacementRing ring, NodeFactory factory,
@@ -193,11 +174,19 @@ class ShardedChannel : public ssp::SspChannel {
   /// node and merge — stats via the binary mergeable snapshot form,
   /// traces as one JSON object keyed by node id.
   Result<ssp::Response> CallAdmin(const ssp::Request& req);
-  RetryingConnection* NodeConn(uint32_t node_index);
-  Result<ssp::Response> CallNode(uint32_t node_index,
-                                 const ssp::Request& req);
+  /// Sends `wire` to `nodes` in parallel, re-asking each round the ones
+  /// without an answer. Result i is nodes[i]'s.
+  std::vector<Result<ssp::Response>> AskNodes(
+      const std::vector<ssp::ClusterNode>& nodes, const ssp::Request& wire);
+  /// `node`'s slot, created on first use (caller's thread only).
+  NodeConnSlot* Slot(const ssp::ClusterNode& node);
+  /// Dials if needed, sends, and drops the connection on a transport
+  /// failure. Touches only `slot`, so fan-out threads may call it.
+  Result<ssp::Response> CallSlot(NodeConnSlot* slot, const ssp::Request& req);
   void RebuildRing(ssp::ClusterConfig config);
-  void BackoffRound(int round);
+  /// Backs off (and counts it) before every round but the first, then
+  /// stamps the round as the trace attempt.
+  void BeginRound(int round, obs::RpcTraceScope* trace);
 
   static bool MakeObjectKey(const ssp::Request& req, ObjectKey* key);
   void NoteWrite(const ssp::Request& req);

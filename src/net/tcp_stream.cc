@@ -7,6 +7,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/time.h>
 #include <unistd.h>
 
@@ -23,16 +24,25 @@ Status Errno(const std::string& what) {
 
 bool IsTimeoutErrno() { return errno == EAGAIN || errno == EWOULDBLOCK; }
 
-Status SendAll(int fd, const uint8_t* data, size_t len) {
-  size_t sent = 0;
-  while (sent < len) {
-    ssize_t n = ::send(fd, data + sent, len - sent, MSG_NOSIGNAL);
+/// Writes all of `iov[0..count)`, resuming after partial writes. sendmsg,
+/// not writev, for MSG_NOSIGNAL: a dead peer is EPIPE, never SIGPIPE.
+Status SendAll(int fd, iovec* iov, size_t count) {
+  while (count > 0) {
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (IsTimeoutErrno()) return Status::DeadlineExceeded("send timed out");
       return Errno("send");
     }
-    sent += static_cast<size_t>(n);
+    size_t left = static_cast<size_t>(n);
+    for (; count > 0 && left >= iov->iov_len; --count) left -= iov++->iov_len;
+    if (count > 0) {
+      iov->iov_base = static_cast<uint8_t*>(iov->iov_base) + left;
+      iov->iov_len -= left;
+    }
   }
   return Status::OK();
 }
@@ -187,8 +197,10 @@ Status TcpStream::SendFrame(const Bytes& payload) {
   uint8_t header[4];
   uint32_t len = static_cast<uint32_t>(payload.size());
   for (int i = 0; i < 4; ++i) header[i] = static_cast<uint8_t>(len >> (8 * i));
-  SHAROES_RETURN_IF_ERROR(SendAll(fd_, header, 4));
-  return SendAll(fd_, payload.data(), payload.size());
+  // One syscall: two sends put the header in a segment of its own.
+  iovec iov[2] = {{header, 4},
+                  {const_cast<uint8_t*>(payload.data()), payload.size()}};
+  return SendAll(fd_, iov, 2);
 }
 
 Result<Bytes> TcpStream::RecvFrame() {

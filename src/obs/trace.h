@@ -1,14 +1,15 @@
 // Trace propagation: a 64-bit trace id + retry attempt number that
-// travels from the client operation that caused a request, through
-// core::RetryingConnection's attempt loop, onto the wire (a
-// backward-compatible Request extension, see ssp/message.h), and into
-// the SSP's structured log — so one server-side log line can be joined
-// to the exact client op and retry attempt behind it.
+// travels from the client operation that caused a request, through the
+// client's retry loop (RetryingConnection or ShardedChannel's rounds),
+// onto the wire (a backward-compatible Request extension, see
+// ssp/message.h), and into the SSP's structured log — so one
+// server-side log line can be joined to the exact client op and retry
+// attempt behind it.
 //
 // The context is ambient (thread-local): a SharoesClient operation opens
 // a ClientSpan, which assigns a fresh trace id unless one is already
-// active (nested ops inherit). RetryingConnection stamps the attempt
-// number per try. Channels read CurrentTrace() at serialization time; a
+// active (nested ops inherit). The retry loop stamps the attempt number
+// per try. Channels read CurrentTrace() at serialization time; a
 // zero trace id means "no trace" and keeps the wire bytes identical to
 // the pre-extension format.
 
@@ -66,7 +67,7 @@ class ClientSpan {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// RAII used by RetryingConnection around one Call: adopts the ambient
+/// RAII used by the retry loops around one Call: adopts the ambient
 /// trace (or mints one if the caller is uninstrumented) and exposes
 /// set_attempt() for the retry loop. Restores the previous context on
 /// destruction.

@@ -240,13 +240,13 @@ int OpenFdCount() {
 }
 
 TEST(ShardRouting, EndpointChangeRefreshDropsStaleConnections) {
-  // A RetryingConnection's factory captures its endpoint at creation,
-  // so a placement refresh that moves a node id to a different address
-  // must DROP that node's old connection: a kept slot would redial the
-  // wrong endpoint forever and leak its socket. Start the channel on a
-  // config with the two nodes' addresses swapped (ring unchanged — only
-  // the dialing is wrong), let kWrongShard trigger the refresh, and
-  // count both live channels and process fds.
+  // A node's slot dials the endpoint it was created for, so a placement
+  // refresh that moves a node id to a different address must DROP that
+  // node's old connection: a kept slot would redial the wrong endpoint
+  // forever and leak its socket. Start the channel on a config with the
+  // two nodes' addresses swapped (ring unchanged — only the dialing is
+  // wrong), let kWrongShard trigger the refresh, and count both live
+  // channels and process fds.
   TestCluster::Options topts;
   topts.nodes = 2;
   topts.replication = 1;
@@ -264,16 +264,13 @@ TEST(ShardRouting, EndpointChangeRefreshDropsStaleConnections) {
   // address in the config, not the node id.
   std::atomic<int> live{0};
   auto factory = [&live](const ssp::ClusterNode& node)
-      -> RetryingConnection::ChannelFactory {
-    return [host = node.host, port = node.port,
-            &live]() -> Result<std::unique_ptr<ssp::SspChannel>> {
-      net::TcpTimeouts timeouts{/*connect_ms=*/2000, /*send_ms=*/5000,
-                                /*recv_ms=*/5000};
-      auto ch = ssp::TcpSspChannel::Connect(host, port, timeouts);
-      if (!ch.ok()) return ch.status();
-      return std::unique_ptr<ssp::SspChannel>(
-          new CountingChannel(std::move(*ch), &live));
-    };
+      -> Result<std::unique_ptr<ssp::SspChannel>> {
+    net::TcpTimeouts timeouts{/*connect_ms=*/2000, /*send_ms=*/5000,
+                              /*recv_ms=*/5000};
+    auto ch = ssp::TcpSspChannel::Connect(node.host, node.port, timeouts);
+    if (!ch.ok()) return ch.status();
+    return std::unique_ptr<ssp::SspChannel>(
+        new CountingChannel(std::move(*ch), &live));
   };
   auto channel = core::ShardedChannel::Create(
       swapped, factory, core::ShardedChannelOptions{},
@@ -362,6 +359,30 @@ TEST(ShardRouting, FanOutCountsAsOneLogicalRoundTrip) {
   EXPECT_EQ(cluster_trips, single_trips)
       << "sharding changed the logical round-trip count — the RTT gates "
          "would compare apples to fan-outs";
+}
+
+TEST(ShardRouting, HealthyClusterNeverBacksOff) {
+  // Round backoff is for faults. On a healthy K=3/W=2/R=2 cluster every
+  // quorum assembles in round 0, so no Call may sleep a backoff before
+  // returning — a backoff taken before the all-done check would cost
+  // every cluster op one round_backoff_ms.
+  TestCluster::Options opts;
+  opts.tag = "routing_no_backoff";
+  TestCluster cluster(opts);
+  cluster.Start();
+  auto channel = cluster.MakeChannel();
+  ASSERT_NE(channel, nullptr);
+  constexpr uint64_t kKeys = 30;  // 60 Calls: a put and a get per key.
+  for (uint64_t inode = 1; inode <= kKeys; ++inode) {
+    auto put = channel->Call(Request::PutData(inode, 0, Payload(inode)));
+    ASSERT_TRUE(put.ok()) << put.status();
+    ASSERT_EQ(put->status, RespStatus::kOk);
+    auto get = channel->Call(Request::GetData(inode, 0));
+    ASSERT_TRUE(get.ok()) << get.status();
+    ASSERT_EQ(get->status, RespStatus::kOk);
+    EXPECT_EQ(get->payload, Payload(inode));
+  }
+  EXPECT_EQ(channel->quorum_retry_rounds(), 0u);
 }
 
 TEST(ShardRouting, WriteStageFlushBarrierHoldsAcrossShards) {

@@ -10,7 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <chrono>
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <string>
@@ -28,6 +31,7 @@
 namespace sharoes::ssp {
 namespace {
 
+using core::ShardedChannel;
 using core::ShardedChannelOptions;
 using testing::ReplicaFlapper;
 using testing::TestCluster;
@@ -359,12 +363,121 @@ TEST(ClusterFailover, WithoutTombstonesTheSameRestartResurrectsTheKey) {
   EXPECT_EQ(got->payload, v);
 }
 
+/// A NodeFactory over `cluster` that counts every dial per node id and
+/// arms `timeouts` on the streams it opens.
+ShardedChannel::NodeFactory CountingFactory(
+    TestCluster* cluster, std::array<std::atomic<int>, 3>* dials,
+    net::TcpTimeouts timeouts) {
+  return [cluster, dials, timeouts](const ClusterNode& node)
+             -> Result<std::unique_ptr<SspChannel>> {
+    (*dials)[node.id].fetch_add(1);
+    uint16_t port = cluster->node(static_cast<int>(node.id))->port();
+    auto ch = TcpSspChannel::Connect("127.0.0.1", port, timeouts);
+    if (!ch.ok()) return ch.status();
+    return std::unique_ptr<SspChannel>(std::move(*ch));
+  };
+}
+
+TEST(ClusterFailover, DeadNodeIsDialedAtMostOncePerRound) {
+  // The quorum round loop is the cluster path's only retry layer: a
+  // dead node is redialed only when a round reaches it, so one Call
+  // dials it at most once per round it runs, and never more than
+  // quorum_rounds times. A per-node retry nested under the rounds
+  // dials it several times inside every round.
+  TestCluster cluster(ReplicatedWal("failover_dials"));
+  cluster.Start();
+  std::array<std::atomic<int>, 3> dials{};
+  ShardedChannelOptions sopts;
+  sopts.seed = 1;
+  auto channel = ShardedChannel::Create(
+      cluster.config(),
+      CountingFactory(&cluster, &dials, net::TcpTimeouts{2000, 5000, 5000}),
+      sopts);
+  ASSERT_TRUE(channel.ok()) << channel.status();
+  cluster.node(2)->KillHard();
+
+  auto call = [&](const Request& req) {
+    const int dials_before = dials[2].load();
+    const uint64_t retries_before = (*channel)->quorum_retry_rounds();
+    auto resp = (*channel)->Call(req);
+    ASSERT_TRUE(resp.ok()) << resp.status();
+    EXPECT_EQ(resp->status, RespStatus::kOk);
+    const int node_dials = dials[2].load() - dials_before;
+    const uint64_t rounds =
+        1 + (*channel)->quorum_retry_rounds() - retries_before;
+    EXPECT_LE(static_cast<uint64_t>(node_dials), rounds)
+        << OpCodeName(req.op) << ": dead node dialed more than once a round";
+    EXPECT_LE(node_dials, sopts.quorum_rounds);
+  };
+  // K=3: every write targets the dead node. Reads of keys that prefer
+  // it target it first and then fail over.
+  for (uint64_t inode : InodesPreferring(cluster, 2, 8)) {
+    Bytes v{static_cast<uint8_t>(inode), 0x5A};
+    call(Request::PutData(inode, 0, v));
+    call(Request::GetData(inode, 0));
+  }
+  EXPECT_GE(dials[2].load(), 8) << "the dead node was never asked";
+}
+
+TEST(ClusterFailover, CallLatencyStaysUnderTheRetryCeiling) {
+  // DESIGN.md §8's worst case for one Call: quorum_rounds × (connect_ms
+  // + send_ms + recv_ms) + Σ backoff, each backoff at its +20% jitter
+  // extreme, plus one round trip per read repair (at most K-1). Under a
+  // flapping replica no Call may exceed it.
+  TestCluster cluster(ReplicatedWal("failover_ceiling"));
+  cluster.Start();
+  const net::TcpTimeouts timeouts{/*connect_ms=*/500, /*send_ms=*/1000,
+                                  /*recv_ms=*/1000};
+  std::array<std::atomic<int>, 3> dials{};
+  ShardedChannelOptions sopts;
+  sopts.seed = 1;
+  auto channel = ShardedChannel::Create(
+      cluster.config(), CountingFactory(&cluster, &dials, timeouts), sopts);
+  ASSERT_TRUE(channel.ok()) << channel.status();
+
+  const double round_trip_ms =
+      timeouts.connect_ms + timeouts.send_ms + timeouts.recv_ms;
+  double backoff_ms = 0;
+  for (int r = 1; r < sopts.quorum_rounds; ++r) {
+    backoff_ms += 1.2 * std::min<double>(sopts.round_backoff_ms *
+                                             std::pow(2.0, r - 1),
+                                         sopts.max_round_backoff_ms);
+  }
+  const double repairs = cluster.config().replication - 1;
+  const double ceiling_ms =
+      (sopts.quorum_rounds + repairs) * round_trip_ms + backoff_ms;
+
+  double worst_ms = 0;
+  {
+    ReplicaFlapper flapper(cluster.node(1), /*down_ms=*/60, /*up_ms=*/50);
+    for (uint64_t op = 0; op < 40 || flapper.flaps() < 2; ++op) {
+      ASSERT_LT(op, 2000u) << "the flapper never cycled";
+      const uint64_t inode = 1 + op % 16;
+      Bytes v{static_cast<uint8_t>(op), static_cast<uint8_t>(op >> 8)};
+      for (const Request& req :
+           {Request::PutData(inode, 0, v), Request::GetData(inode, 0)}) {
+        auto start = std::chrono::steady_clock::now();
+        auto resp = (*channel)->Call(req);
+        std::chrono::duration<double, std::milli> took =
+            std::chrono::steady_clock::now() - start;
+        worst_ms = std::max(worst_ms, took.count());
+        ASSERT_TRUE(resp.ok()) << resp.status();
+        ASSERT_EQ(resp->status, RespStatus::kOk) << OpCodeName(req.op);
+        if (req.op == OpCode::kGetData) {
+          EXPECT_EQ(resp->payload, v);
+        }
+      }
+    }
+  }
+  EXPECT_LE(worst_ms, ceiling_ms);
+}
+
 TEST(ClusterFailover, WithoutReplicationAndRetriesTheSameKillIsFatal) {
-  // The control experiment: replication off (K=1), transport retry and
-  // quorum rounds cut to one attempt. Kill the daemon that owns the
-  // file and the read MUST fail — if it ever passes, the positive legs
-  // above are passing for the wrong reason (some hidden retry or cache
-  // is doing the work instead of the quorum machinery).
+  // The control experiment: replication off (K=1), the round budget
+  // (the cluster path's only retry) cut to one attempt. Kill the daemon
+  // that owns the file and the read MUST fail — if it ever passes, the
+  // positive legs above are passing for the wrong reason (some hidden
+  // retry or cache is doing the work instead of the quorum machinery).
   TestCluster::Options opts;
   opts.replication = 1;
   opts.write_quorum = 1;
@@ -377,7 +490,6 @@ TEST(ClusterFailover, WithoutReplicationAndRetriesTheSameKillIsFatal) {
   auto engine = testing::MakeEngine(&ent->clock, 7);
 
   ShardedChannelOptions fragile;
-  fragile.node_retry.max_attempts = 1;
   fragile.quorum_rounds = 1;
   auto channel = cluster.MakeChannel(fragile);
   ASSERT_NE(channel, nullptr);

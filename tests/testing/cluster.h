@@ -107,9 +107,8 @@ class TestCluster {
   /// port at (re)connect time, so a channel follows a node through
   /// restarts just like it would re-dial a real address.
   core::ShardedChannel::NodeFactory node_factory() {
-    return [this](const ssp::ClusterNode& node)
-               -> core::RetryingConnection::ChannelFactory {
-      return TcpFactory(daemons_[node.id].get());
+    return [this](const ssp::ClusterNode& node) {
+      return TcpFactory(daemons_[node.id].get())();
     };
   }
 

@@ -43,7 +43,9 @@
 //                        are sharded by consistent hashing and written
 //                        to / read from quorums (DESIGN.md §15).
 // Transport fault tolerance (every SSP op is an idempotent put/get/
-// delete, so blanket retry is safe — see core/retrying_connection.h):
+// delete, so blanket retry is safe — see core/retrying_connection.h).
+// With --cluster the same flags set the quorum round budget instead
+// (attempts = rounds; the cluster path has no other retry layer):
 //        --retries N            attempts per op incl. the first (8;
 //                               1 disables retry)
 //        --retry-backoff-ms N   initial backoff, doubled per retry (10)
@@ -204,6 +206,16 @@ std::unique_ptr<core::RetryingConnection> MakeConnection(
   return std::make_unique<core::RetryingConnection>(std::move(factory), retry);
 }
 
+/// The sharded quorum channel over the --cluster fleet; the retry flags
+/// become its round budget.
+std::unique_ptr<core::ShardedChannel> OpenCluster(const Args& args) {
+  auto channel = core::ShardedChannel::Open(
+      args.cluster,
+      core::ShardedChannelOptions::FromRetry(args.retry, args.timeouts));
+  if (!channel.ok()) Die("cluster config: " + channel.status().ToString());
+  return std::move(*channel);
+}
+
 /// The channel every command talks through: with --cluster, a sharded
 /// quorum channel over the configured daemon fleet; otherwise the
 /// single-daemon retrying connection.
@@ -211,12 +223,7 @@ std::unique_ptr<ssp::SspChannel> MakeChannel(const Args& args) {
   if (args.cluster.empty()) {
     return MakeConnection(args.host, args.port, args.timeouts, args.retry);
   }
-  core::ShardedChannelOptions sopts;
-  sopts.node_retry = args.retry;
-  sopts.timeouts = args.timeouts;
-  auto channel = core::ShardedChannel::Open(args.cluster, sopts);
-  if (!channel.ok()) Die("cluster config: " + channel.status().ToString());
-  return std::move(*channel);
+  return OpenCluster(args);
 }
 
 void Provision(const Args& args) {
@@ -279,13 +286,8 @@ int RunAdmin(const Args& args, const ssp::Request& req, const char* what) {
     if (args.cluster.empty()) {
       Die("--node needs --cluster (a lone daemon has only itself)");
     }
-    core::ShardedChannelOptions sopts;
-    sopts.node_retry = args.retry;
-    sopts.timeouts = args.timeouts;
-    auto channel = core::ShardedChannel::Open(args.cluster, sopts);
-    if (!channel.ok()) Die("cluster config: " + channel.status().ToString());
-    resp = (*channel)->CallOnNode(static_cast<uint32_t>(args.admin_node),
-                                  req);
+    resp = OpenCluster(args)->CallOnNode(
+        static_cast<uint32_t>(args.admin_node), req);
   } else {
     auto channel = MakeChannel(args);
     resp = channel->Call(req);
