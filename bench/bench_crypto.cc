@@ -15,8 +15,10 @@
 //
 //   bench_crypto --json <path>
 //     Writes a GiB/s throughput table (aes_ctr / ghash / gcm_seal /
-//     gcm_open, portable and accelerated, 4 KiB and 1 MiB payloads) as
-//     JSON — the BENCH_crypto.json artifact.
+//     gcm_open, portable and accelerated, 4 KiB and 1 MiB payloads) and
+//     a microseconds-per-op RSA table (512-bit sign / verify / keygen,
+//     2048-bit public / private op) as JSON — the BENCH_crypto.json
+//     artifact.
 
 #include <benchmark/benchmark.h>
 
@@ -24,6 +26,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "crypto/aead.h"
@@ -149,12 +152,12 @@ int SelfCheck() {
 }
 
 // ---------------------------------------------------------------------
-// --json: GiB/s throughput table.
+// --json: GiB/s throughput table and RSA latency table.
 // ---------------------------------------------------------------------
 
-/// Measures `fn` (which processes `bytes` per call) and returns GiB/s.
+/// Measures `fn` and returns seconds per call.
 template <typename Fn>
-double Throughput(size_t bytes, Fn&& fn) {
+double SecondsPerCall(Fn&& fn) {
   using clock = std::chrono::steady_clock;
   fn();  // Warm-up (key schedules, caches).
   size_t iters = 1;
@@ -162,12 +165,16 @@ double Throughput(size_t bytes, Fn&& fn) {
     auto start = clock::now();
     for (size_t i = 0; i < iters; ++i) fn();
     double secs = std::chrono::duration<double>(clock::now() - start).count();
-    if (secs >= 0.05) {
-      return static_cast<double>(bytes) * static_cast<double>(iters) / secs /
-             (1024.0 * 1024.0 * 1024.0);
-    }
+    if (secs >= 0.05) return secs / static_cast<double>(iters);
     iters *= 4;
   }
+}
+
+/// Measures `fn` (which processes `bytes` per call) and returns GiB/s.
+template <typename Fn>
+double Throughput(size_t bytes, Fn&& fn) {
+  return static_cast<double>(bytes) / SecondsPerCall(fn) /
+         (1024.0 * 1024.0 * 1024.0);
 }
 
 struct JsonRow {
@@ -221,6 +228,28 @@ int WriteJson(const std::string& path) {
   }
   ResetAeadImpl();
 
+  Bytes msg = rng.NextBytes(100);
+  Bytes sig = RsaSign(Rsa512().priv, msg);
+  Bytes ct = *RsaEncryptBlock(Rsa2048().pub, msg, rng);
+  auto micros = [](auto&& fn) { return 1e6 * SecondsPerCall(fn); };
+  std::vector<std::pair<const char*, double>> rsa_us = {
+      {"rsa512_sign", micros([&] {
+         benchmark::DoNotOptimize(RsaSign(Rsa512().priv, msg));
+       })},
+      {"rsa512_verify", micros([&] {
+         benchmark::DoNotOptimize(RsaVerify(Rsa512().pub, msg, sig));
+       })},
+      {"rsa2048_public", micros([&] {
+         benchmark::DoNotOptimize(RsaEncryptBlock(Rsa2048().pub, msg, rng));
+       })},
+      {"rsa2048_private", micros([&] {
+         benchmark::DoNotOptimize(RsaDecryptBlock(Rsa2048().priv, ct));
+       })},
+      {"rsa512_keygen", micros([&] {
+         benchmark::DoNotOptimize(GenerateRsaKeyPair(512, rng));
+       })},
+  };
+
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::printf("FAIL: cannot open %s\n", path.c_str());
@@ -237,11 +266,20 @@ int WriteJson(const std::string& path) {
                  rows[i].primitive, rows[i].impl, rows[i].size, rows[i].gib_s,
                  i + 1 < rows.size() ? "," : "");
   }
+  std::fprintf(f, "  ],\n  \"rsa_unit\": \"us\",\n  \"rsa\": [\n");
+  for (size_t i = 0; i < rsa_us.size(); ++i) {
+    std::fprintf(f, "    {\"op\": \"%s\", \"us_per_op\": %.2f}%s\n",
+                 rsa_us[i].first, rsa_us[i].second,
+                 i + 1 < rsa_us.size() ? "," : "");
+  }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   for (const JsonRow& r : rows) {
     std::printf("%-9s %-12s %8zu B  %8.3f GiB/s\n", r.primitive, r.impl,
                 r.size, r.gib_s);
+  }
+  for (const auto& [op, us] : rsa_us) {
+    std::printf("%-15s %12.2f us/op\n", op, us);
   }
   std::printf("wrote %s\n", path.c_str());
   return 0;
@@ -336,7 +374,10 @@ void BM_RsaKeygen512(benchmark::State& state) {
 }
 BENCHMARK(BM_RsaKeygen512);
 
+// Every RSA row touches its lazily generated key before the timed loop,
+// so key generation never lands inside the measurement.
 void BM_Rsa2048PublicOp(benchmark::State& state) {
+  Rsa2048();
   Bytes msg = BenchRng().NextBytes(100);
   for (auto _ : state) {
     auto ct = RsaEncryptBlock(Rsa2048().pub, msg, BenchRng());
@@ -358,6 +399,7 @@ BENCHMARK(BM_Rsa2048PrivateOp);
 void BM_EsignSubstituteSign(benchmark::State& state) {
   // RSA-512 signatures stand in for ESIGN (paper: "over an order of
   // magnitude faster" than RSA-2048 — compare with BM_Rsa2048PrivateOp).
+  Rsa512();
   Bytes msg = BenchRng().NextBytes(256);
   for (auto _ : state) {
     benchmark::DoNotOptimize(RsaSign(Rsa512().priv, msg));

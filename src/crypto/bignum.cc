@@ -1,6 +1,7 @@
 #include "crypto/bignum.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace sharoes::crypto {
@@ -84,30 +85,17 @@ Bytes BigInt::ToBytes(size_t len) const {
 Bytes BigInt::ToBytes() const { return ToBytes(ByteLength()); }
 
 std::string BigInt::ToHex() const {
-  if (IsZero()) return "0";
-  std::string out;
   static const char* digits = "0123456789abcdef";
-  bool started = false;
-  for (size_t i = limbs_.size(); i-- > 0;) {
-    for (int shift = 28; shift >= 0; shift -= 4) {
-      int d = (limbs_[i] >> shift) & 0xF;
-      if (!started && d == 0) continue;
-      started = true;
-      out.push_back(digits[d]);
-    }
+  std::string out;
+  for (size_t nibble = (BitLength() + 3) / 4; nibble-- > 0;) {
+    out.push_back(digits[(limbs_[nibble / 8] >> (4 * (nibble % 8))) & 0xF]);
   }
-  return out;
+  return out.empty() ? "0" : out;
 }
 
 size_t BigInt::BitLength() const {
   if (limbs_.empty()) return 0;
-  uint32_t top = limbs_.back();
-  size_t bits = (limbs_.size() - 1) * 32;
-  while (top != 0) {
-    ++bits;
-    top >>= 1;
-  }
-  return bits;
+  return (limbs_.size() - 1) * 32 + std::bit_width(limbs_.back());
 }
 
 bool BigInt::GetBit(size_t i) const {
@@ -157,17 +145,12 @@ BigInt BigInt::Add(const BigInt& a, const BigInt& b) {
 BigInt BigInt::Sub(const BigInt& a, const BigInt& b) {
   assert(a.Compare(b) >= 0);
   std::vector<uint32_t> out(a.limbs_.size(), 0);
-  int64_t borrow = 0;
+  uint64_t borrow = 0;
   for (size_t i = 0; i < a.limbs_.size(); ++i) {
-    int64_t diff = static_cast<int64_t>(a.limbs_[i]) - borrow -
-                   (i < b.limbs_.size() ? b.limbs_[i] : 0);
-    if (diff < 0) {
-      diff += static_cast<int64_t>(kBase);
-      borrow = 1;
-    } else {
-      borrow = 0;
-    }
+    uint64_t diff = static_cast<uint64_t>(a.limbs_[i]) - borrow -
+                    (i < b.limbs_.size() ? b.limbs_[i] : 0);
     out[i] = static_cast<uint32_t>(diff);
+    borrow = diff >> 63;  // Wrapped below zero.
   }
   return FromLimbs(std::move(out));
 }
@@ -247,12 +230,7 @@ void BigInt::DivMod(const BigInt& a, const BigInt& b, BigInt* q, BigInt* r) {
   }
 
   // Normalize so the divisor's top limb has its high bit set.
-  int shift = 0;
-  uint32_t top = b.limbs_.back();
-  while ((top & 0x80000000U) == 0) {
-    top <<= 1;
-    ++shift;
-  }
+  int shift = std::countl_zero(b.limbs_.back());
   BigInt u = ShiftLeft(a, shift);
   BigInt v = ShiftLeft(b, shift);
   size_t n = v.limbs_.size();
@@ -275,23 +253,18 @@ void BigInt::DivMod(const BigInt& a, const BigInt& b, BigInt* q, BigInt* r) {
       if (rhat >= kBase) break;
     }
     // Multiply-and-subtract.
-    int64_t borrow = 0;
+    uint64_t borrow = 0;
     uint64_t carry = 0;
     for (size_t i = 0; i < n; ++i) {
       uint64_t p = qhat * vn[i] + carry;
       carry = p >> 32;
-      int64_t t = static_cast<int64_t>(un[i + j]) -
-                  static_cast<int64_t>(p & 0xFFFFFFFFULL) - borrow;
-      if (t < 0) {
-        t += static_cast<int64_t>(kBase);
-        borrow = 1;
-      } else {
-        borrow = 0;
-      }
+      uint64_t t = static_cast<uint64_t>(un[i + j]) - (p & 0xFFFFFFFFULL) -
+                   borrow;
       un[i + j] = static_cast<uint32_t>(t);
+      borrow = t >> 63;  // Wrapped below zero.
     }
     int64_t t = static_cast<int64_t>(un[j + n]) -
-                static_cast<int64_t>(carry) - borrow;
+                static_cast<int64_t>(carry) - static_cast<int64_t>(borrow);
     if (t < 0) {
       // qhat was one too large: add back.
       t += static_cast<int64_t>(kBase);
@@ -328,84 +301,66 @@ BigInt BigInt::ModMul(const BigInt& a, const BigInt& b, const BigInt& m) {
 
 namespace {
 
-// Montgomery context for an odd modulus.
-struct MontgomeryCtx {
-  const BigInt& m;
-  size_t n;          // Limb count of m.
-  uint32_t m_prime;  // -m^{-1} mod 2^32.
-  BigInt r2;         // R^2 mod m, R = 2^(32n).
+using u128 = unsigned __int128;
 
-  explicit MontgomeryCtx(const BigInt& modulus) : m(modulus) {
-    n = m.limbs().size();
-    // m_prime = -m^{-1} mod 2^32 via Newton iteration on 2-adic inverse.
-    uint32_t m0 = m.limbs()[0];
-    uint32_t inv = 1;
-    for (int i = 0; i < 5; ++i) inv *= 2 - m0 * inv;  // inv = m0^{-1} mod 2^32
-    m_prime = ~inv + 1;  // -inv
-    // R^2 mod m.
-    BigInt r = BigInt::ShiftLeft(BigInt(1), 32 * n);
-    r2 = BigInt::Mod(BigInt::Mul(BigInt::Mod(r, m), BigInt::Mod(r, m)), m);
-  }
+// Returns the low limb of a * b + c + d and stores the high limb in *hi.
+// Cannot overflow: (2^64-1)^2 + 2(2^64-1) = 2^128-1.
+inline uint64_t MulAdd(uint64_t a, uint64_t b, uint64_t c, uint64_t d,
+                       uint64_t* hi) {
+  u128 p = static_cast<u128>(a) * b;
+  uint64_t lo = static_cast<uint64_t>(p) + c;
+  uint64_t h = static_cast<uint64_t>(p >> 64) + (lo < c);
+  lo += d;
+  *hi = h + (lo < d);
+  return lo;
+}
 
-  // CIOS Montgomery multiplication: returns a*b*R^{-1} mod m.
-  BigInt Mul(const BigInt& a, const BigInt& b) const {
-    std::vector<uint32_t> t(n + 2, 0);
-    const auto& al = a.limbs();
-    const auto& bl = b.limbs();
-    const auto& ml = m.limbs();
-    for (size_t i = 0; i < n; ++i) {
-      uint64_t ai = i < al.size() ? al[i] : 0;
-      // t += ai * b
-      uint64_t carry = 0;
-      for (size_t j = 0; j < n; ++j) {
-        uint64_t bj = j < bl.size() ? bl[j] : 0;
-        uint64_t cur = t[j] + ai * bj + carry;
-        t[j] = static_cast<uint32_t>(cur);
-        carry = cur >> 32;
-      }
-      uint64_t cur = static_cast<uint64_t>(t[n]) + carry;
-      t[n] = static_cast<uint32_t>(cur);
-      t[n + 1] = static_cast<uint32_t>(cur >> 32);
-      // u = t[0] * m' mod 2^32 ; t += u * m ; t >>= 32
-      uint32_t u = t[0] * m_prime;
-      carry = 0;
-      uint64_t first = static_cast<uint64_t>(t[0]) +
-                       static_cast<uint64_t>(u) * ml[0];
-      carry = first >> 32;
-      for (size_t j = 1; j < n; ++j) {
-        uint64_t c2 = t[j] + static_cast<uint64_t>(u) * ml[j] + carry;
-        t[j - 1] = static_cast<uint32_t>(c2);
-        carry = c2 >> 32;
-      }
-      cur = static_cast<uint64_t>(t[n]) + carry;
-      t[n - 1] = static_cast<uint32_t>(cur);
-      t[n] = t[n + 1] + static_cast<uint32_t>(cur >> 32);
-      t[n + 1] = 0;
+// out = a * b * R^{-1} mod m for an odd m of n 64-bit limbs, R = 2^(64n),
+// by CIOS; t is n + 1 limbs of scratch. Operands are little-endian and
+// fully reduced below m; out may alias a or b. Runs the same instructions
+// whatever the operand values.
+void MontMul(uint64_t* out, const uint64_t* a, const uint64_t* b,
+             const uint64_t* m, size_t n, uint64_t m_inv, uint64_t* t) {
+  std::fill(t, t + n + 1, 0);
+  for (size_t i = 0; i < n; ++i) {
+    // t = (t + a * b[i] + u * m) / 2^64, u chosen so the low limb cancels;
+    // both products share one pass over the limbs.
+    const uint64_t bi = b[i];
+    uint64_t cx, cy;
+    uint64_t x = MulAdd(a[0], bi, t[0], 0, &cx);
+    const uint64_t u = x * m_inv;
+    MulAdd(u, m[0], x, 0, &cy);
+    for (size_t j = 1; j < n; ++j) {
+      x = MulAdd(a[j], bi, t[j], cx, &cx);
+      t[j - 1] = MulAdd(u, m[j], x, cy, &cy);
     }
-    t.resize(n + 1);
-    BigInt result;
-    {
-      std::vector<uint32_t> copy = t;
-      while (!copy.empty() && copy.back() == 0) copy.pop_back();
-      // Reconstruct via public API to keep normalization in one place.
-      result = BigInt::FromBytes([&copy] {
-        Bytes be;
-        for (size_t i = copy.size(); i-- > 0;) {
-          be.push_back(static_cast<uint8_t>(copy[i] >> 24));
-          be.push_back(static_cast<uint8_t>(copy[i] >> 16));
-          be.push_back(static_cast<uint8_t>(copy[i] >> 8));
-          be.push_back(static_cast<uint8_t>(copy[i]));
-        }
-        return be;
-      }());
-    }
-    if (result.Compare(m) >= 0) result = BigInt::Sub(result, m);
-    return result;
+    u128 top = static_cast<u128>(t[n]) + cx + cy;
+    t[n - 1] = static_cast<uint64_t>(top);
+    t[n] = static_cast<uint64_t>(top >> 64);
   }
+  // t < 2m: out = t - m unless that borrows past t's top limb.
+  uint64_t borrow = 0;
+  for (size_t j = 0; j < n; ++j) {
+    u128 d = static_cast<u128>(t[j]) - m[j] - borrow;
+    out[j] = static_cast<uint64_t>(d);
+    borrow = static_cast<uint64_t>(d >> 64) & 1;
+  }
+  uint64_t keep_diff = 0 - (t[n] | (borrow ^ 1));
+  for (size_t j = 0; j < n; ++j) {
+    out[j] = (out[j] & keep_diff) | (t[j] & ~keep_diff);
+  }
+}
 
-  BigInt ToMont(const BigInt& x) const { return Mul(x, r2); }
-  BigInt FromMont(const BigInt& x) const { return Mul(x, BigInt(1)); }
-};
+// Packs 32-bit limbs into n zero-padded 64-bit limbs.
+void Pack(const std::vector<uint32_t>& in, uint64_t* out, size_t n) {
+  std::fill(out, out + n, 0);
+  for (size_t i = 0; i < in.size(); ++i) {
+    out[i / 2] |= static_cast<uint64_t>(in[i]) << (32 * (i % 2));
+  }
+}
+
+constexpr size_t kWindowBits = 4;
+constexpr size_t kTableSize = size_t{1} << kWindowBits;
 
 }  // namespace
 
@@ -413,20 +368,62 @@ BigInt BigInt::ModExp(const BigInt& base, const BigInt& exp, const BigInt& m) {
   assert(!m.IsZero() && !m.IsOne());
   BigInt b = Mod(base, m);
   if (exp.IsZero()) return BigInt(1);
-  if (b.IsZero()) return BigInt();
 
   if (m.IsOdd()) {
-    MontgomeryCtx ctx(m);
-    BigInt result = ctx.ToMont(BigInt(1));
-    BigInt acc = ctx.ToMont(b);
-    size_t bits = exp.BitLength();
-    for (size_t i = 0; i < bits; ++i) {
-      if (exp.GetBit(i)) result = ctx.Mul(result, acc);
-      if (i + 1 < bits) acc = ctx.Mul(acc, acc);
+    // Fixed 4-bit windows, top window first. Every window costs the same
+    // squarings and one multiply by a table entry fetched with a masked
+    // scan of the whole table, so the running time depends on the
+    // exponent's bit length only, never on its bits.
+    const size_t n = (m.limbs_.size() + 1) / 2;
+    // One buffer sized from the modulus: m, table, acc, entry, scratch.
+    std::vector<uint64_t> buf((kTableSize + 4) * n + 1);
+    uint64_t* mod = buf.data();
+    uint64_t* table = mod + n;
+    uint64_t* acc = table + kTableSize * n;
+    uint64_t* entry = acc + n;
+    Pack(m.limbs_, mod, n);
+    uint64_t inv = mod[0];  // Newton: 3 correct bits, doubling per step.
+    for (int i = 0; i < 5; ++i) inv *= 2 - mod[0] * inv;
+    auto mul = [&](uint64_t* out, const uint64_t* x, const uint64_t* y) {
+      MontMul(out, x, y, mod, n, 0 - inv, entry + n);
+    };
+    // table[k] = b^k in Montgomery form (times R mod m).
+    Pack(Mod(ShiftLeft(BigInt(1), 64 * n), m).limbs_, table, n);
+    Pack(Mod(ShiftLeft(b, 64 * n), m).limbs_, table + n, n);
+    for (size_t k = 2; k < kTableSize; ++k) {
+      mul(table + k * n, table + (k - 1) * n, table + n);
     }
-    return ctx.FromMont(result);
+    auto select = [&](uint64_t w, uint64_t* out) {
+      std::fill(out, out + n, 0);
+      for (uint64_t k = 0; k < kTableSize; ++k) {
+        uint64_t d = k ^ w;
+        uint64_t hit = ((d | (0 - d)) >> 63) - 1;  // All ones iff k == w.
+        for (size_t j = 0; j < n; ++j) out[j] |= table[k * n + j] & hit;
+      }
+    };
+    auto window = [&exp](size_t w) -> uint64_t {
+      return (exp.limbs_[w * kWindowBits / 32] >> (w * kWindowBits % 32)) &
+             (kTableSize - 1);
+    };
+    size_t windows = (exp.BitLength() + kWindowBits - 1) / kWindowBits;
+    select(window(windows - 1), acc);
+    for (size_t w = windows - 1; w-- > 0;) {
+      for (size_t s = 0; s < kWindowBits; ++s) mul(acc, acc, acc);
+      select(window(w), entry);
+      mul(acc, acc, entry);
+    }
+    // Leave Montgomery form: multiply by 1.
+    std::fill(entry, entry + n, 0);
+    entry[0] = 1;
+    mul(acc, acc, entry);
+    std::vector<uint32_t> out(2 * n);
+    for (size_t j = 0; j < 2 * n; ++j) {
+      out[j] = static_cast<uint32_t>(acc[j / 2] >> (32 * (j % 2)));
+    }
+    return FromLimbs(std::move(out));
   }
 
+  if (b.IsZero()) return BigInt();
   // Even modulus: plain square-and-multiply (not on RSA hot paths).
   BigInt result(1);
   BigInt acc = b;

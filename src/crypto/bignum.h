@@ -3,8 +3,8 @@
 // Limbs are base-2^32, little-endian, normalized (no leading zero limb).
 // The API covers exactly what RSA key generation and the RSA primitives
 // need: comparison, +, -, *, divmod (Knuth algorithm D), shifts, bit
-// access, modular exponentiation (Montgomery ladder for odd moduli),
-// gcd and modular inverse.
+// access, modular exponentiation (fixed-window Montgomery on 64-bit limbs
+// for odd moduli), gcd and modular inverse.
 
 #ifndef SHAROES_CRYPTO_BIGNUM_H_
 #define SHAROES_CRYPTO_BIGNUM_H_
@@ -72,8 +72,9 @@ class BigInt {
 
   /// (a * b) mod m via full multiply + reduce.
   static BigInt ModMul(const BigInt& a, const BigInt& b, const BigInt& m);
-  /// base^exp mod m. Uses Montgomery multiplication when m is odd,
-  /// falling back to ModMul otherwise. m must be > 1.
+  /// base^exp mod m. m must be > 1. For odd m (every RSA modulus and
+  /// prime) the time depends on the bit lengths of exp and m, not on the
+  /// bits of exp. Even m falls back to square-and-multiply over ModMul.
   static BigInt ModExp(const BigInt& base, const BigInt& exp, const BigInt& m);
   static BigInt Gcd(const BigInt& a, const BigInt& b);
   /// Inverse of a mod m (gcd(a, m) must be 1). Returns false otherwise.

@@ -137,6 +137,19 @@ TEST(BigIntTest, ModExpSmallNumbers) {
   }
 }
 
+// Square-and-multiply over ModMul (full multiply, then Knuth-D reduce):
+// shares no code with the Montgomery engine behind ModExp.
+BigInt ReferenceModExp(const BigInt& base, const BigInt& exp,
+                       const BigInt& m) {
+  BigInt result = BigInt::Mod(BigInt(1), m);
+  BigInt acc = BigInt::Mod(base, m);
+  for (size_t i = 0; i < exp.BitLength(); ++i) {
+    if (exp.GetBit(i)) result = BigInt::ModMul(result, acc, m);
+    acc = BigInt::ModMul(acc, acc, m);
+  }
+  return result;
+}
+
 TEST(BigIntTest, ModExpMatchesNaive) {
   Rng rng(7);
   for (int i = 0; i < 20; ++i) {
@@ -150,6 +163,36 @@ TEST(BigIntTest, ModExpMatchesNaive) {
     BigInt b = BigInt::Mod(base, m);
     for (uint64_t j = 0; j < e; ++j) naive = BigInt::ModMul(naive, b, m);
     EXPECT_EQ(BigInt::ModExp(base, exp, m), naive) << "i=" << i;
+  }
+  // RSA sizes, plus moduli with an odd count of 32-bit limbs (96, 544,
+  // 1056 bits), whose top 64-bit limb is half empty.
+  for (size_t bits : {96u, 256u, 512u, 544u, 1024u, 1056u, 2048u}) {
+    BigInt m = BigInt::RandomWithBits(bits, rng);
+    m.SetBit(0);
+    BigInt m1 = BigInt::Sub(m, BigInt(1));
+    for (int i = 0; i < 2; ++i) {
+      BigInt base = BigInt::RandomBelow(m, rng);
+      BigInt exp = BigInt::RandomWithBits(bits, rng);
+      EXPECT_EQ(BigInt::ModExp(base, exp, m), ReferenceModExp(base, exp, m))
+          << "bits=" << bits;
+    }
+    const BigInt bases[] = {
+        BigInt(), BigInt(1), m1, m,
+        BigInt::Add(m, BigInt::RandomBelow(m, rng)),
+        BigInt::RandomWithBits(2 * bits + 5, rng)};
+    // 1; a top window of one bit; 67 bits, whose top window holds 3.
+    const BigInt exps[] = {BigInt(1), BigInt(2), BigInt(0x1d),
+                           BigInt::RandomWithBits(67, rng)};
+    for (const BigInt& base : bases) {
+      for (const BigInt& exp : exps) {
+        EXPECT_EQ(BigInt::ModExp(base, exp, m), ReferenceModExp(base, exp, m))
+            << "bits=" << bits << " base=" << base.ToHex()
+            << " exp=" << exp.ToHex();
+      }
+    }
+    EXPECT_EQ(BigInt::ModExp(m1, BigInt(0x1d), m), m1);
+    EXPECT_TRUE(BigInt::ModExp(m1, BigInt(2), m).IsOne());
+    EXPECT_TRUE(BigInt::ModExp(m, BigInt(1), m).IsZero());
   }
 }
 

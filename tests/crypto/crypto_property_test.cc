@@ -91,9 +91,12 @@ TEST_P(BignumLawSweep, RingLawsHold) {
 
 TEST_P(BignumLawSweep, ModExpLawsHold) {
   Rng rng(GetParam() ^ 0xFEED);
-  BigInt m = BigInt::RandomWithBits(128, rng);
-  m.SetBit(0);  // Odd: Montgomery path.
+  // Odd moduli (the Montgomery path), including odd 32-bit limb counts.
+  const size_t kBits[] = {96, 128, 256, 544, 1056};
+  BigInt m = BigInt::RandomWithBits(kBits[GetParam() % 5], rng);
+  m.SetBit(0);
   BigInt a = BigInt::RandomBelow(m, rng);
+  if (GetParam() % 2 == 0) a = BigInt::Add(a, m);  // Unreduced base.
   uint64_t x = 1 + rng.NextBelow(40);
   uint64_t y = 1 + rng.NextBelow(40);
   // a^(x+y) == a^x * a^y (mod m).

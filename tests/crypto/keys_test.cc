@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "crypto/kdf.h"
+#include "util/binary_io.h"
 #include "util/sim_clock.h"
 
 namespace sharoes::crypto {
@@ -172,6 +173,31 @@ TEST(KeyTypesTest, SerializeDeserialize) {
   ASSERT_TRUE(sg.ok());
   Bytes sig = eng.Sign(*sg, ToBytes("m"));
   EXPECT_TRUE(eng.Verify(pair.verify, ToBytes("m"), sig));
+}
+
+// Verify keys arrive from the untrusted SSP, so the modulus can be any
+// size. Oversized ones (odd: the Montgomery path; even: the fallback)
+// must verify garbage as false without overrunning any buffer.
+TEST(KeyTypesTest, OversizedVerifyKeyRejectsGarbage) {
+  SimClock clock;
+  CryptoEngine eng(&clock, FastOptions());
+  Rng rng(4096);
+  for (size_t bits : {4096u, 8192u}) {
+    for (bool odd : {true, false}) {
+      Bytes n = BigInt::RandomWithBits(bits, rng).ToBytes();
+      n.back() = odd ? (n.back() | 1) : (n.back() & 0xFE);
+      BinaryWriter w;
+      w.PutBytes(n);
+      w.PutBytes(BigInt(65537).ToBytes());
+      auto vk = VerifyKey::Deserialize(w.Take());
+      ASSERT_TRUE(vk.ok()) << vk.status().ToString();
+      EXPECT_EQ(vk->pub.n.BitLength(), bits);
+      Bytes sig = rng.NextBytes(n.size());
+      sig[0] = 0;  // Below n, so the exponentiation really runs.
+      EXPECT_FALSE(eng.Verify(*vk, ToBytes("m"), sig)) << bits;
+      EXPECT_FALSE(eng.Verify(*vk, ToBytes("m"), rng.NextBytes(64))) << bits;
+    }
+  }
 }
 
 }  // namespace

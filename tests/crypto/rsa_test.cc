@@ -186,5 +186,43 @@ TEST(RsaSmallKeyTest, Various512BitKeys) {
   }
 }
 
+// Known-answer signatures. Keygen and PKCS#1 v1.5 signing are both
+// deterministic, so a seeded key and a fixed message pin the exact bytes
+// every modular-exponentiation change must reproduce.
+struct SignatureKat {
+  size_t bits;
+  const char* n_hex;
+  const char* sig_hex;
+};
+
+const SignatureKat kSignatureKats[] = {
+    {512,
+     "c58ed336e783dba0f04651f21866d60b8767c3c194d7f196c7b1afa72c0f8f93"
+     "a5eb58ac41b95b20fc47185a419f6abb39fbadb0ae33c5ef3fc144b4db5e6aed",
+     "bbbdbb1fbeddd670a7cd5acdd10f70561f5206fb7c8073ef4fe69b3136eb885e"
+     "afc1b5097b33772a669e202b1f9e270b1331af6096a0e5a74ffcd67af197c714"},
+    {1024,
+     "a854daac4279030a7c8c46854192a738e9d5dea6b3474988668d6304172233b7"
+     "bf6a1f2862d69f8a3fb6872db33cca9e22f315f8577d451e1b0612dadd103262"
+     "52d7a13be777ece2a3736c913c92a4cc6928604a21ac732d2dca67b8fa46e718"
+     "ae85b1715d15e5d071766b551da991d3711c186f783b4dfe8b45c9519579c741",
+     "1cf0b364e764ecce5a09d126e4c8e5044be8594ac99a3c44fee51d8bf5ecc9a0"
+     "53e23dfc74ec4067debeecd98fb124915b66f4c81272e45f2a0874c537c337c9"
+     "16a03299bd6d2f8286aaa56425029692c92610be63251e726c624feff1010a27"
+     "8a52413339ad66bc5db7be0c874e78be3ec2afc7925e2556aaea9c438a17665a"},
+};
+
+TEST(RsaKatTest, SeededSignaturesArePinned) {
+  for (const SignatureKat& kat : kSignatureKats) {
+    Rng rng(0x5EED0000 + kat.bits);
+    RsaKeyPair kp = GenerateRsaKeyPair(kat.bits, rng);
+    EXPECT_EQ(kp.pub.n.ToHex(), kat.n_hex) << kat.bits;
+    Bytes msg = ToBytes("sharoes rsa kat");
+    Bytes sig = RsaSign(kp.priv, msg);
+    EXPECT_EQ(HexEncode(sig), kat.sig_hex) << kat.bits;
+    EXPECT_TRUE(RsaVerify(kp.pub, msg, sig));
+  }
+}
+
 }  // namespace
 }  // namespace sharoes::crypto

@@ -3,12 +3,16 @@
 // read-your-write traffic against a 3-daemon K=3/W=2/R=2 cluster while
 // one replica is SIGKILLed and WAL-recovered in a loop. Every op must
 // succeed through quorum failover, and every read must observe the
-// thread's own latest write. Runs under -DSHAROES_SANITIZE=thread in
-// CI: the interesting bugs here are races between the per-node fan-out
-// threads, the flapper's daemon teardown, and WAL recovery.
+// thread's own latest write. The traffic runs in whole passes until the
+// replica has completed at least two kill/restart cycles, so flaps
+// genuinely interleave with live quorum rounds. Runs under
+// -DSHAROES_SANITIZE=thread in CI: the interesting bugs here are races
+// between the per-node fan-out threads, the flapper's daemon teardown,
+// and WAL recovery.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <string>
 
@@ -25,7 +29,8 @@ using testing::ReplicaFlapper;
 using testing::TestCluster;
 
 Bytes TaggedPayload(int thread, int op) {
-  Bytes payload;
+  // The op number leads, so no two writes to one inode look alike.
+  Bytes payload = {static_cast<uint8_t>(op), static_cast<uint8_t>(op >> 8)};
   for (int b = 0; b < 48; ++b) {
     payload.push_back(
         static_cast<uint8_t>((thread * 131 + op * 17 + b * 7) & 0xFF));
@@ -40,8 +45,10 @@ TEST(ClusterStress, ConcurrentClientsSurviveAFlappingReplica) {
   cluster.Start();
 
   constexpr int kThreads = 4;
-  constexpr int kOps = 24;
+  constexpr int kOps = 24;  // One pass.
+  constexpr int kMaxPasses = 500;
   constexpr uint64_t kInodesPerThread = 8;
+  std::array<int, kThreads> ops_done{};
 
   ReplicaFlapper flapper(cluster.node(1), /*down_ms=*/40, /*up_ms=*/40);
   testing::StressThreads(kThreads, [&](int t) -> Status {
@@ -57,29 +64,35 @@ TEST(ClusterStress, ConcurrentClientsSurviveAFlappingReplica) {
     // chain is private, so any cross-talk is a routing bug, not a
     // workload artifact.
     const uint64_t base = 1000 + static_cast<uint64_t>(t) * 100;
-    for (int op = 0; op < kOps; ++op) {
-      uint64_t inode = base + static_cast<uint64_t>(op) % kInodesPerThread;
-      auto put = (*channel)->Call(
-          Request::PutData(inode, 0, TaggedPayload(t, op)));
-      if (!put.ok()) return put.status();
-      if (put->status != RespStatus::kOk) {
-        return Status::IoError("put answered " +
-                               std::string(RespStatusName(put->status)));
-      }
-      auto got = (*channel)->Call(Request::GetData(inode, 0));
-      if (!got.ok()) return got.status();
-      if (got->status != RespStatus::kOk) {
-        return Status::IoError("get answered " +
-                               std::string(RespStatusName(got->status)));
-      }
-      if (got->payload != TaggedPayload(t, op)) {
-        return Status::IoError("thread " + std::to_string(t) + " op " +
-                               std::to_string(op) +
-                               " read someone else's write");
+    int op = 0;
+    for (int pass = 0; pass == 0 || flapper.flaps() < 2; ++pass) {
+      if (pass == kMaxPasses) return Status::IoError("the flapper stalled");
+      for (int end = op + kOps; op < end; ++op) {
+        uint64_t inode = base + static_cast<uint64_t>(op) % kInodesPerThread;
+        auto put = (*channel)->Call(
+            Request::PutData(inode, 0, TaggedPayload(t, op)));
+        if (!put.ok()) return put.status();
+        if (put->status != RespStatus::kOk) {
+          return Status::IoError("put answered " +
+                                 std::string(RespStatusName(put->status)));
+        }
+        auto got = (*channel)->Call(Request::GetData(inode, 0));
+        if (!got.ok()) return got.status();
+        if (got->status != RespStatus::kOk) {
+          return Status::IoError("get answered " +
+                                 std::string(RespStatusName(got->status)));
+        }
+        if (got->payload != TaggedPayload(t, op)) {
+          return Status::IoError("thread " + std::to_string(t) + " op " +
+                                 std::to_string(op) +
+                                 " read someone else's write");
+        }
       }
     }
+    ops_done[static_cast<size_t>(t)] = op;
     return Status::OK();
   });
+  EXPECT_GE(flapper.flaps(), 2);
   flapper.Stop();
 
   // Post-churn scrub: a full-quorum (R = K) reader must find every
@@ -92,9 +105,11 @@ TEST(ClusterStress, ConcurrentClientsSurviveAFlappingReplica) {
   for (int t = 0; t < kThreads; ++t) {
     for (uint64_t i = 0; i < kInodesPerThread; ++i) {
       uint64_t inode = 1000 + static_cast<uint64_t>(t) * 100 + i;
-      // kOps is a multiple of kInodesPerThread, so slot i's final write
-      // was op (kOps - kInodesPerThread + i).
-      int last_op = static_cast<int>(kOps - kInodesPerThread + i);
+      // Each thread ran whole passes and kOps is a multiple of
+      // kInodesPerThread, so slot i's final write was op
+      // (ops_done - kInodesPerThread + i).
+      int last_op = ops_done[static_cast<size_t>(t)] -
+                    static_cast<int>(kInodesPerThread) + static_cast<int>(i);
       auto got = reader->Call(Request::GetData(inode, 0));
       ASSERT_TRUE(got.ok()) << got.status();
       ASSERT_EQ(got->status, RespStatus::kOk)
