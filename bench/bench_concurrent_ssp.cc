@@ -34,6 +34,7 @@ namespace {
 
 using sharoes::Bytes;
 using sharoes::fs::InodeNum;
+using sharoes::ssp::ObjectRef;
 using sharoes::ssp::ObjectStore;
 using sharoes::ssp::Request;
 using sharoes::ssp::SspServer;
@@ -49,12 +50,13 @@ void StoreWorker(ObjectStore& store, int t, const Bytes& payload) {
   for (int i = 0; i < kOpsPerThread; ++i) {
     InodeNum inode = base + static_cast<InodeNum>(i % kKeysPerThread);
     if (i % 2 == 0) {
-      store.PutData(inode, 0, payload);
+      store.Put(ObjectRef::Data(inode, 0), payload);
     } else {
-      benchmark::DoNotOptimize(store.GetData(inode, 0));
+      benchmark::DoNotOptimize(store.Get(ObjectRef::Data(inode, 0)));
     }
     if (i % 16 == 0) {
-      benchmark::DoNotOptimize(store.GetMetadata(1, 0));  // Shared hot key.
+      // The shared hot key.
+      benchmark::DoNotOptimize(store.Get(ObjectRef::Metadata(1, 0)));
     }
   }
 }
@@ -80,7 +82,7 @@ void BM_StoreMixedOps(benchmark::State& state) {
   const Bytes payload(256, 0xAB);
   for (auto _ : state) {
     ObjectStore store(shards);
-    store.PutMetadata(1, 0, payload);  // The shared hot key.
+    store.Put(ObjectRef::Metadata(1, 0), payload);  // The shared hot key.
     RunThreadPack(threads,
                   [&](int t) { StoreWorker(store, t, payload); });
   }

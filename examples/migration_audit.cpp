@@ -131,7 +131,7 @@ int main() {
   bool leaked = false;
   for (fs::InodeNum inode = 1; inode < 200; ++inode) {
     for (uint32_t blk = 0; blk < 8; ++blk) {
-      auto blob = ssp_server.store().GetData(inode, blk);
+      auto blob = ssp_server.store().Get(ssp::ObjectRef::Data(inode, blk));
       if (blob.has_value() && BlobContains(*blob, probe)) leaked = true;
     }
   }
@@ -142,7 +142,7 @@ int main() {
   // --- Audit 3: tamper detection. ---
   auto attrs = admin.Getattr("/file0.dat");
   Check(attrs.status(), "stat probe file");
-  ssp_server.store().CorruptData(attrs->inode, 0, 17);
+  ssp_server.store().Corrupt(ssp::ObjectRef::Data(attrs->inode, 0), 17);
   admin.DropCaches();
   auto tampered = admin.Read("/file0.dat");
   std::printf("Audit 3: SSP flips one byte of /file0.dat; client read -> "

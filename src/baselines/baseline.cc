@@ -62,17 +62,20 @@ Status BaselineProvisioner::StoreRecord(const BaselineRecord& record) {
   switch (options_.mode) {
     case SecurityMode::kNoEncMdD:
     case SecurityMode::kNoEncMd:
-      server_->store().PutMetadata(inode, 0, std::move(plain));
+      server_->store().Put(
+          ssp::ObjectRef::Metadata(inode, 0), std::move(plain));
       return Status::OK();
     case SecurityMode::kPubOpt: {
       crypto::SymmetricKey k = engine_->NewSymmetricKey();
-      server_->store().PutMetadata(inode, 0, engine_->SymEncrypt(k, plain));
+      server_->store().Put(
+          ssp::ObjectRef::Metadata(inode, 0), engine_->SymEncrypt(k, plain));
       for (fs::UserId uid : identity_->AllUsers()) {
         SHAROES_ASSIGN_OR_RETURN(core::UserInfo user,
                                  identity_->GetUser(uid));
         SHAROES_ASSIGN_OR_RETURN(Bytes wrapped,
                                  engine_->PkEncrypt(user.public_key, k.key));
-        server_->store().PutUserMetadata(inode, uid, std::move(wrapped));
+        server_->store().Put(
+            ssp::ObjectRef::UserMetadata(inode, uid), std::move(wrapped));
       }
       return Status::OK();
     }
@@ -82,7 +85,8 @@ Status BaselineProvisioner::StoreRecord(const BaselineRecord& record) {
                                  identity_->GetUser(uid));
         SHAROES_ASSIGN_OR_RETURN(Bytes enc,
                                  engine_->PkEncrypt(user.public_key, plain));
-        server_->store().PutUserMetadata(inode, uid, std::move(enc));
+        server_->store().Put(
+            ssp::ObjectRef::UserMetadata(inode, uid), std::move(enc));
       }
       return Status::OK();
     }
@@ -95,10 +99,11 @@ Status BaselineProvisioner::StoreTable(fs::InodeNum inode,
                                        const Bytes& dek) {
   Bytes plain = table.Serialize();
   if (options_.mode == SecurityMode::kNoEncMdD) {
-    server_->store().PutData(inode, 0, std::move(plain));
+    server_->store().Put(ssp::ObjectRef::Data(inode, 0), std::move(plain));
   } else {
-    server_->store().PutData(
-        inode, 0, engine_->SymEncrypt(crypto::SymmetricKey{dek}, plain));
+    server_->store().Put(
+        ssp::ObjectRef::Data(inode, 0),
+        engine_->SymEncrypt(crypto::SymmetricKey{dek}, plain));
   }
   return Status::OK();
 }
@@ -147,7 +152,7 @@ Status BaselineProvisioner::MigrateNode(const core::LocalNode& spec,
     if (options_.mode != SecurityMode::kNoEncMdD) {
       b0 = engine_->SymEncrypt(crypto::SymmetricKey{rec.dek}, b0);
     }
-    server_->store().PutData(inode, 1, std::move(b0));
+    server_->store().Put(ssp::ObjectRef::Data(inode, 1), std::move(b0));
     uint32_t idx = 2;
     for (size_t pos = chunk0; pos < content.size(); pos += bs, ++idx) {
       size_t n = std::min(bs, content.size() - pos);
@@ -155,7 +160,7 @@ Status BaselineProvisioner::MigrateNode(const core::LocalNode& spec,
       if (options_.mode != SecurityMode::kNoEncMdD) {
         chunk = engine_->SymEncrypt(crypto::SymmetricKey{rec.dek}, chunk);
       }
-      server_->store().PutData(inode, idx, std::move(chunk));
+      server_->store().Put(ssp::ObjectRef::Data(inode, idx), std::move(chunk));
     }
   }
   return StoreRecord(rec);
@@ -169,7 +174,8 @@ Status BaselineProvisioner::Migrate(const core::LocalNode& root) {
   SHAROES_RETURN_IF_ERROR(MigrateNode(root, fs::kRootInode));
   fs::Superblock sb;
   sb.root_inode = fs::kRootInode;
-  server_->store().PutSuperblock(kSuperblockSlot, sb.Serialize());
+  server_->store().Put(
+      ssp::ObjectRef::Superblock(kSuperblockSlot), sb.Serialize());
   return Status::OK();
 }
 

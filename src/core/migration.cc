@@ -1,6 +1,7 @@
 #include "core/migration.h"
 
 #include "crypto/merkle.h"
+#include "ssp/wal.h"
 
 namespace sharoes::core {
 
@@ -99,32 +100,9 @@ Status Provisioner::Put(ssp::Request req) {
     return Status::FailedPrecondition(
         "provisioner has neither a local store nor a remote channel");
   }
-  switch (req.op) {
-    case ssp::OpCode::kPutMetadata:
-      server_->store().PutMetadata(req.inode, req.selector,
-                                   std::move(req.payload));
-      break;
-    case ssp::OpCode::kPutData:
-      server_->store().PutData(req.inode, req.block, std::move(req.payload));
-      break;
-    case ssp::OpCode::kPutUserMetadata:
-      server_->store().PutUserMetadata(req.inode, req.user,
-                                       std::move(req.payload));
-      break;
-    case ssp::OpCode::kPutSuperblock:
-      server_->store().PutSuperblock(req.user, std::move(req.payload));
-      break;
-    case ssp::OpCode::kPutGroupKey:
-      server_->store().PutGroupKey(req.group, req.user,
-                                   std::move(req.payload));
-      break;
-    case ssp::OpCode::kDeleteGroupKey:
-      server_->store().DeleteGroupKey(req.group, req.user);
-      break;
-    default:
-      return Status::Internal("unexpected provisioning opcode");
-  }
-  return Status::OK();
+  // The daemon's own store apply (no WAL: provisioning fills the store
+  // before it serves).
+  return ssp::ApplyWalOp(req, &server_->store());
 }
 
 Result<Provisioner::MigratedObject> Provisioner::MigrateNode(

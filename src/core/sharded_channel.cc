@@ -10,7 +10,6 @@
 #include "obs/json.h"
 #include "obs/log.h"
 #include "ssp/tcp_service.h"
-#include "util/binary_io.h"
 
 namespace sharoes::core {
 
@@ -43,73 +42,11 @@ void FanOut(size_t n, const std::function<void(size_t)>& fn) {
   for (std::thread& th : pack) th.join();
 }
 
-/// The put that rewrites one object from a get's winning payload — the
-/// read-repair verb per object family.
-Request MakeRepairPut(const Request& get, Bytes payload) {
-  switch (get.op) {
-    case OpCode::kGetSuperblock:
-      return Request::PutSuperblock(get.user, std::move(payload));
-    case OpCode::kGetMetadata:
-      return Request::PutMetadata(get.inode, get.selector,
-                                  std::move(payload));
-    case OpCode::kGetUserMetadata:
-      return Request::PutUserMetadata(get.inode, get.user,
-                                      std::move(payload));
-    case OpCode::kGetData:
-      return Request::PutData(get.inode, get.block, std::move(payload));
-    case OpCode::kGetGroupKey:
-      return Request::PutGroupKey(get.group, get.user, std::move(payload));
-    default:
-      return Request{};  // Unreachable: only gets reach RepairStale.
-  }
-}
-
-/// The delete that propagates one object's tombstone from a get — the
-/// delete-repair verb per object family (kDeleteData exists exactly so
-/// a single data block's tombstone can be repaired without touching the
-/// rest of the inode).
-Request MakeRepairDelete(const Request& get) {
-  switch (get.op) {
-    case OpCode::kGetSuperblock:
-      return Request::DeleteSuperblock(get.user);
-    case OpCode::kGetMetadata:
-      return Request::DeleteMetadata(get.inode, get.selector);
-    case OpCode::kGetUserMetadata:
-      return Request::DeleteUserMetadata(get.inode, get.user);
-    case OpCode::kGetData:
-      return Request::DeleteData(get.inode, get.block);
-    case OpCode::kGetGroupKey:
-      return Request::DeleteGroupKey(get.group, get.user);
-    default:
-      return Request{};  // Unreachable: only gets reach RepairStale.
-  }
-}
-
-/// Reads the little-endian u64 trailing `payload` (the versioned-read
-/// generation suffix / the kDeleted generation payload). 0 when absent.
-uint64_t TrailingGen(const Bytes& payload) {
-  if (payload.size() < 8) return 0;
-  BinaryReader r(payload.data() + payload.size() - 8, 8);
-  uint64_t gen = r.GetU64();
-  return r.ok() ? gen : 0;
-}
-
 }  // namespace
 
 /// Per-sub-op quorum progress across rounds. Replica positions index
 /// into `replicas` (preference order from the ring).
 struct ShardedChannel::SubState {
-  /// One usable read reply, decoded from the versioned wire shape: the
-  /// generation suffix is stripped off kOk payloads and a kDeleted
-  /// reply keeps its tombstone generation, so SettleRead compares clean
-  /// object bytes and raw generations.
-  struct Reply {
-    uint32_t pos = 0;           // Replica position (preference order).
-    RespStatus status = RespStatus::kNotFound;  // kOk/kNotFound/kDeleted.
-    Bytes payload;              // Object bytes (kOk only), suffix-free.
-    uint64_t gen = 0;           // Replica's per-key store generation.
-  };
-
   const Request* req = nullptr;
   bool mutating = false;
   std::vector<uint32_t> replicas;  // Node indices, preferred first.
@@ -117,20 +54,15 @@ struct ShardedChannel::SubState {
   uint32_t need_replies = 1;       // R for reads.
   std::vector<uint8_t> acked;      // Per position: write acknowledged.
   std::vector<uint8_t> targeted;   // Per position: ever asked (reads).
-  /// Reads: usable replies (kOk/kNotFound/kDeleted), at most one per
-  /// position.
-  std::vector<Reply> usable;
+  /// Reads, per position: the usable versioned reply (kOk/kNotFound/
+  /// kDeleted), decoded so SettleRead compares clean object bytes and
+  /// raw generations.
+  std::vector<std::optional<ssp::VersionedReply>> replies;
+  uint32_t replied = 0;  // Set entries in `replies`.
   uint32_t acks = 0;
   bool wrong_shard = false;
   bool done = false;
   Response final;
-
-  bool HasUsable(uint32_t pos) const {
-    for (const auto& u : usable) {
-      if (u.pos == pos) return true;
-    }
-    return false;
-  }
 };
 
 Result<std::unique_ptr<ShardedChannel>> ShardedChannel::Open(
@@ -262,73 +194,23 @@ void ShardedChannel::RebuildRing(ssp::ClusterConfig config) {
   }
 }
 
-bool ShardedChannel::MakeObjectKey(const Request& req, ObjectKey* key) {
-  switch (req.op) {
-    case OpCode::kGetSuperblock:
-    case OpCode::kPutSuperblock:
-    case OpCode::kDeleteSuperblock:
-      *key = {static_cast<uint8_t>(OpCode::kGetSuperblock), req.user, 0};
-      return true;
-    case OpCode::kGetMetadata:
-    case OpCode::kPutMetadata:
-    case OpCode::kDeleteMetadata:
-      *key = {static_cast<uint8_t>(OpCode::kGetMetadata), req.inode,
-              req.selector};
-      return true;
-    case OpCode::kGetUserMetadata:
-    case OpCode::kPutUserMetadata:
-    case OpCode::kDeleteUserMetadata:
-      *key = {static_cast<uint8_t>(OpCode::kGetUserMetadata), req.inode,
-              req.user};
-      return true;
-    case OpCode::kGetData:
-    case OpCode::kPutData:
-    case OpCode::kDeleteData:
-      *key = {static_cast<uint8_t>(OpCode::kGetData), req.inode, req.block};
-      return true;
-    case OpCode::kGetGroupKey:
-    case OpCode::kPutGroupKey:
-    case OpCode::kDeleteGroupKey:
-      *key = {static_cast<uint8_t>(OpCode::kGetGroupKey), req.group,
-              req.user};
-      return true;
-    default:
-      return false;  // Range deletes and non-store ops.
-  }
-}
-
 void ShardedChannel::NoteWrite(const Request& req) {
-  ObjectKey key;
-  switch (req.op) {
-    case OpCode::kPutSuperblock:
-    case OpCode::kPutMetadata:
-    case OpCode::kPutUserMetadata:
-    case OpCode::kPutData:
-    case OpCode::kPutGroupKey:
-      if (MakeObjectKey(req, &key)) {
-        session_marks_[key] = {false, crypto::Sha256Digest(req.payload)};
-      }
+  switch (ssp::VerbOf(req.op)) {
+    case ssp::OpVerb::kPut:
+      session_marks_[*ssp::RefOf(req)] = {false,
+                                          crypto::Sha256Digest(req.payload)};
       return;
-    case OpCode::kDeleteSuperblock:
-    case OpCode::kDeleteMetadata:
-    case OpCode::kDeleteUserMetadata:
-    case OpCode::kDeleteData:
-    case OpCode::kDeleteGroupKey:
+    case ssp::OpVerb::kDelete:
       // Flip to a deleted mark, never erase: erasing would let a stale
       // live reply match the pre-delete digest on a later read and win
       // the settle — this session resurrecting its own delete.
-      if (MakeObjectKey(req, &key)) session_marks_[key] = {true, {}};
+      session_marks_[*ssp::RefOf(req)] = {true, {}};
       return;
-    case OpCode::kDeleteInodeMetadata:
-    case OpCode::kDeleteInodeData: {
+    case ssp::OpVerb::kDeleteInode: {
       // Range: every mark of the inode's family flips to deleted.
-      uint8_t family = static_cast<uint8_t>(
-          req.op == OpCode::kDeleteInodeData ? OpCode::kGetData
-                                             : OpCode::kGetMetadata);
-      auto it = session_marks_.lower_bound(ObjectKey{family, req.inode, 0});
-      auto end =
-          session_marks_.upper_bound(ObjectKey{family, req.inode,
-                                               ~uint64_t{0}});
+      const ssp::ObjectFamily family = ssp::FamilyOf(req.op);
+      auto it = session_marks_.lower_bound({family, req.inode, 0});
+      auto end = session_marks_.upper_bound({family, req.inode, ~0ull});
       for (; it != end; ++it) it->second = {true, {}};
       return;
     }
@@ -451,6 +333,7 @@ bool ShardedChannel::ExecuteSubOps(const std::vector<const Request*>& subs,
     s.need_replies = std::min(config.read_quorum, k);
     s.acked.assign(k, 0);
     s.targeted.assign(k, 0);
+    s.replies.resize(k);
   }
 
   // One node's work for one round: the sub-ops (in submission order)
@@ -492,14 +375,13 @@ bool ShardedChannel::ExecuteSubOps(const std::vector<const Request*>& subs,
           }
         }
       } else {
-        uint32_t want = s.need_replies - static_cast<uint32_t>(
-                                             s.usable.size());
+        uint32_t want = s.need_replies - s.replied;
         // Untried replicas first (ring preference order), then re-asks
         // of replicas that failed earlier rounds (they may be back).
         for (int pass = 0; pass < 2 && want > 0; ++pass) {
           for (uint32_t pos = 0; pos < s.replicas.size() && want > 0;
                ++pos) {
-            if (s.HasUsable(pos)) continue;
+            if (s.replies[pos].has_value()) continue;
             const bool untried = !s.targeted[pos];
             if ((pass == 0) != untried) continue;
             if (untried && pos >= s.need_replies) ++read_failovers_;
@@ -583,28 +465,9 @@ bool ShardedChannel::ExecuteSubOps(const std::vector<const Request*>& subs,
               ++s.acks;
             }
           }
-        } else {
-          if ((status == RespStatus::kOk ||
-               status == RespStatus::kNotFound ||
-               status == RespStatus::kDeleted) &&
-              !s.HasUsable(pos)) {
-            // Decode the versioned wire shape once, here: kOk payloads
-            // end in an 8-byte generation suffix, kDeleted payloads ARE
-            // the tombstone's generation, kNotFound has no version.
-            SubState::Reply reply;
-            reply.pos = pos;
-            reply.status = status;
-            if (status == RespStatus::kOk) {
-              reply.gen = TrailingGen(sub_resp->payload);
-              reply.payload = sub_resp->payload;
-              if (reply.payload.size() >= 8) {
-                reply.payload.resize(reply.payload.size() - 8);
-              }
-            } else if (status == RespStatus::kDeleted) {
-              reply.gen = TrailingGen(sub_resp->payload);
-            }
-            s.usable.push_back(std::move(reply));
-          }
+        } else if (!s.replies[pos].has_value()) {
+          s.replies[pos] = ssp::DecodeVersioned(*sub_resp);
+          if (s.replies[pos].has_value()) ++s.replied;
         }
       }
     }
@@ -617,7 +480,7 @@ bool ShardedChannel::ExecuteSubOps(const std::vector<const Request*>& subs,
           s.final = Response::Ok();
           s.done = true;
         }
-      } else if (s.usable.size() >= s.need_replies) {
+      } else if (s.replied >= s.need_replies) {
         SettleRead(&s);
       }
     }
@@ -647,46 +510,25 @@ bool ShardedChannel::ExecuteSubOps(const std::vector<const Request*>& subs,
 }
 
 void ShardedChannel::SettleRead(SubState* sub) {
-  // Preference order = replica position order.
-  std::sort(sub->usable.begin(), sub->usable.end(),
-            [](const auto& a, const auto& b) { return a.pos < b.pos; });
-  std::vector<const SubState::Reply*> oks;
-  bool any_versioned = false;
-  for (const auto& u : sub->usable) {
-    if (u.status == RespStatus::kOk) oks.push_back(&u);
-    if (u.status == RespStatus::kDeleted || u.gen != 0) any_versioned = true;
+  // Positions are preference order.
+  std::vector<const ssp::VersionedReply*> oks;
+  for (const auto& r : sub->replies) {
+    if (r.has_value() && r->status == RespStatus::kOk) oks.push_back(&*r);
   }
-  // 0. Generation-first freshness. Each replica's per-key generation
-  //    counts the gen-gated ops it has applied to that key, so with
-  //    quorum writes the highest generation among R >= K-W+1 replies is
-  //    the freshest acknowledged state — live OR deleted. A tombstone
-  //    wins ties against a live value at the same generation: equal
-  //    counters with different final states only arise from rare
-  //    double-failure interleavings where either order is defensible,
-  //    and a revocation-oriented store errs toward staying deleted
-  //    (DESIGN.md §16; the R=K scrub heals a wrong suppression from the
-  //    replica holding the strictly higher generation).
-  uint64_t max_gen = 0;
-  for (const auto& u : sub->usable) {
-    if (u.status != RespStatus::kNotFound && u.gen > max_gen) {
-      max_gen = u.gen;
-    }
-  }
-  bool deleted_wins = false;
-  for (const auto& u : sub->usable) {
-    if (u.status == RespStatus::kDeleted && u.gen == max_gen) {
-      deleted_wins = true;
-      break;
-    }
-  }
-  if (deleted_wins) {
+  // 0. Generation-first freshness (ssp::SettleFreshest; DESIGN.md §16:
+  //    with quorum writes the highest generation among R >= K-W+1
+  //    replies is the freshest acknowledged state, and a tombstone wins
+  //    ties — the R=K scrub heals a wrong suppression from the replica
+  //    holding the strictly higher generation).
+  const ssp::Freshest fresh = ssp::SettleFreshest(sub->replies);
+  if (fresh.deleted) {
     // The freshest acknowledged state of this key is "deleted". Answer
     // absence and propagate the tombstone onto live stale repliers —
     // never onto kNotFound ones (missing already agrees with deleted;
     // re-creating the tombstone there would fight the scrubber's GC).
     sub->final = Response::NotFound();
     sub->done = true;
-    RepairStale(*sub, /*deleted=*/true, Bytes{}, max_gen);
+    RepairStale(*sub, /*deleted=*/true, Bytes{}, fresh.gen);
     return;
   }
   if (oks.empty()) {
@@ -696,7 +538,7 @@ void ShardedChannel::SettleRead(SubState* sub) {
     sub->done = true;
     return;
   }
-  const SubState::Reply* winner = nullptr;
+  const ssp::VersionedReply* winner = nullptr;
   // Read repair re-puts the winner over the losers, so a wrong winner
   // does not just return stale bytes — it DESTROYS the fresh copies.
   // Only verdicts with real freshness evidence may repair; a mere
@@ -705,31 +547,18 @@ void ShardedChannel::SettleRead(SubState* sub) {
   // A live reply at the strictly highest generation — or several that
   // agree byte-for-byte — IS the freshest acknowledged copy. Ambiguous
   // ties (same generation, different bytes: diverged replicas that
-  // each missed a different op) fall through to the legacy evidence
-  // chain below.
-  if (any_versioned) {
-    const SubState::Reply* top = nullptr;
-    bool agree = true;
-    for (const auto* u : oks) {
-      if (u->gen != max_gen) continue;
-      if (top == nullptr) {
-        top = u;
-      } else if (u->payload != top->payload) {
-        agree = false;
-      }
-    }
-    if (top != nullptr && agree) {
-      winner = top;
-      strong_winner = true;
-    }
+  // each missed a different op) fall through to the evidence chain
+  // below.
+  if (fresh.live.has_value()) {
+    winner = &*sub->replies[*fresh.live];
+    strong_winner = true;
   }
   // 1. This channel's own quorum-acked write wins outright. A deleted
   //    session mark never matches anything here (its digest is empty
   //    on purpose), so a stale live copy of a key this session deleted
   //    cannot ride the fingerprint path back to life.
-  ObjectKey key;
-  if (winner == nullptr && MakeObjectKey(*sub->req, &key)) {
-    auto mark = session_marks_.find(key);
+  if (winner == nullptr) {
+    auto mark = session_marks_.find(*ssp::RefOf(*sub->req));
     if (mark != session_marks_.end() && !mark->second.deleted) {
       for (const auto* u : oks) {
         if (crypto::Sha256Digest(u->payload) == mark->second.digest) {
@@ -798,14 +627,17 @@ void ShardedChannel::SettleRead(SubState* sub) {
 
 void ShardedChannel::RepairStale(const SubState& sub, bool deleted,
                                  const Bytes& payload, uint64_t gen) {
-  for (const auto& u : sub.usable) {
+  const ssp::ObjectRef ref = *ssp::RefOf(*sub.req);
+  for (size_t pos = 0; pos < sub.replies.size(); ++pos) {
+    const auto& u = sub.replies[pos];
+    if (!u.has_value()) continue;
     if (deleted) {
       // Only live stale repliers get the tombstone. kNotFound already
       // agrees with deleted; kDeleted repliers (any generation) are
       // already dead.
-      if (u.status != RespStatus::kOk) continue;
+      if (u->status != RespStatus::kOk) continue;
     } else {
-      if (u.status == RespStatus::kOk && u.payload == payload) continue;
+      if (u->status == RespStatus::kOk && u->payload == payload) continue;
     }
     // Re-put the winning payload — or re-delete, when a tombstone won —
     // stamped with the winner's generation so the receiving store
@@ -813,13 +645,12 @@ void ShardedChannel::RepairStale(const SubState& sub, bool deleted,
     // nothing fresher is ever clobbered (idempotent either way).
     // Best-effort: a failed repair just leaves the divergence for the
     // next read or the anti-entropy scrubber to heal.
-    Request fix = deleted ? MakeRepairDelete(*sub.req)
-                          : MakeRepairPut(*sub.req, payload);
+    Request fix = deleted ? Request::Delete(ref) : Request::Put(ref, payload);
     if (gen != 0) {
       fix.has_store_gen = true;
       fix.store_gen = gen;
     }
-    const ssp::ClusterNode& node = ring_.config().nodes[sub.replicas[u.pos]];
+    const ssp::ClusterNode& node = ring_.config().nodes[sub.replicas[pos]];
     auto repaired = CallSlot(Slot(node), fix);
     ++read_repairs_;
     if (!repaired.ok() || (repaired->status != RespStatus::kOk &&

@@ -123,18 +123,6 @@ class ShardedChannel : public ssp::SspChannel {
   uint64_t quorum_retry_rounds() const { return quorum_retry_rounds_; }
 
  private:
-  /// Canonical object coordinate for the session-fingerprint map: the
-  /// get/put/delete spellings of one object collapse to one key.
-  struct ObjectKey {
-    uint8_t family;  // The kGet* opcode of the object's family.
-    uint64_t a;      // inode | user | group.
-    uint64_t b;      // selector | user | block | 0.
-    bool operator<(const ObjectKey& o) const {
-      if (family != o.family) return family < o.family;
-      if (a != o.a) return a < o.a;
-      return b < o.b;
-    }
-  };
   struct SubState;
 
   /// What this session last quorum-acked for one object: a put's
@@ -188,7 +176,6 @@ class ShardedChannel : public ssp::SspChannel {
   /// stamps the round as the trace attempt.
   void BeginRound(int round, obs::RpcTraceScope* trace);
 
-  static bool MakeObjectKey(const ssp::Request& req, ObjectKey* key);
   void NoteWrite(const ssp::Request& req);
 
   ssp::PlacementRing ring_;
@@ -202,7 +189,7 @@ class ShardedChannel : public ssp::SspChannel {
   std::map<uint32_t, NodeConnSlot> conns_;
   /// Session memory quorum reads use to recognize this channel's own
   /// freshest copy — or its own delete — regardless of blob family.
-  std::map<ObjectKey, SessionMark> session_marks_;
+  std::map<ssp::ObjectRef, SessionMark> session_marks_;
   obs::Histogram* fanout_hist_;
   uint64_t placement_refreshes_ = 0;
   uint64_t read_failovers_ = 0;

@@ -1,5 +1,7 @@
 #include "ssp/message.h"
 
+#include <algorithm>
+
 namespace sharoes::ssp {
 
 namespace {
@@ -53,100 +55,154 @@ void AppendExtensions(BinaryWriter* w, uint64_t trace_id, uint8_t attempt,
     w->PutU8(0);  // Flag entry: presence is the value.
   }
 }
+
+// The opcode table, indexed by opcode: metric name, verb, and the object
+// family the op addresses. With RefOf and PointRequest below it is the
+// only place the protocol is spelled per family; every other layer
+// works on ObjectRef.
+struct OpInfo {
+  const char* name;
+  OpVerb verb;
+  ObjectFamily family;
+};
+
+using enum OpVerb;
+using enum ObjectFamily;
+constexpr OpInfo kOps[kNumOpCodes] = {
+    {"GetSuperblock", kGet, kSuperblock},
+    {"PutSuperblock", kPut, kSuperblock},
+    {"DeleteSuperblock", kDelete, kSuperblock},
+    {"GetMetadata", kGet, kMetadata},
+    {"PutMetadata", kPut, kMetadata},
+    {"DeleteMetadata", kDelete, kMetadata},
+    {"DeleteInodeMetadata", kDeleteInode, kMetadata},
+    {"GetUserMetadata", kGet, kUserMetadata},
+    {"PutUserMetadata", kPut, kUserMetadata},
+    {"DeleteUserMetadata", kDelete, kUserMetadata},
+    {"GetData", kGet, kData},
+    {"PutData", kPut, kData},
+    {"DeleteInodeData", kDeleteInode, kData},
+    {"GetGroupKey", kGet, kGroupKey},
+    {"PutGroupKey", kPut, kGroupKey},
+    {"DeleteGroupKey", kDelete, kGroupKey},
+    {"Batch", kBatch, kData},
+    {"GetStats", kAdmin, kData},
+    {"GetTraces", kAdmin, kData},
+    {"DeleteData", kDelete, kData},
+};
+
+// Out-of-range opcodes (never produced by Deserialize) read as a
+// store-less op.
+constexpr OpInfo kUnknownOp = {"Unknown", kAdmin, kData};
+
+const OpInfo& InfoOf(OpCode op) {
+  const size_t i = static_cast<size_t>(op);
+  return i < kNumOpCodes ? kOps[i] : kUnknownOp;
 }
 
-const char* OpCodeName(OpCode op) {
-  switch (op) {
-    case OpCode::kGetSuperblock: return "GetSuperblock";
-    case OpCode::kPutSuperblock: return "PutSuperblock";
-    case OpCode::kDeleteSuperblock: return "DeleteSuperblock";
-    case OpCode::kGetMetadata: return "GetMetadata";
-    case OpCode::kPutMetadata: return "PutMetadata";
-    case OpCode::kDeleteMetadata: return "DeleteMetadata";
-    case OpCode::kDeleteInodeMetadata: return "DeleteInodeMetadata";
-    case OpCode::kGetUserMetadata: return "GetUserMetadata";
-    case OpCode::kPutUserMetadata: return "PutUserMetadata";
-    case OpCode::kDeleteUserMetadata: return "DeleteUserMetadata";
-    case OpCode::kGetData: return "GetData";
-    case OpCode::kPutData: return "PutData";
-    case OpCode::kDeleteInodeData: return "DeleteInodeData";
-    case OpCode::kGetGroupKey: return "GetGroupKey";
-    case OpCode::kPutGroupKey: return "PutGroupKey";
-    case OpCode::kDeleteGroupKey: return "DeleteGroupKey";
-    case OpCode::kBatch: return "Batch";
-    case OpCode::kGetStats: return "GetStats";
-    case OpCode::kGetTraces: return "GetTraces";
-    case OpCode::kDeleteData: return "DeleteData";
-  }
-  return "Unknown";
+// Routing tag domain per family (see RoutingKeyOf). Inode numbers are
+// counter-allocated (they never approach 2^61), so reserving the top
+// bits for the user- and group-keyed families cannot collide with them.
+constexpr uint64_t kUserDomain = 1ull << 62;
+constexpr uint64_t kGroupDomain = 2ull << 62;
+constexpr uint64_t kRoutingDomain[kNumObjectFamilies] = {
+    kUserDomain, 0, 0, 0, kGroupDomain};
+
+bool IsPointVerb(OpVerb verb) {
+  return verb == kGet || verb == kPut || verb == kDelete;
 }
+
+// The `verb` request on `ref`: the family's point opcode from the table,
+// with the ref's coordinates in the family's Request fields.
+Request PointRequest(OpVerb verb, const ObjectRef& ref) {
+  Request r;
+  for (size_t i = 0; i < kNumOpCodes; ++i) {
+    if (kOps[i].verb == verb && kOps[i].family == ref.family) {
+      r.op = static_cast<OpCode>(i);
+      break;
+    }
+  }
+  switch (ref.family) {
+    case kSuperblock:
+      r.user = static_cast<uint32_t>(ref.k1);
+      break;
+    case kMetadata:
+      r.inode = ref.k1;
+      r.selector = ref.k2;
+      break;
+    case kUserMetadata:
+      r.inode = ref.k1;
+      r.user = static_cast<uint32_t>(ref.k2);
+      break;
+    case kData:
+      r.inode = ref.k1;
+      r.block = static_cast<uint32_t>(ref.k2);
+      break;
+    case kGroupKey:
+      r.group = static_cast<uint32_t>(ref.k1);
+      r.user = static_cast<uint32_t>(ref.k2);
+      break;
+  }
+  return r;
+}
+
+// The versioned-read generation suffix: 8 bytes, little-endian.
+constexpr size_t kGenSuffix = 8;
+
+Bytes GenBytes(uint64_t gen) {
+  BinaryWriter w;
+  w.PutU64(gen);
+  return w.Take();
+}
+
+}  // namespace
+
+const char* OpCodeName(OpCode op) { return InfoOf(op).name; }
+
+OpVerb VerbOf(OpCode op) { return InfoOf(op).verb; }
+
+ObjectFamily FamilyOf(OpCode op) { return InfoOf(op).family; }
 
 bool IsMutatingOp(OpCode op) {
-  switch (op) {
-    case OpCode::kPutSuperblock:
-    case OpCode::kDeleteSuperblock:
-    case OpCode::kPutMetadata:
-    case OpCode::kDeleteMetadata:
-    case OpCode::kDeleteInodeMetadata:
-    case OpCode::kPutUserMetadata:
-    case OpCode::kDeleteUserMetadata:
-    case OpCode::kPutData:
-    case OpCode::kDeleteData:
-    case OpCode::kDeleteInodeData:
-    case OpCode::kPutGroupKey:
-    case OpCode::kDeleteGroupKey:
-      return true;
-    default:
-      return false;
-  }
+  const OpVerb verb = VerbOf(op);
+  return verb == OpVerb::kPut || verb == OpVerb::kDelete ||
+         verb == OpVerb::kDeleteInode;
 }
 
 bool IsBatchableOp(OpCode op) {
-  switch (op) {
-    case OpCode::kGetSuperblock:
-    case OpCode::kGetMetadata:
-    case OpCode::kGetUserMetadata:
-    case OpCode::kGetData:
-    case OpCode::kGetGroupKey:
-      return true;
-    default:
-      // Every mutating op is store-scoped and individually loggable.
-      return IsMutatingOp(op);
-  }
+  // Store-scoped and individually loggable: gets and every mutation.
+  return VerbOf(op) == OpVerb::kGet || IsMutatingOp(op);
 }
 
 bool IsIdempotentOp(OpCode op) {
-  switch (op) {
-    // Reads and admin snapshots have no effects to repeat.
-    case OpCode::kGetSuperblock:
-    case OpCode::kGetMetadata:
-    case OpCode::kGetUserMetadata:
-    case OpCode::kGetData:
-    case OpCode::kGetGroupKey:
-    case OpCode::kGetStats:
-    case OpCode::kGetTraces:
-    // Puts and deletes are absolute assignments to fixed coordinates
-    // (inode, selector, user, group, block) — no appends, counters, or
-    // compare-and-swaps — so a replay reproduces the same final state.
-    case OpCode::kPutSuperblock:
-    case OpCode::kDeleteSuperblock:
-    case OpCode::kPutMetadata:
-    case OpCode::kDeleteMetadata:
-    case OpCode::kDeleteInodeMetadata:
-    case OpCode::kPutUserMetadata:
-    case OpCode::kDeleteUserMetadata:
-    case OpCode::kPutData:
-    case OpCode::kDeleteData:
-    case OpCode::kDeleteInodeData:
-    case OpCode::kPutGroupKey:
-    case OpCode::kDeleteGroupKey:
-      return true;
-    // kBatch is deliberately absent: a batch is idempotent iff every
-    // sub-op is, which is the caller's per-request question (see
-    // core::RetryingConnection), not a property of the wrapper opcode.
-    default:
-      return false;
+  // Reads and admin snapshots have no effects to repeat; puts and
+  // deletes are absolute assignments to fixed coordinates (no appends,
+  // counters, or compare-and-swaps), so a replay reproduces the same
+  // final state. kBatch is deliberately excluded: a batch is idempotent
+  // iff every sub-op is, which is the caller's per-request question
+  // (see core::RetryingConnection), not a property of the wrapper.
+  return static_cast<size_t>(op) < kNumOpCodes &&
+         VerbOf(op) != OpVerb::kBatch;
+}
+
+std::optional<ObjectRef> RefOf(const Request& r) {
+  if (!IsPointVerb(VerbOf(r.op))) return std::nullopt;
+  switch (FamilyOf(r.op)) {
+    case kSuperblock: return ObjectRef::Superblock(r.user);
+    case kMetadata: return ObjectRef::Metadata(r.inode, r.selector);
+    case kUserMetadata: return ObjectRef::UserMetadata(r.inode, r.user);
+    case kData: return ObjectRef::Data(r.inode, r.block);
+    case kGroupKey: return ObjectRef::GroupKey(r.group, r.user);
   }
+  return std::nullopt;
+}
+
+uint64_t RoutingKeyOf(const Request& req) {
+  // Ranged deletes are inode-scoped like the rest of their family, so
+  // the whole object colocates on one replica set.
+  const std::optional<ObjectRef> ref = RefOf(req);
+  if (!ref.has_value()) return req.inode;
+  return kRoutingDomain[static_cast<size_t>(ref->family)] | ref->k1;
 }
 
 const char* RespStatusName(RespStatus status) {
@@ -262,51 +318,42 @@ Result<Request> Request::Deserialize(const Bytes& data) {
   return req;
 }
 
-Request Request::GetSuperblock(uint32_t user) {
-  Request r;
-  r.op = OpCode::kGetSuperblock;
-  r.user = user;
+Request Request::Get(const ObjectRef& ref) {
+  return PointRequest(kGet, ref);
+}
+
+Request Request::Put(const ObjectRef& ref, Bytes payload) {
+  Request r = PointRequest(kPut, ref);
+  r.payload = std::move(payload);
   return r;
+}
+
+Request Request::Delete(const ObjectRef& ref) {
+  return PointRequest(kDelete, ref);
+}
+
+Request Request::GetSuperblock(uint32_t user) {
+  return Get(ObjectRef::Superblock(user));
 }
 
 Request Request::PutSuperblock(uint32_t user, Bytes payload) {
-  Request r;
-  r.op = OpCode::kPutSuperblock;
-  r.user = user;
-  r.payload = std::move(payload);
-  return r;
-}
-
-Request Request::GetMetadata(fs::InodeNum inode, Selector sel) {
-  Request r;
-  r.op = OpCode::kGetMetadata;
-  r.inode = inode;
-  r.selector = sel;
-  return r;
-}
-
-Request Request::PutMetadata(fs::InodeNum inode, Selector sel, Bytes payload) {
-  Request r;
-  r.op = OpCode::kPutMetadata;
-  r.inode = inode;
-  r.selector = sel;
-  r.payload = std::move(payload);
-  return r;
+  return Put(ObjectRef::Superblock(user), std::move(payload));
 }
 
 Request Request::DeleteSuperblock(uint32_t user) {
-  Request r;
-  r.op = OpCode::kDeleteSuperblock;
-  r.user = user;
-  return r;
+  return Delete(ObjectRef::Superblock(user));
+}
+
+Request Request::GetMetadata(fs::InodeNum inode, Selector sel) {
+  return Get(ObjectRef::Metadata(inode, sel));
+}
+
+Request Request::PutMetadata(fs::InodeNum inode, Selector sel, Bytes payload) {
+  return Put(ObjectRef::Metadata(inode, sel), std::move(payload));
 }
 
 Request Request::DeleteMetadata(fs::InodeNum inode, Selector sel) {
-  Request r;
-  r.op = OpCode::kDeleteMetadata;
-  r.inode = inode;
-  r.selector = sel;
-  return r;
+  return Delete(ObjectRef::Metadata(inode, sel));
 }
 
 Request Request::DeleteInodeMetadata(fs::InodeNum inode) {
@@ -317,54 +364,28 @@ Request Request::DeleteInodeMetadata(fs::InodeNum inode) {
 }
 
 Request Request::GetUserMetadata(fs::InodeNum inode, uint32_t user) {
-  Request r;
-  r.op = OpCode::kGetUserMetadata;
-  r.inode = inode;
-  r.user = user;
-  return r;
+  return Get(ObjectRef::UserMetadata(inode, user));
 }
 
 Request Request::PutUserMetadata(fs::InodeNum inode, uint32_t user,
                                  Bytes payload) {
-  Request r;
-  r.op = OpCode::kPutUserMetadata;
-  r.inode = inode;
-  r.user = user;
-  r.payload = std::move(payload);
-  return r;
-}
-
-Request Request::GetData(fs::InodeNum inode, uint32_t block) {
-  Request r;
-  r.op = OpCode::kGetData;
-  r.inode = inode;
-  r.block = block;
-  return r;
-}
-
-Request Request::PutData(fs::InodeNum inode, uint32_t block, Bytes payload) {
-  Request r;
-  r.op = OpCode::kPutData;
-  r.inode = inode;
-  r.block = block;
-  r.payload = std::move(payload);
-  return r;
+  return Put(ObjectRef::UserMetadata(inode, user), std::move(payload));
 }
 
 Request Request::DeleteUserMetadata(fs::InodeNum inode, uint32_t user) {
-  Request r;
-  r.op = OpCode::kDeleteUserMetadata;
-  r.inode = inode;
-  r.user = user;
-  return r;
+  return Delete(ObjectRef::UserMetadata(inode, user));
+}
+
+Request Request::GetData(fs::InodeNum inode, uint32_t block) {
+  return Get(ObjectRef::Data(inode, block));
+}
+
+Request Request::PutData(fs::InodeNum inode, uint32_t block, Bytes payload) {
+  return Put(ObjectRef::Data(inode, block), std::move(payload));
 }
 
 Request Request::DeleteData(fs::InodeNum inode, uint32_t block) {
-  Request r;
-  r.op = OpCode::kDeleteData;
-  r.inode = inode;
-  r.block = block;
-  return r;
+  return Delete(ObjectRef::Data(inode, block));
 }
 
 Request Request::DeleteInodeData(fs::InodeNum inode) {
@@ -375,28 +396,15 @@ Request Request::DeleteInodeData(fs::InodeNum inode) {
 }
 
 Request Request::GetGroupKey(uint32_t group, uint32_t user) {
-  Request r;
-  r.op = OpCode::kGetGroupKey;
-  r.group = group;
-  r.user = user;
-  return r;
+  return Get(ObjectRef::GroupKey(group, user));
 }
 
 Request Request::PutGroupKey(uint32_t group, uint32_t user, Bytes payload) {
-  Request r;
-  r.op = OpCode::kPutGroupKey;
-  r.group = group;
-  r.user = user;
-  r.payload = std::move(payload);
-  return r;
+  return Put(ObjectRef::GroupKey(group, user), std::move(payload));
 }
 
 Request Request::DeleteGroupKey(uint32_t group, uint32_t user) {
-  Request r;
-  r.op = OpCode::kDeleteGroupKey;
-  r.group = group;
-  r.user = user;
-  return r;
+  return Delete(ObjectRef::GroupKey(group, user));
 }
 
 Request Request::Batch(std::vector<Request> requests) {
@@ -432,10 +440,14 @@ Bytes Response::Serialize() const {
   return w.Take();
 }
 
+Response Response::Versioned(Bytes blob, uint64_t gen) {
+  const Bytes suffix = GenBytes(gen);
+  blob.insert(blob.end(), suffix.begin(), suffix.end());
+  return Ok(std::move(blob));
+}
+
 Response Response::Deleted(uint64_t gen) {
-  BinaryWriter w;
-  w.PutU64(gen);
-  return Response{RespStatus::kDeleted, w.Take(), {}};
+  return Response{RespStatus::kDeleted, GenBytes(gen), {}};
 }
 
 Result<Response> Response::ReadFrom(BinaryReader* r, int depth) {
@@ -466,6 +478,60 @@ Result<Response> Response::Deserialize(const Bytes& data) {
   SHAROES_ASSIGN_OR_RETURN(Response resp, ReadFrom(&r, 0));
   SHAROES_RETURN_IF_ERROR(r.Finish("response"));
   return resp;
+}
+
+std::optional<VersionedReply> DecodeVersioned(const Response& resp) {
+  if (resp.status != RespStatus::kOk && resp.status != RespStatus::kNotFound &&
+      resp.status != RespStatus::kDeleted) {
+    return std::nullopt;
+  }
+  VersionedReply out;
+  out.status = resp.status;
+  if (resp.status == RespStatus::kNotFound) return out;
+  // A payload too short to carry the suffix decodes as generation 0.
+  const Bytes& p = resp.payload;
+  const size_t body = p.size() >= kGenSuffix ? p.size() - kGenSuffix
+                                              : p.size();
+  if (body < p.size()) {
+    BinaryReader r(p.data() + body, kGenSuffix);
+    out.gen = r.GetU64();
+  }
+  if (resp.status == RespStatus::kOk) {
+    out.payload.assign(p.begin(), p.begin() + body);
+  }
+  return out;
+}
+
+Freshest SettleFreshest(
+    const std::vector<std::optional<VersionedReply>>& replies) {
+  // Each replica's per-key generation counts the gen-gated ops it has
+  // applied to that key, so the highest generation among the replies is
+  // the freshest acknowledged state — live or deleted. A tombstone wins
+  // a tie against a live value: equal counters with different final
+  // states only arise from rare double-failure interleavings where
+  // either order is defensible, and a revocation-oriented store errs
+  // toward staying deleted. Live copies at that generation that differ
+  // are diverged histories with no generation evidence to rank them.
+  Freshest f;
+  for (const auto& r : replies) {
+    if (r.has_value() && r->status != RespStatus::kNotFound) {
+      f.gen = std::max(f.gen, r->gen);
+    }
+  }
+  bool diverged = false;
+  for (size_t i = 0; i < replies.size(); ++i) {
+    const auto& r = replies[i];
+    if (!r.has_value() || r->gen != f.gen) continue;
+    if (r->status == RespStatus::kDeleted) f.deleted = true;
+    if (r->status != RespStatus::kOk) continue;
+    if (!f.live.has_value()) {
+      f.live = i;
+    } else if (r->payload != replies[*f.live]->payload) {
+      diverged = true;
+    }
+  }
+  if (f.deleted || diverged) f.live.reset();
+  return f;
 }
 
 }  // namespace sharoes::ssp

@@ -11,6 +11,7 @@
 #ifndef SHAROES_SSP_MESSAGE_H_
 #define SHAROES_SSP_MESSAGE_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -79,6 +80,60 @@ bool IsIdempotentOp(OpCode op);
 /// Replica selector: which copy of an inode's metadata. Scheme-2 uses a
 /// CAP id, Scheme-1 a hash of the user id; the baselines use selector 0.
 using Selector = uint64_t;
+
+/// The five key spaces of the SSP's one hashtable.
+enum class ObjectFamily : uint8_t {
+  kSuperblock = 0,    // k1 = user,  k2 = 0.
+  kMetadata = 1,      // k1 = inode, k2 = selector.
+  kUserMetadata = 2,  // k1 = inode, k2 = user.
+  kData = 3,          // k1 = inode, k2 = block.
+  kGroupKey = 4,      // k1 = group, k2 = user.
+};
+inline constexpr size_t kNumObjectFamilies = 5;
+
+/// The one address of a stored object, shared by the store, the WAL
+/// apply, the server, read repair and the scrubber. Ordered by family,
+/// then k1, then k2 — so one inode's objects of one family are a
+/// contiguous range, and a family-sorted walk is the snapshot order.
+struct ObjectRef {
+  ObjectFamily family = ObjectFamily::kData;
+  uint64_t k1 = 0;
+  uint64_t k2 = 0;
+
+  static ObjectRef Superblock(uint32_t user) {
+    return {ObjectFamily::kSuperblock, user, 0};
+  }
+  static ObjectRef Metadata(fs::InodeNum inode, Selector sel) {
+    return {ObjectFamily::kMetadata, inode, sel};
+  }
+  static ObjectRef UserMetadata(fs::InodeNum inode, uint32_t user) {
+    return {ObjectFamily::kUserMetadata, inode, user};
+  }
+  static ObjectRef Data(fs::InodeNum inode, uint32_t block) {
+    return {ObjectFamily::kData, inode, block};
+  }
+  static ObjectRef GroupKey(uint32_t group, uint32_t user) {
+    return {ObjectFamily::kGroupKey, group, user};
+  }
+
+  friend auto operator<=>(const ObjectRef&, const ObjectRef&) = default;
+};
+
+/// What an opcode does. Point verbs (kGet/kPut/kDelete) address exactly
+/// one ObjectRef; kDeleteInode drops one family's objects of an inode.
+enum class OpVerb : uint8_t {
+  kGet,
+  kPut,
+  kDelete,
+  kDeleteInode,
+  kBatch,
+  kAdmin,  // kGetStats / kGetTraces: per-daemon, no store access.
+};
+
+OpVerb VerbOf(OpCode op);
+/// The family a point op or kDeleteInode op addresses (meaningless for
+/// kBatch and admin ops).
+ObjectFamily FamilyOf(OpCode op);
 
 // --- Request header extension (observability) -------------------------
 // A top-level Request may carry a trailing extension block after the
@@ -164,6 +219,11 @@ struct Request {
   static Request GetGroupKey(uint32_t group, uint32_t user);
   static Request PutGroupKey(uint32_t group, uint32_t user, Bytes payload);
   static Request DeleteGroupKey(uint32_t group, uint32_t user);
+  /// The point verbs on one object; the named constructors above are
+  /// these, spelled per family.
+  static Request Get(const ObjectRef& ref);
+  static Request Put(const ObjectRef& ref, Bytes payload);
+  static Request Delete(const ObjectRef& ref);
   static Request Batch(std::vector<Request> requests);
   /// `prefix` filters the snapshot to metrics whose name starts with it
   /// (empty = full registry); it rides in the payload.
@@ -175,6 +235,20 @@ struct Request {
   static Result<Request> ReadFrom(BinaryReader* r, int depth);
   static Status ReadExtensions(BinaryReader* r, Request* req);
 };
+
+/// The object a point get/put/delete addresses; nullopt for ranged
+/// deletes, kBatch and admin ops.
+std::optional<ObjectRef> RefOf(const Request& req);
+
+/// The 64-bit routing coordinate of a request: which object family and
+/// id the ring places. Inode-scoped ops route by inode (so all of a
+/// file's metadata replicas, table copies, split blocks, and data
+/// blocks colocate — one shard serves a whole path component);
+/// superblocks route by user and group-key blobs by group, in disjoint
+/// tag domains so user 7 and inode 7 never collide (inode numbers are
+/// counter-allocated well below 2^61). kBatch and the admin ops have no
+/// routing key; callers split batches per sub-op and pin admin ops.
+uint64_t RoutingKeyOf(const Request& req);
 
 enum class RespStatus : uint8_t {
   kOk = 0,
@@ -225,13 +299,43 @@ struct Response {
   static Response WrongShard() {
     return Response{RespStatus::kWrongShard, {}, {}};
   }
-  /// Tombstone reply for a versioned read; payload is the generation.
+  // Versioned-read replies (kExtensionTagWantVersion). A live hit is
+  // kOk with the entry's generation appended to the blob as 8 bytes
+  // little-endian; a tombstone is kDeleted whose payload is exactly that
+  // 8-byte generation. DecodeVersioned below is the one inverse.
+  static Response Versioned(Bytes blob, uint64_t gen);
   static Response Deleted(uint64_t gen);
 
  private:
   void AppendTo(BinaryWriter* w) const;
   static Result<Response> ReadFrom(BinaryReader* r, int depth);
 };
+
+/// One replica's decoded answer to a versioned read.
+struct VersionedReply {
+  RespStatus status = RespStatus::kNotFound;  // kOk, kNotFound or kDeleted.
+  Bytes payload;     // Object bytes (kOk only), generation suffix stripped.
+  uint64_t gen = 0;  // The replica's per-key store generation.
+};
+
+/// Decodes a versioned-read reply; nullopt for statuses that are no
+/// answer about the object (kError, kWrongShard, kBadRequest).
+std::optional<VersionedReply> DecodeVersioned(const Response& resp);
+
+/// The freshness rule over one key's versioned replies (DESIGN.md §16).
+struct Freshest {
+  uint64_t gen = 0;      // Highest generation among live/deleted replies.
+  bool deleted = false;  // A tombstone holds `gen`: tombstones win ties.
+  /// Index of the live winner: a kOk reply at `gen` that every other kOk
+  /// reply at `gen` matches byte-for-byte. Unset when a tombstone wins,
+  /// no live reply holds `gen`, or same-generation replies diverge.
+  std::optional<size_t> live;
+};
+
+/// Applies the rule to replies indexed by replica position; unset
+/// entries (replicas that gave no usable answer) are skipped.
+Freshest SettleFreshest(
+    const std::vector<std::optional<VersionedReply>>& replies);
 
 }  // namespace sharoes::ssp
 

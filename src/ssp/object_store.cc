@@ -1,6 +1,7 @@
 #include "ssp/object_store.h"
 
 #include <fstream>
+#include <iterator>
 #include <mutex>
 #include <utility>
 
@@ -34,24 +35,55 @@ std::shared_lock<std::shared_mutex> AcquireShared(std::shared_mutex& mu) {
   return std::shared_lock<std::shared_mutex>(mu);
 }
 
+// Live-byte counter of each family's StorageStats field.
+constexpr uint64_t StorageStats::*kFamilyBytes[kNumObjectFamilies] = {
+    &StorageStats::superblock_bytes, &StorageStats::metadata_bytes,
+    &StorageStats::user_metadata_bytes, &StorageStats::data_bytes,
+    &StorageStats::group_key_bytes};
+
+uint64_t& FamilyBytes(StorageStats& st, ObjectFamily family) {
+  return st.*kFamilyBytes[static_cast<size_t>(family)];
+}
+
+// Turns a live entry into a tombstone, keeping the accounting. The
+// caller sets the generation.
+void Bury(ObjectStore::Versioned& e, uint64_t& family_bytes,
+          StorageStats& st) {
+  family_bytes -= e.blob.size();
+  --st.object_count;
+  ++st.tombstone_count;
+  e.blob = Bytes();
+  e.tombstone = true;
+}
+
 }  // namespace
 
-namespace {
+ObjectStore::ObjectStore(size_t num_shards) {
+  if (num_shards == 0) num_shards = 1;
+  shards_.reserve(num_shards);
+  for (size_t i = 0; i < num_shards; ++i) {
+    shards_.push_back(std::make_unique<Shard>());
+  }
+}
 
-// Applies a put at `gen` (0 = bump the local generation). Returns false
-// only on a gen-gated loss: the local entry is newer, or is a tombstone
-// at the same generation (ties go to the tombstone — the property that
-// keeps repair from resurrecting a freshly-deleted key). Caller holds
-// the shard's exclusive lock.
-template <typename Map, typename Key>
-bool PutEntry(Map& m, const Key& k, Bytes blob, uint64_t gen,
-              uint64_t& family_bytes, StorageStats& st) {
-  auto [it, inserted] = m.try_emplace(k);
-  auto& e = it->second;
+ObjectStore::Shard& ObjectStore::ShardFor(const ObjectRef& ref) const {
+  return *shards_[MixKey(ref.k1) % shards_.size()];
+}
+
+bool ObjectStore::Put(const ObjectRef& ref, Bytes blob, uint64_t gen) {
+  // Applies at `gen` (0 = bump the local generation). Returns false only
+  // on a gen-gated loss: the local entry is newer, or is a tombstone at
+  // the same generation (ties go to the tombstone — the property that
+  // keeps repair from resurrecting a freshly-deleted key).
+  Shard& s = ShardFor(ref);
+  auto lock = AcquireUnique(s.mu);
+  uint64_t& family_bytes = FamilyBytes(s.stats, ref.family);
+  auto [it, inserted] = s.entries.try_emplace(ref);
+  Entry& e = it->second;
   uint64_t new_gen;
   if (inserted) {
     new_gen = (gen == 0) ? 1 : gen;
-    ++st.object_count;
+    ++s.stats.object_count;
   } else {
     if (gen == 0) {
       // A local-bump put that changes nothing is a no-op: replaying an
@@ -65,8 +97,8 @@ bool PutEntry(Map& m, const Key& k, Bytes blob, uint64_t gen,
       new_gen = gen;
     }
     if (e.tombstone) {
-      --st.tombstone_count;
-      ++st.object_count;
+      --s.stats.tombstone_count;
+      ++s.stats.object_count;
     } else {
       family_bytes -= e.blob.size();
     }
@@ -78,384 +110,121 @@ bool PutEntry(Map& m, const Key& k, Bytes blob, uint64_t gen,
   return true;
 }
 
-// Applies a delete at `gen` (0 = bump). With tombstones off this is the
-// classic erase; with them on, the entry becomes (or stays) a tombstone
-// carrying the winning generation. Returns false only on a gen-gated
-// loss (the local entry is strictly newer — a delete wins its tie, the
-// mirror of PutEntry). Caller holds the shard's exclusive lock.
-template <typename Map, typename Key>
-bool DeleteEntry(Map& m, const Key& k, uint64_t gen, bool tombstones,
-                 uint64_t& family_bytes, StorageStats& st) {
-  auto it = m.find(k);
-  if (it == m.end()) {
-    if (tombstones) {
+bool ObjectStore::Delete(const ObjectRef& ref, uint64_t gen) {
+  // Applies at `gen` (0 = bump). With tombstones off this is the classic
+  // erase; with them on, the entry becomes (or stays) a tombstone
+  // carrying the winning generation. Returns false only on a gen-gated
+  // loss (the local entry is strictly newer — a delete wins its tie, the
+  // mirror of Put).
+  Shard& s = ShardFor(ref);
+  auto lock = AcquireUnique(s.mu);
+  uint64_t& family_bytes = FamilyBytes(s.stats, ref.family);
+  auto it = s.entries.find(ref);
+  if (it == s.entries.end()) {
+    if (tombstones_enabled_) {
       // Deleting an absent key still records the death: a gen-gated
       // repair delete must land even on a replica that never saw the
       // value, or the scrubber could not converge the quorum.
-      typename Map::mapped_type e;
-      e.gen = (gen == 0) ? 1 : gen;
-      e.tombstone = true;
-      m.emplace(k, std::move(e));
-      ++st.tombstone_count;
+      s.entries.emplace(ref, Entry{Bytes(), (gen == 0) ? 1 : gen, true});
+      ++s.stats.tombstone_count;
     }
     return true;
   }
-  auto& e = it->second;
+  Entry& e = it->second;
   if (gen != 0 && gen < e.gen) return false;
-  if (!tombstones) {
+  if (!tombstones_enabled_) {
     if (e.tombstone) {
-      --st.tombstone_count;
+      --s.stats.tombstone_count;
     } else {
       family_bytes -= e.blob.size();
-      --st.object_count;
+      --s.stats.object_count;
     }
-    m.erase(it);
+    s.entries.erase(it);
     return true;
   }
   uint64_t new_gen = (gen == 0) ? (e.tombstone ? e.gen : e.gen + 1) : gen;
-  if (!e.tombstone) {
-    family_bytes -= e.blob.size();
-    --st.object_count;
-    ++st.tombstone_count;
-    e.blob = Bytes();
-    e.tombstone = true;
-  }
+  if (!e.tombstone) Bury(e, family_bytes, s.stats);
   e.gen = new_gen;
   return true;
 }
 
-// Legacy read: live blobs only; tombstones read as absent.
-template <typename Map, typename Key>
-std::optional<Bytes> Find(const Map& m, const Key& k) {
-  auto it = m.find(k);
-  if (it == m.end() || it->second.tombstone) return std::nullopt;
+std::optional<Bytes> ObjectStore::Get(const ObjectRef& ref) const {
+  Shard& s = ShardFor(ref);
+  auto lock = AcquireShared(s.mu);
+  auto it = s.entries.find(ref);
+  if (it == s.entries.end() || it->second.tombstone) return std::nullopt;
   return it->second.blob;
 }
 
-template <typename Map, typename Key>
-std::optional<ObjectStore::Versioned> FindVersioned(const Map& m,
-                                                    const Key& k) {
-  auto it = m.find(k);
-  if (it == m.end()) return std::nullopt;
-  return ObjectStore::Versioned{it->second.blob, it->second.gen,
-                                it->second.tombstone};
-}
-
-}  // namespace
-
-ObjectStore::ObjectStore(size_t num_shards) {
-  if (num_shards == 0) num_shards = 1;
-  shards_.reserve(num_shards);
-  for (size_t i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
-ObjectStore::Shard& ObjectStore::ShardFor(uint64_t key) const {
-  return *shards_[MixKey(key) % shards_.size()];
-}
-
-bool ObjectStore::PutSuperblock(uint32_t user, Bytes blob, uint64_t gen) {
-  Shard& s = ShardFor(user);
-  auto lock = AcquireUnique(s.mu);
-  return PutEntry(s.superblocks, user, std::move(blob), gen,
-                  s.stats.superblock_bytes, s.stats);
-}
-
-std::optional<Bytes> ObjectStore::GetSuperblock(uint32_t user) const {
-  Shard& s = ShardFor(user);
+std::optional<ObjectStore::Versioned> ObjectStore::GetVersioned(
+    const ObjectRef& ref) const {
+  Shard& s = ShardFor(ref);
   auto lock = AcquireShared(s.mu);
-  return Find(s.superblocks, user);
+  auto it = s.entries.find(ref);
+  if (it == s.entries.end()) return std::nullopt;
+  return it->second;
 }
 
-bool ObjectStore::DeleteSuperblock(uint32_t user, uint64_t gen) {
-  Shard& s = ShardFor(user);
+void ObjectStore::DeleteInode(ObjectFamily family, fs::InodeNum inode) {
+  const ObjectRef first{family, inode, 0};
+  Shard& s = ShardFor(first);
   auto lock = AcquireUnique(s.mu);
-  return DeleteEntry(s.superblocks, user, gen, tombstones_enabled_,
-                     s.stats.superblock_bytes, s.stats);
-}
-
-bool ObjectStore::PutMetadata(fs::InodeNum inode, Selector sel, Bytes blob,
-                              uint64_t gen) {
-  Shard& s = ShardFor(inode);
-  auto lock = AcquireUnique(s.mu);
-  return PutEntry(s.metadata, std::make_pair(inode, sel), std::move(blob),
-                  gen, s.stats.metadata_bytes, s.stats);
-}
-
-std::optional<Bytes> ObjectStore::GetMetadata(fs::InodeNum inode,
-                                              Selector sel) const {
-  Shard& s = ShardFor(inode);
-  auto lock = AcquireShared(s.mu);
-  return Find(s.metadata, std::make_pair(inode, sel));
-}
-
-bool ObjectStore::DeleteMetadata(fs::InodeNum inode, Selector sel,
-                                 uint64_t gen) {
-  Shard& s = ShardFor(inode);
-  auto lock = AcquireUnique(s.mu);
-  return DeleteEntry(s.metadata, std::make_pair(inode, sel), gen,
-                     tombstones_enabled_, s.stats.metadata_bytes, s.stats);
-}
-
-void ObjectStore::DeleteInodeMetadata(fs::InodeNum inode) {
-  // All of an inode's replicas hash to the same shard, so the ranged
-  // delete is a single-shard operation. With tombstones on, every live
-  // replica in the range becomes a tombstone at its own bumped
-  // generation (existing tombstones are left untouched). A replica this
-  // node never stored gets no tombstone — quorum intersection covers
-  // that case: any quorum-acked write of the missing key shares at
-  // least one node with this delete's quorum (DESIGN.md §16).
-  Shard& s = ShardFor(inode);
-  auto lock = AcquireUnique(s.mu);
-  auto it = s.metadata.lower_bound({inode, 0});
-  while (it != s.metadata.end() && it->first.first == inode) {
+  uint64_t& family_bytes = FamilyBytes(s.stats, family);
+  auto it = s.entries.lower_bound(first);
+  while (it != s.entries.end() && it->first.family == family &&
+         it->first.k1 == inode) {
+    Entry& e = it->second;
     if (tombstones_enabled_) {
-      if (!it->second.tombstone) {
-        s.stats.metadata_bytes -= it->second.blob.size();
-        --s.stats.object_count;
-        ++s.stats.tombstone_count;
-        it->second.blob = Bytes();
-        it->second.tombstone = true;
-        ++it->second.gen;
+      // Existing tombstones are left untouched.
+      if (!e.tombstone) {
+        Bury(e, family_bytes, s.stats);
+        ++e.gen;
       }
       ++it;
     } else {
-      s.stats.metadata_bytes -= it->second.blob.size();
+      family_bytes -= e.blob.size();
       --s.stats.object_count;
-      it = s.metadata.erase(it);
+      it = s.entries.erase(it);
     }
   }
 }
 
 size_t ObjectStore::MetadataReplicaCount(fs::InodeNum inode) const {
-  Shard& s = ShardFor(inode);
+  const ObjectRef first = ObjectRef::Metadata(inode, 0);
+  Shard& s = ShardFor(first);
   auto lock = AcquireShared(s.mu);
   size_t n = 0;
-  for (auto it = s.metadata.lower_bound({inode, 0});
-       it != s.metadata.end() && it->first.first == inode; ++it) {
+  for (auto it = s.entries.lower_bound(first);
+       it != s.entries.end() && it->first.family == first.family &&
+       it->first.k1 == inode;
+       ++it) {
     if (!it->second.tombstone) ++n;
   }
   return n;
-}
-
-bool ObjectStore::PutUserMetadata(fs::InodeNum inode, uint32_t user,
-                                  Bytes blob, uint64_t gen) {
-  Shard& s = ShardFor(inode);
-  auto lock = AcquireUnique(s.mu);
-  return PutEntry(s.user_metadata, std::make_pair(inode, user),
-                  std::move(blob), gen, s.stats.user_metadata_bytes, s.stats);
-}
-
-std::optional<Bytes> ObjectStore::GetUserMetadata(fs::InodeNum inode,
-                                                  uint32_t user) const {
-  Shard& s = ShardFor(inode);
-  auto lock = AcquireShared(s.mu);
-  return Find(s.user_metadata, std::make_pair(inode, user));
-}
-
-bool ObjectStore::DeleteUserMetadata(fs::InodeNum inode, uint32_t user,
-                                     uint64_t gen) {
-  Shard& s = ShardFor(inode);
-  auto lock = AcquireUnique(s.mu);
-  return DeleteEntry(s.user_metadata, std::make_pair(inode, user), gen,
-                     tombstones_enabled_, s.stats.user_metadata_bytes,
-                     s.stats);
-}
-
-bool ObjectStore::PutData(fs::InodeNum inode, uint32_t block, Bytes blob,
-                          uint64_t gen) {
-  Shard& s = ShardFor(inode);
-  auto lock = AcquireUnique(s.mu);
-  return PutEntry(s.data, std::make_pair(inode, block), std::move(blob), gen,
-                  s.stats.data_bytes, s.stats);
-}
-
-std::optional<Bytes> ObjectStore::GetData(fs::InodeNum inode,
-                                          uint32_t block) const {
-  Shard& s = ShardFor(inode);
-  auto lock = AcquireShared(s.mu);
-  return Find(s.data, std::make_pair(inode, block));
-}
-
-bool ObjectStore::DeleteData(fs::InodeNum inode, uint32_t block,
-                             uint64_t gen) {
-  Shard& s = ShardFor(inode);
-  auto lock = AcquireUnique(s.mu);
-  return DeleteEntry(s.data, std::make_pair(inode, block), gen,
-                     tombstones_enabled_, s.stats.data_bytes, s.stats);
-}
-
-void ObjectStore::DeleteInodeData(fs::InodeNum inode) {
-  Shard& s = ShardFor(inode);
-  auto lock = AcquireUnique(s.mu);
-  auto it = s.data.lower_bound({inode, 0});
-  while (it != s.data.end() && it->first.first == inode) {
-    if (tombstones_enabled_) {
-      if (!it->second.tombstone) {
-        s.stats.data_bytes -= it->second.blob.size();
-        --s.stats.object_count;
-        ++s.stats.tombstone_count;
-        it->second.blob = Bytes();
-        it->second.tombstone = true;
-        ++it->second.gen;
-      }
-      ++it;
-    } else {
-      s.stats.data_bytes -= it->second.blob.size();
-      --s.stats.object_count;
-      it = s.data.erase(it);
-    }
-  }
-}
-
-bool ObjectStore::PutGroupKey(uint32_t group, uint32_t user, Bytes blob,
-                              uint64_t gen) {
-  Shard& s = ShardFor(group);
-  auto lock = AcquireUnique(s.mu);
-  return PutEntry(s.group_keys, std::make_pair(group, user), std::move(blob),
-                  gen, s.stats.group_key_bytes, s.stats);
-}
-
-std::optional<Bytes> ObjectStore::GetGroupKey(uint32_t group,
-                                              uint32_t user) const {
-  Shard& s = ShardFor(group);
-  auto lock = AcquireShared(s.mu);
-  return Find(s.group_keys, std::make_pair(group, user));
-}
-
-bool ObjectStore::DeleteGroupKey(uint32_t group, uint32_t user,
-                                 uint64_t gen) {
-  Shard& s = ShardFor(group);
-  auto lock = AcquireUnique(s.mu);
-  return DeleteEntry(s.group_keys, std::make_pair(group, user), gen,
-                     tombstones_enabled_, s.stats.group_key_bytes, s.stats);
-}
-
-std::optional<ObjectStore::Versioned> ObjectStore::GetVersioned(
-    const Request& get) const {
-  switch (get.op) {
-    case OpCode::kGetSuperblock: {
-      Shard& s = ShardFor(get.user);
-      auto lock = AcquireShared(s.mu);
-      return FindVersioned(s.superblocks, get.user);
-    }
-    case OpCode::kGetMetadata: {
-      Shard& s = ShardFor(get.inode);
-      auto lock = AcquireShared(s.mu);
-      return FindVersioned(s.metadata, std::make_pair(get.inode, get.selector));
-    }
-    case OpCode::kGetUserMetadata: {
-      Shard& s = ShardFor(get.inode);
-      auto lock = AcquireShared(s.mu);
-      return FindVersioned(s.user_metadata,
-                           std::make_pair(get.inode, get.user));
-    }
-    case OpCode::kGetData: {
-      Shard& s = ShardFor(get.inode);
-      auto lock = AcquireShared(s.mu);
-      return FindVersioned(s.data, std::make_pair(get.inode, get.block));
-    }
-    case OpCode::kGetGroupKey: {
-      Shard& s = ShardFor(get.group);
-      auto lock = AcquireShared(s.mu);
-      return FindVersioned(s.group_keys, std::make_pair(get.group, get.user));
-    }
-    default:
-      return std::nullopt;
-  }
 }
 
 std::vector<ObjectVersion> ObjectStore::ListVersions() const {
   std::vector<ObjectVersion> out;
   for (const auto& shard : shards_) {
     auto lock = AcquireShared(shard->mu);
-    for (const auto& [user, e] : shard->superblocks) {
-      out.push_back({{ObjectFamily::kSuperblock, user, 0}, e.gen,
-                     e.tombstone});
-    }
-    for (const auto& [key, e] : shard->metadata) {
-      out.push_back({{ObjectFamily::kMetadata, key.first, key.second}, e.gen,
-                     e.tombstone});
-    }
-    for (const auto& [key, e] : shard->user_metadata) {
-      out.push_back({{ObjectFamily::kUserMetadata, key.first, key.second},
-                     e.gen, e.tombstone});
-    }
-    for (const auto& [key, e] : shard->data) {
-      out.push_back({{ObjectFamily::kData, key.first, key.second}, e.gen,
-                     e.tombstone});
-    }
-    for (const auto& [key, e] : shard->group_keys) {
-      out.push_back({{ObjectFamily::kGroupKey, key.first, key.second}, e.gen,
-                     e.tombstone});
+    for (const auto& [ref, e] : shard->entries) {
+      out.push_back({ref, e.gen, e.tombstone});
     }
   }
   return out;
 }
 
-namespace {
-
-// GC helper: erase m[k] iff it is still a tombstone at exactly `gen`.
-template <typename Map, typename Key>
-bool EraseTombstone(Map& m, const Key& k, uint64_t gen, StorageStats& st) {
-  auto it = m.find(k);
-  if (it == m.end() || !it->second.tombstone || it->second.gen != gen) {
+bool ObjectStore::RemoveTombstone(const ObjectRef& ref, uint64_t gen) {
+  Shard& s = ShardFor(ref);
+  auto lock = AcquireUnique(s.mu);
+  auto it = s.entries.find(ref);
+  if (it == s.entries.end() || !it->second.tombstone ||
+      it->second.gen != gen) {
     return false;
   }
-  --st.tombstone_count;
-  m.erase(it);
+  --s.stats.tombstone_count;
+  s.entries.erase(it);
   return true;
-}
-
-}  // namespace
-
-bool ObjectStore::RemoveTombstone(const ObjectRef& ref, uint64_t gen) {
-  switch (ref.family) {
-    case ObjectFamily::kSuperblock: {
-      Shard& s = ShardFor(ref.k1);
-      auto lock = AcquireUnique(s.mu);
-      return EraseTombstone(s.superblocks, static_cast<uint32_t>(ref.k1),
-                            gen, s.stats);
-    }
-    case ObjectFamily::kMetadata: {
-      Shard& s = ShardFor(ref.k1);
-      auto lock = AcquireUnique(s.mu);
-      return EraseTombstone(
-          s.metadata,
-          std::make_pair(static_cast<fs::InodeNum>(ref.k1),
-                         static_cast<Selector>(ref.k2)),
-          gen, s.stats);
-    }
-    case ObjectFamily::kUserMetadata: {
-      Shard& s = ShardFor(ref.k1);
-      auto lock = AcquireUnique(s.mu);
-      return EraseTombstone(
-          s.user_metadata,
-          std::make_pair(static_cast<fs::InodeNum>(ref.k1),
-                         static_cast<uint32_t>(ref.k2)),
-          gen, s.stats);
-    }
-    case ObjectFamily::kData: {
-      Shard& s = ShardFor(ref.k1);
-      auto lock = AcquireUnique(s.mu);
-      return EraseTombstone(
-          s.data,
-          std::make_pair(static_cast<fs::InodeNum>(ref.k1),
-                         static_cast<uint32_t>(ref.k2)),
-          gen, s.stats);
-    }
-    case ObjectFamily::kGroupKey: {
-      Shard& s = ShardFor(ref.k1);
-      auto lock = AcquireUnique(s.mu);
-      return EraseTombstone(
-          s.group_keys,
-          std::make_pair(static_cast<uint32_t>(ref.k1),
-                         static_cast<uint32_t>(ref.k2)),
-          gen, s.stats);
-    }
-  }
-  return false;
 }
 
 StorageStats ObjectStore::Stats() const {
@@ -478,137 +247,56 @@ namespace {
 
 // v1 ("SSP1") snapshots carried bare blobs; v2 ("SSP2") adds a u64
 // generation and a u8 tombstone flag per entry, so tombstones and
-// version history survive a daemon restart / WAL compaction.
+// version history survive a daemon restart / WAL compaction. Both lay
+// the families out in ObjectFamily order, each as a u32 entry count
+// followed by its entries in key order; a superblock's key is its u32
+// user, every other family's key is (u64 k1, u64 k2).
 constexpr uint32_t kStoreMagicV1 = 0x53535031;  // "SSP1".
 constexpr uint32_t kStoreMagicV2 = 0x53535032;  // "SSP2".
-
-struct EntryImage {
-  Bytes blob;
-  uint64_t gen = 0;
-  bool tombstone = false;
-};
-
-template <typename K1, typename K2, typename Map>
-void PutPairMap(BinaryWriter* w, const Map& m) {
-  w->PutU32(static_cast<uint32_t>(m.size()));
-  for (const auto& [key, e] : m) {
-    w->PutU64(static_cast<uint64_t>(key.first));
-    w->PutU64(static_cast<uint64_t>(key.second));
-    w->PutU64(e.gen);
-    w->PutU8(e.tombstone ? 1 : 0);
-    w->PutBytes(e.blob);
-  }
-}
-
-// Reads one serialized pair-map, delegating each entry to `put` so the
-// entries land in the right shard with accounting applied. `versioned`
-// selects the v2 per-entry framing.
-template <typename K1, typename K2, typename PutFn>
-Status GetPairMap(BinaryReader* r, bool versioned, PutFn put) {
-  uint32_t n = r->GetU32();
-  if (!r->ok() || n > r->remaining()) {
-    return Status::Corruption("truncated store map");
-  }
-  for (uint32_t i = 0; i < n; ++i) {
-    K1 k1 = static_cast<K1>(r->GetU64());
-    K2 k2 = static_cast<K2>(r->GetU64());
-    EntryImage e;
-    if (versioned) {
-      e.gen = r->GetU64();
-      e.tombstone = r->GetU8() != 0;
-    } else {
-      e.gen = 1;
-    }
-    e.blob = r->GetBytes();
-    put(k1, k2, std::move(e));
-  }
-  return r->ok() ? Status::OK() : Status::Corruption("truncated store map");
-}
 
 }  // namespace
 
 Bytes ObjectStore::Serialize() const {
-  std::map<uint32_t, Entry> superblocks;
-  std::map<std::pair<fs::InodeNum, Selector>, Entry> metadata;
-  std::map<std::pair<fs::InodeNum, uint32_t>, Entry> user_metadata;
-  std::map<std::pair<fs::InodeNum, uint32_t>, Entry> data;
-  std::map<std::pair<uint32_t, uint32_t>, Entry> group_keys;
+  std::map<ObjectRef, Entry> all;
   for (const auto& shard : shards_) {
     auto lock = AcquireShared(shard->mu);
-    superblocks.insert(shard->superblocks.begin(), shard->superblocks.end());
-    metadata.insert(shard->metadata.begin(), shard->metadata.end());
-    user_metadata.insert(shard->user_metadata.begin(),
-                         shard->user_metadata.end());
-    data.insert(shard->data.begin(), shard->data.end());
-    group_keys.insert(shard->group_keys.begin(), shard->group_keys.end());
+    all.insert(shard->entries.begin(), shard->entries.end());
   }
 
   BinaryWriter w;
   w.PutU32(kStoreMagicV2);
-  w.PutU32(static_cast<uint32_t>(superblocks.size()));
-  for (const auto& [user, e] : superblocks) {
-    w.PutU32(user);
-    w.PutU64(e.gen);
-    w.PutU8(e.tombstone ? 1 : 0);
-    w.PutBytes(e.blob);
+  auto it = all.begin();
+  for (size_t f = 0; f < kNumObjectFamilies; ++f) {
+    const auto family = static_cast<ObjectFamily>(f);
+    auto end = it;
+    while (end != all.end() && end->first.family == family) ++end;
+    w.PutU32(static_cast<uint32_t>(std::distance(it, end)));
+    for (; it != end; ++it) {
+      const auto& [ref, e] = *it;
+      if (family == ObjectFamily::kSuperblock) {
+        w.PutU32(static_cast<uint32_t>(ref.k1));
+      } else {
+        w.PutU64(ref.k1);
+        w.PutU64(ref.k2);
+      }
+      w.PutU64(e.gen);
+      w.PutU8(e.tombstone ? 1 : 0);
+      w.PutBytes(e.blob);
+    }
   }
-  PutPairMap<fs::InodeNum, Selector>(&w, metadata);
-  PutPairMap<fs::InodeNum, uint32_t>(&w, user_metadata);
-  PutPairMap<fs::InodeNum, uint32_t>(&w, data);
-  PutPairMap<uint32_t, uint32_t>(&w, group_keys);
   return w.Take();
 }
 
-void ObjectStore::RestoreEntry(ObjectFamily family, uint64_t k1, uint64_t k2,
-                               Bytes blob, uint64_t gen, bool tombstone) {
-  Shard& s = ShardFor(k1);
+void ObjectStore::RestoreEntry(const ObjectRef& ref, Entry e) {
+  Shard& s = ShardFor(ref);
   auto lock = AcquireUnique(s.mu);
-  Entry e{std::move(blob), gen, tombstone};
-  uint64_t* family_bytes = nullptr;
-  switch (family) {
-    case ObjectFamily::kSuperblock:
-      family_bytes = &s.stats.superblock_bytes;
-      break;
-    case ObjectFamily::kMetadata:
-      family_bytes = &s.stats.metadata_bytes;
-      break;
-    case ObjectFamily::kUserMetadata:
-      family_bytes = &s.stats.user_metadata_bytes;
-      break;
-    case ObjectFamily::kData:
-      family_bytes = &s.stats.data_bytes;
-      break;
-    case ObjectFamily::kGroupKey:
-      family_bytes = &s.stats.group_key_bytes;
-      break;
-  }
-  if (tombstone) {
+  if (e.tombstone) {
     ++s.stats.tombstone_count;
   } else {
     ++s.stats.object_count;
-    *family_bytes += e.blob.size();
+    FamilyBytes(s.stats, ref.family) += e.blob.size();
   }
-  switch (family) {
-    case ObjectFamily::kSuperblock:
-      s.superblocks[static_cast<uint32_t>(k1)] = std::move(e);
-      break;
-    case ObjectFamily::kMetadata:
-      s.metadata[{static_cast<fs::InodeNum>(k1), static_cast<Selector>(k2)}] =
-          std::move(e);
-      break;
-    case ObjectFamily::kUserMetadata:
-      s.user_metadata[{static_cast<fs::InodeNum>(k1),
-                       static_cast<uint32_t>(k2)}] = std::move(e);
-      break;
-    case ObjectFamily::kData:
-      s.data[{static_cast<fs::InodeNum>(k1), static_cast<uint32_t>(k2)}] =
-          std::move(e);
-      break;
-    case ObjectFamily::kGroupKey:
-      s.group_keys[{static_cast<uint32_t>(k1), static_cast<uint32_t>(k2)}] =
-          std::move(e);
-      break;
-  }
+  s.entries[ref] = std::move(e);
 }
 
 Result<ObjectStore> ObjectStore::Deserialize(const Bytes& data) {
@@ -623,44 +311,30 @@ Result<ObjectStore> ObjectStore::Deserialize(const Bytes& data) {
     return Status::Corruption("not an SSP store snapshot");
   }
   ObjectStore store;
-  uint32_t n_super = r.GetU32();
-  if (!r.ok() || n_super > r.remaining()) {
-    return Status::Corruption("truncated store snapshot");
-  }
-  for (uint32_t i = 0; i < n_super; ++i) {
-    uint32_t user = r.GetU32();
-    uint64_t gen = 1;
-    bool tombstone = false;
-    if (versioned) {
-      gen = r.GetU64();
-      tombstone = r.GetU8() != 0;
+  for (size_t f = 0; f < kNumObjectFamilies; ++f) {
+    const auto family = static_cast<ObjectFamily>(f);
+    uint32_t n = r.GetU32();
+    if (!r.ok() || n > r.remaining()) {
+      return Status::Corruption("truncated store snapshot");
     }
-    store.RestoreEntry(ObjectFamily::kSuperblock, user, 0, r.GetBytes(), gen,
-                       tombstone);
+    for (uint32_t i = 0; i < n; ++i) {
+      ObjectRef ref{family, 0, 0};
+      if (family == ObjectFamily::kSuperblock) {
+        ref.k1 = r.GetU32();
+      } else {
+        ref.k1 = r.GetU64();
+        ref.k2 = r.GetU64();
+      }
+      Entry e{Bytes(), 1, false};
+      if (versioned) {
+        e.gen = r.GetU64();
+        e.tombstone = r.GetU8() != 0;
+      }
+      e.blob = r.GetBytes();
+      // Narrow the keys to the family's Request field widths.
+      store.RestoreEntry(*RefOf(Request::Get(ref)), std::move(e));
+    }
   }
-  SHAROES_RETURN_IF_ERROR((GetPairMap<fs::InodeNum, Selector>(
-      &r, versioned,
-      [&store](fs::InodeNum inode, Selector sel, EntryImage e) {
-        store.RestoreEntry(ObjectFamily::kMetadata, inode, sel,
-                           std::move(e.blob), e.gen, e.tombstone);
-      })));
-  SHAROES_RETURN_IF_ERROR((GetPairMap<fs::InodeNum, uint32_t>(
-      &r, versioned,
-      [&store](fs::InodeNum inode, uint32_t user, EntryImage e) {
-        store.RestoreEntry(ObjectFamily::kUserMetadata, inode, user,
-                           std::move(e.blob), e.gen, e.tombstone);
-      })));
-  SHAROES_RETURN_IF_ERROR((GetPairMap<fs::InodeNum, uint32_t>(
-      &r, versioned,
-      [&store](fs::InodeNum inode, uint32_t block, EntryImage e) {
-        store.RestoreEntry(ObjectFamily::kData, inode, block,
-                           std::move(e.blob), e.gen, e.tombstone);
-      })));
-  SHAROES_RETURN_IF_ERROR((GetPairMap<uint32_t, uint32_t>(
-      &r, versioned, [&store](uint32_t group, uint32_t user, EntryImage e) {
-        store.RestoreEntry(ObjectFamily::kGroupKey, group, user,
-                           std::move(e.blob), e.gen, e.tombstone);
-      })));
   SHAROES_RETURN_IF_ERROR(r.Finish("store snapshot"));
   return store;
 }
@@ -683,33 +357,24 @@ Result<ObjectStore> ObjectStore::LoadFromFile(const std::string& path) {
   return Deserialize(data);
 }
 
-bool ObjectStore::CorruptMetadata(fs::InodeNum inode, Selector sel,
-                                  size_t offset, uint8_t mask) {
-  Shard& s = ShardFor(inode);
+bool ObjectStore::Corrupt(const ObjectRef& ref, size_t offset,
+                          uint8_t mask) {
+  Shard& s = ShardFor(ref);
   auto lock = AcquireUnique(s.mu);
-  auto it = s.metadata.find({inode, sel});
-  if (it == s.metadata.end() || it->second.blob.empty()) return false;
+  auto it = s.entries.find(ref);
+  if (it == s.entries.end() || it->second.blob.empty()) return false;
   it->second.blob[offset % it->second.blob.size()] ^= mask;
   return true;
 }
 
-bool ObjectStore::CorruptData(fs::InodeNum inode, uint32_t block,
-                              size_t offset, uint8_t mask) {
-  Shard& s = ShardFor(inode);
+bool ObjectStore::Replace(const ObjectRef& ref, Bytes blob) {
+  Shard& s = ShardFor(ref);
   auto lock = AcquireUnique(s.mu);
-  auto it = s.data.find({inode, block});
-  if (it == s.data.end() || it->second.blob.empty()) return false;
-  it->second.blob[offset % it->second.blob.size()] ^= mask;
-  return true;
-}
-
-bool ObjectStore::ReplaceData(fs::InodeNum inode, uint32_t block, Bytes blob) {
-  Shard& s = ShardFor(inode);
-  auto lock = AcquireUnique(s.mu);
-  auto it = s.data.find({inode, block});
-  if (it == s.data.end() || it->second.tombstone) return false;
-  s.stats.data_bytes -= it->second.blob.size();
-  s.stats.data_bytes += blob.size();
+  auto it = s.entries.find(ref);
+  if (it == s.entries.end() || it->second.tombstone) return false;
+  uint64_t& family_bytes = FamilyBytes(s.stats, ref.family);
+  family_bytes -= it->second.blob.size();
+  family_bytes += blob.size();
   it->second.blob = std::move(blob);
   return true;
 }

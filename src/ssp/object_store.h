@@ -1,4 +1,4 @@
-// The SSP's storage: a set of hashtables of opaque encrypted blobs
+// The SSP's storage: one table of opaque encrypted blobs keyed by ObjectRef
 // ("it simply maintains a large hashtable for encrypted metadata objects
 // and encrypted data blocks", paper §IV). Includes fault injection used
 // by the integrity tests and storage accounting used by the Scheme-1 /
@@ -18,12 +18,12 @@
 // Thread safety: the store is shard-striped. Keys are hash-partitioned
 // over N shards (default 16), each guarded by its own std::shared_mutex;
 // reads take shared locks, writes exclusive locks, and storage accounting
-// lives in per-shard counters aggregated on Stats(). Maps whose keys share
-// an inode (metadata replicas, per-user metadata, data blocks) are
-// partitioned by inode so the inode-ranged operations
-// (DeleteInodeMetadata, DeleteInodeData, MetadataReplicaCount) stay
-// single-shard. No operation ever holds more than one shard lock, so
-// there is no lock-order concern (see DESIGN.md §7).
+// lives in per-shard counters aggregated on Stats(). Each shard is one
+// map keyed by ObjectRef, partitioned by the ref's k1 — the inode for the
+// inode-scoped families — so the inode-ranged operations (DeleteInode,
+// MetadataReplicaCount) stay single-shard. No operation ever holds more
+// than one shard lock, so there is no lock-order concern (see DESIGN.md
+// §7).
 
 #ifndef SHAROES_SSP_OBJECT_STORE_H_
 #define SHAROES_SSP_OBJECT_STORE_H_
@@ -60,22 +60,6 @@ struct StorageStats {
     return superblock_bytes + metadata_bytes + user_metadata_bytes +
            data_bytes + group_key_bytes;
   }
-};
-
-/// The five key spaces, for the generic enumeration / GC interface.
-enum class ObjectFamily : uint8_t {
-  kSuperblock = 0,   // k1 = user,  k2 unused.
-  kMetadata = 1,     // k1 = inode, k2 = selector.
-  kUserMetadata = 2, // k1 = inode, k2 = user.
-  kData = 3,         // k1 = inode, k2 = block.
-  kGroupKey = 4,     // k1 = group, k2 = user.
-};
-
-/// A family-qualified key, wide enough for every family.
-struct ObjectRef {
-  ObjectFamily family = ObjectFamily::kData;
-  uint64_t k1 = 0;
-  uint64_t k2 = 0;
 };
 
 /// One entry as seen by the scrubber's enumeration.
@@ -116,54 +100,30 @@ class ObjectStore {
   void set_tombstones_enabled(bool on) { tombstones_enabled_ = on; }
   bool tombstones_enabled() const { return tombstones_enabled_; }
 
-  // Puts and per-key deletes take an optional explicit generation:
-  // gen == 0 (every pre-existing call site) means "bump the local
-  // generation", the normal client path. gen != 0 is the repair/scrub
-  // path: apply *at* that generation iff it beats the local entry
-  // (put loses to a tombstone at the same gen; delete wins the tie).
-  // The bool return says whether the op applied; ordinary callers
-  // ignore it.
+  // Puts and deletes take an optional explicit generation: gen == 0
+  // means "bump the local generation", the normal client path. gen != 0
+  // is the repair/scrub path: apply *at* that generation iff it beats
+  // the local entry (put loses to a tombstone at the same gen; delete
+  // wins the tie). The bool return says whether the op applied;
+  // ordinary callers ignore it.
+  bool Put(const ObjectRef& ref, Bytes blob, uint64_t gen = 0);
+  bool Delete(const ObjectRef& ref, uint64_t gen = 0);
+  /// Live blob, or nullopt if absent or a tombstone.
+  std::optional<Bytes> Get(const ObjectRef& ref) const;
+  /// The entry (tombstones included, with their generation), or nullopt
+  /// if the key is absent entirely: the wire's want_version path and the
+  /// scrubber.
+  std::optional<Versioned> GetVersioned(const ObjectRef& ref) const;
 
-  // Superblocks, keyed by user.
-  bool PutSuperblock(uint32_t user, Bytes blob, uint64_t gen = 0);
-  std::optional<Bytes> GetSuperblock(uint32_t user) const;
-  bool DeleteSuperblock(uint32_t user, uint64_t gen = 0);
-
-  // Metadata replicas, keyed by (inode, selector).
-  bool PutMetadata(fs::InodeNum inode, Selector sel, Bytes blob,
-                   uint64_t gen = 0);
-  std::optional<Bytes> GetMetadata(fs::InodeNum inode, Selector sel) const;
-  bool DeleteMetadata(fs::InodeNum inode, Selector sel, uint64_t gen = 0);
-  void DeleteInodeMetadata(fs::InodeNum inode);
-  /// Number of live (non-tombstone) replicas stored for an inode.
+  /// Ranged delete of every `family` object under `inode` (metadata
+  /// replicas or data blocks). With tombstones on, each live entry
+  /// becomes a tombstone at its own bumped generation; keys this node
+  /// never stored get none — quorum intersection covers them: any
+  /// quorum-acked write of a missing key shares at least one node with
+  /// this delete's quorum (DESIGN.md §16).
+  void DeleteInode(ObjectFamily family, fs::InodeNum inode);
+  /// Number of live (non-tombstone) metadata replicas stored for an inode.
   size_t MetadataReplicaCount(fs::InodeNum inode) const;
-
-  // Per-user metadata blocks (split points).
-  bool PutUserMetadata(fs::InodeNum inode, uint32_t user, Bytes blob,
-                       uint64_t gen = 0);
-  std::optional<Bytes> GetUserMetadata(fs::InodeNum inode,
-                                       uint32_t user) const;
-  bool DeleteUserMetadata(fs::InodeNum inode, uint32_t user,
-                          uint64_t gen = 0);
-
-  // Data blocks, keyed by (inode, block index).
-  bool PutData(fs::InodeNum inode, uint32_t block, Bytes blob,
-               uint64_t gen = 0);
-  std::optional<Bytes> GetData(fs::InodeNum inode, uint32_t block) const;
-  bool DeleteData(fs::InodeNum inode, uint32_t block, uint64_t gen = 0);
-  void DeleteInodeData(fs::InodeNum inode);
-
-  // Group key blocks, keyed by (group, user).
-  bool PutGroupKey(uint32_t group, uint32_t user, Bytes blob,
-                   uint64_t gen = 0);
-  std::optional<Bytes> GetGroupKey(uint32_t group, uint32_t user) const;
-  bool DeleteGroupKey(uint32_t group, uint32_t user, uint64_t gen = 0);
-
-  /// Versioned read for the wire's want_version path and the scrubber:
-  /// resolves the key of any get-opcode Request. Returns the entry
-  /// (tombstones included, with their generation) or nullopt if the key
-  /// is absent entirely. Non-get opcodes return nullopt.
-  std::optional<Versioned> GetVersioned(const Request& get) const;
 
   /// Every entry in the store, tombstones included, with generations.
   /// Snapshot-consistent per shard, not across shards — exactly what the
@@ -198,41 +158,32 @@ class ObjectStore {
   static Result<ObjectStore> LoadFromFile(const std::string& path);
 
   // --- Fault injection (the "malicious SSP" of the threat model) ---
-  /// XORs `mask` into one byte of a stored metadata replica. Returns false
-  /// if absent.
-  bool CorruptMetadata(fs::InodeNum inode, Selector sel, size_t offset,
-                       uint8_t mask = 0xFF);
-  bool CorruptData(fs::InodeNum inode, uint32_t block, size_t offset,
-                   uint8_t mask = 0xFF);
-  /// Replaces a data block wholesale (rollback / substitution attack).
-  bool ReplaceData(fs::InodeNum inode, uint32_t block, Bytes blob);
+  /// XORs `mask` into one byte (offset modulo size) of a stored blob.
+  /// Returns false if absent or empty.
+  bool Corrupt(const ObjectRef& ref, size_t offset, uint8_t mask = 0xFF);
+  /// Replaces a live blob wholesale, generation untouched (rollback /
+  /// substitution attack). Returns false if absent or a tombstone.
+  bool Replace(const ObjectRef& ref, Bytes blob);
 
  private:
-  /// One stored value: blob + generation + liveness. Tombstones keep an
-  /// empty blob so the byte accounting needs no special cases.
-  struct Entry {
-    Bytes blob;
-    uint64_t gen = 0;
-    bool tombstone = false;
-  };
+  /// One stored value is exactly what a versioned read returns.
+  /// Tombstones keep an empty blob so the byte accounting needs no
+  /// special cases.
+  using Entry = Versioned;
 
-  // One stripe of the store. Every map in the shard is guarded by `mu`,
-  // as are the accounting counters (no atomics needed).
+  // One stripe of the store. The map and the accounting counters are
+  // guarded by `mu` (no atomics needed).
   struct Shard {
     mutable std::shared_mutex mu;
-    std::map<uint32_t, Entry> superblocks;
-    std::map<std::pair<fs::InodeNum, Selector>, Entry> metadata;
-    std::map<std::pair<fs::InodeNum, uint32_t>, Entry> user_metadata;
-    std::map<std::pair<fs::InodeNum, uint32_t>, Entry> data;
-    std::map<std::pair<uint32_t, uint32_t>, Entry> group_keys;
+    std::map<ObjectRef, Entry> entries;
     StorageStats stats;
   };
 
-  Shard& ShardFor(uint64_t key) const;
+  /// Every family partitions by k1, so an inode's objects share a shard.
+  Shard& ShardFor(const ObjectRef& ref) const;
   /// Snapshot restore: inserts an entry with its exact generation and
   /// liveness (no bump, no gating).
-  void RestoreEntry(ObjectFamily family, uint64_t k1, uint64_t k2,
-                    Bytes blob, uint64_t gen, bool tombstone);
+  void RestoreEntry(const ObjectRef& ref, Entry e);
 
   std::vector<std::unique_ptr<Shard>> shards_;
   bool tombstones_enabled_ = false;

@@ -7,11 +7,6 @@
 namespace sharoes::ssp {
 
 namespace {
-// Tag domains for RoutingKeyOf. Inode numbers are counter-allocated
-// (they never approach 2^61), so reserving the top bits for non-inode
-// families cannot collide with real inodes.
-constexpr uint64_t kUserDomain = 1ull << 62;
-constexpr uint64_t kGroupDomain = 2ull << 62;
 // Separates point hashing from key hashing so a key can never land
 // exactly on its own vnode by construction.
 constexpr uint64_t kKeySalt = 0xA5A5A5A5A5A5A5A5ull;
@@ -27,24 +22,6 @@ uint64_t PlacementHash(uint64_t seed, uint64_t value) {
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
   return x ^ (x >> 31);
-}
-
-uint64_t RoutingKeyOf(const Request& req) {
-  switch (req.op) {
-    case OpCode::kGetSuperblock:
-    case OpCode::kPutSuperblock:
-    case OpCode::kDeleteSuperblock:
-      return kUserDomain | req.user;
-    case OpCode::kGetGroupKey:
-    case OpCode::kPutGroupKey:
-    case OpCode::kDeleteGroupKey:
-      return kGroupDomain | req.group;
-    default:
-      // Every remaining store op is inode-scoped (metadata replicas,
-      // split blocks, data blocks, the per-inode deletes), so the whole
-      // object colocates on one replica set.
-      return req.inode;
-  }
 }
 
 Status ClusterConfig::Validate() const {

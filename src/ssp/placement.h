@@ -63,16 +63,6 @@ struct ClusterConfig {
   Status SaveToFile(const std::string& path) const;
 };
 
-/// The 64-bit routing coordinate of a request: which object family and
-/// id the ring places. Inode-scoped ops route by inode (so all of a
-/// file's metadata replicas, table copies, split blocks, and data
-/// blocks colocate — one shard serves a whole path component);
-/// superblocks route by user and group-key blobs by group, in disjoint
-/// tag domains so user 7 and inode 7 never collide (inode numbers are
-/// counter-allocated well below 2^61). kBatch and the admin ops have no
-/// routing key; callers split batches per sub-op and pin admin ops.
-uint64_t RoutingKeyOf(const Request& req);
-
 /// Seeded splitmix64 finalizer — the ring's only hash. Public so tests
 /// can pin golden values (cross-process determinism is load-bearing).
 uint64_t PlacementHash(uint64_t seed, uint64_t value);

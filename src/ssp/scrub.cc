@@ -1,120 +1,13 @@
 #include "ssp/scrub.h"
 
-#include <algorithm>
 #include <chrono>
 #include <map>
 #include <vector>
 
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "util/binary_io.h"
 
 namespace sharoes::ssp {
-
-namespace {
-
-/// The versioned read for one enumerated key.
-Request MakeGet(const ObjectRef& ref) {
-  switch (ref.family) {
-    case ObjectFamily::kSuperblock:
-      return Request::GetSuperblock(static_cast<uint32_t>(ref.k1));
-    case ObjectFamily::kMetadata:
-      return Request::GetMetadata(ref.k1, ref.k2);
-    case ObjectFamily::kUserMetadata:
-      return Request::GetUserMetadata(ref.k1, static_cast<uint32_t>(ref.k2));
-    case ObjectFamily::kData:
-      return Request::GetData(ref.k1, static_cast<uint32_t>(ref.k2));
-    case ObjectFamily::kGroupKey:
-      return Request::GetGroupKey(static_cast<uint32_t>(ref.k1),
-                                  static_cast<uint32_t>(ref.k2));
-  }
-  return Request{};
-}
-
-/// The gen-gated repair verbs per family (mirrors the client channel's
-/// MakeRepairPut/MakeRepairDelete).
-Request MakePut(const ObjectRef& ref, Bytes blob) {
-  switch (ref.family) {
-    case ObjectFamily::kSuperblock:
-      return Request::PutSuperblock(static_cast<uint32_t>(ref.k1),
-                                    std::move(blob));
-    case ObjectFamily::kMetadata:
-      return Request::PutMetadata(ref.k1, ref.k2, std::move(blob));
-    case ObjectFamily::kUserMetadata:
-      return Request::PutUserMetadata(ref.k1, static_cast<uint32_t>(ref.k2),
-                                      std::move(blob));
-    case ObjectFamily::kData:
-      return Request::PutData(ref.k1, static_cast<uint32_t>(ref.k2),
-                              std::move(blob));
-    case ObjectFamily::kGroupKey:
-      return Request::PutGroupKey(static_cast<uint32_t>(ref.k1),
-                                  static_cast<uint32_t>(ref.k2),
-                                  std::move(blob));
-  }
-  return Request{};
-}
-
-Request MakeDelete(const ObjectRef& ref) {
-  switch (ref.family) {
-    case ObjectFamily::kSuperblock:
-      return Request::DeleteSuperblock(static_cast<uint32_t>(ref.k1));
-    case ObjectFamily::kMetadata:
-      return Request::DeleteMetadata(ref.k1, ref.k2);
-    case ObjectFamily::kUserMetadata:
-      return Request::DeleteUserMetadata(ref.k1,
-                                         static_cast<uint32_t>(ref.k2));
-    case ObjectFamily::kData:
-      return Request::DeleteData(ref.k1, static_cast<uint32_t>(ref.k2));
-    case ObjectFamily::kGroupKey:
-      return Request::DeleteGroupKey(static_cast<uint32_t>(ref.k1),
-                                     static_cast<uint32_t>(ref.k2));
-  }
-  return Request{};
-}
-
-/// One replica's decoded versioned answer for one key.
-struct ReplicaView {
-  uint32_t node_index = 0;
-  bool self = false;
-  bool replied = false;
-  RespStatus status = RespStatus::kNotFound;
-  Bytes payload;      // Live blob, generation suffix stripped.
-  uint64_t gen = 0;
-};
-
-uint64_t TrailingGen(const Bytes& payload) {
-  if (payload.size() < 8) return 0;
-  BinaryReader r(payload.data() + payload.size() - 8, 8);
-  uint64_t gen = r.GetU64();
-  return r.ok() ? gen : 0;
-}
-
-void DecodeVersioned(const Response& resp, ReplicaView* view) {
-  switch (resp.status) {
-    case RespStatus::kOk:
-      view->replied = true;
-      view->status = RespStatus::kOk;
-      view->gen = TrailingGen(resp.payload);
-      view->payload = resp.payload;
-      if (view->payload.size() >= 8) {
-        view->payload.resize(view->payload.size() - 8);
-      }
-      return;
-    case RespStatus::kNotFound:
-      view->replied = true;
-      view->status = RespStatus::kNotFound;
-      return;
-    case RespStatus::kDeleted:
-      view->replied = true;
-      view->status = RespStatus::kDeleted;
-      view->gen = TrailingGen(resp.payload);
-      return;
-    default:
-      return;  // kError/kWrongShard/...: not a usable reply.
-  }
-}
-
-}  // namespace
 
 Scrubber::Scrubber(SspServer* server, const PlacementRing* ring,
                    uint32_t node_id, PeerFactory peers)
@@ -132,7 +25,9 @@ ScrubPass Scrubber::RunOnce() {
   runs_->Increment();
   const ClusterConfig& config = ring_->config();
   // Channels to peer daemons, opened lazily and reused for the whole
-  // pass; an unreachable peer marks every key's read on it failed.
+  // pass. A failed call drops its channel — the stream may still owe
+  // that request's late reply, which the next key's read would take as
+  // its own — and the next call to the peer redials.
   std::map<uint32_t, std::unique_ptr<SspChannel>> peers;
   auto replica_call = [&](uint32_t node_index,
                           const Request& req) -> Result<Response> {
@@ -144,87 +39,68 @@ ScrubPass Scrubber::RunOnce() {
       if (!opened.ok()) return opened.status();
       it = peers.emplace(node_index, std::move(*opened)).first;
     }
-    return it->second->Call(req);
+    auto resp = it->second->Call(req);
+    if (!resp.ok()) peers.erase(it);
+    return resp;
   };
 
   // The enumeration is a point-in-time shard-consistent listing; each
   // key is then re-read versioned from every replica, so entries that
   // changed since the listing are judged on fresh state.
   for (const ObjectVersion& entry : server_->store().ListVersions()) {
-    Request get = MakeGet(entry.ref);
+    const ObjectRef& ref = entry.ref;
+    Request get = Request::Get(ref);
     const uint64_t key = RoutingKeyOf(get);
     // Strays from an older ring epoch: their current owners scrub them.
     if (!ring_->Owns(node_id_, key)) continue;
     ++pass.examined;
     get.want_version = true;
 
+    // One decoded versioned answer per replica position; unset = the
+    // replica gave no usable reply.
     const std::vector<uint32_t> replicas = ring_->ReplicaIndicesFor(key);
-    std::vector<ReplicaView> views(replicas.size());
+    std::vector<std::optional<VersionedReply>> replies(replicas.size());
     bool all_replied = true;
     for (size_t pos = 0; pos < replicas.size(); ++pos) {
-      ReplicaView& view = views[pos];
-      view.node_index = replicas[pos];
-      view.self = config.nodes[replicas[pos]].id == node_id_;
       auto resp = replica_call(replicas[pos], get);
-      if (resp.ok()) DecodeVersioned(*resp, &view);
-      if (!view.replied) {
+      if (resp.ok()) replies[pos] = DecodeVersioned(*resp);
+      if (!replies[pos].has_value()) {
         all_replied = false;
         ++pass.unreachable;
       }
     }
 
-    // Freshest acknowledged state: highest generation, tombstone
-    // winning ties (same rule as the client's SettleRead; rationale in
-    // DESIGN.md §16).
-    uint64_t max_gen = 0;
-    for (const ReplicaView& v : views) {
-      if (v.replied && v.status != RespStatus::kNotFound && v.gen > max_gen) {
-        max_gen = v.gen;
-      }
-    }
-    bool deleted_wins = false;
-    const ReplicaView* live_winner = nullptr;
-    bool live_ambiguous = false;
-    for (const ReplicaView& v : views) {
-      if (!v.replied) continue;
-      if (v.status == RespStatus::kDeleted && v.gen == max_gen) {
-        deleted_wins = true;
-      }
-      if (v.status == RespStatus::kOk && v.gen == max_gen) {
-        if (live_winner == nullptr) {
-          live_winner = &v;
-        } else if (v.payload != live_winner->payload) {
-          // Same generation, different bytes: diverged histories with
-          // no local evidence to rank them. Leave the key for a client
-          // read (which has session fingerprints) rather than guess —
-          // a wrong scrub repair would propagate the guess to all K.
-          live_ambiguous = true;
-        }
-      }
-    }
-
-    auto repair = [&](const ReplicaView& target, Request fix) {
+    // Freshest acknowledged state: the same rule as the client's
+    // SettleRead. A live tie with diverged bytes has no winner here:
+    // leave it for a client read (which has session fingerprints)
+    // rather than guess — a wrong scrub repair would propagate the
+    // guess to all K.
+    const Freshest fresh = SettleFreshest(replies);
+    auto repair = [&](size_t pos, Request fix) {
       fix.has_store_gen = true;
-      fix.store_gen = max_gen;
-      auto r = replica_call(target.node_index, fix);
+      fix.store_gen = fresh.gen;
+      auto r = replica_call(replicas[pos], fix);
       ++pass.repaired;
       if (!r.ok() || (r->status != RespStatus::kOk &&
                       r->status != RespStatus::kNotFound)) {
         obs::Log(obs::Severity::kWarn, "ssp.scrub.repair_failed",
-                 {{"node", config.nodes[target.node_index].id},
+                 {{"node", config.nodes[replicas[pos]].id},
                   {"op", OpCodeName(fix.op)}});
       }
     };
+    auto has = [&](size_t pos, RespStatus status) {
+      return replies[pos].has_value() && replies[pos]->status == status;
+    };
 
-    if (deleted_wins) {
+    if (fresh.deleted) {
       // Re-delete onto live stragglers only — never onto replicas that
       // answered missing (absence already agrees with deletion, and
       // re-creating the tombstone there would fight GC forever).
       bool any_live = false;
-      for (const ReplicaView& v : views) {
-        if (v.replied && v.status == RespStatus::kOk) {
+      for (size_t pos = 0; pos < replicas.size(); ++pos) {
+        if (has(pos, RespStatus::kOk)) {
           any_live = true;
-          repair(v, MakeDelete(entry.ref));
+          repair(pos, Request::Delete(ref));
         }
       }
       // GC: only with a FULL quorum of replies, none of them live. One
@@ -233,9 +109,10 @@ ScrubPass Scrubber::RunOnce() {
       // the exact generation it just observed (a concurrent re-create
       // aborts inside RemoveTombstone).
       if (all_replied && !any_live) {
-        for (const ReplicaView& v : views) {
-          if (v.self && v.status == RespStatus::kDeleted &&
-              server_->store().RemoveTombstone(entry.ref, v.gen)) {
+        for (size_t pos = 0; pos < replicas.size(); ++pos) {
+          if (config.nodes[replicas[pos]].id == node_id_ &&
+              has(pos, RespStatus::kDeleted) &&
+              server_->store().RemoveTombstone(ref, replies[pos]->gen)) {
             ++pass.tombstones_gc;
           }
         }
@@ -243,18 +120,20 @@ ScrubPass Scrubber::RunOnce() {
       continue;
     }
 
-    if (live_winner != nullptr && !live_ambiguous) {
-      for (const ReplicaView& v : views) {
-        if (!v.replied || &v == live_winner) continue;
-        const bool current = v.status == RespStatus::kOk &&
-                             v.gen == max_gen &&
-                             v.payload == live_winner->payload;
-        if (current) continue;
+    if (fresh.live.has_value()) {
+      const Bytes& winner = replies[*fresh.live]->payload;
+      for (size_t pos = 0; pos < replicas.size(); ++pos) {
+        if (!replies[pos].has_value() || pos == *fresh.live) continue;
+        const VersionedReply& v = *replies[pos];
+        if (v.status == RespStatus::kOk && v.gen == fresh.gen &&
+            v.payload == winner) {
+          continue;
+        }
         // Stale live copy, lower-generation tombstone (a legitimate
         // delete-then-recreate), or missing: re-put the winner at its
         // generation. Gen-gating on the receiving store protects any
         // concurrent fresher op.
-        repair(v, MakePut(entry.ref, live_winner->payload));
+        repair(pos, Request::Put(ref, winner));
       }
     }
   }

@@ -55,8 +55,9 @@ struct ScrubPass {
 class Scrubber {
  public:
   /// Opens a channel to one peer daemon. Called lazily per pass (a pass
-  /// caches its channels); may fail when the peer is down — the pass
-  /// counts the replica unreachable and moves on.
+  /// caches its channels, and redials one after a failed call); may fail
+  /// when the peer is down — the pass counts the replica unreachable and
+  /// moves on.
   using PeerFactory =
       std::function<Result<std::unique_ptr<SspChannel>>(const ClusterNode&)>;
 

@@ -14,10 +14,6 @@
 namespace sharoes::ssp {
 
 namespace {
-Response FromOptional(std::optional<Bytes> blob) {
-  if (!blob.has_value()) return Response::NotFound();
-  return Response::Ok(std::move(*blob));
-}
 
 /// Serving-path metrics, shared by every SspServer in the process (they
 /// all record into the global registry; pointers are resolved once and
@@ -294,48 +290,21 @@ Response SspServer::HandleOne(const Request& req, bool want_version,
     // kGetStats (the collector snapshot never blocks publishers).
     return Response::Ok(ToBytes(obs::SpanCollector::Global().ToJson()));
   }
+  if (VerbOf(req.op) != OpVerb::kGet) return Response::BadRequest();
   obs::PhaseScope store_phase(obs::Phase::kStore);
-  if (want_version) {
-    switch (req.op) {
-      case OpCode::kGetSuperblock:
-      case OpCode::kGetMetadata:
-      case OpCode::kGetUserMetadata:
-      case OpCode::kGetData:
-      case OpCode::kGetGroupKey: {
-        // Versioned read (quorum/repair/scrub path): expose the entry's
-        // generation, and distinguish "deleted" (tombstone, comparable)
-        // from "never heard of it" (plain kNotFound).
-        auto v = store_.GetVersioned(req);
-        if (!v.has_value()) return Response::NotFound();
-        if (v->tombstone) return Response::Deleted(v->gen);
-        Response resp = Response::Ok(std::move(v->blob));
-        BinaryWriter w;
-        w.PutU64(v->gen);
-        const Bytes& suffix = w.data();
-        resp.payload.insert(resp.payload.end(), suffix.begin(), suffix.end());
-        return resp;
-      }
-      default:
-        break;
-    }
+  const ObjectRef ref = *RefOf(req);
+  if (!want_version) {
+    std::optional<Bytes> blob = store_.Get(ref);
+    if (!blob.has_value()) return Response::NotFound();
+    return Response::Ok(std::move(*blob));
   }
-  switch (req.op) {
-    case OpCode::kGetSuperblock:
-      return FromOptional(store_.GetSuperblock(req.user));
-    case OpCode::kGetMetadata:
-      return FromOptional(store_.GetMetadata(req.inode, req.selector));
-    case OpCode::kGetUserMetadata:
-      return FromOptional(store_.GetUserMetadata(req.inode, req.user));
-    case OpCode::kGetData:
-      return FromOptional(store_.GetData(req.inode, req.block));
-    case OpCode::kGetGroupKey:
-      return FromOptional(store_.GetGroupKey(req.group, req.user));
-    case OpCode::kBatch:
-      return Response::BadRequest();  // Handled by Handle().
-    default:
-      // Mutating ops were dispatched above; anything else is invalid.
-      return Response::BadRequest();
-  }
+  // Versioned read (quorum/repair/scrub path): expose the entry's
+  // generation, and distinguish "deleted" (tombstone, comparable) from
+  // "never heard of it" (plain kNotFound).
+  auto v = store_.GetVersioned(ref);
+  if (!v.has_value()) return Response::NotFound();
+  if (v->tombstone) return Response::Deleted(v->gen);
+  return Response::Versioned(std::move(v->blob), v->gen);
 }
 
 Result<Response> SspConnection::Call(const Request& req) {

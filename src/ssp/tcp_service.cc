@@ -236,9 +236,18 @@ Result<Response> TcpSspChannel::Call(const Request& req) {
   Bytes wire_request = tc.active()
                            ? req.SerializeWithTrace(tc.trace_id, tc.attempt)
                            : req.Serialize();
-  SHAROES_RETURN_IF_ERROR(stream_.SendFrame(wire_request));
-  SHAROES_ASSIGN_OR_RETURN(Bytes wire, stream_.RecvFrame());
-  return Response::Deserialize(wire);
+  Status sent = stream_.SendFrame(wire_request);
+  Result<Bytes> wire = sent.ok() ? stream_.RecvFrame() : Result<Bytes>(sent);
+  if (!wire.ok()) {
+    // The stream may be mid-frame, or still owe this request's reply (a
+    // recv deadline expired): a later Call would read that late reply
+    // as its own. Close it, so every later Call fails until the owner
+    // redials. An oversized request is refused before any byte is sent
+    // and leaves the stream usable.
+    if (sent.code() != StatusCode::kInvalidArgument) stream_.CloseNow();
+    return wire.status();
+  }
+  return Response::Deserialize(*wire);
 }
 
 }  // namespace sharoes::ssp

@@ -84,6 +84,8 @@ class TcpSspChannel : public SspChannel {
  public:
   /// `timeouts` arms the stream's connect deadline and per-syscall IO
   /// deadlines; expiry surfaces from Call as Status::DeadlineExceeded.
+  /// A failed send or receive closes the stream: the channel is then
+  /// dead and the caller redials.
   static Result<std::unique_ptr<TcpSspChannel>> Connect(
       const std::string& host, uint16_t port,
       const net::TcpTimeouts& timeouts = {});

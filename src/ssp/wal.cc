@@ -227,42 +227,15 @@ Status ApplyWalOp(const Request& op, ObjectStore* store) {
   // exactly like the live apply. gen == 0 is the ordinary client path
   // (bump the local generation).
   const uint64_t gen = op.has_store_gen ? op.store_gen : 0;
-  switch (op.op) {
-    case OpCode::kPutSuperblock:
-      store->PutSuperblock(op.user, op.payload, gen);
+  switch (VerbOf(op.op)) {
+    case OpVerb::kPut:
+      store->Put(*RefOf(op), op.payload, gen);
       return Status::OK();
-    case OpCode::kDeleteSuperblock:
-      store->DeleteSuperblock(op.user, gen);
+    case OpVerb::kDelete:
+      store->Delete(*RefOf(op), gen);
       return Status::OK();
-    case OpCode::kPutMetadata:
-      store->PutMetadata(op.inode, op.selector, op.payload, gen);
-      return Status::OK();
-    case OpCode::kDeleteMetadata:
-      store->DeleteMetadata(op.inode, op.selector, gen);
-      return Status::OK();
-    case OpCode::kDeleteInodeMetadata:
-      store->DeleteInodeMetadata(op.inode);
-      return Status::OK();
-    case OpCode::kPutUserMetadata:
-      store->PutUserMetadata(op.inode, op.user, op.payload, gen);
-      return Status::OK();
-    case OpCode::kDeleteUserMetadata:
-      store->DeleteUserMetadata(op.inode, op.user, gen);
-      return Status::OK();
-    case OpCode::kPutData:
-      store->PutData(op.inode, op.block, op.payload, gen);
-      return Status::OK();
-    case OpCode::kDeleteData:
-      store->DeleteData(op.inode, op.block, gen);
-      return Status::OK();
-    case OpCode::kDeleteInodeData:
-      store->DeleteInodeData(op.inode);
-      return Status::OK();
-    case OpCode::kPutGroupKey:
-      store->PutGroupKey(op.group, op.user, op.payload, gen);
-      return Status::OK();
-    case OpCode::kDeleteGroupKey:
-      store->DeleteGroupKey(op.group, op.user, gen);
+    case OpVerb::kDeleteInode:
+      store->DeleteInode(FamilyOf(op.op), op.inode);
       return Status::OK();
     default:
       return Status::Corruption("non-mutating op in WAL record");

@@ -185,7 +185,7 @@ TEST(BaselineStorageTest, EncryptedModesActuallyEncrypt) {
     BaselineWorld world(mode);
     // File data lives at (inode of a.txt, block 1); inode 3 by creation
     // order (root=1, docs=2, a.txt=3).
-    auto blob = world.server().store().GetData(3, 1);
+    auto blob = world.server().store().Get(ssp::ObjectRef::Data(3, 1));
     ASSERT_TRUE(blob.has_value()) << SecurityModeName(mode);
     EXPECT_EQ(contains(*blob, "contents of a"),
               mode == SecurityMode::kNoEncMdD)
@@ -196,15 +196,20 @@ TEST(BaselineStorageTest, EncryptedModesActuallyEncrypt) {
 TEST(BaselineStorageTest, PublicModeStoresPerUserCopies) {
   BaselineWorld world(SecurityMode::kPublic);
   // No shared metadata object; per-user copies instead.
-  EXPECT_FALSE(world.server().store().GetMetadata(3, 0).has_value());
-  EXPECT_TRUE(world.server().store().GetUserMetadata(3, kUser).has_value());
-  EXPECT_TRUE(world.server().store().GetUserMetadata(3, kOther).has_value());
+  EXPECT_FALSE(world.server().store().Get(
+      ssp::ObjectRef::Metadata(3, 0)).has_value());
+  EXPECT_TRUE(world.server().store().Get(
+      ssp::ObjectRef::UserMetadata(3, kUser)).has_value());
+  EXPECT_TRUE(world.server().store().Get(
+      ssp::ObjectRef::UserMetadata(3, kOther)).has_value());
 }
 
 TEST(BaselineStorageTest, PubOptStoresSealedRecordPlusWrappedKeys) {
   BaselineWorld world(SecurityMode::kPubOpt);
-  EXPECT_TRUE(world.server().store().GetMetadata(3, 0).has_value());
-  EXPECT_TRUE(world.server().store().GetUserMetadata(3, kUser).has_value());
+  EXPECT_TRUE(world.server().store().Get(
+      ssp::ObjectRef::Metadata(3, 0)).has_value());
+  EXPECT_TRUE(world.server().store().Get(
+      ssp::ObjectRef::UserMetadata(3, kUser)).has_value());
 }
 
 TEST(BaselineRecordTest, SerializationRoundTrip) {

@@ -40,7 +40,7 @@ class BlockTamperTest : public ::testing::Test {
     EXPECT_TRUE(world_->client(kAlice).WriteFile("/doc.txt", content).ok());
     std::map<uint32_t, Bytes> out;
     for (uint32_t i = 0; i < 16; ++i) {
-      auto blob = world_->server().store().GetData(inode_, i);
+      auto blob = world_->server().store().Get(ssp::ObjectRef::Data(inode_, i));
       if (blob.has_value()) out[i] = *blob;
     }
     return out;
@@ -67,7 +67,7 @@ class BlockTamperTest : public ::testing::Test {
   void ExpectFailClosedAt(uint32_t blk, size_t pos, const Bytes& authentic) {
     Bytes bad = authentic;
     bad[pos] ^= 0x01;
-    world_->server().store().PutData(inode_, blk, bad);
+    world_->server().store().Put(ssp::ObjectRef::Data(inode_, blk), bad);
     auto read = ColdRead();
     ASSERT_FALSE(read.ok()) << "block " << blk << " byte " << pos;
     if (pos < 4) {
@@ -78,7 +78,7 @@ class BlockTamperTest : public ::testing::Test {
       EXPECT_TRUE(read.status().IsCorruption())
           << "block " << blk << " byte " << pos << ": " << read.status();
     }
-    world_->server().store().PutData(inode_, blk, authentic);
+    world_->server().store().Put(ssp::ObjectRef::Data(inode_, blk), authentic);
   }
 
   std::unique_ptr<World> world_;
@@ -125,8 +125,8 @@ TEST_F(BlockTamperTest, IntraFileBlockSwapDetected) {
   // number, so both decodes fail closed.
   auto blocks = WriteAndSnapshot(Content(4096 * 2 + 100));
   ASSERT_EQ(blocks.size(), 3u);
-  world_->server().store().PutData(inode_, 1, blocks[2]);
-  world_->server().store().PutData(inode_, 2, blocks[1]);
+  world_->server().store().Put(ssp::ObjectRef::Data(inode_, 1), blocks[2]);
+  world_->server().store().Put(ssp::ObjectRef::Data(inode_, 2), blocks[1]);
   auto read = ColdRead();
   ASSERT_FALSE(read.ok());
   EXPECT_TRUE(read.status().IsCorruption()) << read.status();
@@ -145,9 +145,10 @@ TEST_F(BlockTamperTest, CrossFileSameIndexSwapDetected) {
                   .ok());
   auto other_attrs = world_->client(kAlice).Getattr("/other.txt");
   ASSERT_TRUE(other_attrs.ok());
-  auto other_tail = world_->server().store().GetData(other_attrs->inode, 1);
+  auto other_tail = world_->server().store().Get(
+      ssp::ObjectRef::Data(other_attrs->inode, 1));
   ASSERT_TRUE(other_tail.has_value());
-  world_->server().store().PutData(inode_, 1, *other_tail);
+  world_->server().store().Put(ssp::ObjectRef::Data(inode_, 1), *other_tail);
   auto read = ColdRead();
   ASSERT_FALSE(read.ok());
   EXPECT_TRUE(read.status().IsCorruption()) << read.status();
@@ -162,8 +163,8 @@ TEST_F(BlockTamperTest, StaleTailSetUnderCurrentDescriptorDetected) {
   for (auto& b : v3_content) b ^= 0x5A;  // Rewrite every block.
   auto v3 = WriteAndSnapshot(v3_content);
   ASSERT_EQ(v3.size(), 3u);
-  world_->server().store().PutData(inode_, 1, v2[1]);
-  world_->server().store().PutData(inode_, 2, v2[2]);
+  world_->server().store().Put(ssp::ObjectRef::Data(inode_, 1), v2[1]);
+  world_->server().store().Put(ssp::ObjectRef::Data(inode_, 2), v2[2]);
   auto read = ColdRead();
   ASSERT_FALSE(read.ok());
   EXPECT_TRUE(read.status().IsCorruption()) << read.status();
@@ -190,14 +191,16 @@ TEST_F(BlockTamperTest, ForgedTailBlockByDekHolderDetected) {
   crypto::CryptoEngine eng(&clock, eng_opts);
   ObjectCodec codec(&eng, &world_->identity(), core::Scheme::kScheme2);
 
-  auto sb_wire = world_->server().store().GetSuperblock(kAlice);
+  auto sb_wire = world_->server().store().Get(
+      ssp::ObjectRef::Superblock(kAlice));
   ASSERT_TRUE(sb_wire.has_value());
   auto sb = codec.DecodeSuperblock(world_->user_key(kAlice), *sb_wire);
   ASSERT_TRUE(sb.ok()) << sb.status();
   const core::PlainRef& root_ref = sb->root_ref;
 
   auto root_meta_wire =
-      world_->server().store().GetMetadata(root_ref.inode, root_ref.selector);
+      world_->server().store().Get(
+          ssp::ObjectRef::Metadata(root_ref.inode, root_ref.selector));
   ASSERT_TRUE(root_meta_wire.has_value());
   auto root_view = codec.DecodeMetadataReplica(
       root_ref.inode, root_ref.selector, *root_meta_wire, root_ref.mek,
@@ -205,8 +208,8 @@ TEST_F(BlockTamperTest, ForgedTailBlockByDekHolderDetected) {
   ASSERT_TRUE(root_view.ok()) << root_view.status();
   ASSERT_TRUE(root_view->dek.has_value() && root_view->dvk.has_value());
 
-  auto table_wire = world_->server().store().GetMetadata(
-      root_ref.inode, core::TableSelector(root_ref.selector));
+  auto table_wire = world_->server().store().Get(ssp::ObjectRef::Metadata(
+      root_ref.inode, core::TableSelector(root_ref.selector)));
   ASSERT_TRUE(table_wire.has_value());
   auto table =
       codec.DecodeTableCopy(root_ref.inode, root_ref.selector, *table_wire,
@@ -218,7 +221,8 @@ TEST_F(BlockTamperTest, ForgedTailBlockByDekHolderDetected) {
   const core::PlainRef& file_ref = row->second.plain;
 
   auto file_meta_wire =
-      world_->server().store().GetMetadata(file_ref.inode, file_ref.selector);
+      world_->server().store().Get(
+          ssp::ObjectRef::Metadata(file_ref.inode, file_ref.selector));
   ASSERT_TRUE(file_meta_wire.has_value());
   auto file_view = codec.DecodeMetadataReplica(
       file_ref.inode, file_ref.selector, *file_meta_wire, file_ref.mek,
@@ -239,7 +243,7 @@ TEST_F(BlockTamperTest, ForgedTailBlockByDekHolderDetected) {
   // Sanity: the forged block *is* cryptographically valid in isolation.
   ASSERT_TRUE(ObjectCodec::PeekDataTag(forged).ok());
 
-  world_->server().store().PutData(inode_, 1, forged);
+  world_->server().store().Put(ssp::ObjectRef::Data(inode_, 1), forged);
   auto read = ColdRead();
   ASSERT_FALSE(read.ok()) << "forged tail block was accepted";
   EXPECT_TRUE(read.status().IsCorruption()) << read.status();

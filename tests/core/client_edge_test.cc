@@ -269,8 +269,8 @@ TEST(ExecOnlyDeepTest, ExecOnlyTableLeaksNoNames) {
   ASSERT_TRUE(attrs.ok());
   const std::string needle = "very-secret-project-name";
   for (uint64_t sel = 0; sel < 4; ++sel) {
-    auto blob = world.server().store().GetMetadata(
-        attrs->inode, core::TableSelector(sel));
+    auto blob = world.server().store().Get(
+        ssp::ObjectRef::Metadata(attrs->inode, core::TableSelector(sel)));
     if (!blob.has_value()) continue;
     EXPECT_EQ(std::search(blob->begin(), blob->end(), needle.begin(),
                           needle.end()),

@@ -311,7 +311,7 @@ TEST(RetryingConnectionTest, RetriesTransientServerErrors) {
   EXPECT_TRUE(resp->ok());
   EXPECT_EQ(conn.retries(), 2u);
   EXPECT_EQ(conn.reconnects(), 0u);  // kError keeps the socket healthy.
-  EXPECT_TRUE(server.store().GetMetadata(1, 0).has_value());
+  EXPECT_TRUE(server.store().Get(ssp::ObjectRef::Metadata(1, 0)).has_value());
   (*daemon)->Shutdown();
 }
 

@@ -39,16 +39,16 @@ class FreshnessTest : public ::testing::Test {
   std::map<uint32_t, Bytes> SnapshotBlocks() {
     std::map<uint32_t, Bytes> out;
     for (uint32_t i = 0; i < 16; ++i) {
-      auto blob = world_->server().store().GetData(inode_, i);
+      auto blob = world_->server().store().Get(ssp::ObjectRef::Data(inode_, i));
       if (blob.has_value()) out[i] = *blob;
     }
     return out;
   }
 
   void RestoreBlocks(const std::map<uint32_t, Bytes>& blocks) {
-    world_->server().store().DeleteInodeData(inode_);
+    world_->server().store().DeleteInode(ssp::ObjectFamily::kData, inode_);
     for (const auto& [idx, blob] : blocks) {
-      world_->server().store().PutData(inode_, idx, blob);
+      world_->server().store().Put(ssp::ObjectRef::Data(inode_, idx), blob);
     }
   }
 
@@ -59,7 +59,7 @@ class FreshnessTest : public ::testing::Test {
 TEST_F(FreshnessTest, GenerationsIncreaseAcrossWrites) {
   auto& alice = world_->client(kAlice);
   auto gen_of = [&] {
-    auto blob = world_->server().store().GetData(inode_, 0);
+    auto blob = world_->server().store().Get(ssp::ObjectRef::Data(inode_, 0));
     EXPECT_TRUE(blob.has_value());
     auto header = core::ObjectCodec::PeekDataHeader(*blob);
     EXPECT_TRUE(header.ok());
@@ -117,7 +117,7 @@ TEST_F(FreshnessTest, MixedGenerationBlocksDetected) {
   Bytes v3(9000, 'c');
   ASSERT_TRUE(alice.WriteFile("/log.txt", v3).ok());
   // The SSP serves v3's block 0 but v2's tail blocks.
-  world_->server().store().PutData(inode_, 1, v2_blocks[1]);
+  world_->server().store().Put(ssp::ObjectRef::Data(inode_, 1), v2_blocks[1]);
   world_->client(kBob).DropCaches();
   auto read = world_->client(kBob).Read("/log.txt");
   EXPECT_FALSE(read.ok());

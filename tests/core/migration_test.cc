@@ -141,8 +141,10 @@ TEST(MigrationTest, LargeFileChunking) {
   auto attrs = world.client(kAlice).Getattr("/big.bin");
   ASSERT_TRUE(attrs.ok());
   // 20000 bytes => block 0 carries chunk0, 4 more blocks follow.
-  EXPECT_TRUE(world.server().store().GetData(attrs->inode, 4).has_value());
-  EXPECT_FALSE(world.server().store().GetData(attrs->inode, 5).has_value());
+  EXPECT_TRUE(world.server().store().Get(
+      ssp::ObjectRef::Data(attrs->inode, 4)).has_value());
+  EXPECT_FALSE(world.server().store().Get(
+      ssp::ObjectRef::Data(attrs->inode, 5)).has_value());
   auto read = world.client(kAlice).Read("/big.bin");
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(*read, big);

@@ -35,7 +35,7 @@ class PartialUpdateTest : public ::testing::Test {
   std::map<uint32_t, Bytes> StoredBlocks() {
     std::map<uint32_t, Bytes> out;
     for (uint32_t i = 0; i < 16; ++i) {
-      auto blob = world_->server().store().GetData(inode_, i);
+      auto blob = world_->server().store().Get(ssp::ObjectRef::Data(inode_, i));
       if (blob.has_value()) out[i] = *blob;
     }
     return out;
@@ -134,7 +134,7 @@ TEST_F(PartialUpdateTest, StaleBlockFromOldGenerationDetected) {
   edited[9000] = 'Z';
   ASSERT_TRUE(alice.WriteFile("/big.bin", edited).ok());
   // Malicious SSP: restore the pre-edit block 2.
-  world_->server().store().PutData(inode_, 2, before[2]);
+  world_->server().store().Put(ssp::ObjectRef::Data(inode_, 2), before[2]);
   world_->client(kBob).DropCaches();
   auto read = world_->client(kBob).Read("/big.bin");
   EXPECT_FALSE(read.ok());

@@ -44,7 +44,7 @@ TEST_F(RenameTest, CrossDirectoryMovePreservesDataAndKeys) {
   auto before = alice.Getattr("/home/alice/public.txt");
   ASSERT_TRUE(before.ok());
   auto data_before =
-      world_->server().store().GetData(before->inode, 0);
+      world_->server().store().Get(ssp::ObjectRef::Data(before->inode, 0));
   ASSERT_TRUE(data_before.has_value());
 
   ASSERT_TRUE(
@@ -54,7 +54,8 @@ TEST_F(RenameTest, CrossDirectoryMovePreservesDataAndKeys) {
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->inode, before->inode);  // Same object.
   // The stored ciphertext was not rewritten (no re-encryption on move).
-  auto data_after = world_->server().store().GetData(after->inode, 0);
+  auto data_after = world_->server().store().Get(
+      ssp::ObjectRef::Data(after->inode, 0));
   ASSERT_TRUE(data_after.has_value());
   EXPECT_EQ(*data_after, *data_before);
 

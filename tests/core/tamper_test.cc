@@ -35,7 +35,8 @@ class TamperTest : public ::testing::Test {
 };
 
 TEST_F(TamperTest, CorruptedDataBlockDetected) {
-  ASSERT_TRUE(world_->server().store().CorruptData(inode_, 0, 40));
+  ASSERT_TRUE(world_->server().store().Corrupt(
+      ssp::ObjectRef::Data(inode_, 0), 40));
   world_->client(kBob).DropCaches();
   auto read = world_->client(kBob).Read("/doc.txt");
   EXPECT_FALSE(read.ok());
@@ -46,7 +47,8 @@ TEST_F(TamperTest, CorruptedMetadataDetected) {
   // Corrupt every replica of the file (selectors 0..2).
   bool corrupted = false;
   for (uint64_t sel = 0; sel < 3; ++sel) {
-    corrupted |= world_->server().store().CorruptMetadata(inode_, sel, 13);
+    corrupted |= world_->server().store().Corrupt(
+        ssp::ObjectRef::Metadata(inode_, sel), 13);
   }
   ASSERT_TRUE(corrupted);
   world_->client(kBob).DropCaches();
@@ -59,7 +61,8 @@ TEST_F(TamperTest, SubstitutedDataBlockDetected) {
   // shaped like an envelope) must fail verification.
   Rng rng(5);
   ASSERT_TRUE(
-      world_->server().store().ReplaceData(inode_, 0, rng.NextBytes(128)));
+      world_->server().store().Replace(
+          ssp::ObjectRef::Data(inode_, 0), rng.NextBytes(128)));
   world_->client(kBob).DropCaches();
   auto read = world_->client(kBob).Read("/doc.txt");
   EXPECT_FALSE(read.ok());
@@ -76,10 +79,12 @@ TEST_F(TamperTest, CrossFileBlockSwapDetected) {
                   .ok());
   auto other_attrs = world_->client(kAlice).Getattr("/other.txt");
   ASSERT_TRUE(other_attrs.ok());
-  auto other_block = world_->server().store().GetData(other_attrs->inode, 0);
+  auto other_block = world_->server().store().Get(
+      ssp::ObjectRef::Data(other_attrs->inode, 0));
   ASSERT_TRUE(other_block.has_value());
   ASSERT_TRUE(
-      world_->server().store().ReplaceData(inode_, 0, *other_block));
+      world_->server().store().Replace(
+          ssp::ObjectRef::Data(inode_, 0), *other_block));
   world_->client(kBob).DropCaches();
   auto read = world_->client(kBob).Read("/doc.txt");
   EXPECT_FALSE(read.ok());
@@ -95,7 +100,8 @@ TEST_F(TamperTest, ForgedWriteByReaderDetected) {
   ASSERT_TRUE(world_->client(kBob).Read("/doc.txt").ok());  // Has DEK.
   // Bob forges a blob and stores it at the SSP (the SSP does not verify).
   Rng rng(6);
-  world_->server().store().PutData(inode_, 0, rng.NextBytes(200));
+  world_->server().store().Put(
+      ssp::ObjectRef::Data(inode_, 0), rng.NextBytes(200));
   // Alice's next read detects the forgery instead of accepting it.
   world_->client(kAlice).DropCaches();
   auto read = world_->client(kAlice).Read("/doc.txt");
@@ -103,11 +109,11 @@ TEST_F(TamperTest, ForgedWriteByReaderDetected) {
 }
 
 TEST_F(TamperTest, CorruptedSuperblockDetected) {
-  auto sb = world_->server().store().GetSuperblock(kBob);
+  auto sb = world_->server().store().Get(ssp::ObjectRef::Superblock(kBob));
   ASSERT_TRUE(sb.has_value());
   Bytes bad = *sb;
   bad[bad.size() / 2] ^= 0xFF;
-  world_->server().store().PutSuperblock(kBob, bad);
+  world_->server().store().Put(ssp::ObjectRef::Superblock(kBob), bad);
   // A fresh mount fails cleanly (RSA decryption/parse fails) rather than
   // accepting a corrupted root reference.
   EXPECT_FALSE(world_->Mount(kBob).ok());
@@ -117,8 +123,8 @@ TEST_F(TamperTest, CorruptedTableCopyDetected) {
   // Corrupt the root directory's table copies; traversal must fail, not
   // return attacker-controlled rows.
   for (uint64_t sel = 0; sel < 3; ++sel) {
-    world_->server().store().CorruptMetadata(
-        fs::kRootInode, core::TableSelector(sel), 21);
+    world_->server().store().Corrupt(
+        ssp::ObjectRef::Metadata(fs::kRootInode, core::TableSelector(sel)), 21);
   }
   world_->client(kBob).DropCaches();
   auto r = world_->client(kBob).Getattr("/doc.txt");
@@ -126,10 +132,10 @@ TEST_F(TamperTest, CorruptedTableCopyDetected) {
 }
 
 TEST_F(TamperTest, TruncatedBlobFailsCleanly) {
-  auto blob = world_->server().store().GetData(inode_, 0);
+  auto blob = world_->server().store().Get(ssp::ObjectRef::Data(inode_, 0));
   ASSERT_TRUE(blob.has_value());
   Bytes tiny(blob->begin(), blob->begin() + 3);
-  world_->server().store().PutData(inode_, 0, tiny);
+  world_->server().store().Put(ssp::ObjectRef::Data(inode_, 0), tiny);
   world_->client(kBob).DropCaches();
   auto read = world_->client(kBob).Read("/doc.txt");
   EXPECT_FALSE(read.ok());  // Corruption or integrity error; never UB.

@@ -359,7 +359,7 @@ TEST(WalFuzz, OpenTruncatesTornFinalSegmentAndKeepsAppending) {
   ASSERT_TRUE(wal.ok()) << wal.status();
   EXPECT_FALSE((*wal)->recovery().tail_truncated);
   EXPECT_EQ((*wal)->last_sequence(), recovered_seq + 1);
-  EXPECT_TRUE(store.GetMetadata(50, 0).has_value());
+  EXPECT_TRUE(store.Get(ObjectRef::Metadata(50, 0)).has_value());
 }
 
 TEST(WalFuzz, OpenRejectsCorruptSnapshot) {

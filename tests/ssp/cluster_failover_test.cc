@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cmath>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -118,9 +119,12 @@ TEST(ClusterFailover, AndrewIsByteIdenticalThroughReplicaSigkill) {
   }
   for (const auto& [path, inode] : files) {
     for (uint32_t block = 0; block < 8; ++block) {
-      auto copy0 = cluster.node(0)->server()->store().GetData(inode, block);
-      auto copy1 = cluster.node(1)->server()->store().GetData(inode, block);
-      auto copy2 = cluster.node(2)->server()->store().GetData(inode, block);
+      auto copy0 = cluster.node(0)->server()->store().Get(
+          ObjectRef::Data(inode, block));
+      auto copy1 = cluster.node(1)->server()->store().Get(
+          ObjectRef::Data(inode, block));
+      auto copy2 = cluster.node(2)->server()->store().Get(
+          ObjectRef::Data(inode, block));
       ASSERT_EQ(copy0.has_value(), copy1.has_value())
           << path << " block " << block;
       ASSERT_EQ(copy0.has_value(), copy2.has_value())
@@ -161,7 +165,8 @@ TEST(ClusterFailover, QuorumReadRepairsAReplicaThatMissedAWrite) {
   ASSERT_EQ(put->status, RespStatus::kOk) << "W=2 must ack without node 2";
   cluster.node(2)->Restart();
   ASSERT_FALSE(
-      cluster.node(2)->server()->store().GetData(inode, 0).has_value())
+      cluster.node(2)->server()->store().Get(
+          ObjectRef::Data(inode, 0)).has_value())
       << "node 2 must start amnesiac for the divergence to be real";
 
   // A FRESH channel (no session fingerprint of the write) must still
@@ -175,7 +180,8 @@ TEST(ClusterFailover, QuorumReadRepairsAReplicaThatMissedAWrite) {
   ASSERT_EQ(got->status, RespStatus::kOk);
   EXPECT_EQ(got->payload, v2);
   EXPECT_GE(reader->read_repairs(), 1u);
-  auto healed = cluster.node(2)->server()->store().GetData(inode, 0);
+  auto healed = cluster.node(2)->server()->store().Get(
+      ObjectRef::Data(inode, 0));
   ASSERT_TRUE(healed.has_value()) << "read repair did not re-put";
   EXPECT_EQ(*healed, v2);
 
@@ -244,7 +250,7 @@ TEST(ClusterFailover, DeleteSurvivesAnAmnesiacReplicaRestart) {
         return cluster.node(node)
             ->server()
             ->store()
-            .GetData(inode, 0)
+            .Get(ObjectRef::Data(inode, 0))
             .has_value();
       })) << "node " << node << " never received inode " << inode;
     }
@@ -259,7 +265,8 @@ TEST(ClusterFailover, DeleteSurvivesAnAmnesiacReplicaRestart) {
   cluster.node(2)->Restart();  // WAL replays the puts — not the deletes.
   for (uint64_t inode : inodes) {
     ASSERT_TRUE(
-        cluster.node(2)->server()->store().GetData(inode, 0).has_value())
+        cluster.node(2)->server()->store().Get(
+            ObjectRef::Data(inode, 0)).has_value())
         << "node 2 must come back offering the stale copy for the "
            "divergence to be real";
   }
@@ -273,7 +280,8 @@ TEST(ClusterFailover, DeleteSurvivesAnAmnesiacReplicaRestart) {
   ASSERT_TRUE(got.ok()) << got.status();
   EXPECT_EQ(got->status, RespStatus::kNotFound) << "resurrected!";
   EXPECT_FALSE(
-      cluster.node(2)->server()->store().GetData(inodes[0], 0).has_value())
+      cluster.node(2)->server()->store().Get(
+          ObjectRef::Data(inodes[0], 0)).has_value())
       << "read repair did not re-delete the stale copy";
   // The deleting channel agrees with itself, too (its session mark was
   // flipped by the delete, not erased).
@@ -292,7 +300,8 @@ TEST(ClusterFailover, DeleteSurvivesAnAmnesiacReplicaRestart) {
   EXPECT_GE(pass.repaired, 1u);
   EXPECT_EQ(pass.unreachable, 0u);
   EXPECT_FALSE(
-      cluster.node(2)->server()->store().GetData(inodes[1], 0).has_value())
+      cluster.node(2)->server()->store().Get(
+          ObjectRef::Data(inodes[1], 0)).has_value())
       << "the scrubber did not re-delete the stale copy";
 
   // GC leg: once every replica agrees the keys are dead, the tombstones
@@ -340,7 +349,7 @@ TEST(ClusterFailover, WithoutTombstonesTheSameRestartResurrectsTheKey) {
       return cluster.node(node)
           ->server()
           ->store()
-          .GetData(inodes[0], 0)
+          .Get(ObjectRef::Data(inodes[0], 0))
           .has_value();
     }));
   }
@@ -511,6 +520,92 @@ TEST(ClusterFailover, WithoutReplicationAndRetriesTheSameKillIsFatal) {
   EXPECT_FALSE(read.ok())
       << "unreplicated read of a dead shard succeeded — the failover "
          "suite would be proving nothing";
+}
+
+/// Delays exactly one versioned read of data block (inode, 0) — the
+/// scrubber's replica read — and serves everything else untouched.
+class DelayOneVersionedGet : public FaultInjector {
+ public:
+  DelayOneVersionedGet(uint64_t inode, uint32_t delay_ms)
+      : inode_(inode), delay_ms_(delay_ms) {}
+
+  FaultAction OnRequest(const Bytes& wire) override {
+    FaultAction action;
+    auto req = Request::Deserialize(wire);
+    if (req.ok() && req->want_version && req->op == OpCode::kGetData &&
+        req->inode == inode_ && !fired_.exchange(true)) {
+      action.kind = FaultAction::Kind::kDelayResponse;
+      action.delay_ms = delay_ms_;
+    }
+    return action;
+  }
+  bool fired() const { return fired_.load(); }
+
+ private:
+  const uint64_t inode_;
+  const uint32_t delay_ms_;
+  std::atomic<bool> fired_{false};
+};
+
+TEST(ClusterFailover, ScrubberNeverTakesAStalledPeersLateReply) {
+  // A peer stalls past the scrubber's recv deadline on one key's
+  // versioned read. Its late reply must not be taken as the answer for
+  // the next key read on that peer: it carries the stalled key's bytes
+  // at a higher generation, which would win the freshness rule and be
+  // gen-gate-repaired onto the other key's replicas.
+  constexpr uint32_t kRecvMs = 200;
+  constexpr uint32_t kStallMs = 300;  // Past one deadline, inside two.
+  std::unique_ptr<DelayOneVersionedGet> stall;
+  TestCluster cluster(ReplicatedWal("failover_late_reply"));
+  cluster.Start();
+  auto writer = cluster.MakeChannel();
+  ASSERT_NE(writer, nullptr);
+  std::map<uint64_t, Bytes> want;
+  auto put = [&](uint64_t inode, uint8_t version) {
+    want[inode] = Bytes{static_cast<uint8_t>(inode), version};
+    auto resp = writer->Call(Request::PutData(inode, 0, want[inode]));
+    ASSERT_TRUE(resp.ok()) << resp.status();
+    ASSERT_EQ(resp->status, RespStatus::kOk);
+  };
+  for (uint64_t inode = 1; inode <= 6; ++inode) put(inode, 1);
+  // The first key node 0's pass examines is rewritten to generation 4,
+  // above every key examined after it.
+  const uint64_t stalled =
+      cluster.node(0)->server()->store().ListVersions().front().ref.k1;
+  for (uint8_t version = 2; version <= 4; ++version) put(stalled, version);
+  for (int node = 0; node < 3; ++node) {
+    for (const auto& [inode, bytes] : want) {
+      ASSERT_TRUE(Eventually([&, node, inode = inode, bytes = bytes] {
+        return cluster.node(node)->server()->store().Get(
+                   ObjectRef::Data(inode, 0)) == bytes;
+      }));
+    }
+  }
+
+  stall = std::make_unique<DelayOneVersionedGet>(stalled, kStallMs);
+  cluster.node(1)->set_injector(stall.get());
+  cluster.node(1)->Restart();  // Arms the injector; the WAL keeps the data.
+  Scrubber scrubber(
+      cluster.node(0)->server(), &cluster.ring(), /*node_id=*/0,
+      [](const ClusterNode& n) -> Result<std::unique_ptr<SspChannel>> {
+        auto ch = TcpSspChannel::Connect(
+            n.host, n.port, net::TcpTimeouts{2000, 2000, kRecvMs});
+        if (!ch.ok()) return ch.status();
+        return std::unique_ptr<SspChannel>(std::move(*ch));
+      });
+  ScrubPass pass = scrubber.RunOnce();
+  EXPECT_TRUE(stall->fired());
+  EXPECT_GE(pass.unreachable, 1u) << "the stall never hit the deadline";
+
+  for (int node = 0; node < 3; ++node) {
+    for (const auto& [inode, bytes] : want) {
+      EXPECT_EQ(cluster.node(node)->server()->store().Get(
+                    ObjectRef::Data(inode, 0)),
+                std::optional<Bytes>(bytes))
+          << "node " << node << " inode " << inode
+          << " holds another key's bytes";
+    }
+  }
 }
 
 }  // namespace

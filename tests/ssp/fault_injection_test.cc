@@ -77,12 +77,12 @@ TEST(FaultInjectionTcpTest, FailedRequestIsNotExecuted) {
   auto resp = (*channel)->Call(Request::PutMetadata(1, 0, {9}));
   ASSERT_TRUE(resp.ok()) << resp.status();
   EXPECT_EQ(resp->status, RespStatus::kError);
-  EXPECT_FALSE(server.store().GetMetadata(1, 0).has_value());
+  EXPECT_FALSE(server.store().Get(ObjectRef::Metadata(1, 0)).has_value());
   // Script exhausted: the connection is healthy and serves normally.
   resp = (*channel)->Call(Request::PutMetadata(1, 0, {9}));
   ASSERT_TRUE(resp.ok());
   EXPECT_TRUE(resp->ok());
-  EXPECT_TRUE(server.store().GetMetadata(1, 0).has_value());
+  EXPECT_TRUE(server.store().Get(ObjectRef::Metadata(1, 0)).has_value());
   (*daemon)->Shutdown();
 }
 
@@ -109,7 +109,7 @@ TEST(FaultInjectionTcpTest, DroppedConnectionSeversMidFrame) {
 
 TEST(FaultInjectionTcpTest, CorruptedPayloadStillParsesButDiffers) {
   SspServer server;
-  server.store().PutData(5, 0, {10, 20, 30, 40});
+  server.store().Put(ObjectRef::Data(5, 0), {10, 20, 30, 40});
   auto daemon = TcpSspDaemon::Start(&server, 0);
   ASSERT_TRUE(daemon.ok());
   FaultAction corrupt = Fault(FaultAction::Kind::kCorruptResponse);
@@ -132,7 +132,7 @@ TEST(FaultInjectionTcpTest, CorruptedPayloadStillParsesButDiffers) {
 
 TEST(FaultInjectionTcpTest, DelayInjectsLatencyOnly) {
   SspServer server;
-  server.store().PutData(5, 0, {1});
+  server.store().Put(ObjectRef::Data(5, 0), {1});
   auto daemon = TcpSspDaemon::Start(&server, 0);
   ASSERT_TRUE(daemon.ok());
   FaultAction delay = Fault(FaultAction::Kind::kDelayResponse);
@@ -192,7 +192,8 @@ TEST(FaultInjectionTcpTest, FaultedConnectionDoesNotPoisonOthers) {
     EXPECT_TRUE(resp->ok());
   }
   for (int round = 0; round < 4; ++round) {
-    EXPECT_TRUE(server.store().GetMetadata(100 + round, 0).has_value());
+    EXPECT_TRUE(server.store().Get(
+        ObjectRef::Metadata(100 + round, 0)).has_value());
   }
   (*daemon)->Shutdown();
 }
@@ -200,7 +201,7 @@ TEST(FaultInjectionTcpTest, FaultedConnectionDoesNotPoisonOthers) {
 TEST(FaultInjectionServerTest, InProcessHookFailsAndCorrupts) {
   // The SspServer-level hook: same injector interface, no sockets.
   SspServer server;
-  server.store().PutData(7, 0, {1, 2, 3, 4, 5, 6});
+  server.store().Put(ObjectRef::Data(7, 0), {1, 2, 3, 4, 5, 6});
   FaultAction corrupt = Fault(FaultAction::Kind::kCorruptResponse);
   corrupt.corrupt_mask = 0x80;
   ScriptedInjector injector(

@@ -32,8 +32,8 @@ TEST(ObjectStoreConcurrencyTest, DisjointKeyWritesAllLand) {
   StressThreads(kThreads, [&](int t) -> Status {
     for (int i = 0; i < kOpsPerThread; ++i) {
       fs::InodeNum inode = static_cast<fs::InodeNum>(t) * 100000 + i;
-      store.PutMetadata(inode, 0, PayloadFor(t, i));
-      auto got = store.GetMetadata(inode, 0);
+      store.Put(ObjectRef::Metadata(inode, 0), PayloadFor(t, i));
+      auto got = store.Get(ObjectRef::Metadata(inode, 0));
       if (!got.has_value() || *got != PayloadFor(t, i)) {
         return Status::Internal("metadata readback mismatch");
       }
@@ -59,16 +59,24 @@ TEST(ObjectStoreConcurrencyTest, MixedFamiliesMixedOps) {
       uint32_t key = static_cast<uint32_t>(rng.NextU64() % 64);
       fs::InodeNum inode = key;
       switch (rng.NextU64() % 10) {
-        case 0: store.PutSuperblock(key, PayloadFor(t, i)); break;
-        case 1: (void)store.GetSuperblock(key); break;
-        case 2: store.PutMetadata(inode, key % 4, PayloadFor(t, i)); break;
-        case 3: (void)store.GetMetadata(inode, key % 4); break;
-        case 4: store.PutUserMetadata(inode, key, PayloadFor(t, i)); break;
-        case 5: store.PutData(inode, key % 8, PayloadFor(t, i)); break;
-        case 6: (void)store.GetData(inode, key % 8); break;
-        case 7: store.PutGroupKey(key, key + 1, PayloadFor(t, i)); break;
-        case 8: store.DeleteMetadata(inode, key % 4); break;
-        case 9: store.DeleteSuperblock(key); break;
+        case 0: store.Put(ObjectRef::Superblock(key), PayloadFor(t, i)); break;
+        case 1: (void)store.Get(ObjectRef::Superblock(key)); break;
+        case 2:
+          store.Put(ObjectRef::Metadata(inode, key % 4), PayloadFor(t, i));
+          break;
+        case 3: (void)store.Get(ObjectRef::Metadata(inode, key % 4)); break;
+        case 4:
+          store.Put(ObjectRef::UserMetadata(inode, key), PayloadFor(t, i));
+          break;
+        case 5:
+          store.Put(ObjectRef::Data(inode, key % 8), PayloadFor(t, i));
+          break;
+        case 6: (void)store.Get(ObjectRef::Data(inode, key % 8)); break;
+        case 7:
+          store.Put(ObjectRef::GroupKey(key, key + 1), PayloadFor(t, i));
+          break;
+        case 8: store.Delete(ObjectRef::Metadata(inode, key % 4)); break;
+        case 9: store.Delete(ObjectRef::Superblock(key)); break;
       }
     }
     return Status::OK();
@@ -79,21 +87,27 @@ TEST(ObjectStoreConcurrencyTest, MixedFamiliesMixedOps) {
   uint64_t rederived = 0, count = 0;
   for (uint32_t key = 0; key < 64; ++key) {
     fs::InodeNum inode = key;
-    if (auto b = store.GetSuperblock(key)) { rederived += b->size(); ++count; }
+    if (auto b = store.Get(ObjectRef::Superblock(key))) {
+      rederived += b->size();
+      ++count;
+    }
     for (uint64_t sel = 0; sel < 4; ++sel) {
-      if (auto b = store.GetMetadata(inode, sel)) {
+      if (auto b = store.Get(ObjectRef::Metadata(inode, sel))) {
         rederived += b->size();
         ++count;
       }
     }
-    if (auto b = store.GetUserMetadata(inode, key)) {
+    if (auto b = store.Get(ObjectRef::UserMetadata(inode, key))) {
       rederived += b->size();
       ++count;
     }
     for (uint32_t blk = 0; blk < 8; ++blk) {
-      if (auto b = store.GetData(inode, blk)) { rederived += b->size(); ++count; }
+      if (auto b = store.Get(ObjectRef::Data(inode, blk))) {
+        rederived += b->size();
+        ++count;
+      }
     }
-    if (auto b = store.GetGroupKey(key, key + 1)) {
+    if (auto b = store.Get(ObjectRef::GroupKey(key, key + 1))) {
       rederived += b->size();
       ++count;
     }
@@ -111,12 +125,14 @@ TEST(ObjectStoreConcurrencyTest, RangedDeleteRacesPointWrites) {
     for (int i = 0; i < kOpsPerThread; ++i) {
       fs::InodeNum inode = static_cast<fs::InodeNum>(i) % kInodes;
       if (t % 2 == 0) {
-        store.PutMetadata(inode, static_cast<Selector>(t), PayloadFor(t, i));
-        store.PutData(inode, static_cast<uint32_t>(t), PayloadFor(t, i));
+        store.Put(ObjectRef::Metadata(inode, static_cast<Selector>(t)),
+                  PayloadFor(t, i));
+        store.Put(ObjectRef::Data(inode, static_cast<uint32_t>(t)),
+                  PayloadFor(t, i));
         (void)store.MetadataReplicaCount(inode);
       } else {
-        store.DeleteInodeMetadata(inode);
-        store.DeleteInodeData(inode);
+        store.DeleteInode(ObjectFamily::kMetadata, inode);
+        store.DeleteInode(ObjectFamily::kData, inode);
       }
     }
     return Status::OK();
@@ -151,8 +167,8 @@ TEST(ObjectStoreConcurrencyTest, SnapshotWhileWriting) {
     }
     for (int i = 0; i < kOpsPerThread; ++i) {
       fs::InodeNum inode = static_cast<fs::InodeNum>(t) * 1000 + i;
-      store.PutData(inode, 0, PayloadFor(t, i));
-      store.PutMetadata(inode, 1, PayloadFor(t, i));
+      store.Put(ObjectRef::Data(inode, 0), PayloadFor(t, i));
+      store.Put(ObjectRef::Metadata(inode, 1), PayloadFor(t, i));
     }
     if (t == 1) done.store(true);  // Writers finishing ends the snapshots.
     return Status::OK();
@@ -169,19 +185,19 @@ TEST(ObjectStoreConcurrencyTest, FaultInjectionRacesReaders) {
   // see either the original or corrupted byte, never torn state.
   ObjectStore store;
   constexpr fs::InodeNum kInode = 7;
-  store.PutData(kInode, 0, Bytes(64, 0xAA));
-  store.PutMetadata(kInode, 0, Bytes(64, 0xBB));
+  store.Put(ObjectRef::Data(kInode, 0), Bytes(64, 0xAA));
+  store.Put(ObjectRef::Metadata(kInode, 0), Bytes(64, 0xBB));
   StressThreads(kThreads, [&](int t) -> Status {
     for (int i = 0; i < kOpsPerThread; ++i) {
       if (t % 2 == 0) {
-        store.CorruptData(kInode, 0, static_cast<size_t>(i));
-        store.CorruptMetadata(kInode, 0, static_cast<size_t>(i));
+        store.Corrupt(ObjectRef::Data(kInode, 0), static_cast<size_t>(i));
+        store.Corrupt(ObjectRef::Metadata(kInode, 0), static_cast<size_t>(i));
       } else {
-        auto d = store.GetData(kInode, 0);
+        auto d = store.Get(ObjectRef::Data(kInode, 0));
         if (!d.has_value() || d->size() != 64) {
           return Status::Internal("torn data read");
         }
-        auto m = store.GetMetadata(kInode, 0);
+        auto m = store.Get(ObjectRef::Metadata(kInode, 0));
         if (!m.has_value() || m->size() != 64) {
           return Status::Internal("torn metadata read");
         }
@@ -194,21 +210,21 @@ TEST(ObjectStoreConcurrencyTest, FaultInjectionRacesReaders) {
 TEST(ObjectStoreConcurrencyTest, ReplaceDataKeepsStatsConsistent) {
   ObjectStore store;
   constexpr fs::InodeNum kInode = 3;
-  store.PutData(kInode, 0, Bytes(10, 1));
+  store.Put(ObjectRef::Data(kInode, 0), Bytes(10, 1));
   StressThreads(kThreads, [&](int t) -> Status {
     for (int i = 0; i < kOpsPerThread; ++i) {
       // Replacement blobs of varying size exercise the byte accounting.
       size_t size = 1 + static_cast<size_t>((t * kOpsPerThread + i) % 100);
-      if (!store.ReplaceData(kInode, 0, Bytes(size, 2))) {
+      if (!store.Replace(ObjectRef::Data(kInode, 0), Bytes(size, 2))) {
         return Status::Internal("block vanished during replace");
       }
-      if (!store.GetData(kInode, 0).has_value()) {
+      if (!store.Get(ObjectRef::Data(kInode, 0)).has_value()) {
         return Status::Internal("block unreadable during replace");
       }
     }
     return Status::OK();
   });
-  auto final_blob = store.GetData(kInode, 0);
+  auto final_blob = store.Get(ObjectRef::Data(kInode, 0));
   ASSERT_TRUE(final_blob.has_value());
   EXPECT_EQ(store.Stats().data_bytes, final_blob->size());
   EXPECT_EQ(store.Stats().object_count, 1u);
@@ -221,8 +237,8 @@ TEST(ObjectStoreConcurrencyTest, SingleShardStoreIsStillSafe) {
   StressThreads(kThreads, [&](int t) -> Status {
     for (int i = 0; i < kOpsPerThread; ++i) {
       fs::InodeNum inode = static_cast<fs::InodeNum>(t) * 100000 + i;
-      store.PutData(inode, 0, PayloadFor(t, i));
-      if (!store.GetData(inode, 0).has_value()) {
+      store.Put(ObjectRef::Data(inode, 0), PayloadFor(t, i));
+      if (!store.Get(ObjectRef::Data(inode, 0)).has_value()) {
         return Status::Internal("single-shard readback failed");
       }
     }

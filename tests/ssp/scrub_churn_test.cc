@@ -157,7 +157,7 @@ TEST(ScrubChurn, ScrubberRunsCleanUnderReplicaChurnAndLiveTraffic) {
           << "key " << inode << " resurrected through the churn";
       for (int node = 0; node < 3; ++node) {
         EXPECT_FALSE(
-            cluster.node(node)->server()->store().GetData(inode, 0)
+            cluster.node(node)->server()->store().Get(ObjectRef::Data(inode, 0))
                 .has_value())
             << "node " << node << " still offers deleted key " << inode;
       }

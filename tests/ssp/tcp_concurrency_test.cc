@@ -95,7 +95,8 @@ TEST(TcpConcurrencyTest, ParallelClientsMixedOps) {
   for (int t = 0; t < kClients; ++t) {
     for (int i = 0; i < kOps; ++i) {
       EXPECT_TRUE(server.store()
-                      .GetMetadata(static_cast<fs::InodeNum>(t) * 100000 + i, 0)
+                      .Get(ObjectRef::Metadata(
+                          static_cast<fs::InodeNum>(t) * 100000 + i, 0))
                       .has_value());
     }
   }

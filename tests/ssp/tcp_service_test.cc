@@ -171,7 +171,8 @@ TEST(TcpStreamTest, ConcurrentClientStress) {
   for (int t = 0; t < kThreads; ++t) {
     for (int i = 0; i < kOpsPerThread; ++i) {
       EXPECT_TRUE(server.store()
-                      .GetMetadata(static_cast<fs::InodeNum>(t) * 1000 + i, 0)
+                      .Get(ObjectRef::Metadata(
+                          static_cast<fs::InodeNum>(t) * 1000 + i, 0))
                       .has_value());
     }
   }
