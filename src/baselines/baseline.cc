@@ -4,6 +4,7 @@
 #include "crypto/merkle.h"
 #include "fs/path.h"
 #include "fs/superblock.h"
+#include "ssp/wal.h"
 
 namespace sharoes::baselines {
 
@@ -45,37 +46,42 @@ Result<BaselineRecord> BaselineRecord::Deserialize(const Bytes& data) {
 }
 
 // ---------------------------------------------------------------------------
-// Provisioner
+// Codec
 // ---------------------------------------------------------------------------
 
-BaselineProvisioner::BaselineProvisioner(
-    const core::IdentityDirectory* identity, ssp::SspServer* server,
-    crypto::CryptoEngine* engine, const BaselineOptions& options)
-    : identity_(identity),
-      server_(server),
-      engine_(engine),
-      options_(options) {}
+BaselineRecord BaselineCodec::NewRecord(const fs::InodeAttrs& attrs) {
+  BaselineRecord rec;
+  rec.attrs = attrs;
+  if (options_.mode != SecurityMode::kNoEncMdD) {
+    rec.dek = engine_->NewSymmetricKey().key;
+  }
+  if (options_.mode == SecurityMode::kPublic ||
+      options_.mode == SecurityMode::kPubOpt) {
+    rec.signing_material = Bytes(options_.metadata_pad, 0x5A);
+  }
+  return rec;
+}
 
-Status BaselineProvisioner::StoreRecord(const BaselineRecord& record) {
+Status BaselineCodec::RecordPuts(const BaselineRecord& record,
+                                 std::vector<ssp::Request>* out) {
   Bytes plain = record.Serialize();
   fs::InodeNum inode = record.attrs.inode;
   switch (options_.mode) {
     case SecurityMode::kNoEncMdD:
     case SecurityMode::kNoEncMd:
-      server_->store().Put(
-          ssp::ObjectRef::Metadata(inode, 0), std::move(plain));
+      out->push_back(ssp::Request::PutMetadata(inode, 0, std::move(plain)));
       return Status::OK();
     case SecurityMode::kPubOpt: {
       crypto::SymmetricKey k = engine_->NewSymmetricKey();
-      server_->store().Put(
-          ssp::ObjectRef::Metadata(inode, 0), engine_->SymEncrypt(k, plain));
+      out->push_back(ssp::Request::PutMetadata(
+          inode, 0, engine_->SymEncrypt(k, plain)));
       for (fs::UserId uid : identity_->AllUsers()) {
         SHAROES_ASSIGN_OR_RETURN(core::UserInfo user,
                                  identity_->GetUser(uid));
         SHAROES_ASSIGN_OR_RETURN(Bytes wrapped,
                                  engine_->PkEncrypt(user.public_key, k.key));
-        server_->store().Put(
-            ssp::ObjectRef::UserMetadata(inode, uid), std::move(wrapped));
+        out->push_back(
+            ssp::Request::PutUserMetadata(inode, uid, std::move(wrapped)));
       }
       return Status::OK();
     }
@@ -85,8 +91,8 @@ Status BaselineProvisioner::StoreRecord(const BaselineRecord& record) {
                                  identity_->GetUser(uid));
         SHAROES_ASSIGN_OR_RETURN(Bytes enc,
                                  engine_->PkEncrypt(user.public_key, plain));
-        server_->store().Put(
-            ssp::ObjectRef::UserMetadata(inode, uid), std::move(enc));
+        out->push_back(
+            ssp::Request::PutUserMetadata(inode, uid, std::move(enc)));
       }
       return Status::OK();
     }
@@ -94,37 +100,61 @@ Status BaselineProvisioner::StoreRecord(const BaselineRecord& record) {
   return Status::Internal("bad mode");
 }
 
-Status BaselineProvisioner::StoreTable(fs::InodeNum inode,
-                                       const fs::DirTable& table,
-                                       const Bytes& dek) {
-  Bytes plain = table.Serialize();
-  if (options_.mode == SecurityMode::kNoEncMdD) {
-    server_->store().Put(ssp::ObjectRef::Data(inode, 0), std::move(plain));
-  } else {
-    server_->store().Put(
-        ssp::ObjectRef::Data(inode, 0),
-        engine_->SymEncrypt(crypto::SymmetricKey{dek}, plain));
-  }
-  return Status::OK();
+Bytes BaselineCodec::Seal(const Bytes& dek, const Bytes& plain) {
+  if (options_.mode == SecurityMode::kNoEncMdD) return plain;
+  return engine_->SymEncrypt(crypto::SymmetricKey{dek}, plain);
 }
+
+ssp::Request BaselineCodec::TablePut(const BaselineRecord& dir,
+                                     const fs::DirTable& table) {
+  return ssp::Request::PutData(dir.attrs.inode, 0,
+                               Seal(dir.dek, table.Serialize()));
+}
+
+void BaselineCodec::FilePuts(fs::InodeNum inode, const Bytes& dek,
+                             const Bytes& content,
+                             std::vector<ssp::Request>* out,
+                             std::vector<Bytes>* plain_out) {
+  size_t bs = options_.block_size;
+  core::DataDescriptor desc;
+  desc.size = content.size();
+  desc.block_count = core::BlockCount(content.size(), bs);
+  // Baselines have no per-block AEAD tags; the zero root keeps the
+  // descriptor wire shape shared with the SHAROES client.
+  desc.tag_root = Bytes(crypto::kMerkleRootSize, 0);
+  // Block 0 holds a directory's table, so a file's blocks start at 1.
+  for (uint32_t i = 0; i < desc.block_count; ++i) {
+    auto [begin, end] = core::BlockRange(i, content.size(), bs);
+    BinaryWriter w;
+    if (i == 0) desc.AppendTo(&w);
+    w.PutRaw(content.data() + begin, end - begin);
+    Bytes plain = w.Take();
+    out->push_back(ssp::Request::PutData(inode, i + 1, Seal(dek, plain)));
+    if (plain_out != nullptr) plain_out->push_back(std::move(plain));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Provisioner
+// ---------------------------------------------------------------------------
+
+BaselineProvisioner::BaselineProvisioner(
+    const core::IdentityDirectory* identity, ssp::SspServer* server,
+    crypto::CryptoEngine* engine, const BaselineOptions& options)
+    : server_(server), codec_(identity, engine, options) {}
 
 Status BaselineProvisioner::MigrateNode(const core::LocalNode& spec,
                                         fs::InodeNum inode) {
-  BaselineRecord rec;
-  rec.attrs.inode = inode;
-  rec.attrs.type = spec.type;
-  rec.attrs.owner = spec.owner;
-  rec.attrs.group = spec.group;
-  rec.attrs.mode = spec.mode;
-  rec.attrs.acl = spec.acl;
-  rec.attrs.size = spec.content.size();
-  if (options_.mode != SecurityMode::kNoEncMdD) {
-    rec.dek = engine_->NewSymmetricKey().key;
-  }
-  if (options_.mode == SecurityMode::kPublic ||
-      options_.mode == SecurityMode::kPubOpt) {
-    rec.signing_material = Bytes(options_.metadata_pad, 0x5A);
-  }
+  fs::InodeAttrs attrs;
+  attrs.inode = inode;
+  attrs.type = spec.type;
+  attrs.owner = spec.owner;
+  attrs.group = spec.group;
+  attrs.mode = spec.mode;
+  attrs.acl = spec.acl;
+  attrs.size = spec.content.size();
+  BaselineRecord rec = codec_.NewRecord(attrs);
+  std::vector<ssp::Request> puts;
   if (spec.type == fs::FileType::kDirectory) {
     fs::DirTable table;
     for (const core::LocalNode& child : spec.children) {
@@ -132,38 +162,15 @@ Status BaselineProvisioner::MigrateNode(const core::LocalNode& spec,
       SHAROES_RETURN_IF_ERROR(table.Add(child.name, child_inode));
       SHAROES_RETURN_IF_ERROR(MigrateNode(child, child_inode));
     }
-    SHAROES_RETURN_IF_ERROR(StoreTable(inode, table, rec.dek));
+    puts.push_back(codec_.TablePut(rec, table));
   } else {
-    // File content, chunked with a descriptor prefix in block 0.
-    const Bytes& content = spec.content;
-    size_t bs = options_.block_size;
-    core::DataDescriptor desc;
-    desc.size = content.size();
-    size_t chunk0 = std::min(content.size(), bs);
-    desc.block_count =
-        1 + static_cast<uint32_t>((content.size() - chunk0 + bs - 1) / bs);
-    // Baselines have no per-block AEAD tags; the zero root keeps the
-    // descriptor wire shape shared with the SHAROES client.
-    desc.tag_root = Bytes(crypto::kMerkleRootSize, 0);
-    BinaryWriter w0;
-    desc.AppendTo(&w0);
-    w0.PutRaw(content.data(), chunk0);
-    Bytes b0 = w0.Take();
-    if (options_.mode != SecurityMode::kNoEncMdD) {
-      b0 = engine_->SymEncrypt(crypto::SymmetricKey{rec.dek}, b0);
-    }
-    server_->store().Put(ssp::ObjectRef::Data(inode, 1), std::move(b0));
-    uint32_t idx = 2;
-    for (size_t pos = chunk0; pos < content.size(); pos += bs, ++idx) {
-      size_t n = std::min(bs, content.size() - pos);
-      Bytes chunk(content.begin() + pos, content.begin() + pos + n);
-      if (options_.mode != SecurityMode::kNoEncMdD) {
-        chunk = engine_->SymEncrypt(crypto::SymmetricKey{rec.dek}, chunk);
-      }
-      server_->store().Put(ssp::ObjectRef::Data(inode, idx), std::move(chunk));
-    }
+    codec_.FilePuts(inode, rec.dek, spec.content, &puts);
   }
-  return StoreRecord(rec);
+  SHAROES_RETURN_IF_ERROR(codec_.RecordPuts(rec, &puts));
+  for (const ssp::Request& put : puts) {
+    SHAROES_RETURN_IF_ERROR(ssp::ApplyWalOp(put, &server_->store()));
+  }
+  return Status::OK();
 }
 
 Status BaselineProvisioner::Migrate(const core::LocalNode& root) {
@@ -174,9 +181,9 @@ Status BaselineProvisioner::Migrate(const core::LocalNode& root) {
   SHAROES_RETURN_IF_ERROR(MigrateNode(root, fs::kRootInode));
   fs::Superblock sb;
   sb.root_inode = fs::kRootInode;
-  server_->store().Put(
-      ssp::ObjectRef::Superblock(kSuperblockSlot), sb.Serialize());
-  return Status::OK();
+  return ssp::ApplyWalOp(
+      ssp::Request::PutSuperblock(kSuperblockSlot, sb.Serialize()),
+      &server_->store());
 }
 
 // ---------------------------------------------------------------------------
@@ -196,6 +203,7 @@ BaselineClient::BaselineClient(fs::UserId uid,
       conn_(conn),
       engine_(engine),
       options_(options),
+      codec_(identity, engine, options),
       cache_(options.cache_bytes),
       inode_counter_(engine->rng().NextU64() & 0xFFFFFFFFULL) {}
 
@@ -357,52 +365,6 @@ Result<std::vector<std::string>> BaselineClient::Readdir(
   return names;
 }
 
-Status BaselineClient::EncodeRecordPuts(const BaselineRecord& record,
-                                        std::vector<ssp::Request>* out) {
-  Bytes plain = record.Serialize();
-  fs::InodeNum inode = record.attrs.inode;
-  switch (options_.mode) {
-    case SecurityMode::kNoEncMdD:
-    case SecurityMode::kNoEncMd:
-      out->push_back(ssp::Request::PutMetadata(inode, 0, std::move(plain)));
-      return Status::OK();
-    case SecurityMode::kPubOpt: {
-      crypto::SymmetricKey k = engine_->NewSymmetricKey();
-      out->push_back(ssp::Request::PutMetadata(
-          inode, 0, engine_->SymEncrypt(k, plain)));
-      for (fs::UserId uid : identity_->AllUsers()) {
-        SHAROES_ASSIGN_OR_RETURN(core::UserInfo user,
-                                 identity_->GetUser(uid));
-        SHAROES_ASSIGN_OR_RETURN(Bytes wrapped,
-                                 engine_->PkEncrypt(user.public_key, k.key));
-        out->push_back(
-            ssp::Request::PutUserMetadata(inode, uid, std::move(wrapped)));
-      }
-      return Status::OK();
-    }
-    case SecurityMode::kPublic: {
-      for (fs::UserId uid : identity_->AllUsers()) {
-        SHAROES_ASSIGN_OR_RETURN(core::UserInfo user,
-                                 identity_->GetUser(uid));
-        SHAROES_ASSIGN_OR_RETURN(Bytes enc,
-                                 engine_->PkEncrypt(user.public_key, plain));
-        out->push_back(
-            ssp::Request::PutUserMetadata(inode, uid, std::move(enc)));
-      }
-      return Status::OK();
-    }
-  }
-  return Status::Internal("bad mode");
-}
-
-Bytes BaselineClient::EncodeTable(const BaselineRecord& dir,
-                                  const fs::DirTable& table) {
-  Bytes plain = table.Serialize();
-  if (options_.mode == SecurityMode::kNoEncMdD) return plain;
-  auto dek = crypto::SymmetricKey::Deserialize(dir.dek);
-  return engine_->SymEncrypt(*dek, plain);
-}
-
 Status BaselineClient::ExecuteBatch(std::vector<ssp::Request> requests) {
   if (requests.empty()) return Status::OK();
   SHAROES_ASSIGN_OR_RETURN(
@@ -432,38 +394,28 @@ Status BaselineClient::CreateObject(const std::string& path,
     return Status::AlreadyExists("'" + path + "' already exists");
   }
 
-  BaselineRecord rec;
-  rec.attrs.inode = AllocateInode();
-  rec.attrs.type = type;
-  rec.attrs.owner = uid_;
-  rec.attrs.group = parent.attrs.group;
-  rec.attrs.mode = opts.mode;
-  rec.attrs.acl = opts.acl;
-  if (options_.mode != SecurityMode::kNoEncMdD) {
-    rec.dek = engine_->NewSymmetricKey().key;
-  }
-  if (options_.mode == SecurityMode::kPublic ||
-      options_.mode == SecurityMode::kPubOpt) {
-    rec.signing_material = Bytes(options_.metadata_pad, 0x5A);
-  }
+  fs::InodeAttrs attrs;
+  attrs.inode = AllocateInode();
+  attrs.type = type;
+  attrs.owner = uid_;
+  attrs.group = parent.attrs.group;
+  attrs.mode = opts.mode;
+  attrs.acl = opts.acl;
+  BaselineRecord rec = codec_.NewRecord(attrs);
 
   // Batch 1: the new object's metadata (+ empty table for directories).
   std::vector<ssp::Request> batch1;
-  SHAROES_RETURN_IF_ERROR(EncodeRecordPuts(rec, &batch1));
+  SHAROES_RETURN_IF_ERROR(codec_.RecordPuts(rec, &batch1));
   if (type == fs::FileType::kDirectory) {
-    fs::DirTable empty;
-    batch1.push_back(ssp::Request::PutData(rec.attrs.inode, 0,
-                                           EncodeTable(rec, empty)));
+    batch1.push_back(codec_.TablePut(rec, fs::DirTable{}));
   }
   SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch1)));
 
   // Batch 2: the parent's updated table.
   SHAROES_RETURN_IF_ERROR(table.Add(sp.name, rec.attrs.inode));
   std::vector<ssp::Request> batch2;
-  Bytes table_wire = EncodeTable(parent, table);
-  size_t table_size = table_wire.size();
-  batch2.push_back(ssp::Request::PutData(parent.attrs.inode, 0,
-                                         std::move(table_wire)));
+  batch2.push_back(codec_.TablePut(parent, table));
+  size_t table_size = batch2.back().payload.size();
   SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch2)));
   // Keep what we just wrote in cache (the client has it all in memory).
   cache_.Put("t|" + std::to_string(parent.attrs.inode), table, table_size);
@@ -585,41 +537,16 @@ Status BaselineClient::Write(const std::string& path, const Bytes& content) {
 
 Status BaselineClient::FlushBuffer(WriteBuffer* buf,
                                    const BaselineRecord& record) {
-  crypto::SymmetricKey dek;
   if (options_.mode != SecurityMode::kNoEncMdD) {
-    SHAROES_ASSIGN_OR_RETURN(dek,
-                             crypto::SymmetricKey::Deserialize(record.dek));
+    SHAROES_RETURN_IF_ERROR(
+        crypto::SymmetricKey::Deserialize(record.dek).status());
   }
-  const Bytes& content = buf->content;
-  size_t bs = options_.block_size;
-  core::DataDescriptor desc;
-  desc.size = content.size();
-  size_t chunk0 = std::min(content.size(), bs);
-  desc.block_count =
-      1 + static_cast<uint32_t>((content.size() - chunk0 + bs - 1) / bs);
-  desc.tag_root = Bytes(crypto::kMerkleRootSize, 0);
-
   std::vector<ssp::Request> puts;
-  // Block 0 holds the directory table for dirs; files start at block 1.
-  BinaryWriter w0;
-  desc.AppendTo(&w0);
-  w0.PutRaw(content.data(), chunk0);
-  Bytes plain0 = w0.Take();
-  Bytes wire0 = options_.mode == SecurityMode::kNoEncMdD
-                    ? plain0
-                    : engine_->SymEncrypt(dek, plain0);
-  cache_.Put("d|" + std::to_string(buf->inode) + "|1", plain0, wire0.size());
-  puts.push_back(ssp::Request::PutData(buf->inode, 1, std::move(wire0)));
-  uint32_t idx = 2;
-  for (size_t pos = chunk0; pos < content.size(); pos += bs, ++idx) {
-    size_t n = std::min(bs, content.size() - pos);
-    Bytes chunk(content.begin() + pos, content.begin() + pos + n);
-    Bytes wire = options_.mode == SecurityMode::kNoEncMdD
-                     ? chunk
-                     : engine_->SymEncrypt(dek, chunk);
-    cache_.Put("d|" + std::to_string(buf->inode) + "|" + std::to_string(idx),
-               chunk, wire.size());
-    puts.push_back(ssp::Request::PutData(buf->inode, idx, std::move(wire)));
+  std::vector<Bytes> plains;
+  codec_.FilePuts(buf->inode, record.dek, buf->content, &puts, &plains);
+  for (size_t i = 0; i < plains.size(); ++i) {
+    cache_.Put("d|" + std::to_string(buf->inode) + "|" + std::to_string(i + 1),
+               std::move(plains[i]), puts[i].payload.size());
   }
   return ExecuteBatch(std::move(puts));
 }
@@ -651,7 +578,7 @@ Status BaselineClient::Chmod(const std::string& path, fs::Mode mode) {
   }
   rec.attrs.mode = mode;
   std::vector<ssp::Request> batch;
-  SHAROES_RETURN_IF_ERROR(EncodeRecordPuts(rec, &batch));
+  SHAROES_RETURN_IF_ERROR(codec_.RecordPuts(rec, &batch));
   SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch)));
   InvalidateInode(rec.attrs.inode);
   return Status::OK();
@@ -683,18 +610,12 @@ Status BaselineClient::RemoveObject(const std::string& path,
   }
   SHAROES_RETURN_IF_ERROR(table.Remove(sp.name));
   std::vector<ssp::Request> batch;
-  Bytes table_wire = EncodeTable(parent, table);
-  size_t table_size = table_wire.size();
-  batch.push_back(ssp::Request::PutData(parent.attrs.inode, 0,
-                                        std::move(table_wire)));
+  batch.push_back(codec_.TablePut(parent, table));
+  size_t table_size = batch.back().payload.size();
   batch.push_back(ssp::Request::DeleteInodeMetadata(*child));
   batch.push_back(ssp::Request::DeleteInodeData(*child));
   for (fs::UserId uid : identity_->AllUsers()) {
-    ssp::Request del;
-    del.op = ssp::OpCode::kDeleteUserMetadata;
-    del.inode = *child;
-    del.user = uid;
-    batch.push_back(del);
+    batch.push_back(ssp::Request::DeleteUserMetadata(*child, uid));
   }
   SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch)));
   cache_.Put("t|" + std::to_string(parent.attrs.inode), table, table_size);
@@ -729,10 +650,8 @@ Status BaselineClient::Rename(const std::string& from,
     }
     SHAROES_RETURN_IF_ERROR(src_table.Remove(src.name));
     SHAROES_RETURN_IF_ERROR(src_table.Add(dst.name, *child));
-    Bytes wire = EncodeTable(src_parent, src_table);
-    size_t size = wire.size();
-    batch.push_back(
-        ssp::Request::PutData(src_parent.attrs.inode, 0, std::move(wire)));
+    batch.push_back(codec_.TablePut(src_parent, src_table));
+    size_t size = batch.back().payload.size();
     SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch)));
     cache_.Put("t|" + std::to_string(src_parent.attrs.inode), src_table,
                size);
@@ -751,13 +670,10 @@ Status BaselineClient::Rename(const std::string& from,
     }
     SHAROES_RETURN_IF_ERROR(src_table.Remove(src.name));
     SHAROES_RETURN_IF_ERROR(dst_table.Add(dst.name, *child));
-    Bytes src_wire = EncodeTable(src_parent, src_table);
-    Bytes dst_wire = EncodeTable(dst_parent, dst_table);
-    size_t src_size = src_wire.size(), dst_size = dst_wire.size();
-    batch.push_back(ssp::Request::PutData(src_parent.attrs.inode, 0,
-                                          std::move(src_wire)));
-    batch.push_back(ssp::Request::PutData(dst_parent.attrs.inode, 0,
-                                          std::move(dst_wire)));
+    batch.push_back(codec_.TablePut(src_parent, src_table));
+    batch.push_back(codec_.TablePut(dst_parent, dst_table));
+    size_t src_size = batch[0].payload.size();
+    size_t dst_size = batch[1].payload.size();
     SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch)));
     cache_.Put("t|" + std::to_string(src_parent.attrs.inode), src_table,
                src_size);

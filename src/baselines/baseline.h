@@ -70,6 +70,39 @@ struct BaselineOptions {
   size_t metadata_pad = 3700;
 };
 
+/// The one writer of the baseline layout, shared by the provisioner and
+/// the client: records, directory tables and file blocks.
+class BaselineCodec {
+ public:
+  BaselineCodec(const core::IdentityDirectory* identity,
+                crypto::CryptoEngine* engine, const BaselineOptions& options)
+      : identity_(identity), engine_(engine), options_(options) {}
+
+  /// A new object's record: a fresh DEK in the encrypting modes and the
+  /// key-material pad in PUBLIC / PUB-OPT.
+  BaselineRecord NewRecord(const fs::InodeAttrs& attrs);
+  /// Appends the puts that store a record (mode-specific: one plaintext
+  /// put, one sealed put + N wraps, or N per-user copies).
+  Status RecordPuts(const BaselineRecord& record,
+                    std::vector<ssp::Request>* out);
+  /// The put of a directory table, sealed under the directory's DEK into
+  /// the directory's data block 0.
+  ssp::Request TablePut(const BaselineRecord& dir, const fs::DirTable& table);
+  /// Appends the puts of a file's content: block 1 carries the descriptor
+  /// and the first chunk, blocks 2.. the rest. `plain_out`, when non-null,
+  /// receives each block's plaintext in the same order.
+  void FilePuts(fs::InodeNum inode, const Bytes& dek, const Bytes& content,
+                std::vector<ssp::Request>* out,
+                std::vector<Bytes>* plain_out = nullptr);
+
+ private:
+  Bytes Seal(const Bytes& dek, const Bytes& plain);
+
+  const core::IdentityDirectory* identity_;
+  crypto::CryptoEngine* engine_;
+  BaselineOptions options_;
+};
+
 /// Provisions a baseline filesystem at the SSP (the migration-tool
 /// equivalent for the comparison systems).
 class BaselineProvisioner {
@@ -82,17 +115,10 @@ class BaselineProvisioner {
 
  private:
   Status MigrateNode(const core::LocalNode& spec, fs::InodeNum inode);
-  Status StoreRecord(const BaselineRecord& record);
-  Status StoreTable(fs::InodeNum inode, const fs::DirTable& table,
-                    const Bytes& dek);
 
-  const core::IdentityDirectory* identity_;
   ssp::SspServer* server_;
-  crypto::CryptoEngine* engine_;
-  BaselineOptions options_;
+  BaselineCodec codec_;
   fs::InodeNum next_inode_ = fs::kRootInode;
-
-  friend class BaselineClient;
 };
 
 /// The baseline client filesystem.
@@ -134,11 +160,6 @@ class BaselineClient : public core::FsClient {
   Result<fs::DirTable> FetchTable(const BaselineRecord& dir);
   Result<fs::InodeNum> ResolveInode(const std::string& path,
                                     BaselineRecord* out_record);
-  /// Encodes a record into the SSP requests that store it (mode-specific:
-  /// one plaintext put, one sealed put + N wraps, or N per-user copies).
-  Status EncodeRecordPuts(const BaselineRecord& record,
-                          std::vector<ssp::Request>* out);
-  Bytes EncodeTable(const BaselineRecord& dir, const fs::DirTable& table);
   Status CreateObject(const std::string& path, fs::FileType type,
                       const core::CreateOptions& opts);
   Status RemoveObject(const std::string& path, fs::FileType type);
@@ -156,6 +177,7 @@ class BaselineClient : public core::FsClient {
   ssp::SspChannel* conn_;
   crypto::CryptoEngine* engine_;
   BaselineOptions options_;
+  BaselineCodec codec_;
   core::LruCache cache_;
   bool mounted_ = false;
   std::map<std::string, WriteBuffer> write_buffers_;

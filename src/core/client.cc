@@ -306,14 +306,6 @@ void SharoesClient::CacheFetchedDataBlocks(const Node& node,
                                            const std::vector<uint32_t>& indices,
                                            const ssp::Response* resps) {
   if (!node.view.CanReadData()) return;
-  fs::InodeNum inode = node.ref.inode;
-  auto key_for = [&](uint32_t key_gen) -> Result<crypto::SymmetricKey> {
-    if (key_gen == node.view.dek_gen) return *node.view.dek;
-    if (key_gen == node.view.dek_gen + 1 && node.view.dek_next.has_value()) {
-      return *node.view.dek_next;
-    }
-    return Status::PermissionDenied("rotated key");
-  };
   // The descriptor (in block 0) gates everything else: without it the
   // per-block generations cannot be validated against anything.
   std::optional<DataDescriptor> desc;
@@ -324,20 +316,13 @@ void SharoesClient::CacheFetchedDataBlocks(const Node& node,
   };
   for (size_t j = 0; j < indices.size(); ++j) {
     if (indices[j] != 0) continue;
-    const ssp::Response& r = resps[j];
-    if (!r.ok()) return;  // No block 0, nothing to validate against.
-    auto h = ObjectCodec::PeekDataHeader(r.payload);
-    if (!h.ok()) return;
-    auto dek = key_for(h->key_gen);
-    if (!dek.ok()) return;
-    auto plain = codec_.DecodeDataBlock(inode, 0, r.payload, *dek,
-                                        *node.view.dvk);
+    if (!resps[j].ok()) return;  // No block 0, nothing to validate against.
+    auto plain = OpenDataBlock(node, 0, resps[j].payload, nullptr);
     if (!plain.ok()) return;
-    cache_.Put(DataCacheKey(inode, 0), *plain, r.payload.size());
     desc_from_plain(*plain);
   }
   if (!desc.has_value()) {
-    if (auto cached0 = cache_.Get<Bytes>(DataCacheKey(inode, 0))) {
+    if (auto cached0 = cache_.Get<Bytes>(DataCacheKey(node.ref.inode, 0))) {
       desc_from_plain(*cached0);
     }
   }
@@ -345,23 +330,8 @@ void SharoesClient::CacheFetchedDataBlocks(const Node& node,
   for (size_t j = 0; j < indices.size(); ++j) {
     uint32_t i = indices[j];
     if (i == 0 || i >= desc->block_count) continue;  // Done / past EOF.
-    const ssp::Response& r = resps[j];
-    if (!r.ok()) continue;
-    auto h = ObjectCodec::PeekDataHeader(r.payload);
-    if (!h.ok() || h->write_gen != desc->GenOfBlock(i)) continue;
-    auto dek = key_for(h->key_gen);
-    if (!dek.ok()) continue;
-    auto plain =
-        codec_.DecodeDataBlock(inode, i, r.payload, *dek, *node.view.dvk);
-    if (!plain.ok()) continue;
-    auto tag = ObjectCodec::PeekDataTag(r.payload);
-    if (!tag.ok()) continue;
-    // The tag is the block's Merkle leaf: cache it alongside the
-    // plaintext so a later root check over cached blocks needs no
-    // re-fetch (FetchFileContent counts a block as cached only when
-    // both entries are present).
-    cache_.Put(DataCacheKey(inode, i), *plain, r.payload.size());
-    cache_.Put(TagCacheKey(inode, i), *tag, tag->size());
+    // Best effort: a block that fails to open is simply not cached.
+    if (resps[j].ok()) (void)OpenDataBlock(node, i, resps[j].payload, &*desc);
   }
 }
 
@@ -494,7 +464,7 @@ Result<PlainRef> SharoesClient::ResolveRowRef(const RowRef& row) {
       Rpc(ssp::Request::GetUserMetadata(row.inode, uid_)));
   if (resp.ok()) {
     SHAROES_ASSIGN_OR_RETURN(
-        PlainRef ref, codec_.DecodeUserRefBlock(user_priv_, resp.payload));
+        PlainRef ref, codec_.DecodeRefBlock(user_priv_, resp.payload));
     cache_.Put(ukey, ref, resp.payload.size());
     return ref;
   }
@@ -507,7 +477,7 @@ Result<PlainRef> SharoesClient::ResolveRowRef(const RowRef& row) {
     SHAROES_ASSIGN_OR_RETURN(GroupSecret secret, FetchGroupSecret(row.gid));
     SHAROES_ASSIGN_OR_RETURN(
         PlainRef ref,
-        codec_.DecodeGroupRefBlock(secret.private_key, gresp.payload));
+        codec_.DecodeRefBlock(secret.private_key, gresp.payload));
     cache_.Put(gkey, ref, gresp.payload.size());
     return ref;
   }
@@ -628,25 +598,6 @@ Result<std::vector<std::string>> SharoesClient::Readdir(
     return Status::PermissionDenied("directory CAP does not permit listing");
   }
   return table->names;
-}
-
-ObjectKeyBundle SharoesClient::GenerateBundle(
-    const OwnershipInfo& info, const std::vector<ReplicaSpec>& specs) {
-  ObjectKeyBundle b;
-  b.data = engine_->NewSigningKeyPair();
-  b.meta = engine_->NewSigningKeyPair();
-  for (const ReplicaSpec& spec : specs) {
-    b.meks[spec.selector] = engine_->NewSymmetricKey();
-  }
-  if (info.type == fs::FileType::kFile) {
-    b.dek = engine_->NewSymmetricKey();
-  } else {
-    for (const ReplicaSpec& spec : specs) {
-      b.table_keys[spec.selector] = engine_->NewSymmetricKey();
-    }
-    b.table_keys[kMasterSelector] = engine_->NewSymmetricKey();
-  }
-  return b;
 }
 
 Status SharoesClient::ExecuteBatch(std::vector<ssp::Request> requests) {
@@ -770,51 +721,23 @@ Result<SharoesClient::WriterDirContext> SharoesClient::LoadDirForWrite(
 
 Status SharoesClient::RenderDirTables(const WriterDirContext& ctx,
                                       std::vector<ssp::Request>* out) {
-  std::vector<ReplicaSpec> specs =
-      ReplicasFor(ctx.ownership, options_.scheme, *identity_);
-  std::vector<PendingSplitBlock> blocks;
-  size_t my_copy_size = 0;
-  std::vector<fs::UserId> my_universe;
-  bool my_copy_full = false;
-  for (const ReplicaSpec& spec : specs) {
-    std::vector<fs::UserId> universe =
-        UniverseOf(ctx.ownership, spec.selector, options_.scheme, *identity_);
-    TableView view = spec.Fields(fs::FileType::kDirectory).table_view;
-    SHAROES_ASSIGN_OR_RETURN(
-        Bytes wire,
-        codec_.EncodeTableCopy(ctx.node.ref.inode, spec.selector, view,
-                               ctx.master, universe, ctx.bundle, &blocks));
-    if (spec.selector == ctx.node.ref.selector) {
-      my_copy_size = wire.size();
-      my_universe = universe;
-      my_copy_full = view == TableView::kFull;
-    }
-    out->push_back(ssp::Request::PutMetadata(
-        ctx.node.ref.inode, TableSelector(spec.selector), std::move(wire)));
-  }
-  out->push_back(ssp::Request::PutMetadata(
-      ctx.node.ref.inode, TableSelector(kMasterSelector),
-      codec_.EncodeMasterTable(ctx.node.ref.inode, ctx.master, ctx.bundle)));
-  for (PendingSplitBlock& b : blocks) {
-    out->push_back(
-        ssp::Request::PutUserMetadata(b.child_inode, b.id, std::move(b.wire)));
-  }
+  fs::InodeNum inode = ctx.node.ref.inode;
+  ObjectCodec::ReaderCopy mine;
+  mine.selector = ctx.node.ref.selector;
+  SHAROES_RETURN_IF_ERROR(codec_.RenderDirTables(
+      inode, ctx.ownership, ctx.master, ctx.bundle, out, &mine));
   // Refresh our cached view of this directory: stale copies out, the
   // updated master and our own freshly rendered copy in (the paper's
   // client keeps the table it just modified in memory).
-  std::string id = std::to_string(ctx.node.ref.inode);
+  std::string id = std::to_string(inode);
   cache_.ErasePrefix("t|" + id + "|");
   // The directory's membership just changed: names that were absent may
   // exist now, so every negative dentry under it is stale.
   neg_cache_.ErasePrefix("n|" + id + "|");
-  cache_.Put(MasterCacheKey(ctx.node.ref.inode), ctx.master,
-             ctx.master.Serialize().size());
-  if (my_copy_full) {
-    auto decoded = codec_.RenderFullTableView(ctx.master, my_universe);
-    if (decoded.ok()) {
-      cache_.Put(TableCacheKey(ctx.node.ref.inode, ctx.node.ref.selector),
-                 std::move(*decoded), my_copy_size);
-    }
+  cache_.Put(MasterCacheKey(inode), ctx.master, ctx.master.Serialize().size());
+  if (mine.full.has_value()) {
+    cache_.Put(TableCacheKey(inode, mine.selector), std::move(*mine.full),
+               mine.wire_size);
   }
   return Status::OK();
 }
@@ -847,46 +770,22 @@ Status SharoesClient::CreateObject(const std::string& path, fs::FileType type,
   OwnershipInfo info = OwnershipInfo::FromAttrs(attrs);
   std::vector<ReplicaSpec> specs =
       ReplicasFor(info, options_.scheme, *identity_);
-  ObjectKeyBundle bundle = GenerateBundle(info, specs);
+  ObjectKeyBundle bundle = codec_.NewBundle(type, specs);
 
   // Batch 1: the child's metadata replicas (and, for directories, its
   // empty table copies) — the paper's "metadata send".
   std::vector<ssp::Request> batch1;
-  for (const ReplicaSpec& spec : specs) {
-    batch1.push_back(ssp::Request::PutMetadata(
-        attrs.inode, spec.selector,
-        codec_.EncodeMetadataReplica(spec, attrs, bundle)));
-  }
+  codec_.RenderReplicas(attrs, specs, bundle, &batch1);
   if (type == fs::FileType::kDirectory) {
-    MasterTable empty;
-    std::vector<PendingSplitBlock> blocks;
-    for (const ReplicaSpec& spec : specs) {
-      std::vector<fs::UserId> universe =
-          UniverseOf(info, spec.selector, options_.scheme, *identity_);
-      SHAROES_ASSIGN_OR_RETURN(
-          Bytes wire, codec_.EncodeTableCopy(
-                          attrs.inode, spec.selector,
-                          spec.Fields(type).table_view, empty, universe,
-                          bundle, &blocks));
-      batch1.push_back(ssp::Request::PutMetadata(
-          attrs.inode, TableSelector(spec.selector), std::move(wire)));
-    }
-    batch1.push_back(ssp::Request::PutMetadata(
-        attrs.inode, TableSelector(kMasterSelector),
-        codec_.EncodeMasterTable(attrs.inode, empty, bundle)));
+    SHAROES_RETURN_IF_ERROR(codec_.RenderDirTables(attrs.inode, info,
+                                                   MasterTable{}, bundle,
+                                                   &batch1));
   }
   SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch1)));
 
   // Batch 2: the parent's updated tables — the paper's "parent-dir send".
-  MasterEntry entry;
-  entry.name = sp.name;
-  entry.inode = attrs.inode;
-  entry.child = info;
-  entry.mvk = bundle.meta.verify.Serialize();
-  for (const auto& [sel, mek] : bundle.meks) {
-    entry.meks[sel] = mek.Serialize();
-  }
-  SHAROES_RETURN_IF_ERROR(ctx.master.Add(std::move(entry)));
+  SHAROES_RETURN_IF_ERROR(
+      ctx.master.Add(ObjectCodec::EntryFor(sp.name, attrs, bundle)));
   std::vector<ssp::Request> batch2;
   SHAROES_RETURN_IF_ERROR(RenderDirTables(ctx, &batch2));
   SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch2)));
@@ -923,25 +822,8 @@ Result<Bytes> SharoesClient::FetchFileContent(const Node& node) {
     return Status::PermissionDenied("CAP does not expose DEK/DVK");
   }
   fs::InodeNum inode = node.ref.inode;
-
-  // Select the data key for a block's recorded generation.
-  auto key_for = [&](uint32_t key_gen) -> Result<crypto::SymmetricKey> {
-    if (key_gen == node.view.dek_gen) return *node.view.dek;
-    if (key_gen == node.view.dek_gen + 1 && node.view.dek_next.has_value()) {
-      return *node.view.dek_next;  // Lazy-revocation rotation happened.
-    }
-    return Status::PermissionDenied(
-        "data re-encrypted under a rotated key (access revoked)");
-  };
-
-  Bytes content;
-  DataDescriptor desc;
-  std::string key0 = DataCacheKey(inode, 0);
-  if (auto cached = cache_.Get<Bytes>(key0)) {
-    BinaryReader r(*cached);
-    SHAROES_ASSIGN_OR_RETURN(desc, DataDescriptor::ReadFrom(&r));
-    content = r.GetRaw(r.remaining());
-  } else {
+  auto plain0 = cache_.Get<Bytes>(DataCacheKey(inode, 0));
+  if (plain0 == nullptr) {
     // Cold block 0: fetch it — batched with an initial window of sibling
     // blocks when batching is on (the block count is still unknown, so
     // gets past EOF come back as harmless kNotFound sub-responses).
@@ -970,16 +852,9 @@ Result<Bytes> SharoesClient::FetchFileContent(const Node& node) {
       // injection. It maps to Unavailable and is safe to retry.
       return ReadSubError("data block 0", r0.status);
     }
-    SHAROES_ASSIGN_OR_RETURN(ObjectCodec::DataBlockHeader h0,
-                             ObjectCodec::PeekDataHeader(r0.payload));
-    SHAROES_ASSIGN_OR_RETURN(crypto::SymmetricKey dek, key_for(h0.key_gen));
-    SHAROES_ASSIGN_OR_RETURN(
-        Bytes plain0,
-        codec_.DecodeDataBlock(inode, 0, r0.payload, dek, *node.view.dvk));
-    cache_.Put(key0, plain0, r0.payload.size());
-    BinaryReader r(plain0);
-    SHAROES_ASSIGN_OR_RETURN(desc, DataDescriptor::ReadFrom(&r));
-    content = r.GetRaw(r.remaining());
+    SHAROES_ASSIGN_OR_RETURN(Bytes opened,
+                             OpenDataBlock(node, 0, r0.payload, nullptr));
+    plain0 = std::make_shared<const Bytes>(std::move(opened));
     if (window.size() > 1) {
       // Siblings from the same round trip: best-effort cache fill (the
       // strict loop below re-validates anything that failed here).
@@ -987,6 +862,9 @@ Result<Bytes> SharoesClient::FetchFileContent(const Node& node) {
       CacheFetchedDataBlocks(node, siblings, &resps[1]);
     }
   }
+  BinaryReader r(*plain0);
+  SHAROES_ASSIGN_OR_RETURN(DataDescriptor desc, DataDescriptor::ReadFrom(&r));
+  Bytes content = r.GetRaw(r.remaining());
   // Freshness (SUNDR-style rollback detection, paper §VIII): the write
   // generation this client has observed for an inode must never move
   // backwards. An SSP serving a stale-but-validly-signed version is
@@ -1049,23 +927,9 @@ Result<Bytes> SharoesClient::FetchFileContent(const Node& node) {
         if (!sub.ok()) {
           return ReadSubError("data block " + std::to_string(i), sub.status);
         }
-        const Bytes& wire = sub.payload;
-        SHAROES_ASSIGN_OR_RETURN(ObjectCodec::DataBlockHeader h,
-                                 ObjectCodec::PeekDataHeader(wire));
-        if (h.write_gen != desc.GenOfBlock(i)) {
-          return Status::Corruption(
-              "data block generation does not match the descriptor");
-        }
-        SHAROES_ASSIGN_OR_RETURN(crypto::SymmetricKey dek,
-                                 key_for(h.key_gen));
         SHAROES_ASSIGN_OR_RETURN(
-            Bytes plain,
-            codec_.DecodeDataBlock(inode, i, wire, dek, *node.view.dvk));
-        SHAROES_ASSIGN_OR_RETURN(Bytes tag, ObjectCodec::PeekDataTag(wire));
-        cache_.Put(DataCacheKey(inode, i), plain, wire.size());
-        cache_.Put(TagCacheKey(inode, i), tag, tag.size());
-        tail_tags[i - 1] = std::move(tag);
-        chunks[i] = std::move(plain);
+            chunks[i], OpenDataBlock(node, i, sub.payload, &desc,
+                                     &tail_tags[i - 1]));
       }
     }
     for (uint32_t i = 1; i < desc.block_count; ++i) {
@@ -1088,6 +952,41 @@ Result<Bytes> SharoesClient::FetchFileContent(const Node& node) {
     return Status::Corruption("file size mismatch after reassembly");
   }
   return content;
+}
+
+Result<Bytes> SharoesClient::OpenDataBlock(const Node& node, uint32_t index,
+                                           const Bytes& wire,
+                                           const DataDescriptor* desc,
+                                           Bytes* tag_out) {
+  fs::InodeNum inode = node.ref.inode;
+  SHAROES_ASSIGN_OR_RETURN(ObjectCodec::DataBlockHeader h,
+                           ObjectCodec::PeekDataHeader(wire));
+  if (desc != nullptr && h.write_gen != desc->GenOfBlock(index)) {
+    return Status::Corruption(
+        "data block generation does not match the descriptor");
+  }
+  // A block one key generation ahead was written after a lazy rotation.
+  bool rotated = h.key_gen == node.view.dek_gen + 1 &&
+                 node.view.dek_next.has_value();
+  if (h.key_gen != node.view.dek_gen && !rotated) {
+    return Status::PermissionDenied(
+        "data re-encrypted under a rotated key (access revoked)");
+  }
+  Bytes tag;
+  SHAROES_ASSIGN_OR_RETURN(
+      Bytes plain,
+      codec_.DecodeDataBlock(inode, index, wire,
+                             rotated ? *node.view.dek_next : *node.view.dek,
+                             *node.view.dvk, &tag));
+  cache_.Put(DataCacheKey(inode, index), plain, wire.size());
+  if (index != 0) {
+    // The tag is the block's Merkle leaf: it is cached alongside the
+    // plaintext so a later root check over cached blocks needs no
+    // re-fetch (a tail block counts as cached only with both entries).
+    cache_.Put(TagCacheKey(inode, index), tag, tag.size());
+    if (tag_out != nullptr) *tag_out = std::move(tag);
+  }
+  return plain;
 }
 
 Result<Bytes> SharoesClient::Read(const std::string& path) {
@@ -1139,119 +1038,81 @@ Status SharoesClient::FlushBuffer(const std::string& path, WriteBuffer* buf) {
   // Lazy revocation: a pending key means this writer performs the
   // rotation — new data goes out under dek_next (and every block must be
   // re-encrypted, so block-level diffing is disabled for that flush).
-  crypto::SymmetricKey dek = *node.view.dek;
-  uint32_t key_gen = node.view.dek_gen;
-  bool key_rotated = false;
-  if (node.view.dek_next.has_value()) {
-    dek = *node.view.dek_next;
-    key_gen = node.view.dek_gen + 1;
-    key_rotated = true;
-  }
+  const bool key_rotated = node.view.dek_next.has_value();
+  const crypto::SymmetricKey& dek =
+      key_rotated ? *node.view.dek_next : *node.view.dek;
   const Bytes& content = buf->content;
-  size_t block_size = options_.block_size;
   fs::InodeNum inode = buf->inode;
-  DataDescriptor desc;
-  desc.size = content.size();
-  size_t chunk0 = std::min(content.size(), block_size);
-  size_t rest = content.size() - chunk0;
-  desc.block_count =
-      1 + static_cast<uint32_t>((rest + block_size - 1) / block_size);
-  SHAROES_ASSIGN_OR_RETURN(desc.write_gen, NextWriteGen(inode));
 
   // The paper divides files into blocks precisely so a write does not
   // re-encrypt the whole file (§II-B). When the previous version is in
   // the local cache, only changed blocks are re-encrypted and shipped.
-  DataDescriptor old_desc;
-  bool have_old = false;
-  if (auto cached0 = cache_.Get<Bytes>(DataCacheKey(inode, 0))) {
+  // Diff only when keys did not rotate and the file did not shrink.
+  const size_t bs = options_.block_size;
+  std::optional<std::map<uint32_t, ObjectCodec::KeptBlock>> kept;
+  auto cached0 = cache_.Get<Bytes>(DataCacheKey(inode, 0));
+  if (cached0 != nullptr && !key_rotated) {
     BinaryReader r(*cached0);
-    auto parsed = DataDescriptor::ReadFrom(&r);
-    if (parsed.ok()) {
-      old_desc = *parsed;
-      have_old = true;
-    }
-  }
-  // Diff only when the file did not shrink and keys did not rotate.
-  bool diff = have_old && !key_rotated &&
-              desc.block_count >= old_desc.block_count;
-
-  auto chunk_of = [&](uint32_t idx) {
-    size_t begin = idx == 0 ? 0 : chunk0 + (idx - 1) * block_size;
-    size_t end = std::min(content.size(),
-                          idx == 0 ? chunk0 : begin + block_size);
-    return Bytes(content.begin() + begin, content.begin() + end);
-  };
-  auto old_chunk_of = [&](uint32_t idx) -> std::optional<Bytes> {
-    auto cached = cache_.Get<Bytes>(DataCacheKey(inode, idx));
-    if (cached == nullptr) return std::nullopt;
-    if (idx == 0) {
-      BinaryReader r(*cached);
-      if (!DataDescriptor::ReadFrom(&r).ok()) return std::nullopt;
-      return r.GetRaw(r.remaining());
-    }
-    return *cached;
-  };
-
-  desc.block_gens.assign(desc.block_count, desc.write_gen);
-  std::vector<bool> changed(desc.block_count, true);
-  std::vector<Bytes> tail_tags(desc.block_count - 1);
-  if (diff) {
-    for (uint32_t i = 1; i < desc.block_count; ++i) {
-      if (i >= old_desc.block_count) continue;  // Appended block: new.
-      auto old_chunk = old_chunk_of(i);
-      // Keeping a block also requires its cached AEAD tag: the new
-      // descriptor's root must commit to every tail block, kept or
-      // rewritten, and an uncached tag would force a read to learn it.
-      auto old_tag = cache_.Get<Bytes>(TagCacheKey(inode, i));
-      if (old_chunk.has_value() && old_tag != nullptr &&
-          *old_chunk == chunk_of(i)) {
-        changed[i] = false;
-        desc.block_gens[i] = old_desc.GenOfBlock(i);
-        tail_tags[i - 1] = *old_tag;
+    auto old_desc = DataDescriptor::ReadFrom(&r);
+    if (old_desc.ok() &&
+        BlockCount(content.size(), bs) >= old_desc->block_count) {
+      kept.emplace();
+      for (uint32_t i = 1; i < old_desc->block_count; ++i) {
+        // Keeping a block also requires its cached AEAD tag: the new
+        // descriptor's root must commit to every tail block, kept or
+        // rewritten, and an uncached tag would force a read to learn it.
+        auto old_chunk = cache_.Get<Bytes>(DataCacheKey(inode, i));
+        auto old_tag = cache_.Get<Bytes>(TagCacheKey(inode, i));
+        auto [begin, end] = BlockRange(i, content.size(), bs);
+        if (old_chunk != nullptr && old_tag != nullptr &&
+            std::equal(old_chunk->begin(), old_chunk->end(),
+                       content.begin() + begin, content.begin() + end)) {
+          (*kept)[i] = {old_desc->GenOfBlock(i), *old_tag};
+        }
       }
     }
   }
-
   std::vector<ssp::Request> puts;
-  if (!diff || desc.block_count != old_desc.block_count) {
-    // Shape changed (or no diff basis): clear stale blocks first when
-    // shrinking; growth needs no delete.
-    if (!diff) puts.push_back(ssp::Request::DeleteInodeData(inode));
+  SHAROES_ASSIGN_OR_RETURN(
+      ObjectCodec::RenderedFile file,
+      RenderFileWrite(inode, content, dek, *node.view.dsk,
+                      node.view.dek_gen + (key_rotated ? 1 : 0),
+                      kept.has_value() ? &*kept : nullptr, &puts));
+  return CommitFileWrite(inode, std::move(file), std::move(puts));
+}
+
+Result<ObjectCodec::RenderedFile> SharoesClient::RenderFileWrite(
+    fs::InodeNum inode, const Bytes& content, const crypto::SymmetricKey& dek,
+    const crypto::SigningKey& dsk, uint32_t key_gen,
+    const std::map<uint32_t, ObjectCodec::KeptBlock>* kept,
+    std::vector<ssp::Request>* puts) {
+  SHAROES_ASSIGN_OR_RETURN(uint64_t write_gen, NextWriteGen(inode));
+  // Without a diff basis the old block set goes first (it may be longer).
+  if (kept == nullptr) puts->push_back(ssp::Request::DeleteInodeData(inode));
+  return codec_.RenderFile(inode, content, options_.block_size,
+                           ObjectCodec::DataBlockHeader{key_gen, write_gen},
+                           dek, dsk, kept, puts);
+}
+
+Status SharoesClient::CommitFileWrite(fs::InodeNum inode,
+                                      ObjectCodec::RenderedFile file,
+                                      std::vector<ssp::Request> puts) {
+  Status shipped = ExecuteBatch(std::move(puts));
+  if (!shipped.ok()) {
+    // The store may keep the old version or (a staged batch replayed
+    // later) take the new one: drop what this client cached of either.
+    InvalidateInode(inode);
+    return shipped;
   }
-  // Tail blocks encode first: their AEAD tags are the Merkle leaves the
-  // descriptor inside block 0 must commit to.
-  std::vector<Bytes> tail_wires(desc.block_count);
-  for (uint32_t idx = 1; idx < desc.block_count; ++idx) {
-    if (!changed[idx]) continue;
-    Bytes chunk = chunk_of(idx);
-    ObjectCodec::DataBlockHeader header{key_gen, desc.write_gen};
-    Bytes tag;
-    tail_wires[idx] = codec_.EncodeDataBlock(inode, idx, header, chunk, dek,
-                                             *node.view.dsk, &tag);
-    cache_.Put(DataCacheKey(inode, idx), chunk, tail_wires[idx].size());
-    cache_.Put(TagCacheKey(inode, idx), tag, tag.size());
-    tail_tags[idx - 1] = std::move(tag);
-  }
-  desc.tag_root = crypto::MerkleRoot(tail_tags);
-  // Block 0 encodes last: it carries the descriptor, whose root now
-  // covers the tail tags above.
-  BinaryWriter w0;
-  desc.AppendTo(&w0);
-  w0.PutRaw(content.data(), chunk0);
-  Bytes plain0 = w0.Take();
-  ObjectCodec::DataBlockHeader header0{key_gen, desc.write_gen};
-  Bytes wire0 = codec_.EncodeDataBlock(inode, 0, header0, plain0, dek,
-                                       *node.view.dsk);
-  cache_.Put(DataCacheKey(inode, 0), plain0, wire0.size());
-  puts.push_back(ssp::Request::PutData(inode, 0, std::move(wire0)));
-  for (uint32_t idx = 1; idx < desc.block_count; ++idx) {
-    if (changed[idx]) {
-      puts.push_back(
-          ssp::Request::PutData(inode, idx, std::move(tail_wires[idx])));
+  freshness_[inode] =
+      FreshnessRecord{file.desc.write_gen, file.desc.tag_root};
+  for (ObjectCodec::SealedBlock& b : file.sealed) {
+    cache_.Put(DataCacheKey(inode, b.index), std::move(b.plaintext),
+               b.wire_size);
+    if (b.index != 0) {
+      cache_.Put(TagCacheKey(inode, b.index), b.tag, b.tag.size());
     }
   }
-  SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(puts)));
-  freshness_[inode] = FreshnessRecord{desc.write_gen, desc.tag_root};
   return Status::OK();
 }
 
@@ -1352,52 +1213,20 @@ Status SharoesClient::Chmod(const std::string& path, fs::Mode mode) {
   std::optional<crypto::SymmetricKey> dek_next = node.view.dek_next;
   uint32_t dek_gen = node.view.dek_gen;
   bool revoke = lost_read || lost_write;
+  std::optional<ObjectCodec::RenderedFile> rewrite;
   if (revoke && attrs.type == fs::FileType::kFile) {
     if (options_.revocation == RevocationMode::kImmediate) {
-      // Re-encrypt the file under fresh keys right now.
+      // Re-encrypt the file under fresh keys right now: the same write a
+      // flush performs, with the rotated keys and no kept blocks.
       SHAROES_ASSIGN_OR_RETURN(Bytes content, FetchFileContent(node));
       bundle.dek = engine_->NewSymmetricKey();
       if (lost_write) bundle.data = engine_->NewSigningKeyPair();
       dek_gen += 1;
       dek_next.reset();
-      DataDescriptor desc;
-      desc.size = content.size();
-      size_t bs = options_.block_size;
-      size_t chunk0 = std::min(content.size(), bs);
-      desc.block_count = 1 + static_cast<uint32_t>(
-                                 (content.size() - chunk0 + bs - 1) / bs);
-      SHAROES_ASSIGN_OR_RETURN(desc.write_gen, NextWriteGen(attrs.inode));
-      desc.block_gens.assign(desc.block_count, desc.write_gen);
-      ObjectCodec::DataBlockHeader header{dek_gen, desc.write_gen};
-      // Tail blocks encode first so their AEAD tags can root the
-      // descriptor that block 0 carries.
-      std::vector<Bytes> tail_wires;
-      std::vector<Bytes> tail_tags;
-      for (size_t pos = chunk0; pos < content.size(); pos += bs) {
-        size_t n = std::min(bs, content.size() - pos);
-        Bytes chunk(content.begin() + pos, content.begin() + pos + n);
-        Bytes tag;
-        tail_wires.push_back(codec_.EncodeDataBlock(
-            attrs.inode, static_cast<uint32_t>(tail_wires.size()) + 1,
-            header, chunk, bundle.dek, bundle.data.sign, &tag));
-        tail_tags.push_back(std::move(tag));
-      }
-      desc.tag_root = crypto::MerkleRoot(tail_tags);
-      freshness_[attrs.inode] =
-          FreshnessRecord{desc.write_gen, desc.tag_root};
-      batch.push_back(ssp::Request::DeleteInodeData(attrs.inode));
-      BinaryWriter w0;
-      desc.AppendTo(&w0);
-      w0.PutRaw(content.data(), chunk0);
-      batch.push_back(ssp::Request::PutData(
-          attrs.inode, 0,
-          codec_.EncodeDataBlock(attrs.inode, 0, header, w0.Take(),
-                                 bundle.dek, bundle.data.sign)));
-      for (size_t i = 0; i < tail_wires.size(); ++i) {
-        batch.push_back(ssp::Request::PutData(
-            attrs.inode, static_cast<uint32_t>(i) + 1,
-            std::move(tail_wires[i])));
-      }
+      SHAROES_ASSIGN_OR_RETURN(
+          rewrite, RenderFileWrite(attrs.inode, content, bundle.dek,
+                                   bundle.data.sign, dek_gen,
+                                   /*kept=*/nullptr, &batch));
     } else if (!dek_next.has_value()) {
       // Lazy: record the next key; the next writer rotates.
       dek_next = engine_->NewSymmetricKey();
@@ -1414,12 +1243,8 @@ Status SharoesClient::Chmod(const std::string& path, fs::Mode mode) {
 
   // Rebuild every metadata replica with the new mode (selectors and MEKs
   // are class-stable, so parent rows and superblocks stay valid).
-  for (const ReplicaSpec& spec : new_specs) {
-    batch.push_back(ssp::Request::PutMetadata(
-        attrs.inode, spec.selector,
-        codec_.EncodeMetadataReplica(spec, new_attrs, bundle, dek_gen,
-                                     dek_next)));
-  }
+  codec_.RenderReplicas(new_attrs, new_specs, bundle, &batch, dek_gen,
+                        dek_next);
   // Directories: re-render the tables (view kinds / keys may have changed).
   if (attrs.type == fs::FileType::kDirectory) {
     WriterDirContext ctx;
@@ -1430,7 +1255,10 @@ Status SharoesClient::Chmod(const std::string& path, fs::Mode mode) {
     ctx.master = std::move(master);
     SHAROES_RETURN_IF_ERROR(RenderDirTables(ctx, &batch));
   }
-  SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch)));
+  SHAROES_RETURN_IF_ERROR(
+      rewrite.has_value()
+          ? CommitFileWrite(attrs.inode, std::move(*rewrite), std::move(batch))
+          : ExecuteBatch(std::move(batch)));
   InvalidateInode(attrs.inode);
   return Status::OK();
 }
@@ -1471,18 +1299,11 @@ Status SharoesClient::RemoveObject(const std::string& path,
   batch.push_back(ssp::Request::DeleteInodeData(child_inode));
   // Remove any split blocks of the child.
   for (fs::UserId uid : identity_->AllUsers()) {
-    ssp::Request del;
-    del.op = ssp::OpCode::kDeleteUserMetadata;
-    del.inode = child_inode;
-    del.user = uid;
-    batch.push_back(del);
+    batch.push_back(ssp::Request::DeleteUserMetadata(child_inode, uid));
   }
   for (fs::GroupId gid : identity_->AllGroups()) {
-    ssp::Request del;
-    del.op = ssp::OpCode::kDeleteUserMetadata;
-    del.inode = child_inode;
-    del.user = GroupBlockKey(gid);
-    batch.push_back(del);
+    batch.push_back(
+        ssp::Request::DeleteUserMetadata(child_inode, GroupBlockKey(gid)));
   }
   SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch)));
   InvalidateInode(child_inode);

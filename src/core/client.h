@@ -235,9 +235,6 @@ class SharoesClient : public FsClient {
   Result<GroupSecret> FetchGroupSecret(fs::GroupId gid);
 
   // --- Mutation helpers ---
-  /// Generates a full key bundle for a new object.
-  ObjectKeyBundle GenerateBundle(const OwnershipInfo& info,
-                                 const std::vector<ReplicaSpec>& specs);
   /// Common mkdir/create implementation.
   Status CreateObject(const std::string& path, fs::FileType type,
                       const CreateOptions& opts);
@@ -252,7 +249,8 @@ class SharoesClient : public FsClient {
   };
   Result<WriterDirContext> LoadDirForWrite(const std::string& dir_path);
   /// Rebuilds every table copy (and the master) of a directory, returning
-  /// the SSP put requests + split blocks to include in a batch.
+  /// the SSP put requests + split blocks to include in a batch, and
+  /// refreshes this client's cached view of the directory.
   Status RenderDirTables(const WriterDirContext& ctx,
                          std::vector<ssp::Request>* out);
   /// Ships a logical op's mutating sub-ops. With write-behind off this
@@ -313,7 +311,29 @@ class SharoesClient : public FsClient {
 
   // --- Data path ---
   Result<Bytes> FetchFileContent(const Node& node);
+  /// The one decode of a fetched data block of `node`: picks dek or
+  /// dek_next by the block's key generation, checks a tail block's write
+  /// generation against `desc` (null for block 0), verifies and opens the
+  /// block, and caches its plaintext (and a tail block's tag, returned
+  /// through `tag_out`).
+  Result<Bytes> OpenDataBlock(const Node& node, uint32_t index,
+                              const Bytes& wire, const DataDescriptor* desc,
+                              Bytes* tag_out = nullptr);
   Status FlushBuffer(const std::string& path, WriteBuffer* buf);
+  /// The one client write of file data: renders `content` through the
+  /// codec at the inode's next write generation. Blocks in `kept` stay as
+  /// stored; with `kept` null the inode's old blocks are deleted first.
+  Result<ObjectCodec::RenderedFile> RenderFileWrite(
+      fs::InodeNum inode, const Bytes& content,
+      const crypto::SymmetricKey& dek, const crypto::SigningKey& dsk,
+      uint32_t key_gen,
+      const std::map<uint32_t, ObjectCodec::KeptBlock>* kept,
+      std::vector<ssp::Request>* puts);
+  /// Ships a file write's batch. Only once the SSP accepted it does the
+  /// client record the new write generation and cache the sealed blocks,
+  /// so a failed batch leaves the client agreeing with the store.
+  Status CommitFileWrite(fs::InodeNum inode, ObjectCodec::RenderedFile file,
+                         std::vector<ssp::Request> puts);
   /// The next write generation for an inode (monotonic per §VIII
   /// freshness; peeks the stored header when history is unknown).
   Result<uint64_t> NextWriteGen(fs::InodeNum inode);

@@ -1,6 +1,5 @@
 #include "core/migration.h"
 
-#include "crypto/merkle.h"
 #include "ssp/wal.h"
 
 namespace sharoes::core {
@@ -35,17 +34,21 @@ Result<crypto::RsaKeyPair> Provisioner::CreateGroup(
   info.members.insert(members.begin(), members.end());
   SHAROES_RETURN_IF_ERROR(identity_->AddGroup(std::move(info)));
   group_keys_[gid] = kp;
-  // Distribute the group key: wrapped to each member's public key and
-  // stored at the SSP (paper §II-A).
-  GroupSecret secret{gid, kp.priv};
   for (fs::UserId uid : members) {
-    SHAROES_ASSIGN_OR_RETURN(UserInfo user, identity_->GetUser(uid));
-    SHAROES_ASSIGN_OR_RETURN(
-        Bytes block, codec_.EncodeGroupKeyBlock(user.public_key, secret));
-    SHAROES_RETURN_IF_ERROR(
-        Put(ssp::Request::PutGroupKey(gid, uid, std::move(block))));
+    SHAROES_RETURN_IF_ERROR(PutGroupKey(gid, uid, kp.priv));
   }
   return kp;
+}
+
+Status Provisioner::PutGroupKey(fs::GroupId gid, fs::UserId uid,
+                                const crypto::RsaPrivateKey& group_priv) {
+  // The group key block: the group's private key wrapped to the member's
+  // public key and stored at the SSP (paper §II-A).
+  SHAROES_ASSIGN_OR_RETURN(UserInfo user, identity_->GetUser(uid));
+  SHAROES_ASSIGN_OR_RETURN(
+      Bytes block, codec_.EncodeGroupKeyBlock(user.public_key,
+                                              GroupSecret{gid, group_priv}));
+  return Put(ssp::Request::PutGroupKey(gid, uid, std::move(block)));
 }
 
 Status Provisioner::AddGroupMember(fs::GroupId gid, fs::UserId uid) {
@@ -55,12 +58,7 @@ Status Provisioner::AddGroupMember(fs::GroupId gid, fs::UserId uid) {
     return Status::NotFound("provisioner has no key for group " +
                             std::to_string(gid));
   }
-  SHAROES_ASSIGN_OR_RETURN(UserInfo user, identity_->GetUser(uid));
-  SHAROES_ASSIGN_OR_RETURN(
-      Bytes block, codec_.EncodeGroupKeyBlock(user.public_key,
-                                              GroupSecret{gid,
-                                                          it->second.priv}));
-  return Put(ssp::Request::PutGroupKey(gid, uid, std::move(block)));
+  return PutGroupKey(gid, uid, it->second.priv);
 }
 
 Status Provisioner::RemoveGroupMember(fs::GroupId gid, fs::UserId uid) {
@@ -72,19 +70,10 @@ Status Provisioner::RemoveGroupMember(fs::GroupId gid, fs::UserId uid) {
   SHAROES_RETURN_IF_ERROR(identity_->SetGroupKey(gid, fresh.pub));
   group_keys_[gid] = fresh;
   SHAROES_ASSIGN_OR_RETURN(GroupInfo info, identity_->GetGroup(gid));
-  GroupSecret secret{gid, fresh.priv};
   for (fs::UserId member : info.members) {
-    SHAROES_ASSIGN_OR_RETURN(UserInfo user, identity_->GetUser(member));
-    SHAROES_ASSIGN_OR_RETURN(
-        Bytes block, codec_.EncodeGroupKeyBlock(user.public_key, secret));
-    SHAROES_RETURN_IF_ERROR(
-        Put(ssp::Request::PutGroupKey(gid, member, std::move(block))));
+    SHAROES_RETURN_IF_ERROR(PutGroupKey(gid, member, fresh.priv));
   }
   return Status::OK();
-}
-
-void Provisioner::Store(uint64_t bytes, MigrationStats* stats) {
-  if (stats != nullptr) stats->bytes_transferred += bytes;
 }
 
 Status Provisioner::Put(ssp::Request req) {
@@ -104,6 +93,20 @@ Status Provisioner::Put(ssp::Request req) {
   // before it serves).
   return ssp::ApplyWalOp(req, &server_->store());
 }
+
+namespace {
+/// Tallies one rendered put into the migration report.
+void CountPut(const ssp::Request& put, MigrationStats* stats) {
+  stats->bytes_transferred += put.payload.size();
+  if (put.op == ssp::OpCode::kPutUserMetadata) ++stats->split_blocks;
+  if (put.op == ssp::OpCode::kPutData) ++stats->data_blocks;
+  if (put.op == ssp::OpCode::kPutMetadata) {
+    bool table = (put.selector & kTableSelectorFlag) != 0;
+    if (!table) ++stats->metadata_replicas;
+    if (table && put.selector != kMasterSelector) ++stats->table_copies;
+  }
+}
+}  // namespace
 
 Result<Provisioner::MigratedObject> Provisioner::MigrateNode(
     const LocalNode& spec, const std::string& path, fs::InodeNum inode,
@@ -126,23 +129,7 @@ Result<Provisioner::MigratedObject> Provisioner::MigrateNode(
   OwnershipInfo info = OwnershipInfo::FromAttrs(attrs);
   std::vector<ReplicaSpec> specs =
       ReplicasFor(info, options_.scheme, *identity_);
-
-  // Generate the object's key material.
-  MigratedObject obj;
-  obj.attrs = attrs;
-  obj.bundle.data = engine_->NewSigningKeyPair();
-  obj.bundle.meta = engine_->NewSigningKeyPair();
-  for (const ReplicaSpec& s : specs) {
-    obj.bundle.meks[s.selector] = engine_->NewSymmetricKey();
-  }
-  if (spec.type == fs::FileType::kFile) {
-    obj.bundle.dek = engine_->NewSymmetricKey();
-  } else {
-    for (const ReplicaSpec& s : specs) {
-      obj.bundle.table_keys[s.selector] = engine_->NewSymmetricKey();
-    }
-    obj.bundle.table_keys[kMasterSelector] = engine_->NewSymmetricKey();
-  }
+  MigratedObject obj{attrs, codec_.NewBundle(spec.type, specs)};
 
   // Recurse into children first (a directory's tables need their MEKs).
   MasterTable master;
@@ -153,96 +140,28 @@ Result<Provisioner::MigratedObject> Provisioner::MigrateNode(
           MigratedObject child,
           MigrateNode(child_spec, path + "/" + child_spec.name, child_inode,
                       stats));
-      MasterEntry entry;
-      entry.name = child_spec.name;
-      entry.inode = child_inode;
-      entry.child = OwnershipInfo::FromAttrs(child.attrs);
-      entry.mvk = child.bundle.meta.verify.Serialize();
-      for (const auto& [sel, mek] : child.bundle.meks) {
-        entry.meks[sel] = mek.Serialize();
-      }
-      SHAROES_RETURN_IF_ERROR(master.Add(std::move(entry)));
+      SHAROES_RETURN_IF_ERROR(master.Add(
+          ObjectCodec::EntryFor(child_spec.name, child.attrs, child.bundle)));
     }
   }
 
-  // Metadata replicas.
-  for (const ReplicaSpec& s : specs) {
-    Bytes wire = codec_.EncodeMetadataReplica(s, attrs, obj.bundle);
-    Store(wire.size(), stats);
-    SHAROES_RETURN_IF_ERROR(
-        Put(ssp::Request::PutMetadata(inode, s.selector, std::move(wire))));
-    ++stats->metadata_replicas;
-  }
-
+  // The same objects, in the same order, as the client writes them.
+  std::vector<ssp::Request> puts;
+  codec_.RenderReplicas(attrs, specs, obj.bundle, &puts);
   if (spec.type == fs::FileType::kDirectory) {
     ++stats->directories;
-    std::vector<PendingSplitBlock> blocks;
-    for (const ReplicaSpec& s : specs) {
-      std::vector<fs::UserId> universe =
-          UniverseOf(info, s.selector, options_.scheme, *identity_);
-      SHAROES_ASSIGN_OR_RETURN(
-          Bytes wire,
-          codec_.EncodeTableCopy(inode, s.selector,
-                                 s.Fields(spec.type).table_view, master,
-                                 universe, obj.bundle, &blocks));
-      Store(wire.size(), stats);
-      SHAROES_RETURN_IF_ERROR(Put(ssp::Request::PutMetadata(
-          inode, TableSelector(s.selector), std::move(wire))));
-      ++stats->table_copies;
-    }
-    Bytes master_wire = codec_.EncodeMasterTable(inode, master, obj.bundle);
-    Store(master_wire.size(), stats);
-    SHAROES_RETURN_IF_ERROR(Put(ssp::Request::PutMetadata(
-        inode, TableSelector(kMasterSelector), std::move(master_wire))));
-    for (PendingSplitBlock& b : blocks) {
-      Store(b.wire.size(), stats);
-      SHAROES_RETURN_IF_ERROR(Put(ssp::Request::PutUserMetadata(
-          b.child_inode, b.id, std::move(b.wire))));
-      ++stats->split_blocks;
-    }
+    SHAROES_RETURN_IF_ERROR(
+        codec_.RenderDirTables(inode, info, master, obj.bundle, &puts));
   } else {
     ++stats->files;
-    // Data blocks: descriptor prefix in block 0.
-    const Bytes& content = spec.content;
-    size_t bs = options_.block_size;
-    DataDescriptor desc;
-    desc.size = content.size();
-    size_t chunk0 = std::min(content.size(), bs);
-    desc.block_count =
-        1 + static_cast<uint32_t>((content.size() - chunk0 + bs - 1) / bs);
-    desc.write_gen = 1;  // Migration is the first write.
-    desc.block_gens.assign(desc.block_count, 1);
-    ObjectCodec::DataBlockHeader header{0, desc.write_gen};
-    // Tail blocks encode first: their AEAD tags root the descriptor
-    // that block 0 carries.
-    std::vector<Bytes> tail_wires;
-    std::vector<Bytes> tail_tags;
-    for (size_t pos = chunk0; pos < content.size(); pos += bs) {
-      size_t n = std::min(bs, content.size() - pos);
-      Bytes chunk(content.begin() + pos, content.begin() + pos + n);
-      Bytes tag;
-      tail_wires.push_back(codec_.EncodeDataBlock(
-          inode, static_cast<uint32_t>(tail_wires.size()) + 1, header,
-          chunk, obj.bundle.dek, obj.bundle.data.sign, &tag));
-      tail_tags.push_back(std::move(tag));
-    }
-    desc.tag_root = crypto::MerkleRoot(tail_tags);
-    BinaryWriter w0;
-    desc.AppendTo(&w0);
-    w0.PutRaw(content.data(), chunk0);
-    Bytes wire0 = codec_.EncodeDataBlock(inode, 0, header, w0.Take(),
-                                         obj.bundle.dek,
-                                         obj.bundle.data.sign);
-    Store(wire0.size(), stats);
-    SHAROES_RETURN_IF_ERROR(
-        Put(ssp::Request::PutData(inode, 0, std::move(wire0))));
-    ++stats->data_blocks;
-    for (size_t i = 0; i < tail_wires.size(); ++i) {
-      Store(tail_wires[i].size(), stats);
-      SHAROES_RETURN_IF_ERROR(Put(ssp::Request::PutData(
-          inode, static_cast<uint32_t>(i) + 1, std::move(tail_wires[i]))));
-      ++stats->data_blocks;
-    }
+    // Migration is the file's first write (generation 1).
+    codec_.RenderFile(inode, spec.content, options_.block_size,
+                      ObjectCodec::DataBlockHeader{0, 1}, obj.bundle.dek,
+                      obj.bundle.data.sign, /*kept=*/nullptr, &puts);
+  }
+  for (ssp::Request& put : puts) {
+    CountPut(put, stats);
+    SHAROES_RETURN_IF_ERROR(Put(std::move(put)));
   }
   return obj;
 }

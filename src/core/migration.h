@@ -140,7 +140,9 @@ class Provisioner {
                                      fs::InodeNum inode,
                                      MigrationStats* stats);
   Status WriteSuperblocks(const MigratedObject& root);
-  void Store(uint64_t bytes, MigrationStats* stats);
+  /// Wraps a group's private key to one member and stores the block.
+  Status PutGroupKey(fs::GroupId gid, fs::UserId uid,
+                     const crypto::RsaPrivateKey& group_priv);
   /// Store-or-channel write helpers.
   Status Put(ssp::Request req);
 

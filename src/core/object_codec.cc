@@ -2,6 +2,7 @@
 
 #include "crypto/aead.h"
 #include "crypto/kdf.h"
+#include "crypto/merkle.h"
 #include "obs/span.h"
 
 namespace sharoes::core {
@@ -59,6 +60,139 @@ Result<Bytes> ObjectCodec::VerifyAndOpen(const Bytes& context,
     return Status::IntegrityError(what + " signature verification failed");
   }
   return engine_->SymDecrypt(key, sealed);
+}
+
+ObjectKeyBundle ObjectCodec::NewBundle(fs::FileType type,
+                                       const std::vector<ReplicaSpec>& specs) {
+  ObjectKeyBundle b;
+  b.data = engine_->NewSigningKeyPair();
+  b.meta = engine_->NewSigningKeyPair();
+  for (const ReplicaSpec& spec : specs) {
+    b.meks[spec.selector] = engine_->NewSymmetricKey();
+  }
+  if (type == fs::FileType::kFile) {
+    b.dek = engine_->NewSymmetricKey();
+  } else {
+    for (const ReplicaSpec& spec : specs) {
+      b.table_keys[spec.selector] = engine_->NewSymmetricKey();
+    }
+    b.table_keys[kMasterSelector] = engine_->NewSymmetricKey();
+  }
+  return b;
+}
+
+void ObjectCodec::RenderReplicas(
+    const fs::InodeAttrs& attrs, const std::vector<ReplicaSpec>& specs,
+    const ObjectKeyBundle& bundle, std::vector<ssp::Request>* out,
+    uint32_t dek_gen, const std::optional<crypto::SymmetricKey>& dek_next) {
+  for (const ReplicaSpec& spec : specs) {
+    out->push_back(ssp::Request::PutMetadata(
+        attrs.inode, spec.selector,
+        EncodeMetadataReplica(spec, attrs, bundle, dek_gen, dek_next)));
+  }
+}
+
+Status ObjectCodec::RenderDirTables(fs::InodeNum dir_inode,
+                                    const OwnershipInfo& info,
+                                    const MasterTable& master,
+                                    const ObjectKeyBundle& bundle,
+                                    std::vector<ssp::Request>* out,
+                                    ReaderCopy* reader) {
+  std::vector<PendingSplitBlock> blocks;
+  std::vector<fs::UserId> reader_universe;
+  bool reader_full = false;
+  for (const ReplicaSpec& spec : ReplicasFor(info, scheme_, *dir_)) {
+    std::vector<fs::UserId> universe =
+        UniverseOf(info, spec.selector, scheme_, *dir_);
+    TableView view = spec.Fields(fs::FileType::kDirectory).table_view;
+    SHAROES_ASSIGN_OR_RETURN(
+        Bytes wire, EncodeTableCopy(dir_inode, spec.selector, view, master,
+                                    universe, bundle, &blocks));
+    if (reader != nullptr && spec.selector == reader->selector) {
+      reader->wire_size = wire.size();
+      reader_full = view == TableView::kFull;
+      reader_universe = std::move(universe);
+    }
+    out->push_back(ssp::Request::PutMetadata(
+        dir_inode, TableSelector(spec.selector), std::move(wire)));
+  }
+  out->push_back(ssp::Request::PutMetadata(
+      dir_inode, TableSelector(kMasterSelector),
+      EncodeMasterTable(dir_inode, master, bundle)));
+  for (PendingSplitBlock& b : blocks) {
+    out->push_back(
+        ssp::Request::PutUserMetadata(b.child_inode, b.id, std::move(b.wire)));
+  }
+  if (reader_full) {
+    auto decoded = RenderFullTableView(master, reader_universe);
+    if (decoded.ok()) reader->full = std::move(*decoded);
+  }
+  return Status::OK();
+}
+
+MasterEntry ObjectCodec::EntryFor(const std::string& name,
+                                  const fs::InodeAttrs& attrs,
+                                  const ObjectKeyBundle& bundle) {
+  MasterEntry entry;
+  entry.name = name;
+  entry.inode = attrs.inode;
+  entry.child = OwnershipInfo::FromAttrs(attrs);
+  entry.mvk = bundle.meta.verify.Serialize();
+  for (const auto& [sel, mek] : bundle.meks) {
+    entry.meks[sel] = mek.Serialize();
+  }
+  return entry;
+}
+
+ObjectCodec::RenderedFile ObjectCodec::RenderFile(
+    fs::InodeNum inode, const Bytes& content, size_t block_size,
+    const DataBlockHeader& header, const crypto::SymmetricKey& dek,
+    const crypto::SigningKey& dsk, const std::map<uint32_t, KeptBlock>* kept,
+    std::vector<ssp::Request>* out) {
+  RenderedFile file;
+  DataDescriptor& desc = file.desc;
+  desc.size = content.size();
+  desc.block_count = BlockCount(content.size(), block_size);
+  desc.write_gen = header.write_gen;
+  desc.block_gens.assign(desc.block_count, header.write_gen);
+  // Tail blocks seal first: their AEAD tags are the Merkle leaves the
+  // descriptor inside block 0 commits to.
+  std::vector<Bytes> tail_tags(desc.block_count - 1);
+  std::vector<Bytes> tail_wires(desc.block_count);
+  for (uint32_t idx = 1; idx < desc.block_count; ++idx) {
+    if (kept != nullptr) {
+      auto keep = kept->find(idx);
+      if (keep != kept->end()) {
+        desc.block_gens[idx] = keep->second.gen;
+        tail_tags[idx - 1] = keep->second.tag;
+        continue;
+      }
+    }
+    auto [begin, end] = BlockRange(idx, content.size(), block_size);
+    Bytes chunk(content.begin() + begin, content.begin() + end);
+    Bytes tag;
+    tail_wires[idx] =
+        EncodeDataBlock(inode, idx, header, chunk, dek, dsk, &tag);
+    tail_tags[idx - 1] = tag;
+    file.sealed.push_back(SealedBlock{idx, std::move(chunk), std::move(tag),
+                                      tail_wires[idx].size()});
+  }
+  desc.tag_root = crypto::MerkleRoot(tail_tags);
+  // Block 0 seals last, around the descriptor that now covers every tail.
+  BinaryWriter w0;
+  desc.AppendTo(&w0);
+  w0.PutRaw(content.data(), BlockRange(0, content.size(), block_size).second);
+  Bytes plain0 = w0.Take();
+  Bytes wire0 = EncodeDataBlock(inode, 0, header, plain0, dek, dsk);
+  file.sealed.push_back(SealedBlock{0, std::move(plain0), {}, wire0.size()});
+  out->push_back(ssp::Request::PutData(inode, 0, std::move(wire0)));
+  for (uint32_t idx = 1; idx < desc.block_count; ++idx) {
+    if (!tail_wires[idx].empty()) {  // Kept blocks have no new wire.
+      out->push_back(
+          ssp::Request::PutData(inode, idx, std::move(tail_wires[idx])));
+    }
+  }
+  return file;
 }
 
 MetadataView ObjectCodec::BuildView(
@@ -174,7 +308,7 @@ Result<RowRef> ObjectCodec::RenderRow(const MasterEntry& entry,
           SHAROES_ASSIGN_OR_RETURN(GroupInfo ginfo,
                                    dir_->GetGroup(entry.child.group));
           SHAROES_ASSIGN_OR_RETURN(
-              Bytes wire, EncodeGroupRefBlock(ginfo.public_key, ref));
+              Bytes wire, EncodeRefBlock(ginfo.public_key, ref));
           blocks->push_back(PendingSplitBlock{
               /*is_group=*/true, GroupBlockKey(entry.child.group),
               entry.inode, std::move(wire)});
@@ -188,7 +322,7 @@ Result<RowRef> ObjectCodec::RenderRow(const MasterEntry& entry,
     if (blocks != nullptr) {
       SHAROES_ASSIGN_OR_RETURN(UserInfo uinfo, dir_->GetUser(uid));
       SHAROES_ASSIGN_OR_RETURN(Bytes wire,
-                               EncodeUserRefBlock(uinfo.public_key, ref));
+                               EncodeRefBlock(uinfo.public_key, ref));
       blocks->push_back(PendingSplitBlock{/*is_group=*/false, uid,
                                           entry.inode, std::move(wire)});
     }
@@ -222,11 +356,12 @@ Result<Bytes> ObjectCodec::EncodeTableCopy(
 
   BinaryWriter w;
   w.PutU8(static_cast<uint8_t>(view));
-  w.PutU32(static_cast<uint32_t>(master.entries.size()));
+  // A zero-view copy exists but exposes nothing, not even the count.
+  w.PutU32(view == TableView::kNone
+               ? 0
+               : static_cast<uint32_t>(master.entries.size()));
   switch (view) {
     case TableView::kNone:
-      // Zero-permission copies exist but expose nothing. Entry count is
-      // still written above; overwrite semantics: emit no rows.
       break;
     case TableView::kNamesOnly:
       for (const MasterEntry& e : master.entries) w.PutString(e.name);
@@ -254,14 +389,6 @@ Result<Bytes> ObjectCodec::EncodeTableCopy(
         w.PutBytes(enc_row);
       }
       break;
-  }
-  // A zero-view copy hides even the entry count: re-serialize without it.
-  if (view == TableView::kNone) {
-    BinaryWriter empty;
-    empty.PutU8(static_cast<uint8_t>(view));
-    empty.PutU32(0);
-    return SealAndSign(SigContext("table", dir_inode, copy_selector),
-                       empty.Take(), table_key, bundle.data.sign);
   }
   return SealAndSign(SigContext("table", dir_inode, copy_selector), w.Take(),
                      table_key, bundle.data.sign);
@@ -367,6 +494,16 @@ Bytes DataBlockAad(fs::InodeNum inode, uint32_t block,
   w.PutU64(header.write_gen);
   return w.Take();
 }
+
+/// What block 0's DSK signature covers: AAD || nonce || ciphertext || tag.
+Bytes BlockZeroSigned(const Bytes& aad, const Bytes& nonce, const Bytes& ct,
+                      const Bytes& tag) {
+  Bytes out = aad;
+  Append(out, nonce);
+  Append(out, ct);
+  Append(out, tag);
+  return out;
+}
 }  // namespace
 
 Bytes ObjectCodec::EncodeDataBlock(fs::InodeNum inode, uint32_t block,
@@ -385,11 +522,8 @@ Bytes ObjectCodec::EncodeDataBlock(fs::InodeNum inode, uint32_t block,
     // whose tag_root commits to every tail block's tag, so one signature
     // (unforgeable even by readers, who hold the DEK and could mint
     // valid AEAD tags) anchors the whole file.
-    Bytes to_sign = aad;
-    Append(to_sign, sealed.nonce);
-    Append(to_sign, sealed.ciphertext);
-    Append(to_sign, sealed.tag);
-    sig = engine_->Sign(dsk, to_sign);
+    sig = engine_->Sign(dsk, BlockZeroSigned(aad, sealed.nonce,
+                                             sealed.ciphertext, sealed.tag));
   }
   if (tag_out != nullptr) *tag_out = sealed.tag;
   BinaryWriter w;
@@ -405,7 +539,8 @@ Bytes ObjectCodec::EncodeDataBlock(fs::InodeNum inode, uint32_t block,
 Result<Bytes> ObjectCodec::DecodeDataBlock(fs::InodeNum inode, uint32_t block,
                                            const Bytes& wire,
                                            const crypto::SymmetricKey& dek,
-                                           const crypto::VerifyKey& dvk) {
+                                           const crypto::VerifyKey& dvk,
+                                           Bytes* tag_out) {
   obs::PhaseScope crypto_phase(obs::Phase::kDecryptVerify);
   BinaryReader r(wire);
   DataBlockHeader header;
@@ -418,11 +553,7 @@ Result<Bytes> ObjectCodec::DecodeDataBlock(fs::InodeNum inode, uint32_t block,
   SHAROES_RETURN_IF_ERROR(r.Finish("data block envelope"));
   Bytes aad = DataBlockAad(inode, block, header);
   if (block == 0) {
-    Bytes to_verify = aad;
-    Append(to_verify, nonce);
-    Append(to_verify, ct);
-    Append(to_verify, tag);
-    if (!engine_->Verify(dvk, to_verify, sig)) {
+    if (!engine_->Verify(dvk, BlockZeroSigned(aad, nonce, ct, tag), sig)) {
       return Status::Corruption(
           "data block 0 signature verification failed");
     }
@@ -431,7 +562,9 @@ Result<Bytes> ObjectCodec::DecodeDataBlock(fs::InodeNum inode, uint32_t block,
     // codec did not produce.
     return Status::Corruption("unexpected signature on tail data block");
   }
-  return engine_->AeadOpen(dek, aad, nonce, ct, tag);
+  auto plain = engine_->AeadOpen(dek, aad, nonce, ct, tag);
+  if (plain.ok() && tag_out != nullptr) *tag_out = std::move(tag);
+  return plain;
 }
 
 Result<ObjectCodec::DataBlockHeader> ObjectCodec::PeekDataHeader(
@@ -455,29 +588,16 @@ Result<Bytes> ObjectCodec::PeekDataTag(const Bytes& wire) {
   return tag;
 }
 
-Result<Bytes> ObjectCodec::EncodeUserRefBlock(
-    const crypto::RsaPublicKey& user_pub, const PlainRef& ref) {
+Result<Bytes> ObjectCodec::EncodeRefBlock(const crypto::RsaPublicKey& pub,
+                                          const PlainRef& ref) {
   obs::PhaseScope crypto_phase(obs::Phase::kRenderEncrypt);
-  return engine_->PkEncrypt(user_pub, ref.Serialize());
+  return engine_->PkEncrypt(pub, ref.Serialize());
 }
 
-Result<PlainRef> ObjectCodec::DecodeUserRefBlock(
-    const crypto::RsaPrivateKey& user_priv, const Bytes& wire) {
+Result<PlainRef> ObjectCodec::DecodeRefBlock(const crypto::RsaPrivateKey& priv,
+                                             const Bytes& wire) {
   obs::PhaseScope crypto_phase(obs::Phase::kDecryptVerify);
-  SHAROES_ASSIGN_OR_RETURN(Bytes plain, engine_->PkDecrypt(user_priv, wire));
-  return PlainRef::Deserialize(plain);
-}
-
-Result<Bytes> ObjectCodec::EncodeGroupRefBlock(
-    const crypto::RsaPublicKey& group_pub, const PlainRef& ref) {
-  obs::PhaseScope crypto_phase(obs::Phase::kRenderEncrypt);
-  return engine_->PkEncrypt(group_pub, ref.Serialize());
-}
-
-Result<PlainRef> ObjectCodec::DecodeGroupRefBlock(
-    const crypto::RsaPrivateKey& group_priv, const Bytes& wire) {
-  obs::PhaseScope crypto_phase(obs::Phase::kDecryptVerify);
-  SHAROES_ASSIGN_OR_RETURN(Bytes plain, engine_->PkDecrypt(group_priv, wire));
+  SHAROES_ASSIGN_OR_RETURN(Bytes plain, engine_->PkDecrypt(priv, wire));
   return PlainRef::Deserialize(plain);
 }
 

@@ -12,6 +12,12 @@
 //
 // Signatures bind the object identity (kind, inode, selector/block) so a
 // malicious SSP cannot swap blobs between locations.
+//
+// The codec is also the one writer of the on-SSP layout: the provisioner
+// and the client decide *when* to write, and render every object through
+// NewBundle / RenderReplicas / RenderDirTables / RenderFile, which return
+// the SSP puts in store order with engine calls (key generation, nonces,
+// signatures) in one fixed order.
 
 #ifndef SHAROES_CORE_OBJECT_CODEC_H_
 #define SHAROES_CORE_OBJECT_CODEC_H_
@@ -20,6 +26,7 @@
 #include <vector>
 
 #include "core/refs.h"
+#include "ssp/message.h"
 
 namespace sharoes::core {
 
@@ -48,6 +55,88 @@ class ObjectCodec {
   ObjectCodec(crypto::CryptoEngine* engine, const IdentityDirectory* dir,
               Scheme scheme)
       : engine_(engine), dir_(dir), scheme_(scheme) {}
+
+  /// Cleartext (but AEAD-covered) per-block header: `key_gen` lets
+  /// readers pick dek vs. dek_next (lazy revocation) before decrypting;
+  /// `write_gen` is the file's write generation for freshness/rollback
+  /// detection (SUNDR-style, the paper's §VIII future work). Both are
+  /// associated data of the block's AEAD seal, so a block cannot be
+  /// replayed across key rotations or write generations.
+  struct DataBlockHeader {
+    uint32_t key_gen = 0;
+    uint64_t write_gen = 0;
+  };
+
+  // ----- Layout rendering (every writer goes through these) -----
+
+  /// Generates the key material of a new object with replicas `specs`:
+  /// DSK/DVK, MSK/MVK, one MEK per replica, then the DEK (files) or one
+  /// table key per copy plus the master's (directories).
+  ObjectKeyBundle NewBundle(fs::FileType type,
+                            const std::vector<ReplicaSpec>& specs);
+
+  /// Appends a put for every metadata replica of the object. `dek_gen` and
+  /// `dek_next` carry the data-key rotation state (chmod).
+  void RenderReplicas(const fs::InodeAttrs& attrs,
+                      const std::vector<ReplicaSpec>& specs,
+                      const ObjectKeyBundle& bundle,
+                      std::vector<ssp::Request>* out, uint32_t dek_gen = 0,
+                      const std::optional<crypto::SymmetricKey>& dek_next =
+                          std::nullopt);
+
+  /// What a directory writer keeps of its own copy after rendering: the
+  /// copy's wire size, and its logical view when that view is kFull.
+  struct ReaderCopy {
+    Selector selector = kOtherSelector;
+    size_t wire_size = 0;
+    std::optional<DecodedTable> full;
+  };
+
+  /// Appends puts for a directory's tables: every CAP copy, then the
+  /// master, then the split blocks the copies need. An empty `master`
+  /// renders a new directory. When `reader` is non-null, the copy with
+  /// `reader->selector` is reported back through it.
+  Status RenderDirTables(fs::InodeNum dir_inode, const OwnershipInfo& info,
+                         const MasterTable& master,
+                         const ObjectKeyBundle& bundle,
+                         std::vector<ssp::Request>* out,
+                         ReaderCopy* reader = nullptr);
+
+  /// The parent-table row for a child object.
+  static MasterEntry EntryFor(const std::string& name,
+                              const fs::InodeAttrs& attrs,
+                              const ObjectKeyBundle& bundle);
+
+  /// A tail block a write leaves as stored: the generation it was written
+  /// at and its AEAD tag (the Merkle leaf the new descriptor commits to).
+  struct KeptBlock {
+    uint64_t gen = 0;
+    Bytes tag;
+  };
+  /// One block a file write sealed, for the writer's cache.
+  struct SealedBlock {
+    uint32_t index = 0;
+    Bytes plaintext;  // Block 0: descriptor prefix + first chunk.
+    Bytes tag;        // Tail blocks only.
+    size_t wire_size = 0;
+  };
+  struct RenderedFile {
+    DataDescriptor desc;
+    /// Tail blocks in index order, then block 0.
+    std::vector<SealedBlock> sealed;
+  };
+
+  /// Renders one file write under `header` (key and write generation):
+  /// splits `content` into blocks, seals the tail blocks not in `kept`
+  /// (null: none kept), builds the descriptor whose Merkle root covers
+  /// every tail tag, then seals block 0 around it. Appends the puts in
+  /// store order: block 0, then the sealed tail blocks in index order.
+  RenderedFile RenderFile(fs::InodeNum inode, const Bytes& content,
+                          size_t block_size, const DataBlockHeader& header,
+                          const crypto::SymmetricKey& dek,
+                          const crypto::SigningKey& dsk,
+                          const std::map<uint32_t, KeptBlock>* kept,
+                          std::vector<ssp::Request>* out);
 
   // ----- Metadata replicas -----
 
@@ -106,12 +195,6 @@ class ObjectCodec {
                                         const crypto::SymmetricKey& table_key,
                                         const crypto::VerifyKey& dvk);
 
-  /// Renders the *logical* kFull view of a master table (no encryption,
-  /// no cost charges). Used to refresh a writer's own decoded cache after
-  /// it has already produced and paid for the encrypted copies.
-  Result<DecodedTable> RenderFullTableView(
-      const MasterTable& master, const std::vector<fs::UserId>& universe);
-
   /// Resolves `name` inside an exec-only copy by deriving H_DEK(name)
   /// (paper §III-A). NotFound if no row matches.
   Result<RowRef> ExecOnlyLookup(const DecodedTable& table,
@@ -119,17 +202,6 @@ class ObjectCodec {
                                 const std::string& name);
 
   // ----- File data -----
-
-  /// Cleartext (but AEAD-covered) per-block header: `key_gen` lets
-  /// readers pick dek vs. dek_next (lazy revocation) before decrypting;
-  /// `write_gen` is the file's write generation for freshness/rollback
-  /// detection (SUNDR-style, the paper's §VIII future work). Both are
-  /// associated data of the block's AEAD seal, so a block cannot be
-  /// replayed across key rotations or write generations.
-  struct DataBlockHeader {
-    uint32_t key_gen = 0;
-    uint64_t write_gen = 0;
-  };
 
   /// Seals one data block (DESIGN.md §13):
   ///   wire = key_gen | write_gen | nonce | GCM ciphertext | tag | sig
@@ -147,11 +219,12 @@ class ObjectCodec {
                         Bytes* tag_out = nullptr);
   /// Every integrity failure — bad framing, bad tag, bad/unexpected
   /// signature — is Status::Corruption; no plaintext is ever returned on
-  /// failure.
+  /// failure. `tag_out`, when non-null, receives the verified AEAD tag.
   Result<Bytes> DecodeDataBlock(fs::InodeNum inode, uint32_t block,
                                 const Bytes& wire,
                                 const crypto::SymmetricKey& dek,
-                                const crypto::VerifyKey& dvk);
+                                const crypto::VerifyKey& dvk,
+                                Bytes* tag_out = nullptr);
   /// Reads the cleartext header of an encoded data block.
   static Result<DataBlockHeader> PeekDataHeader(const Bytes& wire);
   /// Reads the AEAD tag of an encoded data block without decrypting (the
@@ -160,15 +233,11 @@ class ObjectCodec {
 
   // ----- RSA-wrapped bootstrap blocks -----
 
-  Result<Bytes> EncodeUserRefBlock(const crypto::RsaPublicKey& user_pub,
-                                   const PlainRef& ref);
-  Result<PlainRef> DecodeUserRefBlock(const crypto::RsaPrivateKey& user_priv,
-                                      const Bytes& wire);
-
-  Result<Bytes> EncodeGroupRefBlock(const crypto::RsaPublicKey& group_pub,
-                                    const PlainRef& ref);
-  Result<PlainRef> DecodeGroupRefBlock(
-      const crypto::RsaPrivateKey& group_priv, const Bytes& wire);
+  /// A split block: the ref wrapped to one user's or one group's key.
+  Result<Bytes> EncodeRefBlock(const crypto::RsaPublicKey& pub,
+                               const PlainRef& ref);
+  Result<PlainRef> DecodeRefBlock(const crypto::RsaPrivateKey& priv,
+                                  const Bytes& wire);
 
   Result<Bytes> EncodeSuperblock(const crypto::RsaPublicKey& user_pub,
                                  const SuperblockPayload& payload);
@@ -192,6 +261,11 @@ class ObjectCodec {
                               const crypto::SymmetricKey& key,
                               const crypto::VerifyKey& verifier,
                               const std::string& what);
+  /// Renders the *logical* kFull view of a master table (no encryption,
+  /// no cost charges): a writer's own decoded copy after it has already
+  /// produced and paid for the encrypted copies.
+  Result<DecodedTable> RenderFullTableView(
+      const MasterTable& master, const std::vector<fs::UserId>& universe);
   /// Builds a RowRef for one master entry as seen by `universe`,
   /// emitting split blocks when readers diverge.
   Result<RowRef> RenderRow(const MasterEntry& entry,

@@ -9,6 +9,7 @@
 #ifndef SHAROES_CORE_REFS_H_
 #define SHAROES_CORE_REFS_H_
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <string>
@@ -176,6 +177,22 @@ struct DataDescriptor {
   void AppendTo(BinaryWriter* w) const;
   static Result<DataDescriptor> ReadFrom(BinaryReader* r);
 };
+
+/// The one block split of file content, shared by every writer and the
+/// baselines: block 0 holds the first `block_size` bytes (after the
+/// descriptor) and each tail block the next `block_size`. An empty file
+/// still has block 0.
+inline uint32_t BlockCount(size_t size, size_t block_size) {
+  return size <= block_size
+             ? 1
+             : static_cast<uint32_t>((size + block_size - 1) / block_size);
+}
+/// The byte range [first, second) of block `idx` in a `size`-byte file.
+inline std::pair<size_t, size_t> BlockRange(uint32_t idx, size_t size,
+                                            size_t block_size) {
+  return {std::min(idx * block_size, size),
+          std::min((idx + 1) * block_size, size)};
+}
 
 /// Pseudo-user id namespace for group split blocks in the SSP's per-user
 /// metadata keyspace.

@@ -42,45 +42,4 @@ Bytes MerkleRoot(const std::vector<Bytes>& leaves) {
   return level[0];
 }
 
-Result<MerkleProof> MerkleProve(const std::vector<Bytes>& leaves,
-                                size_t index) {
-  if (index >= leaves.size()) {
-    return Status::InvalidArgument("merkle proof index out of range");
-  }
-  MerkleProof proof;
-  std::vector<Bytes> level;
-  level.reserve(leaves.size());
-  for (const Bytes& leaf : leaves) level.push_back(HashLeaf(leaf));
-  size_t pos = index;
-  while (level.size() > 1) {
-    MerkleProof::Step step;
-    size_t sibling = pos ^ 1;
-    if (sibling < level.size()) {
-      step.sibling = level[sibling];
-      step.sibling_on_left = sibling < pos;
-    }
-    proof.steps.push_back(std::move(step));
-    std::vector<Bytes> next;
-    next.reserve((level.size() + 1) / 2);
-    for (size_t i = 0; i + 1 < level.size(); i += 2) {
-      next.push_back(HashNode(level[i], level[i + 1]));
-    }
-    if (level.size() % 2 == 1) next.push_back(level.back());
-    level = std::move(next);
-    pos /= 2;
-  }
-  return proof;
-}
-
-bool MerkleVerify(const Bytes& leaf, const MerkleProof& proof,
-                  const Bytes& root) {
-  Bytes node = HashLeaf(leaf);
-  for (const MerkleProof::Step& step : proof.steps) {
-    if (step.sibling.empty()) continue;  // Promoted: node passes through.
-    node = step.sibling_on_left ? HashNode(step.sibling, node)
-                                : HashNode(node, step.sibling);
-  }
-  return ConstantTimeEquals(node, root);
-}
-
 }  // namespace sharoes::crypto

@@ -4,8 +4,7 @@
 // 32-byte root is embedded in the DSK-signed descriptor in block 0, so
 // one signature binds every block of the file together: a cross-block
 // splice or a stale-but-internally-consistent block set changes the root
-// and fails closed. Proofs are O(log n) so a future partial-read path can
-// verify a random block without every sibling tag.
+// and fails closed.
 //
 // Domain separation (second-preimage hardening): leaves hash as
 // SHA256(0x00 || leaf) and interior nodes as SHA256(0x01 || left ||
@@ -17,7 +16,6 @@
 #include <vector>
 
 #include "util/bytes.h"
-#include "util/result.h"
 
 namespace sharoes::crypto {
 
@@ -26,25 +24,6 @@ constexpr size_t kMerkleRootSize = 32;
 /// Root over `leaves` in order. The empty tree has the all-zero root (a
 /// file of one block has no tail tags but still commits to "no tail").
 Bytes MerkleRoot(const std::vector<Bytes>& leaves);
-
-/// Sibling hashes from leaf `index` up to the root (empty for a
-/// single-leaf tree). InvalidArgument if index is out of range.
-struct MerkleProof {
-  /// One step per level: the sibling hash, or empty when the node was
-  /// promoted (no sibling at that level).
-  struct Step {
-    Bytes sibling;
-    bool sibling_on_left = false;
-  };
-  std::vector<Step> steps;
-};
-Result<MerkleProof> MerkleProve(const std::vector<Bytes>& leaves,
-                                size_t index);
-
-/// Recomputes the root from one leaf and its proof; true iff it matches
-/// `root` (constant-time compare — tags are secret-derived).
-bool MerkleVerify(const Bytes& leaf, const MerkleProof& proof,
-                  const Bytes& root);
 
 }  // namespace sharoes::crypto
 

@@ -626,8 +626,6 @@ Status Wal::CommitThrough(uint64_t seq) {
   return Status::OK();
 }
 
-Status Wal::Ack() { return CommitThrough(last_sequence()); }
-
 Status Wal::Sync() {
   std::lock_guard<std::mutex> lock(mu_);
   return SyncLocked();

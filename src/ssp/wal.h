@@ -133,9 +133,9 @@ Result<WalSegmentReplay> ReplayWalSegment(const Bytes& bytes,
 /// load + chained segment replay + torn-tail truncation), then arms the
 /// append path and the background sync/compaction thread.
 ///
-/// Thread safety: Append/Ack/Sync/Compact are safe from any number of
-/// threads. Serving threads must bracket each top-level request in an
-/// OpGuard (see SspServer::Handle) — compaction uses the guard's
+/// Thread safety: Append/CommitThrough/Sync/Compact are safe from any
+/// number of threads. Serving threads must bracket each top-level request
+/// in an OpGuard (see SspServer::Handle) — compaction uses the guard's
 /// exclusive side to pick a cut sequence with no op half-applied.
 class Wal {
  public:
@@ -177,11 +177,6 @@ class Wal {
   /// acked-implies-durable holds verbatim. No-op under kInterval / kOff
   /// (their loss windows are unchanged).
   Status CommitThrough(uint64_t seq);
-
-  /// Legacy per-request durability point: CommitThrough(last_sequence()).
-  /// Prefer CommitThrough with the sequence Append assigned — under
-  /// concurrency this waits for other requests' later appends too.
-  Status Ack();
 
   /// Unconditional fsync of the current segment.
   Status Sync();

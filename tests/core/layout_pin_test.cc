@@ -1,0 +1,177 @@
+// Golden layout pin: the exact bytes every writer of the on-SSP layout
+// produces. Each leg runs a seeded deployment through a fixed op
+// sequence and compares SHA-256 and size of ObjectStore::Serialize()
+// against a recorded value. Any change to object rendering, put order or
+// the order of engine calls (key generation, AEAD nonces, signatures)
+// moves the hash, so refactors of the provisioner, the client write path
+// or the baselines must keep every leg green.
+
+#include <gtest/gtest.h>
+
+#include "crypto/sha256.h"
+#include "testing/world.h"
+#include "workload/harness.h"
+
+namespace sharoes {
+namespace {
+
+using core::CreateOptions;
+using core::RevocationMode;
+using core::Scheme;
+using testing::kAlice;
+using testing::World;
+
+std::string StoreDigest(const ssp::ObjectStore& store) {
+  Bytes image = store.Serialize();
+  return std::to_string(image.size()) + ":" +
+         HexEncode(crypto::Sha256Digest(image));
+}
+
+Bytes Pattern(size_t n, uint8_t salt) {
+  Bytes b(n);
+  for (size_t i = 0; i < n; ++i) {
+    b[i] = static_cast<uint8_t>(i * 31 + salt);
+  }
+  return b;
+}
+
+struct SharoesLeg {
+  Scheme scheme;
+  RevocationMode revocation;
+  const char* digest;
+};
+
+/// Migrates DefaultTree(), then as alice: create + 3-block-and-100-byte
+/// write, a one-byte overwrite (the block diff path), chmod to owner-only
+/// (a revocation), mkdir, a cross-directory rename and an unlink. Lazy
+/// legs write once more after the chmod so the dek_next rotation runs.
+std::string RunSharoesSequence(Scheme scheme, RevocationMode revocation) {
+  World::Options opts;
+  opts.scheme = scheme;
+  opts.revocation = revocation;
+  World world(opts);
+  EXPECT_TRUE(world.MigrateAndMountAll(World::DefaultTree()).ok());
+  auto& alice = world.client(kAlice);
+
+  CreateOptions file_opts;
+  file_opts.mode = World::ParseMode("rw-rw----");
+  EXPECT_TRUE(alice.Create("/shared/pin.bin", file_opts).ok());
+  Bytes content = Pattern(3 * 4096 + 100, 7);
+  EXPECT_TRUE(alice.WriteFile("/shared/pin.bin", content).ok());
+  content[5000] ^= 0x01;
+  EXPECT_TRUE(alice.WriteFile("/shared/pin.bin", content).ok());
+  EXPECT_TRUE(
+      alice.Chmod("/shared/pin.bin", World::ParseMode("rw-------")).ok());
+  if (revocation == RevocationMode::kLazy) {
+    content[100] ^= 0x01;
+    EXPECT_TRUE(alice.WriteFile("/shared/pin.bin", content).ok());
+  }
+  CreateOptions dir_opts;
+  dir_opts.mode = World::ParseMode("rwxrwx---");
+  EXPECT_TRUE(alice.Mkdir("/shared/sub", dir_opts).ok());
+  EXPECT_TRUE(alice.Rename("/shared/pin.bin", "/shared/sub/pin.bin").ok());
+  EXPECT_TRUE(alice.Unlink("/shared/plan.md").ok());
+
+  alice.DropCaches();
+  auto back = alice.Read("/shared/sub/pin.bin");
+  EXPECT_TRUE(back.ok()) << back.status();
+  if (back.ok()) {
+    EXPECT_EQ(*back, content);
+  }
+  return StoreDigest(world.server().store());
+}
+
+class SharoesLayoutPin : public ::testing::TestWithParam<SharoesLeg> {};
+
+TEST_P(SharoesLayoutPin, StoreBytesMatchGolden) {
+  const SharoesLeg& leg = GetParam();
+  EXPECT_EQ(RunSharoesSequence(leg.scheme, leg.revocation), leg.digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Legs, SharoesLayoutPin,
+    ::testing::Values(
+        SharoesLeg{Scheme::kScheme1, RevocationMode::kImmediate,
+                   "34409:e283f94ac1aabc5d1adffa737456211a"
+                   "5050ed2afdaa47df58c5f4df86423dd9"},
+        SharoesLeg{Scheme::kScheme1, RevocationMode::kLazy,
+                   "34429:359e315bde8ec6838946aaf6841a4568"
+                   "f8f75b94abafe2c18f9caa5e5ed3207b"},
+        SharoesLeg{Scheme::kScheme2, RevocationMode::kImmediate,
+                   "34409:af7ebab0333d0b6b9aba2b671223d5e8"
+                   "fd314ecbc04bb51dbe437c11c8917ab9"},
+        SharoesLeg{Scheme::kScheme2, RevocationMode::kLazy,
+                   "34429:f38bdf29eeb0b971d25a56fe1b7e75e1"
+                   "fad9ca08961c289177a06131ce2e5673"}));
+
+TEST(LayoutPinTest, MigratedMultiBlockFile) {
+  // The provisioner's own file encoder on a file with tail blocks
+  // (DefaultTree's files all fit in block 0).
+  World world;
+  core::LocalNode root =
+      core::LocalNode::Dir("", kAlice, testing::kEng,
+                           World::ParseMode("rwxr-xr-x"));
+  root.children.push_back(core::LocalNode::File(
+      "big.bin", kAlice, testing::kEng, World::ParseMode("rw-rw-r--"),
+      Pattern(18000, 3)));
+  root.children.push_back(core::LocalNode::File(
+      "empty.bin", kAlice, testing::kEng, World::ParseMode("rw-r-----"),
+      Bytes{}));
+  ASSERT_TRUE(world.MigrateAndMountAll(root).ok());
+  EXPECT_EQ(StoreDigest(world.server().store()),
+            "25199:e33abc544f5e953d33103e2776a5d592"
+            "9c7b68663b6cf30462c35fc8fa21fc41");
+}
+
+struct BaselineLeg {
+  workload::SystemVariant variant;
+  const char* digest;
+};
+
+/// A baseline deployment: create + 2-block-and-100-byte write, mkdir and
+/// a cross-directory rename.
+std::string RunBaselineSequence(workload::SystemVariant variant) {
+  workload::BenchWorldOptions opts;
+  opts.variant = variant;
+  opts.user_key_bits = 512;
+  workload::BenchWorld world(opts);
+  core::FsClient& client = world.client();
+  CreateOptions file_opts;
+  file_opts.mode = fs::Mode::FromOctal(0644);
+  EXPECT_TRUE(client.Create("/work/a.txt", file_opts).ok());
+  EXPECT_TRUE(client.WriteFile("/work/a.txt", Pattern(2 * 4096 + 100, 11))
+                  .ok());
+  CreateOptions dir_opts;
+  dir_opts.mode = fs::Mode::FromOctal(0755);
+  EXPECT_TRUE(client.Mkdir("/work/d", dir_opts).ok());
+  EXPECT_TRUE(client.Rename("/work/a.txt", "/work/d/a.txt").ok());
+  auto back = client.Read("/work/d/a.txt");
+  EXPECT_TRUE(back.ok()) << back.status();
+  return StoreDigest(world.server().store());
+}
+
+class BaselineLayoutPin : public ::testing::TestWithParam<BaselineLeg> {};
+
+TEST_P(BaselineLayoutPin, StoreBytesMatchGolden) {
+  const BaselineLeg& leg = GetParam();
+  EXPECT_EQ(RunBaselineSequence(leg.variant), leg.digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, BaselineLayoutPin,
+    ::testing::Values(
+        BaselineLeg{workload::SystemVariant::kNoEncMdD,
+                    "8977:98a9d6b2f806474cdbbf090ce0b9ddd3"
+                    "58497cf1a3661a7b37f52da3e240fcfc"},
+        BaselineLeg{workload::SystemVariant::kNoEncMd,
+                    "9137:a57ec2e6d834e3de40bca7f9a4e7b2ae"
+                    "b0ea53a731da09ee45715441f6e95e15"},
+        BaselineLeg{workload::SystemVariant::kPublic,
+                    "27301:1b35065600db8274436d58cdbd8acf9e"
+                    "b49f4db179224f05302f04b731d244c5"},
+        BaselineLeg{workload::SystemVariant::kPubOpt,
+                    "24373:13e4ba32e35c358f565203ac6efedaa8"
+                    "5ba8d208dd1d96287688d9779a131d01"}));
+
+}  // namespace
+}  // namespace sharoes

@@ -466,9 +466,9 @@ TEST_F(ObjectCodecTest, UserRefBlockRoundTrip) {
   ref.selector = kGroupSelector;
   ref.mek = engine_.NewSymmetricKey();
   ref.mvk = crypto::VerifyKey{engine_.NewUserKeyPair(512).pub};
-  auto wire = codec_.EncodeUserRefBlock(user.pub, ref);
+  auto wire = codec_.EncodeRefBlock(user.pub, ref);
   ASSERT_TRUE(wire.ok());
-  auto back = codec_.DecodeUserRefBlock(user.priv, *wire);
+  auto back = codec_.DecodeRefBlock(user.priv, *wire);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->inode, 9u);
   EXPECT_EQ(back->selector, kGroupSelector);

@@ -221,5 +221,65 @@ TEST(RevocationTest, AddedGroupMemberGainsAccessAfterRefresh) {
   EXPECT_EQ(ToString(*read), "eng only");
 }
 
+/// Forwards to a real in-process connection, except that once armed it
+/// answers the next mutating call with a transient kError and drops the
+/// request: the store keeps its old state, as after a transport or
+/// quorum failure.
+class FailNextWriteChannel : public ssp::SspChannel {
+ public:
+  explicit FailNextWriteChannel(ssp::SspChannel* inner) : inner_(inner) {}
+
+  void Arm() { armed_ = true; }
+
+  Result<ssp::Response> Call(const ssp::Request& req) override {
+    bool mutates = ssp::IsMutatingOp(req.op);
+    for (const ssp::Request& sub : req.batch) {
+      mutates = mutates || ssp::IsMutatingOp(sub.op);
+    }
+    if (armed_ && mutates) {
+      armed_ = false;
+      return ssp::Response::Error();
+    }
+    return inner_->Call(req);
+  }
+
+ private:
+  ssp::SspChannel* inner_;  // Not owned.
+  bool armed_ = false;
+};
+
+TEST(RevocationTest, FailedImmediateChmodKeepsFileReadable) {
+  // Regression: an immediate-revocation chmod recorded the file's new
+  // write generation before its batch shipped. When the batch failed the
+  // store kept the old generation, and every later read by the owner
+  // failed as a rollback.
+  World world;
+  ASSERT_TRUE(world.MigrateAndMountAll(World::DefaultTree()).ok());
+
+  crypto::CryptoEngineOptions eng_opts;
+  eng_opts.cost_model = crypto::CryptoCostModel::Zero();
+  eng_opts.signing_key_bits = 512;
+  eng_opts.rng_seed = 0xC4A0D;
+  crypto::CryptoEngine engine(&world.clock(), eng_opts);
+  net::Transport transport(&world.clock(), net::NetworkModel::Zero());
+  ssp::SspConnection real(&world.server(), &transport);
+  FailNextWriteChannel channel(&real);
+  core::ClientOptions copts;
+  copts.default_group = kEng;
+  core::SharoesClient alice(kAlice, world.user_key(kAlice),
+                            &world.identity(), &channel, &engine, copts);
+  ASSERT_TRUE(alice.Mount().ok());
+
+  auto before = alice.Read("/shared/plan.md");
+  ASSERT_TRUE(before.ok()) << before.status();
+  channel.Arm();
+  Status s = alice.Chmod("/shared/plan.md", World::ParseMode("rw-------"));
+  ASSERT_FALSE(s.ok());
+
+  auto after = alice.Read("/shared/plan.md");
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(ToString(*after), "Q3 plan");
+}
+
 }  // namespace
 }  // namespace sharoes

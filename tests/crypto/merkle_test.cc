@@ -69,47 +69,5 @@ TEST(MerkleTest, LeafCountMatters) {
   }
 }
 
-TEST(MerkleTest, ProofsVerifyForEveryIndex) {
-  for (size_t n = 1; n <= 12; ++n) {
-    auto leaves = RandomLeaves(n, 300 + n);
-    Bytes root = MerkleRoot(leaves);
-    for (size_t i = 0; i < n; ++i) {
-      auto proof = MerkleProve(leaves, i);
-      ASSERT_TRUE(proof.ok()) << "n=" << n << " i=" << i;
-      EXPECT_TRUE(MerkleVerify(leaves[i], *proof, root))
-          << "n=" << n << " i=" << i;
-    }
-  }
-}
-
-TEST(MerkleTest, ProofRejectsWrongLeafAndWrongRoot) {
-  auto leaves = RandomLeaves(6, 4);
-  Bytes root = MerkleRoot(leaves);
-  auto proof = MerkleProve(leaves, 2);
-  ASSERT_TRUE(proof.ok());
-  Bytes wrong_leaf = leaves[2];
-  wrong_leaf[3] ^= 0x80;
-  EXPECT_FALSE(MerkleVerify(wrong_leaf, *proof, root));
-  Bytes wrong_root = root;
-  wrong_root[0] ^= 1;
-  EXPECT_FALSE(MerkleVerify(leaves[2], *proof, wrong_root));
-  // A proof for one index does not authenticate another leaf.
-  EXPECT_FALSE(MerkleVerify(leaves[3], *proof, root));
-}
-
-TEST(MerkleTest, ProveOutOfRangeFails) {
-  auto leaves = RandomLeaves(3, 5);
-  EXPECT_FALSE(MerkleProve(leaves, 3).ok());
-  EXPECT_FALSE(MerkleProve({}, 0).ok());
-}
-
-TEST(MerkleTest, ProofDepthIsLogarithmic) {
-  auto leaves = RandomLeaves(9, 6);
-  auto proof = MerkleProve(leaves, 0);
-  ASSERT_TRUE(proof.ok());
-  // 9 leaves -> depth ceil(log2(9)) = 4 levels of siblings at most.
-  EXPECT_LE(proof->steps.size(), 4u);
-}
-
 }  // namespace
 }  // namespace sharoes::crypto

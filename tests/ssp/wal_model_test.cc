@@ -242,7 +242,14 @@ TEST(WalModelConcurrency, CompactRacesAppendsWithoutTearingTheCut) {
     }
     Rng rng(0xABCD + static_cast<uint64_t>(t));
     fs::InodeNum base = 1 + static_cast<fs::InodeNum>(t) * 1000;
-    for (int i = 0; i < 120; ++i) {
+    // Writer 0 keeps appending until the compactor has cut at least once,
+    // so a compaction races the appends however the threads get scheduled
+    // (the bound only stops a failed compactor from hanging the test).
+    auto more = [&](int i) {
+      return i < 120 ||
+             (t == 0 && (*wal)->compactions() == 0 && i < 1'000'000);
+    };
+    for (int i = 0; more(i); ++i) {
       Request op = RandomOp(&rng, base, /*spread=*/11);
       Response resp = server.Handle(op);
       if (resp.status != RespStatus::kOk) {
