@@ -157,14 +157,18 @@ std::string SharoesClient::MasterCacheKey(fs::InodeNum inode) {
   return "M|" + std::to_string(inode);
 }
 
-std::string SharoesClient::UserSplitCacheKey(fs::InodeNum inode,
+std::string SharoesClient::UserSplitCacheKey(fs::InodeNum parent,
+                                             fs::InodeNum child,
                                              fs::UserId uid) {
-  return "u|" + std::to_string(inode) + "|" + std::to_string(uid);
+  return "u|" + std::to_string(parent) + "|" + std::to_string(child) + "|" +
+         std::to_string(uid);
 }
 
-std::string SharoesClient::GroupSplitCacheKey(fs::InodeNum inode,
+std::string SharoesClient::GroupSplitCacheKey(fs::InodeNum parent,
+                                              fs::InodeNum child,
                                               uint32_t id) {
-  return "g|" + std::to_string(inode) + "|" + std::to_string(id);
+  return "g|" + std::to_string(parent) + "|" + std::to_string(child) + "|" +
+         std::to_string(id);
 }
 
 std::string SharoesClient::NegDentryCacheKey(fs::InodeNum dir_inode,
@@ -178,6 +182,8 @@ void SharoesClient::InvalidateInode(fs::InodeNum inode) {
   cache_.ErasePrefix("t|" + id + "|");
   cache_.ErasePrefix("d|" + id + "|");
   cache_.ErasePrefix("e|" + id + "|");
+  // Split refs are keyed by parent: these are the refs of this inode's
+  // children, whose rows live in the table copies erased above.
   cache_.ErasePrefix("u|" + id + "|");
   cache_.ErasePrefix("g|" + id + "|");
   neg_cache_.ErasePrefix("n|" + id + "|");
@@ -447,15 +453,18 @@ Result<GroupSecret> SharoesClient::FetchGroupSecret(fs::GroupId gid) {
   return secret;
 }
 
-Result<PlainRef> SharoesClient::ResolveRowRef(const RowRef& row) {
+Result<PlainRef> SharoesClient::ResolveRowRef(fs::InodeNum parent,
+                                             const RowRef& row) {
   if (row.kind == RowRef::Kind::kPlain) return row.plain;
   // Split point. A per-user block takes precedence (it exists exactly for
   // readers whose class diverges from the shared group block — e.g. the
   // child's owner, who may also be a group member); group members without
-  // one fall back to the shared group block.
-  std::string ukey = UserSplitCacheKey(row.inode, uid_);
+  // one fall back to the shared group block. The unwrapped ref is part of
+  // the parent's row, so it is cached under the parent and lives as long
+  // as the parent's table: re-opening the child pays no RSA op again.
+  std::string ukey = UserSplitCacheKey(parent, row.inode, uid_);
   if (auto cached = cache_.Get<PlainRef>(ukey)) return *cached;
-  std::string gkey = GroupSplitCacheKey(row.inode, row.gid);
+  std::string gkey = GroupSplitCacheKey(parent, row.inode, row.gid);
   if (row.has_group_block && principal_.MemberOf(row.gid)) {
     if (auto cached = cache_.Get<PlainRef>(gkey)) return *cached;
   }
@@ -553,7 +562,7 @@ Result<SharoesClient::Node> SharoesClient::ResolvePath(
         return Status::PermissionDenied(
             "directory CAP does not permit traversal");
     }
-    SHAROES_ASSIGN_OR_RETURN(ref, ResolveRowRef(row));
+    SHAROES_ASSIGN_OR_RETURN(ref, ResolveRowRef(node.ref.inode, row));
   }
 }
 
@@ -731,6 +740,9 @@ Status SharoesClient::RenderDirTables(const WriterDirContext& ctx,
   // client keeps the table it just modified in memory).
   std::string id = std::to_string(inode);
   cache_.ErasePrefix("t|" + id + "|");
+  // The render rewrote the split blocks of this directory's rows.
+  cache_.ErasePrefix("u|" + id + "|");
+  cache_.ErasePrefix("g|" + id + "|");
   // The directory's membership just changed: names that were absent may
   // exist now, so every negative dentry under it is stale.
   neg_cache_.ErasePrefix("n|" + id + "|");
@@ -844,7 +856,17 @@ Result<Bytes> SharoesClient::FetchFileContent(const Node& node) {
                              MultiGet(std::move(gets)));
     const ssp::Response& r0 = resps[0];
     if (r0.status == ssp::RespStatus::kNotFound) {
-      return Bytes{};  // Never written: empty file.
+      auto seen = freshness_.find(inode);
+      if (!options_.track_freshness || seen == freshness_.end() ||
+          seen->second.write_gen == 0) {
+        return Bytes{};  // Never written: empty file.
+      }
+      // A file this client saw written loses its data only with its
+      // metadata (an unlink: FetchView says NotFound). Otherwise the SSP
+      // dropped the data, which must not read as an empty file.
+      cache_.Erase(ViewCacheKey(inode, node.ref.selector));
+      SHAROES_RETURN_IF_ERROR(FetchView(node.ref).status());
+      return Status::Corruption("data dropped: block 0 missing at the SSP");
     }
     if (!r0.ok()) {
       // A transient kError is NOT a missing block: surfacing it as

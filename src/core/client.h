@@ -165,6 +165,8 @@ class SharoesClient : public FsClient {
   /// Drops only the target object's cached state (metadata, tables, data)
   /// while keeping the resolved path prefix warm — models a dcache-warm
   /// client re-fetching one object, the unit the paper's Figure 13 times.
+  /// The object's own row ref stays cached with its parent's table, split
+  /// point or not, so the re-fetch pays no RSA op.
   Status EvictPath(const std::string& path);
 
  private:
@@ -231,7 +233,9 @@ class SharoesClient : public FsClient {
                               const std::vector<uint32_t>& indices,
                               const ssp::Response* resps);
   Result<std::shared_ptr<const DecodedTable>> FetchTable(const Node& dir);
-  Result<PlainRef> ResolveRowRef(const RowRef& row);
+  /// The child's PlainRef from a row of `parent`'s table; a split row's
+  /// unwrapped ref is cached under the parent (see UserSplitCacheKey).
+  Result<PlainRef> ResolveRowRef(fs::InodeNum parent, const RowRef& row);
   Result<GroupSecret> FetchGroupSecret(fs::GroupId gid);
 
   // --- Mutation helpers ---
@@ -276,6 +280,9 @@ class SharoesClient : public FsClient {
   fs::InodeNum AllocateInode();
   void ChargeClientOverhead();
   std::string ViewCacheKey(fs::InodeNum inode, Selector sel) const;
+  /// Drops what is cached about `inode` ("m|", "t|", "d|", "e|", "n|"
+  /// under it) and the split refs of its children ("u|"/"g|" under it).
+  /// The inode's own split ref belongs to its parent's row and survives.
   void InvalidateInode(fs::InodeNum inode);
 
   // --- Cache-key chokepoint ---
@@ -286,13 +293,17 @@ class SharoesClient : public FsClient {
   // copy, "M|" master table, "u|"/"g|" split blocks, "n|" negative
   // dentry ("m|" view keys live in ViewCacheKey, which needs Scheme
   // state). Data/tag keys share the "<inode>|<block>" suffix so a block
-  // and its tag invalidate together.
+  // and its tag invalidate together. Split keys lead with the parent
+  // inode ("<parent>|<child>|<id>"): the unwrapped ref is part of the
+  // parent's row and dies with the parent's table, not with the child.
   static std::string DataCacheKey(fs::InodeNum inode, uint32_t block);
   static std::string TagCacheKey(fs::InodeNum inode, uint32_t block);
   static std::string TableCacheKey(fs::InodeNum inode, Selector sel);
   static std::string MasterCacheKey(fs::InodeNum inode);
-  static std::string UserSplitCacheKey(fs::InodeNum inode, fs::UserId uid);
-  static std::string GroupSplitCacheKey(fs::InodeNum inode, uint32_t id);
+  static std::string UserSplitCacheKey(fs::InodeNum parent,
+                                       fs::InodeNum child, fs::UserId uid);
+  static std::string GroupSplitCacheKey(fs::InodeNum parent,
+                                        fs::InodeNum child, uint32_t id);
   /// `name` must be a single path component (no '/'); the directory
   /// identity comes from the already-resolved inode, so alias spellings
   /// of the directory path collapse to one key.

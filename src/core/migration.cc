@@ -211,11 +211,4 @@ Status Provisioner::RefreshSuperblocks() {
   return WriteSuperblocks(*root_);
 }
 
-Status Provisioner::InitFilesystem(fs::UserId owner, fs::GroupId group,
-                                   fs::Mode mode) {
-  LocalNode root = LocalNode::Dir("", owner, group, mode);
-  auto r = Migrate(root);
-  return r.ok() ? Status::OK() : r.status();
-}
-
 }  // namespace sharoes::core

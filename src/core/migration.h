@@ -113,9 +113,6 @@ class Provisioner {
   /// previous filesystem content.
   Result<MigrationStats> Migrate(const LocalNode& root_spec);
 
-  /// Creates an empty filesystem: a root directory owned by `owner`.
-  Status InitFilesystem(fs::UserId owner, fs::GroupId group, fs::Mode mode);
-
   /// Group-membership revocation (paper §II-A / §IV-A.1 footnote):
   /// removes the member, rotates the group key pair and rewraps blocks
   /// for the remaining members. Data/row re-wrapping is lazy — owners

@@ -150,6 +150,33 @@ TEST_F(FreshnessTest, ImmediateRevocationAdvancesGeneration) {
   EXPECT_FALSE(read.ok());
 }
 
+TEST_F(FreshnessTest, DroppedDataDoesNotReadAsEmpty) {
+  // Bob has seen generation 1. An SSP that then drops the file's data
+  // blocks (but keeps its metadata) must not make it read as empty.
+  auto& bob = world_->client(kBob);
+  ASSERT_TRUE(bob.Read("/log.txt").ok());
+  world_->server().store().DeleteInode(ssp::ObjectFamily::kData, inode_);
+  ASSERT_TRUE(bob.EvictPath("/log.txt").ok());
+  auto read = bob.Read("/log.txt");
+  EXPECT_FALSE(read.ok()) << "read " << read->size() << " bytes";
+  EXPECT_TRUE(read.status().IsCorruption()) << read.status();
+}
+
+TEST_F(FreshnessTest, DataGoneWithItsMetadataIsNotFound) {
+  // A file Bob has seen written loses its data to a legitimate unlink:
+  // the metadata goes too, and the read says NotFound, not Corruption.
+  auto& bob = world_->client(kBob);
+  ASSERT_TRUE(bob.Read("/log.txt").ok());
+  // Bob keeps the view but not the data (a Getattr after an evict), so
+  // the read below resolves the file and then finds no block 0.
+  ASSERT_TRUE(bob.EvictPath("/log.txt").ok());
+  ASSERT_TRUE(bob.Getattr("/log.txt").ok());
+  ASSERT_TRUE(world_->client(kAlice).Unlink("/log.txt").ok());
+  auto read = bob.Read("/log.txt");
+  EXPECT_FALSE(read.ok()) << "read " << read->size() << " bytes";
+  EXPECT_TRUE(read.status().IsNotFound()) << read.status();
+}
+
 TEST_F(FreshnessTest, TrackingCanBeDisabled) {
   // With track_freshness off, the rolled-back (validly signed) version
   // is accepted — the paper's base system without the §VIII extension.

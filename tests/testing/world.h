@@ -125,6 +125,8 @@ class World {
   /// The per-user simulated link; counters() gives wire round trips and
   /// bytes, which is what the round-trip benchmarks and tests assert on.
   net::Transport& transport(fs::UserId uid) { return *transports_.at(uid); }
+  /// The per-user crypto engine; op_counts() gives its RSA/AEAD/sign ops.
+  crypto::CryptoEngine& engine(fs::UserId uid) { return *engines_.at(uid); }
   core::Provisioner& provisioner() { return *provisioner_; }
   ssp::SspServer& server() { return server_; }
   core::IdentityDirectory& identity() { return identity_; }
