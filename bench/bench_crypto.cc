@@ -190,16 +190,17 @@ int WriteJson(const std::string& path) {
   Bytes iv = rng.NextBytes(kAesBlockSize);
   Bytes nonce = rng.NextBytes(kAeadNonceSize);
   std::vector<JsonRow> rows;
-  std::vector<const char*> impls = {"portable"};
-  if (CpuHasAesClmul()) impls.push_back("accelerated");
+  std::vector<AeadImpl> impls = {AeadImpl::kPortable};
+  if (CpuHasAesClmul()) impls.push_back(AeadImpl::kAccelerated);
 
   for (size_t size : {size_t{4096}, size_t{1} << 20}) {
     Bytes data = rng.NextBytes(size);
     Bytes tag;
     Bytes ct = GcmSeal(key, nonce, {}, data, &tag);
-    for (const char* impl : impls) {
-      bool accel = std::strcmp(impl, "accelerated") == 0;
-      ForceAeadImpl(accel ? AeadImpl::kAccelerated : AeadImpl::kPortable);
+    for (AeadImpl aead : impls) {
+      bool accel = aead == AeadImpl::kAccelerated;
+      const char* impl = AeadImplName(aead);
+      ForceAeadImpl(aead);
       rows.push_back({"aes_ctr", impl, size,
                       Throughput(size, [&] {
                         benchmark::DoNotOptimize(

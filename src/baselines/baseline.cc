@@ -11,6 +11,9 @@ namespace sharoes::baselines {
 namespace {
 /// Pseudo-user slot holding the shared plaintext superblock.
 constexpr uint32_t kSuperblockSlot = 0;
+/// Key-blob padding of a PUBLIC / PUB-OPT record, calibrated to the
+/// paper's Figure 9 (~16 RSA blocks per metadata object; EXPERIMENTS.md).
+constexpr size_t kSigningMaterialPad = 3700;
 }  // namespace
 
 std::string SecurityModeName(SecurityMode mode) {
@@ -57,7 +60,7 @@ BaselineRecord BaselineCodec::NewRecord(const fs::InodeAttrs& attrs) {
   }
   if (options_.mode == SecurityMode::kPublic ||
       options_.mode == SecurityMode::kPubOpt) {
-    rec.signing_material = Bytes(options_.metadata_pad, 0x5A);
+    rec.signing_material = Bytes(kSigningMaterialPad, 0x5A);
   }
   return rec;
 }
@@ -209,7 +212,7 @@ BaselineClient::BaselineClient(fs::UserId uid,
 
 void BaselineClient::ChargeClientOverhead() {
   if (engine_->clock() != nullptr) {
-    engine_->clock()->AdvanceMs(options_.client_overhead_ms,
+    engine_->clock()->AdvanceMs(core::kClientOverheadMs,
                                 CostCategory::kOther);
   }
 }

@@ -65,9 +65,6 @@ struct BaselineOptions {
   SecurityMode mode = SecurityMode::kNoEncMdD;
   size_t cache_bytes = 64ull << 20;
   size_t block_size = 4096;
-  double client_overhead_ms = 5.0;
-  /// Size the serialized record is padded to in the encrypting modes.
-  size_t metadata_pad = 3700;
 };
 
 /// The one writer of the baseline layout, shared by the provisioner and

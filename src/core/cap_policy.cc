@@ -110,11 +110,4 @@ CapFields CapFieldsFor(fs::FileType type, fs::PermTriple effective,
                                           : FileCapFields(effective, owner);
 }
 
-std::string CapName(fs::FileType type, fs::PermTriple effective, bool owner) {
-  std::string s = type == fs::FileType::kDirectory ? "dir:" : "file:";
-  s += fs::PermTripleToString(effective);
-  if (owner) s += "(owner)";
-  return s;
-}
-
 }  // namespace sharoes::core

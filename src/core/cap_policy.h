@@ -16,8 +16,6 @@
 #ifndef SHAROES_CORE_CAP_POLICY_H_
 #define SHAROES_CORE_CAP_POLICY_H_
 
-#include <string>
-
 #include "fs/mode.h"
 #include "fs/types.h"
 
@@ -74,10 +72,6 @@ CapFields FileCapFields(fs::PermTriple effective, bool owner);
 /// Dispatches on type.
 CapFields CapFieldsFor(fs::FileType type, fs::PermTriple effective,
                        bool owner);
-
-/// Human-readable CAP name for logs/benchmarks, e.g. "dir:r-x" or
-/// "file:rw-(owner)".
-std::string CapName(fs::FileType type, fs::PermTriple effective, bool owner);
 
 }  // namespace sharoes::core
 

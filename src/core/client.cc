@@ -131,8 +131,7 @@ uint32_t SharoesClient::InitialWindowBlocks() const {
 
 void SharoesClient::ChargeClientOverhead() {
   if (engine_->clock() != nullptr) {
-    engine_->clock()->AdvanceMs(options_.client_overhead_ms,
-                                CostCategory::kOther);
+    engine_->clock()->AdvanceMs(kClientOverheadMs, CostCategory::kOther);
   }
 }
 
@@ -182,6 +181,7 @@ void SharoesClient::InvalidateInode(fs::InodeNum inode) {
   cache_.ErasePrefix("t|" + id + "|");
   cache_.ErasePrefix("d|" + id + "|");
   cache_.ErasePrefix("e|" + id + "|");
+  cache_.Erase(MasterCacheKey(inode));
   // Split refs are keyed by parent: these are the refs of this inode's
   // children, whose rows live in the table copies erased above.
   cache_.ErasePrefix("u|" + id + "|");
@@ -857,8 +857,7 @@ Result<Bytes> SharoesClient::FetchFileContent(const Node& node) {
     const ssp::Response& r0 = resps[0];
     if (r0.status == ssp::RespStatus::kNotFound) {
       auto seen = freshness_.find(inode);
-      if (!options_.track_freshness || seen == freshness_.end() ||
-          seen->second.write_gen == 0) {
+      if (seen == freshness_.end() || seen->second.write_gen == 0) {
         return Bytes{};  // Never written: empty file.
       }
       // A file this client saw written loses its data only with its
@@ -891,25 +890,23 @@ Result<Bytes> SharoesClient::FetchFileContent(const Node& node) {
   // generation this client has observed for an inode must never move
   // backwards. An SSP serving a stale-but-validly-signed version is
   // caught here.
-  if (options_.track_freshness) {
-    auto it = freshness_.find(inode);
-    if (it != freshness_.end()) {
-      if (desc.write_gen < it->second.write_gen) {
-        return Status::Corruption(
-            "rollback detected: write generation regressed");
-      }
-      // Same generation but a different tag root is SSP equivocation:
-      // two distinct contents presented under one write generation.
-      if (desc.write_gen == it->second.write_gen &&
-          !it->second.tag_root.empty() &&
-          !ConstantTimeEquals(desc.tag_root, it->second.tag_root)) {
-        return Status::Corruption(
-            "rollback detected: different content presented at the same "
-            "write generation");
-      }
+  auto it = freshness_.find(inode);
+  if (it != freshness_.end()) {
+    if (desc.write_gen < it->second.write_gen) {
+      return Status::Corruption(
+          "rollback detected: write generation regressed");
     }
-    freshness_[inode] = FreshnessRecord{desc.write_gen, desc.tag_root};
+    // Same generation but a different tag root is SSP equivocation:
+    // two distinct contents presented under one write generation.
+    if (desc.write_gen == it->second.write_gen &&
+        !it->second.tag_root.empty() &&
+        !ConstantTimeEquals(desc.tag_root, it->second.tag_root)) {
+      return Status::Corruption(
+          "rollback detected: different content presented at the same "
+          "write generation");
+    }
   }
+  freshness_[inode] = FreshnessRecord{desc.write_gen, desc.tag_root};
 
   std::vector<Bytes> tail_tags;  // Merkle leaves: blocks 1..block_count-1.
   if (desc.block_count > 1) {

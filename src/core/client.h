@@ -41,12 +41,6 @@ struct ClientOptions {
   size_t block_size = 4096;
   /// Group id attached to newly created objects.
   fs::GroupId default_group = fs::kInvalidGroup;
-  /// Fixed per-operation client handling cost ("OTHER" in Figure 13).
-  double client_overhead_ms = 5.0;
-  /// SUNDR-style freshness tracking (paper §VIII future work): reject
-  /// reads whose write generation regresses below what this client has
-  /// already observed for the inode.
-  bool track_freshness = true;
   /// Batched read path (DESIGN.md §11): ResolvePath coalesces each
   /// level's metadata + table fetch into one kBatch round trip, and
   /// FetchFileContent fetches data blocks in readahead windows. Off =
@@ -281,7 +275,9 @@ class SharoesClient : public FsClient {
   void ChargeClientOverhead();
   std::string ViewCacheKey(fs::InodeNum inode, Selector sel) const;
   /// Drops what is cached about `inode` ("m|", "t|", "d|", "e|", "n|"
-  /// under it) and the split refs of its children ("u|"/"g|" under it).
+  /// under it, and its "M|" master table, so a writer re-renders a
+  /// directory from the master the SSP holds) and the split refs of its
+  /// children ("u|"/"g|" under it).
   /// The inode's own split ref belongs to its parent's row and survives.
   void InvalidateInode(fs::InodeNum inode);
 

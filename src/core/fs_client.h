@@ -21,6 +21,10 @@
 
 namespace sharoes::core {
 
+/// Fixed per-operation client handling cost ("OTHER" in Figure 13), the
+/// same for SHAROES and every baseline.
+inline constexpr double kClientOverheadMs = 5.0;
+
 /// Options for object creation.
 struct CreateOptions {
   fs::Mode mode = fs::Mode::FromOctal(0644);

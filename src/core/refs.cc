@@ -239,13 +239,6 @@ MasterEntry* MasterTable::Find(const std::string& name) {
   return nullptr;
 }
 
-const MasterEntry* MasterTable::Find(const std::string& name) const {
-  for (const MasterEntry& e : entries) {
-    if (e.name == name) return &e;
-  }
-  return nullptr;
-}
-
 Status MasterTable::Add(MasterEntry entry) {
   if (Find(entry.name) != nullptr) {
     return Status::AlreadyExists("entry '" + entry.name + "' already exists");

@@ -115,7 +115,6 @@ struct MasterTable {
   std::vector<MasterEntry> entries;
 
   MasterEntry* Find(const std::string& name);
-  const MasterEntry* Find(const std::string& name) const;
   Status Add(MasterEntry entry);
   Status Remove(const std::string& name);
 

@@ -73,15 +73,12 @@ bool IsReplaySafe(const ssp::Request& req) {
 }
 }  // namespace
 
-void SleepBackoff(uint32_t initial_ms, uint32_t max_ms, double jitter,
-                  int retry, Rng* rng) {
+void SleepBackoff(uint32_t initial_ms, uint32_t max_ms, int retry, Rng* rng) {
   uint64_t base = initial_ms;
   for (int i = 0; i < retry && base < max_ms; ++i) base *= 2;
   base = std::min<uint64_t>(base, max_ms);
-  if (jitter > 0) {
-    double factor = 1.0 + jitter * (2.0 * rng->NextDouble() - 1.0);
-    base = static_cast<uint64_t>(static_cast<double>(base) * factor);
-  }
+  double factor = 1.0 + kBackoffJitter * (2.0 * rng->NextDouble() - 1.0);
+  base = static_cast<uint64_t>(static_cast<double>(base) * factor);
   if (base > 0) std::this_thread::sleep_for(std::chrono::milliseconds(base));
 }
 
@@ -107,7 +104,7 @@ Result<ssp::Response> RetryingConnection::Call(const ssp::Request& req) {
       ++retries_;
       Metrics().retries->Increment();
       SleepBackoff(options_.initial_backoff_ms, options_.max_backoff_ms,
-                   options_.jitter, attempt - 1, &rng_);
+                   attempt - 1, &rng_);
     }
     if (channel_ == nullptr) {
       auto fresh = factory_();

@@ -49,18 +49,20 @@ struct RetryOptions {
   int max_attempts = 8;
   uint32_t initial_backoff_ms = 10;  // Doubles per retry...
   uint32_t max_backoff_ms = 1000;    // ...up to this cap.
-  /// Uniform ±fraction applied to each backoff so a fleet of clients
-  /// hammering a recovering daemon doesn't retry in lockstep.
-  double jitter = 0.2;
   /// Seed for the jitter stream; 0 draws a nondeterministic seed.
   uint64_t seed = 0;
 };
 
+/// Uniform ±fraction applied to each backoff so a fleet of clients
+/// hammering a recovering daemon (or re-quorumming a cluster) doesn't
+/// retry in lockstep.
+inline constexpr double kBackoffJitter = 0.2;
+
 /// The one backoff of RetryingConnection and ShardedChannel's rounds:
 /// sleeps `initial_ms` doubled `retry` times (0-based), capped at
-/// `max_ms`, times a uniform factor in [1 - jitter, 1 + jitter].
-void SleepBackoff(uint32_t initial_ms, uint32_t max_ms, double jitter,
-                  int retry, Rng* rng);
+/// `max_ms`, times a uniform factor in [1 - kBackoffJitter,
+/// 1 + kBackoffJitter].
+void SleepBackoff(uint32_t initial_ms, uint32_t max_ms, int retry, Rng* rng);
 
 class RetryingConnection : public ssp::SspChannel {
  public:

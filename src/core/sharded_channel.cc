@@ -24,8 +24,6 @@ bool IsAdminOp(OpCode op) {
   return op == OpCode::kGetStats || op == OpCode::kGetTraces;
 }
 
-constexpr double kRoundJitter = 0.2;  // Clients re-quorum out of lockstep.
-
 /// Runs fn(0) .. fn(n - 1) in parallel, one short-lived thread per index
 /// (inline when n == 1). Threads adopt the caller's trace and round.
 void FanOut(size_t n, const std::function<void(size_t)>& fn) {
@@ -135,7 +133,7 @@ Result<Response> ShardedChannel::CallSlot(NodeConnSlot* slot,
 void ShardedChannel::BeginRound(int round, obs::RpcTraceScope* trace) {
   if (round > 0) {
     SleepBackoff(options_.round_backoff_ms, options_.max_round_backoff_ms,
-                 kRoundJitter, round - 1, &rng_);
+                 round - 1, &rng_);
     ++quorum_retry_rounds_;
   }
   trace->set_attempt(static_cast<uint8_t>(std::min(round, 255)));

@@ -26,10 +26,8 @@ class Aes128 {
   /// `key` must be exactly kAes128KeySize bytes.
   explicit Aes128(const Bytes& key);
 
-  /// Encrypts/decrypts one 16-byte block (out may alias in).
+  /// Encrypts one 16-byte block (out may alias in).
   void EncryptBlock(const uint8_t in[kAesBlockSize],
-                    uint8_t out[kAesBlockSize]) const;
-  void DecryptBlock(const uint8_t in[kAesBlockSize],
                     uint8_t out[kAesBlockSize]) const;
 
  private:

@@ -3,18 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <string>
 
 namespace sharoes::crypto {
 
 namespace {
 constexpr uint64_t kBase = 1ULL << 32;
-
-int HexValue(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
 }  // namespace
 
 void BigInt::Normalize() {
@@ -34,28 +28,12 @@ BigInt::BigInt(uint64_t v) {
 }
 
 bool BigInt::FromHex(std::string_view hex, BigInt* out) {
-  BigInt x;
-  for (char c : hex) {
-    int v = HexValue(c);
-    if (v < 0) return false;
-    // x = x * 16 + v.
-    uint64_t carry = static_cast<uint64_t>(v);
-    for (auto& limb : x.limbs_) {
-      uint64_t cur = (static_cast<uint64_t>(limb) << 4) | carry;
-      limb = static_cast<uint32_t>(cur);
-      carry = cur >> 32;
-    }
-    if (carry != 0) x.limbs_.push_back(static_cast<uint32_t>(carry));
-  }
-  x.Normalize();
-  *out = std::move(x);
-  return true;
-}
-
-BigInt BigInt::FromHexUnchecked(std::string_view hex) {
-  BigInt x;
-  FromHex(hex, &x);
-  return x;
+  // An odd digit count gets a leading zero nibble.
+  std::string even = std::string(hex.size() % 2, '0') + std::string(hex);
+  bool ok = false;
+  Bytes be = HexDecode(even, &ok);
+  if (ok) *out = FromBytes(be);
+  return ok;
 }
 
 BigInt BigInt::FromBytes(const Bytes& be) {
@@ -84,15 +62,6 @@ Bytes BigInt::ToBytes(size_t len) const {
 
 Bytes BigInt::ToBytes() const { return ToBytes(ByteLength()); }
 
-std::string BigInt::ToHex() const {
-  static const char* digits = "0123456789abcdef";
-  std::string out;
-  for (size_t nibble = (BitLength() + 3) / 4; nibble-- > 0;) {
-    out.push_back(digits[(limbs_[nibble / 8] >> (4 * (nibble % 8))) & 0xF]);
-  }
-  return out.empty() ? "0" : out;
-}
-
 size_t BigInt::BitLength() const {
   if (limbs_.empty()) return 0;
   return (limbs_.size() - 1) * 32 + std::bit_width(limbs_.back());
@@ -102,19 +71,6 @@ bool BigInt::GetBit(size_t i) const {
   size_t limb = i / 32;
   if (limb >= limbs_.size()) return false;
   return (limbs_[limb] >> (i % 32)) & 1;
-}
-
-void BigInt::SetBit(size_t i) {
-  size_t limb = i / 32;
-  if (limb >= limbs_.size()) limbs_.resize(limb + 1, 0);
-  limbs_[limb] |= 1U << (i % 32);
-}
-
-uint64_t BigInt::ToU64() const {
-  uint64_t v = 0;
-  if (!limbs_.empty()) v = limbs_[0];
-  if (limbs_.size() > 1) v |= static_cast<uint64_t>(limbs_[1]) << 32;
-  return v;
 }
 
 int BigInt::Compare(const BigInt& other) const {
@@ -433,16 +389,6 @@ BigInt BigInt::ModExp(const BigInt& base, const BigInt& exp, const BigInt& m) {
     if (i + 1 < bits) acc = ModMul(acc, acc, m);
   }
   return result;
-}
-
-BigInt BigInt::Gcd(const BigInt& a, const BigInt& b) {
-  BigInt x = a, y = b;
-  while (!y.IsZero()) {
-    BigInt r = Mod(x, y);
-    x = y;
-    y = r;
-  }
-  return x;
 }
 
 bool BigInt::ModInverse(const BigInt& a, const BigInt& m, BigInt* out) {

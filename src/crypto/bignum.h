@@ -4,13 +4,12 @@
 // The API covers exactly what RSA key generation and the RSA primitives
 // need: comparison, +, -, *, divmod (Knuth algorithm D), shifts, bit
 // access, modular exponentiation (fixed-window Montgomery on 64-bit limbs
-// for odd moduli), gcd and modular inverse.
+// for odd moduli) and modular inverse.
 
 #ifndef SHAROES_CRYPTO_BIGNUM_H_
 #define SHAROES_CRYPTO_BIGNUM_H_
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -26,9 +25,7 @@ class BigInt {
   /// From a machine word.
   explicit BigInt(uint64_t v);
 
-  /// Parses a hexadecimal string (no 0x prefix). Malformed input yields
-  /// zero; use FromHex for checked parsing.
-  static BigInt FromHexUnchecked(std::string_view hex);
+  /// Parses a hexadecimal string (no 0x prefix); false on a non-hex digit.
   static bool FromHex(std::string_view hex, BigInt* out);
   /// Big-endian byte import/export (the RSA wire format).
   static BigInt FromBytes(const Bytes& be);
@@ -37,7 +34,6 @@ class BigInt {
   Bytes ToBytes(size_t len) const;
   /// Exports with minimal length (empty for zero).
   Bytes ToBytes() const;
-  std::string ToHex() const;
 
   bool IsZero() const { return limbs_.empty(); }
   bool IsOdd() const { return !limbs_.empty() && (limbs_[0] & 1); }
@@ -47,9 +43,6 @@ class BigInt {
   size_t ByteLength() const { return (BitLength() + 7) / 8; }
   /// Bit i (0 = least significant).
   bool GetBit(size_t i) const;
-  void SetBit(size_t i);
-  /// Low 64 bits.
-  uint64_t ToU64() const;
 
   // Comparison: -1, 0, +1.
   int Compare(const BigInt& other) const;
@@ -76,7 +69,6 @@ class BigInt {
   /// prime) the time depends on the bit lengths of exp and m, not on the
   /// bits of exp. Even m falls back to square-and-multiply over ModMul.
   static BigInt ModExp(const BigInt& base, const BigInt& exp, const BigInt& m);
-  static BigInt Gcd(const BigInt& a, const BigInt& b);
   /// Inverse of a mod m (gcd(a, m) must be 1). Returns false otherwise.
   static bool ModInverse(const BigInt& a, const BigInt& m, BigInt* out);
 

@@ -139,15 +139,6 @@ Result<Bytes> CryptoEngine::AeadOpen(const SymmetricKey& key,
   return GcmOpen(key.key, nonce, aad, ciphertext, tag);
 }
 
-Bytes CryptoEngine::Hash(const Bytes& data) {
-  const auto& m = options_.cost_model;
-  if (options_.charge_policy == ChargePolicy::kMeasured) {
-    return Measured(0, [&] { return Sha256Digest(data); });
-  }
-  ChargeBulk(data.size(), m.sha_mb_per_s, 0);
-  return Sha256Digest(data);
-}
-
 SymmetricKey CryptoEngine::DeriveNameKey(const SymmetricKey& dek,
                                          std::string_view name) {
   const auto& m = options_.cost_model;

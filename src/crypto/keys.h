@@ -138,8 +138,7 @@ class CryptoEngine {
                          const Bytes& nonce, const Bytes& ciphertext,
                          const Bytes& tag);
 
-  // --- Hashing & derivation ---
-  Bytes Hash(const Bytes& data);
+  // --- Derivation ---
   /// H_DEK(name): derives the per-row key for exec-only directory tables
   /// (paper §III-A) from the directory's DEK and the child's name.
   SymmetricKey DeriveNameKey(const SymmetricKey& dek, std::string_view name);

@@ -54,8 +54,6 @@ Result<RsaPublicKey> RsaPublicKey::Deserialize(const Bytes& data) {
   return k;
 }
 
-Bytes RsaPublicKey::Fingerprint() const { return Sha256Digest(Serialize()); }
-
 Bytes RsaPrivateKey::Serialize() const {
   // Compact form: (e, p, q). Everything else is recomputed on load; this
   // matters because signing keys travel inside metadata objects and

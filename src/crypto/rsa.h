@@ -33,8 +33,6 @@ struct RsaPublicKey {
 
   Bytes Serialize() const;
   static Result<RsaPublicKey> Deserialize(const Bytes& data);
-  /// SHA-256 over the serialized key; used as a stable key identity.
-  Bytes Fingerprint() const;
   bool operator==(const RsaPublicKey& o) const { return n == o.n && e == o.e; }
 };
 

@@ -130,10 +130,4 @@ Bytes Sha256Digest(const Bytes& data) {
   return h.Finish();
 }
 
-Bytes Sha256Digest(std::string_view data) {
-  Sha256 h;
-  h.Update(data);
-  return h.Finish();
-}
-
 }  // namespace sharoes::crypto

@@ -8,7 +8,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string_view>
 
 #include "util/bytes.h"
 
@@ -31,9 +30,6 @@ class Sha256 {
   void Reset();
   void Update(const uint8_t* data, size_t len);
   void Update(const Bytes& data) { Update(data.data(), data.size()); }
-  void Update(std::string_view s) {
-    Update(reinterpret_cast<const uint8_t*>(s.data()), s.size());
-  }
 
   /// Finalizes and returns the 32-byte digest. The hasher must be Reset()
   /// before reuse.
@@ -50,7 +46,6 @@ class Sha256 {
 
 /// One-shot convenience.
 Bytes Sha256Digest(const Bytes& data);
-Bytes Sha256Digest(std::string_view data);
 
 }  // namespace sharoes::crypto
 

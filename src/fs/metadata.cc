@@ -53,23 +53,4 @@ Result<InodeAttrs> InodeAttrs::ReadFrom(BinaryReader* r) {
   return a;
 }
 
-Bytes InodeAttrs::Serialize() const {
-  BinaryWriter w;
-  AppendTo(&w);
-  return w.Take();
-}
-
-Result<InodeAttrs> InodeAttrs::Deserialize(const Bytes& data) {
-  BinaryReader r(data);
-  SHAROES_ASSIGN_OR_RETURN(InodeAttrs a, ReadFrom(&r));
-  SHAROES_RETURN_IF_ERROR(r.Finish("inode attrs"));
-  return a;
-}
-
-bool InodeAttrs::operator==(const InodeAttrs& o) const {
-  return inode == o.inode && type == o.type && owner == o.owner &&
-         group == o.group && mode == o.mode && size == o.size &&
-         mtime == o.mtime && nlink == o.nlink && acl == o.acl;
-}
-
 }  // namespace sharoes::fs

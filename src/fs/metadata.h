@@ -26,9 +26,7 @@ struct AclEntry {
   uint32_t id = 0;  // UserId or GroupId depending on kind.
   PermTriple perms = 0;
 
-  bool operator==(const AclEntry& o) const {
-    return kind == o.kind && id == o.id && perms == o.perms;
-  }
+  bool operator==(const AclEntry&) const = default;
 };
 
 /// The attribute block of an inode (what `stat` returns).
@@ -45,12 +43,12 @@ struct InodeAttrs {
 
   bool is_dir() const { return type == FileType::kDirectory; }
 
+  /// Always embedded in a larger object (a metadata view, a baseline
+  /// record).
   void AppendTo(BinaryWriter* w) const;
   static Result<InodeAttrs> ReadFrom(BinaryReader* r);
-  Bytes Serialize() const;
-  static Result<InodeAttrs> Deserialize(const Bytes& data);
 
-  bool operator==(const InodeAttrs& o) const;
+  bool operator==(const InodeAttrs&) const = default;
 };
 
 }  // namespace sharoes::fs

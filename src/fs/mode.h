@@ -43,8 +43,7 @@ class Mode {
   /// "rwxr-x--x" form.
   std::string ToString() const;
 
-  bool operator==(const Mode& o) const { return bits_ == o.bits_; }
-  bool operator!=(const Mode& o) const { return bits_ != o.bits_; }
+  bool operator==(const Mode&) const = default;
 
  private:
   uint16_t bits_ = 0;

@@ -9,6 +9,7 @@
 #ifndef SHAROES_NET_NETWORK_MODEL_H_
 #define SHAROES_NET_NETWORK_MODEL_H_
 
+#include <cstddef>
 #include <cstdint>
 
 #include "util/sim_clock.h"

@@ -158,15 +158,6 @@ Result<TcpStream> TcpStream::Connect(const std::string& host, uint16_t port,
   return last;
 }
 
-TcpStream& TcpStream::operator=(TcpStream&& other) noexcept {
-  if (this != &other) {
-    CloseNow();
-    fd_ = other.fd_;
-    other.fd_ = -1;
-  }
-  return *this;
-}
-
 TcpStream::~TcpStream() { CloseNow(); }
 
 void TcpStream::CloseNow() {

@@ -49,7 +49,6 @@ class TcpStream {
   /// Wraps an accepted file descriptor (takes ownership).
   explicit TcpStream(int fd) : fd_(fd) {}
   TcpStream(TcpStream&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
-  TcpStream& operator=(TcpStream&& other) noexcept;
   TcpStream(const TcpStream&) = delete;
   TcpStream& operator=(const TcpStream&) = delete;
   ~TcpStream();

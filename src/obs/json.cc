@@ -57,13 +57,6 @@ void JsonObjectWriter::Field(std::string_view key, uint64_t value) {
   out_ += buf;
 }
 
-void JsonObjectWriter::Field(std::string_view key, int64_t value) {
-  Key(key);
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, value);
-  out_ += buf;
-}
-
 void JsonObjectWriter::Field(std::string_view key, double value) {
   Key(key);
   char buf[40];

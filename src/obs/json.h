@@ -31,7 +31,6 @@ class JsonObjectWriter {
     Field(key, std::string_view(value));
   }
   void Field(std::string_view key, uint64_t value);
-  void Field(std::string_view key, int64_t value);
   void Field(std::string_view key, double value);
   void Field(std::string_view key, bool value);
   /// Emits `raw` verbatim as the value (caller guarantees valid JSON).

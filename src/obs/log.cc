@@ -25,7 +25,7 @@ Severity SeverityFromEnv() {
   return Severity::kWarn;
 }
 
-std::atomic<uint8_t> g_floor{static_cast<uint8_t>(SeverityFromEnv())};
+const Severity g_floor = SeverityFromEnv();
 std::atomic<uint32_t> g_rate_limit{200};
 
 std::mutex g_mu;  // Guards the sink, the limiter window, and emission.
@@ -62,14 +62,7 @@ std::string_view SeverityName(Severity sev) {
   return "unknown";
 }
 
-bool LogEnabled(Severity sev) {
-  return static_cast<uint8_t>(sev) >=
-         g_floor.load(std::memory_order_relaxed);
-}
-
-void SetLogSeverity(Severity floor) {
-  g_floor.store(static_cast<uint8_t>(floor), std::memory_order_relaxed);
-}
+bool LogEnabled(Severity sev) { return sev >= g_floor; }
 
 void SetLogRateLimit(uint32_t lines_per_second) {
   g_rate_limit.store(lines_per_second, std::memory_order_relaxed);

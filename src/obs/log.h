@@ -53,9 +53,6 @@ void Log(Severity sev, std::string_view event,
 /// paths can skip building fields).
 bool LogEnabled(Severity sev);
 
-/// Runtime severity floor override (kOff silences everything).
-void SetLogSeverity(Severity floor);
-
 /// Max lines admitted per second (default 200); 0 = unlimited.
 void SetLogRateLimit(uint32_t lines_per_second);
 

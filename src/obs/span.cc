@@ -85,10 +85,6 @@ uint64_t SpanRecord::PhaseSumUs() const {
   return sum;
 }
 
-uint64_t SpanRecord::NamedPhaseSumUs() const {
-  return PhaseSumUs() - phase_us[static_cast<size_t>(Phase::kOp)];
-}
-
 std::string SpanRecord::ToJson() const {
   JsonObjectWriter w;
   w.Field("trace", TraceIdHex(trace_id));
@@ -147,11 +143,6 @@ SpanRecord SpanTimeline::Finish() {
   }
   if (rec.trace_id != 0) SpanCollector::Global().Publish(rec);
   return rec;
-}
-
-void SpanTimeline::Abandon() {
-  started_ = false;
-  if (t_active_timeline == this) t_active_timeline = nullptr;
 }
 
 PhaseScope::PhaseScope(Phase p) : tl_(t_active_timeline) {

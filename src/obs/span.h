@@ -73,9 +73,6 @@ struct SpanRecord {
   /// Sum over all phases including the kOp remainder (== total_us
   /// modulo per-phase truncation; the span_test pins the bound).
   uint64_t PhaseSumUs() const;
-  /// Sum over named phases only (excludes kOp): how much of the span
-  /// the instrumentation actually explains.
-  uint64_t NamedPhaseSumUs() const;
   std::string ToJson() const;
 };
 
@@ -102,8 +99,6 @@ class SpanTimeline {
   /// Closes the span: charges the tail to the innermost phase,
   /// uninstalls the thread-local sink, publishes, returns the record.
   SpanRecord Finish();
-  /// Uninstalls without publishing (error paths in tests).
-  void Abandon();
 
  private:
   friend class PhaseScope;

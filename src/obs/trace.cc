@@ -1,12 +1,12 @@
 #include "obs/trace.h"
 
 #include <atomic>
-#include <cstdio>
 #include <random>
 #include <string>
 
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "util/bytes.h"
 
 namespace sharoes::obs {
 
@@ -44,10 +44,11 @@ uint64_t NextTraceId() {
 }
 
 std::string TraceIdHex(uint64_t trace_id) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(trace_id));
-  return buf;
+  Bytes be(8);
+  for (int i = 7; i >= 0; --i, trace_id >>= 8) {
+    be[i] = static_cast<uint8_t>(trace_id);
+  }
+  return HexEncode(be);
 }
 
 ClientSpan::ClientSpan(const char* op) : prev_(t_current_trace) {

@@ -340,20 +340,12 @@ Request Request::PutSuperblock(uint32_t user, Bytes payload) {
   return Put(ObjectRef::Superblock(user), std::move(payload));
 }
 
-Request Request::DeleteSuperblock(uint32_t user) {
-  return Delete(ObjectRef::Superblock(user));
-}
-
 Request Request::GetMetadata(fs::InodeNum inode, Selector sel) {
   return Get(ObjectRef::Metadata(inode, sel));
 }
 
 Request Request::PutMetadata(fs::InodeNum inode, Selector sel, Bytes payload) {
   return Put(ObjectRef::Metadata(inode, sel), std::move(payload));
-}
-
-Request Request::DeleteMetadata(fs::InodeNum inode, Selector sel) {
-  return Delete(ObjectRef::Metadata(inode, sel));
 }
 
 Request Request::DeleteInodeMetadata(fs::InodeNum inode) {

@@ -203,10 +203,8 @@ struct Request {
   // Convenience constructors for the common shapes.
   static Request GetSuperblock(uint32_t user);
   static Request PutSuperblock(uint32_t user, Bytes payload);
-  static Request DeleteSuperblock(uint32_t user);
   static Request GetMetadata(fs::InodeNum inode, Selector sel);
   static Request PutMetadata(fs::InodeNum inode, Selector sel, Bytes payload);
-  static Request DeleteMetadata(fs::InodeNum inode, Selector sel);
   static Request DeleteInodeMetadata(fs::InodeNum inode);
   static Request GetUserMetadata(fs::InodeNum inode, uint32_t user);
   static Request PutUserMetadata(fs::InodeNum inode, uint32_t user,

@@ -189,20 +189,6 @@ void ObjectStore::DeleteInode(ObjectFamily family, fs::InodeNum inode) {
   }
 }
 
-size_t ObjectStore::MetadataReplicaCount(fs::InodeNum inode) const {
-  const ObjectRef first = ObjectRef::Metadata(inode, 0);
-  Shard& s = ShardFor(first);
-  auto lock = AcquireShared(s.mu);
-  size_t n = 0;
-  for (auto it = s.entries.lower_bound(first);
-       it != s.entries.end() && it->first.family == first.family &&
-       it->first.k1 == inode;
-       ++it) {
-    if (!it->second.tombstone) ++n;
-  }
-  return n;
-}
-
 std::vector<ObjectVersion> ObjectStore::ListVersions() const {
   std::vector<ObjectVersion> out;
   for (const auto& shard : shards_) {

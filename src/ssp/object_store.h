@@ -20,8 +20,8 @@
 // reads take shared locks, writes exclusive locks, and storage accounting
 // lives in per-shard counters aggregated on Stats(). Each shard is one
 // map keyed by ObjectRef, partitioned by the ref's k1 — the inode for the
-// inode-scoped families — so the inode-ranged operations (DeleteInode,
-// MetadataReplicaCount) stay single-shard. No operation ever holds more
+// inode-scoped families — so the inode-ranged DeleteInode stays
+// single-shard. No operation ever holds more
 // than one shard lock, so there is no lock-order concern (see DESIGN.md
 // §7).
 
@@ -122,8 +122,6 @@ class ObjectStore {
   /// quorum-acked write of a missing key shares at least one node with
   /// this delete's quorum (DESIGN.md §16).
   void DeleteInode(ObjectFamily family, fs::InodeNum inode);
-  /// Number of live (non-tombstone) metadata replicas stored for an inode.
-  size_t MetadataReplicaCount(fs::InodeNum inode) const;
 
   /// Every entry in the store, tombstones included, with generations.
   /// Snapshot-consistent per shard, not across shards — exactly what the

@@ -1,7 +1,5 @@
 #include "util/bytes.h"
 
-#include <cassert>
-
 namespace sharoes {
 
 Bytes ToBytes(std::string_view s) {
@@ -23,17 +21,15 @@ int HexValue(char c) {
 }
 }  // namespace
 
-std::string HexEncode(const uint8_t* data, size_t len) {
+std::string HexEncode(const Bytes& b) {
   std::string out;
-  out.reserve(len * 2);
-  for (size_t i = 0; i < len; ++i) {
-    out.push_back(kHexDigits[data[i] >> 4]);
-    out.push_back(kHexDigits[data[i] & 0xF]);
+  out.reserve(b.size() * 2);
+  for (uint8_t byte : b) {
+    out.push_back(kHexDigits[byte >> 4]);
+    out.push_back(kHexDigits[byte & 0xF]);
   }
   return out;
 }
-
-std::string HexEncode(const Bytes& b) { return HexEncode(b.data(), b.size()); }
 
 Bytes HexDecode(std::string_view hex, bool* ok) {
   if (ok != nullptr) *ok = true;
@@ -60,11 +56,6 @@ bool ConstantTimeEquals(const Bytes& a, const Bytes& b) {
   uint8_t diff = 0;
   for (size_t i = 0; i < a.size(); ++i) diff |= a[i] ^ b[i];
   return diff == 0;
-}
-
-void XorInto(Bytes& dst, const Bytes& src) {
-  assert(dst.size() == src.size());
-  for (size_t i = 0; i < dst.size(); ++i) dst[i] ^= src[i];
 }
 
 void Append(Bytes& dst, const Bytes& src) {

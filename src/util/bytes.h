@@ -20,7 +20,6 @@ Bytes ToBytes(std::string_view s);
 std::string ToString(const Bytes& b);
 
 /// Lowercase hex encoding, e.g. {0xde, 0xad} -> "dead".
-std::string HexEncode(const uint8_t* data, size_t len);
 std::string HexEncode(const Bytes& b);
 
 /// Decodes lowercase/uppercase hex; returns empty on malformed input with
@@ -32,9 +31,6 @@ Bytes HexDecode(std::string_view hex, bool* ok = nullptr);
 /// secret-derived digest — HMAC, AEAD tag, signature block, derived row
 /// id — must go through here, never Bytes::operator==.
 bool ConstantTimeEquals(const Bytes& a, const Bytes& b);
-
-/// XORs `src` into `dst` (dst[i] ^= src[i]); buffers must be equal length.
-void XorInto(Bytes& dst, const Bytes& src);
 
 /// Appends `src` to `dst`.
 void Append(Bytes& dst, const Bytes& src);

@@ -2,18 +2,6 @@
 
 namespace sharoes {
 
-std::string_view CostCategoryName(CostCategory c) {
-  switch (c) {
-    case CostCategory::kNetwork:
-      return "NETWORK";
-    case CostCategory::kCrypto:
-      return "CRYPTO";
-    case CostCategory::kOther:
-      return "OTHER";
-  }
-  return "UNKNOWN";
-}
-
 CostSnapshot CostSnapshot::operator-(const CostSnapshot& rhs) const {
   CostSnapshot d;
   d.total_ns = total_ns - rhs.total_ns;

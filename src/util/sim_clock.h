@@ -14,7 +14,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string_view>
 
 namespace sharoes {
 
@@ -26,8 +25,6 @@ enum class CostCategory : int {
 };
 
 constexpr int kNumCostCategories = 3;
-
-std::string_view CostCategoryName(CostCategory c);
 
 /// A point-in-time copy of the meter, used to compute deltas around an
 /// operation or a benchmark phase.

@@ -43,19 +43,8 @@ baselines::SecurityMode ModeFor(SystemVariant v) {
 }  // namespace
 
 std::string VariantName(SystemVariant v) {
-  switch (v) {
-    case SystemVariant::kNoEncMdD:
-      return "NO-ENC-MD-D";
-    case SystemVariant::kNoEncMd:
-      return "NO-ENC-MD";
-    case SystemVariant::kSharoes:
-      return "SHAROES";
-    case SystemVariant::kPublic:
-      return "PUBLIC";
-    case SystemVariant::kPubOpt:
-      return "PUB-OPT";
-  }
-  return "?";
+  if (v == SystemVariant::kSharoes) return "SHAROES";
+  return baselines::SecurityModeName(ModeFor(v));
 }
 
 BenchWorld::BenchWorld(const BenchWorldOptions& opts) : opts_(opts) {

@@ -257,7 +257,6 @@ TEST(BatchedReadTest, ReadOnlyBatchSubErrorIsRetriedInPlace) {
   RetryOptions retry;
   retry.max_attempts = 4;
   retry.initial_backoff_ms = 0;
-  retry.jitter = 0;
   RetryingConnection conn(
       [&flaky]() -> Result<std::unique_ptr<ssp::SspChannel>> {
         // Non-owning pass-through: the retry layer may "reconnect", but

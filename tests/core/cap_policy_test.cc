@@ -141,10 +141,5 @@ TEST(CapPolicyTest, CanReadWriteHelpers) {
   EXPECT_TRUE(rw.can_write_data());
 }
 
-TEST(CapPolicyTest, CapNames) {
-  EXPECT_EQ(CapName(FileType::kDirectory, 5, false), "dir:r-x");
-  EXPECT_EQ(CapName(FileType::kFile, 6, true), "file:rw-(owner)");
-}
-
 }  // namespace
 }  // namespace sharoes::core

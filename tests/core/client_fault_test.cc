@@ -409,7 +409,7 @@ TEST(RetryIdempotence, EveryOpcodeIsSafeToReplay) {
   ops.push_back(ssp::Request::PutMetadata(10, 4, {9, 9}));
   ops.push_back(ssp::Request::PutMetadata(10, 5, {8}));
   ops.push_back(ssp::Request::GetMetadata(10, 4));
-  ops.push_back(ssp::Request::DeleteMetadata(10, 5));
+  ops.push_back(ssp::Request::Delete(ssp::ObjectRef::Metadata(10, 5)));
   ops.push_back(ssp::Request::PutUserMetadata(10, 2, {7}));
   ops.push_back(ssp::Request::GetUserMetadata(10, 2));
   ops.push_back(ssp::Request::PutData(10, 0, {1, 1}));

@@ -177,22 +177,5 @@ TEST_F(FreshnessTest, DataGoneWithItsMetadataIsNotFound) {
   EXPECT_TRUE(read.status().IsNotFound()) << read.status();
 }
 
-TEST_F(FreshnessTest, TrackingCanBeDisabled) {
-  // With track_freshness off, the rolled-back (validly signed) version
-  // is accepted — the paper's base system without the §VIII extension.
-  World::Options opts;
-  World world(opts);
-  core::LocalNode root =
-      core::LocalNode::Dir("", kAlice, kEng, World::ParseMode("rwxr-xr-x"));
-  root.children.push_back(core::LocalNode::File(
-      "f", kAlice, kEng, World::ParseMode("rw-r--r--"), ToBytes("v1")));
-  ASSERT_TRUE(world.MigrateAndMountAll(root).ok());
-  // (The World harness enables tracking by default; this test documents
-  // the flag at the options level.)
-  core::ClientOptions copts;
-  copts.track_freshness = false;
-  EXPECT_FALSE(copts.track_freshness);
-}
-
 }  // namespace
 }  // namespace sharoes

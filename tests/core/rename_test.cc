@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "testing/world.h"
 
 namespace sharoes {
@@ -127,6 +129,30 @@ TEST_F(RenameTest, GroupWriterCanRenameInSharedDir) {
   auto read = world_->client(kAlice).Read("/shared/plan-v2.md");
   ASSERT_TRUE(read.ok()) << read.status();
   EXPECT_EQ(ToString(*read), "Q3 plan");
+}
+
+// Evicting a directory drops its master table too: bob's rename must
+// re-render /shared from the master as it is now, with the /shared/sub
+// alice created after bob's last write there, not from the one bob
+// cached at that write.
+TEST_F(RenameTest, RenameAfterEvictKeepsAnotherWritersEntry) {
+  auto& bob = world_->client(kBob);
+  CreateOptions file_opts;
+  file_opts.mode = World::ParseMode("rw-rw----");
+  ASSERT_TRUE(bob.Create("/shared/bob.txt", file_opts).ok());
+  CreateOptions dir_opts;
+  dir_opts.mode = World::ParseMode("rwxrwx---");
+  ASSERT_TRUE(world_->client(kAlice).Mkdir("/shared/sub", dir_opts).ok());
+  ASSERT_TRUE(bob.EvictPath("/shared").ok());
+  ASSERT_TRUE(bob.Rename("/shared/bob.txt", "/shared/sub/bob.txt").ok());
+
+  ASSERT_TRUE(world_->Mount(kAlice).ok());  // A fresh client.
+  auto& fresh = world_->client(kAlice);
+  auto names = fresh.Readdir("/shared");
+  ASSERT_TRUE(names.ok()) << names.status();
+  EXPECT_NE(std::find(names->begin(), names->end(), "sub"), names->end());
+  EXPECT_TRUE(fresh.Exists("/shared/sub/bob.txt"));
+  EXPECT_FALSE(fresh.Exists("/shared/bob.txt"));
 }
 
 }  // namespace

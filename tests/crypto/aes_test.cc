@@ -18,7 +18,7 @@ TEST(AesTest, Fips197AppendixB) {
   Aes128 aes(key);
   uint8_t ct[16];
   aes.EncryptBlock(pt.data(), ct);
-  EXPECT_EQ(HexEncode(ct, 16), "3925841d02dc09fbdc118597196a0b32");
+  EXPECT_EQ(HexEncode(Bytes(ct, ct + 16)), "3925841d02dc09fbdc118597196a0b32");
 }
 
 // NIST SP 800-38A ECB-AES128 vectors (encrypt direction).
@@ -38,45 +38,19 @@ TEST(AesTest, Sp80038aEcbVectors) {
     ASSERT_TRUE(ok);
     uint8_t ct[16];
     aes.EncryptBlock(pt.data(), ct);
-    EXPECT_EQ(HexEncode(ct, 16), cipher[i]) << "block " << i;
+    EXPECT_EQ(HexEncode(Bytes(ct, ct + 16)), cipher[i]) << "block " << i;
   }
-}
-
-TEST(AesTest, DecryptInvertsEncrypt) {
-  Rng rng(42);
-  for (int trial = 0; trial < 50; ++trial) {
-    Bytes key = rng.NextBytes(kAes128KeySize);
-    Bytes pt = rng.NextBytes(kAesBlockSize);
-    Aes128 aes(key);
-    uint8_t ct[16], back[16];
-    aes.EncryptBlock(pt.data(), ct);
-    aes.DecryptBlock(ct, back);
-    EXPECT_EQ(Bytes(back, back + 16), pt) << "trial " << trial;
-  }
-}
-
-TEST(AesTest, DecryptKnownVector) {
-  bool ok = false;
-  Bytes key = HexDecode("2b7e151628aed2a6abf7158809cf4f3c", &ok);
-  ASSERT_TRUE(ok);
-  Bytes ct = HexDecode("3ad77bb40d7a3660a89ecaf32466ef97", &ok);
-  ASSERT_TRUE(ok);
-  Aes128 aes(key);
-  uint8_t pt[16];
-  aes.DecryptBlock(ct.data(), pt);
-  EXPECT_EQ(HexEncode(pt, 16), "6bc1bee22e409f96e93d7e117393172a");
 }
 
 TEST(AesTest, InPlaceOperation) {
   Rng rng(7);
   Bytes key = rng.NextBytes(kAes128KeySize);
   Bytes block = rng.NextBytes(kAesBlockSize);
-  Bytes original = block;
   Aes128 aes(key);
+  uint8_t expected[16];
+  aes.EncryptBlock(block.data(), expected);
   aes.EncryptBlock(block.data(), block.data());  // out aliases in
-  EXPECT_NE(block, original);
-  aes.DecryptBlock(block.data(), block.data());
-  EXPECT_EQ(block, original);
+  EXPECT_EQ(block, Bytes(expected, expected + 16));
 }
 
 TEST(AesTest, KeyAvalanche) {

@@ -85,7 +85,9 @@ TEST_P(BignumLawSweep, RingLawsHold) {
   EXPECT_EQ(BigInt::Add(BigInt::Mul(q, b), r), a);
   EXPECT_LT(r.Compare(b), 0);
   // Hex/byte round trips.
-  EXPECT_EQ(BigInt::FromHexUnchecked(a.ToHex()), a);
+  BigInt from_hex;
+  ASSERT_TRUE(BigInt::FromHex(HexEncode(a.ToBytes()), &from_hex));
+  EXPECT_EQ(from_hex, a);
   EXPECT_EQ(BigInt::FromBytes(a.ToBytes()), a);
 }
 
@@ -94,7 +96,7 @@ TEST_P(BignumLawSweep, ModExpLawsHold) {
   // Odd moduli (the Montgomery path), including odd 32-bit limb counts.
   const size_t kBits[] = {96, 128, 256, 544, 1056};
   BigInt m = BigInt::RandomWithBits(kBits[GetParam() % 5], rng);
-  m.SetBit(0);
+  if (!m.IsOdd()) m = BigInt::Add(m, BigInt(1));
   BigInt a = BigInt::RandomBelow(m, rng);
   if (GetParam() % 2 == 0) a = BigInt::Add(a, m);  // Unreduced base.
   uint64_t x = 1 + rng.NextBelow(40);

@@ -30,7 +30,7 @@ RsaKeyPair* RsaTest::key_ = nullptr;
 
 TEST_F(RsaTest, KeyStructure) {
   EXPECT_EQ(key_->pub.n.BitLength(), 768u);
-  EXPECT_EQ(key_->pub.e.ToU64(), 65537u);
+  EXPECT_EQ(key_->pub.e, BigInt(65537));
   EXPECT_EQ(BigInt::Mul(key_->priv.p, key_->priv.q), key_->priv.n);
 }
 
@@ -164,13 +164,6 @@ TEST_F(RsaTest, DeserializeRejectsGarbage) {
   EXPECT_FALSE(RsaPrivateKey::Deserialize(ToBytes("junk")).ok());
 }
 
-TEST_F(RsaTest, FingerprintStableAndDistinct) {
-  EXPECT_EQ(key_->pub.Fingerprint(), key_->pub.Fingerprint());
-  Rng rng2(1234);
-  RsaKeyPair other = GenerateRsaKeyPair(512, rng2);
-  EXPECT_NE(key_->pub.Fingerprint(), other.pub.Fingerprint());
-}
-
 TEST(RsaSmallKeyTest, Various512BitKeys) {
   Rng rng(77);
   for (int i = 0; i < 3; ++i) {
@@ -216,7 +209,7 @@ TEST(RsaKatTest, SeededSignaturesArePinned) {
   for (const SignatureKat& kat : kSignatureKats) {
     Rng rng(0x5EED0000 + kat.bits);
     RsaKeyPair kp = GenerateRsaKeyPair(kat.bits, rng);
-    EXPECT_EQ(kp.pub.n.ToHex(), kat.n_hex) << kat.bits;
+    EXPECT_EQ(HexEncode(kp.pub.n.ToBytes()), kat.n_hex) << kat.bits;
     Bytes msg = ToBytes("sharoes rsa kat");
     Bytes sig = RsaSign(kp.priv, msg);
     EXPECT_EQ(HexEncode(sig), kat.sig_hex) << kat.bits;

@@ -17,8 +17,7 @@ class Sha256VectorTest : public ::testing::TestWithParam<Vector> {};
 
 TEST_P(Sha256VectorTest, MatchesKnownDigest) {
   const Vector& v = GetParam();
-  EXPECT_EQ(HexEncode(Sha256Digest(std::string_view(v.message))),
-            v.digest_hex);
+  EXPECT_EQ(HexEncode(Sha256Digest(ToBytes(v.message))), v.digest_hex);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -37,7 +36,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Sha256Test, MillionAs) {
   Sha256 h;
-  std::string chunk(1000, 'a');
+  Bytes chunk(1000, 'a');
   for (int i = 0; i < 1000; ++i) h.Update(chunk);
   EXPECT_EQ(HexEncode(h.Finish()),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
@@ -45,12 +44,12 @@ TEST(Sha256Test, MillionAs) {
 
 TEST(Sha256Test, IncrementalMatchesOneShot) {
   // Splitting the input at every position must not change the digest.
-  std::string msg = "incremental hashing must be split-invariant 0123456789";
+  Bytes msg = ToBytes("incremental hashing must be split-invariant 0123456789");
   Bytes expected = Sha256Digest(msg);
   for (size_t split = 0; split <= msg.size(); ++split) {
     Sha256 h;
-    h.Update(std::string_view(msg).substr(0, split));
-    h.Update(std::string_view(msg).substr(split));
+    h.Update(msg.data(), split);
+    h.Update(msg.data() + split, msg.size() - split);
     EXPECT_EQ(h.Finish(), expected) << "split at " << split;
   }
 }
@@ -58,29 +57,27 @@ TEST(Sha256Test, IncrementalMatchesOneShot) {
 TEST(Sha256Test, BlockBoundaryLengths) {
   // Lengths straddling the 64-byte block and 56-byte padding boundaries.
   for (size_t len : {55u, 56u, 57u, 63u, 64u, 65u, 119u, 120u, 127u, 128u}) {
-    std::string msg(len, 'x');
+    Bytes msg(len, 'x');
     Bytes d1 = Sha256Digest(msg);
     Sha256 h;
-    for (char c : msg) h.Update(std::string_view(&c, 1));
+    for (const uint8_t& c : msg) h.Update(&c, 1);
     EXPECT_EQ(h.Finish(), d1) << "len " << len;
   }
 }
 
 TEST(Sha256Test, ResetAllowsReuse) {
   Sha256 h;
-  h.Update(std::string_view("first"));
+  h.Update(ToBytes("first"));
   (void)h.Finish();
   h.Reset();
-  h.Update(std::string_view("abc"));
+  h.Update(ToBytes("abc"));
   EXPECT_EQ(HexEncode(h.Finish()),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
 }
 
 TEST(Sha256Test, DistinctInputsDistinctDigests) {
-  EXPECT_NE(Sha256Digest(std::string_view("a")),
-            Sha256Digest(std::string_view("b")));
-  EXPECT_NE(Sha256Digest(std::string_view("")),
-            Sha256Digest(std::string_view("\0", 1)));
+  EXPECT_NE(Sha256Digest(ToBytes("a")), Sha256Digest(ToBytes("b")));
+  EXPECT_NE(Sha256Digest(Bytes{}), Sha256Digest(Bytes{0}));
 }
 
 }  // namespace

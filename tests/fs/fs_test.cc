@@ -57,6 +57,17 @@ TEST_P(ModeSweepTest, StringRoundTrip) {
 INSTANTIATE_TEST_SUITE_P(AllModes, ModeSweepTest,
                          ::testing::Range(0, 512, 7));
 
+Bytes Encode(const InodeAttrs& a) {
+  BinaryWriter w;
+  a.AppendTo(&w);
+  return w.Take();
+}
+
+Result<InodeAttrs> ReadAttrs(const Bytes& b) {
+  BinaryReader r(b);
+  return InodeAttrs::ReadFrom(&r);
+}
+
 TEST(InodeAttrsTest, SerializationRoundTrip) {
   InodeAttrs a;
   a.inode = 42;
@@ -69,27 +80,26 @@ TEST(InodeAttrsTest, SerializationRoundTrip) {
   a.nlink = 3;
   a.acl.push_back(AclEntry{AclEntry::Kind::kUser, 1001, 5});
   a.acl.push_back(AclEntry{AclEntry::Kind::kGroup, 2001, 4});
-  auto back = InodeAttrs::Deserialize(a.Serialize());
+  auto back = ReadAttrs(Encode(a));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, a);
 }
 
-TEST(InodeAttrsTest, DeserializeRejectsGarbage) {
-  EXPECT_FALSE(InodeAttrs::Deserialize(ToBytes("nope")).ok());
-  // Valid attrs + trailing junk.
+TEST(InodeAttrsTest, ReadFromRejectsTruncated) {
+  EXPECT_FALSE(ReadAttrs(ToBytes("nope")).ok());
   InodeAttrs a;
-  a.inode = 1;
-  Bytes b = a.Serialize();
-  b.push_back(0);
-  EXPECT_FALSE(InodeAttrs::Deserialize(b).ok());
+  a.acl.push_back(AclEntry{AclEntry::Kind::kUser, 1001, 5});
+  Bytes b = Encode(a);
+  b.pop_back();
+  EXPECT_FALSE(ReadAttrs(b).ok());
 }
 
-TEST(InodeAttrsTest, DeserializeRejectsBadType) {
+TEST(InodeAttrsTest, ReadFromRejectsBadType) {
   InodeAttrs a;
   a.inode = 1;
-  Bytes b = a.Serialize();
+  Bytes b = Encode(a);
   b[8] = 7;  // Type byte follows the u64 inode.
-  EXPECT_FALSE(InodeAttrs::Deserialize(b).ok());
+  EXPECT_FALSE(ReadAttrs(b).ok());
 }
 
 TEST(DirTableTest, AddLookupRemove) {

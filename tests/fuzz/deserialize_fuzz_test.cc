@@ -27,7 +27,10 @@ namespace {
 // Runs every deserializer on one buffer; returns how many accepted it.
 int TryAll(const Bytes& data) {
   int accepted = 0;
-  accepted += fs::InodeAttrs::Deserialize(data).ok();
+  {
+    BinaryReader r(data);
+    accepted += fs::InodeAttrs::ReadFrom(&r).ok();
+  }
   accepted += fs::DirTable::Deserialize(data).ok();
   accepted += fs::Superblock::Deserialize(data).ok();
   accepted += ssp::Request::Deserialize(data).ok();
@@ -89,7 +92,9 @@ TEST(FuzzMutation, BitFlippedValidEncodings) {
     fs::InodeAttrs attrs;
     attrs.inode = 7;
     attrs.acl.push_back(fs::AclEntry{fs::AclEntry::Kind::kUser, 3, 5});
-    corpus.push_back(attrs.Serialize());
+    BinaryWriter w;
+    attrs.AppendTo(&w);
+    corpus.push_back(w.Take());
     fs::DirTable table;
     (void)table.Add("hello", 10);
     (void)table.Add("world", 11);

@@ -50,7 +50,7 @@ std::vector<Request> CorpusOps() {
   ops.push_back(Request::PutMetadata(7, 3, {1, 2, 3, 4}));
   ops.push_back(Request::PutData(7, 0, Bytes(100, 0xAB)));
   ops.push_back(Request::PutSuperblock(42, {9}));
-  ops.push_back(Request::DeleteMetadata(7, 3));
+  ops.push_back(Request::Delete(ObjectRef::Metadata(7, 3)));
   ops.push_back(Request::PutGroupKey(500, 42, {5, 6}));
   ops.push_back(Request::PutUserMetadata(7, 42, {7, 7, 7}));
   ops.push_back(Request::DeleteInodeData(9));

@@ -69,8 +69,6 @@ TEST_F(SpanTest, ExclusivePhasesSumToTotal) {
   uint64_t sum = rec.PhaseSumUs();
   EXPECT_LE(sum, rec.total_us + 1);
   EXPECT_GE(sum + kNumPhases, rec.total_us);
-  EXPECT_EQ(rec.NamedPhaseSumUs(),
-            sum - rec.phase_us[static_cast<size_t>(Phase::kOp)]);
 }
 
 TEST_F(SpanTest, AddPhaseNsBackChargesAndWidensTheSpan) {
@@ -226,9 +224,10 @@ TEST_F(SpanTest, BeginServerSpanDeclinesWhenAClientTimelineIsActive) {
     BeginServerSpan(NextTraceId(), "GetData", 0, 0);
   }
   EXPECT_TRUE(TimelineActive());  // Still the client timeline.
-  client_tl.Abandon();
-  auto snap = SpanCollector::Global().Snap();
-  EXPECT_TRUE(snap.slow.empty()) << "a nested server span was published";
+  EXPECT_EQ(client_tl.Finish().kind, 'C');
+  for (const SpanRecord& rec : SpanCollector::Global().Snap().slow) {
+    EXPECT_EQ(rec.kind, 'C') << "a nested server span was published";
+  }
 }
 
 TEST_F(SpanTest, ScopedTraceContextSetsAndRestores) {

@@ -129,7 +129,7 @@ TEST(ObjectStoreConcurrencyTest, RangedDeleteRacesPointWrites) {
                   PayloadFor(t, i));
         store.Put(ObjectRef::Data(inode, static_cast<uint32_t>(t)),
                   PayloadFor(t, i));
-        (void)store.MetadataReplicaCount(inode);
+        (void)store.Get(ObjectRef::Metadata(inode, 0));
       } else {
         store.DeleteInode(ObjectFamily::kMetadata, inode);
         store.DeleteInode(ObjectFamily::kData, inode);
@@ -139,8 +139,8 @@ TEST(ObjectStoreConcurrencyTest, RangedDeleteRacesPointWrites) {
   });
   // Quiesced: replica counts and stats agree.
   uint64_t replicas = 0;
-  for (fs::InodeNum inode = 0; inode < kInodes; ++inode) {
-    replicas += store.MetadataReplicaCount(inode);
+  for (const ObjectVersion& v : store.ListVersions()) {
+    replicas += v.ref.family == ObjectFamily::kMetadata && !v.tombstone;
   }
   StorageStats stats = store.Stats();
   EXPECT_EQ(stats.metadata_bytes, replicas * 3);

@@ -20,7 +20,7 @@ TEST(MessageTest, RequestRoundTripAllShapes) {
       Request::PutSuperblock(7, {1, 2, 3}),
       Request::GetMetadata(42, 3),
       Request::PutMetadata(42, 3, {9, 9}),
-      Request::DeleteMetadata(42, 3),
+      Request::Delete(ObjectRef::Metadata(42, 3)),
       Request::DeleteInodeMetadata(42),
       Request::GetUserMetadata(42, 7),
       Request::PutUserMetadata(42, 7, {5}),
@@ -89,10 +89,11 @@ TEST(MessageTest, OpTableMapsEveryPointOpcodeToItsRef) {
   const std::vector<std::pair<Request, ObjectRef>> point = {
       {Request::GetSuperblock(7), ObjectRef::Superblock(7)},
       {Request::PutSuperblock(7, p), ObjectRef::Superblock(7)},
-      {Request::DeleteSuperblock(7), ObjectRef::Superblock(7)},
+      {Request::Delete(ObjectRef::Superblock(7)), ObjectRef::Superblock(7)},
       {Request::GetMetadata(42, sel), ObjectRef::Metadata(42, sel)},
       {Request::PutMetadata(42, sel, p), ObjectRef::Metadata(42, sel)},
-      {Request::DeleteMetadata(42, sel), ObjectRef::Metadata(42, sel)},
+      {Request::Delete(ObjectRef::Metadata(42, sel)),
+       ObjectRef::Metadata(42, sel)},
       {Request::GetUserMetadata(43, 9), ObjectRef::UserMetadata(43, 9)},
       {Request::PutUserMetadata(43, 9, p), ObjectRef::UserMetadata(43, 9)},
       {Request::DeleteUserMetadata(43, 9), ObjectRef::UserMetadata(43, 9)},
@@ -205,11 +206,11 @@ TEST(ObjectStoreTest, MetadataCrud) {
   store.Put(ObjectRef::Metadata(2, 0), {3});
   EXPECT_EQ(store.Get(
       ObjectRef::Metadata(1, 1)), std::optional<Bytes>(Bytes{2}));
-  EXPECT_EQ(store.MetadataReplicaCount(1), 2u);
   store.Delete(ObjectRef::Metadata(1, 0));
-  EXPECT_EQ(store.MetadataReplicaCount(1), 1u);
+  EXPECT_FALSE(store.Get(ObjectRef::Metadata(1, 0)).has_value());
+  EXPECT_TRUE(store.Get(ObjectRef::Metadata(1, 1)).has_value());
   store.DeleteInode(ObjectFamily::kMetadata, 1);
-  EXPECT_EQ(store.MetadataReplicaCount(1), 0u);
+  EXPECT_FALSE(store.Get(ObjectRef::Metadata(1, 1)).has_value());
   EXPECT_TRUE(store.Get(ObjectRef::Metadata(2, 0)).has_value());  // Untouched.
 }
 

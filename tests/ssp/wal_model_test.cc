@@ -64,7 +64,7 @@ Request RandomOp(Rng* rng, fs::InodeNum base_inode, uint64_t spread) {
     case 2:
       return Request::PutMetadata(inode, small, payload);
     case 3:
-      return Request::DeleteMetadata(inode, small);
+      return Request::Delete(ObjectRef::Metadata(inode, small));
     case 4:
       return Request::DeleteInodeMetadata(inode);
     case 5:

@@ -80,11 +80,12 @@ Request NthOp(uint64_t idx) {
     case 4:
       return Request::PutGroupKey(500 + idx % 3, 100 + idx % 4, payload);
     case 5:
-      return Request::DeleteMetadata(inode, (idx + 1) % 5);
+      return Request::Delete(ObjectRef::Metadata(inode, (idx + 1) % 5));
     case 6:
       return Request::Batch({Request::PutMetadata(inode, 7, payload),
                              Request::PutData(inode, 9, payload),
-                             Request::DeleteMetadata(1 + (idx + 3) % 37, 7)});
+                             Request::Delete(ObjectRef::Metadata(
+                                 1 + (idx + 3) % 37, 7))});
     case 7:
       return Request::DeleteInodeData(1 + (idx + 11) % 37);
     default:
@@ -417,7 +418,8 @@ TEST(WalBatchCost, MixedBatchCostsExactlyOneFsync) {
   uint64_t fsyncs0 = reg.counter("ssp.wal.fsyncs")->Value();
   Response resp = server.Handle(Request::Batch(
       {Request::PutData(5, 0, {1}), Request::GetData(5, 0),
-       Request::PutMetadata(5, 0, {2}), Request::DeleteMetadata(6, 1)}));
+       Request::PutMetadata(5, 0, {2}),
+       Request::Delete(ObjectRef::Metadata(6, 1))}));
   ASSERT_EQ(resp.status, RespStatus::kOk);
   EXPECT_EQ(reg.counter("ssp.wal.appends")->Value(), appends0 + 3);
   EXPECT_EQ(reg.counter("ssp.wal.fsyncs")->Value(), fsyncs0 + 1);

@@ -219,11 +219,5 @@ TEST(SimClockTest, ResetClearsState) {
   EXPECT_EQ(clock.now_ns(), 0u);
 }
 
-TEST(CostCategoryTest, Names) {
-  EXPECT_EQ(CostCategoryName(CostCategory::kNetwork), "NETWORK");
-  EXPECT_EQ(CostCategoryName(CostCategory::kCrypto), "CRYPTO");
-  EXPECT_EQ(CostCategoryName(CostCategory::kOther), "OTHER");
-}
-
 }  // namespace
 }  // namespace sharoes
