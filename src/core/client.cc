@@ -118,15 +118,31 @@ Result<std::string> SharoesClient::NormalizePath(const std::string& path) {
   return fs::JoinPath(comps);
 }
 
-uint32_t SharoesClient::InitialWindowBlocks() const {
+std::vector<uint32_t> SharoesClient::FirstDataWindow(
+    fs::InodeNum inode, const Bytes* plain0) const {
   // Before the descriptor is fetched the block count is unknown, so the
   // speculative first window stays small: big enough to cover most files
   // in one round trip, small enough that a one-block file wastes only a
-  // few tiny kNotFound sub-responses.
-  constexpr uint32_t kInitialReadWindow = 4;
-  size_t window = std::max<size_t>(options_.readahead_blocks, 1);
-  return static_cast<uint32_t>(
-      std::min<size_t>(window, kInitialReadWindow));
+  // few tiny kNotFound sub-responses. A cached descriptor knows the EOF,
+  // so nothing past it is asked for.
+  constexpr size_t kInitialReadWindow = 4;
+  uint32_t end = static_cast<uint32_t>(std::min<size_t>(
+      std::max<size_t>(options_.readahead_blocks, 1), kInitialReadWindow));
+  std::vector<uint32_t> blocks;
+  if (plain0 == nullptr) {
+    blocks.push_back(0);
+  } else {
+    BinaryReader r(*plain0);
+    auto desc = DataDescriptor::ReadFrom(&r);
+    if (desc.ok()) end = std::min(end, desc->block_count);
+  }
+  for (uint32_t i = 1; i < end; ++i) {
+    if (!cache_.Contains(DataCacheKey(inode, i)) ||
+        !cache_.Contains(TagCacheKey(inode, i))) {
+      blocks.push_back(i);
+    }
+  }
+  return blocks;
 }
 
 void SharoesClient::ChargeClientOverhead() {
@@ -267,7 +283,7 @@ Result<MetadataView> SharoesClient::FetchView(const PlainRef& ref) {
 
 Result<SharoesClient::Node> SharoesClient::FetchNode(const PlainRef& ref) {
   SHAROES_ASSIGN_OR_RETURN(MetadataView view, FetchView(ref));
-  return Node{ref, std::move(view)};
+  return Node{ref, std::move(view), nullptr};
 }
 
 Result<std::vector<ssp::Response>> SharoesClient::MultiGet(
@@ -309,6 +325,7 @@ Result<std::vector<ssp::Response>> SharoesClient::MultiGet(
 }
 
 void SharoesClient::CacheFetchedDataBlocks(const Node& node,
+                                           const Bytes* plain0,
                                            const std::vector<uint32_t>& indices,
                                            const ssp::Response* resps) {
   if (!node.view.CanReadData()) return;
@@ -327,11 +344,7 @@ void SharoesClient::CacheFetchedDataBlocks(const Node& node,
     if (!plain.ok()) return;
     desc_from_plain(*plain);
   }
-  if (!desc.has_value()) {
-    if (auto cached0 = cache_.Get<Bytes>(DataCacheKey(node.ref.inode, 0))) {
-      desc_from_plain(*cached0);
-    }
-  }
+  if (!desc.has_value() && plain0 != nullptr) desc_from_plain(*plain0);
   if (!desc.has_value()) return;
   for (size_t j = 0; j < indices.size(); ++j) {
     uint32_t i = indices[j];
@@ -349,17 +362,18 @@ Result<SharoesClient::Node> SharoesClient::FetchNodeBatched(
   bool fetch_view = !cache_.Contains(view_key);
   bool fetch_table = want_table && !cache_.Contains(table_key);
   std::vector<uint32_t> data_blocks;
+  std::shared_ptr<const Bytes> plain0;
   if (want_data) {
-    uint32_t window = InitialWindowBlocks();
-    for (uint32_t i = 0; i < window; ++i) {
-      if (!cache_.Contains(DataCacheKey(ref.inode, i)) ||
-          (i > 0 && !cache_.Contains(TagCacheKey(ref.inode, i)))) {
-        data_blocks.push_back(i);
-      }
-    }
+    // The probe keeps a cold read's block-0 lookup where it has always
+    // been counted (FetchFileContent, after the batch filled the cache).
+    std::string key0 = DataCacheKey(ref.inode, 0);
+    if (cache_.Contains(key0)) plain0 = cache_.Get<Bytes>(key0);
+    data_blocks = FirstDataWindow(ref.inode, plain0.get());
   }
   if (!fetch_view && !fetch_table && data_blocks.empty()) {
-    return FetchNode(ref);  // Fully cached.
+    SHAROES_ASSIGN_OR_RETURN(Node node, FetchNode(ref));  // Fully cached.
+    node.plain0 = std::move(plain0);
+    return node;
   }
   std::vector<ssp::Request> gets;
   if (fetch_view) {
@@ -390,7 +404,7 @@ Result<SharoesClient::Node> SharoesClient::FetchNodeBatched(
   } else {
     SHAROES_ASSIGN_OR_RETURN(view, FetchView(ref));  // Cached.
   }
-  Node node{ref, std::move(view)};
+  Node node{ref, std::move(view), plain0};
   if (fetch_table) {
     const ssp::Response& r = resps[idx++];
     // Best-effort: only a directory whose CAP exposes the table keys can
@@ -407,7 +421,7 @@ Result<SharoesClient::Node> SharoesClient::FetchNodeBatched(
     }
   }
   if (!data_blocks.empty()) {
-    CacheFetchedDataBlocks(node, data_blocks, &resps[idx]);
+    CacheFetchedDataBlocks(node, plain0.get(), data_blocks, &resps[idx]);
   }
   return node;
 }
@@ -834,21 +848,16 @@ Result<Bytes> SharoesClient::FetchFileContent(const Node& node) {
     return Status::PermissionDenied("CAP does not expose DEK/DVK");
   }
   fs::InodeNum inode = node.ref.inode;
-  auto plain0 = cache_.Get<Bytes>(DataCacheKey(inode, 0));
+  auto plain0 = node.plain0 != nullptr
+                    ? node.plain0
+                    : cache_.Get<Bytes>(DataCacheKey(inode, 0));
   if (plain0 == nullptr) {
     // Cold block 0: fetch it — batched with an initial window of sibling
     // blocks when batching is on (the block count is still unknown, so
     // gets past EOF come back as harmless kNotFound sub-responses).
-    std::vector<uint32_t> window = {0};
-    if (options_.batch_reads) {
-      uint32_t w = InitialWindowBlocks();
-      for (uint32_t i = 1; i < w; ++i) {
-        if (!cache_.Contains(DataCacheKey(inode, i)) ||
-            !cache_.Contains(TagCacheKey(inode, i))) {
-          window.push_back(i);
-        }
-      }
-    }
+    std::vector<uint32_t> window =
+        options_.batch_reads ? FirstDataWindow(inode, nullptr)
+                             : std::vector<uint32_t>{0};
     std::vector<ssp::Request> gets;
     gets.reserve(window.size());
     for (uint32_t b : window) gets.push_back(ssp::Request::GetData(inode, b));
@@ -880,7 +889,7 @@ Result<Bytes> SharoesClient::FetchFileContent(const Node& node) {
       // Siblings from the same round trip: best-effort cache fill (the
       // strict loop below re-validates anything that failed here).
       std::vector<uint32_t> siblings(window.begin() + 1, window.end());
-      CacheFetchedDataBlocks(node, siblings, &resps[1]);
+      CacheFetchedDataBlocks(node, plain0.get(), siblings, &resps[1]);
     }
   }
   BinaryReader r(*plain0);

@@ -167,6 +167,9 @@ class SharoesClient : public FsClient {
   struct Node {
     PlainRef ref;
     MetadataView view;
+    /// Block 0's plaintext when ResolvePath(kData) found it cached: the
+    /// read's one lookup of it, handed on to FetchFileContent.
+    std::shared_ptr<const Bytes> plain0;
   };
   struct WriteBuffer {
     fs::InodeNum inode;
@@ -223,7 +226,9 @@ class SharoesClient : public FsClient {
   /// `node`: blocks past the descriptor's block_count (speculative
   /// overfetch) and non-ok sub-responses are skipped; validation errors
   /// drop the block so the strict path re-fetches and reports.
-  void CacheFetchedDataBlocks(const Node& node,
+  /// `plain0` is block 0's cached plaintext when block 0 is not among
+  /// `indices` (its descriptor validates the rest).
+  void CacheFetchedDataBlocks(const Node& node, const Bytes* plain0,
                               const std::vector<uint32_t>& indices,
                               const ssp::Response* resps);
   Result<std::shared_ptr<const DecodedTable>> FetchTable(const Node& dir);
@@ -312,9 +317,12 @@ class SharoesClient : public FsClient {
   /// Canonical spelling for write-buffer keys and subtree-prefix logic:
   /// "/a//b/" and "/a/b" must address the same dirty buffer.
   static Result<std::string> NormalizePath(const std::string& path);
-  /// Initial data window batched with a cold file's first fetch (before
-  /// the descriptor — and thus the block count — is known).
-  uint32_t InitialWindowBlocks() const;
+  /// The data blocks a read batches into its first fetch: the missing
+  /// ones (plaintext or tag) of a small initial window. With `plain0`
+  /// (block 0's cached plaintext) null the window is speculative and
+  /// includes block 0; otherwise its descriptor's block_count caps it.
+  std::vector<uint32_t> FirstDataWindow(fs::InodeNum inode,
+                                        const Bytes* plain0) const;
 
   // --- Data path ---
   Result<Bytes> FetchFileContent(const Node& node);

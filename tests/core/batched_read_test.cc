@@ -85,6 +85,78 @@ TEST(BatchedReadTest, ColdReadsAreByteIdenticalAndCheaper) {
   EXPECT_GE(tu, 4 * tb) << "batched=" << tb << " unbatched=" << tu;
 }
 
+TEST(BatchedReadTest, CachedReadMakesNoRoundTrip) {
+  // Once block 0 is cached its descriptor knows the EOF, so a re-read of
+  // a fully cached file asks the SSP for nothing — not even the blocks
+  // of the speculative first window that lie past the end.
+  World world(BatchedOpts(true));
+  ASSERT_TRUE(world.MigrateAndMountAll(World::DefaultTree()).ok());
+  auto& alice = world.client(kAlice);
+  CreateOptions fopts;
+  fopts.mode = World::ParseMode("rw-rw----");
+  for (uint32_t blocks : {1u, 2u, 3u, 6u}) {
+    std::string path = "/shared/f" + std::to_string(blocks) + ".bin";
+    Bytes content = BlocksOfPattern(blocks, static_cast<uint8_t>(blocks));
+    ASSERT_TRUE(alice.Create(path, fopts).ok());
+    ASSERT_TRUE(alice.WriteFile(path, content).ok());
+    alice.DropCaches();
+    auto first = alice.Read(path);
+    ASSERT_TRUE(first.ok()) << first.status();
+    EXPECT_EQ(*first, content) << path;
+    uint64_t before = alice.rpc_round_trips();
+    auto second = alice.Read(path);
+    ASSERT_TRUE(second.ok()) << second.status();
+    EXPECT_EQ(alice.rpc_round_trips() - before, 0u) << path;
+    EXPECT_EQ(*second, content) << path;
+  }
+}
+
+TEST(BatchedReadTest, CachedReaderSeesGrowthOnlyAfterEvict) {
+  // Close-to-open: a reader serves its cached block 0 (and the EOF it
+  // records) until EvictPath, even after another client grew the file.
+  // The evicted re-read sees the new version and moves the reader's
+  // freshness record forward: a rollback to the old one is then caught.
+  World world(BatchedOpts(true));
+  ASSERT_TRUE(world.MigrateAndMountAll(World::DefaultTree()).ok());
+  auto& alice = world.client(kAlice);
+  auto& bob = world.client(kBob);
+  const std::string path = "/shared/grow.bin";
+  CreateOptions fopts;
+  fopts.mode = World::ParseMode("rw-rw----");
+  Bytes v1 = BlocksOfPattern(1, 1);
+  Bytes v2 = BlocksOfPattern(3, 2);
+  ASSERT_TRUE(alice.Create(path, fopts).ok());
+  ASSERT_TRUE(alice.WriteFile(path, v1).ok());
+  auto attrs = alice.Getattr(path);
+  ASSERT_TRUE(attrs.ok()) << attrs.status();
+  const fs::InodeNum inode = attrs->inode;
+
+  auto got = bob.Read(path);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(*got, v1);
+  auto v1_block0 = world.server().store().Get(ssp::ObjectRef::Data(inode, 0));
+  ASSERT_TRUE(v1_block0.has_value());
+
+  ASSERT_TRUE(alice.WriteFile(path, v2).ok());
+  got = bob.Read(path);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(*got, v1) << "cached version served until EvictPath";
+
+  ASSERT_TRUE(bob.EvictPath(path).ok());
+  got = bob.Read(path);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(*got, v2);
+
+  // The SSP rolls the file back to the validly signed one-block version.
+  world.server().store().DeleteInode(ssp::ObjectFamily::kData, inode);
+  world.server().store().Put(ssp::ObjectRef::Data(inode, 0), *v1_block0);
+  ASSERT_TRUE(bob.EvictPath(path).ok());
+  got = bob.Read(path);
+  ASSERT_FALSE(got.ok());
+  EXPECT_TRUE(got.status().IsCorruption()) << got.status();
+  EXPECT_NE(got.status().message().find("rollback"), std::string::npos);
+}
+
 TEST(BatchedReadTest, ReadaheadWindowBoundsBatchSize) {
   // A smaller window means more (but smaller) batches: the 18-block file
   // needs strictly more round trips at readahead 4 than at 32, and both
