@@ -87,14 +87,14 @@ struct ReadRttMeasurement {
 /// Provisions the files, drops every cache, then reads each file once
 /// cold, checking contents byte-for-byte against what was written. With
 /// `warm` set, every file is then read again without dropping caches.
-ReadRttMeasurement MeasureColdReads(bool batch_reads,
+ReadRttMeasurement MeasureColdReads(bool batched,
                                     const std::vector<std::string>& dirs,
                                     const std::vector<MixFile>& files,
                                     ReadRttMeasurement* warm = nullptr) {
   BenchWorldOptions opts;
   opts.variant = SystemVariant::kSharoes;
   opts.network = net::NetworkModel::PaperDsl();
-  opts.batch_reads = batch_reads;
+  if (!batched) opts.readahead_blocks = 0;
   BenchWorld world(opts);
   core::CreateOptions dopts;
   dopts.mode = fs::Mode::FromOctal(0755);

@@ -242,7 +242,7 @@ Status BaselineClient::Mount() {
   SHAROES_ASSIGN_OR_RETURN(
       ssp::Response resp,
       conn_->Call(ssp::Request::GetSuperblock(kSuperblockSlot)));
-  if (!resp.ok()) return Status::NotFound("no superblock");
+  SHAROES_RETURN_IF_ERROR(ssp::ReadStatus(resp.status, "superblock"));
   SHAROES_ASSIGN_OR_RETURN(fs::Superblock sb,
                            fs::Superblock::Deserialize(resp.payload));
   (void)sb;
@@ -259,7 +259,7 @@ Result<BaselineRecord> BaselineClient::FetchRecord(fs::InodeNum inode) {
       SHAROES_ASSIGN_OR_RETURN(
           ssp::Response resp,
           conn_->Call(ssp::Request::GetMetadata(inode, 0)));
-      if (!resp.ok()) return Status::NotFound("metadata not at SSP");
+      SHAROES_RETURN_IF_ERROR(ssp::ReadStatus(resp.status, "metadata"));
       SHAROES_ASSIGN_OR_RETURN(BaselineRecord rec,
                                BaselineRecord::Deserialize(resp.payload));
       cache_.Put(key, rec, resp.payload.size());
@@ -273,10 +273,14 @@ Result<BaselineRecord> BaselineClient::FetchRecord(fs::InodeNum inode) {
       SHAROES_ASSIGN_OR_RETURN(
           ssp::Response resp,
           conn_->Call(ssp::Request::Batch(std::move(reqs))));
-      if (resp.batch.size() != 2 || !resp.batch[0].ok() ||
-          !resp.batch[1].ok()) {
-        return Status::NotFound("metadata or key block not at SSP");
+      SHAROES_RETURN_IF_ERROR(ssp::ReadStatus(resp.status, "record batch"));
+      if (resp.batch.size() != 2) {
+        return Status::IoError("short batch response");
       }
+      SHAROES_RETURN_IF_ERROR(
+          ssp::ReadStatus(resp.batch[0].status, "metadata"));
+      SHAROES_RETURN_IF_ERROR(
+          ssp::ReadStatus(resp.batch[1].status, "key block"));
       SHAROES_ASSIGN_OR_RETURN(
           Bytes k, engine_->PkDecrypt(user_priv_, resp.batch[1].payload));
       SHAROES_ASSIGN_OR_RETURN(crypto::SymmetricKey key_obj,
@@ -293,7 +297,7 @@ Result<BaselineRecord> BaselineClient::FetchRecord(fs::InodeNum inode) {
       SHAROES_ASSIGN_OR_RETURN(
           ssp::Response resp,
           conn_->Call(ssp::Request::GetUserMetadata(inode, uid_)));
-      if (!resp.ok()) return Status::NotFound("metadata copy not at SSP");
+      SHAROES_RETURN_IF_ERROR(ssp::ReadStatus(resp.status, "metadata copy"));
       SHAROES_ASSIGN_OR_RETURN(Bytes plain,
                                engine_->PkDecrypt(user_priv_, resp.payload));
       SHAROES_ASSIGN_OR_RETURN(BaselineRecord rec,
@@ -311,7 +315,7 @@ Result<fs::DirTable> BaselineClient::FetchTable(const BaselineRecord& dir) {
   SHAROES_ASSIGN_OR_RETURN(
       ssp::Response resp,
       conn_->Call(ssp::Request::GetData(dir.attrs.inode, 0)));
-  if (!resp.ok()) return Status::NotFound("dir table not at SSP");
+  SHAROES_RETURN_IF_ERROR(ssp::ReadStatus(resp.status, "dir table"));
   Bytes plain = resp.payload;
   if (options_.mode != SecurityMode::kNoEncMdD) {
     SHAROES_ASSIGN_OR_RETURN(crypto::SymmetricKey dek,
@@ -456,7 +460,9 @@ Result<Bytes> BaselineClient::FetchFileContent(const BaselineRecord& record) {
   } else {
     SHAROES_ASSIGN_OR_RETURN(ssp::Response resp,
                              conn_->Call(ssp::Request::GetData(inode, 1)));
-    if (!resp.ok()) return Bytes{};  // Never written.
+    Status got = ssp::ReadStatus(resp.status, "data block 1");
+    if (got.IsNotFound()) return Bytes{};  // Never written.
+    SHAROES_RETURN_IF_ERROR(got);
     SHAROES_ASSIGN_OR_RETURN(plain0, decode(resp.payload));
     cache_.Put(key0, plain0, resp.payload.size());
   }
@@ -482,11 +488,14 @@ Result<Bytes> BaselineClient::FetchFileContent(const BaselineRecord& record) {
       SHAROES_ASSIGN_OR_RETURN(
           ssp::Response resp,
           conn_->Call(ssp::Request::Batch(std::move(gets))));
+      SHAROES_RETURN_IF_ERROR(ssp::ReadStatus(resp.status, "block batch"));
       if (resp.batch.size() != missing.size()) {
         return Status::IoError("short batch response");
       }
       for (size_t i = 0; i < missing.size(); ++i) {
-        if (!resp.batch[i].ok()) return Status::IoError("missing block");
+        SHAROES_RETURN_IF_ERROR(ssp::ReadStatus(
+            resp.batch[i].status,
+            "data block " + std::to_string(missing[i] + 1)));
         SHAROES_ASSIGN_OR_RETURN(Bytes plain, decode(resp.batch[i].payload));
         cache_.Put("d|" + std::to_string(inode) + "|" +
                        std::to_string(missing[i] + 1),

@@ -12,21 +12,10 @@ namespace sharoes::core {
 
 namespace {
 
-/// Maps a non-ok read sub-response to the caller-facing Status: kNotFound
-/// stays NotFound (the object genuinely is not at the SSP), kError means
-/// the sub-op was *not executed* and becomes Unavailable (transient,
-/// retryable), and anything else from a well-formed get is an I/O error.
-Status ReadSubError(const std::string& what, ssp::RespStatus status) {
-  switch (status) {
-    case ssp::RespStatus::kNotFound:
-      return Status::NotFound(what + " not at SSP");
-    case ssp::RespStatus::kError:
-      return Status::Unavailable(what + ": SSP reported transient error");
-    default:
-      return Status::IoError(what + ": SSP answered " +
-                             ssp::RespStatusName(status));
-  }
-}
+/// Byte budget of the negative dentry cache (names a descent proved
+/// absent, so repeated misses answer locally instead of re-paying the
+/// table fetch).
+constexpr size_t kNegativeDentryBytes = 64 << 10;
 
 /// Builds the partial bundle a directory writer holds (table keys + data
 /// signing pair); owners use MetadataView::ToBundle for the full bundle.
@@ -63,7 +52,7 @@ SharoesClient::SharoesClient(fs::UserId uid,
       codec_(engine, identity, options.scheme),
       options_(options),
       cache_(options.cache_bytes),
-      neg_cache_(options.negative_dentry_bytes, nullptr, "client.dentry.neg"),
+      neg_cache_(kNegativeDentryBytes, nullptr, "client.dentry.neg"),
       rpc_trips_counter_(
           obs::MetricsRegistry::Global().counter("client.rpc.round_trips")),
       inode_counter_(engine->rng().NextU64() & 0xFFFFFFFFULL) {}
@@ -112,6 +101,13 @@ Result<ssp::Response> SharoesClient::Rpc(const ssp::Request& req) {
   return conn_->Call(req);
 }
 
+Result<Bytes> SharoesClient::Get(const ssp::Request& req,
+                                 const std::string& what) {
+  SHAROES_ASSIGN_OR_RETURN(ssp::Response resp, Rpc(req));
+  SHAROES_RETURN_IF_ERROR(ssp::ReadStatus(resp.status, what));
+  return std::move(resp.payload);
+}
+
 Result<std::string> SharoesClient::NormalizePath(const std::string& path) {
   SHAROES_ASSIGN_OR_RETURN(std::vector<std::string> comps,
                            fs::SplitPath(path));
@@ -119,7 +115,7 @@ Result<std::string> SharoesClient::NormalizePath(const std::string& path) {
 }
 
 std::vector<uint32_t> SharoesClient::FirstDataWindow(
-    fs::InodeNum inode, const Bytes* plain0) const {
+    fs::InodeNum inode, const FileHead* head) const {
   // Before the descriptor is fetched the block count is unknown, so the
   // speculative first window stays small: big enough to cover most files
   // in one round trip, small enough that a one-block file wastes only a
@@ -129,12 +125,10 @@ std::vector<uint32_t> SharoesClient::FirstDataWindow(
   uint32_t end = static_cast<uint32_t>(std::min<size_t>(
       std::max<size_t>(options_.readahead_blocks, 1), kInitialReadWindow));
   std::vector<uint32_t> blocks;
-  if (plain0 == nullptr) {
+  if (head == nullptr) {
     blocks.push_back(0);
   } else {
-    BinaryReader r(*plain0);
-    auto desc = DataDescriptor::ReadFrom(&r);
-    if (desc.ok()) end = std::min(end, desc->block_count);
+    end = std::min(end, head->desc.block_count);
   }
   for (uint32_t i = 1; i < end; ++i) {
     if (!cache_.Contains(DataCacheKey(inode, i)) ||
@@ -246,44 +240,13 @@ Status SharoesClient::Mount() {
   }
   principal_ = identity_->PrincipalOf(uid_);
   ChargeClientOverhead();
-  SHAROES_ASSIGN_OR_RETURN(ssp::Response resp,
-                           Rpc(ssp::Request::GetSuperblock(uid_)));
-  if (!resp.ok()) {
-    return Status::NotFound("no superblock for user " + std::to_string(uid_));
-  }
+  SHAROES_ASSIGN_OR_RETURN(
+      Bytes sealed, Get(ssp::Request::GetSuperblock(uid_),
+                        "superblock of user " + std::to_string(uid_)));
   SHAROES_ASSIGN_OR_RETURN(superblock_,
-                           codec_.DecodeSuperblock(user_priv_, resp.payload));
+                           codec_.DecodeSuperblock(user_priv_, sealed));
   mounted_ = true;
   return Status::OK();
-}
-
-Result<MetadataView> SharoesClient::DecodeAndCacheView(const PlainRef& ref,
-                                                       const Bytes& payload) {
-  SHAROES_ASSIGN_OR_RETURN(
-      MetadataView view,
-      codec_.DecodeMetadataReplica(ref.inode, ref.selector, payload,
-                                   ref.mek, ref.mvk));
-  cache_.Put(ViewCacheKey(ref.inode, ref.selector), view, payload.size());
-  return view;
-}
-
-Result<MetadataView> SharoesClient::FetchView(const PlainRef& ref) {
-  std::string key = ViewCacheKey(ref.inode, ref.selector);
-  if (auto cached = cache_.Get<MetadataView>(key)) return *cached;
-  SHAROES_ASSIGN_OR_RETURN(
-      ssp::Response resp,
-      Rpc(ssp::Request::GetMetadata(ref.inode, ref.selector)));
-  if (!resp.ok()) {
-    return Status::NotFound("metadata " + std::to_string(ref.inode) +
-                            " replica " + std::to_string(ref.selector) +
-                            " not at SSP");
-  }
-  return DecodeAndCacheView(ref, resp.payload);
-}
-
-Result<SharoesClient::Node> SharoesClient::FetchNode(const PlainRef& ref) {
-  SHAROES_ASSIGN_OR_RETURN(MetadataView view, FetchView(ref));
-  return Node{ref, std::move(view), nullptr};
 }
 
 Result<std::vector<ssp::Response>> SharoesClient::MultiGet(
@@ -305,16 +268,11 @@ Result<std::vector<ssp::Response>> SharoesClient::MultiGet(
   size_t n = gets.size();
   SHAROES_ASSIGN_OR_RETURN(ssp::Response resp,
                            Rpc(ssp::Request::Batch(std::move(gets))));
-  if (resp.status == ssp::RespStatus::kError) {
-    // The batch was not executed; all sub-ops are idempotent reads, so
-    // re-issuing is always safe (RetryingConnection does exactly that).
-    return Status::Unavailable("SSP reported transient error for read batch");
-  }
-  if (!resp.ok()) {
-    return Status::IoError(std::string("SSP rejected read batch of ") +
-                           std::to_string(n) + " gets (" +
-                           ssp::RespStatusName(resp.status) + ")");
-  }
+  // A kError envelope was not executed; every sub-op is an idempotent
+  // read, so re-issuing is always safe (RetryingConnection does exactly
+  // that).
+  SHAROES_RETURN_IF_ERROR(ssp::ReadStatus(
+      resp.status, "read batch of " + std::to_string(n) + " gets"));
   if (resp.batch.size() != n) {
     return Status::IoError("SSP answered " +
                            std::to_string(resp.batch.size()) +
@@ -324,56 +282,22 @@ Result<std::vector<ssp::Response>> SharoesClient::MultiGet(
   return std::move(resp.batch);
 }
 
-void SharoesClient::CacheFetchedDataBlocks(const Node& node,
-                                           const Bytes* plain0,
-                                           const std::vector<uint32_t>& indices,
-                                           const ssp::Response* resps) {
-  if (!node.view.CanReadData()) return;
-  // The descriptor (in block 0) gates everything else: without it the
-  // per-block generations cannot be validated against anything.
-  std::optional<DataDescriptor> desc;
-  auto desc_from_plain = [&](const Bytes& plain) {
-    BinaryReader r(plain);
-    auto d = DataDescriptor::ReadFrom(&r);
-    if (d.ok()) desc = *d;
-  };
-  for (size_t j = 0; j < indices.size(); ++j) {
-    if (indices[j] != 0) continue;
-    if (!resps[j].ok()) return;  // No block 0, nothing to validate against.
-    auto plain = OpenDataBlock(node, 0, resps[j].payload, nullptr);
-    if (!plain.ok()) return;
-    desc_from_plain(*plain);
-  }
-  if (!desc.has_value() && plain0 != nullptr) desc_from_plain(*plain0);
-  if (!desc.has_value()) return;
-  for (size_t j = 0; j < indices.size(); ++j) {
-    uint32_t i = indices[j];
-    if (i == 0 || i >= desc->block_count) continue;  // Done / past EOF.
-    // Best effort: a block that fails to open is simply not cached.
-    if (resps[j].ok()) (void)OpenDataBlock(node, i, resps[j].payload, &*desc);
-  }
-}
-
-Result<SharoesClient::Node> SharoesClient::FetchNodeBatched(
-    const PlainRef& ref, bool want_table, bool want_data) {
-  if (!options_.batch_reads) return FetchNode(ref);
+Result<SharoesClient::Node> SharoesClient::FetchNode(const PlainRef& ref,
+                                                     bool want_table,
+                                                     bool want_data) {
+  const bool batched = options_.readahead_blocks > 0;
   std::string view_key = ViewCacheKey(ref.inode, ref.selector);
-  std::string table_key = TableCacheKey(ref.inode, ref.selector);
   bool fetch_view = !cache_.Contains(view_key);
-  bool fetch_table = want_table && !cache_.Contains(table_key);
+  bool fetch_table = batched && want_table &&
+                     !cache_.Contains(TableCacheKey(ref.inode, ref.selector));
+  Node node{ref, {}, nullptr};
   std::vector<uint32_t> data_blocks;
-  std::shared_ptr<const Bytes> plain0;
-  if (want_data) {
+  if (batched && want_data) {
     // The probe keeps a cold read's block-0 lookup where it has always
     // been counted (FetchFileContent, after the batch filled the cache).
     std::string key0 = DataCacheKey(ref.inode, 0);
-    if (cache_.Contains(key0)) plain0 = cache_.Get<Bytes>(key0);
-    data_blocks = FirstDataWindow(ref.inode, plain0.get());
-  }
-  if (!fetch_view && !fetch_table && data_blocks.empty()) {
-    SHAROES_ASSIGN_OR_RETURN(Node node, FetchNode(ref));  // Fully cached.
-    node.plain0 = std::move(plain0);
-    return node;
+    if (cache_.Contains(key0)) node.head = cache_.Get<FileHead>(key0);
+    data_blocks = FirstDataWindow(ref.inode, node.head.get());
   }
   std::vector<ssp::Request> gets;
   if (fetch_view) {
@@ -389,45 +313,67 @@ Result<SharoesClient::Node> SharoesClient::FetchNodeBatched(
   SHAROES_ASSIGN_OR_RETURN(std::vector<ssp::Response> resps,
                            MultiGet(std::move(gets)));
   size_t idx = 0;
-  MetadataView view;
   if (fetch_view) {
     const ssp::Response& r = resps[idx++];
-    if (r.status == ssp::RespStatus::kNotFound) {
-      return Status::NotFound("metadata " + std::to_string(ref.inode) +
-                              " replica " + std::to_string(ref.selector) +
-                              " not at SSP");
-    }
-    if (!r.ok()) {
-      return ReadSubError("metadata " + std::to_string(ref.inode), r.status);
-    }
-    SHAROES_ASSIGN_OR_RETURN(view, DecodeAndCacheView(ref, r.payload));
+    SHAROES_RETURN_IF_ERROR(ssp::ReadStatus(
+        r.status, "metadata " + std::to_string(ref.inode) + " replica " +
+                      std::to_string(ref.selector)));
+    SHAROES_ASSIGN_OR_RETURN(
+        node.view, codec_.DecodeMetadataReplica(ref.inode, ref.selector,
+                                                r.payload, ref.mek, ref.mvk));
+    cache_.Put(view_key, node.view, r.payload.size());
   } else {
-    SHAROES_ASSIGN_OR_RETURN(view, FetchView(ref));  // Cached.
+    // Still present: nothing since the probe touched the cache.
+    node.view = *cache_.Get<MetadataView>(view_key);
   }
-  Node node{ref, std::move(view), plain0};
   if (fetch_table) {
+    // Best-effort: a copy this CAP cannot decode is dropped, and
+    // FetchTable (if ever called) re-fetches and reports authoritatively.
     const ssp::Response& r = resps[idx++];
-    // Best-effort: only a directory whose CAP exposes the table keys can
-    // use the prefetched copy; anything else is dropped and FetchTable
-    // (if ever called) re-fetches and reports authoritatively.
-    if (r.ok() && node.view.attrs.is_dir() &&
-        node.view.dek.has_value() && node.view.dvk.has_value()) {
-      auto table = codec_.DecodeTableCopy(ref.inode, ref.selector, r.payload,
-                                          *node.view.dek, *node.view.dvk);
-      if (table.ok()) {
-        auto sp = std::make_shared<const DecodedTable>(std::move(*table));
-        cache_.PutPtr(table_key, sp, r.payload.size());
-      }
-    }
+    if (r.ok()) (void)FetchTable(node, &r.payload);
   }
-  if (!data_blocks.empty()) {
-    CacheFetchedDataBlocks(node, plain0.get(), data_blocks, &resps[idx]);
+  if (!data_blocks.empty() && node.view.CanReadData()) {
+    (void)TakeDataWindow(node, data_blocks, &resps[idx]);
   }
   return node;
 }
 
+Result<std::shared_ptr<const SharoesClient::FileHead>>
+SharoesClient::TakeDataWindow(const Node& node,
+                              const std::vector<uint32_t>& blocks,
+                              const ssp::Response* resps) {
+  fs::InodeNum inode = node.ref.inode;
+  std::shared_ptr<const FileHead> head = node.head;
+  size_t j = 0;
+  if (head == nullptr) {
+    // FirstDataWindow lists block 0 first whenever the head is unknown.
+    // Its descriptor gates everything else: without it the tail blocks'
+    // generations cannot be validated against anything.
+    SHAROES_RETURN_IF_ERROR(ssp::ReadStatus(resps[0].status, "data block 0"));
+    const Bytes& wire = resps[0].payload;
+    SHAROES_ASSIGN_OR_RETURN(Bytes plain,
+                             OpenDataBlock(node, 0, wire, nullptr));
+    BinaryReader r(plain);
+    FileHead parsed;
+    SHAROES_ASSIGN_OR_RETURN(parsed.desc, DataDescriptor::ReadFrom(&r));
+    parsed.chunk = r.GetRaw(r.remaining());
+    head = std::make_shared<const FileHead>(std::move(parsed));
+    cache_.PutPtr(DataCacheKey(inode, 0), head, wire.size());
+    j = 1;
+  }
+  for (; j < blocks.size(); ++j) {
+    uint32_t i = blocks[j];
+    if (i >= head->desc.block_count) continue;  // Past EOF.
+    // Best effort: a block that fails to open is simply not cached.
+    if (resps[j].ok()) {
+      (void)OpenDataBlock(node, i, resps[j].payload, &head->desc);
+    }
+  }
+  return head;
+}
+
 Result<std::shared_ptr<const DecodedTable>> SharoesClient::FetchTable(
-    const Node& dir) {
+    const Node& dir, const Bytes* fetched) {
   if (!dir.view.attrs.is_dir()) {
     return Status::InvalidArgument("not a directory");
   }
@@ -435,34 +381,37 @@ Result<std::shared_ptr<const DecodedTable>> SharoesClient::FetchTable(
     return Status::PermissionDenied("no table access on directory");
   }
   std::string key = TableCacheKey(dir.ref.inode, dir.ref.selector);
-  if (auto cached = cache_.Get<DecodedTable>(key)) return cached;
-  SHAROES_ASSIGN_OR_RETURN(
-      ssp::Response resp,
-      Rpc(ssp::Request::GetMetadata(
-          dir.ref.inode, TableSelector(dir.ref.selector))));
-  if (!resp.ok()) return Status::NotFound("table copy not at SSP");
+  Bytes got;
+  if (fetched == nullptr) {
+    if (auto cached = cache_.Get<DecodedTable>(key)) return cached;
+    SHAROES_ASSIGN_OR_RETURN(
+        got, Get(ssp::Request::GetMetadata(dir.ref.inode,
+                                           TableSelector(dir.ref.selector)),
+                 "table copy"));
+    fetched = &got;
+  }
   SHAROES_ASSIGN_OR_RETURN(
       DecodedTable table,
-      codec_.DecodeTableCopy(dir.ref.inode, dir.ref.selector, resp.payload,
+      codec_.DecodeTableCopy(dir.ref.inode, dir.ref.selector, *fetched,
                              *dir.view.dek, *dir.view.dvk));
   auto sp = std::make_shared<const DecodedTable>(std::move(table));
-  cache_.PutPtr(key, sp, resp.payload.size());
+  cache_.PutPtr(key, sp, fetched->size());
   return sp;
 }
 
 Result<GroupSecret> SharoesClient::FetchGroupSecret(fs::GroupId gid) {
   auto it = group_secrets_.find(gid);
   if (it != group_secrets_.end()) return it->second;
-  SHAROES_ASSIGN_OR_RETURN(ssp::Response resp,
-                           Rpc(ssp::Request::GetGroupKey(gid, uid_)));
-  if (!resp.ok()) {
+  Result<Bytes> sealed =
+      Get(ssp::Request::GetGroupKey(gid, uid_), "group key block");
+  if (sealed.status().IsNotFound()) {
     return Status::PermissionDenied("no group key block for group " +
                                     std::to_string(gid) + " user " +
                                     std::to_string(uid_));
   }
-  SHAROES_ASSIGN_OR_RETURN(
-      GroupSecret secret, codec_.DecodeGroupKeyBlock(user_priv_,
-                                                     resp.payload));
+  SHAROES_RETURN_IF_ERROR(sealed.status());
+  SHAROES_ASSIGN_OR_RETURN(GroupSecret secret,
+                           codec_.DecodeGroupKeyBlock(user_priv_, *sealed));
   group_secrets_[gid] = secret;
   return secret;
 }
@@ -482,26 +431,27 @@ Result<PlainRef> SharoesClient::ResolveRowRef(fs::InodeNum parent,
   if (row.has_group_block && principal_.MemberOf(row.gid)) {
     if (auto cached = cache_.Get<PlainRef>(gkey)) return *cached;
   }
-  SHAROES_ASSIGN_OR_RETURN(
-      ssp::Response resp,
-      Rpc(ssp::Request::GetUserMetadata(row.inode, uid_)));
-  if (resp.ok()) {
-    SHAROES_ASSIGN_OR_RETURN(
-        PlainRef ref, codec_.DecodeRefBlock(user_priv_, resp.payload));
-    cache_.Put(ukey, ref, resp.payload.size());
+  Result<Bytes> mine =
+      Get(ssp::Request::GetUserMetadata(row.inode, uid_), "split block");
+  if (mine.ok()) {
+    SHAROES_ASSIGN_OR_RETURN(PlainRef ref,
+                             codec_.DecodeRefBlock(user_priv_, *mine));
+    cache_.Put(ukey, ref, mine->size());
     return ref;
   }
+  // Only a per-user block the SSP does not hold sends a reader to the
+  // group block. A transient fault must not: the child's owner would go
+  // on using the group CAP for as long as the ref stays cached.
+  if (!mine.status().IsNotFound()) return mine.status();
   if (row.has_group_block && principal_.MemberOf(row.gid)) {
     SHAROES_ASSIGN_OR_RETURN(
-        ssp::Response gresp,
-        Rpc(ssp::Request::GetUserMetadata(row.inode,
-                                          GroupBlockKey(row.gid))));
-    if (!gresp.ok()) return Status::NotFound("group split block missing");
+        Bytes sealed,
+        Get(ssp::Request::GetUserMetadata(row.inode, GroupBlockKey(row.gid)),
+            "group split block"));
     SHAROES_ASSIGN_OR_RETURN(GroupSecret secret, FetchGroupSecret(row.gid));
     SHAROES_ASSIGN_OR_RETURN(
-        PlainRef ref,
-        codec_.DecodeRefBlock(secret.private_key, gresp.payload));
-    cache_.Put(gkey, ref, gresp.payload.size());
+        PlainRef ref, codec_.DecodeRefBlock(secret.private_key, sealed));
+    cache_.Put(gkey, ref, sealed.size());
     return ref;
   }
   return Status::PermissionDenied("no split block for this user");
@@ -514,22 +464,18 @@ Result<SharoesClient::Node> SharoesClient::ResolvePath(
                            fs::SplitPath(path));
   PlainRef ref = superblock_.root_ref;
   Node node;
-  bool neg_cache_on = options_.negative_dentry_bytes > 0;
   for (size_t i = 0;; ++i) {
     const bool last = i == comps.size();
     // A remembered negative dentry short-circuits after the permission
     // checks below — and also tells the coalesced fetch not to pay bytes
     // for a table it will not consult.
-    bool neg = false;
-    if (!last && neg_cache_on) {
-      neg = neg_cache_.Get<bool>(NegDentryCacheKey(ref.inode, comps[i])) !=
-            nullptr;
-    }
+    const bool neg =
+        !last && neg_cache_.Get<bool>(NegDentryCacheKey(ref.inode,
+                                                        comps[i])) != nullptr;
     bool want_table = !last && !neg;
     bool want_data = last && intent == ReadIntent::kData;
     if (last && intent == ReadIntent::kTable) want_table = true;
-    SHAROES_ASSIGN_OR_RETURN(node,
-                             FetchNodeBatched(ref, want_table, want_data));
+    SHAROES_ASSIGN_OR_RETURN(node, FetchNode(ref, want_table, want_data));
     if (last) return node;
     const std::string& comp = comps[i];
     if (!node.view.attrs.is_dir()) {
@@ -545,15 +491,16 @@ Result<SharoesClient::Node> SharoesClient::ResolvePath(
       return Status::NotFound("no entry named '" + comp + "'");
     }
     SHAROES_ASSIGN_OR_RETURN(auto table, FetchTable(node));
+    auto remember_absent = [&] {
+      std::string nkey = NegDentryCacheKey(ref.inode, comp);
+      neg_cache_.Put(nkey, true, nkey.size() + 1);
+    };
     RowRef row;
     switch (table->view) {
       case TableView::kFull: {
         auto it = table->refs.find(comp);
         if (it == table->refs.end()) {
-          if (neg_cache_on) {
-            std::string nkey = NegDentryCacheKey(ref.inode, comp);
-            neg_cache_.Put(nkey, true, nkey.size() + 1);
-          }
+          remember_absent();
           return Status::NotFound("no entry named '" + comp + "'");
         }
         row = it->second;
@@ -562,10 +509,7 @@ Result<SharoesClient::Node> SharoesClient::ResolvePath(
       case TableView::kExecOnly: {
         auto looked = codec_.ExecOnlyLookup(*table, *node.view.dek, comp);
         if (!looked.ok()) {
-          if (neg_cache_on && looked.status().IsNotFound()) {
-            std::string nkey = NegDentryCacheKey(ref.inode, comp);
-            neg_cache_.Put(nkey, true, nkey.size() + 1);
-          }
+          if (looked.status().IsNotFound()) remember_absent();
           return looked.status();
         }
         row = *looked;
@@ -594,11 +538,9 @@ Result<fs::InodeAttrs> SharoesClient::Getattr(const std::string& path) {
     auto buf_it = write_buffers_.find(norm);
     if (buf_it != write_buffers_.end()) {
       attrs.size = buf_it->second.content.size();
-    } else if (auto cached0 =
-                   cache_.Get<Bytes>(DataCacheKey(node.ref.inode, 0))) {
-      BinaryReader r(*cached0);
-      auto desc = DataDescriptor::ReadFrom(&r);
-      if (desc.ok()) attrs.size = desc->size;
+    } else if (auto head =
+                   cache_.Get<FileHead>(DataCacheKey(node.ref.inode, 0))) {
+      attrs.size = head->desc.size;
     }
   }
   return attrs;
@@ -710,15 +652,14 @@ Result<MasterTable> SharoesClient::FetchMaster(const Node& dir,
   std::string key = MasterCacheKey(dir.ref.inode);
   if (auto cached = cache_.Get<MasterTable>(key)) return *cached;
   SHAROES_ASSIGN_OR_RETURN(
-      ssp::Response resp,
-      Rpc(ssp::Request::GetMetadata(dir.ref.inode,
-                                    TableSelector(kMasterSelector))));
-  if (!resp.ok()) return Status::NotFound("master table not at SSP");
+      Bytes sealed, Get(ssp::Request::GetMetadata(
+                            dir.ref.inode, TableSelector(kMasterSelector)),
+                        "master table"));
   SHAROES_ASSIGN_OR_RETURN(
       MasterTable master,
-      codec_.DecodeMasterTable(dir.ref.inode, resp.payload, it->second,
+      codec_.DecodeMasterTable(dir.ref.inode, sealed, it->second,
                                bundle.data.verify));
-  cache_.Put(key, master, resp.payload.size());
+  cache_.Put(key, master, sealed.size());
   return master;
 }
 
@@ -848,53 +789,39 @@ Result<Bytes> SharoesClient::FetchFileContent(const Node& node) {
     return Status::PermissionDenied("CAP does not expose DEK/DVK");
   }
   fs::InodeNum inode = node.ref.inode;
-  auto plain0 = node.plain0 != nullptr
-                    ? node.plain0
-                    : cache_.Get<Bytes>(DataCacheKey(inode, 0));
-  if (plain0 == nullptr) {
-    // Cold block 0: fetch it — batched with an initial window of sibling
-    // blocks when batching is on (the block count is still unknown, so
-    // gets past EOF come back as harmless kNotFound sub-responses).
-    std::vector<uint32_t> window =
-        options_.batch_reads ? FirstDataWindow(inode, nullptr)
-                             : std::vector<uint32_t>{0};
+  auto head = node.head != nullptr
+                  ? node.head
+                  : cache_.Get<FileHead>(DataCacheKey(inode, 0));
+  if (head == nullptr) {
+    // Cold block 0: the descent's first data window, fetched now (the
+    // block count is still unknown, so gets past EOF come back as
+    // harmless kNotFound sub-responses). Only a real kNotFound on block 0
+    // means "no data"; a transient kError stays Unavailable, never an
+    // empty file.
+    std::vector<uint32_t> window = FirstDataWindow(inode, nullptr);
     std::vector<ssp::Request> gets;
     gets.reserve(window.size());
     for (uint32_t b : window) gets.push_back(ssp::Request::GetData(inode, b));
     SHAROES_ASSIGN_OR_RETURN(std::vector<ssp::Response> resps,
                              MultiGet(std::move(gets)));
-    const ssp::Response& r0 = resps[0];
-    if (r0.status == ssp::RespStatus::kNotFound) {
+    Result<std::shared_ptr<const FileHead>> taken =
+        TakeDataWindow(node, window, resps.data());
+    if (taken.status().IsNotFound()) {
       auto seen = freshness_.find(inode);
       if (seen == freshness_.end() || seen->second.write_gen == 0) {
         return Bytes{};  // Never written: empty file.
       }
       // A file this client saw written loses its data only with its
-      // metadata (an unlink: FetchView says NotFound). Otherwise the SSP
-      // dropped the data, which must not read as an empty file.
+      // metadata (an unlink: the view fetch says NotFound). Otherwise the
+      // SSP dropped the data, which must not read as an empty file.
       cache_.Erase(ViewCacheKey(inode, node.ref.selector));
-      SHAROES_RETURN_IF_ERROR(FetchView(node.ref).status());
+      SHAROES_RETURN_IF_ERROR(FetchNode(node.ref, false, false).status());
       return Status::Corruption("data dropped: block 0 missing at the SSP");
     }
-    if (!r0.ok()) {
-      // A transient kError is NOT a missing block: surfacing it as
-      // NotFound (or an empty file) would corrupt reads under fault
-      // injection. It maps to Unavailable and is safe to retry.
-      return ReadSubError("data block 0", r0.status);
-    }
-    SHAROES_ASSIGN_OR_RETURN(Bytes opened,
-                             OpenDataBlock(node, 0, r0.payload, nullptr));
-    plain0 = std::make_shared<const Bytes>(std::move(opened));
-    if (window.size() > 1) {
-      // Siblings from the same round trip: best-effort cache fill (the
-      // strict loop below re-validates anything that failed here).
-      std::vector<uint32_t> siblings(window.begin() + 1, window.end());
-      CacheFetchedDataBlocks(node, plain0.get(), siblings, &resps[1]);
-    }
+    SHAROES_ASSIGN_OR_RETURN(head, std::move(taken));
   }
-  BinaryReader r(*plain0);
-  SHAROES_ASSIGN_OR_RETURN(DataDescriptor desc, DataDescriptor::ReadFrom(&r));
-  Bytes content = r.GetRaw(r.remaining());
+  const DataDescriptor& desc = head->desc;
+  Bytes content = head->chunk;
   // Freshness (SUNDR-style rollback detection, paper §VIII): the write
   // generation this client has observed for an inode must never move
   // backwards. An SSP serving a stale-but-validly-signed version is
@@ -937,9 +864,7 @@ Result<Bytes> SharoesClient::FetchFileContent(const Node& node) {
     // Fetch the missing blocks in readahead windows (one batched round
     // trip per window) — or one RPC per block with batching off, the
     // pre-batching wire behaviour kept as the benchmark comparator.
-    size_t window_size =
-        options_.batch_reads ? std::max<size_t>(options_.readahead_blocks, 1)
-                             : 1;
+    size_t window_size = std::max<size_t>(options_.readahead_blocks, 1);
     for (size_t pos = 0; pos < missing.size(); pos += window_size) {
       size_t end = std::min(missing.size(), pos + window_size);
       std::vector<ssp::Request> gets;
@@ -952,9 +877,8 @@ Result<Bytes> SharoesClient::FetchFileContent(const Node& node) {
       for (size_t j = pos; j < end; ++j) {
         uint32_t i = missing[j];
         const ssp::Response& sub = resps[j - pos];
-        if (!sub.ok()) {
-          return ReadSubError("data block " + std::to_string(i), sub.status);
-        }
+        SHAROES_RETURN_IF_ERROR(
+            ssp::ReadStatus(sub.status, "data block " + std::to_string(i)));
         SHAROES_ASSIGN_OR_RETURN(
             chunks[i], OpenDataBlock(node, i, sub.payload, &desc,
                                      &tail_tags[i - 1]));
@@ -1006,11 +930,11 @@ Result<Bytes> SharoesClient::OpenDataBlock(const Node& node, uint32_t index,
       codec_.DecodeDataBlock(inode, index, wire,
                              rotated ? *node.view.dek_next : *node.view.dek,
                              *node.view.dvk, &tag));
-  cache_.Put(DataCacheKey(inode, index), plain, wire.size());
   if (index != 0) {
     // The tag is the block's Merkle leaf: it is cached alongside the
     // plaintext so a later root check over cached blocks needs no
     // re-fetch (a tail block counts as cached only with both entries).
+    cache_.Put(DataCacheKey(inode, index), plain, wire.size());
     cache_.Put(TagCacheKey(inode, index), tag, tag.size());
     if (tag_out != nullptr) *tag_out = std::move(tag);
   }
@@ -1078,14 +1002,12 @@ Status SharoesClient::FlushBuffer(const std::string& path, WriteBuffer* buf) {
   // Diff only when keys did not rotate and the file did not shrink.
   const size_t bs = options_.block_size;
   std::optional<std::map<uint32_t, ObjectCodec::KeptBlock>> kept;
-  auto cached0 = cache_.Get<Bytes>(DataCacheKey(inode, 0));
-  if (cached0 != nullptr && !key_rotated) {
-    BinaryReader r(*cached0);
-    auto old_desc = DataDescriptor::ReadFrom(&r);
-    if (old_desc.ok() &&
-        BlockCount(content.size(), bs) >= old_desc->block_count) {
+  auto head = cache_.Get<FileHead>(DataCacheKey(inode, 0));
+  if (head != nullptr && !key_rotated) {
+    const DataDescriptor& old_desc = head->desc;
+    if (BlockCount(content.size(), bs) >= old_desc.block_count) {
       kept.emplace();
-      for (uint32_t i = 1; i < old_desc->block_count; ++i) {
+      for (uint32_t i = 1; i < old_desc.block_count; ++i) {
         // Keeping a block also requires its cached AEAD tag: the new
         // descriptor's root must commit to every tail block, kept or
         // rewritten, and an uncached tag would force a read to learn it.
@@ -1095,7 +1017,7 @@ Status SharoesClient::FlushBuffer(const std::string& path, WriteBuffer* buf) {
         if (old_chunk != nullptr && old_tag != nullptr &&
             std::equal(old_chunk->begin(), old_chunk->end(),
                        content.begin() + begin, content.begin() + end)) {
-          (*kept)[i] = {old_desc->GenOfBlock(i), *old_tag};
+          (*kept)[i] = {old_desc.GenOfBlock(i), *old_tag};
         }
       }
     }
@@ -1135,11 +1057,14 @@ Status SharoesClient::CommitFileWrite(fs::InodeNum inode,
   freshness_[inode] =
       FreshnessRecord{file.desc.write_gen, file.desc.tag_root};
   for (ObjectCodec::SealedBlock& b : file.sealed) {
+    if (b.index == 0) {
+      cache_.Put(DataCacheKey(inode, 0),
+                 FileHead{file.desc, std::move(b.plaintext)}, b.wire_size);
+      continue;
+    }
     cache_.Put(DataCacheKey(inode, b.index), std::move(b.plaintext),
                b.wire_size);
-    if (b.index != 0) {
-      cache_.Put(TagCacheKey(inode, b.index), b.tag, b.tag.size());
-    }
+    cache_.Put(TagCacheKey(inode, b.index), b.tag, b.tag.size());
   }
   return Status::OK();
 }
@@ -1149,17 +1074,14 @@ Result<uint64_t> SharoesClient::NextWriteGen(fs::InodeNum inode) {
   if (it != freshness_.end()) return it->second.write_gen + 1;
   // Unknown history (overwrite of a never-read file): peek the stored
   // header so generations stay monotonic for other clients.
-  SHAROES_ASSIGN_OR_RETURN(ssp::Response resp,
-                           Rpc(ssp::Request::GetData(inode, 0)));
-  if (resp.status == ssp::RespStatus::kNotFound) return 1;  // Never written.
-  if (!resp.ok()) {
-    // A transient failure must not be mistaken for "never written":
-    // starting over at generation 1 would trip other clients' rollback
-    // detection. Surface it and let the caller retry.
-    return ReadSubError("data block 0", resp.status);
-  }
+  // Only a real kNotFound means "never written": a transient failure
+  // starting over at generation 1 would trip other clients' rollback
+  // detection, so it surfaces and the caller retries.
+  Result<Bytes> wire = Get(ssp::Request::GetData(inode, 0), "data block 0");
+  if (wire.status().IsNotFound()) return 1;
+  SHAROES_RETURN_IF_ERROR(wire.status());
   SHAROES_ASSIGN_OR_RETURN(ObjectCodec::DataBlockHeader h,
-                           ObjectCodec::PeekDataHeader(resp.payload));
+                           ObjectCodec::PeekDataHeader(*wire));
   return h.write_gen + 1;
 }
 

@@ -41,24 +41,16 @@ struct ClientOptions {
   size_t block_size = 4096;
   /// Group id attached to newly created objects.
   fs::GroupId default_group = fs::kInvalidGroup;
-  /// Batched read path (DESIGN.md §11): ResolvePath coalesces each
-  /// level's metadata + table fetch into one kBatch round trip, and
-  /// FetchFileContent fetches data blocks in readahead windows. Off =
-  /// one RPC per object/block (kept as the benchmark comparator for the
-  /// round-trip win; see bench_network_sweep).
-  bool batch_reads = true;
-  /// Data blocks fetched per batched round trip (min 1; only meaningful
-  /// with batch_reads). Bounds both the readahead window and the size of
-  /// any single data batch, so one huge file cannot produce an unbounded
-  /// SSP request.
+  /// Batched read path (DESIGN.md §11): data blocks fetched per batched
+  /// round trip. Above 0, ResolvePath coalesces each level's metadata +
+  /// table fetch into one kBatch round trip and FetchFileContent fetches
+  /// data blocks in readahead windows of this size, which also bounds any
+  /// single data batch, so one huge file cannot produce an unbounded SSP
+  /// request. 0 turns batching off: one RPC per object/block (kept as the
+  /// benchmark comparator for the round-trip win; see bench_network_sweep).
   size_t readahead_blocks = 32;
-  /// Byte budget of the negative dentry cache: names a descent proved
-  /// absent, so repeated misses answer locally instead of re-paying the
-  /// table fetch. 0 disables. Invalidated by the same InvalidateInode /
-  /// table-rerender discipline as positive entries.
-  size_t negative_dentry_bytes = 64 << 10;
   /// Write-behind batching (DESIGN.md §12), the mutation-side mirror of
-  /// batch_reads: the mutating sub-ops a logical op produces (path
+  /// the batched read path: the mutating sub-ops a logical op produces (path
   /// renders, metadata objects, 4 KiB data blocks) are staged
   /// client-side and shipped as one kBatch at the next flush point —
   /// Close, Fsync(), this staged-sub-op threshold, write_batch_bytes,
@@ -164,12 +156,19 @@ class SharoesClient : public FsClient {
   Status EvictPath(const std::string& path);
 
  private:
+  /// Block 0 as the client caches it under "d|<inode>|0": the signed
+  /// descriptor, parsed once when the block is opened, and the file's
+  /// first chunk.
+  struct FileHead {
+    DataDescriptor desc;
+    Bytes chunk;
+  };
   struct Node {
     PlainRef ref;
     MetadataView view;
-    /// Block 0's plaintext when ResolvePath(kData) found it cached: the
-    /// read's one lookup of it, handed on to FetchFileContent.
-    std::shared_ptr<const Bytes> plain0;
+    /// Block 0 when ResolvePath(kData) found it cached: the read's one
+    /// lookup of it, handed on to FetchFileContent.
+    std::shared_ptr<const FileHead> head;
   };
   struct WriteBuffer {
     fs::InodeNum inode;
@@ -207,31 +206,31 @@ class SharoesClient : public FsClient {
   // --- Resolution ---
   Result<Node> ResolvePath(const std::string& path,
                            ReadIntent intent = ReadIntent::kNone);
-  Result<Node> FetchNode(const PlainRef& ref);
-  /// FetchNode, but when batch_reads is on the view fetch is coalesced
-  /// with this level's other likely-needed objects (the directory table
-  /// when want_table, the file's first data blocks when want_data) into
-  /// one round trip. The extra objects are decoded into the cache
+  /// The node at `ref`, its view from the cache or the SSP. With
+  /// batching on (readahead_blocks > 0) the view fetch is coalesced with
+  /// this level's other likely-needed objects (the directory table when
+  /// want_table, the file's first data window when want_data) into one
+  /// round trip. The extra objects are decoded into the cache
   /// best-effort; a failure there simply surfaces later on the
   /// authoritative path (FetchTable / FetchFileContent), keeping error
-  /// semantics in one place.
-  Result<Node> FetchNodeBatched(const PlainRef& ref, bool want_table,
-                                bool want_data);
-  Result<MetadataView> FetchView(const PlainRef& ref);
-  /// Decodes a fetched metadata replica and fills the cache (the shared
-  /// tail of FetchView and FetchNodeBatched).
-  Result<MetadataView> DecodeAndCacheView(const PlainRef& ref,
-                                          const Bytes& payload);
-  /// Best-effort decode + cache-fill of fetched data-block wires for
-  /// `node`: blocks past the descriptor's block_count (speculative
-  /// overfetch) and non-ok sub-responses are skipped; validation errors
-  /// drop the block so the strict path re-fetches and reports.
-  /// `plain0` is block 0's cached plaintext when block 0 is not among
-  /// `indices` (its descriptor validates the rest).
-  void CacheFetchedDataBlocks(const Node& node, const Bytes* plain0,
-                              const std::vector<uint32_t>& indices,
-                              const ssp::Response* resps);
-  Result<std::shared_ptr<const DecodedTable>> FetchTable(const Node& dir);
+  /// semantics in one place. Batching off adds no extra gets.
+  Result<Node> FetchNode(const PlainRef& ref, bool want_table,
+                         bool want_data);
+  /// Takes a read's first data window from `resps`, the replies to the
+  /// gets for `blocks` (FirstDataWindow's list). Block 0, when listed, is
+  /// opened strictly: its descriptor is parsed and the head cached, and a
+  /// failure is returned. The tail blocks the head validates are cached
+  /// best-effort: blocks past its block_count (speculative overfetch) and
+  /// non-ok or invalid replies are skipped, so the strict path re-fetches
+  /// and reports. Returns the head (node.head when block 0 is not listed).
+  Result<std::shared_ptr<const FileHead>> TakeDataWindow(
+      const Node& node, const std::vector<uint32_t>& blocks,
+      const ssp::Response* resps);
+  /// `dir`'s table copy through this client's CAP, decoded and cached:
+  /// the one decode of a table copy. `fetched` is a copy the descent
+  /// already has; without it the cache or one Get supplies it.
+  Result<std::shared_ptr<const DecodedTable>> FetchTable(
+      const Node& dir, const Bytes* fetched = nullptr);
   /// The child's PlainRef from a row of `parent`'s table; a split row's
   /// unwrapped ref is cached under the parent (see UserSplitCacheKey).
   Result<PlainRef> ResolveRowRef(fs::InodeNum parent, const RowRef& row);
@@ -314,23 +313,26 @@ class SharoesClient : public FsClient {
   /// Every SSP exchange funnels through here: one Call = one round trip,
   /// counted per-instance and into "client.rpc.round_trips".
   Result<ssp::Response> Rpc(const ssp::Request& req);
+  /// The one read of a single object: one Rpc, the reply mapped by
+  /// ssp::ReadStatus. A caller may give its own meaning only to NotFound.
+  Result<Bytes> Get(const ssp::Request& req, const std::string& what);
   /// Canonical spelling for write-buffer keys and subtree-prefix logic:
   /// "/a//b/" and "/a/b" must address the same dirty buffer.
   static Result<std::string> NormalizePath(const std::string& path);
   /// The data blocks a read batches into its first fetch: the missing
-  /// ones (plaintext or tag) of a small initial window. With `plain0`
-  /// (block 0's cached plaintext) null the window is speculative and
-  /// includes block 0; otherwise its descriptor's block_count caps it.
+  /// ones (plaintext or tag) of a small initial window. With `head`
+  /// (block 0's cached form) null the window is speculative and starts
+  /// with block 0; otherwise its descriptor's block_count caps it.
   std::vector<uint32_t> FirstDataWindow(fs::InodeNum inode,
-                                        const Bytes* plain0) const;
+                                        const FileHead* head) const;
 
   // --- Data path ---
   Result<Bytes> FetchFileContent(const Node& node);
   /// The one decode of a fetched data block of `node`: picks dek or
   /// dek_next by the block's key generation, checks a tail block's write
   /// generation against `desc` (null for block 0), verifies and opens the
-  /// block, and caches its plaintext (and a tail block's tag, returned
-  /// through `tag_out`).
+  /// block, and caches a tail block's plaintext and tag (the tag also
+  /// returned through `tag_out`; block 0 is cached by TakeDataWindow).
   Result<Bytes> OpenDataBlock(const Node& node, uint32_t index,
                               const Bytes& wire, const DataDescriptor* desc,
                               Bytes* tag_out = nullptr);
@@ -368,7 +370,8 @@ class SharoesClient : public FsClient {
   /// Names proven absent by a full descent, keyed "n|<dir_inode>|<name>"
   /// (hits/misses surface as "client.dentry.neg.*"). Separate from the
   /// main cache so tiny negative entries are not evicted by data blocks
-  /// and vice versa.
+  /// and vice versa. Holds kNegativeDentryBytes and is invalidated by the
+  /// same InvalidateInode / table-rerender discipline as positive entries.
   LruCache neg_cache_;
   obs::Counter* rpc_trips_counter_;
   uint64_t rpc_round_trips_ = 0;

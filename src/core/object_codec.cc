@@ -179,12 +179,13 @@ ObjectCodec::RenderedFile ObjectCodec::RenderFile(
   }
   desc.tag_root = crypto::MerkleRoot(tail_tags);
   // Block 0 seals last, around the descriptor that now covers every tail.
+  size_t end0 = BlockRange(0, content.size(), block_size).second;
+  Bytes chunk0(content.begin(), content.begin() + end0);
   BinaryWriter w0;
   desc.AppendTo(&w0);
-  w0.PutRaw(content.data(), BlockRange(0, content.size(), block_size).second);
-  Bytes plain0 = w0.Take();
-  Bytes wire0 = EncodeDataBlock(inode, 0, header, plain0, dek, dsk);
-  file.sealed.push_back(SealedBlock{0, std::move(plain0), {}, wire0.size()});
+  w0.PutRaw(chunk0);
+  Bytes wire0 = EncodeDataBlock(inode, 0, header, w0.Take(), dek, dsk);
+  file.sealed.push_back(SealedBlock{0, std::move(chunk0), {}, wire0.size()});
   out->push_back(ssp::Request::PutData(inode, 0, std::move(wire0)));
   for (uint32_t idx = 1; idx < desc.block_count; ++idx) {
     if (!tail_wires[idx].empty()) {  // Kept blocks have no new wire.

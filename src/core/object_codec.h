@@ -116,7 +116,7 @@ class ObjectCodec {
   /// One block a file write sealed, for the writer's cache.
   struct SealedBlock {
     uint32_t index = 0;
-    Bytes plaintext;  // Block 0: descriptor prefix + first chunk.
+    Bytes plaintext;  // The block's chunk (block 0: without descriptor).
     Bytes tag;        // Tail blocks only.
     size_t wire_size = 0;
   };

@@ -217,6 +217,20 @@ const char* RespStatusName(RespStatus status) {
   return "kUnknown";
 }
 
+Status ReadStatus(RespStatus status, const std::string& what) {
+  switch (status) {
+    case RespStatus::kOk:
+      return Status::OK();
+    case RespStatus::kNotFound:
+      return Status::NotFound(what + " not at SSP");
+    case RespStatus::kError:
+      return Status::Unavailable(what + ": SSP reported transient error");
+    default:
+      return Status::IoError(what + ": SSP answered " +
+                             RespStatusName(status));
+  }
+}
+
 void Request::AppendTo(BinaryWriter* w) const {
   w->PutU8(static_cast<uint8_t>(op));
   w->PutU64(inode);

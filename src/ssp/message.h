@@ -276,6 +276,13 @@ inline constexpr size_t kNumRespStatuses =
 /// Stable metric-label name for a response status ("kNotFound", ...).
 const char* RespStatusName(RespStatus status);
 
+/// The one rule for what a read reply means to a client (DESIGN.md §11),
+/// for single gets and each sub-response of a read batch alike: kOk is
+/// OK, kNotFound is NotFound (the SSP holds no such object), kError is
+/// Unavailable (the get was not executed; re-issuing it is safe), and
+/// anything else is IoError. `what` names the object in the message.
+Status ReadStatus(RespStatus status, const std::string& what);
+
 struct Response {
   RespStatus status = RespStatus::kOk;
   Bytes payload;

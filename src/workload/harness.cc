@@ -107,7 +107,6 @@ BenchWorld::BenchWorld(const BenchWorldOptions& opts) : opts_(opts) {
     copts.scheme = opts.scheme;
     copts.cache_bytes = opts.cache_bytes;
     copts.block_size = opts.block_size;
-    copts.batch_reads = opts.batch_reads;
     copts.readahead_blocks = opts.readahead_blocks;
     copts.write_batch_ops = opts.write_batch_ops;
     auto client = std::make_unique<core::SharoesClient>(

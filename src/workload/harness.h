@@ -59,10 +59,9 @@ struct BenchWorldOptions {
   size_t registered_users = 1;
   core::Scheme scheme = core::Scheme::kScheme2;
   uint64_t seed = 0xBE4C;
-  /// Batched-read knobs (Sharoes variant only). batch_reads=false pins
-  /// the client to one GetData per round trip — the unbatched comparator
-  /// the read-RTT benchmark measures against.
-  bool batch_reads = true;
+  /// Batched-read knob (Sharoes variant only). 0 pins the client to one
+  /// get per round trip — the unbatched comparator the read-RTT benchmark
+  /// measures against.
   size_t readahead_blocks = 32;
   /// Write-behind knob (Sharoes variant only): mutating sub-ops staged
   /// per flush. 0 = one round trip per logical op, the unbatched

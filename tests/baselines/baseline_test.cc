@@ -6,6 +6,7 @@
 
 #include "baselines/baseline.h"
 #include "net/network_model.h"
+#include "testing/fault.h"
 
 namespace sharoes::baselines {
 namespace {
@@ -154,6 +155,28 @@ TEST_P(BaselineModeTest, ChmodByOwnerChangesAttrs) {
   BaselineClient other = world.MakeClient(kOther);
   ASSERT_TRUE(other.Mount().ok());
   EXPECT_FALSE(other.Read("/docs/a.txt").ok());
+}
+
+TEST_P(BaselineModeTest, TransientFaultOnDataBlockIsUnavailable) {
+  // Regression: the baselines once read any non-ok reply for a file's
+  // first data block as "never written", so one transient kError read
+  // back as an EMPTY FILE. Reads follow the same reply rule as the
+  // SHAROES client: kError is Unavailable and the retry gets the bytes.
+  BaselineWorld world(GetParam());
+  BaselineClient client = world.MakeClient(kUser);
+  ASSERT_TRUE(client.Mount().ok());
+  // Warm the descent so that the next request is the data get.
+  ASSERT_TRUE(client.Getattr("/docs/a.txt").ok());
+  sharoes::testing::ScriptedInjector fail_one(
+      {sharoes::testing::Fault(ssp::FaultAction::Kind::kFailRequest)});
+  world.server().set_fault_injector(&fail_one);
+  auto read = client.Read("/docs/a.txt");
+  world.server().set_fault_injector(nullptr);
+  ASSERT_FALSE(read.ok()) << "read " << read->size() << " bytes";
+  EXPECT_TRUE(read.status().IsUnavailable()) << read.status();
+  read = client.Read("/docs/a.txt");
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(ToString(*read), "contents of a");
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, BaselineModeTest,

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,6 +28,8 @@ using sharoes::testing::kEng;
 using sharoes::testing::ScriptedInjector;
 using sharoes::testing::World;
 
+constexpr fs::UserId kDave = 200;  // A second eng member besides bob.
+
 Bytes BlocksOfPattern(uint32_t blocks, uint8_t salt) {
   Bytes b(static_cast<size_t>(blocks) * 4096);
   for (size_t i = 0; i < b.size(); ++i) {
@@ -35,10 +38,9 @@ Bytes BlocksOfPattern(uint32_t blocks, uint8_t salt) {
   return b;
 }
 
-World::Options BatchedOpts(bool batch_reads, size_t readahead = 32) {
+World::Options BatchedOpts(bool batched, size_t readahead = 32) {
   World::Options opts;
-  opts.batch_reads = batch_reads;
-  opts.readahead_blocks = readahead;
+  opts.readahead_blocks = batched ? readahead : 0;
   return opts;
 }
 
@@ -221,19 +223,6 @@ TEST(BatchedReadTest, NegativeDentryShortCircuitsRepeatMisses) {
   EXPECT_TRUE(alice.Getattr("/shared/later.txt").ok());
 }
 
-TEST(BatchedReadTest, NegativeDentryCacheCanBeDisabled) {
-  World::Options opts = BatchedOpts(true);
-  opts.negative_dentry_bytes = 0;
-  World world(opts);
-  ASSERT_TRUE(world.MigrateAndMountAll(World::DefaultTree()).ok());
-  auto& alice = world.client(kAlice);
-  EXPECT_TRUE(alice.Getattr("/shared/nope.txt").status().IsNotFound());
-  // Without the cache the repeat miss re-asks the SSP nothing — the
-  // *table* is still positively cached, so the lookup fails locally.
-  // The knob's contract is only that no negative entries are stored.
-  EXPECT_TRUE(alice.Getattr("/shared/nope.txt").status().IsNotFound());
-}
-
 TEST(BatchedReadTest, MultiGetValidatesSubOps) {
   World world(BatchedOpts(true));
   ASSERT_TRUE(world.MigrateAndMountAll(World::DefaultTree()).ok());
@@ -256,31 +245,107 @@ TEST(BatchedReadTest, MultiGetValidatesSubOps) {
 }
 
 TEST(BatchedReadTest, TransientFaultIsUnavailableNotNotFound) {
-  // Regression (the PR 5 bugfix): FetchFileContent used to treat *any*
-  // non-ok GetData as "data block missing" — an injected kError on block
-  // 0 silently read back as an EMPTY FILE. A transient fault must
-  // surface as Unavailable (retryable), never as NotFound or truncation.
-  for (bool batch_reads : {false, true}) {
-    World world(BatchedOpts(batch_reads));
+  // Regression: one injected kError on any single fetch must surface as
+  // Unavailable (retryable), never as NotFound, PermissionDenied, an
+  // empty file or a fallback to another object (DESIGN.md §11). On data
+  // block 0 the fault once read back as an EMPTY FILE; the other fetches
+  // once mapped any non-ok reply to NotFound or PermissionDenied. Each
+  // case warms the client so that the faulted request is exactly the
+  // fetch it names, then the same client must succeed once the fault is
+  // gone.
+  const std::string notes = "/home/alice/notes.txt";
+  const Bytes rewritten = ToBytes("rewritten notes");
+  struct Case {
+    std::string fetch;
+    bool batched;
+    std::function<void(World&)> warm;
+    size_t served_first;  // Requests served before the faulted one.
+    std::function<Status(World&)> op;
+  };
+  auto read_is = [](World& w, fs::UserId uid, const std::string& path,
+                    const Bytes& want) -> Status {
+    auto got = w.client(uid).Read(path);
+    if (!got.ok()) return got.status();
+    return *got == want ? Status::OK() : Status::Corruption("wrong bytes");
+  };
+  std::vector<Case> cases;
+  for (bool batched : {false, true}) {
+    cases.push_back(
+        {"data block 0", batched,
+         [&](World& w) { ASSERT_TRUE(w.client(kAlice).Getattr(notes).ok()); },
+         0, [&](World& w) {
+           return read_is(w, kAlice, notes, ToBytes("alice's notes"));
+         }});
+  }
+  cases.push_back({"superblock", true, [](World&) {}, 0, [](World& w) {
+                     return w.client(kAlice).Mount();
+                   }});
+  cases.push_back({"view", false,
+                   [](World& w) { w.client(kAlice).DropCaches(); }, 0,
+                   [&](World& w) {
+                     return w.client(kAlice).Getattr(notes).status();
+                   }});
+  cases.push_back({"table", false,
+                   [](World& w) { w.client(kAlice).DropCaches(); },
+                   1,  // The root's view.
+                   [](World& w) {
+                     return w.client(kAlice).Readdir("/").status();
+                   }});
+  cases.push_back({"master", true,
+                   [](World& w) {
+                     ASSERT_TRUE(w.client(kAlice).Getattr("/shared").ok());
+                   },
+                   0, [](World& w) {
+                     CreateOptions fopts;
+                     fopts.mode = World::ParseMode("rw-rw----");
+                     return w.client(kAlice).Create("/shared/new.txt", fopts);
+                   }});
+  cases.push_back(
+      {"group key block", true,
+       [](World& w) {
+         // bob's file is a split row: dave reads it through the eng
+         // group block, unwrapped with the eng group key.
+         CreateOptions fopts;
+         fopts.mode = World::ParseMode("rw-r-----");
+         ASSERT_TRUE(w.client(kBob).Create("/shared/bob.txt", fopts).ok());
+         ASSERT_TRUE(w.client(kBob)
+                         .WriteFile("/shared/bob.txt", ToBytes("bob's draft"))
+                         .ok());
+         w.client(kDave).DropCaches();
+         ASSERT_TRUE(w.client(kDave).Readdir("/shared").ok());
+       },
+       2,  // dave's absent per-user split block, the group split block.
+       [&](World& w) {
+         return read_is(w, kDave, "/shared/bob.txt", ToBytes("bob's draft"));
+       }});
+  cases.push_back({"write generation peek", true,
+                   [&](World& w) {
+                     ASSERT_TRUE(w.client(kAlice).Getattr(notes).ok());
+                   },
+                   0, [&](World& w) {
+                     Status s = w.client(kAlice).WriteFile(notes, rewritten);
+                     return s.ok() ? read_is(w, kAlice, notes, rewritten) : s;
+                   }});
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.fetch + (c.batched ? " (batched)" : " (unbatched)"));
+    World world(BatchedOpts(c.batched));
+    world.AddUser(kDave, "dave");
+    ASSERT_TRUE(world.provisioner().AddGroupMember(kEng, kDave).ok());
     ASSERT_TRUE(world.MigrateAndMountAll(World::DefaultTree()).ok());
-    auto& alice = world.client(kAlice);
-    // Warm the metadata descent so the next wire request is the data get.
-    ASSERT_TRUE(alice.Getattr("/home/alice/notes.txt").ok());
+    c.warm(world);
 
-    ScriptedInjector inject_one(
-        {Fault(ssp::FaultAction::Kind::kFailRequest)});
-    world.server().set_fault_injector(&inject_one);
-    auto content = alice.Read("/home/alice/notes.txt");
+    std::vector<ssp::FaultAction> script(c.served_first, ssp::FaultAction{});
+    script.push_back(Fault(ssp::FaultAction::Kind::kFailRequest));
+    ScriptedInjector inject(std::move(script));
+    world.server().set_fault_injector(&inject);
+    Status faulted = c.op(world);
     world.server().set_fault_injector(nullptr);
+    EXPECT_GT(inject.consumed(), c.served_first) << "fault never injected";
+    EXPECT_TRUE(faulted.IsUnavailable()) << faulted;
 
-    ASSERT_FALSE(content.ok()) << "batch_reads=" << batch_reads;
-    EXPECT_TRUE(content.status().IsUnavailable())
-        << "batch_reads=" << batch_reads << ": " << content.status();
-
-    // And with the fault gone the same client reads the real bytes.
-    auto healed = alice.Read("/home/alice/notes.txt");
-    ASSERT_TRUE(healed.ok()) << healed.status();
-    EXPECT_EQ(*healed, ToBytes("alice's notes"));
+    Status healed = c.op(world);
+    EXPECT_TRUE(healed.ok()) << healed;
   }
 }
 

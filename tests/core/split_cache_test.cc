@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "testing/fault.h"
 #include "testing/world.h"
 
 namespace sharoes {
@@ -166,6 +167,26 @@ TEST_F(SplitCacheTest, DropCachesRepaysTheRsaOp) {
     EXPECT_GE(world_.engine(uid).op_counts().pk_decrypt_blocks, 1u)
         << "uid " << uid;
   }
+}
+
+TEST_F(SplitCacheTest, TransientFaultOnOwnSplitBlockIsUnavailable) {
+  // Regression: a transient kError on bob's per-user split block once
+  // sent him to the eng group block. His read "succeeded" through the
+  // group CAP, and his writes to his own file failed PermissionDenied for
+  // as long as /shared's row stayed cached. Only a per-user block the SSP
+  // does not hold may fall back to the group block.
+  core::SharoesClient& bob = world_.client(kBob);
+  ASSERT_TRUE(bob.EvictPath("/shared").ok());
+  ASSERT_TRUE(bob.Readdir("/shared").ok());
+  testing::ScriptedInjector fail_one(
+      {testing::Fault(ssp::FaultAction::Kind::kFailRequest)});
+  world_.server().set_fault_injector(&fail_one);
+  Status s = bob.Read("/shared/bob.txt").status();
+  world_.server().set_fault_injector(nullptr);
+  EXPECT_TRUE(s.IsUnavailable()) << s;
+  Status w = bob.WriteFile("/shared/bob.txt", ToBytes("bob's edit"));
+  EXPECT_TRUE(w.ok()) << w;
+  EXPECT_EQ(ReadAs(kBob, "/shared/bob.txt"), "bob's edit");
 }
 
 }  // namespace

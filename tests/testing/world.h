@@ -34,11 +34,9 @@ class World {
     size_t signing_key_bits = 512;
     size_t signing_key_pool = 0;  // Fresh signing keys by default.
     uint64_t seed = 0x5EED;
-    // Batched-read knobs, passed straight into ClientOptions so tests can
-    // pit the batched and per-block wire behaviours against each other.
-    bool batch_reads = true;
+    // Batched-read knob, passed straight into ClientOptions so tests can
+    // pit the batched and per-block (0) wire behaviours against each other.
     size_t readahead_blocks = 32;
-    size_t negative_dentry_bytes = 64 << 10;
     // Write-behind knobs (ops=0 = immediate per-op round trips, the
     // default; bytes bounds the staged payload between flushes).
     size_t write_batch_ops = 0;
@@ -103,9 +101,7 @@ class World {
     copts.scheme = opts_.scheme;
     copts.revocation = opts_.revocation;
     copts.cache_bytes = opts_.cache_bytes;
-    copts.batch_reads = opts_.batch_reads;
     copts.readahead_blocks = opts_.readahead_blocks;
-    copts.negative_dentry_bytes = opts_.negative_dentry_bytes;
     copts.write_batch_ops = opts_.write_batch_ops;
     copts.write_batch_bytes = opts_.write_batch_bytes;
     copts.default_group = DefaultGroupOf(uid);

@@ -339,10 +339,7 @@ int RunCommand(const Args& args) {
   copts.default_group = kStaffGid;
   copts.transport_retry = args.retry;
   copts.transport_timeouts = args.timeouts;
-  copts.batch_reads = args.readahead_blocks > 0;
-  if (args.readahead_blocks > 0) {
-    copts.readahead_blocks = args.readahead_blocks;
-  }
+  copts.readahead_blocks = args.readahead_blocks;
   copts.write_batch_ops = args.write_batch;
   // Cluster mode exercises the library path: the client builds and owns
   // its sharded channel from ClientOptions::cluster at Mount().
