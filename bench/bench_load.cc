@@ -133,11 +133,12 @@ std::unique_ptr<crypto::CryptoEngine> MakeEngine(SimClock* clock,
   return std::make_unique<crypto::CryptoEngine>(clock, opts);
 }
 
+constexpr net::TcpTimeouts kTimeouts{/*connect_ms=*/2000, /*send_ms=*/5000,
+                                     /*recv_ms=*/5000};
+
 core::RetryingConnection::ChannelFactory TcpFactory(uint16_t port) {
   return [port]() -> Result<std::unique_ptr<ssp::SspChannel>> {
-    net::TcpTimeouts timeouts{/*connect_ms=*/2000, /*send_ms=*/5000,
-                              /*recv_ms=*/5000};
-    auto channel = ssp::TcpSspChannel::Connect("127.0.0.1", port, timeouts);
+    auto channel = ssp::TcpSspChannel::Connect("127.0.0.1", port, kTimeouts);
     if (!channel.ok()) return channel.status();
     return std::unique_ptr<ssp::SspChannel>(std::move(*channel));
   };
@@ -186,10 +187,7 @@ std::unique_ptr<ssp::SspChannel> MakeShardedChannel(
     const ClusterHarness& cluster, uint64_t seed) {
   core::ShardedChannelOptions sopts;
   sopts.seed = seed;
-  auto channel = core::ShardedChannel::Create(
-      cluster.config,
-      [](const ssp::ClusterNode& node) { return TcpFactory(node.port)(); },
-      sopts);
+  auto channel = core::ShardedChannel::Create(cluster.config, sopts);
   if (!channel.ok()) {
     std::fprintf(stderr, "bench_load: sharded channel: %s\n",
                  channel.status().ToString().c_str());
@@ -658,13 +656,8 @@ int Run(const Options& opt) {
     // tombstone is GC'd exactly once.
     for (int round = 0; round < 2; ++round) {
       for (size_t k = 0; k < cluster->servers.size(); ++k) {
-        ssp::Scrubber scrubber(
-            cluster->servers[k].get(), cluster->ring.get(),
-            static_cast<uint32_t>(k),
-            [](const ssp::ClusterNode& node)
-                -> Result<std::unique_ptr<ssp::SspChannel>> {
-              return TcpFactory(node.port)();
-            });
+        ssp::Scrubber scrubber(cluster->servers[k].get(), cluster->ring.get(),
+                               static_cast<uint32_t>(k), kTimeouts);
         ssp::ScrubPass pass = scrubber.RunOnce();
         scrub_repaired += pass.repaired;
         scrub_tombstones_gc += pass.tombstones_gc;

@@ -3,44 +3,18 @@
 #include <algorithm>
 #include <optional>
 #include <set>
-#include <thread>
 
 #include "core/object_codec.h"
 #include "crypto/sha256.h"
 #include "obs/json.h"
 #include "obs/log.h"
-#include "ssp/tcp_service.h"
 
 namespace sharoes::core {
-
-namespace {
 
 using ssp::OpCode;
 using ssp::Request;
 using ssp::RespStatus;
 using ssp::Response;
-
-bool IsAdminOp(OpCode op) {
-  return op == OpCode::kGetStats || op == OpCode::kGetTraces;
-}
-
-/// Runs fn(0) .. fn(n - 1) in parallel, one short-lived thread per index
-/// (inline when n == 1). Threads adopt the caller's trace and round.
-void FanOut(size_t n, const std::function<void(size_t)>& fn) {
-  if (n == 1) return fn(0);
-  const obs::TraceContext trace = obs::CurrentTrace();
-  std::vector<std::thread> pack;
-  pack.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    pack.emplace_back([&fn, trace, i] {
-      obs::SetCurrentTrace(trace);
-      fn(i);
-    });
-  }
-  for (std::thread& th : pack) th.join();
-}
-
-}  // namespace
 
 /// Per-sub-op quorum progress across rounds. Replica positions index
 /// into `replicas` (preference order from the ring).
@@ -67,39 +41,29 @@ Result<std::unique_ptr<ShardedChannel>> ShardedChannel::Open(
     const std::string& config_path, const ShardedChannelOptions& options) {
   SHAROES_ASSIGN_OR_RETURN(ssp::ClusterConfig config,
                            ssp::ClusterConfig::LoadFromFile(config_path));
-  NodeFactory factory = [timeouts = options.timeouts](
-                            const ssp::ClusterNode& node)
-      -> Result<std::unique_ptr<ssp::SspChannel>> {
-    SHAROES_ASSIGN_OR_RETURN(
-        auto channel,
-        ssp::TcpSspChannel::Connect(node.host, node.port, timeouts));
-    return std::unique_ptr<ssp::SspChannel>(std::move(channel));
-  };
   ConfigSource refresh = [config_path]() {
     return ssp::ClusterConfig::LoadFromFile(config_path);
   };
-  return Create(std::move(config), std::move(factory), options,
-                std::move(refresh));
+  return Create(std::move(config), options, std::move(refresh));
 }
 
 Result<std::unique_ptr<ShardedChannel>> ShardedChannel::Create(
-    ssp::ClusterConfig config, NodeFactory factory,
-    const ShardedChannelOptions& options, ConfigSource refresh) {
+    ssp::ClusterConfig config, const ShardedChannelOptions& options,
+    ConfigSource refresh) {
   SHAROES_ASSIGN_OR_RETURN(ssp::PlacementRing ring,
                            ssp::PlacementRing::Build(std::move(config)));
   return std::unique_ptr<ShardedChannel>(
-      new ShardedChannel(std::move(ring), std::move(factory), options,
-                         std::move(refresh)));
+      new ShardedChannel(std::move(ring), options, std::move(refresh)));
 }
 
-ShardedChannel::ShardedChannel(ssp::PlacementRing ring, NodeFactory factory,
+ShardedChannel::ShardedChannel(ssp::PlacementRing ring,
                                const ShardedChannelOptions& options,
                                ConfigSource refresh)
     : ring_(std::move(ring)),
-      factory_(std::move(factory)),
       options_(options),
       refresh_(std::move(refresh)),
       rng_(options.seed != 0 ? Rng(options.seed) : Rng()),
+      links_(ring_.config().nodes, options.timeouts),
       fanout_hist_(
           obs::MetricsRegistry::Global().histogram("client.rpc.shard_fanout")) {
 }
@@ -113,23 +77,6 @@ ShardedChannelOptions ShardedChannelOptions::FromRetry(
           .seed = retry.seed};
 }
 
-ShardedChannel::NodeConnSlot* ShardedChannel::Slot(
-    const ssp::ClusterNode& node) {
-  auto [it, fresh] = conns_.try_emplace(node.id);
-  if (fresh) it->second.node = node;
-  return &it->second;
-}
-
-Result<Response> ShardedChannel::CallSlot(NodeConnSlot* slot,
-                                          const Request& req) {
-  if (slot->channel == nullptr) {
-    SHAROES_ASSIGN_OR_RETURN(slot->channel, factory_(slot->node));
-  }
-  auto resp = slot->channel->Call(req);
-  if (!resp.ok()) slot->channel.reset();  // Possibly mid-frame: redial.
-  return resp;
-}
-
 void ShardedChannel::BeginRound(int round, obs::RpcTraceScope* trace) {
   if (round > 0) {
     SleepBackoff(options_.round_backoff_ms, options_.max_round_backoff_ms,
@@ -140,30 +87,34 @@ void ShardedChannel::BeginRound(int round, obs::RpcTraceScope* trace) {
 }
 
 std::vector<Result<Response>> ShardedChannel::AskNodes(
-    const std::vector<ssp::ClusterNode>& nodes, const Request& wire) {
-  std::vector<Result<Response>> results(nodes.size(),
+    const std::vector<uint32_t>& node_ids, const Request& wire) {
+  std::vector<Result<Response>> results(node_ids.size(),
                                         Status::IoError("not asked"));
   obs::RpcTraceScope trace_scope;
   for (int round = 0; round < std::max(1, options_.quorum_rounds); ++round) {
-    std::vector<std::pair<size_t, NodeConnSlot*>> pending;
+    std::vector<size_t> pending;
+    std::vector<ssp::NodeLinks::Ask> asks;
     for (size_t i = 0; i < results.size(); ++i) {
       if (!results[i].ok() || results[i]->status == RespStatus::kError) {
-        pending.emplace_back(i, Slot(nodes[i]));
+        pending.push_back(i);
+        asks.push_back({node_ids[i], &wire});
       }
     }
     if (pending.empty()) break;
     BeginRound(round, &trace_scope);
-    FanOut(pending.size(), [&](size_t j) {
-      results[pending[j].first] = CallSlot(pending[j].second, wire);
-    });
+    std::vector<Result<Response>> answers = links_.Exchange(asks);
+    for (size_t j = 0; j < pending.size(); ++j) {
+      results[pending[j]] = std::move(answers[j]);
+    }
   }
   return results;
 }
 
 Result<Response> ShardedChannel::CallOnNode(uint32_t node_id,
                                             const Request& req) {
-  const ssp::ClusterNode* node = ring_.config().FindNode(node_id);
-  if (node != nullptr) return AskNodes({*node}, req)[0];
+  if (ring_.config().FindNode(node_id) != nullptr) {
+    return AskNodes({node_id}, req)[0];
+  }
   return Status::NotFound("no cluster node with id " +
                           std::to_string(node_id));
 }
@@ -176,20 +127,9 @@ void ShardedChannel::RebuildRing(ssp::ClusterConfig config) {
     return;
   }
   ring_ = std::move(*rebuilt);
-  // Keep live sockets only for node ids that survived the refresh AT
-  // THEIR OLD ENDPOINT. A connection whose node id moved to a new
-  // host:port must go too: its slot still dials the old address, so
-  // keeping it would mean reconnect-looping against a dead endpoint
-  // (and leaking one stale fd per refresh) forever.
-  for (auto it = conns_.begin(); it != conns_.end();) {
-    const ssp::ClusterNode* node = ring_.config().FindNode(it->first);
-    if (node == nullptr || node->host != it->second.node.host ||
-        node->port != it->second.node.port) {
-      it = conns_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  // Keeps live sockets only for node ids that survived the refresh at
+  // their old endpoint.
+  links_.SetNodes(ring_.config().nodes);
 }
 
 void ShardedChannel::NoteWrite(const Request& req) {
@@ -218,38 +158,30 @@ void ShardedChannel::NoteWrite(const Request& req) {
 }
 
 Result<Response> ShardedChannel::Call(const Request& req) {
-  // Admin ops have no routing key: fan them out to every configured
-  // node and merge, so `sharoes_cli stats` against a cluster reports
-  // the fleet, not whichever daemon happens to be listed first. Tools
-  // that want one specific daemon use CallOnNode.
-  if (IsAdminOp(req.op)) return CallAdmin(req);
+  // Admin ops have no routing key: ask every configured node and merge,
+  // so `sharoes_cli stats` against a cluster reports the fleet.
+  if (ssp::VerbOf(req.op) == ssp::OpVerb::kAdmin) return CallAdmin(req);
 
   const bool is_batch = req.op == OpCode::kBatch;
-  std::vector<const Request*> subs;
+  std::vector<const Request*> subs = {&req};
   if (is_batch) {
-    subs.reserve(req.batch.size());
+    subs.clear();
     for (const Request& sub : req.batch) subs.push_back(&sub);
-  } else {
-    subs.push_back(&req);
   }
   if (subs.empty()) return Response::Ok();
 
   std::vector<Response> finals;
-  for (int attempt = 0; attempt < 2; ++attempt) {
+  if (ExecuteSubOps(subs, &finals) && refresh_ != nullptr) {
+    // Some daemon refused a routing key: our ring is stale. Refresh
+    // placement and retry the whole sub-op set exactly once — every
+    // sub-op is idempotent, so re-running acked ones is safe, and a
+    // second kWrongShard means daemons and config genuinely disagree,
+    // which must surface instead of looping.
+    ++placement_refreshes_;
+    auto fresh = refresh_();
+    if (fresh.ok()) RebuildRing(std::move(*fresh));
     finals.clear();
-    bool wrong_shard = ExecuteSubOps(subs, &finals);
-    if (wrong_shard && refresh_ != nullptr && attempt == 0) {
-      // Some daemon refused a routing key: our ring is stale. Refresh
-      // placement and retry the whole sub-op set exactly once — every
-      // sub-op is idempotent, so re-running acked ones is safe, and a
-      // second kWrongShard means daemons and config genuinely disagree,
-      // which must surface instead of looping.
-      ++placement_refreshes_;
-      auto fresh = refresh_();
-      if (fresh.ok()) RebuildRing(std::move(*fresh));
-      continue;
-    }
-    break;
+    ExecuteSubOps(subs, &finals);
   }
   if (!is_batch) return finals.at(0);
   Response top;
@@ -266,55 +198,52 @@ Result<Response> ShardedChannel::CallAdmin(const Request& req) {
   // still applies the payload's prefix filter itself.
   if (req.op == OpCode::kGetStats) wire.binary_stats = true;
 
-  std::vector<Result<Response>> results = AskNodes(config.nodes, wire);
+  std::vector<uint32_t> node_ids;
+  for (const ssp::ClusterNode& node : config.nodes) node_ids.push_back(node.id);
+  std::vector<Result<Response>> results = AskNodes(node_ids, wire);
   fanout_hist_->Record(n);
 
-  if (req.op == OpCode::kGetStats) {
-    // Fold the per-daemon snapshots into one fleet view and render the
-    // same JSON document a single daemon would have returned (counters
-    // and gauges sum, histograms merge pointwise — so the percentiles
-    // are computed over the union of all samples, not averaged).
-    obs::RegistrySnapshot merged;
-    uint64_t reporting = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const auto& r = results[i];
-      if (!r.ok() || r->status != RespStatus::kOk) continue;
-      auto snap = obs::RegistrySnapshot::DeserializeBinary(r->payload);
-      if (!snap.ok()) {
-        obs::Log(obs::Severity::kWarn, "client.shard.stats_undecodable",
-                 {{"node", config.nodes[i].id},
-                  {"detail", snap.status().ToString()}});
-        continue;
-      }
-      merged.Merge(*snap);
-      ++reporting;
-    }
-    if (reporting == 0) {
-      return Status::Unavailable("no cluster node answered kGetStats");
-    }
-    // How much of the fleet this document covers — a partial merge must
-    // be visible, not silently presented as the whole cluster.
-    merged.gauges["cluster.nodes_reporting"] = reporting;
-    merged.gauges["cluster.nodes_total"] = n;
-    return Response::Ok(ToBytes(merged.ToJson()));
-  }
-
-  // kGetTraces: span timelines are per-daemon documents with no
-  // meaningful cross-node merge, so return one object keyed by node id
-  // with each daemon's document embedded verbatim.
-  obs::JsonObjectWriter w;
+  // kGetStats folds the per-daemon snapshots into one fleet view and
+  // renders the same JSON document a single daemon would have returned
+  // (counters and gauges sum, histograms merge pointwise, so the
+  // percentiles are computed over the union of all samples). kGetTraces:
+  // span timelines are per-daemon documents with no meaningful
+  // cross-node merge, so it returns one object keyed by node id with
+  // each daemon's document embedded verbatim.
+  obs::RegistrySnapshot merged;
+  obs::JsonObjectWriter traces;
   uint64_t reporting = 0;
   for (size_t i = 0; i < n; ++i) {
     const auto& r = results[i];
     if (!r.ok() || r->status != RespStatus::kOk) continue;
-    std::string doc(r->payload.begin(), r->payload.end());
-    w.RawField("node_" + std::to_string(config.nodes[i].id), doc);
+    if (req.op == OpCode::kGetTraces) {
+      traces.RawField("node_" + std::to_string(config.nodes[i].id),
+                      std::string(r->payload.begin(), r->payload.end()));
+      ++reporting;
+      continue;
+    }
+    auto snap = obs::RegistrySnapshot::DeserializeBinary(r->payload);
+    if (!snap.ok()) {
+      obs::Log(obs::Severity::kWarn, "client.shard.stats_undecodable",
+               {{"node", config.nodes[i].id},
+                {"detail", snap.status().ToString()}});
+      continue;
+    }
+    merged.Merge(*snap);
     ++reporting;
   }
   if (reporting == 0) {
-    return Status::Unavailable("no cluster node answered kGetTraces");
+    return Status::Unavailable(std::string("no cluster node answered ") +
+                               ssp::OpCodeName(req.op));
   }
-  return Response::Ok(ToBytes(w.Take()));
+  if (req.op == OpCode::kGetTraces) {
+    return Response::Ok(ToBytes(traces.Take()));
+  }
+  // How much of the fleet this document covers: a partial merge must be
+  // visible, not silently presented as the whole cluster.
+  merged.gauges["cluster.nodes_reporting"] = reporting;
+  merged.gauges["cluster.nodes_total"] = n;
+  return Response::Ok(ToBytes(merged.ToJson()));
 }
 
 bool ShardedChannel::ExecuteSubOps(const std::vector<const Request*>& subs,
@@ -337,12 +266,9 @@ bool ShardedChannel::ExecuteSubOps(const std::vector<const Request*>& subs,
   // One node's work for one round: the sub-ops (in submission order)
   // plus each one's replica position, shipped as a single request.
   struct NodeTask {
-    uint32_t node = 0;
-    NodeConnSlot* slot = nullptr;
     std::vector<std::pair<size_t, uint32_t>> items;  // (sub idx, position).
     Request wire;
     bool wrapped = false;
-    std::optional<Result<Response>> result;
   };
 
   std::set<uint32_t> fanout_nodes;
@@ -354,22 +280,14 @@ bool ShardedChannel::ExecuteSubOps(const std::vector<const Request*>& subs,
     // is missing in submission order. Reads: enough untried replicas to
     // complete the R quorum, preferring the ring order and failing
     // over to further replicas only when earlier ones went unusable.
-    std::vector<NodeTask> tasks;
-    auto task_for = [&](uint32_t node) -> NodeTask& {
-      for (NodeTask& t : tasks) {
-        if (t.node == node) return t;
-      }
-      tasks.push_back(NodeTask{});
-      tasks.back().node = node;
-      return tasks.back();
-    };
+    std::map<uint32_t, NodeTask> tasks;  // By node index.
     for (size_t i = 0; i < states.size(); ++i) {
       SubState& s = states[i];
       if (s.done) continue;
       if (s.mutating) {
         for (uint32_t pos = 0; pos < s.replicas.size(); ++pos) {
           if (!s.acked[pos]) {
-            task_for(s.replicas[pos]).items.emplace_back(i, pos);
+            tasks[s.replicas[pos]].items.emplace_back(i, pos);
           }
         }
       } else {
@@ -382,9 +300,8 @@ bool ShardedChannel::ExecuteSubOps(const std::vector<const Request*>& subs,
             if (s.replies[pos].has_value()) continue;
             const bool untried = !s.targeted[pos];
             if ((pass == 0) != untried) continue;
-            if (untried && pos >= s.need_replies) ++read_failovers_;
             s.targeted[pos] = 1;
-            task_for(s.replicas[pos]).items.emplace_back(i, pos);
+            tasks[s.replicas[pos]].items.emplace_back(i, pos);
             --want;
           }
         }
@@ -395,57 +312,41 @@ bool ShardedChannel::ExecuteSubOps(const std::vector<const Request*>& subs,
     if (tasks.empty()) break;
     BeginRound(round, &trace_scope);
 
-    // Materialize wires + connections on this thread, then fan out.
-    for (NodeTask& t : tasks) {
-      t.slot = Slot(config.nodes[t.node]);
-      fanout_nodes.insert(t.node);
-      if (t.items.size() == 1) {
-        t.wire = *states[t.items[0].first].req;
-      } else {
-        std::vector<Request> batch;
-        batch.reserve(t.items.size());
-        for (auto& [sub_idx, pos] : t.items) {
-          (void)pos;
-          batch.push_back(*states[sub_idx].req);
-        }
-        t.wire = Request::Batch(std::move(batch));
-        t.wrapped = true;
-      }
-      // Every cluster read is versioned: replies carry their replica's
-      // store generation and tombstones answer kDeleted, the raw
-      // material of delete-aware freshness. The flag rides the
-      // top-level frame (a batch envelope's flag covers its sub-reads)
-      // and is a no-op for mutating ops.
+    // Materialize the wires, then exchange them with every node at once.
+    std::vector<ssp::NodeLinks::Ask> asks;
+    for (auto& [node, t] : tasks) {
+      fanout_nodes.insert(node);
+      t.wrapped = t.items.size() > 1;
+      std::vector<Request> batch;
+      for (const auto& item : t.items) batch.push_back(*states[item.first].req);
+      t.wire = t.wrapped ? Request::Batch(std::move(batch))
+                         : std::move(batch[0]);
+      // Every cluster read is versioned (replies carry the replica's
+      // store generation; tombstones answer kDeleted). The flag rides the
+      // top-level frame, covers a batch's sub-reads, and is a no-op for
+      // mutating ops.
       t.wire.want_version = true;
+      asks.push_back({config.nodes[node].id, &t.wire});
     }
-    FanOut(tasks.size(), [this, &tasks](size_t i) {
-      tasks[i].result = CallSlot(tasks[i].slot, tasks[i].wire);
-    });
+    const std::vector<Result<Response>> results = links_.Exchange(asks);
 
     // Absorb replies.
-    for (NodeTask& t : tasks) {
-      const Result<Response>& result = *t.result;
+    auto result_it = results.begin();
+    for (const auto& [node, t] : tasks) {
+      const Result<Response>& result = *result_it++;
       for (size_t item = 0; item < t.items.size(); ++item) {
         auto [sub_idx, pos] = t.items[item];
         SubState& s = states[sub_idx];
         if (s.done) continue;
-        RespStatus status;
-        const Response* sub_resp = nullptr;
-        if (!result.ok()) {
-          continue;  // Transport failure: no ack, no reply.
-        } else if (t.wrapped) {
-          if (result->status != RespStatus::kOk ||
-              result->batch.size() != t.items.size()) {
-            // Envelope-level kError (e.g. WAL ack failure) or a
-            // malformed stitch: nothing in this frame counts.
-            continue;
-          }
-          sub_resp = &result->batch[item];
-          status = sub_resp->status;
-        } else {
-          sub_resp = &*result;
-          status = sub_resp->status;
+        if (!result.ok()) continue;  // Transport failure: no ack, no reply.
+        // Envelope-level kError (e.g. WAL ack failure) or a malformed
+        // stitch: nothing in this frame counts.
+        if (t.wrapped && (result->status != RespStatus::kOk ||
+                          result->batch.size() != t.items.size())) {
+          continue;
         }
+        const Response& sub_resp = t.wrapped ? result->batch[item] : *result;
+        const RespStatus status = sub_resp.status;
         if (status == RespStatus::kWrongShard) {
           s.wrong_shard = true;
           any_wrong_shard = true;
@@ -464,7 +365,7 @@ bool ShardedChannel::ExecuteSubOps(const std::vector<const Request*>& subs,
             }
           }
         } else if (!s.replies[pos].has_value()) {
-          s.replies[pos] = ssp::DecodeVersioned(*sub_resp);
+          s.replies[pos] = ssp::DecodeVersioned(sub_resp);
           if (s.replies[pos].has_value()) ++s.replied;
         }
       }
@@ -519,21 +420,13 @@ void ShardedChannel::SettleRead(SubState* sub) {
   //    ties — the R=K scrub heals a wrong suppression from the replica
   //    holding the strictly higher generation).
   const ssp::Freshest fresh = ssp::SettleFreshest(sub->replies);
-  if (fresh.deleted) {
-    // The freshest acknowledged state of this key is "deleted". Answer
-    // absence and propagate the tombstone onto live stale repliers —
-    // never onto kNotFound ones (missing already agrees with deleted;
-    // re-creating the tombstone there would fight the scrubber's GC).
+  sub->done = true;
+  // Deleted, or unanimous absence (kNotFound, possibly with lower-gen
+  // tombstones that lost to nothing live). A winning tombstone is
+  // propagated onto the live stale repliers.
+  if (fresh.deleted || oks.empty()) {
     sub->final = Response::NotFound();
-    sub->done = true;
-    RepairStale(*sub, /*deleted=*/true, Bytes{}, fresh.gen);
-    return;
-  }
-  if (oks.empty()) {
-    // Unanimous absence (kNotFound, possibly with lower-gen tombstones
-    // that just lost to nothing live — still absence).
-    sub->final = Response::NotFound();
-    sub->done = true;
+    if (fresh.deleted) RepairStale(*sub, /*deleted=*/true, {}, fresh.gen);
     return;
   }
   const ssp::VersionedReply* winner = nullptr;
@@ -617,7 +510,6 @@ void ShardedChannel::SettleRead(SubState* sub) {
     strong_winner = best_votes * 2 > oks.size();
   }
   sub->final = Response::Ok(winner->payload);
-  sub->done = true;
   if (strong_winner) {
     RepairStale(*sub, /*deleted=*/false, winner->payload, winner->gen);
   }
@@ -625,32 +517,17 @@ void ShardedChannel::SettleRead(SubState* sub) {
 
 void ShardedChannel::RepairStale(const SubState& sub, bool deleted,
                                  const Bytes& payload, uint64_t gen) {
-  const ssp::ObjectRef ref = *ssp::RefOf(*sub.req);
-  for (size_t pos = 0; pos < sub.replies.size(); ++pos) {
-    const auto& u = sub.replies[pos];
-    if (!u.has_value()) continue;
-    if (deleted) {
-      // Only live stale repliers get the tombstone. kNotFound already
-      // agrees with deleted; kDeleted repliers (any generation) are
-      // already dead.
-      if (u->status != RespStatus::kOk) continue;
-    } else {
-      if (u->status == RespStatus::kOk && u->payload == payload) continue;
-    }
-    // Re-put the winning payload — or re-delete, when a tombstone won —
-    // stamped with the winner's generation so the receiving store
-    // applies the repair at that version and gen-gating guarantees
-    // nothing fresher is ever clobbered (idempotent either way).
-    // Best-effort: a failed repair just leaves the divergence for the
-    // next read or the anti-entropy scrubber to heal.
-    Request fix = deleted ? Request::Delete(ref) : Request::Put(ref, payload);
-    if (gen != 0) {
-      fix.has_store_gen = true;
-      fix.store_gen = gen;
-    }
-    const ssp::ClusterNode& node = ring_.config().nodes[sub.replicas[pos]];
-    auto repaired = CallSlot(Slot(node), fix);
-    ++read_repairs_;
+  // Best-effort: a failed repair just leaves the divergence for the next
+  // read or the anti-entropy scrubber to heal.
+  const std::vector<ssp::Repair> repairs = ssp::RepairsFor(
+      *ssp::RefOf(*sub.req), sub.replies, deleted, payload, gen);
+  std::vector<ssp::NodeLinks::Ask> asks;
+  for (const ssp::Repair& repair : repairs) {
+    asks.push_back(
+        {ring_.config().nodes[sub.replicas[repair.pos]].id, &repair.fix});
+  }
+  read_repairs_ += repairs.size();
+  for (const Result<Response>& repaired : links_.Exchange(asks)) {
     if (!repaired.ok() || (repaired->status != RespStatus::kOk &&
                            repaired->status != RespStatus::kNotFound)) {
       obs::Log(obs::Severity::kWarn, "client.shard.repair_failed",

@@ -64,7 +64,7 @@ class TcpStream {
   /// DeadlineExceeded if an armed recv deadline expires.
   Result<Bytes> RecvFrame();
 
-  bool valid() const { return fd_ >= 0; }
+  int fd() const { return fd_; }
   void CloseNow();
 
  private:

@@ -540,4 +540,29 @@ Freshest SettleFreshest(
   return f;
 }
 
+std::vector<Repair> RepairsFor(
+    const ObjectRef& ref,
+    const std::vector<std::optional<VersionedReply>>& replies, bool deleted,
+    const Bytes& payload, uint64_t gen) {
+  std::vector<Repair> repairs;
+  for (size_t pos = 0; pos < replies.size(); ++pos) {
+    const auto& r = replies[pos];
+    if (!r.has_value()) continue;
+    const bool live = r->status == RespStatus::kOk;
+    if (deleted ? !live : (live && r->gen == gen && r->payload == payload)) {
+      continue;
+    }
+    // Matching bytes at a lower generation still get the fix: a later
+    // delete would tombstone that copy below the live ones, and a read
+    // pairing the two would bring the key back.
+    Request fix = deleted ? Request::Delete(ref) : Request::Put(ref, payload);
+    if (gen != 0) {
+      fix.has_store_gen = true;
+      fix.store_gen = gen;
+    }
+    repairs.push_back({pos, std::move(fix)});
+  }
+  return repairs;
+}
+
 }  // namespace sharoes::ssp

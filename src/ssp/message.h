@@ -342,6 +342,23 @@ struct Freshest {
 Freshest SettleFreshest(
     const std::vector<std::optional<VersionedReply>>& replies);
 
+/// A fix a settled read owes the replier at replica position `pos`.
+struct Repair {
+  size_t pos = 0;
+  Request fix;
+};
+
+/// The one repair rule, for read repair and the scrubber (DESIGN.md
+/// §16). A tombstone winner (`deleted`) is re-deleted onto live repliers
+/// only (absence already agrees with it). A live winner `payload` is
+/// re-put on every replier not holding exactly it at `gen`. Fixes carry
+/// `gen` (when non-zero), so the receiving store gen-gates them. Unset
+/// replies get nothing.
+std::vector<Repair> RepairsFor(
+    const ObjectRef& ref,
+    const std::vector<std::optional<VersionedReply>>& replies, bool deleted,
+    const Bytes& payload, uint64_t gen);
+
 }  // namespace sharoes::ssp
 
 #endif  // SHAROES_SSP_MESSAGE_H_

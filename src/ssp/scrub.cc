@@ -1,20 +1,20 @@
 #include "ssp/scrub.h"
 
 #include <chrono>
-#include <map>
 #include <vector>
 
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "ssp/tcp_service.h"
 
 namespace sharoes::ssp {
 
 Scrubber::Scrubber(SspServer* server, const PlacementRing* ring,
-                   uint32_t node_id, PeerFactory peers)
+                   uint32_t node_id, const net::TcpTimeouts& peer_timeouts)
     : server_(server),
       ring_(ring),
       node_id_(node_id),
-      peers_(std::move(peers)),
+      peer_timeouts_(peer_timeouts),
       runs_(obs::MetricsRegistry::Global().counter("ssp.scrub.runs")),
       repaired_(obs::MetricsRegistry::Global().counter("ssp.scrub.repaired")),
       tombstones_gc_(
@@ -24,24 +24,23 @@ ScrubPass Scrubber::RunOnce() {
   ScrubPass pass;
   runs_->Increment();
   const ClusterConfig& config = ring_->config();
-  // Channels to peer daemons, opened lazily and reused for the whole
-  // pass. A failed call drops its channel — the stream may still owe
-  // that request's late reply, which the next key's read would take as
-  // its own — and the next call to the peer redials.
-  std::map<uint32_t, std::unique_ptr<SspChannel>> peers;
-  auto replica_call = [&](uint32_t node_index,
-                          const Request& req) -> Result<Response> {
-    const ClusterNode& node = config.nodes[node_index];
-    if (node.id == node_id_) return server_->Handle(req);
-    auto it = peers.find(node_index);
-    if (it == peers.end()) {
-      auto opened = peers_(node);
-      if (!opened.ok()) return opened.status();
-      it = peers.emplace(node_index, std::move(*opened)).first;
+  NodeLinks links(config.nodes, peer_timeouts_);  // For this pass.
+  // Asks of this daemon go through Handle (WAL-logged), the rest as one
+  // exchange. Result j answers asks[j].
+  auto call = [&](const std::vector<NodeLinks::Ask>& asks) {
+    std::vector<NodeLinks::Ask> remote;
+    for (const NodeLinks::Ask& ask : asks) {
+      if (ask.node_id != node_id_) remote.push_back(ask);
     }
-    auto resp = it->second->Call(req);
-    if (!resp.ok()) peers.erase(it);
-    return resp;
+    std::vector<Result<Response>> answers = links.Exchange(remote);
+    std::vector<Result<Response>> results;
+    auto answer = answers.begin();
+    for (const NodeLinks::Ask& ask : asks) {
+      results.push_back(ask.node_id == node_id_
+                            ? Result<Response>(server_->Handle(*ask.req))
+                            : std::move(*answer++));
+    }
+    return results;
   };
 
   // The enumeration is a point-in-time shard-consistent listing; each
@@ -59,11 +58,15 @@ ScrubPass Scrubber::RunOnce() {
     // One decoded versioned answer per replica position; unset = the
     // replica gave no usable reply.
     const std::vector<uint32_t> replicas = ring_->ReplicaIndicesFor(key);
+    std::vector<NodeLinks::Ask> reads;
+    for (uint32_t node : replicas) {
+      reads.push_back({config.nodes[node].id, &get});
+    }
+    std::vector<Result<Response>> answers = call(reads);
     std::vector<std::optional<VersionedReply>> replies(replicas.size());
     bool all_replied = true;
     for (size_t pos = 0; pos < replicas.size(); ++pos) {
-      auto resp = replica_call(replicas[pos], get);
-      if (resp.ok()) replies[pos] = DecodeVersioned(*resp);
+      if (answers[pos].ok()) replies[pos] = DecodeVersioned(*answers[pos]);
       if (!replies[pos].has_value()) {
         all_replied = false;
         ++pass.unreachable;
@@ -76,64 +79,41 @@ ScrubPass Scrubber::RunOnce() {
     // rather than guess — a wrong scrub repair would propagate the
     // guess to all K.
     const Freshest fresh = SettleFreshest(replies);
-    auto repair = [&](size_t pos, Request fix) {
-      fix.has_store_gen = true;
-      fix.store_gen = fresh.gen;
-      auto r = replica_call(replicas[pos], fix);
-      ++pass.repaired;
-      if (!r.ok() || (r->status != RespStatus::kOk &&
-                      r->status != RespStatus::kNotFound)) {
-        obs::Log(obs::Severity::kWarn, "ssp.scrub.repair_failed",
-                 {{"node", config.nodes[replicas[pos]].id},
-                  {"op", OpCodeName(fix.op)}});
-      }
-    };
-    auto has = [&](size_t pos, RespStatus status) {
-      return replies[pos].has_value() && replies[pos]->status == status;
-    };
-
+    std::vector<Repair> repairs;
     if (fresh.deleted) {
-      // Re-delete onto live stragglers only — never onto replicas that
-      // answered missing (absence already agrees with deletion, and
-      // re-creating the tombstone there would fight GC forever).
-      bool any_live = false;
-      for (size_t pos = 0; pos < replicas.size(); ++pos) {
-        if (has(pos, RespStatus::kOk)) {
-          any_live = true;
-          repair(pos, Request::Delete(ref));
-        }
+      repairs = RepairsFor(ref, replies, /*deleted=*/true, Bytes{}, fresh.gen);
+    } else if (fresh.live.has_value()) {
+      repairs = RepairsFor(ref, replies, /*deleted=*/false,
+                           replies[*fresh.live]->payload, fresh.gen);
+    }
+    std::vector<NodeLinks::Ask> fixes;
+    for (const Repair& repair : repairs) {
+      fixes.push_back({config.nodes[replicas[repair.pos]].id, &repair.fix});
+    }
+    std::vector<Result<Response>> fixed = call(fixes);
+    pass.repaired += repairs.size();
+    for (size_t j = 0; j < fixed.size(); ++j) {
+      if (!fixed[j].ok() || (fixed[j]->status != RespStatus::kOk &&
+                             fixed[j]->status != RespStatus::kNotFound)) {
+        obs::Log(obs::Severity::kWarn, "ssp.scrub.repair_failed",
+                 {{"node", fixes[j].node_id},
+                  {"op", OpCodeName(fixes[j].req->op)}});
       }
-      // GC: only with a FULL quorum of replies, none of them live. One
-      // unreachable replica could be holding a fresher re-create, so it
-      // vetoes the purge. Each daemon purges only its own tombstone, at
-      // the exact generation it just observed (a concurrent re-create
-      // aborts inside RemoveTombstone).
-      if (all_replied && !any_live) {
-        for (size_t pos = 0; pos < replicas.size(); ++pos) {
-          if (config.nodes[replicas[pos]].id == node_id_ &&
-              has(pos, RespStatus::kDeleted) &&
-              server_->store().RemoveTombstone(ref, replies[pos]->gen)) {
-            ++pass.tombstones_gc;
-          }
-        }
-      }
-      continue;
     }
 
-    if (fresh.live.has_value()) {
-      const Bytes& winner = replies[*fresh.live]->payload;
+    // Tombstone GC: only with a FULL quorum of replies, none of them
+    // live (a live one just got a re-delete). One unreachable replica
+    // could be holding a fresher re-create, so it vetoes the purge. Each
+    // daemon purges only its own tombstone, at the exact generation it
+    // just observed (a concurrent re-create aborts inside
+    // RemoveTombstone).
+    if (fresh.deleted && all_replied && repairs.empty()) {
       for (size_t pos = 0; pos < replicas.size(); ++pos) {
-        if (!replies[pos].has_value() || pos == *fresh.live) continue;
-        const VersionedReply& v = *replies[pos];
-        if (v.status == RespStatus::kOk && v.gen == fresh.gen &&
-            v.payload == winner) {
-          continue;
+        if (config.nodes[replicas[pos]].id == node_id_ &&
+            replies[pos]->status == RespStatus::kDeleted &&
+            server_->store().RemoveTombstone(ref, replies[pos]->gen)) {
+          ++pass.tombstones_gc;
         }
-        // Stale live copy, lower-generation tombstone (a legitimate
-        // delete-then-recreate), or missing: re-put the winner at its
-        // generation. Gen-gating on the receiving store protects any
-        // concurrent fresher op.
-        repair(pos, Request::Put(ref, winner));
       }
     }
   }

@@ -1,43 +1,38 @@
 // Anti-entropy scrubber: the background repair loop of a replicated SSP
 // cluster (DESIGN.md §16).
 //
-// Read repair only heals keys that clients happen to read. The scrubber
-// closes the gap: each daemon periodically walks its own store
-// (tombstones included), asks ALL K placement replicas of every key it
-// owns for their versioned state (an R=K read: no stale copy can hide),
-// and converges the replica set toward the freshest acknowledged state —
-// re-putting live winners onto stale or missing replicas, re-deleting
-// tombstone winners onto live stragglers. Repairs are gen-gated exactly
-// like the client's read repair, so a concurrent fresher write is never
-// clobbered, and every local repair goes through SspServer::Handle so it
-// is WAL-logged and survives restart.
+// Read repair only heals keys that clients read. Each daemon's scrubber
+// walks its own store (tombstones included), reads every key it owns
+// from ALL K replicas (an R=K versioned read: no stale copy can hide),
+// and repairs the replica set toward the freshest acknowledged state by
+// read repair's rules (ssp::SettleFreshest, ssp::RepairsFor), gen-gated
+// so a concurrent fresher write is never clobbered.
 //
-// Tombstone GC: a tombstone may only be purged once it is provably
-// redundant — when a FULL quorum pass (all K replicas actually replied;
-// one unreachable node aborts the decision) shows every replica is
-// tombstone-or-missing, i.e. nobody is left to resurrect the key. Each
-// daemon purges only its own local tombstone on its own pass; the purge
-// is deliberately not WAL-logged (replay resurrecting a purged tombstone
-// is harmless — the next full-quorum pass re-collects it). Repairs never
-// push tombstones onto replicas that answered "missing": absence already
-// agrees with deletion, and re-creating the tombstone would fight GC
-// forever.
+// Tombstone GC: a tombstone is purged only when a FULL quorum pass (all
+// K replicas replied; one unreachable node vetoes) shows every replica
+// tombstone-or-missing, so nobody is left to resurrect the key. Each
+// daemon purges only its own tombstone, and the purge is not WAL-logged:
+// a replayed purged tombstone is harmless (the next pass re-collects it).
+//
+// Transport: a pass owns one ssp::NodeLinks, the links ShardedChannel
+// uses too. Each key's remote reads go out as one exchange and its
+// remote repairs as another; the local replica is read and repaired
+// through SspServer::Handle, so local repairs are WAL-logged.
 //
 // Threading: RunOnce() is safe against live traffic (the store is
-// shard-striped, Handle is thread-safe). Start() spawns one background
-// thread running RunOnce() every interval; Stop() (or destruction) joins
-// it promptly via an interruptible wait.
+// shard-striped, Handle is thread-safe) and makes no threads. Start()
+// spawns one background thread running RunOnce() every interval; Stop()
+// (or destruction) joins it promptly via an interruptible wait.
 
 #ifndef SHAROES_SSP_SCRUB_H_
 #define SHAROES_SSP_SCRUB_H_
 
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 
+#include "net/tcp_stream.h"
 #include "ssp/placement.h"
 #include "ssp/ssp_server.h"
 
@@ -54,18 +49,13 @@ struct ScrubPass {
 
 class Scrubber {
  public:
-  /// Opens a channel to one peer daemon. Called lazily per pass (a pass
-  /// caches its channels, and redials one after a failed call); may fail
-  /// when the peer is down — the pass counts the replica unreachable and
-  /// moves on.
-  using PeerFactory =
-      std::function<Result<std::unique_ptr<SspChannel>>(const ClusterNode&)>;
-
-  /// `server`, `ring` and `peers` must outlive the scrubber. `node_id`
-  /// is this daemon's cluster node id (the scrubber only examines keys
-  /// the ring says this node replicates).
+  /// `server` and `ring` must outlive the scrubber. `node_id` is this
+  /// daemon's cluster node id (the scrubber only examines keys the ring
+  /// says this node replicates). Peers are dialed at their configured
+  /// host:port with `peer_timeouts`; a peer that is down counts as an
+  /// unreachable replica and the pass moves on.
   Scrubber(SspServer* server, const PlacementRing* ring, uint32_t node_id,
-           PeerFactory peers);
+           const net::TcpTimeouts& peer_timeouts);
   ~Scrubber() { Stop(); }
   Scrubber(const Scrubber&) = delete;
   Scrubber& operator=(const Scrubber&) = delete;
@@ -86,7 +76,7 @@ class Scrubber {
   SspServer* server_;         // Not owned.
   const PlacementRing* ring_;  // Not owned.
   uint32_t node_id_;
-  PeerFactory peers_;
+  net::TcpTimeouts peer_timeouts_;
 
   obs::Counter* runs_;
   obs::Counter* repaired_;

@@ -3,9 +3,11 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -227,27 +229,121 @@ Result<std::unique_ptr<TcpSspChannel>> TcpSspChannel::Connect(
 }
 
 Result<Response> TcpSspChannel::Call(const Request& req) {
+  SHAROES_RETURN_IF_ERROR(Send(req));
+  return Receive();
+}
+
+Status TcpSspChannel::Send(const Request& req) {
   // Stamp the ambient trace (if any) onto the wire frame so the server's
   // structured log lines join to the client op that caused them. The
   // simulated-WAN SspConnection deliberately does not do this: its byte
   // counts feed deterministic cost models that must not vary with
   // whether a trace happens to be active.
   obs::TraceContext tc = obs::CurrentTrace();
-  Bytes wire_request = tc.active()
-                           ? req.SerializeWithTrace(tc.trace_id, tc.attempt)
-                           : req.Serialize();
-  Status sent = stream_.SendFrame(wire_request);
-  Result<Bytes> wire = sent.ok() ? stream_.RecvFrame() : Result<Bytes>(sent);
+  Status sent = stream_.SendFrame(
+      tc.active() ? req.SerializeWithTrace(tc.trace_id, tc.attempt)
+                  : req.Serialize());
+  if (!sent.ok() && sent.code() != StatusCode::kInvalidArgument) {
+    stream_.CloseNow();
+  }
+  return sent;
+}
+
+Result<Response> TcpSspChannel::Receive() {
+  auto wire = stream_.RecvFrame();
   if (!wire.ok()) {
-    // The stream may be mid-frame, or still owe this request's reply (a
-    // recv deadline expired): a later Call would read that late reply
-    // as its own. Close it, so every later Call fails until the owner
-    // redials. An oversized request is refused before any byte is sent
-    // and leaves the stream usable.
-    if (sent.code() != StatusCode::kInvalidArgument) stream_.CloseNow();
+    stream_.CloseNow();
     return wire.status();
   }
   return Response::Deserialize(*wire);
+}
+
+void NodeLinks::SetNodes(const std::vector<ClusterNode>& nodes) {
+  std::map<uint32_t, Link> kept;
+  for (const ClusterNode& node : nodes) {
+    auto old = links_.find(node.id);
+    if (old != links_.end() && old->second.node.host == node.host &&
+        old->second.node.port == node.port) {
+      kept[node.id] = std::move(old->second);
+    } else {
+      kept[node.id].node = node;
+    }
+  }
+  links_ = std::move(kept);  // Destroying the rest closes their sockets.
+}
+
+std::vector<Result<Response>> NodeLinks::Exchange(
+    const std::vector<Ask>& asks) {
+  std::vector<Result<Response>> results(asks.size(),
+                                        Status::IoError("no reply"));
+  // Every frame goes out before any reply is read: the nodes work in
+  // parallel.
+  std::vector<std::pair<size_t, Link*>> pending;  // (ask index, link).
+  for (size_t i = 0; i < asks.size(); ++i) {
+    auto it = links_.find(asks[i].node_id);
+    if (it == links_.end()) {
+      results[i] = Status::NotFound("no cluster node with id " +
+                                    std::to_string(asks[i].node_id));
+      continue;
+    }
+    Link& link = it->second;
+    if (link.channel == nullptr) {
+      ++link.dials;
+      auto dialed =
+          TcpSspChannel::Connect(link.node.host, link.node.port, timeouts_);
+      if (!dialed.ok()) {
+        results[i] = dialed.status();
+        continue;
+      }
+      link.channel = std::move(*dialed);
+    }
+    Status sent = link.channel->Send(*asks[i].req);
+    if (sent.ok()) {
+      pending.emplace_back(i, &link);
+    } else {
+      results[i] = sent;
+      link.channel.reset();
+    }
+  }
+
+  // One poll over the sockets still owing a reply; recv_ms 0 waits
+  // forever.
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::milliseconds(timeouts_.recv_ms);
+  std::vector<pollfd> fds;
+  while (!pending.empty()) {
+    const int64_t left_ms = std::chrono::ceil<std::chrono::milliseconds>(
+                                deadline - Clock::now())
+                                .count();
+    const int wait_ms = timeouts_.recv_ms == 0
+                            ? -1
+                            : static_cast<int>(std::max<int64_t>(0, left_ms));
+    fds.clear();
+    for (const auto& [i, link] : pending) {
+      fds.push_back({link->channel->fd(), POLLIN, 0});
+    }
+    const int ready = ::poll(fds.data(), fds.size(), wait_ms);
+    if (ready < 0 && errno == EINTR) continue;
+    // A missed deadline (or a broken poll) fails every pending slot.
+    const Status missed =
+        ready > 0    ? Status::OK()
+        : ready == 0 ? Status::DeadlineExceeded("recv timed out")
+                     : Errno("poll");
+    size_t still = 0;
+    for (size_t j = 0; j < pending.size(); ++j) {
+      auto [i, link] = pending[j];
+      if (missed.ok() && fds[j].revents == 0) {
+        pending[still++] = pending[j];
+        continue;
+      }
+      results[i] = missed.ok() ? link->channel->Receive()
+                               : Result<Response>(missed);
+      if (!results[i].ok()) link->channel.reset();
+    }
+    pending.resize(still);
+  }
+  return results;
 }
 
 }  // namespace sharoes::ssp

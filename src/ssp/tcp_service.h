@@ -9,13 +9,16 @@
 
 #include <atomic>
 #include <list>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "net/tcp_stream.h"
 #include "obs/metrics.h"
+#include "ssp/placement.h"
 #include "ssp/ssp_server.h"
 
 namespace sharoes::ssp {
@@ -83,19 +86,74 @@ class TcpSspDaemon {
 class TcpSspChannel : public SspChannel {
  public:
   /// `timeouts` arms the stream's connect deadline and per-syscall IO
-  /// deadlines; expiry surfaces from Call as Status::DeadlineExceeded.
-  /// A failed send or receive closes the stream: the channel is then
-  /// dead and the caller redials.
+  /// deadlines; expiry surfaces as Status::DeadlineExceeded.
   static Result<std::unique_ptr<TcpSspChannel>> Connect(
       const std::string& host, uint16_t port,
       const net::TcpTimeouts& timeouts = {});
 
+  /// Send, then Receive. A failed Send or Receive closes the stream (it
+  /// may be mid-frame, or owe a reply a later call would take as its
+  /// own), so every later call fails until the owner redials; only an
+  /// oversized request, refused before any byte is sent, leaves it open.
   Result<Response> Call(const Request& req) override;
+  /// Writes `req`'s frame, stamped with the ambient trace (if any).
+  Status Send(const Request& req);
+  Result<Response> Receive();
+  int fd() const { return stream_.fd(); }
 
  private:
   explicit TcpSspChannel(net::TcpStream stream)
       : stream_(std::move(stream)) {}
   net::TcpStream stream_;
+};
+
+/// The one way the cluster paths reach replicas (ShardedChannel's rounds
+/// and read repair, the scrubber's reads and repairs): one lazily dialed
+/// TcpSspChannel per node id. A link closes when a call on it fails or
+/// SetNodes moves or removes its node; the next ask redials. Not
+/// thread-safe, and makes no threads.
+class NodeLinks {
+ public:
+  NodeLinks(const std::vector<ClusterNode>& nodes,
+            const net::TcpTimeouts& timeouts)
+      : timeouts_(timeouts) {
+    SetNodes(nodes);
+  }
+  /// Adopts a refreshed node list; keeps a link only at its old endpoint.
+  void SetNodes(const std::vector<ClusterNode>& nodes);
+
+  /// One request for one node; an exchange asks each node at most once.
+  struct Ask {
+    uint32_t node_id = 0;
+    const Request* req = nullptr;
+  };
+  /// Dials the asked nodes without a live link, writes every frame, then
+  /// collects the replies on the calling thread with one poll() and one
+  /// recv deadline for all of them. Result i answers asks[i]. A slot
+  /// fails alone (unknown id, refused dial, failed send or receive,
+  /// missed deadline), and its link closes, so a late reply is never
+  /// read as the node's next answer.
+  std::vector<Result<Response>> Exchange(const std::vector<Ask>& asks);
+
+  /// Dials made on `node_id`'s current link, failed ones included.
+  uint64_t dials(uint32_t node_id) const {
+    auto it = links_.find(node_id);
+    return it == links_.end() ? 0 : it->second.dials;
+  }
+  size_t live_links() const {
+    size_t live = 0;
+    for (const auto& [id, link] : links_) live += link.channel != nullptr;
+    return live;
+  }
+
+ private:
+  struct Link {
+    ClusterNode node;
+    std::unique_ptr<TcpSspChannel> channel;  // Null until dialed.
+    uint64_t dials = 0;
+  };
+  net::TcpTimeouts timeouts_;
+  std::map<uint32_t, Link> links_;  // By node id.
 };
 
 }  // namespace sharoes::ssp

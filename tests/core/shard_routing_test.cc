@@ -11,7 +11,6 @@
 #include <dirent.h>
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <utility>
@@ -167,8 +166,7 @@ TEST(ShardRouting, WrongShardRefreshesPlacementAndRetriesOnce) {
   // real config, like re-reading the updated file.
   int refresh_calls = 0;
   auto channel = core::ShardedChannel::Create(
-      StaleConfig(cluster), cluster.node_factory(),
-      core::ShardedChannelOptions{},
+      StaleConfig(cluster), core::ShardedChannelOptions{},
       [&cluster, &refresh_calls]() -> Result<ssp::ClusterConfig> {
         ++refresh_calls;
         return cluster.config();
@@ -194,10 +192,8 @@ TEST(ShardRouting, WrongShardRefreshesPlacementAndRetriesOnce) {
 TEST(ShardRouting, WrongShardWithoutRefreshSurfaces) {
   TestCluster cluster(Unreplicated("routing_norefresh"));
   cluster.Start();
-  auto channel =
-      core::ShardedChannel::Create(StaleConfig(cluster),
-                                   cluster.node_factory(),
-                                   core::ShardedChannelOptions{});
+  auto channel = core::ShardedChannel::Create(StaleConfig(cluster),
+                                              core::ShardedChannelOptions{});
   ASSERT_TRUE(channel.ok());
 
   // No ConfigSource: the channel cannot self-heal, and looping on a
@@ -208,25 +204,6 @@ TEST(ShardRouting, WrongShardWithoutRefreshSurfaces) {
   EXPECT_EQ(put->status, RespStatus::kWrongShard);
   EXPECT_EQ((*channel)->placement_refreshes(), 0u);
 }
-
-/// Forwarding channel that counts how many transport channels are alive
-/// — a leak detector for connections a placement refresh should drop.
-class CountingChannel : public ssp::SspChannel {
- public:
-  CountingChannel(std::unique_ptr<ssp::SspChannel> inner,
-                  std::atomic<int>* live)
-      : inner_(std::move(inner)), live_(live) {
-    live_->fetch_add(1);
-  }
-  ~CountingChannel() override { live_->fetch_sub(1); }
-  Result<Response> Call(const Request& req) override {
-    return inner_->Call(req);
-  }
-
- private:
-  std::unique_ptr<ssp::SspChannel> inner_;
-  std::atomic<int>* live_;
-};
 
 /// Open descriptors of this process (includes the enumeration dirfd —
 /// only deltas are meaningful). -1 where /proc is unavailable.
@@ -240,13 +217,13 @@ int OpenFdCount() {
 }
 
 TEST(ShardRouting, EndpointChangeRefreshDropsStaleConnections) {
-  // A node's slot dials the endpoint it was created for, so a placement
+  // A node's link dials the endpoint it was created for, so a placement
   // refresh that moves a node id to a different address must DROP that
-  // node's old connection: a kept slot would redial the wrong endpoint
-  // forever and leak its socket. Start the channel on a config with the
+  // node's old connection: a kept link would keep talking to the wrong
+  // endpoint and leak its socket. Start the channel on a config with the
   // two nodes' addresses swapped (ring unchanged — only the dialing is
   // wrong), let kWrongShard trigger the refresh, and count both live
-  // channels and process fds.
+  // links and process fds.
   TestCluster::Options topts;
   topts.nodes = 2;
   topts.replication = 1;
@@ -260,20 +237,8 @@ TEST(ShardRouting, EndpointChangeRefreshDropsStaleConnections) {
   ssp::ClusterConfig swapped = cluster.config();
   std::swap(swapped.nodes[0].port, swapped.nodes[1].port);
 
-  // Endpoint-faithful factory, like the production TCP one: dial the
-  // address in the config, not the node id.
-  std::atomic<int> live{0};
-  auto factory = [&live](const ssp::ClusterNode& node)
-      -> Result<std::unique_ptr<ssp::SspChannel>> {
-    net::TcpTimeouts timeouts{/*connect_ms=*/2000, /*send_ms=*/5000,
-                              /*recv_ms=*/5000};
-    auto ch = ssp::TcpSspChannel::Connect(node.host, node.port, timeouts);
-    if (!ch.ok()) return ch.status();
-    return std::unique_ptr<ssp::SspChannel>(
-        new CountingChannel(std::move(*ch), &live));
-  };
   auto channel = core::ShardedChannel::Create(
-      swapped, factory, core::ShardedChannelOptions{},
+      swapped, core::ShardedChannelOptions{},
       [&cluster]() -> Result<ssp::ClusterConfig> { return cluster.config(); });
   ASSERT_TRUE(channel.ok()) << channel.status();
 
@@ -295,9 +260,9 @@ TEST(ShardRouting, EndpointChangeRefreshDropsStaleConnections) {
   ASSERT_TRUE(put1.ok()) << put1.status();
   EXPECT_EQ(put1->status, RespStatus::kOk);
 
-  // One live transport channel per node — the pre-refresh connection
-  // was destroyed (closing its socket), not left behind the new slot.
-  EXPECT_EQ(live.load(), 2);
+  // One live link per node — the pre-refresh connection was closed, not
+  // left behind the new link.
+  EXPECT_EQ((*channel)->links().live_links(), 2u);
 
   // Steady state: more traffic on the healed ring reuses the two
   // connections; neither the channel count nor the fd table may grow.
@@ -311,7 +276,7 @@ TEST(ShardRouting, EndpointChangeRefreshDropsStaleConnections) {
     EXPECT_EQ(get1->payload, Payload(inode1));
   }
   EXPECT_EQ((*channel)->placement_refreshes(), 1u);
-  EXPECT_EQ(live.load(), 2);
+  EXPECT_EQ((*channel)->links().live_links(), 2u);
   if (fd_baseline >= 0) {
     EXPECT_LE(OpenFdCount(), fd_baseline) << "fd growth under steady state";
   }

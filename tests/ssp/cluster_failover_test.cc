@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -372,21 +371,6 @@ TEST(ClusterFailover, WithoutTombstonesTheSameRestartResurrectsTheKey) {
   EXPECT_EQ(got->payload, v);
 }
 
-/// A NodeFactory over `cluster` that counts every dial per node id and
-/// arms `timeouts` on the streams it opens.
-ShardedChannel::NodeFactory CountingFactory(
-    TestCluster* cluster, std::array<std::atomic<int>, 3>* dials,
-    net::TcpTimeouts timeouts) {
-  return [cluster, dials, timeouts](const ClusterNode& node)
-             -> Result<std::unique_ptr<SspChannel>> {
-    (*dials)[node.id].fetch_add(1);
-    uint16_t port = cluster->node(static_cast<int>(node.id))->port();
-    auto ch = TcpSspChannel::Connect("127.0.0.1", port, timeouts);
-    if (!ch.ok()) return ch.status();
-    return std::unique_ptr<SspChannel>(std::move(*ch));
-  };
-}
-
 TEST(ClusterFailover, DeadNodeIsDialedAtMostOncePerRound) {
   // The quorum round loop is the cluster path's only retry layer: a
   // dead node is redialed only when a round reaches it, so one Call
@@ -395,23 +379,21 @@ TEST(ClusterFailover, DeadNodeIsDialedAtMostOncePerRound) {
   // dials it several times inside every round.
   TestCluster cluster(ReplicatedWal("failover_dials"));
   cluster.Start();
-  std::array<std::atomic<int>, 3> dials{};
   ShardedChannelOptions sopts;
+  sopts.timeouts = net::TcpTimeouts{2000, 5000, 5000};
   sopts.seed = 1;
-  auto channel = ShardedChannel::Create(
-      cluster.config(),
-      CountingFactory(&cluster, &dials, net::TcpTimeouts{2000, 5000, 5000}),
-      sopts);
+  auto channel = ShardedChannel::Create(cluster.config(), sopts);
   ASSERT_TRUE(channel.ok()) << channel.status();
+  const NodeLinks& links = (*channel)->links();
   cluster.node(2)->KillHard();
 
   auto call = [&](const Request& req) {
-    const int dials_before = dials[2].load();
+    const int dials_before = static_cast<int>(links.dials(2));
     const uint64_t retries_before = (*channel)->quorum_retry_rounds();
     auto resp = (*channel)->Call(req);
     ASSERT_TRUE(resp.ok()) << resp.status();
     EXPECT_EQ(resp->status, RespStatus::kOk);
-    const int node_dials = dials[2].load() - dials_before;
+    const int node_dials = static_cast<int>(links.dials(2)) - dials_before;
     const uint64_t rounds =
         1 + (*channel)->quorum_retry_rounds() - retries_before;
     EXPECT_LE(static_cast<uint64_t>(node_dials), rounds)
@@ -425,23 +407,22 @@ TEST(ClusterFailover, DeadNodeIsDialedAtMostOncePerRound) {
     call(Request::PutData(inode, 0, v));
     call(Request::GetData(inode, 0));
   }
-  EXPECT_GE(dials[2].load(), 8) << "the dead node was never asked";
+  EXPECT_GE(links.dials(2), 8u) << "the dead node was never asked";
 }
 
 TEST(ClusterFailover, CallLatencyStaysUnderTheRetryCeiling) {
   // DESIGN.md §8's worst case for one Call: quorum_rounds × (connect_ms
   // + send_ms + recv_ms) + Σ backoff, each backoff at its +20% jitter
-  // extreme, plus one round trip per read repair (at most K-1). Under a
-  // flapping replica no Call may exceed it.
+  // extreme, plus read repair (one exchange; K-1 round trips are
+  // allowed here). Under a flapping replica no Call may exceed it.
   TestCluster cluster(ReplicatedWal("failover_ceiling"));
   cluster.Start();
   const net::TcpTimeouts timeouts{/*connect_ms=*/500, /*send_ms=*/1000,
                                   /*recv_ms=*/1000};
-  std::array<std::atomic<int>, 3> dials{};
   ShardedChannelOptions sopts;
+  sopts.timeouts = timeouts;
   sopts.seed = 1;
-  auto channel = ShardedChannel::Create(
-      cluster.config(), CountingFactory(&cluster, &dials, timeouts), sopts);
+  auto channel = ShardedChannel::Create(cluster.config(), sopts);
   ASSERT_TRUE(channel.ok()) << channel.status();
 
   const double round_trip_ms =
@@ -522,18 +503,76 @@ TEST(ClusterFailover, WithoutReplicationAndRetriesTheSameKillIsFatal) {
          "suite would be proving nothing";
 }
 
-/// Delays exactly one versioned read of data block (inode, 0) — the
-/// scrubber's replica read — and serves everything else untouched.
-class DelayOneVersionedGet : public FaultInjector {
+TEST(ClusterFailover, ReadRepairLiftsAMatchingCopyToTheWinnersGeneration) {
+  // A replier holding the winner's bytes at a lower generation must be
+  // repaired too. Left behind, a later delete tombstones it below the
+  // live copies' generation, and a read pairing that tombstone with a
+  // surviving live copy brings the deleted key back.
+  TestCluster cluster(ReplicatedWal("failover_low_gen"));
+  cluster.Start();
+  // The key prefers node 2, so node 2 is in every default read quorum.
+  const uint64_t inode = InodesPreferring(cluster, 2, 1)[0];
+  const Bytes x{0x0A, 0x01};
+  const Bytes y{0x0B, 0x02};
+  auto writer = cluster.MakeChannel();
+  ASSERT_NE(writer, nullptr);
+  auto call = [](ShardedChannel* channel, const Request& req) {
+    auto resp = channel->Call(req);
+    EXPECT_TRUE(resp.ok()) << resp.status();
+    return resp.ok() ? resp->status : RespStatus::kError;
+  };
+  ASSERT_EQ(call(writer.get(), Request::PutData(inode, 0, x)), RespStatus::kOk);
+  for (int node = 0; node < 3; ++node) {
+    ASSERT_TRUE(Eventually([&] {
+      return cluster.node(node)->server()->store().Get(
+                 ObjectRef::Data(inode, 0)) == x;
+    })) << "node " << node << " never received the first put";
+  }
+
+  // 1. Node 2 misses put Y and put X: it keeps X at generation 1 while
+  //    nodes 0 and 1 hold X at generation 3.
+  cluster.node(2)->KillHard();
+  ASSERT_EQ(call(writer.get(), Request::PutData(inode, 0, y)), RespStatus::kOk);
+  ASSERT_EQ(call(writer.get(), Request::PutData(inode, 0, x)), RespStatus::kOk);
+  cluster.node(2)->Restart();
+
+  // 2. A fresh read settles on the generation-3 copy. Node 2's bytes
+  //    match it, but its generation does not: it must be repaired.
+  auto reader = cluster.MakeChannel();
+  ASSERT_NE(reader, nullptr);
+  auto got = reader->Call(Request::GetData(inode, 0));
+  ASSERT_TRUE(got.ok()) << got.status();
+  ASSERT_EQ(got->status, RespStatus::kOk);
+  EXPECT_EQ(got->payload, x);
+
+  // 3. With node 1 down, a delete is acked on {0, 2}.
+  cluster.node(1)->KillHard();
+  ASSERT_EQ(call(writer.get(), Request::DeleteData(inode, 0)),
+            RespStatus::kOk);
+  cluster.node(1)->Restart();  // Its WAL still holds X at generation 3.
+
+  // 4. With node 0 down, a read of {1, 2} pairs node 1's live copy with
+  //    node 2's tombstone. The tombstone must be the fresher of the two.
+  cluster.node(0)->KillHard();
+  auto late = cluster.MakeChannel();
+  ASSERT_NE(late, nullptr);
+  EXPECT_EQ(call(late.get(), Request::GetData(inode, 0)),
+            RespStatus::kNotFound)
+      << "resurrected: node 2's tombstone sat below node 1's live copy";
+}
+
+/// Delays the first request with opcode `op` on `inode` by `delay_ms`
+/// and serves everything else untouched.
+class DelayFirst : public FaultInjector {
  public:
-  DelayOneVersionedGet(uint64_t inode, uint32_t delay_ms)
-      : inode_(inode), delay_ms_(delay_ms) {}
+  DelayFirst(OpCode op, uint64_t inode, uint32_t delay_ms)
+      : op_(op), inode_(inode), delay_ms_(delay_ms) {}
 
   FaultAction OnRequest(const Bytes& wire) override {
     FaultAction action;
     auto req = Request::Deserialize(wire);
-    if (req.ok() && req->want_version && req->op == OpCode::kGetData &&
-        req->inode == inode_ && !fired_.exchange(true)) {
+    if (req.ok() && req->op == op_ && req->inode == inode_ &&
+        !fired_.exchange(true)) {
       action.kind = FaultAction::Kind::kDelayResponse;
       action.delay_ms = delay_ms_;
     }
@@ -542,20 +581,58 @@ class DelayOneVersionedGet : public FaultInjector {
   bool fired() const { return fired_.load(); }
 
  private:
+  const OpCode op_;
   const uint64_t inode_;
   const uint32_t delay_ms_;
   std::atomic<bool> fired_{false};
 };
 
-TEST(ClusterFailover, ScrubberNeverTakesAStalledPeersLateReply) {
-  // A peer stalls past the scrubber's recv deadline on one key's
+TEST(ClusterFailover, SlowRepliersAreAwaitedTogether) {
+  // One round is one exchange: every replica's frame goes out before
+  // any reply is read, and the replies are collected together. Two
+  // replicas that each stall one put by D ms cost the Call about D; a
+  // collector that asks the nodes one at a time pays 2·D.
+  constexpr uint32_t kDelayMs = 300;
+  TestCluster cluster(ReplicatedWal("failover_together"));
+  cluster.Start();
+  const uint64_t inode = 7;
+  std::vector<std::unique_ptr<DelayFirst>> stalls;
+  for (int node : {0, 1}) {
+    stalls.push_back(
+        std::make_unique<DelayFirst>(OpCode::kPutData, inode, kDelayMs));
+    cluster.node(node)->set_injector(stalls.back().get());
+    cluster.node(node)->Restart();  // Arms the injector.
+  }
+  auto writer = cluster.MakeChannel();
+  ASSERT_NE(writer, nullptr);
+
+  const auto start = std::chrono::steady_clock::now();
+  auto put = writer->Call(Request::PutData(inode, 0, Bytes{0x51, 0x0E}));
+  const std::chrono::duration<double, std::milli> took =
+      std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(put.ok()) << put.status();
+  ASSERT_EQ(put->status, RespStatus::kOk);
+  EXPECT_TRUE(stalls[0]->fired());
+  EXPECT_TRUE(stalls[1]->fired());
+  EXPECT_GE(took.count(), kDelayMs) << "no stall was waited for";
+  EXPECT_LT(took.count(), 2 * kDelayMs) << "the stalls were waited in turn";
+}
+
+/// Who reads from a peer that stalls past the recv deadline.
+enum class StalledPeerReader { kScrubber, kShardedChannel };
+
+class StalledPeer : public ::testing::TestWithParam<StalledPeerReader> {};
+
+TEST_P(StalledPeer, LateReplyIsNeverTheNextAnswer) {
+  // A peer stalls past the reader's recv deadline on one key's
   // versioned read. Its late reply must not be taken as the answer for
   // the next key read on that peer: it carries the stalled key's bytes
   // at a higher generation, which would win the freshness rule and be
   // gen-gate-repaired onto the other key's replicas.
   constexpr uint32_t kRecvMs = 200;
   constexpr uint32_t kStallMs = 300;  // Past one deadline, inside two.
-  std::unique_ptr<DelayOneVersionedGet> stall;
+  const net::TcpTimeouts timeouts{2000, 2000, kRecvMs};
+  std::unique_ptr<DelayFirst> stall;
   TestCluster cluster(ReplicatedWal("failover_late_reply"));
   cluster.Start();
   auto writer = cluster.MakeChannel();
@@ -582,20 +659,37 @@ TEST(ClusterFailover, ScrubberNeverTakesAStalledPeersLateReply) {
     }
   }
 
-  stall = std::make_unique<DelayOneVersionedGet>(stalled, kStallMs);
+  stall = std::make_unique<DelayFirst>(OpCode::kGetData, stalled, kStallMs);
   cluster.node(1)->set_injector(stall.get());
   cluster.node(1)->Restart();  // Arms the injector; the WAL keeps the data.
-  Scrubber scrubber(
-      cluster.node(0)->server(), &cluster.ring(), /*node_id=*/0,
-      [](const ClusterNode& n) -> Result<std::unique_ptr<SspChannel>> {
-        auto ch = TcpSspChannel::Connect(
-            n.host, n.port, net::TcpTimeouts{2000, 2000, kRecvMs});
-        if (!ch.ok()) return ch.status();
-        return std::unique_ptr<SspChannel>(std::move(*ch));
-      });
-  ScrubPass pass = scrubber.RunOnce();
-  EXPECT_TRUE(stall->fired());
-  EXPECT_GE(pass.unreachable, 1u) << "the stall never hit the deadline";
+  if (GetParam() == StalledPeerReader::kScrubber) {
+    Scrubber scrubber(cluster.node(0)->server(), &cluster.ring(),
+                      /*node_id=*/0, timeouts);
+    ScrubPass pass = scrubber.RunOnce();
+    EXPECT_TRUE(stall->fired());
+    EXPECT_GE(pass.unreachable, 1u) << "the stall never hit the deadline";
+  } else {
+    // R = K, so every read asks node 1: the stalled key's read misses
+    // the deadline there, and its second round re-asks node 1.
+    ClusterConfig config = cluster.config();
+    config.read_quorum = config.replication;
+    ShardedChannelOptions sopts;
+    sopts.timeouts = timeouts;
+    auto reader = cluster.MakeChannelWithConfig(config, sopts);
+    ASSERT_NE(reader, nullptr);
+    auto got = reader->Call(Request::GetData(stalled, 0));
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(got->payload, want[stalled]);
+    EXPECT_TRUE(stall->fired());
+    EXPECT_GE(reader->quorum_retry_rounds(), 1u)
+        << "the stall never hit the deadline";
+    // The channel's next calls on node 1 get their own keys' bytes.
+    for (const auto& [inode, bytes] : want) {
+      auto next = reader->Call(Request::GetData(inode, 0));
+      ASSERT_TRUE(next.ok()) << next.status();
+      EXPECT_EQ(next->payload, bytes) << "inode " << inode;
+    }
+  }
 
   for (int node = 0; node < 3; ++node) {
     for (const auto& [inode, bytes] : want) {
@@ -607,6 +701,15 @@ TEST(ClusterFailover, ScrubberNeverTakesAStalledPeersLateReply) {
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    ClusterFailover, StalledPeer,
+    ::testing::Values(StalledPeerReader::kScrubber,
+                      StalledPeerReader::kShardedChannel),
+    [](const ::testing::TestParamInfo<StalledPeerReader>& info) {
+      return info.param == StalledPeerReader::kScrubber ? "Scrubber"
+                                                        : "ShardedChannel";
+    });
 
 }  // namespace
 }  // namespace sharoes::ssp

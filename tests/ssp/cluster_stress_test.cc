@@ -7,8 +7,8 @@
 // replica has completed at least two kill/restart cycles, so flaps
 // genuinely interleave with live quorum rounds. Runs under
 // -DSHAROES_SANITIZE=thread in CI: the interesting bugs here are races
-// between the per-node fan-out threads, the flapper's daemon teardown,
-// and WAL recovery.
+// between the concurrent client channels, the flapper's daemon
+// teardown, and WAL recovery.
 
 #include <gtest/gtest.h>
 
@@ -57,8 +57,7 @@ TEST(ClusterStress, ConcurrentClientsSurviveAFlappingReplica) {
     ShardedChannelOptions sopts;
     sopts.quorum_rounds = 12;
     sopts.seed = static_cast<uint64_t>(t) + 1;
-    auto channel = core::ShardedChannel::Create(
-        cluster.config(), cluster.node_factory(), sopts);
+    auto channel = core::ShardedChannel::Create(cluster.config(), sopts);
     if (!channel.ok()) return channel.status();
     // Disjoint inode ranges per thread: each thread's read-your-write
     // chain is private, so any cross-talk is a routing bug, not a

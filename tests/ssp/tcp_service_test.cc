@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <thread>
+#include <vector>
 
 #include "core/client.h"
 #include "core/migration.h"
+#include "ssp/fault_injection.h"
 #include "ssp/tcp_service.h"
 
 namespace sharoes::ssp {
@@ -189,6 +193,106 @@ TEST(TcpEndToEndTest, DaemonShutdownIsClean) {
   // New connections are refused after shutdown.
   auto channel = TcpSspChannel::Connect("127.0.0.1", port);
   EXPECT_FALSE(channel.ok());
+}
+
+/// Delays a daemon's first reply by `delay_ms`.
+class DelayFirstReply : public FaultInjector {
+ public:
+  explicit DelayFirstReply(uint32_t delay_ms) : delay_ms_(delay_ms) {}
+  FaultAction OnRequest(const Bytes&) override {
+    FaultAction action;
+    if (!fired_.exchange(true)) {
+      action.kind = FaultAction::Kind::kDelayResponse;
+      action.delay_ms = delay_ms_;
+    }
+    return action;
+  }
+
+ private:
+  const uint32_t delay_ms_;
+  std::atomic<bool> fired_{false};
+};
+
+/// `n` daemons, daemon i holding metadata object (1, 0) = {i}, as
+/// cluster nodes with ids 0 .. n-1.
+struct Daemons {
+  explicit Daemons(int n) {
+    for (int i = 0; i < n; ++i) {
+      servers.push_back(std::make_unique<SspServer>());
+      servers.back()->Handle(
+          Request::PutMetadata(1, 0, Bytes{static_cast<uint8_t>(i)}));
+      auto daemon = TcpSspDaemon::Start(servers.back().get(), 0);
+      EXPECT_TRUE(daemon.ok()) << daemon.status();
+      nodes.push_back({static_cast<uint32_t>(i), "127.0.0.1",
+                       (*daemon)->port()});
+      daemons.push_back(std::move(*daemon));
+    }
+  }
+  std::vector<std::unique_ptr<SspServer>> servers;
+  std::vector<std::unique_ptr<TcpSspDaemon>> daemons;
+  std::vector<ClusterNode> nodes;
+};
+
+TEST(NodeLinksTest, ExchangeAnswersInAskOrderAndFailsOnlyTheRefusedSlot) {
+  DelayFirstReply slow(100);  // Outlives the daemons.
+  Daemons d(3);
+  // Node 2 is asked first and answers last.
+  d.daemons[2]->set_fault_injector(&slow);
+  // Node 3's port is closed: its dial is refused.
+  Daemons gone(1);
+  const uint16_t refused = gone.nodes[0].port;
+  gone.daemons[0]->Shutdown();
+  d.nodes.push_back({3, "127.0.0.1", refused});
+
+  NodeLinks links(d.nodes, net::TcpTimeouts{2000, 2000, 2000});
+  const Request get = Request::GetMetadata(1, 0);
+  const std::vector<NodeLinks::Ask> asks = {
+      {2, &get}, {3, &get}, {0, &get}, {1, &get}};
+  auto results = links.Exchange(asks);
+  ASSERT_EQ(results.size(), 4u);
+  ASSERT_TRUE(results[0].ok()) << results[0].status();
+  EXPECT_EQ(results[0]->payload, Bytes{2});
+  EXPECT_FALSE(results[1].ok());
+  ASSERT_TRUE(results[2].ok()) << results[2].status();
+  EXPECT_EQ(results[2]->payload, Bytes{0});
+  ASSERT_TRUE(results[3].ok()) << results[3].status();
+  EXPECT_EQ(results[3]->payload, Bytes{1});
+  EXPECT_EQ(links.live_links(), 3u);
+
+  // The next exchange reuses the three live links and redials only the
+  // refused node.
+  results = links.Exchange(asks);
+  EXPECT_TRUE(results[0].ok() && results[2].ok() && results[3].ok());
+  EXPECT_FALSE(results[1].ok());
+  for (uint32_t id : {0u, 1u, 2u}) EXPECT_EQ(links.dials(id), 1u);
+  EXPECT_EQ(links.dials(3), 2u);
+  EXPECT_EQ(links.Exchange({{9, &get}})[0].status().code(),
+            StatusCode::kNotFound);
+}
+
+TEST(NodeLinksTest, ALinkThatMissedTheDeadlineIsClosed) {
+  DelayFirstReply stall(300);  // Past the 100 ms deadline.
+  Daemons d(2);
+  d.daemons[0]->set_fault_injector(&stall);
+  d.servers[0]->Handle(Request::PutMetadata(2, 0, Bytes{0x22}));
+  NodeLinks links(d.nodes, net::TcpTimeouts{2000, 2000, 100});
+
+  const Request first = Request::GetMetadata(1, 0);
+  auto results = links.Exchange({{0, &first}, {1, &first}});
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].status().code(), StatusCode::kDeadlineExceeded);
+  ASSERT_TRUE(results[1].ok()) << results[1].status();
+  EXPECT_EQ(results[1]->payload, Bytes{1});
+  EXPECT_EQ(links.live_links(), 1u) << "the late link stayed open";
+
+  // Node 0 is redialed, and the next request gets its own answer, not
+  // the late reply to the first.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const Request second = Request::GetMetadata(2, 0);
+  results = links.Exchange({{0, &second}});
+  ASSERT_TRUE(results[0].ok()) << results[0].status();
+  EXPECT_EQ(results[0]->payload, Bytes{0x22});
+  EXPECT_EQ(links.dials(0), 2u);
 }
 
 }  // namespace

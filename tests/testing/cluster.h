@@ -103,16 +103,9 @@ class TestCluster {
     return daemons_[static_cast<size_t>(i)].get();
   }
 
-  /// The NodeFactory for this cluster: connections resolve the daemon's
-  /// port at (re)connect time, so a channel follows a node through
-  /// restarts just like it would re-dial a real address.
-  core::ShardedChannel::NodeFactory node_factory() {
-    return [this](const ssp::ClusterNode& node) {
-      return TcpFactory(daemons_[node.id].get())();
-    };
-  }
-
-  /// A sharded channel over this cluster. The default config is the
+  /// A sharded channel over this cluster. It dials each node at its
+  /// configured port, which a restarted daemon rebinds, so a channel
+  /// follows a node through restarts. The default config is the
   /// cluster's own; pass an override to read/write with different
   /// quorums (e.g. read_quorum = K turns a read pass into a full
   /// anti-entropy scrub). Overrides must keep the same node ids.
@@ -123,8 +116,7 @@ class TestCluster {
   std::unique_ptr<core::ShardedChannel> MakeChannelWithConfig(
       ssp::ClusterConfig config, core::ShardedChannelOptions sopts = {}) {
     if (sopts.seed == 0) sopts.seed = 1;  // Deterministic backoff jitter.
-    auto channel = core::ShardedChannel::Create(std::move(config),
-                                                node_factory(), sopts);
+    auto channel = core::ShardedChannel::Create(std::move(config), sopts);
     EXPECT_TRUE(channel.ok()) << channel.status();
     return channel.ok() ? std::move(*channel) : nullptr;
   }
@@ -136,14 +128,8 @@ class TestCluster {
   std::unique_ptr<ssp::Scrubber> MakeScrubber(int i) {
     return std::make_unique<ssp::Scrubber>(
         node(i)->server(), ring_.get(), static_cast<uint32_t>(i),
-        [](const ssp::ClusterNode& n)
-            -> Result<std::unique_ptr<ssp::SspChannel>> {
-          net::TcpTimeouts timeouts{/*connect_ms=*/2000, /*send_ms=*/5000,
-                                    /*recv_ms=*/5000};
-          auto ch = ssp::TcpSspChannel::Connect(n.host, n.port, timeouts);
-          if (!ch.ok()) return ch.status();
-          return std::unique_ptr<ssp::SspChannel>(std::move(*ch));
-        });
+        net::TcpTimeouts{/*connect_ms=*/2000, /*send_ms=*/5000,
+                         /*recv_ms=*/5000});
   }
 
  private:

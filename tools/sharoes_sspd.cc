@@ -268,15 +268,7 @@ int main(int argc, char** argv) {
                                             /*send_ms=*/5000,
                                             /*recv_ms=*/5000};
     scrubber = std::make_unique<sharoes::ssp::Scrubber>(
-        &server, ring.get(), static_cast<uint32_t>(node_id),
-        [peer_timeouts](const sharoes::ssp::ClusterNode& node)
-            -> sharoes::Result<std::unique_ptr<sharoes::ssp::SspChannel>> {
-          auto channel = sharoes::ssp::TcpSspChannel::Connect(
-              node.host, node.port, peer_timeouts);
-          if (!channel.ok()) return channel.status();
-          return std::unique_ptr<sharoes::ssp::SspChannel>(
-              std::move(*channel));
-        });
+        &server, ring.get(), static_cast<uint32_t>(node_id), peer_timeouts);
     scrubber->Start(static_cast<uint32_t>(scrub_interval_s));
     std::printf("sharoes_sspd: anti-entropy scrubber every %ds\n",
                 scrub_interval_s);
