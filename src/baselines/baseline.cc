@@ -127,7 +127,7 @@ void BaselineCodec::FilePuts(fs::InodeNum inode, const Bytes& dek,
   desc.tag_root = Bytes(crypto::kMerkleRootSize, 0);
   // Block 0 holds a directory's table, so a file's blocks start at 1.
   for (uint32_t i = 0; i < desc.block_count; ++i) {
-    auto [begin, end] = core::BlockRange(i, content.size(), bs);
+    auto [begin, end] = core::ChunkRange(i, content.size(), bs);
     BinaryWriter w;
     if (i == 0) desc.AppendTo(&w);
     w.PutRaw(content.data() + begin, end - begin);

@@ -115,26 +115,23 @@ Result<std::string> SharoesClient::NormalizePath(const std::string& path) {
 }
 
 std::vector<uint32_t> SharoesClient::FirstDataWindow(
-    fs::InodeNum inode, const FileHead* head) const {
+    fs::InodeNum inode, const DataDescriptor* desc) const {
   // Before the descriptor is fetched the block count is unknown, so the
   // speculative first window stays small: big enough to cover most files
-  // in one round trip, small enough that a one-block file wastes only a
+  // in one round trip, small enough that a one-chunk file wastes only a
   // few tiny kNotFound sub-responses. A cached descriptor knows the EOF,
   // so nothing past it is asked for.
-  constexpr size_t kInitialReadWindow = 4;
-  uint32_t end = static_cast<uint32_t>(std::min<size_t>(
-      std::max<size_t>(options_.readahead_blocks, 1), kInitialReadWindow));
+  constexpr size_t kInitialReadChunks = 4;
+  uint32_t end = 1 + static_cast<uint32_t>(std::min<size_t>(
+                         options_.readahead_blocks, kInitialReadChunks));
   std::vector<uint32_t> blocks;
-  if (head == nullptr) {
+  if (desc == nullptr) {
     blocks.push_back(0);
   } else {
-    end = std::min(end, head->desc.block_count);
+    end = std::min(end, desc->block_count);
   }
   for (uint32_t i = 1; i < end; ++i) {
-    if (!cache_.Contains(DataCacheKey(inode, i)) ||
-        !cache_.Contains(TagCacheKey(inode, i))) {
-      blocks.push_back(i);
-    }
+    if (!cache_.Contains(DataCacheKey(inode, i))) blocks.push_back(i);
   }
   return blocks;
 }
@@ -152,10 +149,6 @@ std::string SharoesClient::ViewCacheKey(fs::InodeNum inode,
 
 std::string SharoesClient::DataCacheKey(fs::InodeNum inode, uint32_t block) {
   return "d|" + std::to_string(inode) + "|" + std::to_string(block);
-}
-
-std::string SharoesClient::TagCacheKey(fs::InodeNum inode, uint32_t block) {
-  return "e|" + std::to_string(inode) + "|" + std::to_string(block);
 }
 
 std::string SharoesClient::TableCacheKey(fs::InodeNum inode, Selector sel) {
@@ -190,7 +183,6 @@ void SharoesClient::InvalidateInode(fs::InodeNum inode) {
   cache_.ErasePrefix("m|" + id + "|");
   cache_.ErasePrefix("t|" + id + "|");
   cache_.ErasePrefix("d|" + id + "|");
-  cache_.ErasePrefix("e|" + id + "|");
   cache_.Erase(MasterCacheKey(inode));
   // Split refs are keyed by parent: these are the refs of this inode's
   // children, whose rows live in the table copies erased above.
@@ -290,14 +282,11 @@ Result<SharoesClient::Node> SharoesClient::FetchNode(const PlainRef& ref,
   bool fetch_view = !cache_.Contains(view_key);
   bool fetch_table = batched && want_table &&
                      !cache_.Contains(TableCacheKey(ref.inode, ref.selector));
-  Node node{ref, {}, nullptr};
+  Node node{ref, {}, nullptr, {}};
   std::vector<uint32_t> data_blocks;
   if (batched && want_data) {
-    // The probe keeps a cold read's block-0 lookup where it has always
-    // been counted (FetchFileContent, after the batch filled the cache).
-    std::string key0 = DataCacheKey(ref.inode, 0);
-    if (cache_.Contains(key0)) node.head = cache_.Get<FileHead>(key0);
-    data_blocks = FirstDataWindow(ref.inode, node.head.get());
+    node.desc = cache_.Get<DataDescriptor>(DataCacheKey(ref.inode, 0));
+    data_blocks = FirstDataWindow(ref.inode, node.desc.get());
   }
   std::vector<ssp::Request> gets;
   if (fetch_view) {
@@ -333,43 +322,29 @@ Result<SharoesClient::Node> SharoesClient::FetchNode(const PlainRef& ref,
     if (r.ok()) (void)FetchTable(node, &r.payload);
   }
   if (!data_blocks.empty() && node.view.CanReadData()) {
-    (void)TakeDataWindow(node, data_blocks, &resps[idx]);
+    (void)TakeDataWindow(&node, data_blocks, &resps[idx]);
   }
   return node;
 }
 
-Result<std::shared_ptr<const SharoesClient::FileHead>>
-SharoesClient::TakeDataWindow(const Node& node,
-                              const std::vector<uint32_t>& blocks,
-                              const ssp::Response* resps) {
-  fs::InodeNum inode = node.ref.inode;
-  std::shared_ptr<const FileHead> head = node.head;
+Status SharoesClient::TakeDataWindow(Node* node,
+                                     const std::vector<uint32_t>& blocks,
+                                     const ssp::Response* resps) {
   size_t j = 0;
-  if (head == nullptr) {
-    // FirstDataWindow lists block 0 first whenever the head is unknown.
-    // Its descriptor gates everything else: without it the tail blocks'
+  if (node->desc == nullptr) {
+    // FirstDataWindow lists block 0 first whenever the descriptor is
+    // unknown. It gates everything else: without it the chunk blocks'
     // generations cannot be validated against anything.
     SHAROES_RETURN_IF_ERROR(ssp::ReadStatus(resps[0].status, "data block 0"));
-    const Bytes& wire = resps[0].payload;
-    SHAROES_ASSIGN_OR_RETURN(Bytes plain,
-                             OpenDataBlock(node, 0, wire, nullptr));
-    BinaryReader r(plain);
-    FileHead parsed;
-    SHAROES_ASSIGN_OR_RETURN(parsed.desc, DataDescriptor::ReadFrom(&r));
-    parsed.chunk = r.GetRaw(r.remaining());
-    head = std::make_shared<const FileHead>(std::move(parsed));
-    cache_.PutPtr(DataCacheKey(inode, 0), head, wire.size());
+    SHAROES_RETURN_IF_ERROR(OpenDataBlock(node, 0, resps[0].payload));
     j = 1;
   }
   for (; j < blocks.size(); ++j) {
-    uint32_t i = blocks[j];
-    if (i >= head->desc.block_count) continue;  // Past EOF.
-    // Best effort: a block that fails to open is simply not cached.
-    if (resps[j].ok()) {
-      (void)OpenDataBlock(node, i, resps[j].payload, &head->desc);
-    }
+    if (blocks[j] >= node->desc->block_count) continue;  // Past EOF.
+    // Best effort: a block that fails to open is simply not taken.
+    if (resps[j].ok()) (void)OpenDataBlock(node, blocks[j], resps[j].payload);
   }
-  return head;
+  return Status::OK();
 }
 
 Result<std::shared_ptr<const DecodedTable>> SharoesClient::FetchTable(
@@ -538,9 +513,9 @@ Result<fs::InodeAttrs> SharoesClient::Getattr(const std::string& path) {
     auto buf_it = write_buffers_.find(norm);
     if (buf_it != write_buffers_.end()) {
       attrs.size = buf_it->second.content.size();
-    } else if (auto head =
-                   cache_.Get<FileHead>(DataCacheKey(node.ref.inode, 0))) {
-      attrs.size = head->desc.size;
+    } else if (auto desc = cache_.Get<DataDescriptor>(
+                   DataCacheKey(node.ref.inode, 0))) {
+      attrs.size = desc->size;
     }
   }
   return attrs;
@@ -784,15 +759,15 @@ Status SharoesClient::Create(const std::string& path,
   return CreateObject(path, fs::FileType::kFile, opts);
 }
 
-Result<Bytes> SharoesClient::FetchFileContent(const Node& node) {
+Result<Bytes> SharoesClient::FetchFileContent(Node node) {
   if (!node.view.CanReadData()) {
     return Status::PermissionDenied("CAP does not expose DEK/DVK");
   }
   fs::InodeNum inode = node.ref.inode;
-  auto head = node.head != nullptr
-                  ? node.head
-                  : cache_.Get<FileHead>(DataCacheKey(inode, 0));
-  if (head == nullptr) {
+  if (node.desc == nullptr) {
+    node.desc = cache_.Get<DataDescriptor>(DataCacheKey(inode, 0));
+  }
+  if (node.desc == nullptr) {
     // Cold block 0: the descent's first data window, fetched now (the
     // block count is still unknown, so gets past EOF come back as
     // harmless kNotFound sub-responses). Only a real kNotFound on block 0
@@ -804,9 +779,8 @@ Result<Bytes> SharoesClient::FetchFileContent(const Node& node) {
     for (uint32_t b : window) gets.push_back(ssp::Request::GetData(inode, b));
     SHAROES_ASSIGN_OR_RETURN(std::vector<ssp::Response> resps,
                              MultiGet(std::move(gets)));
-    Result<std::shared_ptr<const FileHead>> taken =
-        TakeDataWindow(node, window, resps.data());
-    if (taken.status().IsNotFound()) {
+    Status taken = TakeDataWindow(&node, window, resps.data());
+    if (taken.IsNotFound()) {
       auto seen = freshness_.find(inode);
       if (seen == freshness_.end() || seen->second.write_gen == 0) {
         return Bytes{};  // Never written: empty file.
@@ -818,10 +792,9 @@ Result<Bytes> SharoesClient::FetchFileContent(const Node& node) {
       SHAROES_RETURN_IF_ERROR(FetchNode(node.ref, false, false).status());
       return Status::Corruption("data dropped: block 0 missing at the SSP");
     }
-    SHAROES_ASSIGN_OR_RETURN(head, std::move(taken));
+    SHAROES_RETURN_IF_ERROR(taken);
   }
-  const DataDescriptor& desc = head->desc;
-  Bytes content = head->chunk;
+  const DataDescriptor& desc = *node.desc;
   // Freshness (SUNDR-style rollback detection, paper §VIII): the write
   // generation this client has observed for an inode must never move
   // backwards. An SSP serving a stale-but-validly-signed version is
@@ -844,60 +817,54 @@ Result<Bytes> SharoesClient::FetchFileContent(const Node& node) {
   }
   freshness_[inode] = FreshnessRecord{desc.write_gen, desc.tag_root};
 
-  std::vector<Bytes> tail_tags;  // Merkle leaves: blocks 1..block_count-1.
-  if (desc.block_count > 1) {
-    tail_tags.resize(desc.block_count - 1);
-    std::vector<uint32_t> missing;
-    std::map<uint32_t, Bytes> chunks;
-    for (uint32_t i = 1; i < desc.block_count; ++i) {
-      // A block counts as cached only when its AEAD tag is cached
-      // alongside: the root check below needs every tail tag.
-      auto cached = cache_.Get<Bytes>(DataCacheKey(inode, i));
-      auto cached_tag = cache_.Get<Bytes>(TagCacheKey(inode, i));
-      if (cached != nullptr && cached_tag != nullptr) {
-        chunks[i] = *cached;
-        tail_tags[i - 1] = *cached_tag;
-        continue;
-      }
+  // Chunk blocks the first window opened are in node.window already; the
+  // rest come from the cache or the SSP.
+  std::vector<uint32_t> missing;
+  for (uint32_t i = 1; i < desc.block_count; ++i) {
+    if (node.window.count(i) != 0) continue;
+    if (auto cached = cache_.Get<OpenedBlock>(DataCacheKey(inode, i))) {
+      node.window.emplace(i, std::move(cached));
+    } else {
       missing.push_back(i);
     }
-    // Fetch the missing blocks in readahead windows (one batched round
-    // trip per window) — or one RPC per block with batching off, the
-    // pre-batching wire behaviour kept as the benchmark comparator.
-    size_t window_size = std::max<size_t>(options_.readahead_blocks, 1);
-    for (size_t pos = 0; pos < missing.size(); pos += window_size) {
-      size_t end = std::min(missing.size(), pos + window_size);
-      std::vector<ssp::Request> gets;
-      gets.reserve(end - pos);
-      for (size_t j = pos; j < end; ++j) {
-        gets.push_back(ssp::Request::GetData(inode, missing[j]));
-      }
-      SHAROES_ASSIGN_OR_RETURN(std::vector<ssp::Response> resps,
-                               MultiGet(std::move(gets)));
-      for (size_t j = pos; j < end; ++j) {
-        uint32_t i = missing[j];
-        const ssp::Response& sub = resps[j - pos];
-        SHAROES_RETURN_IF_ERROR(
-            ssp::ReadStatus(sub.status, "data block " + std::to_string(i)));
-        SHAROES_ASSIGN_OR_RETURN(
-            chunks[i], OpenDataBlock(node, i, sub.payload, &desc,
-                                     &tail_tags[i - 1]));
-      }
+  }
+  // Fetch the missing blocks in readahead windows (one batched round
+  // trip per window) — or one RPC per block with batching off, the
+  // pre-batching wire behaviour kept as the benchmark comparator.
+  size_t window_size = std::max<size_t>(options_.readahead_blocks, 1);
+  for (size_t pos = 0; pos < missing.size(); pos += window_size) {
+    size_t end = std::min(missing.size(), pos + window_size);
+    std::vector<ssp::Request> gets;
+    gets.reserve(end - pos);
+    for (size_t j = pos; j < end; ++j) {
+      gets.push_back(ssp::Request::GetData(inode, missing[j]));
     }
-    for (uint32_t i = 1; i < desc.block_count; ++i) {
-      ::sharoes::Append(content, chunks[i]);
+    SHAROES_ASSIGN_OR_RETURN(std::vector<ssp::Response> resps,
+                             MultiGet(std::move(gets)));
+    for (size_t j = pos; j < end; ++j) {
+      const ssp::Response& sub = resps[j - pos];
+      SHAROES_RETURN_IF_ERROR(ssp::ReadStatus(
+          sub.status, "data block " + std::to_string(missing[j])));
+      SHAROES_RETURN_IF_ERROR(OpenDataBlock(&node, missing[j], sub.payload));
     }
   }
-  // The one signature a reader verifies (block 0) commits to the tail
+  Bytes content;
+  std::vector<Bytes> tags;  // Merkle leaves: blocks 1..block_count-1.
+  for (uint32_t i = 1; i < desc.block_count; ++i) {
+    const OpenedBlock& b = *node.window.at(i);
+    ::sharoes::Append(content, b.chunk);
+    tags.push_back(b.tag);
+  }
+  // The one signature a reader verifies (block 0) commits to the chunk
   // blocks only through the descriptor's Merkle root: re-derive it from
   // the tags actually served and compare. A cross-block splice — valid
   // AEAD blocks lifted from another consistent version of this file —
   // fails here even though every individual tag authenticated, and a
-  // reader who forged tail tags with the shared DEK fails here because
+  // reader who forged chunk tags with the shared DEK fails here because
   // it cannot re-sign block 0 without the DSK.
-  if (!ConstantTimeEquals(crypto::MerkleRoot(tail_tags), desc.tag_root)) {
+  if (!ConstantTimeEquals(crypto::MerkleRoot(tags), desc.tag_root)) {
     return Status::Corruption(
-        "block tag root mismatch: tail blocks do not match the signed "
+        "block tag root mismatch: chunk blocks do not match the signed "
         "descriptor");
   }
   if (content.size() != desc.size) {
@@ -906,39 +873,39 @@ Result<Bytes> SharoesClient::FetchFileContent(const Node& node) {
   return content;
 }
 
-Result<Bytes> SharoesClient::OpenDataBlock(const Node& node, uint32_t index,
-                                           const Bytes& wire,
-                                           const DataDescriptor* desc,
-                                           Bytes* tag_out) {
-  fs::InodeNum inode = node.ref.inode;
+Status SharoesClient::OpenDataBlock(Node* node, uint32_t index,
+                                    const Bytes& wire) {
+  fs::InodeNum inode = node->ref.inode;
+  const MetadataView& view = node->view;
   SHAROES_ASSIGN_OR_RETURN(ObjectCodec::DataBlockHeader h,
                            ObjectCodec::PeekDataHeader(wire));
-  if (desc != nullptr && h.write_gen != desc->GenOfBlock(index)) {
+  if (index != 0 && h.write_gen != node->desc->GenOfBlock(index)) {
     return Status::Corruption(
         "data block generation does not match the descriptor");
   }
   // A block one key generation ahead was written after a lazy rotation.
-  bool rotated = h.key_gen == node.view.dek_gen + 1 &&
-                 node.view.dek_next.has_value();
-  if (h.key_gen != node.view.dek_gen && !rotated) {
+  bool rotated = h.key_gen == view.dek_gen + 1 && view.dek_next.has_value();
+  if (h.key_gen != view.dek_gen && !rotated) {
     return Status::PermissionDenied(
         "data re-encrypted under a rotated key (access revoked)");
   }
-  Bytes tag;
-  SHAROES_ASSIGN_OR_RETURN(
-      Bytes plain,
-      codec_.DecodeDataBlock(inode, index, wire,
-                             rotated ? *node.view.dek_next : *node.view.dek,
-                             *node.view.dvk, &tag));
-  if (index != 0) {
-    // The tag is the block's Merkle leaf: it is cached alongside the
-    // plaintext so a later root check over cached blocks needs no
-    // re-fetch (a tail block counts as cached only with both entries).
-    cache_.Put(DataCacheKey(inode, index), plain, wire.size());
-    cache_.Put(TagCacheKey(inode, index), tag, tag.size());
-    if (tag_out != nullptr) *tag_out = std::move(tag);
+  if (index == 0) {
+    SHAROES_ASSIGN_OR_RETURN(DataDescriptor desc,
+                             codec_.DecodeDescriptor(inode, wire, *view.dvk));
+    node->desc = std::make_shared<const DataDescriptor>(std::move(desc));
+    cache_.PutPtr(DataCacheKey(inode, 0), node->desc, wire.size());
+    return Status::OK();
   }
-  return plain;
+  OpenedBlock opened;
+  SHAROES_ASSIGN_OR_RETURN(
+      opened.chunk,
+      codec_.DecodeDataBlock(inode, index, wire,
+                             rotated ? *view.dek_next : *view.dek,
+                             &opened.tag));
+  auto shared = std::make_shared<const OpenedBlock>(std::move(opened));
+  cache_.PutPtr(DataCacheKey(inode, index), shared, wire.size());
+  node->window[index] = std::move(shared);
+  return Status::OK();
 }
 
 Result<Bytes> SharoesClient::Read(const std::string& path) {
@@ -954,7 +921,7 @@ Result<Bytes> SharoesClient::Read(const std::string& path) {
   if (!fs::Allows(node.view.attrs, principal_, fs::Access::kRead)) {
     return Status::PermissionDenied("no read permission");
   }
-  return FetchFileContent(node);
+  return FetchFileContent(std::move(node));
 }
 
 Status SharoesClient::Write(const std::string& path, const Bytes& content) {
@@ -1002,23 +969,19 @@ Status SharoesClient::FlushBuffer(const std::string& path, WriteBuffer* buf) {
   // Diff only when keys did not rotate and the file did not shrink.
   const size_t bs = options_.block_size;
   std::optional<std::map<uint32_t, ObjectCodec::KeptBlock>> kept;
-  auto head = cache_.Get<FileHead>(DataCacheKey(inode, 0));
-  if (head != nullptr && !key_rotated) {
-    const DataDescriptor& old_desc = head->desc;
-    if (BlockCount(content.size(), bs) >= old_desc.block_count) {
-      kept.emplace();
-      for (uint32_t i = 1; i < old_desc.block_count; ++i) {
-        // Keeping a block also requires its cached AEAD tag: the new
-        // descriptor's root must commit to every tail block, kept or
-        // rewritten, and an uncached tag would force a read to learn it.
-        auto old_chunk = cache_.Get<Bytes>(DataCacheKey(inode, i));
-        auto old_tag = cache_.Get<Bytes>(TagCacheKey(inode, i));
-        auto [begin, end] = BlockRange(i, content.size(), bs);
-        if (old_chunk != nullptr && old_tag != nullptr &&
-            std::equal(old_chunk->begin(), old_chunk->end(),
-                       content.begin() + begin, content.begin() + end)) {
-          (*kept)[i] = {old_desc.GenOfBlock(i), *old_tag};
-        }
+  auto old_desc = cache_.Get<DataDescriptor>(DataCacheKey(inode, 0));
+  if (old_desc != nullptr && !key_rotated &&
+      1 + ChunkCount(content.size(), bs) >= old_desc->block_count) {
+    kept.emplace();
+    for (uint32_t i = 1; i < old_desc->block_count; ++i) {
+      // A kept block's cached tag goes into the new descriptor's root,
+      // which must commit to every chunk block, kept or rewritten.
+      auto old = cache_.Get<OpenedBlock>(DataCacheKey(inode, i));
+      auto [begin, end] = ChunkRange(i - 1, content.size(), bs);
+      if (old != nullptr &&
+          std::equal(old->chunk.begin(), old->chunk.end(),
+                     content.begin() + begin, content.begin() + end)) {
+        (*kept)[i] = {old_desc->GenOfBlock(i), old->tag};
       }
     }
   }
@@ -1056,15 +1019,12 @@ Status SharoesClient::CommitFileWrite(fs::InodeNum inode,
   }
   freshness_[inode] =
       FreshnessRecord{file.desc.write_gen, file.desc.tag_root};
+  cache_.Put(DataCacheKey(inode, 0), std::move(file.desc),
+             file.desc_wire_size);
   for (ObjectCodec::SealedBlock& b : file.sealed) {
-    if (b.index == 0) {
-      cache_.Put(DataCacheKey(inode, 0),
-                 FileHead{file.desc, std::move(b.plaintext)}, b.wire_size);
-      continue;
-    }
-    cache_.Put(DataCacheKey(inode, b.index), std::move(b.plaintext),
+    cache_.Put(DataCacheKey(inode, b.index),
+               OpenedBlock{std::move(b.plaintext), std::move(b.tag)},
                b.wire_size);
-    cache_.Put(TagCacheKey(inode, b.index), b.tag, b.tag.size());
   }
   return Status::OK();
 }

@@ -156,19 +156,24 @@ class SharoesClient : public FsClient {
   Status EvictPath(const std::string& path);
 
  private:
-  /// Block 0 as the client caches it under "d|<inode>|0": the signed
-  /// descriptor, parsed once when the block is opened, and the file's
-  /// first chunk.
-  struct FileHead {
-    DataDescriptor desc;
+  /// A chunk block as the client caches it under "d|<inode>|<block>":
+  /// its plaintext and AEAD tag (the block's Merkle leaf), so a cached
+  /// chunk always comes with the tag the root check needs.
+  struct OpenedBlock {
     Bytes chunk;
+    Bytes tag;
   };
   struct Node {
     PlainRef ref;
     MetadataView view;
-    /// Block 0 when ResolvePath(kData) found it cached: the read's one
-    /// lookup of it, handed on to FetchFileContent.
-    std::shared_ptr<const FileHead> head;
+    /// The file's descriptor (block 0, cached under "d|<inode>|0") once
+    /// ResolvePath(kData) found or fetched it, handed on to
+    /// FetchFileContent.
+    std::shared_ptr<const DataDescriptor> desc;
+    /// The chunk blocks the same fetch opened, by block index: reassembly
+    /// takes them from here, so a read never depends on the cache having
+    /// kept them.
+    std::map<uint32_t, std::shared_ptr<const OpenedBlock>> window;
   };
   struct WriteBuffer {
     fs::InodeNum inode;
@@ -217,15 +222,14 @@ class SharoesClient : public FsClient {
   Result<Node> FetchNode(const PlainRef& ref, bool want_table,
                          bool want_data);
   /// Takes a read's first data window from `resps`, the replies to the
-  /// gets for `blocks` (FirstDataWindow's list). Block 0, when listed, is
-  /// opened strictly: its descriptor is parsed and the head cached, and a
-  /// failure is returned. The tail blocks the head validates are cached
-  /// best-effort: blocks past its block_count (speculative overfetch) and
-  /// non-ok or invalid replies are skipped, so the strict path re-fetches
-  /// and reports. Returns the head (node.head when block 0 is not listed).
-  Result<std::shared_ptr<const FileHead>> TakeDataWindow(
-      const Node& node, const std::vector<uint32_t>& blocks,
-      const ssp::Response* resps);
+  /// gets for `blocks` (FirstDataWindow's list) into `node`. Block 0,
+  /// when listed, is opened strictly: its descriptor is verified into
+  /// node->desc and cached, and a failure is returned. The chunk blocks
+  /// the descriptor validates go into node->window best-effort: blocks
+  /// past its block_count (speculative overfetch) and non-ok or invalid
+  /// replies are skipped, so the strict path re-fetches and reports.
+  Status TakeDataWindow(Node* node, const std::vector<uint32_t>& blocks,
+                        const ssp::Response* resps);
   /// `dir`'s table copy through this client's CAP, decoded and cached:
   /// the one decode of a table copy. `fetched` is a copy the descent
   /// already has; without it the cache or one Get supplies it.
@@ -278,7 +282,7 @@ class SharoesClient : public FsClient {
   fs::InodeNum AllocateInode();
   void ChargeClientOverhead();
   std::string ViewCacheKey(fs::InodeNum inode, Selector sel) const;
-  /// Drops what is cached about `inode` ("m|", "t|", "d|", "e|", "n|"
+  /// Drops what is cached about `inode` ("m|", "t|", "d|", "n|"
   /// under it, and its "M|" master table, so a writer re-renders a
   /// directory from the master the SSP holds) and the split refs of its
   /// children ("u|"/"g|" under it).
@@ -289,15 +293,13 @@ class SharoesClient : public FsClient {
   // Every cache key is built here (and only here) so keying bugs — like
   // an unnormalized path aliasing "/shared//x" and "/shared/x" into
   // distinct negative dentries — cannot creep back in per call site.
-  // Prefixes: "d|" block plaintext, "e|" block AEAD tag, "t|" table
+  // Prefixes: "d|" data block (descriptor or opened chunk), "t|" table
   // copy, "M|" master table, "u|"/"g|" split blocks, "n|" negative
   // dentry ("m|" view keys live in ViewCacheKey, which needs Scheme
-  // state). Data/tag keys share the "<inode>|<block>" suffix so a block
-  // and its tag invalidate together. Split keys lead with the parent
+  // state). Split keys lead with the parent
   // inode ("<parent>|<child>|<id>"): the unwrapped ref is part of the
   // parent's row and dies with the parent's table, not with the child.
   static std::string DataCacheKey(fs::InodeNum inode, uint32_t block);
-  static std::string TagCacheKey(fs::InodeNum inode, uint32_t block);
   static std::string TableCacheKey(fs::InodeNum inode, Selector sel);
   static std::string MasterCacheKey(fs::InodeNum inode);
   static std::string UserSplitCacheKey(fs::InodeNum parent,
@@ -319,23 +321,22 @@ class SharoesClient : public FsClient {
   /// Canonical spelling for write-buffer keys and subtree-prefix logic:
   /// "/a//b/" and "/a/b" must address the same dirty buffer.
   static Result<std::string> NormalizePath(const std::string& path);
-  /// The data blocks a read batches into its first fetch: the missing
-  /// ones (plaintext or tag) of a small initial window. With `head`
-  /// (block 0's cached form) null the window is speculative and starts
-  /// with block 0; otherwise its descriptor's block_count caps it.
+  /// The data blocks a read batches into its first fetch: the uncached
+  /// ones of a small initial window of chunks. With
+  /// `desc` (block 0) null the window is speculative and starts with
+  /// block 0; otherwise its block_count caps it.
   std::vector<uint32_t> FirstDataWindow(fs::InodeNum inode,
-                                        const FileHead* head) const;
+                                        const DataDescriptor* desc) const;
 
   // --- Data path ---
-  Result<Bytes> FetchFileContent(const Node& node);
-  /// The one decode of a fetched data block of `node`: picks dek or
-  /// dek_next by the block's key generation, checks a tail block's write
-  /// generation against `desc` (null for block 0), verifies and opens the
-  /// block, and caches a tail block's plaintext and tag (the tag also
-  /// returned through `tag_out`; block 0 is cached by TakeDataWindow).
-  Result<Bytes> OpenDataBlock(const Node& node, uint32_t index,
-                              const Bytes& wire, const DataDescriptor* desc,
-                              Bytes* tag_out = nullptr);
+  Result<Bytes> FetchFileContent(Node node);
+  /// The one decode of a fetched data block of `node`. Every block's key
+  /// generation must be one this CAP holds a key for (dek, or dek_next
+  /// after a lazy rotation). Block 0 is verified into node->desc, and
+  /// cached. A chunk block's write generation is checked against
+  /// node->desc; it is opened, with its tag, into node->window and the
+  /// cache.
+  Status OpenDataBlock(Node* node, uint32_t index, const Bytes& wire);
   Status FlushBuffer(const std::string& path, WriteBuffer* buf);
   /// The one client write of file data: renders `content` through the
   /// codec at the inode's next write generation. Blocks in `kept` stay as

@@ -152,45 +152,37 @@ ObjectCodec::RenderedFile ObjectCodec::RenderFile(
   RenderedFile file;
   DataDescriptor& desc = file.desc;
   desc.size = content.size();
-  desc.block_count = BlockCount(content.size(), block_size);
+  desc.block_count = 1 + ChunkCount(content.size(), block_size);
   desc.write_gen = header.write_gen;
-  desc.block_gens.assign(desc.block_count, header.write_gen);
-  // Tail blocks seal first: their AEAD tags are the Merkle leaves the
-  // descriptor inside block 0 commits to.
-  std::vector<Bytes> tail_tags(desc.block_count - 1);
-  std::vector<Bytes> tail_wires(desc.block_count);
+  desc.block_gens.assign(desc.block_count - 1, header.write_gen);
+  // Chunk blocks seal first: their AEAD tags are the Merkle leaves the
+  // descriptor commits to.
+  std::vector<Bytes> tags(desc.block_count - 1);
+  std::vector<Bytes> wires(desc.block_count);
   for (uint32_t idx = 1; idx < desc.block_count; ++idx) {
     if (kept != nullptr) {
       auto keep = kept->find(idx);
       if (keep != kept->end()) {
-        desc.block_gens[idx] = keep->second.gen;
-        tail_tags[idx - 1] = keep->second.tag;
+        desc.block_gens[idx - 1] = keep->second.gen;
+        tags[idx - 1] = keep->second.tag;
         continue;
       }
     }
-    auto [begin, end] = BlockRange(idx, content.size(), block_size);
+    auto [begin, end] = ChunkRange(idx - 1, content.size(), block_size);
     Bytes chunk(content.begin() + begin, content.begin() + end);
     Bytes tag;
-    tail_wires[idx] =
-        EncodeDataBlock(inode, idx, header, chunk, dek, dsk, &tag);
-    tail_tags[idx - 1] = tag;
-    file.sealed.push_back(SealedBlock{idx, std::move(chunk), std::move(tag),
-                                      tail_wires[idx].size()});
+    wires[idx] = EncodeDataBlock(inode, idx, header, chunk, dek, &tag);
+    tags[idx - 1] = tag;
+    file.sealed.push_back(
+        SealedBlock{idx, std::move(chunk), std::move(tag), wires[idx].size()});
   }
-  desc.tag_root = crypto::MerkleRoot(tail_tags);
-  // Block 0 seals last, around the descriptor that now covers every tail.
-  size_t end0 = BlockRange(0, content.size(), block_size).second;
-  Bytes chunk0(content.begin(), content.begin() + end0);
-  BinaryWriter w0;
-  desc.AppendTo(&w0);
-  w0.PutRaw(chunk0);
-  Bytes wire0 = EncodeDataBlock(inode, 0, header, w0.Take(), dek, dsk);
-  file.sealed.push_back(SealedBlock{0, std::move(chunk0), {}, wire0.size()});
+  desc.tag_root = crypto::MerkleRoot(tags);
+  Bytes wire0 = EncodeDescriptor(inode, header, desc, dsk);
+  file.desc_wire_size = wire0.size();
   out->push_back(ssp::Request::PutData(inode, 0, std::move(wire0)));
   for (uint32_t idx = 1; idx < desc.block_count; ++idx) {
-    if (!tail_wires[idx].empty()) {  // Kept blocks have no new wire.
-      out->push_back(
-          ssp::Request::PutData(inode, idx, std::move(tail_wires[idx])));
+    if (!wires[idx].empty()) {  // Kept blocks have no new wire.
+      out->push_back(ssp::Request::PutData(inode, idx, std::move(wires[idx])));
     }
   }
   return file;
@@ -496,36 +488,86 @@ Bytes DataBlockAad(fs::InodeNum inode, uint32_t block,
   return w.Take();
 }
 
-/// What block 0's DSK signature covers: AAD || nonce || ciphertext || tag.
-Bytes BlockZeroSigned(const Bytes& aad, const Bytes& nonce, const Bytes& ct,
-                      const Bytes& tag) {
-  Bytes out = aad;
-  Append(out, nonce);
-  Append(out, ct);
-  Append(out, tag);
+/// A descriptor block's framing. `body` counts the bytes of key_gen |
+/// write_gen | descriptor: what the signature covers after the context.
+struct DescriptorObject {
+  DataDescriptor desc;
+  size_t body = 0;
+  Bytes sig;
+};
+
+Result<DescriptorObject> ParseDescriptorObject(const Bytes& wire) {
+  BinaryReader r(wire);
+  DescriptorObject o;
+  r.GetU32();  // key_gen and write_gen: read by PeekDataHeader, signed.
+  r.GetU64();
+  SHAROES_ASSIGN_OR_RETURN(o.desc, DataDescriptor::ReadFrom(&r));
+  o.body = wire.size() - r.remaining();
+  o.sig = r.GetBytes();
+  SHAROES_RETURN_IF_ERROR(r.Finish("descriptor block"));
+  return o;
+}
+
+/// A chunk block's framing.
+struct ChunkObject {
+  ObjectCodec::DataBlockHeader header;
+  Bytes nonce, ct, tag, sig;
+};
+
+Result<ChunkObject> ParseChunkObject(const Bytes& wire) {
+  BinaryReader r(wire);
+  ChunkObject o;
+  o.header.key_gen = r.GetU32();
+  o.header.write_gen = r.GetU64();
+  o.nonce = r.GetRaw(crypto::kAeadNonceSize);
+  o.ct = r.GetBytes();
+  o.tag = r.GetRaw(crypto::kAeadTagSize);
+  o.sig = r.GetBytes();
+  SHAROES_RETURN_IF_ERROR(r.Finish("data block envelope"));
+  return o;
+}
+
+Bytes DescriptorSigned(fs::InodeNum inode, const Bytes& wire, size_t body) {
+  Bytes out = SigContext("desc", inode, 0);
+  out.insert(out.end(), wire.begin(), wire.begin() + body);
   return out;
 }
 }  // namespace
+
+Bytes ObjectCodec::EncodeDescriptor(fs::InodeNum inode,
+                                    const DataBlockHeader& header,
+                                    const DataDescriptor& desc,
+                                    const crypto::SigningKey& dsk) {
+  obs::PhaseScope crypto_phase(obs::Phase::kRenderEncrypt);
+  BinaryWriter w;
+  w.PutU32(header.key_gen);
+  w.PutU64(header.write_gen);
+  desc.AppendTo(&w);
+  // The one signature of a file write, unforgeable even by readers (who
+  // hold the DEK and could mint valid AEAD chunks): through tag_root it
+  // anchors every chunk block.
+  w.PutBytes(engine_->Sign(dsk, DescriptorSigned(inode, w.data(), w.size())));
+  return w.Take();
+}
+
+Result<DataDescriptor> ObjectCodec::DecodeDescriptor(
+    fs::InodeNum inode, const Bytes& wire, const crypto::VerifyKey& dvk) {
+  obs::PhaseScope crypto_phase(obs::Phase::kDecryptVerify);
+  SHAROES_ASSIGN_OR_RETURN(DescriptorObject o, ParseDescriptorObject(wire));
+  if (!engine_->Verify(dvk, DescriptorSigned(inode, wire, o.body), o.sig)) {
+    return Status::Corruption("descriptor signature verification failed");
+  }
+  return std::move(o.desc);
+}
 
 Bytes ObjectCodec::EncodeDataBlock(fs::InodeNum inode, uint32_t block,
                                    const DataBlockHeader& header,
                                    const Bytes& plaintext,
                                    const crypto::SymmetricKey& dek,
-                                   const crypto::SigningKey& dsk,
                                    Bytes* tag_out) {
   obs::PhaseScope crypto_phase(obs::Phase::kRenderEncrypt);
-  Bytes aad = DataBlockAad(inode, block, header);
   crypto::CryptoEngine::AeadSealed sealed =
-      engine_->AeadSeal(dek, aad, plaintext);
-  Bytes sig;
-  if (block == 0) {
-    // Only block 0 is signed: its plaintext carries the DataDescriptor
-    // whose tag_root commits to every tail block's tag, so one signature
-    // (unforgeable even by readers, who hold the DEK and could mint
-    // valid AEAD tags) anchors the whole file.
-    sig = engine_->Sign(dsk, BlockZeroSigned(aad, sealed.nonce,
-                                             sealed.ciphertext, sealed.tag));
-  }
+      engine_->AeadSeal(dek, DataBlockAad(inode, block, header), plaintext);
   if (tag_out != nullptr) *tag_out = sealed.tag;
   BinaryWriter w;
   w.PutU32(header.key_gen);
@@ -533,38 +575,23 @@ Bytes ObjectCodec::EncodeDataBlock(fs::InodeNum inode, uint32_t block,
   w.PutRaw(sealed.nonce);
   w.PutBytes(sealed.ciphertext);
   w.PutRaw(sealed.tag);
-  w.PutBytes(sig);
+  w.PutBytes(Bytes{});  // Chunk blocks are never signed.
   return w.Take();
 }
 
 Result<Bytes> ObjectCodec::DecodeDataBlock(fs::InodeNum inode, uint32_t block,
                                            const Bytes& wire,
                                            const crypto::SymmetricKey& dek,
-                                           const crypto::VerifyKey& dvk,
                                            Bytes* tag_out) {
   obs::PhaseScope crypto_phase(obs::Phase::kDecryptVerify);
-  BinaryReader r(wire);
-  DataBlockHeader header;
-  header.key_gen = r.GetU32();
-  header.write_gen = r.GetU64();
-  Bytes nonce = r.GetRaw(crypto::kAeadNonceSize);
-  Bytes ct = r.GetBytes();
-  Bytes tag = r.GetRaw(crypto::kAeadTagSize);
-  Bytes sig = r.GetBytes();
-  SHAROES_RETURN_IF_ERROR(r.Finish("data block envelope"));
-  Bytes aad = DataBlockAad(inode, block, header);
-  if (block == 0) {
-    if (!engine_->Verify(dvk, BlockZeroSigned(aad, nonce, ct, tag), sig)) {
-      return Status::Corruption(
-          "data block 0 signature verification failed");
-    }
-  } else if (!sig.empty()) {
-    // Tail blocks are never signed; a signature here is something the
-    // codec did not produce.
-    return Status::Corruption("unexpected signature on tail data block");
+  SHAROES_ASSIGN_OR_RETURN(ChunkObject o, ParseChunkObject(wire));
+  if (!o.sig.empty()) {
+    // A signature here is something the codec did not produce.
+    return Status::Corruption("unexpected signature on chunk data block");
   }
-  auto plain = engine_->AeadOpen(dek, aad, nonce, ct, tag);
-  if (plain.ok() && tag_out != nullptr) *tag_out = std::move(tag);
+  auto plain = engine_->AeadOpen(dek, DataBlockAad(inode, block, o.header),
+                                 o.nonce, o.ct, o.tag);
+  if (plain.ok() && tag_out != nullptr) *tag_out = std::move(o.tag);
   return plain;
 }
 
@@ -579,14 +606,13 @@ Result<ObjectCodec::DataBlockHeader> ObjectCodec::PeekDataHeader(
 }
 
 Result<Bytes> ObjectCodec::PeekDataTag(const Bytes& wire) {
-  BinaryReader r(wire);
-  r.GetU32();
-  r.GetU64();
-  r.GetRaw(crypto::kAeadNonceSize);
-  r.GetBytes();  // Ciphertext.
-  Bytes tag = r.GetRaw(crypto::kAeadTagSize);
-  if (!r.ok()) return Status::Corruption("truncated data block");
-  return tag;
+  SHAROES_ASSIGN_OR_RETURN(ChunkObject o, ParseChunkObject(wire));
+  return std::move(o.tag);
+}
+
+bool ObjectCodec::IsDataObject(uint32_t block, const Bytes& wire) {
+  return block == 0 ? ParseDescriptorObject(wire).ok()
+                    : PeekDataTag(wire).ok();
 }
 
 Result<Bytes> ObjectCodec::EncodeRefBlock(const crypto::RsaPublicKey& pub,

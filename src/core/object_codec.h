@@ -5,7 +5,9 @@
 //   table copy        = Sign_DSK( CTR_TK(rendered rows) ), where rendering
 //                       follows the copy's TableView (full / names-only /
 //                       per-row encryption for exec-only CAPs)
-//   data block        = Sign_DSK( CTR_DEK(plaintext block) )
+//   data block 0      = Sign_DSK( header | DataDescriptor ), cleartext
+//   data block k+1    = AES-GCM_DEK( chunk k ), anchored by the Merkle
+//                       root inside the signed descriptor
 //   superblock,
 //   split blocks,
 //   group key blocks  = RSA to the recipient's public key
@@ -56,12 +58,13 @@ class ObjectCodec {
               Scheme scheme)
       : engine_(engine), dir_(dir), scheme_(scheme) {}
 
-  /// Cleartext (but AEAD-covered) per-block header: `key_gen` lets
-  /// readers pick dek vs. dek_next (lazy revocation) before decrypting;
-  /// `write_gen` is the file's write generation for freshness/rollback
-  /// detection (SUNDR-style, the paper's §VIII future work). Both are
-  /// associated data of the block's AEAD seal, so a block cannot be
-  /// replayed across key rotations or write generations.
+  /// Cleartext per-block header: `key_gen` lets readers pick dek vs.
+  /// dek_next (lazy revocation) before decrypting; `write_gen` is the
+  /// file's write generation for freshness/rollback detection
+  /// (SUNDR-style, the paper's §VIII future work). Both are associated
+  /// data of a chunk block's AEAD seal and signed in the descriptor block,
+  /// so no block can be replayed across key rotations or write
+  /// generations.
   struct DataBlockHeader {
     uint32_t key_gen = 0;
     uint64_t write_gen = 0;
@@ -107,30 +110,31 @@ class ObjectCodec {
                               const fs::InodeAttrs& attrs,
                               const ObjectKeyBundle& bundle);
 
-  /// A tail block a write leaves as stored: the generation it was written
+  /// A chunk block a write leaves as stored: the generation it was written
   /// at and its AEAD tag (the Merkle leaf the new descriptor commits to).
   struct KeptBlock {
     uint64_t gen = 0;
     Bytes tag;
   };
-  /// One block a file write sealed, for the writer's cache.
+  /// One chunk block a file write sealed, for the writer's cache.
   struct SealedBlock {
     uint32_t index = 0;
-    Bytes plaintext;  // The block's chunk (block 0: without descriptor).
-    Bytes tag;        // Tail blocks only.
+    Bytes plaintext;  // The block's chunk.
+    Bytes tag;
     size_t wire_size = 0;
   };
   struct RenderedFile {
     DataDescriptor desc;
-    /// Tail blocks in index order, then block 0.
+    size_t desc_wire_size = 0;  // Block 0's size on the wire.
+    /// Sealed chunk blocks in index order.
     std::vector<SealedBlock> sealed;
   };
 
   /// Renders one file write under `header` (key and write generation):
-  /// splits `content` into blocks, seals the tail blocks not in `kept`
-  /// (null: none kept), builds the descriptor whose Merkle root covers
-  /// every tail tag, then seals block 0 around it. Appends the puts in
-  /// store order: block 0, then the sealed tail blocks in index order.
+  /// splits `content` into chunks, seals the chunk blocks not in `kept`
+  /// (null: none kept), then signs the descriptor whose Merkle root covers
+  /// every chunk tag. Appends the puts in store order: the descriptor
+  /// (block 0), then the sealed chunk blocks in index order.
   RenderedFile RenderFile(fs::InodeNum inode, const Bytes& content,
                           size_t block_size, const DataBlockHeader& header,
                           const crypto::SymmetricKey& dek,
@@ -203,33 +207,48 @@ class ObjectCodec {
 
   // ----- File data -----
 
-  /// Seals one data block (DESIGN.md §13):
+  /// Signs the descriptor block, block 0 (DESIGN.md §13):
+  ///   wire   = key_gen | write_gen | DataDescriptor | sig
+  ///   signed = SigContext("desc", inode, 0) | key_gen | write_gen |
+  ///            DataDescriptor
+  /// It is not encrypted: everything in it the SSP already sees from the
+  /// chunk blocks (their sizes, headers and tags).
+  Bytes EncodeDescriptor(fs::InodeNum inode, const DataBlockHeader& header,
+                         const DataDescriptor& desc,
+                         const crypto::SigningKey& dsk);
+  /// Verifies (DVK) and parses a descriptor block. Every failure — bad
+  /// framing or a bad signature — is Status::Corruption.
+  Result<DataDescriptor> DecodeDescriptor(fs::InodeNum inode,
+                                          const Bytes& wire,
+                                          const crypto::VerifyKey& dvk);
+
+  /// Seals one chunk block, block >= 1 (DESIGN.md §13):
   ///   wire = key_gen | write_gen | nonce | GCM ciphertext | tag | sig
   ///   AAD  = SigContext("data", inode, block) | key_gen | write_gen
-  /// Block 0 (which carries the signed DataDescriptor, including the
-  /// Merkle root over the tail blocks' tags) additionally gets a DSK
-  /// signature over AAD || nonce || ciphertext || tag; tail blocks carry
-  /// an empty signature field — their integrity anchors through the root.
-  /// `tag_out`, when non-null, receives the block's AEAD tag (the Merkle
-  /// leaf for tail blocks).
+  /// The signature field is always empty: a chunk's integrity anchors
+  /// through the Merkle root in the signed descriptor. `tag_out`, when
+  /// non-null, receives the block's AEAD tag (its Merkle leaf).
   Bytes EncodeDataBlock(fs::InodeNum inode, uint32_t block,
                         const DataBlockHeader& header, const Bytes& plaintext,
                         const crypto::SymmetricKey& dek,
-                        const crypto::SigningKey& dsk,
                         Bytes* tag_out = nullptr);
-  /// Every integrity failure — bad framing, bad tag, bad/unexpected
+  /// Every integrity failure — bad framing, bad tag, unexpected
   /// signature — is Status::Corruption; no plaintext is ever returned on
   /// failure. `tag_out`, when non-null, receives the verified AEAD tag.
   Result<Bytes> DecodeDataBlock(fs::InodeNum inode, uint32_t block,
                                 const Bytes& wire,
                                 const crypto::SymmetricKey& dek,
-                                const crypto::VerifyKey& dvk,
                                 Bytes* tag_out = nullptr);
-  /// Reads the cleartext header of an encoded data block.
+  /// Reads the cleartext header of an encoded data block (descriptor or
+  /// chunk: both start with it).
   static Result<DataBlockHeader> PeekDataHeader(const Bytes& wire);
-  /// Reads the AEAD tag of an encoded data block without decrypting (the
-  /// Merkle leaf; readers collect these to check the descriptor's root).
+  /// Reads the AEAD tag (the Merkle leaf) of an encoded chunk block
+  /// without decrypting; Corruption unless the whole framing parses.
   static Result<Bytes> PeekDataTag(const Bytes& wire);
+  /// True when `wire` has the framing of the codec's object for data
+  /// block `block` (the descriptor for block 0, a chunk otherwise). No
+  /// cryptography is checked.
+  static bool IsDataObject(uint32_t block, const Bytes& wire);
 
   // ----- RSA-wrapped bootstrap blocks -----
 

@@ -142,23 +142,25 @@ struct GroupSecret {
   static Result<GroupSecret> Deserialize(const Bytes& data);
 };
 
-/// Per-file data descriptor, stored as a prefix of data block 0: the
-/// paper keeps file size out of metadata so plain writers (who hold no
-/// MSK) never need to re-sign metadata.
+/// Per-file data descriptor, the whole of data block 0: the paper keeps
+/// file size out of metadata so plain writers (who hold no MSK) never
+/// need to re-sign metadata.
 ///
-/// `write_gen` is the monotonically increasing flush counter used for
-/// freshness/rollback detection (the paper's §VIII future work,
-/// SUNDR-style). `block_gens[i]` records the generation at which block i
-/// was last rewritten: the paper's block division exists so writers
-/// "avoid re-encrypting entire files after a write", and the vector lets
-/// readers verify exactly which mix of block versions is current.
-/// `tag_root` is the Merkle root (crypto/merkle.h) over the AEAD tags of
-/// the tail blocks 1..block_count-1, in block order (the all-zero root
-/// for a single-block file). It rides inside the DSK-signed block 0 — not
-/// the metadata object, for the same reason as `size`: plain writers hold
-/// no MSK — so the one signature a reader verifies also commits to every
-/// tail block, and a cross-block splice or a stale-but-consistent tail
-/// set fails closed as Corruption.
+/// Block 0 is the file's commit record. Chunk k of the content lives in
+/// block k+1, so `block_count` is 1 + the chunk count (1 for an empty
+/// file, which is the descriptor alone). `write_gen` is the monotonically
+/// increasing flush counter used for freshness/rollback detection (the
+/// paper's §VIII future work, SUNDR-style). `block_gens[k]` records the
+/// generation at which chunk k (block k+1) was last rewritten: the
+/// paper's block division exists so writers "avoid re-encrypting entire
+/// files after a write", and the vector lets readers verify exactly which
+/// mix of block versions is current. `tag_root` is the Merkle root (crypto/merkle.h)
+/// over the AEAD tags of the chunk blocks 1..block_count-1, in block
+/// order (the all-zero root for an empty file). It rides in the
+/// DSK-signed block 0 — not the metadata object, for the same reason as
+/// `size`: plain writers hold no MSK — so the one signature a reader
+/// verifies also commits to every chunk, and a cross-block splice or a
+/// stale-but-consistent chunk set fails closed as Corruption.
 struct DataDescriptor {
   uint64_t size = 0;
   uint32_t block_count = 0;
@@ -166,28 +168,31 @@ struct DataDescriptor {
   std::vector<uint64_t> block_gens;
   Bytes tag_root;
 
-  /// The expected generation of block `idx` (block 0 always carries the
-  /// descriptor itself and therefore the current write_gen).
+  /// The expected generation of block `idx` (block 0 is the descriptor
+  /// itself and therefore always at the current write_gen).
   uint64_t GenOfBlock(uint32_t idx) const {
     if (idx == 0) return write_gen;
-    return idx < block_gens.size() ? block_gens[idx] : write_gen;
+    return idx <= block_gens.size() ? block_gens[idx - 1] : write_gen;
   }
 
   void AppendTo(BinaryWriter* w) const;
   static Result<DataDescriptor> ReadFrom(BinaryReader* r);
 };
 
-/// The one block split of file content, shared by every writer and the
-/// baselines: block 0 holds the first `block_size` bytes (after the
-/// descriptor) and each tail block the next `block_size`. An empty file
-/// still has block 0.
-inline uint32_t BlockCount(size_t size, size_t block_size) {
-  return size <= block_size
-             ? 1
-             : static_cast<uint32_t>((size + block_size - 1) / block_size);
+/// The one split of file content into chunks, shared by every writer:
+/// chunk k is the k-th run of `block_size` bytes and is stored in block
+/// k+1. SHAROES stores no chunk for an empty file; the baselines store one
+/// (possibly empty) chunk, because their descriptor rides in it.
+inline uint32_t ChunkCount(size_t size, size_t block_size) {
+  return static_cast<uint32_t>((size + block_size - 1) / block_size);
 }
-/// The byte range [first, second) of block `idx` in a `size`-byte file.
-inline std::pair<size_t, size_t> BlockRange(uint32_t idx, size_t size,
+/// The baselines' block count: at least the one chunk carrying the
+/// descriptor.
+inline uint32_t BlockCount(size_t size, size_t block_size) {
+  return std::max<uint32_t>(1, ChunkCount(size, block_size));
+}
+/// The byte range [first, second) of chunk `idx` in a `size`-byte file.
+inline std::pair<size_t, size_t> ChunkRange(uint32_t idx, size_t size,
                                             size_t block_size) {
   return {std::min(idx * block_size, size),
           std::min((idx + 1) * block_size, size)};

@@ -461,17 +461,17 @@ void ShardedChannel::SettleRead(SubState* sub) {
     }
   }
   // 2. Data blocks carry a plaintext-peekable write generation in their
-  //    AEAD header: highest generation wins. PeekDataHeader alone
-  //    "parses" any 12 bytes, so the gen is only evidence when EVERY
-  //    candidate structurally parses as a codec data block (header plus
-  //    AEAD tag framing) — one raw blob in the set and the comparison
-  //    would be garbage against garbage, promoting whatever noise
-  //    decodes largest. Mixed or raw payloads fall through to majority.
+  //    header: highest generation wins. PeekDataHeader alone "parses"
+  //    any 12 bytes, so the gen is only evidence when EVERY candidate
+  //    structurally parses as the codec's object for that block (the
+  //    descriptor, or a chunk's AEAD framing) — one raw blob in the set
+  //    and the comparison would be garbage against garbage, promoting
+  //    whatever noise decodes largest. Mixed or raw payloads fall through
+  //    to majority.
   if (winner == nullptr && sub->req->op == OpCode::kGetData) {
     bool all_codec = true;
     for (const auto* u : oks) {
-      if (!ObjectCodec::PeekDataHeader(u->payload).ok() ||
-          !ObjectCodec::PeekDataTag(u->payload).ok()) {
+      if (!ObjectCodec::IsDataObject(sub->req->block, u->payload)) {
         all_codec = false;
         break;
       }

@@ -1,7 +1,7 @@
 // Merkle tree over per-block AEAD tags (UPSS/CapsuleFS-style).
 //
-// A file's tail blocks (1..n-1) each carry a 16-byte AEAD tag; the tree's
-// 32-byte root is embedded in the DSK-signed descriptor in block 0, so
+// A file's chunk blocks (1..n-1) each carry a 16-byte AEAD tag; the
+// tree's 32-byte root is embedded in the DSK-signed descriptor, block 0, so
 // one signature binds every block of the file together: a cross-block
 // splice or a stale-but-internally-consistent block set changes the root
 // and fails closed.

@@ -471,15 +471,13 @@ Result<std::unique_ptr<Wal>> Wal::Open(const std::string& dir,
   {
     std::lock_guard<std::mutex> lock(wal->mu_);
     if (segments.empty()) {
-      SHAROES_RETURN_IF_ERROR(
-          wal->OpenSegmentLocked(last_seq, /*truncate_to=*/false, 0));
+      SHAROES_RETURN_IF_ERROR(wal->OpenSegmentLocked(last_seq));
     } else if (last_valid_bytes < kWalSegmentHeaderSize) {
       // The final segment never got its header; rewrite it in place
       // under the base sequence recovery actually reached.
       std::string stale = JoinDir(dir, segments.back().second);
       ::unlink(stale.c_str());
-      SHAROES_RETURN_IF_ERROR(
-          wal->OpenSegmentLocked(last_seq, /*truncate_to=*/false, 0));
+      SHAROES_RETURN_IF_ERROR(wal->OpenSegmentLocked(last_seq));
     } else {
       wal->segment_base_ = segments.back().first;
       wal->segment_path_ = JoinDir(dir, segments.back().second);
@@ -519,10 +517,7 @@ Wal::~Wal() {
   }
 }
 
-Status Wal::OpenSegmentLocked(uint64_t base_seq, bool truncate_to,
-                              size_t valid_bytes) {
-  (void)truncate_to;
-  (void)valid_bytes;
+Status Wal::OpenSegmentLocked(uint64_t base_seq) {
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
@@ -657,8 +652,7 @@ Status Wal::Compact() {
       std::lock_guard<std::mutex> lock(mu_);
       cut = seq_;
       SHAROES_RETURN_IF_ERROR(SyncLocked());
-      SHAROES_RETURN_IF_ERROR(
-          OpenSegmentLocked(cut, /*truncate_to=*/false, 0));
+      SHAROES_RETURN_IF_ERROR(OpenSegmentLocked(cut));
     }
     // Phase 2 — the image, still under the exclusive gate so it is
     // exactly the state at `cut`: replay of the new segment applies each

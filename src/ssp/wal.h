@@ -201,8 +201,7 @@ class Wal {
   Wal(std::string dir, const WalOptions& options, ObjectStore* store)
       : dir_(std::move(dir)), opts_(options), store_(store) {}
 
-  Status OpenSegmentLocked(uint64_t base_seq, bool truncate_to,
-                           size_t valid_bytes);
+  Status OpenSegmentLocked(uint64_t base_seq);
   Status SyncLocked();
   Status WriteSnapshot(uint64_t covered_seq, const Bytes& store_bytes);
   void PruneSegmentsBelow(uint64_t base_seq);

@@ -113,6 +113,36 @@ TEST(BatchedReadTest, CachedReadMakesNoRoundTrip) {
   }
 }
 
+TEST(BatchedReadTest, UncachedReadTakesChunksFromItsOwnFetch) {
+  // A client that caches nothing (Figure 10's 0% row) still gets a file's
+  // descriptor and first chunks in the fetch of the file's view: the
+  // chunks that fetch opened go straight to reassembly, not through the
+  // cache. So a Read costs exactly the round trips of a Getattr of the
+  // same path — the file's own level is one round trip.
+  World::Options opts = BatchedOpts(true);
+  opts.cache_bytes = 0;
+  World world(opts);
+  ASSERT_TRUE(world.MigrateAndMountAll(World::DefaultTree()).ok());
+  auto& alice = world.client(kAlice);
+  CreateOptions fopts;
+  fopts.mode = World::ParseMode("rw-rw----");
+  for (uint32_t chunks : {1u, 3u}) {
+    std::string path = "/shared/c" + std::to_string(chunks) + ".bin";
+    Bytes content = BlocksOfPattern(chunks, static_cast<uint8_t>(chunks));
+    content.resize(content.size() - 100);
+    ASSERT_TRUE(alice.Create(path, fopts).ok());
+    ASSERT_TRUE(alice.WriteFile(path, content).ok());
+    uint64_t t0 = alice.rpc_round_trips();
+    ASSERT_TRUE(alice.Getattr(path).ok());
+    uint64_t t1 = alice.rpc_round_trips();
+    auto got = alice.Read(path);
+    uint64_t t2 = alice.rpc_round_trips();
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(*got, content) << path;
+    EXPECT_EQ(t2 - t1, t1 - t0) << path;
+  }
+}
+
 TEST(BatchedReadTest, CachedReaderSeesGrowthOnlyAfterEvict) {
   // Close-to-open: a reader serves its cached block 0 (and the EOF it
   // records) until EvictPath, even after another client grew the file.

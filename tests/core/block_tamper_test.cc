@@ -90,33 +90,75 @@ TEST_F(BlockTamperTest, EveryByteOfTailBlockFailsClosed) {
   // byte: header (key_gen, write_gen), nonce, length-prefixed
   // ciphertext, tag, and the (empty) signature field.
   auto blocks = WriteAndSnapshot(Content(4096 + 60));
-  ASSERT_EQ(blocks.size(), 2u);
+  ASSERT_EQ(blocks.size(), 3u);
   ASSERT_TRUE(ColdRead().ok());
-  for (size_t pos = 0; pos < blocks[1].size(); ++pos) {
-    ExpectFailClosedAt(1, pos, blocks[1]);
+  for (size_t pos = 0; pos < blocks[2].size(); ++pos) {
+    ExpectFailClosedAt(2, pos, blocks[2]);
   }
   auto restored = ColdRead();
   ASSERT_TRUE(restored.ok()) << restored.status();
 }
 
-TEST_F(BlockTamperTest, SampledBytesOfBlockZeroFailClosed) {
-  // Block 0 carries the signed descriptor plus a full 4 KiB chunk; sweep
-  // the structured prefix (header, nonce, ciphertext start), a stride
-  // through the ciphertext body, and the tag + signature suffix.
+TEST_F(BlockTamperTest, EveryByteOfDescriptorFailsClosed) {
+  // Block 0 is the signed descriptor alone (about 150 bytes), so every
+  // byte is swept: header (key_gen, write_gen), size, block count, the
+  // generation vector, the tag root and the signature.
   auto blocks = WriteAndSnapshot(Content(4096 + 60));
-  ASSERT_EQ(blocks.size(), 2u);
+  ASSERT_EQ(blocks.size(), 3u);
   ASSERT_TRUE(ColdRead().ok());
   const Bytes& wire = blocks[0];
-  std::vector<size_t> positions;
-  for (size_t pos = 0; pos < 44 && pos < wire.size(); ++pos) {
-    positions.push_back(pos);
+  for (size_t pos = 0; pos < wire.size(); ++pos) {
+    ExpectFailClosedAt(0, pos, wire);
   }
-  for (size_t pos = 44; pos < wire.size(); pos += 211) positions.push_back(pos);
-  for (size_t back = 1; back <= 90 && back < wire.size(); back += 7) {
-    positions.push_back(wire.size() - back);
-  }
-  for (size_t pos : positions) ExpectFailClosedAt(0, pos, wire);
   ASSERT_TRUE(ColdRead().ok());
+}
+
+TEST_F(BlockTamperTest, DescriptorFromAnotherInodeDetected) {
+  // A validly signed descriptor of another file at the same write
+  // generation, served as this file's block 0: the signature binds the
+  // inode (and each file has its own DSK).
+  auto blocks = WriteAndSnapshot(Content(4096 + 100));
+  auto doc_gen = ObjectCodec::PeekDataHeader(blocks[0]);
+  ASSERT_TRUE(doc_gen.ok());
+  core::CreateOptions opts;
+  opts.mode = World::ParseMode("rw-rw-r--");
+  auto& alice = world_->client(kAlice);
+  ASSERT_TRUE(alice.Create("/other.txt", opts).ok());
+  auto other_attrs = alice.Getattr("/other.txt");
+  ASSERT_TRUE(other_attrs.ok());
+  // Migration wrote doc.txt at generation 1 and the write above at 2;
+  // two writes bring other.txt to the same generation.
+  ASSERT_TRUE(alice.WriteFile("/other.txt", Content(4096 + 100)).ok());
+  ASSERT_TRUE(alice.WriteFile("/other.txt", Content(4096 + 100)).ok());
+  auto other_desc = world_->server().store().Get(
+      ssp::ObjectRef::Data(other_attrs->inode, 0));
+  ASSERT_TRUE(other_desc.has_value());
+  ASSERT_EQ(ObjectCodec::PeekDataHeader(*other_desc)->write_gen,
+            doc_gen->write_gen);
+  world_->server().store().Put(ssp::ObjectRef::Data(inode_, 0), *other_desc);
+  auto read = ColdRead();
+  ASSERT_FALSE(read.ok());
+  EXPECT_TRUE(read.status().IsCorruption()) << read.status();
+}
+
+TEST_F(BlockTamperTest, OlderDescriptorToClientWithHistoryDetected) {
+  // Bob has read the current version. The SSP then serves the previous
+  // write's validly signed descriptor: bob's freshness record rejects
+  // it, whatever chunks come with it.
+  auto v2 = WriteAndSnapshot(Content(4096 * 2 + 100));
+  Bytes v3_content = Content(4096 * 2 + 100);
+  v3_content.back() ^= 0x5A;  // Only the last chunk changes.
+  auto v3 = WriteAndSnapshot(v3_content);
+  ASSERT_NE(v2[0], v3[0]);
+  ASSERT_EQ(v2[1], v3[1]);  // The unchanged chunk was kept.
+  auto read = ColdRead();
+  ASSERT_TRUE(read.ok()) << read.status();
+  world_->server().store().Put(ssp::ObjectRef::Data(inode_, 0), v2[0]);
+  read = ColdRead();
+  ASSERT_FALSE(read.ok());
+  EXPECT_TRUE(read.status().IsCorruption()) << read.status();
+  EXPECT_NE(read.status().message().find("rollback"), std::string::npos)
+      << read.status();
 }
 
 TEST_F(BlockTamperTest, IntraFileBlockSwapDetected) {
@@ -124,9 +166,9 @@ TEST_F(BlockTamperTest, IntraFileBlockSwapDetected) {
   // each other's indices: the AEAD associated data binds the block
   // number, so both decodes fail closed.
   auto blocks = WriteAndSnapshot(Content(4096 * 2 + 100));
-  ASSERT_EQ(blocks.size(), 3u);
-  world_->server().store().Put(ssp::ObjectRef::Data(inode_, 1), blocks[2]);
-  world_->server().store().Put(ssp::ObjectRef::Data(inode_, 2), blocks[1]);
+  ASSERT_EQ(blocks.size(), 4u);
+  world_->server().store().Put(ssp::ObjectRef::Data(inode_, 2), blocks[3]);
+  world_->server().store().Put(ssp::ObjectRef::Data(inode_, 3), blocks[2]);
   auto read = ColdRead();
   ASSERT_FALSE(read.ok());
   EXPECT_TRUE(read.status().IsCorruption()) << read.status();
@@ -136,7 +178,7 @@ TEST_F(BlockTamperTest, CrossFileSameIndexSwapDetected) {
   // A validly sealed block of *another* file served at the same index:
   // the associated data binds the inode.
   auto blocks = WriteAndSnapshot(Content(4096 + 100));
-  ASSERT_EQ(blocks.size(), 2u);
+  ASSERT_EQ(blocks.size(), 3u);
   core::CreateOptions opts;
   opts.mode = World::ParseMode("rw-rw-r--");
   ASSERT_TRUE(world_->client(kAlice).Create("/other.txt", opts).ok());
@@ -146,9 +188,9 @@ TEST_F(BlockTamperTest, CrossFileSameIndexSwapDetected) {
   auto other_attrs = world_->client(kAlice).Getattr("/other.txt");
   ASSERT_TRUE(other_attrs.ok());
   auto other_tail = world_->server().store().Get(
-      ssp::ObjectRef::Data(other_attrs->inode, 1));
+      ssp::ObjectRef::Data(other_attrs->inode, 2));
   ASSERT_TRUE(other_tail.has_value());
-  world_->server().store().Put(ssp::ObjectRef::Data(inode_, 1), *other_tail);
+  world_->server().store().Put(ssp::ObjectRef::Data(inode_, 2), *other_tail);
   auto read = ColdRead();
   ASSERT_FALSE(read.ok());
   EXPECT_TRUE(read.status().IsCorruption()) << read.status();
@@ -162,9 +204,9 @@ TEST_F(BlockTamperTest, StaleTailSetUnderCurrentDescriptorDetected) {
   Bytes v3_content = Content(4096 * 2 + 100);
   for (auto& b : v3_content) b ^= 0x5A;  // Rewrite every block.
   auto v3 = WriteAndSnapshot(v3_content);
-  ASSERT_EQ(v3.size(), 3u);
-  world_->server().store().Put(ssp::ObjectRef::Data(inode_, 1), v2[1]);
+  ASSERT_EQ(v3.size(), 4u);
   world_->server().store().Put(ssp::ObjectRef::Data(inode_, 2), v2[2]);
+  world_->server().store().Put(ssp::ObjectRef::Data(inode_, 3), v2[3]);
   auto read = ColdRead();
   ASSERT_FALSE(read.ok());
   EXPECT_TRUE(read.status().IsCorruption()) << read.status();
@@ -177,7 +219,7 @@ TEST_F(BlockTamperTest, ForgedTailBlockByDekHolderDetected) {
   // blocks carry no signature — only the root inside the DSK-signed
   // block 0 can reject the forgery.
   auto blocks = WriteAndSnapshot(Content(4096 + 60));
-  ASSERT_EQ(blocks.size(), 2u);
+  ASSERT_EQ(blocks.size(), 3u);
   ASSERT_TRUE(ColdRead().ok());
 
   // Replay the read chain with standalone machinery (the malicious
@@ -231,19 +273,18 @@ TEST_F(BlockTamperTest, ForgedTailBlockByDekHolderDetected) {
   ASSERT_TRUE(file_view->dek.has_value());
 
   // Mint a tail block: same inode/block/generations, bogus plaintext,
-  // honest AEAD seal under the real DEK. (No DSK needed — tails are
-  // unsigned; a throwaway signing key stands in for the parameter.)
-  auto header = ObjectCodec::PeekDataHeader(blocks[1]);
+  // honest AEAD seal under the real DEK. (No DSK needed — chunk blocks
+  // are unsigned.)
+  auto header = ObjectCodec::PeekDataHeader(blocks[2]);
   ASSERT_TRUE(header.ok());
   Bytes bogus(60, '!');
-  crypto::SigningKeyPair throwaway = eng.NewSigningKeyPair();
-  Bytes forged = codec.EncodeDataBlock(inode_, 1, *header, bogus,
-                                       *file_view->dek, throwaway.sign);
+  Bytes forged =
+      codec.EncodeDataBlock(inode_, 2, *header, bogus, *file_view->dek);
 
   // Sanity: the forged block *is* cryptographically valid in isolation.
   ASSERT_TRUE(ObjectCodec::PeekDataTag(forged).ok());
 
-  world_->server().store().Put(ssp::ObjectRef::Data(inode_, 1), forged);
+  world_->server().store().Put(ssp::ObjectRef::Data(inode_, 2), forged);
   auto read = ColdRead();
   ASSERT_FALSE(read.ok()) << "forged tail block was accepted";
   EXPECT_TRUE(read.status().IsCorruption()) << read.status();

@@ -92,21 +92,21 @@ INSTANTIATE_TEST_SUITE_P(
     Legs, SharoesLayoutPin,
     ::testing::Values(
         SharoesLeg{Scheme::kScheme1, RevocationMode::kImmediate,
-                   "34409:e283f94ac1aabc5d1adffa737456211a"
-                   "5050ed2afdaa47df58c5f4df86423dd9"},
+                   "34589:0045599dcb83381ff208541576869765"
+                   "7dcedd493a40ba0ccedb5f58f0a92381"},
         SharoesLeg{Scheme::kScheme1, RevocationMode::kLazy,
-                   "34429:359e315bde8ec6838946aaf6841a4568"
-                   "f8f75b94abafe2c18f9caa5e5ed3207b"},
+                   "34609:81a58de41617183c6ba388e149092b8f"
+                   "cb0a15b14adf353233ea7cafd045008c"},
         SharoesLeg{Scheme::kScheme2, RevocationMode::kImmediate,
-                   "34409:af7ebab0333d0b6b9aba2b671223d5e8"
-                   "fd314ecbc04bb51dbe437c11c8917ab9"},
+                   "34589:0c919c51bac2ec5a632dd4e9539e399f"
+                   "5393260cd1a47adaf5d9727676f046a5"},
         SharoesLeg{Scheme::kScheme2, RevocationMode::kLazy,
-                   "34429:f38bdf29eeb0b971d25a56fe1b7e75e1"
-                   "fad9ca08961c289177a06131ce2e5673"}));
+                   "34609:94b2fed3bc6156b41ed9fa3023cf0396"
+                   "58189d6c04c3fcb11dd2c0ac6cbd038a"}));
 
 TEST(LayoutPinTest, MigratedMultiBlockFile) {
-  // The provisioner's own file encoder on a file with tail blocks
-  // (DefaultTree's files all fit in block 0).
+  // The provisioner's own file encoder on a multi-chunk file and an
+  // empty one (the descriptor alone).
   World world;
   core::LocalNode root =
       core::LocalNode::Dir("", kAlice, testing::kEng,
@@ -119,8 +119,8 @@ TEST(LayoutPinTest, MigratedMultiBlockFile) {
       Bytes{}));
   ASSERT_TRUE(world.MigrateAndMountAll(root).ok());
   EXPECT_EQ(StoreDigest(world.server().store()),
-            "25199:e33abc544f5e953d33103e2776a5d592"
-            "9c7b68663b6cf30462c35fc8fa21fc41");
+            "25204:03f3a586ec8061f5ad657c212bd93d60"
+            "078177503b112469212c9a57bfd6f802");
 }
 
 struct BaselineLeg {

@@ -140,11 +140,11 @@ TEST(MigrationTest, LargeFileChunking) {
   ASSERT_TRUE(world.MigrateAndMountAll(root).ok());
   auto attrs = world.client(kAlice).Getattr("/big.bin");
   ASSERT_TRUE(attrs.ok());
-  // 20000 bytes => block 0 carries chunk0, 4 more blocks follow.
+  // 20000 bytes => block 0 is the descriptor, 5 chunk blocks follow.
   EXPECT_TRUE(world.server().store().Get(
-      ssp::ObjectRef::Data(attrs->inode, 4)).has_value());
-  EXPECT_FALSE(world.server().store().Get(
       ssp::ObjectRef::Data(attrs->inode, 5)).has_value());
+  EXPECT_FALSE(world.server().store().Get(
+      ssp::ObjectRef::Data(attrs->inode, 6)).has_value());
   auto read = world.client(kAlice).Read("/big.bin");
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(*read, big);

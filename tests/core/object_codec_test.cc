@@ -6,6 +6,7 @@
 
 #include "core/object_codec.h"
 #include "crypto/aead.h"
+#include "crypto/merkle.h"
 
 namespace sharoes::core {
 namespace {
@@ -326,68 +327,78 @@ TEST_F(ObjectCodecTest, MasterTableRoundTrip) {
 
 TEST_F(ObjectCodecTest, DataBlockRoundTripAndHeader) {
   crypto::SymmetricKey dek = engine_.NewSymmetricKey();
-  crypto::SigningKeyPair dsk = engine_.NewSigningKeyPair();
   Bytes pt = ToBytes("block contents");
   ObjectCodec::DataBlockHeader header{2, 9};
-  Bytes wire = codec_.EncodeDataBlock(7, 3, header, pt, dek, dsk.sign);
+  Bytes wire = codec_.EncodeDataBlock(7, 3, header, pt, dek);
   auto peeked = ObjectCodec::PeekDataHeader(wire);
   ASSERT_TRUE(peeked.ok());
   EXPECT_EQ(peeked->key_gen, 2u);
   EXPECT_EQ(peeked->write_gen, 9u);
-  auto back = codec_.DecodeDataBlock(7, 3, wire, dek, dsk.verify);
+  auto back = codec_.DecodeDataBlock(7, 3, wire, dek);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, pt);
 }
 
 TEST_F(ObjectCodecTest, DataBlockSwapAndTamperDetected) {
   crypto::SymmetricKey dek = engine_.NewSymmetricKey();
-  crypto::SigningKeyPair dsk = engine_.NewSigningKeyPair();
-  Bytes wire = codec_.EncodeDataBlock(7, 3, {0, 1}, ToBytes("abc"), dek,
-                                      dsk.sign);
+  Bytes wire = codec_.EncodeDataBlock(7, 3, {0, 1}, ToBytes("abc"), dek);
   // Wrong block index.
-  EXPECT_FALSE(codec_.DecodeDataBlock(7, 4, wire, dek, dsk.verify).ok());
+  EXPECT_FALSE(codec_.DecodeDataBlock(7, 4, wire, dek).ok());
   // Wrong inode.
-  EXPECT_FALSE(codec_.DecodeDataBlock(8, 3, wire, dek, dsk.verify).ok());
-  // Key-generation bit flipped (it is covered by the signature).
+  EXPECT_FALSE(codec_.DecodeDataBlock(8, 3, wire, dek).ok());
+  // Key-generation bit flipped (the header is AEAD associated data).
   Bytes bad = wire;
   bad[0] ^= 1;
-  EXPECT_FALSE(codec_.DecodeDataBlock(7, 3, bad, dek, dsk.verify).ok());
-  // Write-generation bit flipped (also signature-covered).
+  EXPECT_FALSE(codec_.DecodeDataBlock(7, 3, bad, dek).ok());
+  // Write-generation bit flipped (also associated data).
   bad = wire;
   bad[4] ^= 1;
-  EXPECT_FALSE(codec_.DecodeDataBlock(7, 3, bad, dek, dsk.verify).ok());
+  EXPECT_FALSE(codec_.DecodeDataBlock(7, 3, bad, dek).ok());
   // Payload flipped.
   bad = wire;
   bad[16] ^= 1;
-  EXPECT_FALSE(codec_.DecodeDataBlock(7, 3, bad, dek, dsk.verify).ok());
+  EXPECT_FALSE(codec_.DecodeDataBlock(7, 3, bad, dek).ok());
 }
 
-TEST_F(ObjectCodecTest, DataBlockZeroSignatureRequired) {
-  // Block 0 carries the descriptor (and the Merkle root over the tail
-  // tags), so it alone is DSK-signed; a valid AEAD seal under a wrong
-  // signing key must not pass.
-  crypto::SymmetricKey dek = engine_.NewSymmetricKey();
+TEST_F(ObjectCodecTest, DescriptorSignatureRequired) {
+  // Block 0 is the descriptor (and the Merkle root over the chunk tags),
+  // so it alone is DSK-signed; a descriptor signed under a wrong signing
+  // key must not pass, nor one moved to another inode.
   crypto::SigningKeyPair dsk = engine_.NewSigningKeyPair();
   crypto::SigningKeyPair other = engine_.NewSigningKeyPair();
-  Bytes pt = ToBytes("descriptor + first chunk");
-  Bytes wire = codec_.EncodeDataBlock(7, 0, {0, 1}, pt, dek, dsk.sign);
-  ASSERT_TRUE(codec_.DecodeDataBlock(7, 0, wire, dek, dsk.verify).ok());
+  core::DataDescriptor desc;
+  desc.size = 5;
+  desc.block_count = 2;
+  desc.write_gen = 1;
+  desc.block_gens = {1, 1};
+  desc.tag_root = Bytes(crypto::kMerkleRootSize, 7);
+  Bytes wire = codec_.EncodeDescriptor(7, {0, 1}, desc, dsk.sign);
+  auto back = codec_.DecodeDescriptor(7, wire, dsk.verify);
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_EQ(back->size, 5u);
+  EXPECT_EQ(back->tag_root, desc.tag_root);
+  auto peeked = ObjectCodec::PeekDataHeader(wire);
+  ASSERT_TRUE(peeked.ok());
+  EXPECT_EQ(peeked->write_gen, 1u);
+  EXPECT_TRUE(ObjectCodec::IsDataObject(0, wire));
+  EXPECT_FALSE(ObjectCodec::IsDataObject(1, wire));
 
-  // Sealed by a DEK-holder without the real DSK.
-  Bytes forged = codec_.EncodeDataBlock(7, 0, {0, 1}, pt, dek, other.sign);
-  auto r = codec_.DecodeDataBlock(7, 0, forged, dek, dsk.verify);
+  // Signed by a DEK-holder without the real DSK.
+  Bytes forged = codec_.EncodeDescriptor(7, {0, 1}, desc, other.sign);
+  auto r = codec_.DecodeDescriptor(7, forged, dsk.verify);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsCorruption());
   EXPECT_NE(r.status().message().find("signature"), std::string::npos);
+  EXPECT_TRUE(codec_.DecodeDescriptor(8, wire, dsk.verify)
+                  .status()
+                  .IsCorruption());
 }
 
 TEST_F(ObjectCodecTest, TailBlockRejectsUnexpectedSignature) {
   // Tail blocks are unsigned by construction; a signature field the
   // codec did not produce is rejected rather than ignored.
   crypto::SymmetricKey dek = engine_.NewSymmetricKey();
-  crypto::SigningKeyPair dsk = engine_.NewSigningKeyPair();
-  Bytes wire = codec_.EncodeDataBlock(7, 3, {0, 1}, ToBytes("tail"), dek,
-                                      dsk.sign);
+  Bytes wire = codec_.EncodeDataBlock(7, 3, {0, 1}, ToBytes("tail"), dek);
   BinaryReader r(wire);
   uint32_t key_gen = r.GetU32();
   uint64_t write_gen = r.GetU64();
@@ -404,7 +415,7 @@ TEST_F(ObjectCodecTest, TailBlockRejectsUnexpectedSignature) {
   w.PutBytes(ct);
   w.PutRaw(tag);
   w.PutBytes(ToBytes("spurious signature"));
-  auto rejected = codec_.DecodeDataBlock(7, 3, w.Take(), dek, dsk.verify);
+  auto rejected = codec_.DecodeDataBlock(7, 3, w.Take(), dek);
   ASSERT_FALSE(rejected.ok());
   EXPECT_TRUE(rejected.status().IsCorruption());
   EXPECT_NE(rejected.status().message().find("unexpected signature"),
@@ -413,10 +424,9 @@ TEST_F(ObjectCodecTest, TailBlockRejectsUnexpectedSignature) {
 
 TEST_F(ObjectCodecTest, PeekDataTagMatchesSealTag) {
   crypto::SymmetricKey dek = engine_.NewSymmetricKey();
-  crypto::SigningKeyPair dsk = engine_.NewSigningKeyPair();
   Bytes tag_out;
   Bytes wire = codec_.EncodeDataBlock(7, 2, {0, 1}, ToBytes("leaf"), dek,
-                                      dsk.sign, &tag_out);
+                                      &tag_out);
   ASSERT_EQ(tag_out.size(), crypto::kAeadTagSize);
   auto peeked = ObjectCodec::PeekDataTag(wire);
   ASSERT_TRUE(peeked.ok());

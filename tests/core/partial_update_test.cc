@@ -21,7 +21,7 @@ class PartialUpdateTest : public ::testing::Test {
     world_ = std::make_unique<World>();
     core::LocalNode root =
         core::LocalNode::Dir("", kAlice, kEng, World::ParseMode("rwxr-xr-x"));
-    // A 5-block file (4 KiB blocks).
+    // A 5-chunk file (4 KiB chunks) in blocks 1..5 after the descriptor.
     base_ = Bytes(18000, 'a');
     root.children.push_back(core::LocalNode::File(
         "big.bin", kAlice, kEng, World::ParseMode("rw-rw-r--"), base_));
@@ -50,20 +50,21 @@ TEST_F(PartialUpdateTest, SingleBlockEditRewritesOnlyThatBlockAndDesc) {
   auto& alice = world_->client(kAlice);
   ASSERT_TRUE(alice.Read("/big.bin").ok());  // Warm the block cache.
   std::map<uint32_t, Bytes> before = StoredBlocks();
-  ASSERT_EQ(before.size(), 5u);
+  ASSERT_EQ(before.size(), 6u);
 
-  // Flip bytes inside block 2 only (offsets within [chunk0+bs, chunk0+2bs)).
+  // Flip bytes inside chunk 2 only (offsets within [2bs, 3bs)): block 3.
   Bytes edited = base_;
   for (size_t i = 9000; i < 9100; ++i) edited[i] = 'Z';
   ASSERT_TRUE(alice.WriteFile("/big.bin", edited).ok());
 
   std::map<uint32_t, Bytes> after = StoredBlocks();
-  ASSERT_EQ(after.size(), 5u);
+  ASSERT_EQ(after.size(), 6u);
   EXPECT_NE(after[0], before[0]);  // Descriptor block always rewritten.
   EXPECT_EQ(after[1], before[1]);  // Untouched blocks keep old ciphertext.
-  EXPECT_NE(after[2], before[2]);  // The edited block was re-encrypted.
-  EXPECT_EQ(after[3], before[3]);
+  EXPECT_EQ(after[2], before[2]);
+  EXPECT_NE(after[3], before[3]);  // The edited block was re-encrypted.
   EXPECT_EQ(after[4], before[4]);
+  EXPECT_EQ(after[5], before[5]);
 
   // And the mixed-generation file reads back correctly everywhere.
   world_->client(kBob).DropCaches();
@@ -82,13 +83,14 @@ TEST_F(PartialUpdateTest, AppendWritesOnlyNewAndLastBlocks) {
   ASSERT_TRUE(alice.Close("/big.bin").ok());
 
   std::map<uint32_t, Bytes> after = StoredBlocks();
-  EXPECT_EQ(after.size(), 6u);  // 24000 bytes => 6 blocks.
+  EXPECT_EQ(after.size(), 7u);  // 24000 bytes => descriptor + 6 chunks.
   EXPECT_EQ(after[1], before[1]);  // Early blocks untouched.
   EXPECT_EQ(after[2], before[2]);
   EXPECT_EQ(after[3], before[3]);
-  // Block 4 (was the partial tail) changed; block 5 is new.
-  EXPECT_NE(after[4], before[4]);
-  EXPECT_TRUE(after.count(5));
+  EXPECT_EQ(after[4], before[4]);
+  // Block 5 (was the partial last chunk) changed; block 6 is new.
+  EXPECT_NE(after[5], before[5]);
+  EXPECT_TRUE(after.count(6));
 
   world_->client(kBob).DropCaches();
   auto read = world_->client(kBob).Read("/big.bin");
@@ -103,7 +105,7 @@ TEST_F(PartialUpdateTest, ShrinkFallsBackToFullRewrite) {
   ASSERT_TRUE(alice.Read("/big.bin").ok());
   ASSERT_TRUE(alice.WriteFile("/big.bin", ToBytes("tiny now")).ok());
   std::map<uint32_t, Bytes> after = StoredBlocks();
-  EXPECT_EQ(after.size(), 1u);  // Old tail blocks deleted.
+  EXPECT_EQ(after.size(), 2u);  // Old chunk blocks past the one left deleted.
   world_->client(kBob).DropCaches();
   auto read = world_->client(kBob).Read("/big.bin");
   ASSERT_TRUE(read.ok());
@@ -133,8 +135,8 @@ TEST_F(PartialUpdateTest, StaleBlockFromOldGenerationDetected) {
   Bytes edited = base_;
   edited[9000] = 'Z';
   ASSERT_TRUE(alice.WriteFile("/big.bin", edited).ok());
-  // Malicious SSP: restore the pre-edit block 2.
-  world_->server().store().Put(ssp::ObjectRef::Data(inode_, 2), before[2]);
+  // Malicious SSP: restore the pre-edit block 3 (chunk 2).
+  world_->server().store().Put(ssp::ObjectRef::Data(inode_, 3), before[3]);
   world_->client(kBob).DropCaches();
   auto read = world_->client(kBob).Read("/big.bin");
   EXPECT_FALSE(read.ok());

@@ -13,6 +13,7 @@
 
 #include "baselines/baseline.h"
 #include "core/identity.h"
+#include "core/object_codec.h"
 #include "core/refs.h"
 #include "crypto/rsa.h"
 #include "fs/dir_table.h"
@@ -23,6 +24,37 @@
 
 namespace sharoes {
 namespace {
+
+// A codec and one data key pair, for the data-block decoders.
+struct DataCodec {
+  static crypto::CryptoEngineOptions EngineOptions() {
+    crypto::CryptoEngineOptions o;
+    o.cost_model = crypto::CryptoCostModel::Zero();
+    o.signing_key_bits = 512;
+    o.rng_seed = 0xDE5C;
+    return o;
+  }
+  SimClock clock;
+  crypto::CryptoEngine engine{&clock, EngineOptions()};
+  core::IdentityDirectory dir;
+  core::ObjectCodec codec{&engine, &dir, core::Scheme::kScheme2};
+  crypto::SigningKeyPair dsk = engine.NewSigningKeyPair();
+};
+
+DataCodec& Data() {
+  static DataCodec data;
+  return data;
+}
+
+Bytes ValidDescriptor() {
+  core::DataDescriptor desc;
+  desc.size = 5000;
+  desc.block_count = 3;
+  desc.write_gen = 4;
+  desc.block_gens = {2, 4};
+  desc.tag_root = Bytes(32, 0xAB);
+  return Data().codec.EncodeDescriptor(1, {0, 4}, desc, Data().dsk.sign);
+}
 
 // Runs every deserializer on one buffer; returns how many accepted it.
 int TryAll(const Bytes& data) {
@@ -53,6 +85,9 @@ int TryAll(const Bytes& data) {
     BinaryReader r(data);
     accepted += core::RowRef::ReadFrom(&r).ok();
   }
+  accepted +=
+      Data().codec.DecodeDescriptor(1, data, Data().dsk.verify).ok();
+  accepted += core::ObjectCodec::IsDataObject(1, data);
   return accepted;
 }
 
@@ -111,6 +146,7 @@ TEST(FuzzMutation, BitFlippedValidEncodings) {
     e.mvk = rng.NextBytes(32);
     (void)master.Add(e);
     corpus.push_back(master.Serialize());
+    corpus.push_back(ValidDescriptor());
   }
 
   for (const Bytes& valid : corpus) {
@@ -124,6 +160,20 @@ TEST(FuzzMutation, BitFlippedValidEncodings) {
       Bytes truncated(valid.begin(), valid.begin() + len);
       TryAll(truncated);
     }
+  }
+}
+
+TEST(FuzzMutation, DescriptorVerifiesOnlyUnmodified) {
+  // The descriptor is cleartext: its signature is all that stands between
+  // the SSP and the file's size, generations and Merkle root.
+  Bytes valid = ValidDescriptor();
+  ASSERT_TRUE(Data().codec.DecodeDescriptor(1, valid, Data().dsk.verify).ok());
+  for (size_t pos = 0; pos < valid.size(); ++pos) {
+    Bytes mutated = valid;
+    mutated[pos] ^= 0x01;
+    EXPECT_FALSE(
+        Data().codec.DecodeDescriptor(1, mutated, Data().dsk.verify).ok())
+        << pos;
   }
 }
 

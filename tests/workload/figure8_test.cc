@@ -10,6 +10,7 @@
 //   read    : data recv                     + 1 data decrypt
 //   write   : local cache only              (no network, no crypto)
 //   close   : data send                     + data encrypt
+//             (an append: the changed chunk and the descriptor only)
 
 #include <gtest/gtest.h>
 
@@ -141,6 +142,37 @@ TEST_F(Figure8Test, CloseIsOneSendOneEncrypt) {
   EXPECT_EQ(c.round_trips, 1u);         // "data send" (batched blocks).
   EXPECT_EQ(c.crypto.sym_encrypt, 1u);  // "1-dataencrypt" (one block).
   EXPECT_EQ(c.crypto.sign, 1u);
+}
+
+TEST_F(Figure8Test, AppendCloseShipsDescriptorAndLastChunk) {
+  // Paper §II-B: blocks are encrypted separately "to accommodate updates
+  // efficiently by avoiding re-encrypting entire files after a write". An
+  // append to a warm multi-chunk file seals and ships only the chunk it
+  // changed plus the signed descriptor; the first chunk stays as stored.
+  const size_t bs = world_->options().block_size;
+  core::CreateOptions copts;
+  ASSERT_TRUE(fs_->Create("/work/log.bin", copts).ok());
+  ASSERT_TRUE(
+      fs_->WriteFile("/work/log.bin", Bytes(3 * bs - 200, 'a')).ok());
+  auto attrs = fs_->Getattr("/work/log.bin");
+  ASSERT_TRUE(attrs.ok());
+  auto chunk0 = [&] {
+    return world_->server().store().Get(
+        ssp::ObjectRef::Data(attrs->inode, 1));
+  };
+  auto chunk0_before = chunk0();
+  ASSERT_TRUE(chunk0_before.has_value());
+  uint64_t up_before = world_->transport().counters().bytes_up;
+  OpCounters c = Count([&] {
+    ASSERT_TRUE(fs_->Append("/work/log.bin", Bytes(100, 'b')).ok());
+    ASSERT_TRUE(fs_->Close("/work/log.bin").ok());
+  });
+  uint64_t bytes_up = world_->transport().counters().bytes_up - up_before;
+  EXPECT_EQ(c.round_trips, 1u);         // "data send" (one batch).
+  EXPECT_EQ(c.crypto.sym_encrypt, 1u);  // The last chunk only.
+  EXPECT_EQ(c.crypto.sign, 1u);         // The descriptor.
+  EXPECT_LT(bytes_up, bs + 600);
+  EXPECT_EQ(chunk0(), chunk0_before);
 }
 
 TEST_F(Figure8Test, MountIsOnePrivateKeyOp) {
