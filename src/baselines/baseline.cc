@@ -223,10 +223,11 @@ fs::InodeNum BaselineClient::AllocateInode() {
 }
 
 void BaselineClient::InvalidateInode(fs::InodeNum inode) {
+  // Whole keys, but for data blocks: "d|12|" must not cover "d|120|0".
   std::string id = std::to_string(inode);
-  cache_.ErasePrefix("m|" + id);
-  cache_.ErasePrefix("t|" + id);
-  cache_.ErasePrefix("d|" + id);
+  cache_.Erase("m|" + id);
+  cache_.Erase("t|" + id);
+  cache_.ErasePrefix("d|" + id + "|");
 }
 
 Status BaselineClient::EvictPath(const std::string& path) {

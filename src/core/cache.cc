@@ -1,16 +1,18 @@
 #include "core/cache.h"
 
-#include <vector>
-
 namespace sharoes::core {
 
 void LruCache::PutErased(const std::string& key,
                          std::shared_ptr<const void> value, size_t size) {
   std::lock_guard<std::mutex> lock(mu_);
   if (capacity_ == 0) return;
-  EraseLocked(key);
+  auto [it, inserted] = map_.try_emplace(key);
+  if (!inserted) {
+    size_ -= it->second->size;
+    lru_.erase(it->second);
+  }
   lru_.push_front(Entry{key, std::move(value), size});
-  map_[key] = lru_.begin();
+  it->second = lru_.begin();
   size_ += size;
   EvictToFitLocked();
 }
@@ -34,25 +36,22 @@ bool LruCache::Contains(const std::string& key) const {
 
 void LruCache::Erase(const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
-  EraseLocked(key);
+  auto it = map_.find(key);
+  if (it != map_.end()) EraseLocked(it);
 }
 
-void LruCache::EraseLocked(const std::string& key) {
-  auto it = map_.find(key);
-  if (it == map_.end()) return;
+LruCache::Index::iterator LruCache::EraseLocked(Index::iterator it) {
   size_ -= it->second->size;
   lru_.erase(it->second);
-  map_.erase(it);
+  return map_.erase(it);
 }
 
 void LruCache::ErasePrefix(const std::string& prefix) {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> doomed;
-  for (const auto& [key, it] : map_) {
-    (void)it;
-    if (key.compare(0, prefix.size(), prefix) == 0) doomed.push_back(key);
+  auto it = map_.lower_bound(prefix);
+  while (it != map_.end() && it->first.starts_with(prefix)) {
+    it = EraseLocked(it);
   }
-  for (const std::string& key : doomed) EraseLocked(key);
 }
 
 void LruCache::Clear() {
@@ -75,17 +74,12 @@ size_t LruCache::entry_count() const {
 void LruCache::set_capacity(size_t capacity_bytes) {
   std::lock_guard<std::mutex> lock(mu_);
   capacity_ = capacity_bytes;
-  if (capacity_ == 0) {
-    lru_.clear();
-    map_.clear();
-    size_ = 0;
-  } else {
-    EvictToFitLocked();
-  }
+  EvictToFitLocked();
 }
 
 void LruCache::EvictToFitLocked() {
-  while (size_ > capacity_ && !lru_.empty()) {
+  // Capacity 0 disables caching, so it drops zero-sized entries too.
+  while ((size_ > capacity_ || capacity_ == 0) && !lru_.empty()) {
     Entry& victim = lru_.back();
     size_ -= victim.size;
     map_.erase(victim.key);

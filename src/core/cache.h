@@ -9,10 +9,10 @@
 #define SHAROES_CORE_CACHE_H_
 
 #include <list>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "obs/metrics.h"
 
@@ -20,7 +20,8 @@ namespace sharoes::core {
 
 /// Byte-capacity LRU cache from string keys to type-erased immutable
 /// values. Callers use a key discipline ("m|<inode>|<sel>", "t|...",
-/// "d|...") and must read values back with the type they stored.
+/// "d|...") and must read values back with the type they stored. The
+/// index is ordered: ErasePrefix walks only the keys it drops.
 ///
 /// Thread-safe: a single mutex guards the list/map (LRU reordering makes
 /// even Get a write), and hit/miss counts live in lock-free registry
@@ -73,6 +74,8 @@ class LruCache {
 
   void Erase(const std::string& key);
   /// Drops every key with the given prefix (e.g. all copies of an inode).
+  /// End the prefix with the key's separator ("d|12|", not "d|12") or it
+  /// also covers other inodes' keys ("d|120|0").
   void ErasePrefix(const std::string& prefix);
   void Clear();
 
@@ -89,12 +92,14 @@ class LruCache {
     std::shared_ptr<const void> value;
     size_t size;
   };
+  using Index = std::map<std::string, std::list<Entry>::iterator, std::less<>>;
 
   void PutErased(const std::string& key, std::shared_ptr<const void> value,
                  size_t size);
   std::shared_ptr<const void> GetErased(const std::string& key);
-  // *Locked helpers require mu_ held.
-  void EraseLocked(const std::string& key);
+  // *Locked helpers require mu_ held. EraseLocked returns the index
+  // position after the dropped entry.
+  Index::iterator EraseLocked(Index::iterator it);
   void EvictToFitLocked();
 
   mutable std::mutex mu_;
@@ -103,8 +108,7 @@ class LruCache {
   obs::Counter* hits_;    // Owned by the registry; outlives this cache.
   obs::Counter* misses_;
   std::list<Entry> lru_;  // Front = most recent. Guarded by mu_.
-  std::unordered_map<std::string, std::list<Entry>::iterator>
-      map_;  // Guarded by mu_.
+  Index map_;             // Guarded by mu_.
 };
 
 }  // namespace sharoes::core

@@ -16,7 +16,10 @@ constexpr fs::UserId kOther = 101;
 
 class BaselineWorld {
  public:
-  explicit BaselineWorld(SecurityMode mode) {
+  // `extra_files` adds /docs/f0, f1, ... after a.txt and private.txt;
+  // provisioning numbers inodes in creation order (root=1, docs=2,
+  // a.txt=3, private.txt=4), so f<i> is inode 5+i.
+  explicit BaselineWorld(SecurityMode mode, int extra_files = 0) {
     crypto::CryptoEngineOptions eo;
     eo.cost_model = crypto::CryptoCostModel::Zero();
     eo.signing_key_bits = 512;
@@ -45,6 +48,11 @@ class BaselineWorld {
     docs.children.push_back(core::LocalNode::File(
         "private.txt", kUser, fs::kInvalidGroup, fs::Mode::FromOctal(0600),
         ToBytes("private")));
+    for (int i = 0; i < extra_files; ++i) {
+      docs.children.push_back(core::LocalNode::File(
+          "f" + std::to_string(i), kUser, fs::kInvalidGroup,
+          fs::Mode::FromOctal(0644), ToBytes("file " + std::to_string(i))));
+    }
     root.children.push_back(std::move(docs));
     BaselineProvisioner prov(&identity_, &server_, engine_.get(), opts);
     Status s = prov.Migrate(root);
@@ -62,6 +70,10 @@ class BaselineWorld {
   }
 
   ssp::SspServer& server() { return server_; }
+  /// Round trips on the newest client's link.
+  uint64_t round_trips() const {
+    return transports_.back()->counters().round_trips;
+  }
 
  private:
   SimClock clock_;
@@ -177,6 +189,31 @@ TEST_P(BaselineModeTest, TransientFaultOnDataBlockIsUnavailable) {
   read = client.Read("/docs/a.txt");
   ASSERT_TRUE(read.ok()) << read.status();
   EXPECT_EQ(ToString(*read), "contents of a");
+}
+
+TEST_P(BaselineModeTest, EvictKeepsInodesWhoseNumberItPrefixes) {
+  // Regression: evicting inode 3 erased every key starting "m|3", "t|3"
+  // or "d|3", so it also dropped the cached record and blocks of inodes
+  // 30-39 (and 300-399, ...), and their next read went back to the SSP.
+  BaselineWorld world(GetParam(), /*extra_files=*/26);
+  BaselineClient client = world.MakeClient(kUser);
+  ASSERT_TRUE(client.Mount().ok());
+  auto a = client.Getattr("/docs/a.txt");
+  auto f25 = client.Getattr("/docs/f25");
+  ASSERT_TRUE(a.ok() && f25.ok());
+  ASSERT_EQ(a->inode, 3u);
+  ASSERT_EQ(f25->inode, 30u);
+  ASSERT_TRUE(client.Read("/docs/a.txt").ok());
+  ASSERT_TRUE(client.Read("/docs/f25").ok());
+  ASSERT_TRUE(client.EvictPath("/docs/a.txt").ok());
+  uint64_t before = world.round_trips();
+  auto read = client.Read("/docs/f25");
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(ToString(*read), "file 25");
+  EXPECT_EQ(world.round_trips() - before, 0u);
+  // The evicted inode itself is fetched again.
+  ASSERT_TRUE(client.Read("/docs/a.txt").ok());
+  EXPECT_GT(world.round_trips() - before, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, BaselineModeTest,

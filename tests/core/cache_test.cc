@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <string>
 
 namespace sharoes::core {
@@ -70,6 +72,70 @@ TEST(LruCacheTest, EraseAndErasePrefix) {
   cache.Erase("t|1|0");
   EXPECT_EQ(cache.Get<int>("t|1|0"), nullptr);
   cache.Erase("not-there");  // No-op.
+}
+
+TEST(LruCacheTest, ErasePrefixStopsAtNeighbouringKeys) {
+  // The ordered walk starts at the prefix's lower bound and must stop at
+  // the first key past it: neither the bare "d|12" nor inode 120's block
+  // nor the inodes sorting on either side belong to "d|12|".
+  LruCache cache(1000);
+  cache.Put<int>("d|11|9", 1, 1);
+  cache.Put<int>("d|12", 2, 2);
+  cache.Put<int>("d|12|0", 3, 4);
+  cache.Put<int>("d|12|7", 4, 8);
+  cache.Put<int>("d|120|0", 5, 16);
+  cache.Put<int>("d|13|0", 6, 32);
+  cache.Put<int>("e|12|0", 7, 64);
+  cache.ErasePrefix("d|12|");
+  EXPECT_EQ(cache.Get<int>("d|12|0"), nullptr);
+  EXPECT_EQ(cache.Get<int>("d|12|7"), nullptr);
+  for (const char* key : {"d|11|9", "d|12", "d|120|0", "d|13|0", "e|12|0"}) {
+    EXPECT_NE(cache.Get<int>(key), nullptr) << key;
+  }
+  EXPECT_EQ(cache.entry_count(), 5u);
+  EXPECT_EQ(cache.size_bytes(), 1u + 2 + 16 + 32 + 64);
+
+  // Prefixes sorting before the first key, past the last one, and on the
+  // last key itself.
+  cache.ErasePrefix("c|");
+  cache.ErasePrefix("z|");
+  EXPECT_EQ(cache.entry_count(), 5u);
+  cache.ErasePrefix("e|12|");
+  EXPECT_EQ(cache.Get<int>("e|12|0"), nullptr);
+  EXPECT_EQ(cache.entry_count(), 4u);
+  EXPECT_EQ(cache.size_bytes(), 1u + 2 + 16 + 32);
+}
+
+TEST(LruCacheTest, ErasePrefixCostDoesNotScaleWithCacheSize) {
+  // An evict walks only its own inode's keys, so an ErasePrefix matching
+  // nothing costs about the same in a 200k-entry cache as in a 2k-entry
+  // one; a scan of every key makes it 100x dearer or more. Only the ratio
+  // of the two timings is checked, each the minimum over repeated
+  // samples, so a slow or loaded host shifts both alike.
+  auto min_sample_ns = [](int entries) {
+    LruCache cache(size_t{1} << 30);
+    for (int i = 0; i < entries; ++i) {
+      cache.Put<int>("d|" + std::to_string(2 * i) + "|0", i, 1);
+    }
+    // An odd inode: no key has this prefix, and it sorts mid-index.
+    const std::string absent = "d|" + std::to_string(entries + 1) + "|";
+    int64_t best = INT64_MAX;
+    for (int sample = 0; sample < 25; ++sample) {
+      auto start = std::chrono::steady_clock::now();
+      for (int call = 0; call < 32; ++call) cache.ErasePrefix(absent);
+      auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+      best = std::min<int64_t>(best, ns);
+    }
+    EXPECT_EQ(cache.entry_count(), static_cast<size_t>(entries));
+    return std::max<int64_t>(best, 1);
+  };
+  int64_t small_ns = min_sample_ns(2000);
+  int64_t large_ns = min_sample_ns(200000);
+  EXPECT_LT(large_ns, 20 * small_ns)
+      << "200k entries: " << large_ns << " ns, 2k entries: " << small_ns
+      << " ns per 32 calls";
 }
 
 TEST(LruCacheTest, ClearResetsSize) {
