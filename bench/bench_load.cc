@@ -430,9 +430,13 @@ void RunScraper(uint16_t port, std::atomic<bool>* stop, uint64_t* scrapes,
     auto stats = (*channel)->Call(ssp::Request::GetStats("ssp."));
     auto traces = (*channel)->Call(ssp::Request::GetTraces());
     if (stats.ok() && stats->ok() && traces.ok() && traces->ok()) {
-      ++*scrapes;
-      last_stats->assign(stats->payload.begin(), stats->payload.end());
-      last_traces->assign(traces->payload.begin(), traces->payload.end());
+      // kGetStats answers a binary snapshot; the report embeds its JSON.
+      auto snap = obs::RegistrySnapshot::DeserializeBinary(stats->payload);
+      if (snap.ok()) {
+        ++*scrapes;
+        *last_stats = snap->ToJson();
+        last_traces->assign(traces->payload.begin(), traces->payload.end());
+      }
     }
     for (int i = 0; i < 5 && !stop->load(std::memory_order_acquire); ++i) {
       std::this_thread::sleep_for(std::chrono::milliseconds(100));

@@ -193,20 +193,16 @@ Result<Response> ShardedChannel::Call(const Request& req) {
 Result<Response> ShardedChannel::CallAdmin(const Request& req) {
   const ssp::ClusterConfig& config = ring_.config();
   const size_t n = config.nodes.size();
-  Request wire = req;
-  // Stats merge needs the binary mergeable snapshot form; each daemon
-  // still applies the payload's prefix filter itself.
-  if (req.op == OpCode::kGetStats) wire.binary_stats = true;
-
   std::vector<uint32_t> node_ids;
   for (const ssp::ClusterNode& node : config.nodes) node_ids.push_back(node.id);
-  std::vector<Result<Response>> results = AskNodes(node_ids, wire);
+  // Each daemon applies the payload's prefix filter itself.
+  std::vector<Result<Response>> results = AskNodes(node_ids, req);
   fanout_hist_->Record(n);
 
-  // kGetStats folds the per-daemon snapshots into one fleet view and
-  // renders the same JSON document a single daemon would have returned
-  // (counters and gauges sum, histograms merge pointwise, so the
-  // percentiles are computed over the union of all samples). kGetTraces:
+  // kGetStats folds the per-daemon binary snapshots into one fleet
+  // snapshot in the same form a single daemon returns (counters and
+  // gauges sum, histograms merge pointwise, so the percentiles are
+  // computed over the union of all samples). kGetTraces:
   // span timelines are per-daemon documents with no meaningful
   // cross-node merge, so it returns one object keyed by node id with
   // each daemon's document embedded verbatim.
@@ -243,7 +239,7 @@ Result<Response> ShardedChannel::CallAdmin(const Request& req) {
   // visible, not silently presented as the whole cluster.
   merged.gauges["cluster.nodes_reporting"] = reporting;
   merged.gauges["cluster.nodes_total"] = n;
-  return Response::Ok(ToBytes(merged.ToJson()));
+  return Response::Ok(merged.SerializeBinary());
 }
 
 bool ShardedChannel::ExecuteSubOps(const std::vector<const Request*>& subs,

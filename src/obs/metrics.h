@@ -148,11 +148,12 @@ struct RegistrySnapshot {
   /// ShardedChannel's kGetStats fan-out).
   void Merge(const RegistrySnapshot& other);
 
-  /// Wire form for shipping a snapshot between processes (the binary
-  /// kGetStats reply): JSON cannot be merged without a parser, this
-  /// round-trips losslessly — including raw histogram buckets and
-  /// exemplars, so percentiles computed from a merged snapshot are as
-  /// good as local ones. Sparse bucket encoding keeps it compact.
+  /// Wire form for shipping a snapshot between processes (the kGetStats
+  /// reply, which readers render with ToJson): JSON cannot be merged
+  /// without a parser, this round-trips losslessly — including raw
+  /// histogram buckets and exemplars, so percentiles computed from a
+  /// merged snapshot are as good as local ones. Sparse bucket encoding
+  /// keeps it compact.
   Bytes SerializeBinary() const;
   static Result<RegistrySnapshot> DeserializeBinary(const Bytes& data);
 };
@@ -204,10 +205,6 @@ class MetricsRegistry {
   /// one subsystem ("ssp.wal") every second without shipping the full
   /// registry JSON (kGetStats carries the prefix in its payload).
   RegistrySnapshot Snapshot(std::string_view prefix = {}) const;
-  /// Shorthand for Snapshot(prefix).ToJson() (the kGetStats payload).
-  std::string SnapshotJson(std::string_view prefix = {}) const {
-    return Snapshot(prefix).ToJson();
-  }
 
  private:
   struct GaugeEntry {

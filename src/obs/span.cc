@@ -1,7 +1,5 @@
 #include "obs/span.h"
 
-#include <cstdlib>
-
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -17,14 +15,7 @@ thread_local SpanTimeline* t_active_timeline = nullptr;
 /// The thread's armed server frame, if any (see ServerSpanFrame).
 thread_local ServerSpanFrame* t_server_frame = nullptr;
 
-std::atomic<uint64_t> g_slow_threshold_us{[]() -> uint64_t {
-  const char* env = std::getenv("SHAROES_SLOW_US");
-  if (env == nullptr || *env == '\0') return 10000;  // 10 ms.
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == env) return 10000;
-  return static_cast<uint64_t>(v);
-}()};
+std::atomic<uint64_t> g_slow_threshold_us{10000};  // 10 ms.
 
 uint64_t NowUnixUs() {
   return static_cast<uint64_t>(

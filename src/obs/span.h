@@ -134,8 +134,7 @@ class PhaseScope {
 
 /// Threshold above which a finished span is captured into the slow
 /// ring. 0 disables ring capture (the N-slowest table still updates).
-/// Initialized from SHAROES_SLOW_US (default 10000 = 10ms); overridden
-/// by `sharoes_sspd --slow-request-us`.
+/// Defaults to 10000 (10 ms); set by `sharoes_sspd --slow-request-us`.
 uint64_t SlowRequestThresholdUs();
 void SetSlowRequestThresholdUs(uint64_t us);
 

@@ -5,9 +5,10 @@
 // can tamper with replies. The client stack (deadlines in net::TcpStream,
 // retries in core::RetryingConnection, integrity checks in the object
 // codec) claims to survive all of that; this layer exists to prove it.
-// A FaultInjector installed on SspServer or TcpSspDaemon is consulted
-// once per request and can fail it, delay it, corrupt the reply payload,
-// or sever the connection mid-frame. Kill/restart of the whole daemon is
+// A FaultInjector installed on SspServer (the one hook; TcpSspDaemon
+// serves through it) is consulted once per request and can fail it,
+// delay it, corrupt the reply payload, or sever the connection
+// mid-frame. Kill/restart of the whole daemon is
 // orchestrated by the caller (tests / operators), not the injector.
 
 #ifndef SHAROES_SSP_FAULT_INJECTION_H_
@@ -28,9 +29,9 @@ struct FaultAction {
     kFailRequest,      // Do not execute; reply RespStatus::kError.
     kDelayResponse,    // Execute, but sleep delay_ms before replying.
     kCorruptResponse,  // Execute, then flip one reply payload byte.
-    kDropConnection,   // Sever the connection mid-frame (TCP daemon only;
-                       // the in-process SspServer degrades it to
-                       // kFailRequest, the closest it can express).
+    kDropConnection,   // Sever the connection mid-frame (over TCP; an
+                       // in-process caller, with no connection to cut,
+                       // gets kFailRequest, the closest it can express).
   };
   Kind kind = Kind::kNone;
   uint32_t delay_ms = 0;      // kDelayResponse.

@@ -27,11 +27,10 @@ constexpr uint8_t kStoreGenEntryLen = 8;
 // byte-identical-to-legacy property the protocol promises.
 void AppendExtensions(BinaryWriter* w, uint64_t trace_id, uint8_t attempt,
                       bool has_store_gen, uint64_t store_gen,
-                      bool want_version, bool binary_stats) {
+                      bool want_version) {
   uint8_t entries = static_cast<uint8_t>((trace_id != 0 ? 1 : 0) +
                                          (has_store_gen ? 1 : 0) +
-                                         (want_version ? 1 : 0) +
-                                         (binary_stats ? 1 : 0));
+                                         (want_version ? 1 : 0));
   if (entries == 0) return;
   w->PutU32(kRequestExtensionMagic);
   w->PutU8(entries);
@@ -48,10 +47,6 @@ void AppendExtensions(BinaryWriter* w, uint64_t trace_id, uint8_t attempt,
   }
   if (want_version) {
     w->PutU8(kExtensionTagWantVersion);
-    w->PutU8(0);  // Flag entry: presence is the value.
-  }
-  if (binary_stats) {
-    w->PutU8(kExtensionTagBinaryStats);
     w->PutU8(0);  // Flag entry: presence is the value.
   }
 }
@@ -247,15 +242,14 @@ Bytes Request::Serialize() const {
   BinaryWriter w;
   AppendTo(&w);
   AppendExtensions(&w, trace_id, attempt, has_store_gen, store_gen,
-                   want_version, binary_stats);
+                   want_version);
   return w.Take();
 }
 
 Bytes Request::SerializeWithTrace(uint64_t trace, uint8_t att) const {
   BinaryWriter w;
   AppendTo(&w);
-  AppendExtensions(&w, trace, att, has_store_gen, store_gen, want_version,
-                   binary_stats);
+  AppendExtensions(&w, trace, att, has_store_gen, store_gen, want_version);
   return w.Take();
 }
 
@@ -276,8 +270,6 @@ Status Request::ReadExtensions(BinaryReader* r, Request* req) {
       req->has_store_gen = true;
     } else if (tag == kExtensionTagWantVersion && len == 0) {
       req->want_version = true;
-    } else if (tag == kExtensionTagBinaryStats && len == 0) {
-      req->binary_stats = true;
     } else {
       // Unknown (future) extension, or a known tag with an unexpected
       // length: skip the entry wholesale. This is what lets an old

@@ -159,12 +159,9 @@ inline constexpr uint8_t kExtensionTagStoreGen = 2;
 // sub-read. Legacy readers never set it and see the pre-tombstone wire
 // shapes byte-for-byte.
 inline constexpr uint8_t kExtensionTagWantVersion = 3;
-// Zero-length flag on kGetStats: the caller wants the registry snapshot
-// in the mergeable binary form (obs::RegistrySnapshot::SerializeBinary)
-// instead of JSON, so a fan-out client can fold per-node snapshots into
-// one cluster-wide view before rendering. Legacy/JSON callers never set
-// it and keep the JSON payload byte-for-byte.
-inline constexpr uint8_t kExtensionTagBinaryStats = 4;
+// Tag 4 is retired: readers skip it like any unknown tag, so an old
+// client that still sends it gets the (only) binary kGetStats reply.
+// Do not reuse it.
 
 struct Request {
   OpCode op = OpCode::kGetMetadata;
@@ -189,10 +186,6 @@ struct Request {
   uint64_t store_gen = 0;
   bool has_store_gen = false;
   bool want_version = false;
-
-  // Admin extension: kGetStats replies with a binary RegistrySnapshot
-  // instead of JSON (the stats fan-out's mergeable form).
-  bool binary_stats = false;
 
   Bytes Serialize() const;
   /// Serializes with the given trace stamped, regardless of the struct's

@@ -1,6 +1,5 @@
 #include "ssp/object_store.h"
 
-#include <fstream>
 #include <iterator>
 #include <mutex>
 #include <utility>
@@ -231,13 +230,12 @@ StorageStats ObjectStore::Stats() const {
 
 namespace {
 
-// v1 ("SSP1") snapshots carried bare blobs; v2 ("SSP2") adds a u64
-// generation and a u8 tombstone flag per entry, so tombstones and
-// version history survive a daemon restart / WAL compaction. Both lay
-// the families out in ObjectFamily order, each as a u32 entry count
-// followed by its entries in key order; a superblock's key is its u32
-// user, every other family's key is (u64 k1, u64 k2).
-constexpr uint32_t kStoreMagicV1 = 0x53535031;  // "SSP1".
+// An "SSP2" snapshot lays the families out in ObjectFamily order, each
+// as a u32 entry count followed by its entries in key order; a
+// superblock's key is its u32 user, every other family's key is
+// (u64 k1, u64 k2). Each entry carries a u64 generation and a u8
+// tombstone flag, so tombstones and version history survive a daemon
+// restart / WAL compaction.
 constexpr uint32_t kStoreMagicV2 = 0x53535032;  // "SSP2".
 
 }  // namespace
@@ -287,13 +285,7 @@ void ObjectStore::RestoreEntry(const ObjectRef& ref, Entry e) {
 
 Result<ObjectStore> ObjectStore::Deserialize(const Bytes& data) {
   BinaryReader r(data);
-  uint32_t magic = r.GetU32();
-  bool versioned;
-  if (magic == kStoreMagicV2) {
-    versioned = true;
-  } else if (magic == kStoreMagicV1) {
-    versioned = false;
-  } else {
+  if (r.GetU32() != kStoreMagicV2) {
     return Status::Corruption("not an SSP store snapshot");
   }
   ObjectStore store;
@@ -311,11 +303,9 @@ Result<ObjectStore> ObjectStore::Deserialize(const Bytes& data) {
         ref.k1 = r.GetU64();
         ref.k2 = r.GetU64();
       }
-      Entry e{Bytes(), 1, false};
-      if (versioned) {
-        e.gen = r.GetU64();
-        e.tombstone = r.GetU8() != 0;
-      }
+      Entry e;
+      e.gen = r.GetU64();
+      e.tombstone = r.GetU8() != 0;
       e.blob = r.GetBytes();
       // Narrow the keys to the family's Request field widths.
       store.RestoreEntry(*RefOf(Request::Get(ref)), std::move(e));
@@ -323,24 +313,6 @@ Result<ObjectStore> ObjectStore::Deserialize(const Bytes& data) {
   }
   SHAROES_RETURN_IF_ERROR(r.Finish("store snapshot"));
   return store;
-}
-
-Status ObjectStore::SaveToFile(const std::string& path) const {
-  Bytes data = Serialize();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open '" + path + "' for write");
-  out.write(reinterpret_cast<const char*>(data.data()),
-            static_cast<std::streamsize>(data.size()));
-  return out.good() ? Status::OK()
-                    : Status::IoError("short write to '" + path + "'");
-}
-
-Result<ObjectStore> ObjectStore::LoadFromFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open '" + path + "'");
-  Bytes data((std::istreambuf_iterator<char>(in)),
-             std::istreambuf_iterator<char>());
-  return Deserialize(data);
 }
 
 bool ObjectStore::Corrupt(const ObjectRef& ref, size_t offset,

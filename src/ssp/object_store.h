@@ -143,17 +143,13 @@ class ObjectStore {
 
   size_t shard_count() const { return shards_.size(); }
 
-  /// Whole-store snapshot/restore (the daemon's persistence format). The
-  /// store only ever holds ciphertext, so the snapshot file is as opaque
-  /// to its holder as the live store is to the SSP. The snapshot is
-  /// byte-deterministic (globally key-sorted) regardless of shard count.
-  /// Format v2 carries per-entry generations and tombstones; v1 (gen-less)
-  /// snapshots still load, entering every blob at generation 1.
+  /// Whole-store snapshot/restore (the image inside the WAL's compacted
+  /// snapshot). The store only ever holds ciphertext, so the snapshot is
+  /// as opaque to its holder as the live store is to the SSP. The
+  /// snapshot is byte-deterministic (globally key-sorted) regardless of
+  /// shard count, and carries per-entry generations and tombstones.
   Bytes Serialize() const;
   static Result<ObjectStore> Deserialize(const Bytes& data);
-  /// File-level convenience used by sharoes_sspd --store.
-  Status SaveToFile(const std::string& path) const;
-  static Result<ObjectStore> LoadFromFile(const std::string& path);
 
   // --- Fault injection (the "malicious SSP" of the threat model) ---
   /// XORs `mask` into one byte (offset modulo size) of a stored blob.

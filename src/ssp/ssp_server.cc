@@ -90,13 +90,19 @@ void SspServer::RegisterStoreGauges() {
       [store] { return store->Stats().tombstone_count; }));
 }
 
-Bytes SspServer::HandleWire(const Bytes& request_bytes) {
+Bytes SspServer::HandleWire(const Bytes& request_bytes, bool* sever) {
   ServingMetrics& m = Metrics();
   m.bytes_in->Add(request_bytes.size());
   FaultAction fault;
   if (FaultInjector* injector =
           fault_injector_.load(std::memory_order_acquire)) {
     fault = injector->OnRequest(request_bytes);
+  }
+  if (fault.kind == FaultAction::Kind::kDropConnection && sever != nullptr) {
+    LogRequestEvent(obs::Severity::kWarn, "ssp.fault_injected",
+                    request_bytes, "drop_connection");
+    *sever = true;
+    return {};
   }
   if (fault.kind == FaultAction::Kind::kFailRequest ||
       fault.kind == FaultAction::Kind::kDropConnection) {
@@ -271,19 +277,15 @@ Response SspServer::HandleOne(const Request& req, bool want_version,
     return Response::Ok();
   }
   if (req.op == OpCode::kGetStats) {
-    // Admin RPC: one JSON document with every counter, gauge, and
-    // latency histogram in the process (optionally restricted to names
-    // starting with the payload's prefix). Read-only — it never touches
-    // the store, so it is safe to issue against a serving daemon.
+    // Admin RPC: every counter, gauge, and latency histogram in the
+    // process (optionally restricted to names starting with the
+    // payload's prefix), as a binary RegistrySnapshot — the form a
+    // cluster client can merge across nodes; the reader renders JSON.
+    // Read-only — it never touches the store, so it is safe to issue
+    // against a serving daemon.
     std::string prefix(req.payload.begin(), req.payload.end());
-    if (req.binary_stats) {
-      // The fan-out form: a mergeable binary snapshot the sharded
-      // channel folds across nodes before rendering JSON client-side.
-      return Response::Ok(
-          obs::MetricsRegistry::Global().Snapshot(prefix).SerializeBinary());
-    }
     return Response::Ok(
-        ToBytes(obs::MetricsRegistry::Global().SnapshotJson(prefix)));
+        obs::MetricsRegistry::Global().Snapshot(prefix).SerializeBinary());
   }
   if (req.op == OpCode::kGetTraces) {
     // Admin RPC: captured slow-request span timelines. Read-only like

@@ -38,19 +38,22 @@ class SspServer {
   }
 
   /// Handles one serialized request, returning a serialized response.
-  /// Safe to call concurrently from multiple threads.
-  Bytes HandleWire(const Bytes& request_bytes);
+  /// Safe to call concurrently from multiple threads. A transport that
+  /// can cut its connection passes `sever`: an injected kDropConnection
+  /// then sets `*sever` and returns no reply, and the transport severs
+  /// mid-frame. Without `sever` (in process) the drop degrades to
+  /// kFailRequest, the closest an in-process server can express.
+  Bytes HandleWire(const Bytes& request_bytes, bool* sever = nullptr);
   /// Handles one decoded request. Safe to call concurrently.
   Response Handle(const Request& req);
 
   ObjectStore& store() { return store_; }
   const ObjectStore& store() const { return store_; }
 
-  /// Installs a fault injector consulted by HandleWire before executing
-  /// each request (nullptr uninstalls). `injector` must be thread-safe
-  /// and outlive the server. kDropConnection degrades to kFailRequest
-  /// here — an in-process server has no connection to sever; install on
-  /// TcpSspDaemon for real severed connections.
+  /// Installs the fault injector, consulted once per request by
+  /// HandleWire before executing it (nullptr uninstalls). The one fault
+  /// hook: TcpSspDaemon serves through HandleWire, so it is faulted here
+  /// too. `injector` must be thread-safe and outlive the server.
   void set_fault_injector(FaultInjector* injector) {
     fault_injector_.store(injector, std::memory_order_release);
   }

@@ -13,7 +13,6 @@
 #include <cstring>
 #include <vector>
 
-#include "obs/log.h"
 #include "obs/span.h"
 #include "obs/trace.h"
 
@@ -28,38 +27,17 @@ Status Errno(const std::string& what) {
 struct DaemonMetrics {
   obs::Counter* accepted;
   obs::Counter* dropped_by_fault;
-  obs::Counter* fault_errors;
 
   DaemonMetrics() {
     auto& reg = obs::MetricsRegistry::Global();
     accepted = reg.counter("ssp.conn.accepted");
     dropped_by_fault = reg.counter("ssp.conn.dropped_by_fault");
-    // The daemon's kFailRequest path replies kError without entering
-    // HandleWire, so it shares the server's per-status counter name.
-    fault_errors = reg.counter("ssp.responses.kError");
   }
 };
 
 DaemonMetrics& Metrics() {
   static DaemonMetrics* metrics = new DaemonMetrics();  // Never dies.
   return *metrics;
-}
-
-/// Logs a daemon-level injected fault with the request's trace context
-/// (best-effort parse; the frame may be arbitrary bytes).
-void LogDaemonFault(const Bytes& request_bytes, std::string_view detail) {
-  if (!obs::LogEnabled(obs::Severity::kWarn)) return;
-  auto req = Request::Deserialize(request_bytes);
-  if (req.ok()) {
-    obs::Log(obs::Severity::kWarn, "ssp.fault_injected",
-             {{"op", OpCodeName(req->op)},
-              {"trace", obs::TraceIdHex(req->trace_id)},
-              {"attempt", req->attempt},
-              {"detail", detail}});
-  } else {
-    obs::Log(obs::Severity::kWarn, "ssp.fault_injected",
-             {{"op", "unparseable"}, {"detail", detail}});
-  }
 }
 }  // namespace
 
@@ -168,26 +146,6 @@ void TcpSspDaemon::ServeConnection(Connection* conn) {
     for (;;) {
       auto request = stream.RecvFrame();
       if (!request.ok()) break;  // Peer closed or broken.
-      FaultAction fault;
-      if (FaultInjector* injector =
-              fault_injector_.load(std::memory_order_acquire)) {
-        fault = injector->OnRequest(*request);
-      }
-      if (fault.kind == FaultAction::Kind::kDropConnection) {
-        // Tear the connection mid-frame: emit a partial length header so
-        // the client sees a cut in the middle of a reply, the worst spot.
-        LogDaemonFault(*request, "drop_connection");
-        Metrics().dropped_by_fault->Increment();
-        const uint8_t torn_header[2] = {0xEF, 0xBE};
-        ::send(conn->fd, torn_header, sizeof(torn_header), MSG_NOSIGNAL);
-        break;
-      }
-      if (fault.kind == FaultAction::Kind::kFailRequest) {
-        LogDaemonFault(*request, "fail_request");
-        Metrics().fault_errors->Increment();
-        if (!stream.SendFrame(Response::Error().Serialize()).ok()) break;
-        continue;
-      }
       // No daemon-level lock: the store is shard-striped and the server
       // dispatch is stateless, so connections proceed in parallel. That
       // parallelism is load-bearing for WAL group commit — concurrent
@@ -199,12 +157,16 @@ void TcpSspDaemon::ServeConnection(Connection* conn) {
       // the frame destructor publishes it after the response bytes hit
       // the socket — so the span covers parse through socket write.
       obs::ServerSpanFrame span_frame;
-      Bytes response = server_->HandleWire(*request);
-      if (fault.kind == FaultAction::Kind::kDelayResponse) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(fault.delay_ms));
-      } else if (fault.kind == FaultAction::Kind::kCorruptResponse) {
-        CorruptResponsePayload(&response, fault.corrupt_mask);
+      bool sever = false;
+      Bytes response = server_->HandleWire(*request, &sever);
+      if (sever) {
+        // An injected drop: tear the connection mid-frame with a partial
+        // length header, so the client sees a cut in the middle of a
+        // reply, the worst spot.
+        Metrics().dropped_by_fault->Increment();
+        const uint8_t torn_header[2] = {0xEF, 0xBE};
+        ::send(conn->fd, torn_header, sizeof(torn_header), MSG_NOSIGNAL);
+        break;
       }
       bool sent;
       {

@@ -26,7 +26,11 @@ namespace sharoes::ssp {
 /// Serves an SspServer over TCP with one thread per connection.
 /// Connection threads execute requests in parallel — the ObjectStore
 /// behind the SspServer is shard-striped and thread-safe, so no
-/// daemon-level serialization is needed.
+/// daemon-level serialization is needed. Faults are injected by the
+/// server's hook (SspServer::set_fault_injector); an injected
+/// kDropConnection really severs the socket here, mid-frame (a torn
+/// partial header goes out first, so the client observes a cut, not a
+/// clean close).
 class TcpSspDaemon {
  public:
   /// Binds to 127.0.0.1:`port` (0 = ephemeral) and starts the accept
@@ -39,15 +43,6 @@ class TcpSspDaemon {
   /// Stops accepting, unblocks in-flight connections, and joins all
   /// threads. Idempotent; safe to call while clients are mid-request.
   void Shutdown();
-
-  /// Installs a fault injector consulted once per received frame, before
-  /// the request executes (nullptr uninstalls). Must be thread-safe and
-  /// outlive the daemon. Unlike the SspServer hook, kDropConnection here
-  /// really severs the socket mid-frame (a torn partial header is sent
-  /// first, so the client observes a cut, not a clean close).
-  void set_fault_injector(FaultInjector* injector) {
-    fault_injector_.store(injector, std::memory_order_release);
-  }
 
  private:
   /// One live connection. `fd` stays open (owned by the serving thread's
@@ -69,7 +64,6 @@ class TcpSspDaemon {
   SspServer* server_;
   int listen_fd_;
   uint16_t port_;
-  std::atomic<FaultInjector*> fault_injector_{nullptr};
   std::atomic<bool> stopping_{false};
   std::atomic<uint64_t> active_conns_{0};
   // Declared after active_conns_ so the gauge (which reads it)

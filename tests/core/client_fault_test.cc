@@ -1,7 +1,7 @@
 // End-to-end transport fault tolerance: a SharoesClient behind a
 // RetryingConnection completes an Andrew-style op sequence with
 // byte-identical results while the daemon is killed/restarted
-// mid-workload (the `sharoes_sspd --store FILE` lifecycle) and a
+// mid-workload (the `sharoes_sspd --wal DIR` lifecycle) and a
 // seed-deterministic FaultPolicy injects per-request errors and delays.
 // With retries disabled the same schedule fails. Also pins down the two
 // boundary contracts retry relies on: every SSP op is idempotent, and
@@ -12,8 +12,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -25,6 +26,7 @@
 #include "core/retrying_connection.h"
 #include "ssp/fault_injection.h"
 #include "ssp/tcp_service.h"
+#include "ssp/wal.h"
 #include "testing/andrew_client.h"
 #include "testing/fault.h"
 #include "testing/restartable.h"
@@ -44,39 +46,70 @@ using sharoes::testing::SlurpFile;
 using sharoes::testing::SpillFile;
 using sharoes::testing::TcpFactory;
 
+/// Every file in `dir`, by name.
+std::map<std::string, Bytes> SlurpDir(const std::string& dir) {
+  std::map<std::string, Bytes> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    auto data = SlurpFile(entry.path().string());
+    EXPECT_TRUE(data.ok()) << data.status();
+    if (data.ok()) files[entry.path().filename().string()] = std::move(*data);
+  }
+  return files;
+}
+
+/// Makes `dir` hold exactly `files`.
+void SpillDir(const std::string& dir,
+              const std::map<std::string, Bytes>& files) {
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  for (const auto& [name, data] : files) {
+    ASSERT_TRUE(SpillFile(dir + "/" + name, data).ok());
+  }
+}
+
 class ClientFaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    store_path_ = ::testing::TempDir() + "sharoes_client_fault_" +
-                  std::to_string(::getpid()) + "_" +
-                  ::testing::UnitTest::GetInstance()
-                      ->current_test_info()
-                      ->name() +
-                  ".store";
-    std::remove(store_path_.c_str());
-    daemon_ = std::make_unique<RestartableDaemon>(store_path_);
+    wal_dir_ = ::testing::TempDir() + "sharoes_client_fault_" +
+               std::to_string(::getpid()) + "_" +
+               ::testing::UnitTest::GetInstance()
+                   ->current_test_info()
+                   ->name();
+    std::filesystem::remove_all(wal_dir_);
+    RestartableDaemon::Options opts;
+    opts.wal_dir = wal_dir_;
+    daemon_ = std::make_unique<RestartableDaemon>(opts);
     daemon_->Start();
     enterprise_ = ProvisionOverTcp(daemon_.get());
-    // Snapshot the provisioned world; every run restarts from it.
+    // Snapshot the provisioned world (the WAL directory after a graceful
+    // shutdown); every run restarts from it.
     daemon_->Kill();
-    auto golden = SlurpFile(store_path_);
-    ASSERT_TRUE(golden.ok()) << golden.status();
-    golden_store_ = std::move(*golden);
+    golden_wal_ = SlurpDir(wal_dir_);
+    ASSERT_FALSE(golden_wal_.empty());
   }
 
   void TearDown() override {
     daemon_.reset();
-    std::remove(store_path_.c_str());
+    std::filesystem::remove_all(wal_dir_);
   }
 
-  void ResetToGolden() {
-    ASSERT_TRUE(SpillFile(store_path_, golden_store_).ok());
+  void ResetToGolden() { SpillDir(wal_dir_, golden_wal_); }
+
+  /// The store a restart on the WAL directory serves, serialized. Not
+  /// the directory's bytes: a retried request appends another WAL
+  /// record, so the snapshot's sequence number may differ while the
+  /// store may not.
+  Bytes RecoveredStore() {
+    ssp::ObjectStore store;
+    auto wal = ssp::Wal::Open(wal_dir_, {}, &store);
+    EXPECT_TRUE(wal.ok()) << wal.status();
+    return store.Serialize();
   }
 
-  std::string store_path_;
+  std::string wal_dir_;
   std::unique_ptr<RestartableDaemon> daemon_;
   std::unique_ptr<Enterprise> enterprise_;
-  Bytes golden_store_;
+  std::map<std::string, Bytes> golden_wal_;
 };
 
 TEST_F(ClientFaultTest, AndrewSequenceSurvivesFaultsAndRestarts) {
@@ -176,9 +209,7 @@ TEST_F(ClientFaultTest, StatsPollingNeverPerturbsTheWorkload) {
     ASSERT_TRUE(transcript.ok()) << transcript.status();
     reference = std::move(*transcript);
     daemon_->Kill();
-    auto stored = SlurpFile(store_path_);
-    ASSERT_TRUE(stored.ok());
-    reference_store = std::move(*stored);
+    reference_store = RecoveredStore();
   }
 
   ResetToGolden();
@@ -212,9 +243,7 @@ TEST_F(ClientFaultTest, StatsPollingNeverPerturbsTheWorkload) {
   EXPECT_EQ(*transcript, reference);
   EXPECT_GT(polls.load(), 0u) << "poller never landed a stats snapshot";
   daemon_->Kill();
-  auto polled_store = SlurpFile(store_path_);
-  ASSERT_TRUE(polled_store.ok());
-  EXPECT_EQ(*polled_store, reference_store);
+  EXPECT_EQ(RecoveredStore(), reference_store);
 }
 
 TEST_F(ClientFaultTest, WithoutRetriesTheSameScheduleFails) {
@@ -293,7 +322,7 @@ TEST(RetryingConnectionTest, RetriesTransientServerErrors) {
   ASSERT_TRUE(daemon.ok());
   ScriptedInjector injector({Fault(ssp::FaultAction::Kind::kFailRequest),
                              Fault(ssp::FaultAction::Kind::kFailRequest)});
-  (*daemon)->set_fault_injector(&injector);
+  server.set_fault_injector(&injector);
   uint16_t port = (*daemon)->port();
   RetryOptions retry;
   retry.max_attempts = 4;
@@ -320,7 +349,7 @@ TEST(RetryingConnectionTest, ReconnectsAfterSeveredConnection) {
   auto daemon = ssp::TcpSspDaemon::Start(&server, 0);
   ASSERT_TRUE(daemon.ok());
   ScriptedInjector injector({Fault(ssp::FaultAction::Kind::kDropConnection)});
-  (*daemon)->set_fault_injector(&injector);
+  server.set_fault_injector(&injector);
   uint16_t port = (*daemon)->port();
   RetryOptions retry;
   retry.max_attempts = 4;

@@ -18,6 +18,7 @@
 
 #include "core/client.h"
 #include "core/retrying_connection.h"
+#include "obs/metrics.h"
 #include "ssp/placement.h"
 #include "testing/andrew_client.h"
 #include "testing/cluster.h"
@@ -387,6 +388,53 @@ TEST(ShardRouting, WriteStageFlushBarrierHoldsAcrossShards) {
     ASSERT_TRUE(cold.ok()) << cold.status();
     EXPECT_EQ(*cold, Payload(100 + i)) << "file " << i;
   }
+}
+
+TEST(ShardRouting, ClusterStatsMergeEveryNodesSnapshot) {
+  // kGetStats through the sharded channel asks every daemon and folds
+  // their binary snapshots into one, in the same form a lone daemon
+  // answers. The daemons here share one process, so one registry: each
+  // answers the same store gauges, and the merge must hold one copy per
+  // answering node, plus the gauges that say how much of the fleet it
+  // covers.
+  TestCluster cluster(Unreplicated("routing_stats"));
+  cluster.Start();
+  auto channel = cluster.MakeChannel();
+  for (uint64_t inode = 1; inode <= 12; ++inode) {
+    auto put = channel->Call(Request::PutMetadata(inode, 0, Payload(inode)));
+    ASSERT_TRUE(put.ok() && put->ok());
+  }
+  auto merged_stats = [&]() {
+    auto resp = channel->Call(Request::GetStats("ssp.store."));
+    EXPECT_TRUE(resp.ok() && resp->ok());
+    auto snap = obs::RegistrySnapshot::DeserializeBinary(resp->payload);
+    EXPECT_TRUE(snap.ok()) << snap.status();
+    return snap.ok() ? *snap : obs::RegistrySnapshot{};
+  };
+  auto local_objects = [] {
+    return obs::MetricsRegistry::Global().Snapshot("ssp.store.").gauges.at(
+        "ssp.store.objects");
+  };
+  const uint64_t n = cluster.config().nodes.size();
+  ASSERT_EQ(n, 3u);
+  ASSERT_EQ(local_objects(), 12u);
+
+  obs::RegistrySnapshot merged = merged_stats();
+  EXPECT_EQ(merged.gauges["cluster.nodes_reporting"], n);
+  EXPECT_EQ(merged.gauges["cluster.nodes_total"], n);
+  EXPECT_EQ(merged.gauges["ssp.store.objects"], n * 12);
+  // Every node applied the prefix filter.
+  EXPECT_TRUE(merged.counters.empty());
+  EXPECT_TRUE(merged.histograms.empty());
+
+  // One node down: the merge covers the rest, and says so.
+  cluster.node(2)->Kill();
+  const uint64_t survivors_objects = local_objects();
+  merged = merged_stats();
+  EXPECT_EQ(merged.gauges["cluster.nodes_reporting"], n - 1);
+  EXPECT_EQ(merged.gauges["cluster.nodes_total"], n);
+  EXPECT_EQ(merged.gauges["ssp.store.objects"],
+            (n - 1) * survivors_objects);
 }
 
 }  // namespace

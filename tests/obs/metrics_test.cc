@@ -349,7 +349,7 @@ TEST(RegistryTest, JsonHasAllSections) {
   reg.counter("ssp.requests.GetData")->Add(5);
   reg.histogram("ssp.service_us.GetData")->Record(120);
   auto gauge = reg.AddGauge("ssp.store.objects", [] { return 7ull; });
-  std::string json = reg.SnapshotJson();
+  std::string json = reg.Snapshot().ToJson();
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);

@@ -69,7 +69,7 @@ TEST(FaultInjectionTcpTest, FailedRequestIsNotExecuted) {
   auto daemon = TcpSspDaemon::Start(&server, 0);
   ASSERT_TRUE(daemon.ok());
   ScriptedInjector injector({Fault(FaultAction::Kind::kFailRequest)});
-  (*daemon)->set_fault_injector(&injector);
+  server.set_fault_injector(&injector);
   auto channel = TcpSspChannel::Connect("127.0.0.1", (*daemon)->port());
   ASSERT_TRUE(channel.ok());
 
@@ -91,7 +91,7 @@ TEST(FaultInjectionTcpTest, DroppedConnectionSeversMidFrame) {
   auto daemon = TcpSspDaemon::Start(&server, 0);
   ASSERT_TRUE(daemon.ok());
   ScriptedInjector injector({Fault(FaultAction::Kind::kDropConnection)});
-  (*daemon)->set_fault_injector(&injector);
+  server.set_fault_injector(&injector);
   auto channel = TcpSspChannel::Connect("127.0.0.1", (*daemon)->port());
   ASSERT_TRUE(channel.ok());
 
@@ -115,7 +115,7 @@ TEST(FaultInjectionTcpTest, CorruptedPayloadStillParsesButDiffers) {
   FaultAction corrupt = Fault(FaultAction::Kind::kCorruptResponse);
   corrupt.corrupt_mask = 0xFF;
   ScriptedInjector injector({corrupt});
-  (*daemon)->set_fault_injector(&injector);
+  server.set_fault_injector(&injector);
   auto channel = TcpSspChannel::Connect("127.0.0.1", (*daemon)->port());
   ASSERT_TRUE(channel.ok());
 
@@ -138,7 +138,7 @@ TEST(FaultInjectionTcpTest, DelayInjectsLatencyOnly) {
   FaultAction delay = Fault(FaultAction::Kind::kDelayResponse);
   delay.delay_ms = 30;
   ScriptedInjector injector({delay});
-  (*daemon)->set_fault_injector(&injector);
+  server.set_fault_injector(&injector);
   auto channel = TcpSspChannel::Connect("127.0.0.1", (*daemon)->port());
   ASSERT_TRUE(channel.ok());
   auto resp = (*channel)->Call(Request::GetData(5, 0));
@@ -154,7 +154,7 @@ TEST(FaultInjectionTcpTest, DelayBeyondRecvDeadlineSurfacesAsDeadline) {
   FaultAction delay = Fault(FaultAction::Kind::kDelayResponse);
   delay.delay_ms = 500;
   ScriptedInjector injector({delay});
-  (*daemon)->set_fault_injector(&injector);
+  server.set_fault_injector(&injector);
   net::TcpTimeouts timeouts;
   timeouts.recv_ms = 50;
   auto channel =
@@ -178,7 +178,7 @@ TEST(FaultInjectionTcpTest, FaultedConnectionDoesNotPoisonOthers) {
     script.push_back({});
   }
   ScriptedInjector injector(std::move(script));
-  (*daemon)->set_fault_injector(&injector);
+  server.set_fault_injector(&injector);
 
   for (int round = 0; round < 4; ++round) {
     auto victim = TcpSspChannel::Connect("127.0.0.1", (*daemon)->port());

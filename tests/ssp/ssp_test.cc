@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <set>
 
 #include "crypto/sha256.h"
@@ -414,9 +412,11 @@ TEST(ObjectStorePersistenceTest, SnapshotBytesArePinned) {
   EXPECT_EQ(st.tombstone_count, 4u);
 }
 
-TEST(ObjectStorePersistenceTest, V1SnapshotLoadsAtGenerationOne) {
-  // A hand-built "SSP1" snapshot: no per-entry generation or tombstone
-  // flag; families in order, each a count and then its entries.
+TEST(ObjectStorePersistenceTest, V1SnapshotIsRejected) {
+  // A hand-built "SSP1" snapshot (the gen-less format before SSP2): no
+  // per-entry generation or tombstone flag; families in order, each a
+  // count and then its entries. Nothing writes it any more, so it is
+  // refused as corrupt rather than loaded at a made-up generation.
   BinaryWriter w;
   w.PutU32(0x53535031);
   w.PutU32(1);  // Superblocks: u32 user, blob.
@@ -429,42 +429,8 @@ TEST(ObjectStorePersistenceTest, V1SnapshotLoadsAtGenerationOne) {
     w.PutBytes(Bytes(f, static_cast<uint8_t>(f)));
   }
   auto store = ObjectStore::Deserialize(w.Take());
-  ASSERT_TRUE(store.ok()) << store.status();
-  const std::vector<std::pair<ObjectRef, Bytes>> want = {
-      {ObjectRef::Superblock(3), {1, 2}},
-      {ObjectRef::Metadata(6, 1), Bytes(1, 1)},
-      {ObjectRef::UserMetadata(7, 2), Bytes(2, 2)},
-      {ObjectRef::Data(8, 3), Bytes(3, 3)},
-      {ObjectRef::GroupKey(9, 4), Bytes(4, 4)},
-  };
-  for (const auto& [ref, blob] : want) {
-    auto v = store->GetVersioned(ref);
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(v->blob, blob);
-    EXPECT_EQ(v->gen, 1u);
-    EXPECT_FALSE(v->tombstone);
-  }
-  EXPECT_EQ(store->Stats().object_count, 5u);
-}
-
-TEST(ObjectStorePersistenceTest, FileRoundTripAndErrors) {
-  ObjectStore store;
-  store.Put(ObjectRef::Metadata(3, 0), {42});
-  std::string path = ::testing::TempDir() + "/sharoes_store_test.db";
-  ASSERT_TRUE(store.SaveToFile(path).ok());
-  auto back = ObjectStore::LoadFromFile(path);
-  ASSERT_TRUE(back.ok()) << back.status();
-  EXPECT_EQ(back->Get(ObjectRef::Metadata(3, 0)),
-            std::optional<Bytes>(Bytes{42}));
-  EXPECT_TRUE(ObjectStore::LoadFromFile("/no/such/file").status()
-                  .IsNotFound());
-  // Garbage files are rejected, not crashed on.
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << "not a snapshot";
-  }
-  EXPECT_FALSE(ObjectStore::LoadFromFile(path).ok());
-  std::remove(path.c_str());
+  ASSERT_FALSE(store.ok());
+  EXPECT_EQ(store.status().code(), StatusCode::kCorruption) << store.status();
 }
 
 TEST(ObjectStorePersistenceTest, DeserializeRejectsGarbage) {

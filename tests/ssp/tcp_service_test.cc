@@ -237,7 +237,7 @@ TEST(NodeLinksTest, ExchangeAnswersInAskOrderAndFailsOnlyTheRefusedSlot) {
   DelayFirstReply slow(100);  // Outlives the daemons.
   Daemons d(3);
   // Node 2 is asked first and answers last.
-  d.daemons[2]->set_fault_injector(&slow);
+  d.servers[2]->set_fault_injector(&slow);
   // Node 3's port is closed: its dial is refused.
   Daemons gone(1);
   const uint16_t refused = gone.nodes[0].port;
@@ -273,7 +273,7 @@ TEST(NodeLinksTest, ExchangeAnswersInAskOrderAndFailsOnlyTheRefusedSlot) {
 TEST(NodeLinksTest, ALinkThatMissedTheDeadlineIsClosed) {
   DelayFirstReply stall(300);  // Past the 100 ms deadline.
   Daemons d(2);
-  d.daemons[0]->set_fault_injector(&stall);
+  d.servers[0]->set_fault_injector(&stall);
   d.servers[0]->Handle(Request::PutMetadata(2, 0, Bytes{0x22}));
   NodeLinks links(d.nodes, net::TcpTimeouts{2000, 2000, 100});
 

@@ -25,6 +25,14 @@
 namespace sharoes::ssp {
 namespace {
 
+/// The JSON rendering of a kGetStats reply (a binary RegistrySnapshot),
+/// the document `sharoes_cli stats` prints.
+std::string StatsJson(const Bytes& payload) {
+  auto snap = obs::RegistrySnapshot::DeserializeBinary(payload);
+  EXPECT_TRUE(snap.ok()) << snap.status();
+  return snap.ok() ? snap->ToJson() : std::string();
+}
+
 /// The pre-extension (legacy) encoding of a request, built by hand from
 /// the documented wire layout. If this ever disagrees with Serialize()
 /// for untraced requests, old servers will reject new clients.
@@ -143,13 +151,18 @@ TEST(TraceWireTest, ServerExecutesTracedRequestsNormally) {
   EXPECT_EQ(get_resp->payload, ToBytes("payload"));
 }
 
-TEST(GetStatsTest, ReturnsRegistrySnapshotJson) {
+TEST(GetStatsTest, ReturnsBinaryRegistrySnapshot) {
   SspServer server;
   // Serve something first so the snapshot has opcode counters.
   server.HandleWire(Request::PutData(1, 0, ToBytes("d")).Serialize());
   Response resp = server.Handle(Request::GetStats());
   ASSERT_TRUE(resp.ok());
-  std::string json(resp.payload.begin(), resp.payload.end());
+  auto snap = obs::RegistrySnapshot::DeserializeBinary(resp.payload);
+  ASSERT_TRUE(snap.ok()) << snap.status();
+  EXPECT_GE(snap->counters.at("ssp.requests.PutData"), 1u);
+  EXPECT_GE(snap->histograms.at("ssp.service_us.PutData").count, 1u);
+  EXPECT_GE(snap->gauges.at("ssp.store.objects"), 1u);
+  std::string json = snap->ToJson();
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
@@ -177,7 +190,7 @@ TEST(GetStatsTest, PrefixFilterRestrictsTheSnapshot) {
   server.HandleWire(Request::PutData(1, 0, ToBytes("d")).Serialize());
   Response resp = server.Handle(Request::GetStats("ssp.requests"));
   ASSERT_TRUE(resp.ok());
-  std::string json(resp.payload.begin(), resp.payload.end());
+  std::string json = StatsJson(resp.payload);
   EXPECT_NE(json.find("\"ssp.requests.PutData\""), std::string::npos);
   EXPECT_EQ(json.find("\"ssp.store.objects\""), std::string::npos) << json;
   EXPECT_EQ(json.find("\"ssp.service_us.PutData\""), std::string::npos)
@@ -185,7 +198,7 @@ TEST(GetStatsTest, PrefixFilterRestrictsTheSnapshot) {
   // An unmatched prefix still yields a valid (empty) document.
   Response none = server.Handle(Request::GetStats("no.such.prefix"));
   ASSERT_TRUE(none.ok());
-  std::string empty_json(none.payload.begin(), none.payload.end());
+  std::string empty_json = StatsJson(none.payload);
   EXPECT_EQ(empty_json, "{\"counters\":{},\"gauges\":{},\"histograms\":{}}");
 }
 
@@ -316,7 +329,7 @@ TEST(GetStatsTest, LiveOverTcpWithFaultCountersMoving) {
   fopts.seed = 42;
   fopts.fail_prob = 0.3;
   FaultPolicy faults(fopts);
-  (*daemon)->set_fault_injector(&faults);
+  server.set_fault_injector(&faults);
 
   uint64_t fail_before =
       obs::MetricsRegistry::Global().counter("ssp.fault.injected.fail")
@@ -344,7 +357,7 @@ TEST(GetStatsTest, LiveOverTcpWithFaultCountersMoving) {
   auto stats = conn.Call(Request::GetStats());
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   ASSERT_TRUE(stats->ok());
-  std::string json(stats->payload.begin(), stats->payload.end());
+  std::string json = StatsJson(stats->payload);
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
   EXPECT_NE(json.find("\"ssp.fault.injected.fail\""), std::string::npos);

@@ -1,19 +1,14 @@
 // An in-process stand-in for the sharoes_sspd lifecycle, shared by the
-// transport-fault and crash-recovery suites. Two persistence modes,
-// mirroring the daemon's flags:
-//
-//   --store FILE  (store_path):  Kill() snapshots on the way down, like
-//                 the real daemon handling SIGTERM. KillHard() does not
-//                 — everything since Start() is lost, which is exactly
-//                 the durability hole the WAL exists to close.
-//   --wal DIR     (wal_dir):     every mutating op is logged before its
-//                 ack; Start() recovers snapshot + log. KillHard() drops
-//                 the daemon with no graceful snapshot/compaction —
-//                 recovery must come entirely from the log. Faithful to
-//                 SIGKILL in-process because Wal::Append issues a direct
-//                 ::write per record (no user-space buffering), and the
-//                 page cache survives a real SIGKILL just as our file
-//                 bytes survive the object teardown.
+// transport-fault and crash-recovery suites. With a wal_dir it mirrors
+// `sharoes_sspd --wal DIR`: every mutating op is logged before its ack,
+// and Start() recovers snapshot + log. Kill() syncs and compacts on the
+// way down, like the real daemon handling SIGTERM. KillHard() drops the
+// daemon with no sync or compaction — recovery must come entirely from
+// the log. Faithful to SIGKILL in-process because Wal::Append issues a
+// direct ::write per record (no user-space buffering), and the page
+// cache survives a real SIGKILL just as our file bytes survive the
+// object teardown. Without a wal_dir the store lives in memory and every
+// Start() begins empty.
 //
 // Thread-safe: tests restart it from controller threads mid-workload.
 
@@ -39,8 +34,7 @@ namespace sharoes::testing {
 class RestartableDaemon {
  public:
   struct Options {
-    std::string store_path;  // Clean-shutdown snapshot mode.
-    std::string wal_dir;     // Write-ahead-log mode.
+    std::string wal_dir;  // Write-ahead-log mode.
     ssp::WalOptions wal;
     /// Cluster-mode delete semantics: deletes leave versioned
     /// tombstones (`sharoes_sspd --cluster`). Re-applied on every
@@ -48,10 +42,6 @@ class RestartableDaemon {
     bool tombstones = false;
   };
 
-  /// Legacy convenience: snapshot-file mode only.
-  explicit RestartableDaemon(std::string store_path) {
-    opts_.store_path = std::move(store_path);
-  }
   explicit RestartableDaemon(Options opts) : opts_(std::move(opts)) {}
   ~RestartableDaemon() { Kill(); }
 
@@ -74,15 +64,13 @@ class RestartableDaemon {
     StartLocked();
   }
 
-  /// Graceful shutdown (SIGTERM): snapshot in store mode, sync + compact
-  /// in WAL mode.
+  /// Graceful shutdown (SIGTERM): sync + compact in WAL mode.
   void Kill() {
     std::lock_guard<std::mutex> lock(mu_);
     KillLocked(/*graceful=*/true);
   }
 
-  /// SIGKILL: no snapshot, no sync, no compaction. In store mode this
-  /// loses everything since Start(); in WAL mode the log is the only
+  /// SIGKILL: no sync, no compaction. In WAL mode the log is the only
   /// thing the next Start() has.
   void KillHard() {
     std::lock_guard<std::mutex> lock(mu_);
@@ -137,15 +125,8 @@ class RestartableDaemon {
       wal_ = std::move(*wal);
       last_recovery_ = wal_->recovery();
       server_->set_wal(wal_.get());
-    } else if (!opts_.store_path.empty()) {
-      auto loaded = ssp::ObjectStore::LoadFromFile(opts_.store_path);
-      if (loaded.ok()) {
-        server_->store() = std::move(*loaded);
-        if (opts_.tombstones) server_->store().set_tombstones_enabled(true);
-      } else {
-        ASSERT_TRUE(loaded.status().IsNotFound()) << loaded.status();
-      }
     }
+    if (injector_ != nullptr) server_->set_fault_injector(injector_);
     // Re-binding the just-released port can transiently fail; be patient.
     for (int attempt = 0; attempt < 50; ++attempt) {
       auto daemon = ssp::TcpSspDaemon::Start(server_.get(), port_);
@@ -157,7 +138,6 @@ class RestartableDaemon {
     }
     ASSERT_NE(daemon_, nullptr) << "could not rebind port " << port_;
     port_ = daemon_->port();
-    if (injector_ != nullptr) daemon_->set_fault_injector(injector_);
     if (placement_ != nullptr) server_->set_placement(placement_, placement_node_);
   }
 
@@ -172,8 +152,6 @@ class RestartableDaemon {
       }
       server_->set_wal(nullptr);
       wal_.reset();
-    } else if (graceful && !opts_.store_path.empty()) {
-      ASSERT_TRUE(server_->store().SaveToFile(opts_.store_path).ok());
     }
     server_.reset();
   }

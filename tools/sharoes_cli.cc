@@ -72,6 +72,7 @@
 #include "core/migration.h"
 #include "core/retrying_connection.h"
 #include "core/sharded_channel.h"
+#include "obs/metrics.h"
 #include "ssp/message.h"
 #include "ssp/tcp_service.h"
 
@@ -279,7 +280,9 @@ void Provision(const Args& args) {
 
 /// Issues one admin request: fan-merged over the cluster by default, or
 /// pinned to --node N's daemon, or straight at the lone --host/--port
-/// daemon. Prints the JSON payload.
+/// daemon. Prints the payload as JSON: kGetStats answers a binary
+/// registry snapshot (a lone daemon's or the cluster's merge alike),
+/// rendered here; kGetTraces answers JSON already.
 int RunAdmin(const Args& args, const ssp::Request& req, const char* what) {
   Result<ssp::Response> resp = Status::Internal("unset");
   if (args.admin_node >= 0) {
@@ -294,8 +297,13 @@ int RunAdmin(const Args& args, const ssp::Request& req, const char* what) {
   }
   CheckOk(resp.status());
   if (!resp->ok()) Die(std::string("SSP rejected ") + what);
-  std::printf("%.*s\n", static_cast<int>(resp->payload.size()),
-              reinterpret_cast<const char*>(resp->payload.data()));
+  std::string json(resp->payload.begin(), resp->payload.end());
+  if (req.op == ssp::OpCode::kGetStats) {
+    auto snap = obs::RegistrySnapshot::DeserializeBinary(resp->payload);
+    CheckOk(snap.status());
+    json = snap->ToJson();
+  }
+  std::printf("%s\n", json.c_str());
   return 0;
 }
 

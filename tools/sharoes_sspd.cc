@@ -3,9 +3,11 @@
 //
 // Usage:
 //   sharoes_sspd [port] [--cluster FILE --node-id N]
-//                [--wal DIR [wal flags] | --store FILE] [fault flags]
+//                [--wal DIR [wal flags]] [fault flags]
 //
-// Default port 7070 (0 picks an ephemeral port).
+// Default port 7070 (0 picks an ephemeral port). Every flag takes one
+// value; an unknown flag, a flag without its value, a malformed number
+// or a port outside 0..65535 exits 1 with a message.
 //
 // --cluster FILE --node-id N make the daemon one shard of a replicated
 // fleet (DESIGN.md §15): FILE is a placement config (ssp/placement.h
@@ -42,21 +44,18 @@
 //                                    concurrent requests share its fsync
 //                                    (default 0 = pure piggybacking)
 //
-// --store FILE is the legacy clean-shutdown-only persistence: load the
-// snapshot at startup, save it at exit — a crash loses everything since
-// startup. The two modes are mutually exclusive; prefer --wal.
-// The daemon starts empty otherwise; an enterprise provisions it
-// remotely through the same wire protocol (see tools/sharoes_cli.cc).
+// The daemon starts empty without --wal (and loses its store at exit);
+// an enterprise provisions it remotely through the same wire protocol
+// (see tools/sharoes_cli.cc). With --wal, a restart on the same DIR
+// serves everything the last run acknowledged, after a graceful exit or
+// a kill -9 alike (within the --wal-sync policy's loss window).
 //
-// --stats-interval-s N dumps the metrics-registry snapshot (the same
-// JSON that OpCode::kGetStats returns) to stdout every N seconds — a
-// poor man's scrape endpoint for watching a daemon under load.
+// `sharoes_cli stats` reads the daemon's metrics registry (kGetStats).
 //
 // --slow-request-us N captures the span timeline of any traced request
 // whose service time exceeds N µs into the slow-request ring (drained
 // by kGetTraces / `sharoes_cli slow`; default 10000, 0 disables ring
-// capture while the slowest-ever table keeps updating). The SHAROES_SLOW_US
-// env var sets the same threshold; the flag wins.
+// capture while the slowest-ever table keeps updating).
 //
 // Fault flags turn the daemon into its own chaos monkey (percentages of
 // requests, evaluated in this order; 0 disables each):
@@ -73,10 +72,13 @@
 #include <cstdlib>
 #include <unistd.h>
 
+#include <cerrno>
+#include <functional>
+#include <limits>
+#include <map>
 #include <memory>
 #include <string>
 
-#include "obs/metrics.h"
 #include "obs/span.h"
 #include "ssp/fault_injection.h"
 #include "ssp/placement.h"
@@ -87,67 +89,113 @@
 namespace {
 volatile std::sig_atomic_t g_stop = 0;
 void HandleSignal(int) { g_stop = 1; }
+
+int Usage(const std::string& error) {
+  std::fprintf(stderr,
+               "sharoes_sspd: %s\n"
+               "usage: sharoes_sspd [port] [--cluster FILE --node-id N] "
+               "[--wal DIR [wal flags]] [fault flags]\n",
+               error.c_str());
+  return 1;
+}
+
+/// Parses all of `text` as a decimal integer in [0, max].
+bool ParseUint(const char* text, uint64_t max, uint64_t* out) {
+  if (*text < '0' || *text > '9') return false;  // No sign, no blank.
+  char* end = nullptr;
+  errno = 0;
+  unsigned long long v = std::strtoull(text, &end, 10);
+  if (errno != 0 || *end != '\0' || v > max) return false;
+  *out = v;
+  return true;
+}
+
+/// A flag's value parser: false rejects the value.
+using FlagParser = std::function<bool(const char*)>;
+
+template <typename T>
+FlagParser UintFlag(T* field) {
+  return [field](const char* text) {
+    uint64_t v = 0;
+    if (!ParseUint(text, std::numeric_limits<T>::max(), &v)) return false;
+    *field = static_cast<T>(v);
+    return true;
+  };
+}
+
+/// A percentage in [0, 100], stored as a probability.
+FlagParser PctFlag(double* field) {
+  return [field](const char* text) {
+    char* end = nullptr;
+    double pct = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !(pct >= 0 && pct <= 100)) {
+      return false;
+    }
+    *field = pct / 100.0;
+    return true;
+  };
+}
+
+FlagParser StringFlag(std::string* field) {
+  return [field](const char* text) {
+    *field = text;
+    return true;
+  };
+}
 }  // namespace
 
 int main(int argc, char** argv) {
   uint16_t port = 7070;
   bool explicit_port = false;
-  std::string store_path;
   std::string wal_dir;
   std::string cluster_path;
   int node_id = -1;
   sharoes::ssp::WalOptions wal_opts;
-  int stats_interval_s = 0;
   int scrub_interval_s = 0;
+  uint64_t slow_request_us = sharoes::obs::SlowRequestThresholdUs();
   sharoes::ssp::FaultPolicy::Options fault_opts;
+  const std::map<std::string, FlagParser> flags = {
+      {"--cluster", StringFlag(&cluster_path)},
+      {"--node-id", UintFlag(&node_id)},
+      {"--wal", StringFlag(&wal_dir)},
+      {"--wal-sync",
+       [&](const char* text) {
+         return sharoes::ssp::ParseWalSyncPolicy(text, &wal_opts.sync);
+       }},
+      {"--wal-interval-ms", UintFlag(&wal_opts.interval_ms)},
+      {"--wal-compact-bytes", UintFlag(&wal_opts.compact_threshold_bytes)},
+      {"--wal-group-commit-us", UintFlag(&wal_opts.group_commit_us)},
+      {"--scrub-interval-s", UintFlag(&scrub_interval_s)},
+      {"--slow-request-us", UintFlag(&slow_request_us)},
+      {"--fault-fail-pct", PctFlag(&fault_opts.fail_prob)},
+      {"--fault-delay-pct", PctFlag(&fault_opts.delay_prob)},
+      {"--fault-corrupt-pct", PctFlag(&fault_opts.corrupt_prob)},
+      {"--fault-drop-pct", PctFlag(&fault_opts.drop_prob)},
+      {"--fault-delay-ms", UintFlag(&fault_opts.delay_ms)},
+      {"--fault-seed", UintFlag(&fault_opts.seed)},
+  };
   for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto pct = [&]() { return std::atof(argv[++i]) / 100.0; };
-    if (arg == "--store" && i + 1 < argc) {
-      store_path = argv[++i];
-    } else if (arg == "--cluster" && i + 1 < argc) {
-      cluster_path = argv[++i];
-    } else if (arg == "--node-id" && i + 1 < argc) {
-      node_id = std::atoi(argv[++i]);
-    } else if (arg == "--wal" && i + 1 < argc) {
-      wal_dir = argv[++i];
-    } else if (arg == "--wal-sync" && i + 1 < argc) {
-      if (!sharoes::ssp::ParseWalSyncPolicy(argv[++i], &wal_opts.sync)) {
-        std::fprintf(stderr,
-                     "sharoes_sspd: --wal-sync must be always|interval|off\n");
-        return 1;
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) {
+      uint64_t p = 0;
+      if (explicit_port || !ParseUint(argv[i], 65535, &p)) {
+        return Usage("bad port '" + arg + "' (one port, 0..65535)");
       }
-    } else if (arg == "--wal-interval-ms" && i + 1 < argc) {
-      wal_opts.interval_ms = static_cast<uint32_t>(std::atoi(argv[++i]));
-    } else if (arg == "--wal-compact-bytes" && i + 1 < argc) {
-      wal_opts.compact_threshold_bytes =
-          static_cast<uint64_t>(std::atoll(argv[++i]));
-    } else if (arg == "--wal-group-commit-us" && i + 1 < argc) {
-      wal_opts.group_commit_us = static_cast<uint32_t>(std::atoi(argv[++i]));
-    } else if (arg == "--stats-interval-s" && i + 1 < argc) {
-      stats_interval_s = std::atoi(argv[++i]);
-    } else if (arg == "--scrub-interval-s" && i + 1 < argc) {
-      scrub_interval_s = std::atoi(argv[++i]);
-    } else if (arg == "--slow-request-us" && i + 1 < argc) {
-      sharoes::obs::SetSlowRequestThresholdUs(
-          static_cast<uint64_t>(std::atoll(argv[++i])));
-    } else if (arg == "--fault-fail-pct" && i + 1 < argc) {
-      fault_opts.fail_prob = pct();
-    } else if (arg == "--fault-delay-pct" && i + 1 < argc) {
-      fault_opts.delay_prob = pct();
-    } else if (arg == "--fault-corrupt-pct" && i + 1 < argc) {
-      fault_opts.corrupt_prob = pct();
-    } else if (arg == "--fault-drop-pct" && i + 1 < argc) {
-      fault_opts.drop_prob = pct();
-    } else if (arg == "--fault-delay-ms" && i + 1 < argc) {
-      fault_opts.delay_ms = static_cast<uint32_t>(std::atoi(argv[++i]));
-    } else if (arg == "--fault-seed" && i + 1 < argc) {
-      fault_opts.seed = static_cast<uint64_t>(std::atoll(argv[++i]));
-    } else {
-      port = static_cast<uint16_t>(std::atoi(arg.c_str()));
+      port = static_cast<uint16_t>(p);
       explicit_port = true;
+      continue;
+    }
+    auto flag = flags.find(arg);
+    if (flag == flags.end()) return Usage("unknown flag " + arg);
+    if (i + 1 == argc || std::string(argv[i + 1]).rfind("--", 0) == 0) {
+      return Usage(arg + " needs a value");
+    }
+    ++i;
+    if (!flag->second(argv[i])) {
+      return Usage("bad value '" + std::string(argv[i]) + "' for " + arg);
     }
   }
+  sharoes::obs::SetSlowRequestThresholdUs(slow_request_us);
 
   if (cluster_path.empty() != (node_id < 0)) {
     std::fprintf(stderr,
@@ -180,13 +228,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     ring = std::make_unique<sharoes::ssp::PlacementRing>(std::move(*built));
-  }
-
-  if (!wal_dir.empty() && !store_path.empty()) {
-    std::fprintf(stderr,
-                 "sharoes_sspd: --wal and --store are mutually exclusive "
-                 "(the WAL supersedes the clean-shutdown snapshot)\n");
-    return 1;
   }
 
   sharoes::ssp::SspServer server;
@@ -222,39 +263,24 @@ int main(int argc, char** argv) {
         rec.tail_truncated ? " (torn tail truncated)" : "");
     server.set_wal(wal.get());
   }
-  if (!store_path.empty()) {
-    auto loaded = sharoes::ssp::ObjectStore::LoadFromFile(store_path);
-    if (loaded.ok()) {
-      server.store() = std::move(*loaded);
-      std::printf("sharoes_sspd: loaded %llu objects from %s\n",
-                  static_cast<unsigned long long>(
-                      server.store().Stats().object_count),
-                  store_path.c_str());
-    } else if (!loaded.status().IsNotFound()) {
-      std::fprintf(stderr, "sharoes_sspd: cannot load %s: %s\n",
-                   store_path.c_str(),
-                   loaded.status().ToString().c_str());
-      return 1;
-    }
-  }
-  auto daemon = sharoes::ssp::TcpSspDaemon::Start(&server, port);
-  if (!daemon.ok()) {
-    std::fprintf(stderr, "sharoes_sspd: %s\n",
-                 daemon.status().ToString().c_str());
-    return 1;
-  }
   std::unique_ptr<sharoes::ssp::FaultPolicy> faults;
   if (fault_opts.fail_prob + fault_opts.delay_prob +
           fault_opts.corrupt_prob + fault_opts.drop_prob >
       0) {
     faults = std::make_unique<sharoes::ssp::FaultPolicy>(fault_opts);
-    (*daemon)->set_fault_injector(faults.get());
+    server.set_fault_injector(faults.get());
     std::printf(
         "sharoes_sspd: fault injection armed (fail %.1f%% delay %.1f%% "
         "corrupt %.1f%% drop %.1f%%, seed %llu)\n",
         fault_opts.fail_prob * 100, fault_opts.delay_prob * 100,
         fault_opts.corrupt_prob * 100, fault_opts.drop_prob * 100,
         static_cast<unsigned long long>(fault_opts.seed));
+  }
+  auto daemon = sharoes::ssp::TcpSspDaemon::Start(&server, port);
+  if (!daemon.ok()) {
+    std::fprintf(stderr, "sharoes_sspd: %s\n",
+                 daemon.status().ToString().c_str());
+    return 1;
   }
   std::unique_ptr<sharoes::ssp::Scrubber> scrubber;
   if (scrub_interval_s > 0) {
@@ -279,24 +305,8 @@ int main(int argc, char** argv) {
 
   std::signal(SIGINT, HandleSignal);
   std::signal(SIGTERM, HandleSignal);
-  if (stats_interval_s > 0) {
-    // Sleep in 100ms slices so a signal stops the daemon promptly even
-    // mid-interval (sleep() would also be interrupted, but a handler
-    // racing just before sleep(N) would otherwise stall a full period).
-    int slices_per_dump = stats_interval_s * 10;
-    for (int slice = 0; g_stop == 0; ++slice) {
-      ::usleep(100 * 1000);
-      if (slice % slices_per_dump == slices_per_dump - 1) {
-        std::string json =
-            sharoes::obs::MetricsRegistry::Global().SnapshotJson();
-        std::printf("%s\n", json.c_str());
-        std::fflush(stdout);
-      }
-    }
-  } else {
-    while (g_stop == 0) {
-      ::pause();
-    }
+  while (g_stop == 0) {
+    ::pause();
   }
   std::printf("sharoes_sspd: shutting down\n");
   // Scrubber first: its repair path calls server.Handle, which must not
@@ -335,15 +345,6 @@ int main(int argc, char** argv) {
     }
     server.set_wal(nullptr);
     wal.reset();
-  }
-  if (!store_path.empty()) {
-    sharoes::Status s = server.store().SaveToFile(store_path);
-    if (!s.ok()) {
-      std::fprintf(stderr, "sharoes_sspd: snapshot failed: %s\n",
-                   s.ToString().c_str());
-      return 1;
-    }
-    std::printf("sharoes_sspd: snapshot saved to %s\n", store_path.c_str());
   }
   return 0;
 }
