@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/sharded_channel.h"
 #include "crypto/merkle.h"
 #include "fs/path.h"
 #include "obs/span.h"
@@ -213,23 +212,6 @@ fs::InodeNum SharoesClient::AllocateInode() {
 
 Status SharoesClient::Mount() {
   OpScope span(this, "Mount");
-  if (conn_ == nullptr) {
-    // Cluster deployment: the channel comes from the config file, not
-    // the constructor. Built here (not in the constructor) because
-    // loading the config and dialing daemons can fail, and Mount is the
-    // client's canonical can-fail entry point.
-    if (options_.cluster.empty()) {
-      return Status::InvalidArgument(
-          "no SSP channel and no ClientOptions::cluster config");
-    }
-    SHAROES_ASSIGN_OR_RETURN(
-        owned_conn_,
-        ShardedChannel::Open(options_.cluster,
-                             ShardedChannelOptions::FromRetry(
-                                 options_.transport_retry,
-                                 options_.transport_timeouts)));
-    conn_ = owned_conn_.get();
-  }
   principal_ = identity_->PrincipalOf(uid_);
   ChargeClientOverhead();
   SHAROES_ASSIGN_OR_RETURN(
@@ -1014,7 +996,11 @@ Status SharoesClient::CommitFileWrite(fs::InodeNum inode,
   if (!shipped.ok()) {
     // The store may keep the old version or (a staged batch replayed
     // later) take the new one: drop what this client cached of either.
+    // The observed generation stays the rollback floor, but the next one
+    // may be taken, so the next write peeks the store.
     InvalidateInode(inode);
+    auto seen = freshness_.find(inode);
+    if (seen != freshness_.end()) seen->second.commit_failed = true;
     return shipped;
   }
   freshness_[inode] =
@@ -1031,18 +1017,23 @@ Status SharoesClient::CommitFileWrite(fs::InodeNum inode,
 
 Result<uint64_t> SharoesClient::NextWriteGen(fs::InodeNum inode) {
   auto it = freshness_.find(inode);
-  if (it != freshness_.end()) return it->second.write_gen + 1;
-  // Unknown history (overwrite of a never-read file): peek the stored
-  // header so generations stay monotonic for other clients.
+  if (it != freshness_.end() && !it->second.commit_failed) {
+    return it->second.write_gen + 1;
+  }
+  const uint64_t observed = it != freshness_.end() ? it->second.write_gen : 0;
+  // Unknown history (overwrite of a never-read file), or a failed commit
+  // that the store may hold: peek the stored header so generations stay
+  // monotonic for other clients. The peek is a read, so its barrier
+  // replays a kept stage first.
   // Only a real kNotFound means "never written": a transient failure
   // starting over at generation 1 would trip other clients' rollback
   // detection, so it surfaces and the caller retries.
   Result<Bytes> wire = Get(ssp::Request::GetData(inode, 0), "data block 0");
-  if (wire.status().IsNotFound()) return 1;
+  if (wire.status().IsNotFound()) return observed + 1;
   SHAROES_RETURN_IF_ERROR(wire.status());
   SHAROES_ASSIGN_OR_RETURN(ObjectCodec::DataBlockHeader h,
                            ObjectCodec::PeekDataHeader(*wire));
-  return h.write_gen + 1;
+  return std::max(h.write_gen, observed) + 1;
 }
 
 Status SharoesClient::Close(const std::string& path) {

@@ -21,8 +21,6 @@
 #include "core/cache.h"
 #include "core/fs_client.h"
 #include "core/object_codec.h"
-#include "core/retrying_connection.h"
-#include "net/tcp_stream.h"
 #include "obs/trace.h"
 #include "ssp/ssp_server.h"
 
@@ -66,29 +64,13 @@ struct ClientOptions {
   /// write_batch_ops (only meaningful with staging on), so a run of
   /// large data blocks cannot grow one batch without limit.
   size_t write_batch_bytes = 1 << 20;
-  /// Transport fault tolerance for real-socket deployments: callers that
-  /// reach the SSP over TCP build a RetryingConnection from these knobs
-  /// and arm the stream deadlines below (see tools/sharoes_cli.cc, which
-  /// maps its --retries/--*-timeout-ms flags here). The in-process
-  /// simulated channel never fails, so benchmarks ignore them.
-  RetryOptions transport_retry;
-  net::TcpTimeouts transport_timeouts;
-  /// Path of a cluster config file (ssp/placement.h). Non-empty makes
-  /// the client build and own a core::ShardedChannel over the listed
-  /// daemons at Mount() — consistent-hash routing, K-way replicated
-  /// quorum writes/reads, placement refresh on kWrongShard — instead of
-  /// using the single `conn` passed to the constructor (which may then
-  /// be null). transport_retry becomes the channel's quorum round
-  /// budget (ShardedChannelOptions::FromRetry) and transport_timeouts
-  /// its per-node deadlines; maps from `--cluster` in the tools.
-  std::string cluster;
 };
 
 class SharoesClient : public FsClient {
  public:
-  /// `engine`, `identity`, `conn` must outlive the client. `conn` may be
-  /// null when options.cluster names a cluster config — Mount() then
-  /// builds and owns a sharded channel over the configured daemons.
+  /// `engine`, `identity`, `conn` must outlive the client. `conn` is the
+  /// one way to the SSP: an in-process connection, a RetryingConnection
+  /// to one daemon, or a ShardedChannel over a cluster.
   SharoesClient(fs::UserId uid, crypto::RsaPrivateKey user_private_key,
                 const IdentityDirectory* identity, ssp::SspChannel* conn,
                 crypto::CryptoEngine* engine, const ClientOptions& options);
@@ -353,7 +335,8 @@ class SharoesClient : public FsClient {
   Status CommitFileWrite(fs::InodeNum inode, ObjectCodec::RenderedFile file,
                          std::vector<ssp::Request> puts);
   /// The next write generation for an inode (monotonic per §VIII
-  /// freshness; peeks the stored header when history is unknown).
+  /// freshness; peeks the stored header when history is unknown or the
+  /// last commit failed, and never issues one at or below the observed).
   Result<uint64_t> NextWriteGen(fs::InodeNum inode);
 
   fs::UserId uid_;
@@ -361,9 +344,6 @@ class SharoesClient : public FsClient {
   crypto::RsaPrivateKey user_priv_;
   const IdentityDirectory* identity_;
   ssp::SspChannel* conn_;
-  /// The cluster channel Mount() builds when options_.cluster is set
-  /// (conn_ then points at it); null in single-daemon deployments.
-  std::unique_ptr<ssp::SspChannel> owned_conn_;
   crypto::CryptoEngine* engine_;
   ObjectCodec codec_;
   ClientOptions options_;
@@ -400,6 +380,10 @@ class SharoesClient : public FsClient {
   struct FreshnessRecord {
     uint64_t write_gen = 0;
     Bytes tag_root;
+    /// A commit of the next generation failed: the SSP may hold it (the
+    /// batch applied, its ack was lost) or take it later (a kept stage
+    /// replays), so NextWriteGen peeks the store rather than reuse it.
+    bool commit_failed = false;
   };
   std::map<fs::InodeNum, FreshnessRecord> freshness_;
   uint64_t inode_counter_;

@@ -41,9 +41,9 @@
 
 namespace sharoes::core {
 
-/// Knobs for RetryingConnection (and the sharoes_cli flags that map onto
-/// them; see ClientOptions::transport_retry). In cluster mode the same
-/// knobs become ShardedChannel's round budget instead.
+/// The one retry budget: RetryingConnection's attempts, and (as the base
+/// of ShardedChannelOptions) a cluster Call's quorum rounds. sharoes_cli's
+/// --retries flags set it for either.
 struct RetryOptions {
   /// Total attempts per Call, including the first; 1 disables retry.
   int max_attempts = 8;

@@ -66,20 +66,12 @@ ShardedChannel::ShardedChannel(ssp::PlacementRing ring,
       links_(ring_.config().nodes, options.timeouts),
       fanout_hist_(
           obs::MetricsRegistry::Global().histogram("client.rpc.shard_fanout")) {
-}
-
-ShardedChannelOptions ShardedChannelOptions::FromRetry(
-    const RetryOptions& retry, const net::TcpTimeouts& timeouts) {
-  return {.timeouts = timeouts,
-          .quorum_rounds = retry.max_attempts,
-          .round_backoff_ms = retry.initial_backoff_ms,
-          .max_round_backoff_ms = retry.max_backoff_ms,
-          .seed = retry.seed};
+  if (options_.max_attempts < 1) options_.max_attempts = 1;
 }
 
 void ShardedChannel::BeginRound(int round, obs::RpcTraceScope* trace) {
   if (round > 0) {
-    SleepBackoff(options_.round_backoff_ms, options_.max_round_backoff_ms,
+    SleepBackoff(options_.initial_backoff_ms, options_.max_backoff_ms,
                  round - 1, &rng_);
     ++quorum_retry_rounds_;
   }
@@ -91,7 +83,7 @@ std::vector<Result<Response>> ShardedChannel::AskNodes(
   std::vector<Result<Response>> results(node_ids.size(),
                                         Status::IoError("not asked"));
   obs::RpcTraceScope trace_scope;
-  for (int round = 0; round < std::max(1, options_.quorum_rounds); ++round) {
+  for (int round = 0; round < options_.max_attempts; ++round) {
     std::vector<size_t> pending;
     std::vector<ssp::NodeLinks::Ask> asks;
     for (size_t i = 0; i < results.size(); ++i) {
@@ -270,7 +262,7 @@ bool ShardedChannel::ExecuteSubOps(const std::vector<const Request*>& subs,
   std::set<uint32_t> fanout_nodes;
   bool any_wrong_shard = false;
   obs::RpcTraceScope trace_scope;
-  for (int round = 0; round < std::max(1, options_.quorum_rounds); ++round) {
+  for (int round = 0; round < options_.max_attempts; ++round) {
     // Plan the round for the unfinished subs. Writes: every replica that
     // has not acked the sub yet, so each node receives the sub-ops it
     // is missing in submission order. Reads: enough untried replicas to

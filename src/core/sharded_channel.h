@@ -52,24 +52,15 @@
 
 namespace sharoes::core {
 
-struct ShardedChannelOptions {
+/// The cluster path's one retry budget is RetryOptions: max_attempts
+/// rounds a Call may take to assemble its quorums, re-asking
+/// unacked/unanswered replicas (every sub-op is idempotent) after the
+/// capped doubling backoff (SleepBackoff). 1 = no retry: a round that
+/// misses its quorum fails; values below 1 count as 1.
+struct ShardedChannelOptions : RetryOptions {
   /// Deadlines of the per-node links (each dialed at its host:port).
   net::TcpTimeouts timeouts{/*connect_ms=*/2000, /*send_ms=*/5000,
                             /*recv_ms=*/5000};
-  /// The cluster path's one retry budget: rounds a Call may take to
-  /// assemble its quorums, re-asking unacked/unanswered replicas (every
-  /// sub-op is idempotent) after a capped doubling backoff, ±20%
-  /// jittered. 1 = no retry: a round that misses its quorum fails.
-  int quorum_rounds = 6;
-  uint32_t round_backoff_ms = 20;
-  uint32_t max_round_backoff_ms = 500;
-  /// Jitter seed for round backoff; 0 draws nondeterministically.
-  uint64_t seed = 0;
-
-  /// A transport retry budget as rounds (ClientOptions::transport_retry
-  /// and sharoes_cli's --retries flags in cluster mode).
-  static ShardedChannelOptions FromRetry(const RetryOptions& retry,
-                                         const net::TcpTimeouts& timeouts);
 };
 
 class ShardedChannel : public ssp::SspChannel {

@@ -20,6 +20,33 @@ using testing::kBob;
 using testing::kEng;
 using testing::World;
 
+/// Forwards to a real in-process connection. Once armed, the next
+/// mutating batch is applied and its reply lost: the call returns
+/// Unavailable, as when the link dies after the SSP acted.
+class LostAckChannel : public ssp::SspChannel {
+ public:
+  explicit LostAckChannel(ssp::SspChannel* inner) : inner_(inner) {}
+
+  void LoseNextWriteAck() { armed_ = true; }
+
+  Result<ssp::Response> Call(const ssp::Request& req) override {
+    Result<ssp::Response> resp = inner_->Call(req);
+    bool mutates = ssp::IsMutatingOp(req.op);
+    for (const ssp::Request& sub : req.batch) {
+      mutates = mutates || ssp::IsMutatingOp(sub.op);
+    }
+    if (armed_ && mutates && resp.ok() && resp->ok()) {
+      armed_ = false;
+      return Status::Unavailable("reply lost after the batch applied");
+    }
+    return resp;
+  }
+
+ private:
+  ssp::SspChannel* inner_;  // Not owned.
+  bool armed_ = false;
+};
+
 class FreshnessTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -52,8 +79,58 @@ class FreshnessTest : public ::testing::Test {
     }
   }
 
+  /// A second client of Alice's whose SSP replies go through `lossy_`,
+  /// staging `write_batch_ops` sub-ops per flush (0 = no staging).
+  std::unique_ptr<core::SharoesClient> LossyAlice(size_t write_batch_ops) {
+    crypto::CryptoEngineOptions eng_opts;
+    eng_opts.cost_model = crypto::CryptoCostModel::Zero();
+    eng_opts.signing_key_bits = 512;
+    eng_opts.rng_seed = 0xFE5C;
+    engine_ = std::make_unique<crypto::CryptoEngine>(&world_->clock(),
+                                                     eng_opts);
+    transport_ = std::make_unique<net::Transport>(&world_->clock(),
+                                                  net::NetworkModel::Zero());
+    real_ = std::make_unique<ssp::SspConnection>(&world_->server(),
+                                                 transport_.get());
+    lossy_ = std::make_unique<LostAckChannel>(real_.get());
+    core::ClientOptions copts;
+    copts.default_group = kEng;
+    copts.write_batch_ops = write_batch_ops;
+    auto alice = std::make_unique<core::SharoesClient>(
+        kAlice, world_->user_key(kAlice), &world_->identity(), lossy_.get(),
+        engine_.get(), copts);
+    EXPECT_TRUE(alice->Mount().ok());
+    return alice;
+  }
+
+  /// Alice commits v2, then v3 whose batch applies but whose reply is
+  /// lost; Bob reads v3. Alice's next write must take a generation past
+  /// v3's, or Bob sees two contents under one generation.
+  void RewriteAfterLostAck(size_t write_batch_ops) {
+    auto alice = LossyAlice(write_batch_ops);
+    auto& bob = world_->client(kBob);
+    ASSERT_TRUE(alice->WriteFile("/log.txt", ToBytes("v2")).ok());
+    lossy_->LoseNextWriteAck();
+    Status lost = alice->WriteFile("/log.txt", ToBytes("v3, reply lost"));
+    ASSERT_TRUE(lost.IsUnavailable()) << lost;
+    bob.DropCaches();
+    auto seen = bob.Read("/log.txt");
+    ASSERT_TRUE(seen.ok()) << seen.status();
+    EXPECT_EQ(ToString(*seen), "v3, reply lost");
+
+    ASSERT_TRUE(alice->WriteFile("/log.txt", ToBytes("v4")).ok());
+    bob.DropCaches();
+    auto read = bob.Read("/log.txt");
+    ASSERT_TRUE(read.ok()) << read.status();
+    EXPECT_EQ(ToString(*read), "v4");
+  }
+
   std::unique_ptr<World> world_;
   fs::InodeNum inode_ = 0;
+  std::unique_ptr<crypto::CryptoEngine> engine_;
+  std::unique_ptr<net::Transport> transport_;
+  std::unique_ptr<ssp::SspConnection> real_;
+  std::unique_ptr<LostAckChannel> lossy_;
 };
 
 TEST_F(FreshnessTest, GenerationsIncreaseAcrossWrites) {
@@ -175,6 +252,30 @@ TEST_F(FreshnessTest, DataGoneWithItsMetadataIsNotFound) {
   auto read = bob.Read("/log.txt");
   EXPECT_FALSE(read.ok()) << "read " << read->size() << " bytes";
   EXPECT_TRUE(read.status().IsNotFound()) << read.status();
+}
+
+TEST_F(FreshnessTest, LostCommitReplyDoesNotReuseTheGeneration) {
+  RewriteAfterLostAck(/*write_batch_ops=*/0);
+}
+
+TEST_F(FreshnessTest, LostFlushReplyDoesNotReuseTheGeneration) {
+  // Staging on, a flush at every batch: the failed threshold flush keeps
+  // its stage, and Close replays it.
+  RewriteAfterLostAck(/*write_batch_ops=*/1);
+}
+
+TEST_F(FreshnessTest, FailedCommitKeepsTheRollbackFloor) {
+  // After a failed commit the writer still knows the generation it
+  // committed before: an SSP serving an older block 0 is a rollback.
+  auto alice = LossyAlice(/*write_batch_ops=*/0);
+  std::map<uint32_t, Bytes> v1_blocks = SnapshotBlocks();
+  ASSERT_TRUE(alice->WriteFile("/log.txt", ToBytes("v2")).ok());
+  lossy_->LoseNextWriteAck();
+  ASSERT_FALSE(alice->WriteFile("/log.txt", ToBytes("v3")).ok());
+  RestoreBlocks(v1_blocks);
+  auto read = alice->Read("/log.txt");
+  EXPECT_FALSE(read.ok()) << "read " << ToString(*read);
+  EXPECT_TRUE(read.status().IsCorruption()) << read.status();
 }
 
 }  // namespace

@@ -331,7 +331,7 @@ TEST(ShardRouting, HealthyClusterNeverBacksOff) {
   // Round backoff is for faults. On a healthy K=3/W=2/R=2 cluster every
   // quorum assembles in round 0, so no Call may sleep a backoff before
   // returning — a backoff taken before the all-done check would cost
-  // every cluster op one round_backoff_ms.
+  // every cluster op one initial_backoff_ms.
   TestCluster::Options opts;
   opts.tag = "routing_no_backoff";
   TestCluster cluster(opts);

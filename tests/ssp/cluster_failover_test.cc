@@ -375,7 +375,7 @@ TEST(ClusterFailover, DeadNodeIsDialedAtMostOncePerRound) {
   // The quorum round loop is the cluster path's only retry layer: a
   // dead node is redialed only when a round reaches it, so one Call
   // dials it at most once per round it runs, and never more than
-  // quorum_rounds times. A per-node retry nested under the rounds
+  // max_attempts times. A per-node retry nested under the rounds
   // dials it several times inside every round.
   TestCluster cluster(ReplicatedWal("failover_dials"));
   cluster.Start();
@@ -398,7 +398,7 @@ TEST(ClusterFailover, DeadNodeIsDialedAtMostOncePerRound) {
         1 + (*channel)->quorum_retry_rounds() - retries_before;
     EXPECT_LE(static_cast<uint64_t>(node_dials), rounds)
         << OpCodeName(req.op) << ": dead node dialed more than once a round";
-    EXPECT_LE(node_dials, sopts.quorum_rounds);
+    EXPECT_LE(node_dials, sopts.max_attempts);
   };
   // K=3: every write targets the dead node. Reads of keys that prefer
   // it target it first and then fail over.
@@ -411,7 +411,7 @@ TEST(ClusterFailover, DeadNodeIsDialedAtMostOncePerRound) {
 }
 
 TEST(ClusterFailover, CallLatencyStaysUnderTheRetryCeiling) {
-  // DESIGN.md §8's worst case for one Call: quorum_rounds × (connect_ms
+  // DESIGN.md §8's worst case for one Call: max_attempts × (connect_ms
   // + send_ms + recv_ms) + Σ backoff, each backoff at its +20% jitter
   // extreme, plus read repair (one exchange; K-1 round trips are
   // allowed here). Under a flapping replica no Call may exceed it.
@@ -428,14 +428,14 @@ TEST(ClusterFailover, CallLatencyStaysUnderTheRetryCeiling) {
   const double round_trip_ms =
       timeouts.connect_ms + timeouts.send_ms + timeouts.recv_ms;
   double backoff_ms = 0;
-  for (int r = 1; r < sopts.quorum_rounds; ++r) {
-    backoff_ms += 1.2 * std::min<double>(sopts.round_backoff_ms *
+  for (int r = 1; r < sopts.max_attempts; ++r) {
+    backoff_ms += 1.2 * std::min<double>(sopts.initial_backoff_ms *
                                              std::pow(2.0, r - 1),
-                                         sopts.max_round_backoff_ms);
+                                         sopts.max_backoff_ms);
   }
   const double repairs = cluster.config().replication - 1;
   const double ceiling_ms =
-      (sopts.quorum_rounds + repairs) * round_trip_ms + backoff_ms;
+      (sopts.max_attempts + repairs) * round_trip_ms + backoff_ms;
 
   double worst_ms = 0;
   {
@@ -480,7 +480,7 @@ TEST(ClusterFailover, WithoutReplicationAndRetriesTheSameKillIsFatal) {
   auto engine = testing::MakeEngine(&ent->clock, 7);
 
   ShardedChannelOptions fragile;
-  fragile.quorum_rounds = 1;
+  fragile.max_attempts = 1;
   auto channel = cluster.MakeChannel(fragile);
   ASSERT_NE(channel, nullptr);
   auto client = testing::MakeClient(ent.get(), channel.get(), engine.get());

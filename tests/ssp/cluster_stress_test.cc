@@ -55,7 +55,7 @@ TEST(ClusterStress, ConcurrentClientsSurviveAFlappingReplica) {
     // Generous round budget: a thread may catch the victim mid-teardown
     // repeatedly; what is not allowed is giving up.
     ShardedChannelOptions sopts;
-    sopts.quorum_rounds = 12;
+    sopts.max_attempts = 12;
     sopts.seed = static_cast<uint64_t>(t) + 1;
     auto channel = core::ShardedChannel::Create(cluster.config(), sopts);
     if (!channel.ok()) return channel.status();

@@ -44,14 +44,15 @@
 //                        to / read from quorums (DESIGN.md §15).
 // Transport fault tolerance (every SSP op is an idempotent put/get/
 // delete, so blanket retry is safe — see core/retrying_connection.h).
-// With --cluster the same flags set the quorum round budget instead
-// (attempts = rounds; the cluster path has no other retry layer):
+// One retry budget for one daemon or a cluster (an attempt is then a
+// quorum round; the cluster path has no other retry layer):
 //        --retries N            attempts per op incl. the first (8;
 //                               1 disables retry)
 //        --retry-backoff-ms N   initial backoff, doubled per retry (10)
 //        --retry-max-backoff-ms N  backoff cap (1000)
 //        --connect-timeout-ms N    connect deadline (5000; 0 = forever)
 //        --io-timeout-ms N         per-syscall send/recv deadline
+//                                  (10000; 0 = forever)
 //        --readahead-blocks N      data blocks fetched per read batch
 //                                  (32; 0 = one get per round trip)
 //        --write-batch N           mutating sub-ops staged per flush of
@@ -59,7 +60,9 @@
 //                                  round trip per logical op, the
 //                                  pre-batching wire behaviour)
 //        --rpc-stats               print the op's round-trip count
-//                                  (10000; 0 = forever)
+//
+// An unknown flag, a missing value, a bad number or a mkdir/chmod mode
+// outside octal 0..7777 exits 1 (tools/flags.h).
 
 #include <cstdio>
 #include <cstdlib>
@@ -75,6 +78,7 @@
 #include "obs/metrics.h"
 #include "ssp/message.h"
 #include "ssp/tcp_service.h"
+#include "flags.h"
 
 using namespace sharoes;
 
@@ -88,9 +92,10 @@ struct Args {
   std::string cluster;
   std::string state;
   std::string user;
-  core::RetryOptions retry;
-  net::TcpTimeouts timeouts{/*connect_ms=*/5000, /*send_ms=*/10000,
-                            /*recv_ms=*/10000};
+  /// The retry budget (RetryOptions' defaults) and socket deadlines, for
+  /// one daemon or a cluster alike.
+  core::ShardedChannelOptions transport{
+      {}, {/*connect_ms=*/5000, /*send_ms=*/10000, /*recv_ms=*/10000}};
   /// Data-read batching window; 0 disables batched reads entirely
   /// (one get per round trip, the pre-batching wire behaviour).
   size_t readahead_blocks = 32;
@@ -118,52 +123,36 @@ void CheckOk(const Status& s) {
 
 Args ParseArgs(int argc, char** argv) {
   Args args;
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    auto next = [&]() -> std::string {
-      if (++i >= argc) Die("missing value for " + a);
-      return argv[i];
-    };
-    if (a == "--host") {
-      args.host = next();
-    } else if (a == "--cluster") {
-      args.cluster = next();
-    } else if (a == "--port") {
-      args.port = static_cast<uint16_t>(std::atoi(next().c_str()));
-    } else if (a == "--state") {
-      args.state = next();
-    } else if (a == "--user") {
-      args.user = next();
-    } else if (a == "--retries") {
-      args.retry.max_attempts = std::atoi(next().c_str());
-    } else if (a == "--retry-backoff-ms") {
-      args.retry.initial_backoff_ms =
-          static_cast<uint32_t>(std::atoi(next().c_str()));
-    } else if (a == "--retry-max-backoff-ms") {
-      args.retry.max_backoff_ms =
-          static_cast<uint32_t>(std::atoi(next().c_str()));
-    } else if (a == "--connect-timeout-ms") {
-      args.timeouts.connect_ms =
-          static_cast<uint32_t>(std::atoi(next().c_str()));
-    } else if (a == "--io-timeout-ms") {
-      uint32_t ms = static_cast<uint32_t>(std::atoi(next().c_str()));
-      args.timeouts.send_ms = ms;
-      args.timeouts.recv_ms = ms;
-    } else if (a == "--readahead-blocks") {
-      args.readahead_blocks =
-          static_cast<size_t>(std::atoi(next().c_str()));
-    } else if (a == "--write-batch") {
-      args.write_batch = static_cast<size_t>(std::atoi(next().c_str()));
-    } else if (a == "--rpc-stats") {
-      args.rpc_stats = true;
-    } else if (a == "--prefix") {
-      args.stats_prefix = next();
-    } else if (a == "--node") {
-      args.admin_node = std::atoi(next().c_str());
-    } else {
-      args.command.push_back(a);
-    }
-  }
+  core::RetryOptions& retry = args.transport;
+  net::TcpTimeouts& timeouts = args.transport.timeouts;
+  const std::map<std::string, tools::Flag> flags = {
+      {"--host", tools::StringFlag(&args.host)},
+      {"--cluster", tools::StringFlag(&args.cluster)},
+      {"--port", tools::UintFlag(&args.port)},
+      {"--state", tools::StringFlag(&args.state)},
+      {"--user", tools::StringFlag(&args.user)},
+      {"--retries", tools::UintFlag(&retry.max_attempts)},
+      {"--retry-backoff-ms", tools::UintFlag(&retry.initial_backoff_ms)},
+      {"--retry-max-backoff-ms", tools::UintFlag(&retry.max_backoff_ms)},
+      {"--connect-timeout-ms", tools::UintFlag(&timeouts.connect_ms)},
+      {"--io-timeout-ms",
+       [&](const char* text) {
+         if (!tools::UintFlag(&timeouts.send_ms)(text)) return false;
+         timeouts.recv_ms = timeouts.send_ms;
+         return true;
+       }},
+      {"--readahead-blocks", tools::UintFlag(&args.readahead_blocks)},
+      {"--write-batch", tools::UintFlag(&args.write_batch)},
+      {"--rpc-stats", tools::SwitchFlag(&args.rpc_stats)},
+      {"--prefix", tools::StringFlag(&args.stats_prefix)},
+      {"--node", tools::UintFlag(&args.admin_node)},
+  };
+  const std::string error =
+      tools::ParseFlags(argc, argv, flags, [&](const char* word) {
+        args.command.push_back(word);
+        return std::string();
+      });
+  if (!error.empty()) Die(error);
   if (args.command.empty()) Die("no command given");
   // `stats` and `slow` talk admin RPCs only — no enterprise state.
   if (args.state.empty() && args.command[0] != "stats" &&
@@ -193,38 +182,29 @@ constexpr fs::UserId kAliceUid = 100;
 constexpr fs::UserId kBobUid = 101;
 constexpr fs::GroupId kStaffGid = 500;
 
-/// Fault-tolerant channel to the daemon: reconnects and retries per the
-/// retry flags, with stream deadlines from the timeout flags.
-std::unique_ptr<core::RetryingConnection> MakeConnection(
-    const std::string& host, uint16_t port, const net::TcpTimeouts& timeouts,
-    const core::RetryOptions& retry) {
-  auto factory = [host, port,
-                  timeouts]() -> Result<std::unique_ptr<ssp::SspChannel>> {
-    auto channel = ssp::TcpSspChannel::Connect(host, port, timeouts);
-    if (!channel.ok()) return channel.status();
-    return std::unique_ptr<ssp::SspChannel>(std::move(*channel));
-  };
-  return std::make_unique<core::RetryingConnection>(std::move(factory), retry);
-}
-
 /// The sharded quorum channel over the --cluster fleet; the retry flags
-/// become its round budget.
+/// are its round budget.
 std::unique_ptr<core::ShardedChannel> OpenCluster(const Args& args) {
-  auto channel = core::ShardedChannel::Open(
-      args.cluster,
-      core::ShardedChannelOptions::FromRetry(args.retry, args.timeouts));
+  auto channel = core::ShardedChannel::Open(args.cluster, args.transport);
   if (!channel.ok()) Die("cluster config: " + channel.status().ToString());
   return std::move(*channel);
 }
 
 /// The channel every command talks through: with --cluster, a sharded
-/// quorum channel over the configured daemon fleet; otherwise the
-/// single-daemon retrying connection.
+/// quorum channel over the configured daemon fleet; otherwise a
+/// connection to the one daemon that reconnects and retries. Either way
+/// the retry flags are its budget and the timeout flags its deadlines.
 std::unique_ptr<ssp::SspChannel> MakeChannel(const Args& args) {
-  if (args.cluster.empty()) {
-    return MakeConnection(args.host, args.port, args.timeouts, args.retry);
-  }
-  return OpenCluster(args);
+  if (!args.cluster.empty()) return OpenCluster(args);
+  auto factory = [host = args.host, port = args.port,
+                  timeouts = args.transport.timeouts]()
+      -> Result<std::unique_ptr<ssp::SspChannel>> {
+    auto channel = ssp::TcpSspChannel::Connect(host, port, timeouts);
+    if (!channel.ok()) return channel.status();
+    return std::unique_ptr<ssp::SspChannel>(std::move(*channel));
+  };
+  return std::make_unique<core::RetryingConnection>(std::move(factory),
+                                                    args.transport);
 }
 
 void Provision(const Args& args) {
@@ -240,7 +220,7 @@ void Provision(const Args& args) {
   // quorum provisioning tolerates a minority of daemons being down.)
   if (args.cluster.empty()) {
     auto probe = ssp::TcpSspChannel::Connect(args.host, args.port,
-                                             args.timeouts);
+                                             args.transport.timeouts);
     if (!probe.ok()) {
       Die("cannot reach sharoes_sspd at " + args.host + ":" +
           std::to_string(args.port) + " (" + probe.status().ToString() +
@@ -283,7 +263,7 @@ void Provision(const Args& args) {
 /// daemon. Prints the payload as JSON: kGetStats answers a binary
 /// registry snapshot (a lone daemon's or the cluster's merge alike),
 /// rendered here; kGetTraces answers JSON already.
-int RunAdmin(const Args& args, const ssp::Request& req, const char* what) {
+int RunAdmin(const Args& args, const ssp::Request& req) {
   Result<ssp::Response> resp = Status::Internal("unset");
   if (args.admin_node >= 0) {
     if (args.cluster.empty()) {
@@ -292,11 +272,10 @@ int RunAdmin(const Args& args, const ssp::Request& req, const char* what) {
     resp = OpenCluster(args)->CallOnNode(
         static_cast<uint32_t>(args.admin_node), req);
   } else {
-    auto channel = MakeChannel(args);
-    resp = channel->Call(req);
+    resp = MakeChannel(args)->Call(req);
   }
   CheckOk(resp.status());
-  if (!resp->ok()) Die(std::string("SSP rejected ") + what);
+  if (!resp->ok()) Die(std::string("SSP rejected ") + ssp::OpCodeName(req.op));
   std::string json(resp->payload.begin(), resp->payload.end());
   if (req.op == ssp::OpCode::kGetStats) {
     auto snap = obs::RegistrySnapshot::DeserializeBinary(resp->payload);
@@ -307,16 +286,13 @@ int RunAdmin(const Args& args, const ssp::Request& req, const char* what) {
   return 0;
 }
 
-/// `sharoes_cli stats`: fetch and print the daemon's metrics snapshot
-/// (optionally restricted to names starting with --prefix).
-int Stats(const Args& args) {
-  return RunAdmin(args, ssp::Request::GetStats(args.stats_prefix),
-                  "kGetStats");
-}
-
-/// `sharoes_cli slow`: fetch and print captured slow-request timelines.
-int Slow(const Args& args) {
-  return RunAdmin(args, ssp::Request::GetTraces(), "kGetTraces");
+/// A mode argument of mkdir/chmod: octal, 0 to 7777.
+fs::Mode ModeArg(const std::string& text) {
+  uint64_t bits = 0;
+  if (!tools::ParseUint(text.c_str(), 07777, &bits, 8)) {
+    Die("bad mode '" + text + "' (octal, 0..7777)");
+  }
+  return fs::Mode::FromOctal(static_cast<uint16_t>(bits));
 }
 
 fs::UserId UidOf(const core::IdentityDirectory& identity,
@@ -345,18 +321,9 @@ int RunCommand(const Args& args) {
   crypto::CryptoEngine engine(&clock, eng_opts);
   core::ClientOptions copts;
   copts.default_group = kStaffGid;
-  copts.transport_retry = args.retry;
-  copts.transport_timeouts = args.timeouts;
   copts.readahead_blocks = args.readahead_blocks;
   copts.write_batch_ops = args.write_batch;
-  // Cluster mode exercises the library path: the client builds and owns
-  // its sharded channel from ClientOptions::cluster at Mount().
-  copts.cluster = args.cluster;
-  std::unique_ptr<ssp::SspChannel> channel;
-  if (args.cluster.empty()) {
-    channel = MakeConnection(args.host, args.port, copts.transport_timeouts,
-                             copts.transport_retry);
-  }
+  auto channel = MakeChannel(args);
   core::SharoesClient client(uid, *priv, &*identity, channel.get(), &engine,
                              copts);
   CheckOk(client.Mount());
@@ -392,13 +359,10 @@ int RunCommand(const Args& args) {
                 fs::FileTypeName(attrs->type).c_str());
   } else if (cmd == "mkdir") {
     core::CreateOptions opts;
-    opts.mode = fs::Mode::FromOctal(
-        static_cast<uint16_t>(std::strtol(arg_at(2).c_str(), nullptr, 8)));
+    opts.mode = ModeArg(arg_at(2));
     CheckOk(client.Mkdir(arg_at(1), opts));
   } else if (cmd == "chmod") {
-    fs::Mode mode(static_cast<uint16_t>(
-        std::strtol(arg_at(2).c_str(), nullptr, 8)));
-    CheckOk(client.Chmod(arg_at(1), mode));
+    CheckOk(client.Chmod(arg_at(1), ModeArg(arg_at(2))));
   } else if (cmd == "rm") {
     CheckOk(client.Unlink(arg_at(1)));
   } else if (cmd == "rmdir") {
@@ -425,7 +389,11 @@ int main(int argc, char** argv) {
     Provision(args);
     return 0;
   }
-  if (args.command[0] == "stats") return Stats(args);
-  if (args.command[0] == "slow") return Slow(args);
+  if (args.command[0] == "stats") {
+    return RunAdmin(args, ssp::Request::GetStats(args.stats_prefix));
+  }
+  if (args.command[0] == "slow") {
+    return RunAdmin(args, ssp::Request::GetTraces());
+  }
   return RunCommand(args);
 }

@@ -72,9 +72,6 @@
 #include <cstdlib>
 #include <unistd.h>
 
-#include <cerrno>
-#include <functional>
-#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -85,6 +82,9 @@
 #include "ssp/scrub.h"
 #include "ssp/tcp_service.h"
 #include "ssp/wal.h"
+#include "flags.h"
+
+using namespace sharoes::tools;
 
 namespace {
 volatile std::sig_atomic_t g_stop = 0;
@@ -99,30 +99,6 @@ int Usage(const std::string& error) {
   return 1;
 }
 
-/// Parses all of `text` as a decimal integer in [0, max].
-bool ParseUint(const char* text, uint64_t max, uint64_t* out) {
-  if (*text < '0' || *text > '9') return false;  // No sign, no blank.
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long v = std::strtoull(text, &end, 10);
-  if (errno != 0 || *end != '\0' || v > max) return false;
-  *out = v;
-  return true;
-}
-
-/// A flag's value parser: false rejects the value.
-using FlagParser = std::function<bool(const char*)>;
-
-template <typename T>
-FlagParser UintFlag(T* field) {
-  return [field](const char* text) {
-    uint64_t v = 0;
-    if (!ParseUint(text, std::numeric_limits<T>::max(), &v)) return false;
-    *field = static_cast<T>(v);
-    return true;
-  };
-}
-
 /// A percentage in [0, 100], stored as a probability.
 FlagParser PctFlag(double* field) {
   return [field](const char* text) {
@@ -132,13 +108,6 @@ FlagParser PctFlag(double* field) {
       return false;
     }
     *field = pct / 100.0;
-    return true;
-  };
-}
-
-FlagParser StringFlag(std::string* field) {
-  return [field](const char* text) {
-    *field = text;
     return true;
   };
 }
@@ -154,7 +123,7 @@ int main(int argc, char** argv) {
   int scrub_interval_s = 0;
   uint64_t slow_request_us = sharoes::obs::SlowRequestThresholdUs();
   sharoes::ssp::FaultPolicy::Options fault_opts;
-  const std::map<std::string, FlagParser> flags = {
+  const std::map<std::string, Flag> flags = {
       {"--cluster", StringFlag(&cluster_path)},
       {"--node-id", UintFlag(&node_id)},
       {"--wal", StringFlag(&wal_dir)},
@@ -174,27 +143,17 @@ int main(int argc, char** argv) {
       {"--fault-delay-ms", UintFlag(&fault_opts.delay_ms)},
       {"--fault-seed", UintFlag(&fault_opts.seed)},
   };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      uint64_t p = 0;
-      if (explicit_port || !ParseUint(argv[i], 65535, &p)) {
-        return Usage("bad port '" + arg + "' (one port, 0..65535)");
-      }
-      port = static_cast<uint16_t>(p);
-      explicit_port = true;
-      continue;
-    }
-    auto flag = flags.find(arg);
-    if (flag == flags.end()) return Usage("unknown flag " + arg);
-    if (i + 1 == argc || std::string(argv[i + 1]).rfind("--", 0) == 0) {
-      return Usage(arg + " needs a value");
-    }
-    ++i;
-    if (!flag->second(argv[i])) {
-      return Usage("bad value '" + std::string(argv[i]) + "' for " + arg);
-    }
-  }
+  const std::string error =
+      ParseFlags(argc, argv, flags, [&](const char* text) -> std::string {
+        uint64_t p = 0;
+        if (explicit_port || !ParseUint(text, 65535, &p)) {
+          return std::string("bad port '") + text + "' (one port, 0..65535)";
+        }
+        port = static_cast<uint16_t>(p);
+        explicit_port = true;
+        return "";
+      });
+  if (!error.empty()) return Usage(error);
   sharoes::obs::SetSlowRequestThresholdUs(slow_request_us);
 
   if (cluster_path.empty() != (node_id < 0)) {
