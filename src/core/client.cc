@@ -1,6 +1,7 @@
 #include "core/client.h"
 
 #include <algorithm>
+#include <set>
 
 #include "crypto/merkle.h"
 #include "fs/path.h"
@@ -67,28 +68,13 @@ SharoesClient::OpScope::~OpScope() {
   trips_hist_->Record(client_->rpc_round_trips_ - start_trips_);
 }
 
-namespace {
-/// True iff the request would mutate the store — the shapes that may
-/// bypass the read barrier below (a flush's own kBatch is all-mutating).
-bool RequestMutates(const ssp::Request& req) {
-  if (req.op == ssp::OpCode::kBatch) {
-    for (const ssp::Request& sub : req.batch) {
-      if (ssp::IsMutatingOp(sub.op)) return true;
-    }
-    return false;
-  }
-  return ssp::IsMutatingOp(req.op);
-}
-}  // namespace
-
 Result<ssp::Response> SharoesClient::Rpc(const ssp::Request& req) {
   // Read barrier for the write-behind stage: before any read reaches the
   // wire, staged mutations must land so the SSP answers reflect this
-  // client's own writes (read-your-writes). Mutating requests skip it —
-  // ordering relative to the stage is preserved by staging them too (or,
-  // for the flush batch itself, by flushing_pending_).
-  if (!flushing_pending_ && !pending_writes_.empty() &&
-      !RequestMutates(req)) {
+  // client's own writes (read-your-writes). With staging on, a mutating
+  // request reaches the wire only as the flush batch itself
+  // (flushing_pending_); every other one is staged behind it.
+  if (!flushing_pending_ && !pending_writes_.empty()) {
     SHAROES_RETURN_IF_ERROR(FlushPendingWrites());
   }
   ++rpc_round_trips_;
@@ -524,8 +510,8 @@ Result<std::vector<std::string>> SharoesClient::Readdir(
 
 Status SharoesClient::ExecuteBatch(std::vector<ssp::Request> requests) {
   if (requests.empty()) return Status::OK();
-  if (options_.write_batch_ops == 0 || flushing_pending_) {
-    return ExecuteBatchNow(requests);
+  if (options_.write_batch_ops == 0) {
+    return SettleBatch(requests, ExecuteBatchNow(requests));
   }
   // Write-behind: stage the sub-ops and ship them at the next flush
   // point. Submission order is preserved, so the flushed batch applies
@@ -543,7 +529,6 @@ Status SharoesClient::ExecuteBatch(std::vector<ssp::Request> requests) {
 
 Status SharoesClient::ExecuteBatchNow(
     const std::vector<ssp::Request>& requests) {
-  if (requests.empty()) return Status::OK();
   SHAROES_ASSIGN_OR_RETURN(ssp::Response resp,
                            Rpc(ssp::Request::Batch(requests)));
   if (!resp.ok()) {
@@ -584,15 +569,31 @@ Status SharoesClient::FlushPendingWrites() {
   Status shipped = ExecuteBatchNow(pending_writes_);
   flushing_pending_ = false;
   // Transient outcomes (not executed, or executed without the ack — both
-  // replay-safe for these idempotent sub-ops) keep the stage so the next
-  // flush point retries; anything else resolves the ops' fate, so the
-  // stage clears and the error surfaces exactly once.
-  if (shipped.ok() ||
-      !(shipped.IsUnavailable() || shipped.IsDeadlineExceeded())) {
-    pending_writes_.clear();
-    pending_write_bytes_ = 0;
-  }
+  // replay-safe for these idempotent sub-ops) keep the stage, and its
+  // pending versions, so the next flush point retries; anything else
+  // resolves the ops' fate, so the stage clears and the error surfaces
+  // exactly once.
+  if (shipped.IsUnavailable() || shipped.IsDeadlineExceeded()) return shipped;
+  shipped = SettleBatch(pending_writes_, std::move(shipped));
+  pending_writes_.clear();
+  pending_write_bytes_ = 0;
   return shipped;
+}
+
+Status SharoesClient::SettleBatch(const std::vector<ssp::Request>& requests,
+                                  Status outcome) {
+  versions_.Settle(outcome.ok());
+  if (outcome.ok()) return outcome;
+  // The SSP may hold the old state or (an immediate batch whose ack was
+  // lost) the new one. Drop what this client cached on the batch's behalf
+  // — a parent's re-rendered tables and master, a new object's view, a
+  // file's new blocks — so every named inode is refetched from the SSP.
+  std::set<fs::InodeNum> named;
+  for (const ssp::Request& r : requests) {
+    if (r.inode != fs::kInvalidInode) named.insert(r.inode);
+  }
+  for (fs::InodeNum inode : named) InvalidateInode(inode);
+  return outcome;
 }
 
 Status SharoesClient::Fsync() {
@@ -715,7 +716,7 @@ Status SharoesClient::CreateObject(const std::string& path, fs::FileType type,
   SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch2)));
   // The creator keeps its own view of the new object in memory, and
   // knows the file has never been written (write generation 0).
-  freshness_[attrs.inode] = FreshnessRecord{0, {}};
+  versions_.Created(attrs.inode);
   ReplicaSpec my_spec = SpecFor(info, principal_, options_.scheme);
   MetadataView my_view = ObjectCodec::BuildView(my_spec, attrs, bundle);
   cache_.Put(ViewCacheKey(attrs.inode, my_spec.selector), my_view,
@@ -763,10 +764,7 @@ Result<Bytes> SharoesClient::FetchFileContent(Node node) {
                              MultiGet(std::move(gets)));
     Status taken = TakeDataWindow(&node, window, resps.data());
     if (taken.IsNotFound()) {
-      auto seen = freshness_.find(inode);
-      if (seen == freshness_.end() || seen->second.write_gen == 0) {
-        return Bytes{};  // Never written: empty file.
-      }
+      if (versions_.NeverWritten(inode)) return Bytes{};
       // A file this client saw written loses its data only with its
       // metadata (an unlink: the view fetch says NotFound). Otherwise the
       // SSP dropped the data, which must not read as an empty file.
@@ -778,26 +776,10 @@ Result<Bytes> SharoesClient::FetchFileContent(Node node) {
   }
   const DataDescriptor& desc = *node.desc;
   // Freshness (SUNDR-style rollback detection, paper §VIII): the write
-  // generation this client has observed for an inode must never move
-  // backwards. An SSP serving a stale-but-validly-signed version is
-  // caught here.
-  auto it = freshness_.find(inode);
-  if (it != freshness_.end()) {
-    if (desc.write_gen < it->second.write_gen) {
-      return Status::Corruption(
-          "rollback detected: write generation regressed");
-    }
-    // Same generation but a different tag root is SSP equivocation:
-    // two distinct contents presented under one write generation.
-    if (desc.write_gen == it->second.write_gen &&
-        !it->second.tag_root.empty() &&
-        !ConstantTimeEquals(desc.tag_root, it->second.tag_root)) {
-      return Status::Corruption(
-          "rollback detected: different content presented at the same "
-          "write generation");
-    }
-  }
-  freshness_[inode] = FreshnessRecord{desc.write_gen, desc.tag_root};
+  // generation this client has observed for an inode never moves
+  // backwards, and one generation never shows two contents.
+  SHAROES_RETURN_IF_ERROR(
+      versions_.Observe(inode, desc.write_gen, desc.tag_root));
 
   // Chunk blocks the first window opened are in node.window already; the
   // rest come from the cache or the SSP.
@@ -992,19 +974,9 @@ Result<ObjectCodec::RenderedFile> SharoesClient::RenderFileWrite(
 Status SharoesClient::CommitFileWrite(fs::InodeNum inode,
                                       ObjectCodec::RenderedFile file,
                                       std::vector<ssp::Request> puts) {
-  Status shipped = ExecuteBatch(std::move(puts));
-  if (!shipped.ok()) {
-    // The store may keep the old version or (a staged batch replayed
-    // later) take the new one: drop what this client cached of either.
-    // The observed generation stays the rollback floor, but the next one
-    // may be taken, so the next write peeks the store.
-    InvalidateInode(inode);
-    auto seen = freshness_.find(inode);
-    if (seen != freshness_.end()) seen->second.commit_failed = true;
-    return shipped;
-  }
-  freshness_[inode] =
-      FreshnessRecord{file.desc.write_gen, file.desc.tag_root};
+  // Cached before the batch ships, so a failed batch's SettleBatch takes
+  // the blocks back out with the rest of the inode.
+  versions_.Pend(inode, file.desc.write_gen, file.desc.tag_root);
   cache_.Put(DataCacheKey(inode, 0), std::move(file.desc),
              file.desc_wire_size);
   for (ObjectCodec::SealedBlock& b : file.sealed) {
@@ -1012,16 +984,12 @@ Status SharoesClient::CommitFileWrite(fs::InodeNum inode,
                OpenedBlock{std::move(b.plaintext), std::move(b.tag)},
                b.wire_size);
   }
-  return Status::OK();
+  return ExecuteBatch(std::move(puts));
 }
 
 Result<uint64_t> SharoesClient::NextWriteGen(fs::InodeNum inode) {
-  auto it = freshness_.find(inode);
-  if (it != freshness_.end() && !it->second.commit_failed) {
-    return it->second.write_gen + 1;
-  }
-  const uint64_t observed = it != freshness_.end() ? it->second.write_gen : 0;
-  // Unknown history (overwrite of a never-read file), or a failed commit
+  if (!versions_.MustPeek(inode)) return versions_.Next(inode, 0);
+  // Unknown history (overwrite of a never-read file), or a dropped batch
   // that the store may hold: peek the stored header so generations stay
   // monotonic for other clients. The peek is a read, so its barrier
   // replays a kept stage first.
@@ -1029,11 +997,11 @@ Result<uint64_t> SharoesClient::NextWriteGen(fs::InodeNum inode) {
   // starting over at generation 1 would trip other clients' rollback
   // detection, so it surfaces and the caller retries.
   Result<Bytes> wire = Get(ssp::Request::GetData(inode, 0), "data block 0");
-  if (wire.status().IsNotFound()) return observed + 1;
+  if (wire.status().IsNotFound()) return versions_.Next(inode, 0);
   SHAROES_RETURN_IF_ERROR(wire.status());
   SHAROES_ASSIGN_OR_RETURN(ObjectCodec::DataBlockHeader h,
                            ObjectCodec::PeekDataHeader(*wire));
-  return std::max(h.write_gen, observed) + 1;
+  return versions_.Next(inode, h.write_gen);
 }
 
 Status SharoesClient::Close(const std::string& path) {

@@ -19,6 +19,7 @@
 #include <optional>
 
 #include "core/cache.h"
+#include "core/file_versions.h"
 #include "core/fs_client.h"
 #include "core/object_codec.h"
 #include "obs/trace.h"
@@ -256,6 +257,12 @@ class SharoesClient : public FsClient {
   /// and on definitive rejection; keeps it on transient failure (the
   /// ops are idempotent, so the next flush replays them safely).
   Status FlushPendingWrites();
+  /// The one rule for a batch whose fate is decided (`outcome`): an
+  /// acknowledged batch makes its pending versions the floor; a dropped
+  /// one forgets them and invalidates every inode its sub-ops name, so
+  /// the client keeps only what the SSP acknowledged.
+  Status SettleBatch(const std::vector<ssp::Request>& requests,
+                     Status outcome);
 
   /// Fetches the master table of a directory the caller can write.
   Result<MasterTable> FetchMaster(const Node& dir,
@@ -329,14 +336,16 @@ class SharoesClient : public FsClient {
       uint32_t key_gen,
       const std::map<uint32_t, ObjectCodec::KeptBlock>* kept,
       std::vector<ssp::Request>* puts);
-  /// Ships a file write's batch. Only once the SSP accepted it does the
-  /// client record the new write generation and cache the sealed blocks,
-  /// so a failed batch leaves the client agreeing with the store.
+  /// Ships a file write's batch through ExecuteBatch. The new version is
+  /// pending and its sealed blocks are cached (read-your-writes) at once;
+  /// the version becomes the rollback floor only when the SSP
+  /// acknowledges the batch (at once with staging off, at the flush that
+  /// carries it with staging on), and a dropped batch takes both back
+  /// (SettleBatch).
   Status CommitFileWrite(fs::InodeNum inode, ObjectCodec::RenderedFile file,
                          std::vector<ssp::Request> puts);
-  /// The next write generation for an inode (monotonic per §VIII
-  /// freshness; peeks the stored header when history is unknown or the
-  /// last commit failed, and never issues one at or below the observed).
+  /// The next write generation for an inode (FileVersions::Next), after
+  /// a peek at the stored header when versions_ says one is needed.
   Result<uint64_t> NextWriteGen(fs::InodeNum inode);
 
   fs::UserId uid_;
@@ -371,21 +380,9 @@ class SharoesClient : public FsClient {
   /// True while FlushPendingWrites is on the wire: its own kBatch (and
   /// any read the flush path issues) must not re-enter the barrier.
   bool flushing_pending_ = false;
-  /// Freshness memory per inode (deliberately survives DropCaches):
-  /// the highest write generation this client has observed plus the
-  /// tag Merkle root it observed at that generation. A later read that
-  /// regresses the generation is a rollback; one that keeps the
-  /// generation but presents a different root is SSP equivocation —
-  /// both fail closed as Corruption.
-  struct FreshnessRecord {
-    uint64_t write_gen = 0;
-    Bytes tag_root;
-    /// A commit of the next generation failed: the SSP may hold it (the
-    /// batch applied, its ack was lost) or take it later (a kept stage
-    /// replays), so NextWriteGen peeks the store rather than reuse it.
-    bool commit_failed = false;
-  };
-  std::map<fs::InodeNum, FreshnessRecord> freshness_;
+  /// Per-inode version state: the rollback floor (it survives
+  /// DropCaches), pending versions and the must-peek marks.
+  FileVersions versions_;
   uint64_t inode_counter_;
 };
 

@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "testing/world.h"
 
 namespace sharoes {
@@ -20,21 +23,30 @@ using testing::kBob;
 using testing::kEng;
 using testing::World;
 
-/// Forwards to a real in-process connection. Once armed, the next
-/// mutating batch is applied and its reply lost: the call returns
-/// Unavailable, as when the link dies after the SSP acted.
+/// Forwards to a real in-process connection. Armed by LoseNextWriteAck,
+/// the next mutating batch is applied and its reply lost: the call
+/// returns Unavailable, as when the link dies after the SSP acted. Armed
+/// by RejectNextWrite, the mutating batch after `pass` others is not
+/// applied, and the call returns `status`.
 class LostAckChannel : public ssp::SspChannel {
  public:
   explicit LostAckChannel(ssp::SspChannel* inner) : inner_(inner) {}
 
   void LoseNextWriteAck() { armed_ = true; }
+  void RejectNextWrite(Status status, int pass = 0) {
+    reject_ = std::move(status);
+    reject_after_ = pass;
+  }
 
   Result<ssp::Response> Call(const ssp::Request& req) override {
-    Result<ssp::Response> resp = inner_->Call(req);
     bool mutates = ssp::IsMutatingOp(req.op);
     for (const ssp::Request& sub : req.batch) {
       mutates = mutates || ssp::IsMutatingOp(sub.op);
     }
+    if (mutates && !reject_.ok() && reject_after_-- == 0) {
+      return std::exchange(reject_, Status::OK());
+    }
+    Result<ssp::Response> resp = inner_->Call(req);
     if (armed_ && mutates && resp.ok() && resp->ok()) {
       armed_ = false;
       return Status::Unavailable("reply lost after the batch applied");
@@ -45,6 +57,8 @@ class LostAckChannel : public ssp::SspChannel {
  private:
   ssp::SspChannel* inner_;  // Not owned.
   bool armed_ = false;
+  Status reject_;  // OK: not armed.
+  int reject_after_ = 0;
 };
 
 class FreshnessTest : public ::testing::Test {
@@ -123,6 +137,22 @@ class FreshnessTest : public ::testing::Test {
     auto read = bob.Read("/log.txt");
     ASSERT_TRUE(read.ok()) << read.status();
     EXPECT_EQ(ToString(*read), "v4");
+  }
+
+  /// Alice writes v2 and Close's flush fails transiently, unapplied: the
+  /// stage and the pending version are kept, so her cached read still
+  /// shows v2 (read-your-writes).
+  std::unique_ptr<core::SharoesClient> WriteAcrossATransientFailure() {
+    auto alice = LossyAlice(/*write_batch_ops=*/64);
+    lossy_->RejectNextWrite(Status::Unavailable("link down"));
+    Status s = alice->WriteFile("/log.txt", ToBytes("v2, staged"));
+    EXPECT_TRUE(s.IsUnavailable()) << s;
+    auto cached = alice->Read("/log.txt");
+    EXPECT_TRUE(cached.ok()) << cached.status();
+    if (cached.ok()) {
+      EXPECT_EQ(ToString(*cached), "v2, staged");
+    }
+    return alice;
   }
 
   std::unique_ptr<World> world_;
@@ -277,6 +307,102 @@ TEST_F(FreshnessTest, FailedCommitKeepsTheRollbackFloor) {
   EXPECT_FALSE(read.ok()) << "read " << ToString(*read);
   EXPECT_TRUE(read.status().IsCorruption()) << read.status();
 }
+
+TEST_F(FreshnessTest, RejectedFlushLeavesTheStoredVersion) {
+  // A staged write counts only once the SSP acknowledges it. The flush
+  // carrying v2 is rejected unapplied, so neither the writer's cache nor
+  // its rollback floor may keep v2: both reads return the stored v1.
+  auto alice = LossyAlice(/*write_batch_ops=*/64);
+  lossy_->RejectNextWrite(Status::IoError("batch rejected"));
+  Status s = alice->WriteFile("/log.txt", ToBytes("v2, never stored"));
+  ASSERT_TRUE(s.IsIoError()) << s;
+  for (bool drop_caches : {false, true}) {
+    if (drop_caches) alice->DropCaches();
+    auto read = alice->Read("/log.txt");
+    ASSERT_TRUE(read.ok()) << "drop_caches=" << drop_caches << ": "
+                           << read.status();
+    EXPECT_EQ(ToString(*read), "v1") << "drop_caches=" << drop_caches;
+  }
+  ASSERT_TRUE(alice->WriteFile("/log.txt", ToBytes("v3")).ok());
+  auto seen = world_->client(kBob).Read("/log.txt");
+  ASSERT_TRUE(seen.ok()) << seen.status();
+  EXPECT_EQ(ToString(*seen), "v3");
+}
+
+TEST_F(FreshnessTest, TransientFailureThenRejectedReplayReadsV1) {
+  auto alice = WriteAcrossATransientFailure();
+  lossy_->RejectNextWrite(Status::IoError("batch rejected"));
+  Status s = alice->Fsync();
+  ASSERT_TRUE(s.IsIoError()) << s;
+  alice->DropCaches();
+  auto read = alice->Read("/log.txt");
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(ToString(*read), "v1");
+}
+
+TEST_F(FreshnessTest, TransientFailureThenReplayRaisesTheRollbackFloor) {
+  std::map<uint32_t, Bytes> v1_blocks = SnapshotBlocks();
+  auto alice = WriteAcrossATransientFailure();
+  ASSERT_TRUE(alice->Fsync().ok());
+  RestoreBlocks(v1_blocks);
+  alice->DropCaches();
+  auto read = alice->Read("/log.txt");
+  EXPECT_FALSE(read.ok()) << "read " << ToString(*read);
+  EXPECT_TRUE(read.status().IsCorruption()) << read.status();
+}
+
+/// A mutation whose batch the SSP rejects leaves no phantom state behind,
+/// with staging off (the immediate batch fails) and on (the flush fails).
+class FailedMutationTest : public FreshnessTest,
+                           public ::testing::WithParamInterface<size_t> {
+ protected:
+  /// Runs `op` with the batch that carries it rejected (with staging off,
+  /// after `pass` earlier batches of the op went through); a staged op's
+  /// error surfaces at the Fsync.
+  template <typename Op>
+  void Reject(core::SharoesClient* client, int pass, Op op) {
+    lossy_->RejectNextWrite(Status::IoError("batch rejected"),
+                            GetParam() == 0 ? pass : 0);
+    Status s = op();
+    if (s.ok()) s = client->Fsync();
+    ASSERT_TRUE(s.IsIoError()) << s;
+  }
+};
+
+TEST_P(FailedMutationTest, RejectedCreateLeavesNoPhantom) {
+  auto alice = LossyAlice(GetParam());
+  core::CreateOptions fmode;
+  fmode.mode = World::ParseMode("rw-rw-r--");
+  // Staging off: the child's metadata is stored, the parent's tables
+  // (the second batch) are rejected.
+  ASSERT_NO_FATAL_FAILURE(Reject(alice.get(), /*pass=*/1, [&] {
+    return alice->Create("/new.txt", fmode);
+  }));
+  auto attrs = alice->Getattr("/new.txt");
+  EXPECT_TRUE(attrs.status().IsNotFound()) << attrs.status();
+  auto names = alice->Readdir("/");
+  ASSERT_TRUE(names.ok()) << names.status();
+  EXPECT_EQ(std::count(names->begin(), names->end(), "new.txt"), 0);
+  Status again = alice->Create("/new.txt", fmode);
+  ASSERT_TRUE(again.ok()) << again;
+  ASSERT_TRUE(alice->WriteFile("/new.txt", ToBytes("created twice")).ok());
+  auto seen = world_->client(kBob).Read("/new.txt");
+  ASSERT_TRUE(seen.ok()) << seen.status();
+  EXPECT_EQ(ToString(*seen), "created twice");
+}
+
+TEST_P(FailedMutationTest, RejectedUnlinkKeepsTheFile) {
+  auto alice = LossyAlice(GetParam());
+  ASSERT_NO_FATAL_FAILURE(Reject(alice.get(), /*pass=*/0, [&] {
+    return alice->Unlink("/log.txt");
+  }));
+  auto read = alice->Read("/log.txt");
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(ToString(*read), "v1");
+}
+
+INSTANTIATE_TEST_SUITE_P(WriteBatchOps, FailedMutationTest,
+                         ::testing::Values(size_t{0}, size_t{64}));
 
 }  // namespace
 }  // namespace sharoes
