@@ -896,7 +896,6 @@ Status SharoesClient::Write(const std::string& path, const Bytes& content) {
   auto it = write_buffers_.find(norm);
   if (it != write_buffers_.end()) {
     it->second.content = content;
-    it->second.dirty = true;
     return Status::OK();
   }
   SHAROES_ASSIGN_OR_RETURN(Node node, ResolvePath(path));
@@ -909,7 +908,7 @@ Status SharoesClient::Write(const std::string& path, const Bytes& content) {
   if (!node.view.CanWriteData()) {
     return Status::PermissionDenied("CAP does not expose DEK/DSK");
   }
-  write_buffers_[norm] = WriteBuffer{node.ref.inode, content, true};
+  write_buffers_[norm] = WriteBuffer{node.ref.inode, content};
   return Status::OK();
 }
 
@@ -1011,7 +1010,7 @@ Status SharoesClient::Close(const std::string& path) {
   auto it = write_buffers_.find(norm);
   Status s = Status::OK();
   if (it != write_buffers_.end()) {
-    if (it->second.dirty) s = FlushBuffer(path, &it->second);
+    s = FlushBuffer(path, &it->second);
     write_buffers_.erase(it);
   }
   // Close is a durability point: whatever the write-behind layer staged
@@ -1129,7 +1128,9 @@ Status SharoesClient::Chmod(const std::string& path, fs::Mode mode) {
           ? CommitFileWrite(attrs.inode, std::move(*rewrite), std::move(batch))
           : ExecuteBatch(std::move(batch)));
   InvalidateInode(attrs.inode);
-  return Status::OK();
+  // A revocation or rekey never waits in the stage; a widening chmod
+  // stages like a create.
+  return revoke || dir_weakened ? FlushPendingWrites() : Status::OK();
 }
 
 Status SharoesClient::RemoveObject(const std::string& path,
@@ -1178,7 +1179,8 @@ Status SharoesClient::RemoveObject(const std::string& path,
   InvalidateInode(child_inode);
   SHAROES_ASSIGN_OR_RETURN(std::string norm, NormalizePath(path));
   write_buffers_.erase(norm);
-  return Status::OK();
+  // A removal ships now, so its bytes never bill the next op's flush.
+  return FlushPendingWrites();
 }
 
 Status SharoesClient::Rename(const std::string& from,
@@ -1279,7 +1281,8 @@ Status SharoesClient::RefreshDir(const std::string& path) {
   ctx.bundle = std::move(bundle);
   std::vector<ssp::Request> batch;
   SHAROES_RETURN_IF_ERROR(RenderDirTables(ctx, &batch));
-  return ExecuteBatch(std::move(batch));
+  SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch)));
+  return FlushPendingWrites();
 }
 
 Status SharoesClient::Unlink(const std::string& path) {

@@ -52,15 +52,19 @@ struct ClientOptions {
   /// the batched read path: the mutating sub-ops a logical op produces (path
   /// renders, metadata objects, 4 KiB data blocks) are staged
   /// client-side and shipped as one kBatch at the next flush point —
-  /// Close, Fsync(), this staged-sub-op threshold, write_batch_bytes,
-  /// or any read RPC (the read barrier that preserves read-your-writes).
-  /// 0 disables staging: every logical op pays its own round trips
-  /// immediately (the pre-batching wire shape, kept as the benchmark
-  /// comparator and the library default). With staging on, errors for a
-  /// staged op surface at its flush point, and sub-ops staged but never
+  /// Close, Fsync(), the end of Unlink/Rmdir/RefreshDir and of a
+  /// revoking Chmod, this staged-sub-op threshold, write_batch_bytes, or
+  /// any read RPC (the read barrier that preserves read-your-writes). So
+  /// Create, Mkdir, Write, Rename and a widening Chmod stage, and a
+  /// create + WriteFile is one round trip. 0 disables staging: every
+  /// logical op pays its own round trips immediately (the paper's per-op
+  /// wire shape, kept as the benchmark comparator). With staging on,
+  /// errors for a staged op surface at its flush point; a transient
+  /// error there means "still staged, will apply at the next flush
+  /// point", also for the op that ends at it. Sub-ops staged but never
   /// flushed (client destroyed without Close/Fsync) are dropped — the
   /// same contract as an OS page cache.
-  size_t write_batch_ops = 0;
+  size_t write_batch_ops = 16;
   /// Staged-payload byte bound that forces a flush regardless of
   /// write_batch_ops (only meaningful with staging on), so a run of
   /// large data blocks cannot grow one batch without limit.
@@ -161,7 +165,6 @@ class SharoesClient : public FsClient {
   struct WriteBuffer {
     fs::InodeNum inode;
     Bytes content;
-    bool dirty = false;
   };
 
   /// What the caller of ResolvePath will need at the final level, so the
@@ -373,8 +376,8 @@ class SharoesClient : public FsClient {
   /// Write-behind stage (DESIGN.md §12): mutating sub-ops accepted by
   /// ExecuteBatch but not yet shipped, in client submission order (the
   /// server applies batch sub-ops in order, so staging preserves the
-  /// unbatched apply order). Flushed by Close/Fsync/thresholds and by
-  /// the read barrier in Rpc().
+  /// unbatched apply order). Flushed at every flush point that
+  /// ClientOptions::write_batch_ops lists.
   std::vector<ssp::Request> pending_writes_;
   size_t pending_write_bytes_ = 0;
   /// True while FlushPendingWrites is on the wire: its own kBatch (and

@@ -362,5 +362,164 @@ TEST(BatchedWriteTest, ReadBarrierPreservesReadYourWrites) {
   EXPECT_TRUE(attrs.ok()) << attrs.status();
 }
 
+// --- The library default: a create is one round trip, and every op
+// that removes or rekeys ends at a flush point. ---
+
+/// A world at the library's default stage threshold.
+World::Options DefaultStagingOpts() {
+  return StagingOpts(ClientOptions{}.write_batch_ops);
+}
+
+/// After an op returned OK, nothing of it is left to ship: an Fsync
+/// costs no round trip.
+void ExpectStageEmpty(SharoesClient& c) {
+  uint64_t before = c.rpc_round_trips();
+  ASSERT_TRUE(c.Fsync().ok());
+  EXPECT_EQ(c.rpc_round_trips(), before) << "the op left its sub-ops staged";
+}
+
+/// The op's sub-ops wait in the stage: the next Fsync ships them as one
+/// batch.
+void ExpectStaged(SharoesClient& c) {
+  uint64_t before = c.rpc_round_trips();
+  ASSERT_TRUE(c.Fsync().ok());
+  EXPECT_EQ(c.rpc_round_trips() - before, 1u) << "the op did not stage";
+}
+
+TEST(BatchedWriteTest, CreateAndWriteFileIsOneRoundTrip) {
+  // Staged, a create's metadata replicas, parent-table copies and data
+  // blocks ship together at the Close inside WriteFile. Staging off pays
+  // the metadata send, the parent-dir send and the data send.
+  for (auto [write_batch_ops, want] :
+       {std::pair<size_t, uint64_t>{ClientOptions{}.write_batch_ops, 1},
+        std::pair<size_t, uint64_t>{0, 3}}) {
+    World world(StagingOpts(write_batch_ops));
+    ASSERT_TRUE(world.MigrateAndMountAll(World::DefaultTree()).ok());
+    auto& alice = world.client(kAlice);
+    CreateOptions fmode;
+    fmode.mode = World::ParseMode("rw-rw----");
+    // The first create warms the parent's master table and table copy.
+    ASSERT_TRUE(alice.Create("/shared/warm.txt", fmode).ok());
+    ASSERT_TRUE(alice.Fsync().ok());
+
+    const Bytes content = FilePattern(2, 0x33);  // Three chunks.
+    uint64_t before = alice.rpc_round_trips();
+    ASSERT_TRUE(alice.Create("/shared/three.bin", fmode).ok());
+    ASSERT_TRUE(alice.WriteFile("/shared/three.bin", content).ok());
+    EXPECT_EQ(alice.rpc_round_trips() - before, want)
+        << "write_batch_ops=" << write_batch_ops;
+    auto got = world.client(kBob).Read("/shared/three.bin");
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(*got, content);
+  }
+}
+
+TEST(BatchedWriteTest, UnlinkEndsAtAFlushPoint) {
+  World world(DefaultStagingOpts());
+  ASSERT_TRUE(world.MigrateAndMountAll(World::DefaultTree()).ok());
+  auto& alice = world.client(kAlice);
+  ASSERT_TRUE(alice.Unlink("/shared/plan.md").ok());
+  EXPECT_TRUE(
+      world.client(kBob).Getattr("/shared/plan.md").status().IsNotFound());
+  ExpectStageEmpty(alice);
+}
+
+TEST(BatchedWriteTest, RmdirEndsAtAFlushPoint) {
+  World world(DefaultStagingOpts());
+  ASSERT_TRUE(world.MigrateAndMountAll(World::DefaultTree()).ok());
+  auto& alice = world.client(kAlice);
+  CreateOptions dmode;
+  dmode.mode = World::ParseMode("rwxrwx---");
+  ASSERT_TRUE(alice.Mkdir("/shared/empty", dmode).ok());
+  ASSERT_TRUE(alice.Fsync().ok());
+  ASSERT_TRUE(alice.Rmdir("/shared/empty").ok());
+  EXPECT_TRUE(
+      world.client(kBob).Getattr("/shared/empty").status().IsNotFound());
+  ExpectStageEmpty(alice);
+}
+
+TEST(BatchedWriteTest, RenameStagesLikeACreate) {
+  // A rename deletes no object and rekeys nothing: its parent-table
+  // renders wait in the stage for the next flush point.
+  World world(DefaultStagingOpts());
+  ASSERT_TRUE(world.MigrateAndMountAll(World::DefaultTree()).ok());
+  auto& alice = world.client(kAlice);
+  ASSERT_TRUE(alice.Rename("/shared/plan.md", "/shared/plan-v2.md").ok());
+  ExpectStaged(alice);
+  auto& bob = world.client(kBob);
+  EXPECT_TRUE(bob.Getattr("/shared/plan.md").status().IsNotFound());
+  EXPECT_TRUE(bob.Getattr("/shared/plan-v2.md").ok());
+}
+
+TEST(BatchedWriteTest, RevokingChmodEndsAtAFlushPoint) {
+  // A narrowing chmod: bob loses write, so the file is re-encrypted under
+  // fresh keys (immediate revocation). The rekey never waits in a stage.
+  World world(DefaultStagingOpts());
+  ASSERT_TRUE(world.MigrateAndMountAll(World::DefaultTree()).ok());
+  auto& alice = world.client(kAlice);
+  const fs::Mode narrowed = World::ParseMode("rw-r-----");
+  ASSERT_TRUE(alice.Chmod("/shared/plan.md", narrowed).ok());
+  auto attrs = world.client(kBob).Getattr("/shared/plan.md");
+  ASSERT_TRUE(attrs.ok()) << attrs.status();
+  EXPECT_EQ(attrs->mode.ToString(), narrowed.ToString());
+  auto got = world.client(kBob).Read("/shared/plan.md");
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(ToString(*got), "Q3 plan");
+  ExpectStageEmpty(alice);
+}
+
+TEST(BatchedWriteTest, WideningChmodStagesLikeACreate) {
+  // Others gain read: nothing is revoked or rekeyed, so the re-rendered
+  // replicas wait in the stage for the next flush point.
+  World world(DefaultStagingOpts());
+  ASSERT_TRUE(world.MigrateAndMountAll(World::DefaultTree()).ok());
+  auto& alice = world.client(kAlice);
+  const fs::Mode widened = World::ParseMode("rw-rw-r--");
+  ASSERT_TRUE(alice.Chmod("/shared/plan.md", widened).ok());
+  ExpectStaged(alice);
+  auto attrs = world.client(kBob).Getattr("/shared/plan.md");
+  ASSERT_TRUE(attrs.ok()) << attrs.status();
+  EXPECT_EQ(attrs->mode.ToString(), widened.ToString());
+}
+
+TEST(BatchedWriteTest, RefreshDirEndsAtAFlushPoint) {
+  // The re-render after a group-key rotation: the SSP holds the new table
+  // copies once RefreshDir returns.
+  World world(DefaultStagingOpts());
+  ASSERT_TRUE(world.MigrateAndMountAll(World::DefaultTree()).ok());
+  auto& alice = world.client(kAlice);
+  const Bytes before = world.server().store().Serialize();
+  ASSERT_TRUE(alice.RefreshDir("/shared").ok());
+  EXPECT_NE(world.server().store().Serialize(), before)
+      << "the re-rendered tables never reached the SSP";
+  auto names = world.client(kBob).Readdir("/shared");
+  ASSERT_TRUE(names.ok()) << names.status();
+  ExpectStageEmpty(alice);
+}
+
+TEST(BatchedWriteTest, ReadAfterUnlinkPaysNoStagedDelete) {
+  // A delete ships at its own flush point, so it never bills the next
+  // operation: a read right after an Unlink costs what it costs after no
+  // delete at all.
+  World world(DefaultStagingOpts());
+  ASSERT_TRUE(world.MigrateAndMountAll(World::DefaultTree()).ok());
+  auto& alice = world.client(kAlice);
+  CreateOptions fmode;
+  fmode.mode = World::ParseMode("rw-rw----");
+  ASSERT_TRUE(alice.Create("/shared/doomed.txt", fmode).ok());
+  ASSERT_TRUE(alice.WriteFile("/shared/doomed.txt", FilePattern(1, 7)).ok());
+  const std::string path = "/home/alice/public.txt";
+  auto read_trips = [&]() -> uint64_t {
+    EXPECT_TRUE(alice.EvictPath(path).ok());
+    uint64_t before = alice.rpc_round_trips();
+    EXPECT_TRUE(alice.Read(path).ok());
+    return alice.rpc_round_trips() - before;
+  };
+  (void)read_trips();  // Warms the path prefix.
+  const uint64_t plain = read_trips();
+  ASSERT_TRUE(alice.Unlink("/shared/doomed.txt").ok());
+  EXPECT_EQ(read_trips(), plain);
+}
+
 }  // namespace
 }  // namespace sharoes::core

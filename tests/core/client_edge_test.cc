@@ -174,34 +174,42 @@ TEST(ClientEdgeTest, ManyFilesInOneDirectory) {
   EXPECT_TRUE(alice.Exists("/shared/f59"));
 }
 
-TEST(ClientEdgeTest, BatchSubOpFailureIsDiagnosable) {
-  // Regression: ExecuteBatch used to collapse every sub-op failure into a
-  // generic "SSP rejected batched request", leaving fault-injection
-  // failures undiagnosable. The error must name the failing sub-op index,
-  // its opcode, and the SSP's verdict.
-  World world;
-  ASSERT_TRUE(world.MigrateAndMountAll(World::DefaultTree()).ok());
-
-  // A hand-built alice whose channel we control.
+crypto::CryptoEngineOptions TamperedEngineOptions() {
   crypto::CryptoEngineOptions eng_opts;
   eng_opts.cost_model = crypto::CryptoCostModel::Zero();
   eng_opts.signing_key_bits = 512;
   eng_opts.rng_seed = 0xBA7C4;
-  crypto::CryptoEngine engine(&world.clock(), eng_opts);
-  net::Transport transport(&world.clock(), net::NetworkModel::Zero());
-  ssp::SspConnection real(&world.server(), &transport);
-  TamperingChannel tamper(&real);
+  return eng_opts;
+}
+
+core::ClientOptions TamperedClientOptions(size_t write_batch_ops) {
   core::ClientOptions copts;
   copts.scheme = core::Scheme::kScheme2;
   copts.default_group = kEng;
-  core::SharoesClient alice(kAlice, world.user_key(kAlice),
-                            &world.identity(), &tamper, &engine, copts);
-  ASSERT_TRUE(alice.Mount().ok());
+  copts.write_batch_ops = write_batch_ops;
+  return copts;
+}
 
-  CreateOptions opts;
-  opts.mode = World::ParseMode("rw-r--r--");
-  tamper.FailNextBatchSubOp();
-  Status s = alice.Create("/shared/tampered.txt", opts);
+/// A hand-built alice whose channel the test controls, staging
+/// `write_batch_ops` sub-ops per flush.
+struct TamperedAlice {
+  TamperedAlice(World& world, size_t write_batch_ops)
+      : engine(&world.clock(), TamperedEngineOptions()),
+        transport(&world.clock(), net::NetworkModel::Zero()),
+        real(&world.server(), &transport),
+        tamper(&real),
+        client(kAlice, world.user_key(kAlice), &world.identity(), &tamper,
+               &engine, TamperedClientOptions(write_batch_ops)) {}
+
+  crypto::CryptoEngine engine;
+  net::Transport transport;
+  ssp::SspConnection real;
+  TamperingChannel tamper;
+  core::SharoesClient client;
+};
+
+/// The failing sub-op's index, opcode and verdict are all in `s`.
+void ExpectNamesTamperedSubOp(const Status& s, const TamperingChannel& tamper) {
   ASSERT_FALSE(s.ok());
   const std::string want_index =
       "sub-op " + std::to_string(tamper.tampered_index()) + "/";
@@ -210,11 +218,54 @@ TEST(ClientEdgeTest, BatchSubOpFailureIsDiagnosable) {
             std::string::npos)
       << s;
   EXPECT_NE(s.message().find("kError"), std::string::npos) << s;
+}
+
+TEST(ClientEdgeTest, BatchSubOpFailureIsDiagnosable) {
+  // Regression: ExecuteBatch used to collapse every sub-op failure into a
+  // generic "SSP rejected batched request", leaving fault-injection
+  // failures undiagnosable. The error must name the failing sub-op index,
+  // its opcode, and the SSP's verdict. Staging off: the Create itself
+  // ships, so the error surfaces there.
+  World world;
+  ASSERT_TRUE(world.MigrateAndMountAll(World::DefaultTree()).ok());
+  TamperedAlice t(world, /*write_batch_ops=*/0);
+  core::SharoesClient& alice = t.client;
+  ASSERT_TRUE(alice.Mount().ok());
+
+  CreateOptions opts;
+  opts.mode = World::ParseMode("rw-r--r--");
+  t.tamper.FailNextBatchSubOp();
+  ASSERT_NO_FATAL_FAILURE(ExpectNamesTamperedSubOp(
+      alice.Create("/shared/tampered.txt", opts), t.tamper));
 
   // A short reply (sub-responses lost) is called out as such, not
   // silently treated as success.
-  tamper.TruncateNextBatchReply();
-  s = alice.Create("/shared/tampered2.txt", opts);
+  t.tamper.TruncateNextBatchReply();
+  Status s = alice.Create("/shared/tampered2.txt", opts);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("sub-responses"), std::string::npos) << s;
+}
+
+TEST(ClientEdgeTest, StagedBatchSubOpFailureIsDiagnosableAtTheFlush) {
+  // The staging-on twin: Create only stages, so the same diagnosis
+  // surfaces at the Fsync() that ships the batch.
+  World world;
+  ASSERT_TRUE(world.MigrateAndMountAll(World::DefaultTree()).ok());
+  TamperedAlice t(world, core::ClientOptions{}.write_batch_ops);
+  core::SharoesClient& alice = t.client;
+  ASSERT_TRUE(alice.Mount().ok());
+
+  CreateOptions opts;
+  opts.mode = World::ParseMode("rw-r--r--");
+  t.tamper.FailNextBatchSubOp();
+  ASSERT_TRUE(alice.Create("/shared/tampered.txt", opts).ok());
+  ASSERT_NO_FATAL_FAILURE(ExpectNamesTamperedSubOp(alice.Fsync(), t.tamper));
+  // kError is transient: the stage was kept, and replays cleanly.
+  ASSERT_TRUE(alice.Fsync().ok());
+
+  t.tamper.TruncateNextBatchReply();
+  ASSERT_TRUE(alice.Create("/shared/tampered2.txt", opts).ok());
+  Status s = alice.Fsync();
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("sub-responses"), std::string::npos) << s;
 }

@@ -67,6 +67,12 @@ void SpillDir(const std::string& dir,
   }
 }
 
+/// Requests the daemon saw: the fault-free run's, and each fault round's.
+struct AndrewRequestCounts {
+  uint64_t fault_free = 0;
+  std::vector<uint64_t> faulted;
+};
+
 class ClientFaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -95,6 +101,9 @@ class ClientFaultTest : public ::testing::Test {
 
   void ResetToGolden() { SpillDir(wal_dir_, golden_wal_); }
 
+  void RunAndrewUnderFaults(size_t write_batch_ops,
+                            AndrewRequestCounts* counts);
+
   /// The store a restart on the WAL directory serves, serialized. Not
   /// the directory's bytes: a retried request appends another WAL
   /// record, so the snapshot's sequence number may differ while the
@@ -112,29 +121,39 @@ class ClientFaultTest : public ::testing::Test {
   std::map<std::string, Bytes> golden_wal_;
 };
 
-TEST_F(ClientFaultTest, AndrewSequenceSurvivesFaultsAndRestarts) {
-  // Run 1, fault-free: the reference transcript.
+/// Runs the Andrew sequence fault-free for the reference transcript, then
+/// under a fault schedule — per-request errors and delays from a seeded
+/// policy, plus kill/restart churn from a controller thread — which must
+/// produce a byte-identical transcript. The client stages
+/// `write_batch_ops` sub-ops per flush.
+void ClientFaultTest::RunAndrewUnderFaults(size_t write_batch_ops,
+                                           AndrewRequestCounts* counts) {
+  // Run 1, fault-free: the reference transcript. A policy that injects
+  // nothing only counts the requests.
   Bytes reference;
   {
     ResetToGolden();
+    ssp::FaultPolicy counter(ssp::FaultPolicy::Options{});
+    daemon_->set_injector(&counter);
     daemon_->Start();
     SimClock clock;
     auto engine = MakeEngine(&clock, 99);
     RetryOptions no_retry;
     no_retry.max_attempts = 1;
     RetryingConnection conn(TcpFactory(daemon_.get()), no_retry);
-    auto client = MakeClient(enterprise_.get(), &conn, engine.get());
+    auto client = MakeClient(enterprise_.get(), &conn, engine.get(),
+                             write_batch_ops);
     ASSERT_TRUE(client->Mount().ok());
     auto transcript = RunAndrewSequence(client.get());
     ASSERT_TRUE(transcript.ok()) << transcript.status();
     reference = std::move(*transcript);
     daemon_->Kill();
+    daemon_->set_injector(nullptr);
+    counts->fault_free = counter.counts().requests;
   }
   ASSERT_FALSE(reference.empty());
 
-  // Run 2: the same sequence under a fault schedule — per-request errors
-  // and delays from a seeded policy, plus kill/restart churn from a
-  // controller thread — must produce a byte-identical transcript.
+  // Run 2: the same sequence under the fault schedule.
   int rounds = 1;
   if (const char* env = std::getenv("SHAROES_FAULT_ROUNDS")) {
     rounds = std::max(1, std::atoi(env));
@@ -158,7 +177,8 @@ TEST_F(ClientFaultTest, AndrewSequenceSurvivesFaultsAndRestarts) {
     retry.max_backoff_ms = 200;
     retry.seed = 7 + round;
     RetryingConnection conn(TcpFactory(daemon_.get()), retry);
-    auto client = MakeClient(enterprise_.get(), &conn, engine.get());
+    auto client = MakeClient(enterprise_.get(), &conn, engine.get(),
+                             write_batch_ops);
     ASSERT_TRUE(client->Mount().ok());
 
     // A deterministic mid-workload restart (the client's live socket dies
@@ -178,12 +198,32 @@ TEST_F(ClientFaultTest, AndrewSequenceSurvivesFaultsAndRestarts) {
     EXPECT_EQ(*transcript, reference) << "fault round " << round;
     // The schedule really did bite: faults were injected and the client
     // really did retry/reconnect its way through them.
-    EXPECT_GT(policy.counts().requests, 50u);
+    counts->faulted.push_back(policy.counts().requests);
     EXPECT_GE(policy.counts().injected(), 1u);
     EXPECT_GE(conn.retries(), 1u);
     EXPECT_GE(conn.reconnects(), 1u);
     daemon_->Kill();
     daemon_->set_injector(nullptr);
+  }
+}
+
+TEST_F(ClientFaultTest, AndrewSequenceSurvivesFaultsAndRestarts) {
+  // Staging off: every logical op pays its own round trips.
+  AndrewRequestCounts counts;
+  ASSERT_NO_FATAL_FAILURE(RunAndrewUnderFaults(/*write_batch_ops=*/0, &counts));
+  for (uint64_t requests : counts.faulted) EXPECT_GT(requests, 50u);
+}
+
+TEST_F(ClientFaultTest, StagedAndrewSequenceSurvivesFaultsAndRestarts) {
+  // The staging-on twin. The stage ships fewer requests, so the floor is
+  // the staged fault-free run's own count: a faulted run re-sends, it
+  // never skips.
+  AndrewRequestCounts counts;
+  ASSERT_NO_FATAL_FAILURE(RunAndrewUnderFaults(
+      core::ClientOptions{}.write_batch_ops, &counts));
+  ASSERT_GT(counts.fault_free, 0u);
+  for (uint64_t requests : counts.faulted) {
+    EXPECT_GE(requests, counts.fault_free);
   }
 }
 

@@ -401,6 +401,23 @@ TEST_P(FailedMutationTest, RejectedUnlinkKeepsTheFile) {
   EXPECT_EQ(ToString(*read), "v1");
 }
 
+TEST_F(FreshnessTest, UnlinkWithATransientFlushErrorStaysStaged) {
+  // Staging on, an Unlink ends at a flush point. A transient error there
+  // keeps the stage: the Unlink reports the error, yet the removal is
+  // still staged and applies at the next flush point.
+  auto alice = LossyAlice(core::ClientOptions{}.write_batch_ops);
+  lossy_->RejectNextWrite(Status::Unavailable("link down"));
+  Status s = alice->Unlink("/log.txt");
+  ASSERT_TRUE(s.IsUnavailable()) << s;
+  EXPECT_FALSE(SnapshotBlocks().empty()) << "the rejected batch applied";
+  // The writer's cached master already lacks the name.
+  EXPECT_TRUE(alice->Unlink("/log.txt").IsNotFound());
+  ASSERT_TRUE(alice->Fsync().ok());
+  EXPECT_TRUE(SnapshotBlocks().empty());
+  auto attrs = world_->client(kBob).Getattr("/log.txt");
+  EXPECT_TRUE(attrs.status().IsNotFound()) << attrs.status();
+}
+
 INSTANTIATE_TEST_SUITE_P(WriteBatchOps, FailedMutationTest,
                          ::testing::Values(size_t{0}, size_t{64}));
 

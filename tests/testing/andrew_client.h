@@ -83,11 +83,14 @@ inline std::unique_ptr<Enterprise> ProvisionOverTcp(
   return ent;
 }
 
-/// One mounted client for a run, over whatever channel the run uses.
+/// One mounted client for a run, over whatever channel the run uses,
+/// staging `write_batch_ops` sub-ops per flush (0 = the per-op wire shape).
 inline std::unique_ptr<core::SharoesClient> MakeClient(
-    Enterprise* ent, ssp::SspChannel* channel, crypto::CryptoEngine* engine) {
+    Enterprise* ent, ssp::SspChannel* channel, crypto::CryptoEngine* engine,
+    size_t write_batch_ops = core::ClientOptions{}.write_batch_ops) {
   core::ClientOptions copts;
   copts.default_group = kStaff;
+  copts.write_batch_ops = write_batch_ops;
   return std::make_unique<core::SharoesClient>(
       kAlice, ent->alice_key, &ent->identity, channel, engine, copts);
 }

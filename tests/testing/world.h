@@ -37,8 +37,9 @@ class World {
     // Batched-read knob, passed straight into ClientOptions so tests can
     // pit the batched and per-block (0) wire behaviours against each other.
     size_t readahead_blocks = 32;
-    // Write-behind knobs (ops=0 = immediate per-op round trips, the
-    // default; bytes bounds the staged payload between flushes).
+    // Write-behind knobs (ops=0 = immediate per-op round trips, pinned
+    // here although the library stages by default; bytes bounds the
+    // staged payload between flushes).
     size_t write_batch_ops = 0;
     size_t write_batch_bytes = 1 << 20;
   };

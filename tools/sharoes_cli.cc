@@ -56,9 +56,10 @@
 //        --readahead-blocks N      data blocks fetched per read batch
 //                                  (32; 0 = one get per round trip)
 //        --write-batch N           mutating sub-ops staged per flush of
-//                                  the write-behind batch (16; 0 = one
-//                                  round trip per logical op, the
-//                                  pre-batching wire behaviour)
+//                                  the write-behind batch (library
+//                                  default; 0 = one round trip per
+//                                  logical op, the pre-batching wire
+//                                  behaviour)
 //        --rpc-stats               print the op's round-trip count
 //
 // An unknown flag, a missing value, a bad number or a mkdir/chmod mode
@@ -101,7 +102,7 @@ struct Args {
   size_t readahead_blocks = 32;
   /// Write-behind stage threshold; 0 disables write batching (every
   /// logical op pays its own round trips immediately).
-  size_t write_batch = 16;
+  size_t write_batch = core::ClientOptions{}.write_batch_ops;
   /// Print the client's RPC round-trip count to stderr after the command.
   bool rpc_stats = false;
   /// Metric-name prefix filter for `stats` (empty = full registry).
