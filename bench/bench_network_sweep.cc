@@ -11,8 +11,8 @@
 // are fully deterministic, so CI gates on the ratios and on a warm re-read
 // making no round trip at all (BENCH_read_rtt.json).
 
-#include <cassert>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -78,6 +78,15 @@ Bytes PatternBytes(size_t n, uint8_t salt) {
   return b;
 }
 
+/// Fails the run, in every build type, when an op of a mix fails: a mix
+/// whose ops do not all succeed measures something else.
+void Check(const char* op, const std::string& path, const Status& s) {
+  if (s.ok()) return;
+  std::fprintf(stderr, "bench_network_sweep: %s %s failed: %s\n", op,
+               path.c_str(), s.ToString().c_str());
+  std::exit(1);
+}
+
 struct ReadRttMeasurement {
   uint64_t round_trips = 0;
   double network_s = 0;
@@ -101,18 +110,14 @@ ReadRttMeasurement MeasureColdReads(bool batched,
   core::CreateOptions fopts;
   fopts.mode = fs::Mode::FromOctal(0644);
   for (const std::string& d : dirs) {
-    Status s = world.client().Mkdir(d, dopts);
-    assert(s.ok());
-    (void)s;
+    Check("Mkdir", d, world.client().Mkdir(d, dopts));
   }
   uint8_t salt = 1;
   for (const MixFile& f : files) {
-    Status s = world.client().Create(f.path, fopts);
-    assert(s.ok());
-    s = world.client().WriteFile(f.path,
-                                 PatternBytes(f.blocks * size_t{4096}, salt++));
-    assert(s.ok());
-    (void)s;
+    Check("Create", f.path, world.client().Create(f.path, fopts));
+    Check("WriteFile", f.path,
+          world.client().WriteFile(
+              f.path, PatternBytes(f.blocks * size_t{4096}, salt++)));
   }
   world.Reset();  // Cold caches, zeroed clock and wire counters.
 
@@ -240,49 +245,49 @@ struct WriteRttMeasurement {
 /// The Andrew-flavoured write mix: scaffold a source tree, populate it,
 /// churn attributes, rebuild and clean — every phase mutating, run
 /// identically in the batched and per-op worlds so the stores they leave
-/// behind must match byte for byte.
+/// behind must match byte for byte. The tree starts at /mix, which the
+/// bench world does not hold.
 void RunWriteMixOps(core::FsClient& c) {
   core::CreateOptions dopts;
   dopts.mode = fs::Mode::FromOctal(0755);
   core::CreateOptions fopts;
   fopts.mode = fs::Mode::FromOctal(0644);
-  auto check = [](const Status& s) {
-    assert(s.ok());
-    (void)s;
-  };
   // Phase 1: MakeDir.
-  std::vector<std::string> dirs = {"/work", "/work/src", "/work/lib",
-                                   "/work/obj"};
+  std::vector<std::string> dirs = {"/mix", "/mix/src", "/mix/lib",
+                                   "/mix/obj"};
   for (const std::string& d : dirs) {
-    check(c.Mkdir(d, dopts));
+    Check("Mkdir", d, c.Mkdir(d, dopts));
   }
   // Phase 2: Copy — sources of one to four 4 KiB blocks.
   std::vector<std::string> sources;
   for (int i = 0; i < 8; ++i) {
-    std::string path = (i < 5 ? "/work/src/f" : "/work/lib/f") +
+    std::string path = (i < 5 ? "/mix/src/f" : "/mix/lib/f") +
                        std::to_string(i) + ".c";
     sources.push_back(path);
-    check(c.Create(path, fopts));
-    check(c.WriteFile(
-        path, PatternBytes((1 + i % 4) * size_t{4096},
-                           static_cast<uint8_t>(i + 1))));
+    Check("Create", path, c.Create(path, fopts));
+    Check("WriteFile", path,
+          c.WriteFile(path, PatternBytes((1 + i % 4) * size_t{4096},
+                                         static_cast<uint8_t>(i + 1))));
   }
   // Phase 3: attribute churn (widening chmods: no revocation machinery).
   for (const std::string& path : sources) {
-    check(c.Chmod(path, fs::Mode::FromOctal(0664)));
+    Check("Chmod", path, c.Chmod(path, fs::Mode::FromOctal(0664)));
   }
   // Phase 5: ScanDir+Make — compile artifacts, then `make clean`.
   for (int i = 0; i < 4; ++i) {
-    std::string path = "/work/obj/f" + std::to_string(i) + ".o";
-    check(c.Create(path, fopts));
-    check(c.WriteFile(path, PatternBytes(4096,
-                                         static_cast<uint8_t>(0x60 + i))));
+    std::string path = "/mix/obj/f" + std::to_string(i) + ".o";
+    Check("Create", path, c.Create(path, fopts));
+    Check("WriteFile", path,
+          c.WriteFile(path,
+                      PatternBytes(4096, static_cast<uint8_t>(0x60 + i))));
   }
-  check(c.Rename("/work/src/f0.c", "/work/src/f0_old.c"));
+  Check("Rename", "/mix/src/f0.c",
+        c.Rename("/mix/src/f0.c", "/mix/src/f0_old.c"));
   for (int i = 0; i < 4; ++i) {
-    check(c.Unlink("/work/obj/f" + std::to_string(i) + ".o"));
+    std::string path = "/mix/obj/f" + std::to_string(i) + ".o";
+    Check("Unlink", path, c.Unlink(path));
   }
-  check(c.Fsync());
+  Check("Fsync", "", c.Fsync());
 }
 
 WriteRttMeasurement MeasureWriteMix(size_t write_batch_ops,

@@ -49,6 +49,17 @@ constexpr Selector kTableSelectorFlag = 1ull << 62;
 inline Selector TableSelector(Selector replica) {
   return replica | kTableSelectorFlag;
 }
+/// A table copy's (or the master's) selector holds its signed head; each
+/// bucket of it has a selector of its own, with the bucket flag set, the
+/// bucket index in bits 40..59, and the copy's selector in the low bits
+/// (the master, whose selector has every bit set, as kMasterBucketCode).
+constexpr Selector kBucketSelectorFlag = 1ull << 61;
+constexpr Selector kMasterBucketCode = (1ull << 40) - 1;
+inline Selector BucketSelector(Selector copy, uint32_t index) {
+  return kTableSelectorFlag | kBucketSelectorFlag |
+         (static_cast<Selector>(index) << 40) |
+         (copy == kMasterSelector ? kMasterBucketCode : copy);
+}
 
 inline Selector AclSelector(fs::PermTriple resolved) {
   return kAclSelectorBase | (resolved & 7);

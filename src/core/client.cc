@@ -17,6 +17,20 @@ namespace {
 /// table fetch).
 constexpr size_t kNegativeDentryBytes = 64 << 10;
 
+/// A directory's table is a head, then 2^depth buckets (DESIGN.md §18).
+/// A read without the head asks for it together with the buckets of this
+/// window, so a table up to kProbeDepth costs no round trip of its own;
+/// a deeper one pays one more.
+constexpr uint8_t kProbeDepth = 2;
+
+std::vector<uint32_t> ProbeWindow() {
+  std::vector<uint32_t> window;
+  for (uint32_t b = 0; b < (uint32_t{1} << kProbeDepth); ++b) {
+    window.push_back(b);
+  }
+  return window;
+}
+
 /// Builds the partial bundle a directory writer holds (table keys + data
 /// signing pair); owners use MetadataView::ToBundle for the full bundle.
 Result<ObjectKeyBundle> BundleForWriter(const MetadataView& view) {
@@ -136,8 +150,15 @@ std::string SharoesClient::DataCacheKey(fs::InodeNum inode, uint32_t block) {
   return "d|" + std::to_string(inode) + "|" + std::to_string(block);
 }
 
-std::string SharoesClient::TableCacheKey(fs::InodeNum inode, Selector sel) {
-  return "t|" + std::to_string(inode) + "|" + std::to_string(sel);
+std::string SharoesClient::TableHeadCacheKey(fs::InodeNum inode,
+                                             Selector sel) {
+  return "t|" + std::to_string(inode) + "|" + std::to_string(sel) + "|h";
+}
+
+std::string SharoesClient::BucketCacheKey(fs::InodeNum inode, Selector sel,
+                                          uint8_t depth, uint32_t bucket) {
+  return "t|" + std::to_string(inode) + "|" + std::to_string(sel) + "|" +
+         std::to_string(depth) + "." + std::to_string(bucket);
 }
 
 std::string SharoesClient::MasterCacheKey(fs::InodeNum inode) {
@@ -247,10 +268,20 @@ Result<SharoesClient::Node> SharoesClient::FetchNode(const PlainRef& ref,
                                                      bool want_data) {
   const bool batched = options_.readahead_blocks > 0;
   std::string view_key = ViewCacheKey(ref.inode, ref.selector);
-  bool fetch_view = !cache_.Contains(view_key);
-  bool fetch_table = batched && want_table &&
-                     !cache_.Contains(TableCacheKey(ref.inode, ref.selector));
+  std::shared_ptr<const MetadataView> cached_view =
+      cache_.Get<MetadataView>(view_key);
+  bool fetch_view = cached_view == nullptr;
   Node node{ref, {}, nullptr, {}};
+  // The table's part of the batch: the head and the probe window, when
+  // this level is cold (its view or the table's head is not cached).
+  // With both cached, FetchTable fetches what a lookup misses, and this
+  // level would have made that one round trip anyway.
+  bool fetch_head =
+      batched && want_table &&
+      (fetch_view ||
+       !cache_.Contains(TableHeadCacheKey(ref.inode, ref.selector)));
+  std::vector<uint32_t> table_blocks;
+  if (fetch_head) table_blocks = ProbeWindow();
   std::vector<uint32_t> data_blocks;
   if (batched && want_data) {
     node.desc = cache_.Get<DataDescriptor>(DataCacheKey(ref.inode, 0));
@@ -260,9 +291,13 @@ Result<SharoesClient::Node> SharoesClient::FetchNode(const PlainRef& ref,
   if (fetch_view) {
     gets.push_back(ssp::Request::GetMetadata(ref.inode, ref.selector));
   }
-  if (fetch_table) {
+  if (fetch_head) {
     gets.push_back(ssp::Request::GetMetadata(ref.inode,
                                              TableSelector(ref.selector)));
+  }
+  for (uint32_t b : table_blocks) {
+    gets.push_back(ssp::Request::GetMetadata(
+        ref.inode, BucketSelector(ref.selector, b)));
   }
   for (uint32_t b : data_blocks) {
     gets.push_back(ssp::Request::GetData(ref.inode, b));
@@ -280,19 +315,42 @@ Result<SharoesClient::Node> SharoesClient::FetchNode(const PlainRef& ref,
                                                 r.payload, ref.mek, ref.mvk));
     cache_.Put(view_key, node.view, r.payload.size());
   } else {
-    // Still present: nothing since the probe touched the cache.
-    node.view = *cache_.Get<MetadataView>(view_key);
+    node.view = *cached_view;
   }
-  if (fetch_table) {
-    // Best-effort: a copy this CAP cannot decode is dropped, and
-    // FetchTable (if ever called) re-fetches and reports authoritatively.
-    const ssp::Response& r = resps[idx++];
-    if (r.ok()) (void)FetchTable(node, &r.payload);
+  if (fetch_head) {
+    TakeTableProbe(node, resps[idx], table_blocks, &resps[idx + 1]);
+    idx += 1 + table_blocks.size();
   }
   if (!data_blocks.empty() && node.view.CanReadData()) {
     (void)TakeDataWindow(&node, data_blocks, &resps[idx]);
   }
   return node;
+}
+
+void SharoesClient::TakeTableProbe(const Node& dir, const ssp::Response& head,
+                                   const std::vector<uint32_t>& blocks,
+                                   const ssp::Response* resps) {
+  const MetadataView& view = dir.view;
+  if (!view.attrs.is_dir() || !view.dek.has_value() ||
+      !view.dvk.has_value() || !head.ok()) {
+    return;
+  }
+  const fs::InodeNum inode = dir.ref.inode;
+  const Selector sel = dir.ref.selector;
+  auto decoded =
+      codec_.DecodeTableHead(inode, sel, head.payload, *view.dek, *view.dvk);
+  if (!decoded.ok()) return;
+  const TableHead h = *decoded;
+  cache_.Put(TableHeadCacheKey(inode, sel), h, head.payload.size());
+  for (size_t j = 0; j < blocks.size(); ++j) {
+    if (blocks[j] >= h.buckets() || !resps[j].ok()) continue;
+    auto bucket = codec_.DecodeTableBucket(inode, sel, h, blocks[j],
+                                           resps[j].payload, *view.dek,
+                                           *view.dvk);
+    if (!bucket.ok()) continue;
+    cache_.Put(BucketCacheKey(inode, sel, h.depth, blocks[j]),
+               std::move(*bucket), resps[j].payload.size());
+  }
 }
 
 Status SharoesClient::TakeDataWindow(Node* node,
@@ -315,31 +373,147 @@ Status SharoesClient::TakeDataWindow(Node* node,
   return Status::OK();
 }
 
-Result<std::shared_ptr<const DecodedTable>> SharoesClient::FetchTable(
-    const Node& dir, const Bytes* fetched) {
+std::vector<uint32_t> SharoesClient::BucketsFor(
+    const TableHead& head, const crypto::SymmetricKey& key,
+    const std::string* name) {
+  std::vector<uint32_t> out;
+  if (name == nullptr) {
+    for (uint32_t b = 0; b < head.buckets(); ++b) out.push_back(b);
+  } else if (head.view == TableView::kFull ||
+             head.view == TableView::kExecOnly) {
+    out.push_back(codec_.BucketOf(key, *name, head.depth));
+  }
+  return out;
+}
+
+Result<SharoesClient::TableRead> SharoesClient::ReadTable(
+    fs::InodeNum inode, Selector sel, const crypto::SymmetricKey& key,
+    const crypto::VerifyKey& dvk, std::optional<TableHead> head,
+    const std::function<std::vector<uint32_t>(const TableHead&)>& want) {
+  for (bool retried = false;; retried = true) {
+    const bool fresh = !head.has_value();
+    std::vector<uint32_t> first = fresh ? ProbeWindow() : want(*head);
+    std::vector<ssp::Request> gets;
+    if (fresh) gets.push_back(ssp::Request::GetMetadata(inode,
+                                                        TableSelector(sel)));
+    for (uint32_t b : first) {
+      gets.push_back(ssp::Request::GetMetadata(inode, BucketSelector(sel, b)));
+    }
+    TableRead read;
+    if (gets.empty()) {
+      read.head = *head;
+      return read;
+    }
+    SHAROES_ASSIGN_OR_RETURN(std::vector<ssp::Response> resps,
+                             MultiGet(std::move(gets)));
+    size_t idx = 0;
+    if (fresh) {
+      SHAROES_RETURN_IF_ERROR(ssp::ReadStatus(resps[0].status, "table head"));
+      SHAROES_ASSIGN_OR_RETURN(
+          head, codec_.DecodeTableHead(inode, sel, resps[0].payload, key, dvk));
+      idx = 1;
+    }
+    read.head = *head;
+    std::map<uint32_t, ssp::Response*> got;
+    for (uint32_t b : first) got[b] = &resps[idx++];
+    std::vector<uint32_t> needed = fresh ? want(*head) : first;
+    // A table deeper than the probe window: the rest in one more batch.
+    std::vector<uint32_t> rest;
+    for (uint32_t b : needed) {
+      if (got.count(b) == 0) rest.push_back(b);
+    }
+    std::vector<ssp::Response> more;
+    if (!rest.empty()) {
+      std::vector<ssp::Request> more_gets;
+      for (uint32_t b : rest) {
+        more_gets.push_back(
+            ssp::Request::GetMetadata(inode, BucketSelector(sel, b)));
+      }
+      SHAROES_ASSIGN_OR_RETURN(more, MultiGet(std::move(more_gets)));
+      for (size_t j = 0; j < rest.size(); ++j) got[rest[j]] = &more[j];
+    }
+    bool stale = false;
+    for (uint32_t b : needed) {
+      ssp::Response& r = *got[b];
+      if (r.status == ssp::RespStatus::kNotFound ||
+          (r.ok() && ObjectCodec::PeekBucketDepth(r.payload).value_or(
+                         ObjectCodec::kMaxTableDepth + 1) != head->depth)) {
+        stale = true;
+        continue;
+      }
+      SHAROES_RETURN_IF_ERROR(ssp::ReadStatus(r.status, "table bucket"));
+      read.wires[b] = std::move(r.payload);
+    }
+    if (!stale) return read;
+    // A bucket missing at the head's depth, or of another depth: a cached
+    // head may predate a resize, so it is fetched once more. Against a
+    // head fetched with the buckets it is a damaged table.
+    if (fresh || retried) {
+      return Status::Corruption("table bucket missing or of another depth "
+                                "than its head");
+    }
+    head.reset();
+  }
+}
+
+Result<SharoesClient::TableSlice> SharoesClient::FetchTable(
+    const Node& dir, const std::string* name) {
   if (!dir.view.attrs.is_dir()) {
     return Status::InvalidArgument("not a directory");
   }
   if (!dir.view.dek.has_value() || !dir.view.dvk.has_value()) {
     return Status::PermissionDenied("no table access on directory");
   }
-  std::string key = TableCacheKey(dir.ref.inode, dir.ref.selector);
-  Bytes got;
-  if (fetched == nullptr) {
-    if (auto cached = cache_.Get<DecodedTable>(key)) return cached;
-    SHAROES_ASSIGN_OR_RETURN(
-        got, Get(ssp::Request::GetMetadata(dir.ref.inode,
-                                           TableSelector(dir.ref.selector)),
-                 "table copy"));
-    fetched = &got;
+  const fs::InodeNum inode = dir.ref.inode;
+  const Selector sel = dir.ref.selector;
+  const crypto::SymmetricKey& key = *dir.view.dek;
+  // The buckets the caller needs under a head; those in the cache are
+  // taken now, so later puts cannot evict them before they are returned.
+  std::map<uint32_t, std::shared_ptr<const DecodedTable>> have;
+  auto wanted = [&](const TableHead& h) {
+    have.clear();
+    std::vector<uint32_t> missing;
+    for (uint32_t b : BucketsFor(h, key, name)) {
+      if (auto cached = cache_.Get<DecodedTable>(
+              BucketCacheKey(inode, sel, h.depth, b))) {
+        have[b] = std::move(cached);
+      } else {
+        missing.push_back(b);
+      }
+    }
+    return missing;
+  };
+  std::optional<TableHead> head;
+  if (auto cached = cache_.Get<TableHead>(TableHeadCacheKey(inode, sel))) {
+    head = *cached;
+    // The warm path: every bucket asked for is cached.
+    if (wanted(*head).empty()) {
+      TableSlice slice{*head, {}};
+      for (auto& [b, bucket] : have) slice.buckets.push_back(bucket);
+      return slice;
+    }
   }
-  SHAROES_ASSIGN_OR_RETURN(
-      DecodedTable table,
-      codec_.DecodeTableCopy(dir.ref.inode, dir.ref.selector, *fetched,
-                             *dir.view.dek, *dir.view.dvk));
-  auto sp = std::make_shared<const DecodedTable>(std::move(table));
-  cache_.PutPtr(key, sp, fetched->size());
-  return sp;
+  SHAROES_ASSIGN_OR_RETURN(TableRead read,
+                           ReadTable(inode, sel, key, *dir.view.dvk, head,
+                                     wanted));
+  if (!head.has_value() || head->depth != read.head.depth ||
+      head->view != read.head.view) {
+    cache_.Put(TableHeadCacheKey(inode, sel), read.head, 2);
+  }
+  for (auto& [b, wire] : read.wires) {
+    SHAROES_ASSIGN_OR_RETURN(
+        DecodedTable bucket,
+        codec_.DecodeTableBucket(inode, sel, read.head, b, wire, key,
+                                 *dir.view.dvk));
+    auto sp = std::make_shared<const DecodedTable>(std::move(bucket));
+    cache_.PutPtr(BucketCacheKey(inode, sel, read.head.depth, b), sp,
+                  wire.size());
+    have[b] = std::move(sp);
+  }
+  TableSlice slice;
+  slice.head = read.head;
+  for (auto& [b, bucket] : have) slice.buckets.push_back(std::move(bucket));
+  return slice;
 }
 
 Result<GroupSecret> SharoesClient::FetchGroupSecret(fs::GroupId gid) {
@@ -433,16 +607,17 @@ Result<SharoesClient::Node> SharoesClient::ResolvePath(
     if (neg) {
       return Status::NotFound("no entry named '" + comp + "'");
     }
-    SHAROES_ASSIGN_OR_RETURN(auto table, FetchTable(node));
+    SHAROES_ASSIGN_OR_RETURN(TableSlice table, FetchTable(node, &comp));
     auto remember_absent = [&] {
       std::string nkey = NegDentryCacheKey(ref.inode, comp);
       neg_cache_.Put(nkey, true, nkey.size() + 1);
     };
     RowRef row;
-    switch (table->view) {
+    switch (table.head.view) {
       case TableView::kFull: {
-        auto it = table->refs.find(comp);
-        if (it == table->refs.end()) {
+        const DecodedTable& bucket = *table.buckets.at(0);
+        auto it = bucket.refs.find(comp);
+        if (it == bucket.refs.end()) {
           remember_absent();
           return Status::NotFound("no entry named '" + comp + "'");
         }
@@ -450,7 +625,8 @@ Result<SharoesClient::Node> SharoesClient::ResolvePath(
         break;
       }
       case TableView::kExecOnly: {
-        auto looked = codec_.ExecOnlyLookup(*table, *node.view.dek, comp);
+        auto looked =
+            codec_.ExecOnlyLookup(*table.buckets.at(0), *node.view.dek, comp);
         if (!looked.ok()) {
           if (looked.status().IsNotFound()) remember_absent();
           return looked.status();
@@ -500,12 +676,16 @@ Result<std::vector<std::string>> SharoesClient::Readdir(
   if (!fs::Allows(node.view.attrs, principal_, fs::Access::kRead)) {
     return Status::PermissionDenied("no read permission on directory");
   }
-  SHAROES_ASSIGN_OR_RETURN(auto table, FetchTable(node));
-  if (table->view == TableView::kExecOnly ||
-      table->view == TableView::kNone) {
+  SHAROES_ASSIGN_OR_RETURN(TableSlice table, FetchTable(node, nullptr));
+  if (table.head.view == TableView::kExecOnly ||
+      table.head.view == TableView::kNone) {
     return Status::PermissionDenied("directory CAP does not permit listing");
   }
-  return table->names;
+  std::vector<std::string> names;
+  for (const auto& bucket : table.buckets) {
+    names.insert(names.end(), bucket->names.begin(), bucket->names.end());
+  }
+  return names;
 }
 
 Status SharoesClient::ExecuteBatch(std::vector<ssp::Request> requests) {
@@ -601,23 +781,35 @@ Status SharoesClient::Fsync() {
   return FlushPendingWrites();
 }
 
-Result<MasterTable> SharoesClient::FetchMaster(const Node& dir,
-                                               const ObjectKeyBundle& bundle) {
+Result<StoredMaster> SharoesClient::FetchMaster(const Node& dir,
+                                                const ObjectKeyBundle& bundle) {
   auto it = bundle.table_keys.find(kMasterSelector);
   if (it == bundle.table_keys.end()) {
     return Status::PermissionDenied("no master table key");
   }
-  std::string key = MasterCacheKey(dir.ref.inode);
-  if (auto cached = cache_.Get<MasterTable>(key)) return *cached;
+  const fs::InodeNum inode = dir.ref.inode;
+  std::string key = MasterCacheKey(inode);
+  if (auto cached = cache_.Get<StoredMaster>(key)) return *cached;
+  auto every = [&](const TableHead& h) {
+    return BucketsFor(h, it->second, nullptr);
+  };
   SHAROES_ASSIGN_OR_RETURN(
-      Bytes sealed, Get(ssp::Request::GetMetadata(
-                            dir.ref.inode, TableSelector(kMasterSelector)),
-                        "master table"));
-  SHAROES_ASSIGN_OR_RETURN(
-      MasterTable master,
-      codec_.DecodeMasterTable(dir.ref.inode, sealed, it->second,
-                               bundle.data.verify));
-  cache_.Put(key, master, sealed.size());
+      TableRead read, ReadTable(inode, kMasterSelector, it->second,
+                                bundle.data.verify, std::nullopt, every));
+  StoredMaster master;
+  master.depth = read.head.depth;
+  size_t wire_bytes = 0;
+  for (const auto& [b, wire] : read.wires) {
+    SHAROES_ASSIGN_OR_RETURN(
+        MasterTable bucket,
+        codec_.DecodeMasterBucket(inode, read.head.depth, b, wire, it->second,
+                                  bundle.data.verify));
+    for (MasterEntry& e : bucket.entries) {
+      master.table.entries.push_back(std::move(e));
+    }
+    wire_bytes += wire.size();
+  }
+  cache_.Put(key, master, wire_bytes);
   return master;
 }
 
@@ -632,7 +824,7 @@ Result<SharoesClient::WriterDirContext> SharoesClient::LoadDirForWrite(
     return Status::PermissionDenied("no write permission on directory");
   }
   SHAROES_ASSIGN_OR_RETURN(ObjectKeyBundle bundle, BundleForWriter(node.view));
-  SHAROES_ASSIGN_OR_RETURN(MasterTable master, FetchMaster(node, bundle));
+  SHAROES_ASSIGN_OR_RETURN(StoredMaster master, FetchMaster(node, bundle));
   WriterDirContext ctx;
   ctx.ownership = OwnershipInfo::FromAttrs(node.view.attrs);
   ctx.node = std::move(node);
@@ -641,13 +833,21 @@ Result<SharoesClient::WriterDirContext> SharoesClient::LoadDirForWrite(
   return ctx;
 }
 
-Status SharoesClient::RenderDirTables(const WriterDirContext& ctx,
-                                      std::vector<ssp::Request>* out) {
+Status SharoesClient::RenderDirTables(
+    const WriterDirContext& ctx, std::vector<ssp::Request>* out,
+    const std::vector<std::string>* changed) {
   fs::InodeNum inode = ctx.node.ref.inode;
+  const StoredMaster& master = ctx.master;
   ObjectCodec::ReaderCopy mine;
   mine.selector = ctx.node.ref.selector;
+  ObjectCodec::DirRender render;
+  render.depth =
+      ObjectCodec::NextDepth(master.depth, master.table.entries.size());
+  render.stored_depth = master.depth;
+  render.changed = render.depth == master.depth ? changed : nullptr;
+  render.reader = &mine;
   SHAROES_RETURN_IF_ERROR(codec_.RenderDirTables(
-      inode, ctx.ownership, ctx.master, ctx.bundle, out, &mine));
+      inode, ctx.ownership, master.table, ctx.bundle, out, render));
   // Refresh our cached view of this directory: stale copies out, the
   // updated master and our own freshly rendered copy in (the paper's
   // client keeps the table it just modified in memory).
@@ -659,10 +859,12 @@ Status SharoesClient::RenderDirTables(const WriterDirContext& ctx,
   // The directory's membership just changed: names that were absent may
   // exist now, so every negative dentry under it is stale.
   neg_cache_.ErasePrefix("n|" + id + "|");
-  cache_.Put(MasterCacheKey(inode), ctx.master, ctx.master.Serialize().size());
-  if (mine.full.has_value()) {
-    cache_.Put(TableCacheKey(inode, mine.selector), std::move(*mine.full),
-               mine.wire_size);
+  cache_.Put(MasterCacheKey(inode), StoredMaster{master.table, render.depth},
+             master.table.Serialize().size());
+  cache_.Put(TableHeadCacheKey(inode, mine.selector), mine.head, 2);
+  for (uint32_t b = 0; b < mine.buckets.size(); ++b) {
+    cache_.Put(BucketCacheKey(inode, mine.selector, render.depth, b),
+               std::move(mine.buckets[b]), mine.sizes[b]);
   }
   return Status::OK();
 }
@@ -679,7 +881,7 @@ Status SharoesClient::CreateObject(const std::string& path, fs::FileType type,
   }
   SHAROES_ASSIGN_OR_RETURN(fs::SplitParent sp, fs::SplitParentName(path));
   SHAROES_ASSIGN_OR_RETURN(WriterDirContext ctx, LoadDirForWrite(sp.parent));
-  if (ctx.master.Find(sp.name) != nullptr) {
+  if (ctx.master.table.Find(sp.name) != nullptr) {
     return Status::AlreadyExists("'" + path + "' already exists");
   }
 
@@ -702,17 +904,18 @@ Status SharoesClient::CreateObject(const std::string& path, fs::FileType type,
   std::vector<ssp::Request> batch1;
   codec_.RenderReplicas(attrs, specs, bundle, &batch1);
   if (type == fs::FileType::kDirectory) {
-    SHAROES_RETURN_IF_ERROR(codec_.RenderDirTables(attrs.inode, info,
-                                                   MasterTable{}, bundle,
-                                                   &batch1));
+    SHAROES_RETURN_IF_ERROR(codec_.RenderDirTables(
+        attrs.inode, info, MasterTable{}, bundle, &batch1,
+        ObjectCodec::DirRender{}));
   }
   SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch1)));
 
   // Batch 2: the parent's updated tables — the paper's "parent-dir send".
   SHAROES_RETURN_IF_ERROR(
-      ctx.master.Add(ObjectCodec::EntryFor(sp.name, attrs, bundle)));
+      ctx.master.table.Add(ObjectCodec::EntryFor(sp.name, attrs, bundle)));
   std::vector<ssp::Request> batch2;
-  SHAROES_RETURN_IF_ERROR(RenderDirTables(ctx, &batch2));
+  const std::vector<std::string> changed = {sp.name};
+  SHAROES_RETURN_IF_ERROR(RenderDirTables(ctx, &batch2, &changed));
   SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch2)));
   // The creator keeps its own view of the new object in memory, and
   // knows the file has never been written (write generation 0).
@@ -725,9 +928,9 @@ Status SharoesClient::CreateObject(const std::string& path, fs::FileType type,
     // The creator also knows the new directory is empty: seed the master-
     // table cache so the first create inside it skips the fetch of a
     // table this client rendered moments ago.
-    MasterTable empty;
+    StoredMaster empty;
     cache_.Put(MasterCacheKey(attrs.inode), empty,
-               empty.Serialize().size());
+               empty.table.Serialize().size());
   }
   return Status::OK();
 }
@@ -963,8 +1166,12 @@ Result<ObjectCodec::RenderedFile> SharoesClient::RenderFileWrite(
     const std::map<uint32_t, ObjectCodec::KeptBlock>* kept,
     std::vector<ssp::Request>* puts) {
   SHAROES_ASSIGN_OR_RETURN(uint64_t write_gen, NextWriteGen(inode));
-  // Without a diff basis the old block set goes first (it may be longer).
-  if (kept == nullptr) puts->push_back(ssp::Request::DeleteInodeData(inode));
+  // Without a diff basis the old block set goes first (it may be longer),
+  // unless the inode has none: a file this client created and never
+  // wrote, with no batch of it dropped (one may have been applied).
+  if (kept == nullptr && !versions_.Unwritten(inode)) {
+    puts->push_back(ssp::Request::DeleteInodeData(inode));
+  }
   return codec_.RenderFile(inode, content, options_.block_size,
                            ObjectCodec::DataBlockHeader{key_gen, write_gen},
                            dek, dsk, kept, puts);
@@ -1072,7 +1279,7 @@ Status SharoesClient::Chmod(const std::string& path, fs::Mode mode) {
 
   // For directories, fetch the master with the *old* keys before any
   // rotation.
-  MasterTable master;
+  StoredMaster master;
   if (attrs.type == fs::FileType::kDirectory) {
     SHAROES_ASSIGN_OR_RETURN(master, FetchMaster(node, bundle));
   }
@@ -1121,7 +1328,7 @@ Status SharoesClient::Chmod(const std::string& path, fs::Mode mode) {
     ctx.bundle = bundle;
     ctx.ownership = new_info;
     ctx.master = std::move(master);
-    SHAROES_RETURN_IF_ERROR(RenderDirTables(ctx, &batch));
+    SHAROES_RETURN_IF_ERROR(RenderDirTables(ctx, &batch, nullptr));
   }
   SHAROES_RETURN_IF_ERROR(
       rewrite.has_value()
@@ -1139,7 +1346,7 @@ Status SharoesClient::RemoveObject(const std::string& path,
   ChargeClientOverhead();
   SHAROES_ASSIGN_OR_RETURN(fs::SplitParent sp, fs::SplitParentName(path));
   SHAROES_ASSIGN_OR_RETURN(WriterDirContext ctx, LoadDirForWrite(sp.parent));
-  const MasterEntry* entry = ctx.master.Find(sp.name);
+  const MasterEntry* entry = ctx.master.table.Find(sp.name);
   if (entry == nullptr) return Status::NotFound("'" + path + "' not found");
   if (entry->child.type != type) {
     return type == fs::FileType::kDirectory
@@ -1152,29 +1359,27 @@ Status SharoesClient::RemoveObject(const std::string& path,
     // CAP on the child; a caller whose CAP hides the table cannot prove
     // emptiness and is refused (documented deviation, DESIGN.md).
     SHAROES_ASSIGN_OR_RETURN(Node child, ResolvePath(path));
-    auto table = FetchTable(child);
+    auto table = FetchTable(child, nullptr);
     if (!table.ok()) {
       return Status::PermissionDenied(
           "cannot verify directory is empty through this CAP");
     }
-    size_t entries = (*table)->names.size() + (*table)->exec_rows.size();
+    size_t entries = 0;
+    for (const auto& bucket : table->buckets) {
+      entries += bucket->names.size() + bucket->exec_rows.size();
+    }
     if (entries > 0) {
       return Status::FailedPrecondition("directory not empty");
     }
   }
-  SHAROES_RETURN_IF_ERROR(ctx.master.Remove(sp.name));
+  SHAROES_RETURN_IF_ERROR(ctx.master.table.Remove(sp.name));
   std::vector<ssp::Request> batch;
-  SHAROES_RETURN_IF_ERROR(RenderDirTables(ctx, &batch));
+  const std::vector<std::string> changed = {sp.name};
+  SHAROES_RETURN_IF_ERROR(RenderDirTables(ctx, &batch, &changed));
+  // One delete takes the child's replicas, table objects and split
+  // blocks; one more its data.
   batch.push_back(ssp::Request::DeleteInodeMetadata(child_inode));
   batch.push_back(ssp::Request::DeleteInodeData(child_inode));
-  // Remove any split blocks of the child.
-  for (fs::UserId uid : identity_->AllUsers()) {
-    batch.push_back(ssp::Request::DeleteUserMetadata(child_inode, uid));
-  }
-  for (fs::GroupId gid : identity_->AllGroups()) {
-    batch.push_back(
-        ssp::Request::DeleteUserMetadata(child_inode, GroupBlockKey(gid)));
-  }
   SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch)));
   InvalidateInode(child_inode);
   SHAROES_ASSIGN_OR_RETURN(std::string norm, NormalizePath(path));
@@ -1202,17 +1407,18 @@ Status SharoesClient::Rename(const std::string& from,
 
   SHAROES_ASSIGN_OR_RETURN(WriterDirContext src_ctx,
                            LoadDirForWrite(src.parent));
-  MasterEntry* entry = src_ctx.master.Find(src.name);
+  MasterEntry* entry = src_ctx.master.table.Find(src.name);
   if (entry == nullptr) return Status::NotFound("'" + from + "' not found");
 
   if (src.parent == dst.parent) {
     // Same-directory rename: one master edit, one table render.
-    if (src_ctx.master.Find(dst.name) != nullptr) {
+    if (src_ctx.master.table.Find(dst.name) != nullptr) {
       return Status::AlreadyExists("'" + to + "' already exists");
     }
     entry->name = dst.name;
     std::vector<ssp::Request> batch;
-    SHAROES_RETURN_IF_ERROR(RenderDirTables(src_ctx, &batch));
+    const std::vector<std::string> changed = {src.name, dst.name};
+    SHAROES_RETURN_IF_ERROR(RenderDirTables(src_ctx, &batch, &changed));
     SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch)));
   } else {
     // Cross-directory move. The child's replicas, selectors and MEKs are
@@ -1223,16 +1429,18 @@ Status SharoesClient::Rename(const std::string& from,
     if (dst_ctx.node.ref.inode == entry->inode) {
       return Status::InvalidArgument("cannot move a directory into itself");
     }
-    if (dst_ctx.master.Find(dst.name) != nullptr) {
+    if (dst_ctx.master.table.Find(dst.name) != nullptr) {
       return Status::AlreadyExists("'" + to + "' already exists");
     }
     MasterEntry moved = *entry;
     moved.name = dst.name;
-    SHAROES_RETURN_IF_ERROR(src_ctx.master.Remove(src.name));
-    SHAROES_RETURN_IF_ERROR(dst_ctx.master.Add(std::move(moved)));
+    SHAROES_RETURN_IF_ERROR(src_ctx.master.table.Remove(src.name));
+    SHAROES_RETURN_IF_ERROR(dst_ctx.master.table.Add(std::move(moved)));
     std::vector<ssp::Request> batch;
-    SHAROES_RETURN_IF_ERROR(RenderDirTables(src_ctx, &batch));
-    SHAROES_RETURN_IF_ERROR(RenderDirTables(dst_ctx, &batch));
+    const std::vector<std::string> src_changed = {src.name};
+    const std::vector<std::string> dst_changed = {dst.name};
+    SHAROES_RETURN_IF_ERROR(RenderDirTables(src_ctx, &batch, &src_changed));
+    SHAROES_RETURN_IF_ERROR(RenderDirTables(dst_ctx, &batch, &dst_changed));
     SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch)));
   }
   // Any buffered writes follow the move — the file itself, and when a
@@ -1280,7 +1488,7 @@ Status SharoesClient::RefreshDir(const std::string& path) {
   ctx.node = std::move(node);
   ctx.bundle = std::move(bundle);
   std::vector<ssp::Request> batch;
-  SHAROES_RETURN_IF_ERROR(RenderDirTables(ctx, &batch));
+  SHAROES_RETURN_IF_ERROR(RenderDirTables(ctx, &batch, nullptr));
   SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch)));
   return FlushPendingWrites();
 }

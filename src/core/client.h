@@ -14,6 +14,7 @@
 #ifndef SHAROES_CORE_CLIENT_H_
 #define SHAROES_CORE_CLIENT_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -176,6 +177,19 @@ class SharoesClient : public FsClient {
     kTable,  // The directory's table copy too (Readdir, rmdir check).
   };
 
+  /// One stored table (a copy or the master) as fetched: the head and the
+  /// wire of every bucket asked for, by index.
+  struct TableRead {
+    TableHead head;
+    std::map<uint32_t, Bytes> wires;
+  };
+  /// The decoded buckets of this client's copy of a directory that a
+  /// lookup or a listing needs, with the copy's head.
+  struct TableSlice {
+    TableHead head;
+    std::vector<std::shared_ptr<const DecodedTable>> buckets;
+  };
+
   /// RAII around one public client op: the trace span plus a sample in
   /// "client.rpc.round_trips.<op>" of how many SSP round trips the op
   /// issued — with batching, round trips are the op's WAN cost, so they
@@ -199,8 +213,9 @@ class SharoesClient : public FsClient {
                            ReadIntent intent = ReadIntent::kNone);
   /// The node at `ref`, its view from the cache or the SSP. With
   /// batching on (readahead_blocks > 0) the view fetch is coalesced with
-  /// this level's other likely-needed objects (the directory table when
-  /// want_table, the file's first data window when want_data) into one
+  /// this level's other likely-needed objects (with want_table, the
+  /// table's head and probe window when the view or the head is not
+  /// cached; with want_data, the file's first data window) into one
   /// round trip. The extra objects are decoded into the cache
   /// best-effort; a failure there simply surfaces later on the
   /// authoritative path (FetchTable / FetchFileContent), keeping error
@@ -216,11 +231,33 @@ class SharoesClient : public FsClient {
   /// replies are skipped, so the strict path re-fetches and reports.
   Status TakeDataWindow(Node* node, const std::vector<uint32_t>& blocks,
                         const ssp::Response* resps);
-  /// `dir`'s table copy through this client's CAP, decoded and cached:
-  /// the one decode of a table copy. `fetched` is a copy the descent
-  /// already has; without it the cache or one Get supplies it.
-  Result<std::shared_ptr<const DecodedTable>> FetchTable(
-      const Node& dir, const Bytes* fetched = nullptr);
+  /// The buckets of a copy under `head` that a lookup of `name` reads
+  /// (none unless the view has rows to look up), or every bucket (`name`
+  /// null).
+  std::vector<uint32_t> BucketsFor(const TableHead& head,
+                                   const crypto::SymmetricKey& key,
+                                   const std::string* name);
+  /// Takes what FetchNode's batch fetched of `dir`'s table into the
+  /// cache, best-effort: its `head` and the buckets `blocks`. A failure
+  /// surfaces on the strict path, FetchTable.
+  void TakeTableProbe(const Node& dir, const ssp::Response& head,
+                      const std::vector<uint32_t>& blocks,
+                      const ssp::Response* resps);
+  /// `dir`'s table through this client's CAP: its head and the bucket a
+  /// lookup of `name` needs (none unless the view is kFull or kExecOnly),
+  /// or every bucket (`name` null). Buckets come decoded from the cache or
+  /// one batch, and go into it: the one decode of a table copy.
+  Result<TableSlice> FetchTable(const Node& dir, const std::string* name);
+  /// Reads one stored table of `inode` (copy `sel`, or the master): its
+  /// head, unless `head` is given, and the buckets `want(head)` lists.
+  /// Without a head the first batch also asks for the probe window. A
+  /// bucket that is missing or of another depth than a given head
+  /// re-fetches the head once; against a head fetched in the same read it
+  /// is Corruption.
+  Result<TableRead> ReadTable(
+      fs::InodeNum inode, Selector sel, const crypto::SymmetricKey& key,
+      const crypto::VerifyKey& dvk, std::optional<TableHead> head,
+      const std::function<std::vector<uint32_t>(const TableHead&)>& want);
   /// The child's PlainRef from a row of `parent`'s table; a split row's
   /// unwrapped ref is cached under the parent (see UserSplitCacheKey).
   Result<PlainRef> ResolveRowRef(fs::InodeNum parent, const RowRef& row);
@@ -235,16 +272,19 @@ class SharoesClient : public FsClient {
   /// Loads the parent directory as a writer: node + bundle-ish context.
   struct WriterDirContext {
     Node node;
-    MasterTable master;
+    StoredMaster master;
     ObjectKeyBundle bundle;  // Synthesized from the writer view.
     OwnershipInfo ownership;
   };
   Result<WriterDirContext> LoadDirForWrite(const std::string& dir_path);
-  /// Rebuilds every table copy (and the master) of a directory, returning
-  /// the SSP put requests + split blocks to include in a batch, and
+  /// Renders a directory's tables after an edit of its master: only the
+  /// buckets holding the `changed` names, unless the edit resizes the
+  /// tables or `changed` is null (a rekey), which renders every head and
+  /// bucket. Appends the SSP requests to include in a batch, and
   /// refreshes this client's cached view of the directory.
   Status RenderDirTables(const WriterDirContext& ctx,
-                         std::vector<ssp::Request>* out);
+                         std::vector<ssp::Request>* out,
+                         const std::vector<std::string>* changed);
   /// Ships a logical op's mutating sub-ops. With write-behind off this
   /// is one immediate batched round trip (ExecuteBatchNow); with it on,
   /// the requests are staged into pending_writes_ and shipped at the
@@ -268,8 +308,8 @@ class SharoesClient : public FsClient {
                      Status outcome);
 
   /// Fetches the master table of a directory the caller can write.
-  Result<MasterTable> FetchMaster(const Node& dir,
-                                  const ObjectKeyBundle& bundle);
+  Result<StoredMaster> FetchMaster(const Node& dir,
+                                   const ObjectKeyBundle& bundle);
 
   fs::InodeNum AllocateInode();
   void ChargeClientOverhead();
@@ -286,13 +326,18 @@ class SharoesClient : public FsClient {
   // an unnormalized path aliasing "/shared//x" and "/shared/x" into
   // distinct negative dentries — cannot creep back in per call site.
   // Prefixes: "d|" data block (descriptor or opened chunk), "t|" table
-  // copy, "M|" master table, "u|"/"g|" split blocks, "n|" negative
-  // dentry ("m|" view keys live in ViewCacheKey, which needs Scheme
-  // state). Split keys lead with the parent
+  // copy head and buckets, "M|" master table, "u|"/"g|" split blocks,
+  // "n|" negative dentry ("m|" view keys live in ViewCacheKey, which
+  // needs Scheme state). Split keys lead with the parent
   // inode ("<parent>|<child>|<id>"): the unwrapped ref is part of the
   // parent's row and dies with the parent's table, not with the child.
   static std::string DataCacheKey(fs::InodeNum inode, uint32_t block);
-  static std::string TableCacheKey(fs::InodeNum inode, Selector sel);
+  /// A table copy's keys: "t|<inode>|<sel>|h" its head, and
+  /// "t|<inode>|<sel>|<depth>.<bucket>" each decoded bucket, so a bucket
+  /// cached under one depth never answers a head of another.
+  static std::string TableHeadCacheKey(fs::InodeNum inode, Selector sel);
+  static std::string BucketCacheKey(fs::InodeNum inode, Selector sel,
+                                    uint8_t depth, uint32_t bucket);
   static std::string MasterCacheKey(fs::InodeNum inode);
   static std::string UserSplitCacheKey(fs::InodeNum parent,
                                        fs::InodeNum child, fs::UserId uid);

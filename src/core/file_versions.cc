@@ -35,6 +35,12 @@ bool FileVersions::NeverWritten(fs::InodeNum inode) const {
   return it == records_.end() || it->second.floor.write_gen == 0;
 }
 
+bool FileVersions::Unwritten(fs::InodeNum inode) const {
+  auto it = records_.find(inode);
+  return it != records_.end() && !it->second.must_peek &&
+         it->second.floor.write_gen == 0 && !it->second.pending.has_value();
+}
+
 bool FileVersions::MustPeek(fs::InodeNum inode) const {
   auto it = records_.find(inode);
   return it == records_.end() || it->second.must_peek;

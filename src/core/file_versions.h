@@ -30,6 +30,10 @@ class FileVersions {
                  const Bytes& tag_root);
   /// A missing block 0 means an empty file, not dropped data.
   bool NeverWritten(fs::InodeNum inode) const;
+  /// True while `inode` holds only its creator's seed: no write of it was
+  /// shipped, staged or dropped since Created, so the SSP holds no block
+  /// of it.
+  bool Unwritten(fs::InodeNum inode) const;
   /// History unknown, or a batch that may carry a version was dropped.
   bool MustPeek(fs::InodeNum inode) const;
   /// 1 + max(peeked, floor, pending).

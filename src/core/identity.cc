@@ -98,15 +98,6 @@ std::vector<fs::UserId> IdentityDirectory::AllUsers() const {
   return out;
 }
 
-std::vector<fs::GroupId> IdentityDirectory::AllGroups() const {
-  std::vector<fs::GroupId> out;
-  out.reserve(groups_.size());
-  for (const auto& [id, info] : groups_) {
-    (void)info;
-    out.push_back(id);
-  }
-  return out;
-}
 
 Bytes IdentityDirectory::Serialize() const {
   BinaryWriter w;

@@ -58,7 +58,6 @@ class IdentityDirectory {
   /// All registered user ids (the authorization universe for Scheme-1
   /// replication and for per-user superblocks).
   std::vector<fs::UserId> AllUsers() const;
-  std::vector<fs::GroupId> AllGroups() const;
   size_t user_count() const { return users_.size(); }
 
   /// Serialization of the *public* directory (user/group public keys and

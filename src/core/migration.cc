@@ -101,9 +101,11 @@ void CountPut(const ssp::Request& put, MigrationStats* stats) {
   if (put.op == ssp::OpCode::kPutUserMetadata) ++stats->split_blocks;
   if (put.op == ssp::OpCode::kPutData) ++stats->data_blocks;
   if (put.op == ssp::OpCode::kPutMetadata) {
+    // A copy counts once, by its head; buckets and the master do not.
     bool table = (put.selector & kTableSelectorFlag) != 0;
+    bool head = table && (put.selector & kBucketSelectorFlag) == 0;
     if (!table) ++stats->metadata_replicas;
-    if (table && put.selector != kMasterSelector) ++stats->table_copies;
+    if (head && put.selector != kMasterSelector) ++stats->table_copies;
   }
 }
 }  // namespace
@@ -150,8 +152,11 @@ Result<Provisioner::MigratedObject> Provisioner::MigrateNode(
   codec_.RenderReplicas(attrs, specs, obj.bundle, &puts);
   if (spec.type == fs::FileType::kDirectory) {
     ++stats->directories;
+    ObjectCodec::DirRender render;
+    render.depth = ObjectCodec::FreshDepth(master.entries.size());
     SHAROES_RETURN_IF_ERROR(
-        codec_.RenderDirTables(inode, info, master, obj.bundle, &puts));
+        codec_.RenderDirTables(inode, info, master, obj.bundle, &puts,
+                               render));
   } else {
     ++stats->files;
     // Migration is the file's first write (generation 1).

@@ -1,5 +1,7 @@
 #include "core/object_codec.h"
 
+#include <set>
+
 #include "crypto/aead.h"
 #include "crypto/kdf.h"
 #include "crypto/merkle.h"
@@ -92,40 +94,168 @@ void ObjectCodec::RenderReplicas(
   }
 }
 
+uint8_t ObjectCodec::FreshDepth(size_t entries) {
+  uint8_t depth = 0;
+  while (depth < kMaxTableDepth && entries > (kGrowLoad << depth)) ++depth;
+  return depth;
+}
+
+uint8_t ObjectCodec::NextDepth(uint8_t depth, size_t entries) {
+  const bool over = entries > (kGrowLoad << depth);
+  const bool under = depth > 0 && entries < (kShrinkLoad << depth);
+  return over || under ? FreshDepth(entries) : depth;
+}
+
+uint32_t ObjectCodec::BucketOf(const crypto::SymmetricKey& table_key,
+                               const std::string& name, uint8_t depth) {
+  constexpr size_t kMaxRowIds = 1 << 14;
+  std::string memo(table_key.key.begin(), table_key.key.end());
+  memo += name;
+  auto it = row_ids_.find(memo);
+  if (it == row_ids_.end()) {
+    Bytes id =
+        crypto::kdf::DeriveLabeled(table_key, "sharoes-rowid:" + name).key;
+    uint32_t h = 0;
+    for (size_t i = 0; i < 4 && i < id.size(); ++i) {
+      h |= static_cast<uint32_t>(id[i]) << (8 * i);
+    }
+    if (row_ids_.size() >= kMaxRowIds) row_ids_.clear();
+    it = row_ids_.emplace(std::move(memo), h).first;
+  }
+  return it->second & ((uint32_t{1} << depth) - 1);
+}
+
+namespace {
+
+/// The master's entries bucket by bucket, in master order within each.
+std::vector<std::vector<const MasterEntry*>> Partition(
+    ObjectCodec* codec, const MasterTable& master,
+    const crypto::SymmetricKey& key, uint8_t depth) {
+  std::vector<std::vector<const MasterEntry*>> parts(size_t{1} << depth);
+  for (const MasterEntry& e : master.entries) {
+    parts[codec->BucketOf(key, e.name, depth)].push_back(&e);
+  }
+  return parts;
+}
+
+/// The buckets a render rewrites in a table keyed by `key`.
+std::vector<uint32_t> RenderedBuckets(ObjectCodec* codec,
+                                      const ObjectCodec::DirRender& render,
+                                      const crypto::SymmetricKey& key) {
+  std::set<uint32_t> picked;
+  if (render.changed == nullptr) {
+    for (uint32_t b = 0; b < (uint32_t{1} << render.depth); ++b) {
+      picked.insert(b);
+    }
+  } else {
+    for (const std::string& name : *render.changed) {
+      picked.insert(codec->BucketOf(key, name, render.depth));
+    }
+  }
+  return {picked.begin(), picked.end()};
+}
+
+MasterTable SubTable(const std::vector<const MasterEntry*>& rows) {
+  MasterTable t;
+  for (const MasterEntry* e : rows) t.entries.push_back(*e);
+  return t;
+}
+
+}  // namespace
+
 Status ObjectCodec::RenderDirTables(fs::InodeNum dir_inode,
                                     const OwnershipInfo& info,
                                     const MasterTable& master,
                                     const ObjectKeyBundle& bundle,
                                     std::vector<ssp::Request>* out,
-                                    ReaderCopy* reader) {
+                                    const DirRender& render) {
+  const bool full = render.changed == nullptr;
+  ReaderCopy* reader = render.reader;
   std::vector<PendingSplitBlock> blocks;
-  std::vector<fs::UserId> reader_universe;
-  bool reader_full = false;
+  std::vector<Selector> bucketed;
+  std::map<uint32_t, size_t> reader_sizes;
+  auto key_of = [&](Selector sel) -> Result<const crypto::SymmetricKey*> {
+    auto it = bundle.table_keys.find(sel);
+    if (it == bundle.table_keys.end()) {
+      return Status::Internal("missing table key for copy " +
+                              std::to_string(sel));
+    }
+    return &it->second;
+  };
   for (const ReplicaSpec& spec : ReplicasFor(info, scheme_, *dir_)) {
+    SHAROES_ASSIGN_OR_RETURN(const crypto::SymmetricKey* key,
+                             key_of(spec.selector));
+    TableView view = spec.Fields(fs::FileType::kDirectory).table_view;
+    TableHead head{view, view == TableView::kNone ? uint8_t{0}
+                                                  : render.depth};
     std::vector<fs::UserId> universe =
         UniverseOf(info, spec.selector, scheme_, *dir_);
-    TableView view = spec.Fields(fs::FileType::kDirectory).table_view;
-    SHAROES_ASSIGN_OR_RETURN(
-        Bytes wire, EncodeTableCopy(dir_inode, spec.selector, view, master,
-                                    universe, bundle, &blocks));
-    if (reader != nullptr && spec.selector == reader->selector) {
-      reader->wire_size = wire.size();
-      reader_full = view == TableView::kFull;
-      reader_universe = std::move(universe);
+    if (full) {
+      out->push_back(ssp::Request::PutMetadata(
+          dir_inode, TableSelector(spec.selector),
+          EncodeTableHead(dir_inode, spec.selector, head, *key,
+                          bundle.data.sign)));
     }
-    out->push_back(ssp::Request::PutMetadata(
-        dir_inode, TableSelector(spec.selector), std::move(wire)));
+    const bool mine = reader != nullptr && spec.selector == reader->selector;
+    if (view != TableView::kNone) {
+      bucketed.push_back(spec.selector);
+      auto parts = Partition(this, master, *key, render.depth);
+      for (uint32_t b : RenderedBuckets(this, render, *key)) {
+        SHAROES_ASSIGN_OR_RETURN(
+            Bytes wire,
+            EncodeTableBucket(dir_inode, spec.selector, view, render.depth, b,
+                              SubTable(parts[b]), universe, bundle, &blocks));
+        if (mine) reader_sizes[b] = wire.size();
+        out->push_back(ssp::Request::PutMetadata(
+            dir_inode, BucketSelector(spec.selector, b), std::move(wire)));
+      }
+    }
+    if (mine) {
+      reader->head = head;
+      reader->buckets.clear();
+      reader->sizes.clear();
+      // Best-effort, as a cache fill: a row that fails to render here
+      // leaves the writer's copy uncached, and a read fetches it.
+      if (view == TableView::kFull &&
+          RenderFullTableView(master, universe, *key, reader).ok()) {
+        for (const auto& [b, size] : reader_sizes) reader->sizes[b] = size;
+      } else {
+        reader->buckets.clear();
+        reader->sizes.clear();
+      }
+    }
   }
-  out->push_back(ssp::Request::PutMetadata(
-      dir_inode, TableSelector(kMasterSelector),
-      EncodeMasterTable(dir_inode, master, bundle)));
+  SHAROES_ASSIGN_OR_RETURN(const crypto::SymmetricKey* master_key,
+                           key_of(kMasterSelector));
+  if (full) {
+    out->push_back(ssp::Request::PutMetadata(
+        dir_inode, TableSelector(kMasterSelector),
+        EncodeTableHead(dir_inode, kMasterSelector,
+                        TableHead{TableView::kFull, render.depth},
+                        *master_key, bundle.data.sign)));
+  }
+  auto parts = Partition(this, master, *master_key, render.depth);
+  for (uint32_t b : RenderedBuckets(this, render, *master_key)) {
+    out->push_back(ssp::Request::PutMetadata(
+        dir_inode, BucketSelector(kMasterSelector, b),
+        EncodeMasterBucket(dir_inode, render.depth, b, SubTable(parts[b]),
+                           bundle)));
+  }
+  if (full && render.stored_depth > render.depth) {
+    // A shrink: the buckets past the new depth would only ever answer a
+    // reader with a stale head, so they go.
+    bucketed.push_back(kMasterSelector);
+    for (Selector sel : bucketed) {
+      for (uint32_t b = uint32_t{1} << render.depth;
+           b < (uint32_t{1} << render.stored_depth); ++b) {
+        out->push_back(ssp::Request::Delete(
+            ssp::ObjectRef::Metadata(dir_inode, BucketSelector(sel, b))));
+      }
+    }
+  }
   for (PendingSplitBlock& b : blocks) {
     out->push_back(
         ssp::Request::PutUserMetadata(b.child_inode, b.id, std::move(b.wire)));
-  }
-  if (reader_full) {
-    auto decoded = RenderFullTableView(master, reader_universe);
-    if (decoded.ok()) reader->full = std::move(*decoded);
   }
   return Status::OK();
 }
@@ -323,51 +453,134 @@ Result<RowRef> ObjectCodec::RenderRow(const MasterEntry& entry,
   return row;
 }
 
-Result<DecodedTable> ObjectCodec::RenderFullTableView(
-    const MasterTable& master, const std::vector<fs::UserId>& universe) {
-  DecodedTable t;
-  t.view = TableView::kFull;
-  for (const MasterEntry& e : master.entries) {
-    SHAROES_ASSIGN_OR_RETURN(RowRef row,
-                             RenderRow(e, universe, /*blocks=*/nullptr));
-    t.names.push_back(e.name);
-    t.refs[e.name] = std::move(row);
+Status ObjectCodec::RenderFullTableView(
+    const MasterTable& master, const std::vector<fs::UserId>& universe,
+    const crypto::SymmetricKey& table_key, ReaderCopy* reader) {
+  auto parts = Partition(this, master, table_key, reader->head.depth);
+  for (const std::vector<const MasterEntry*>& rows : parts) {
+    DecodedTable t;
+    t.view = TableView::kFull;
+    BinaryWriter sized;
+    for (const MasterEntry* e : rows) {
+      SHAROES_ASSIGN_OR_RETURN(RowRef row,
+                               RenderRow(*e, universe, /*blocks=*/nullptr));
+      sized.PutString(e->name);
+      row.AppendTo(&sized);
+      t.names.push_back(e->name);
+      t.refs[e->name] = std::move(row);
+    }
+    reader->buckets.push_back(std::move(t));
+    reader->sizes.push_back(sized.size());
   }
-  return t;
+  return Status::OK();
 }
 
-Result<Bytes> ObjectCodec::EncodeTableCopy(
-    fs::InodeNum dir_inode, Selector copy_selector, TableView view,
-    const MasterTable& master, const std::vector<fs::UserId>& universe,
-    const ObjectKeyBundle& bundle, std::vector<PendingSplitBlock>* blocks) {
-  auto key_it = bundle.table_keys.find(copy_selector);
+namespace {
+
+/// What a bucket's signature binds besides its sealed rows: the
+/// directory, the copy, the depth and the index. A bucket moved to another
+/// directory, copy or index, or served under a head of another depth,
+/// fails verification.
+Bytes BucketContext(fs::InodeNum dir_inode, Selector copy, uint8_t depth,
+                    uint32_t index) {
+  BinaryWriter w;
+  w.PutRaw(SigContext("tbucket", dir_inode, copy));
+  w.PutU8(depth);
+  w.PutU32(index);
+  return w.Take();
+}
+
+}  // namespace
+
+Bytes ObjectCodec::EncodeTableHead(fs::InodeNum dir_inode, Selector copy,
+                                   const TableHead& head,
+                                   const crypto::SymmetricKey& table_key,
+                                   const crypto::SigningKey& dsk) {
+  BinaryWriter w;
+  w.PutU8(static_cast<uint8_t>(head.view));
+  w.PutU8(head.depth);
+  return SealAndSign(SigContext("thead", dir_inode, copy), w.Take(),
+                     table_key, dsk);
+}
+
+Result<TableHead> ObjectCodec::DecodeTableHead(
+    fs::InodeNum dir_inode, Selector copy, const Bytes& wire,
+    const crypto::SymmetricKey& table_key, const crypto::VerifyKey& dvk) {
+  auto payload = VerifyAndOpen(SigContext("thead", dir_inode, copy), wire,
+                               table_key, dvk, "table head");
+  if (!payload.ok()) return Status::Corruption(payload.status().message());
+  BinaryReader r(*payload);
+  TableHead head;
+  uint8_t view = r.GetU8();
+  head.depth = r.GetU8();
+  if (!r.Finish("table head").ok() ||
+      view > static_cast<uint8_t>(TableView::kExecOnly) ||
+      head.depth > kMaxTableDepth) {
+    return Status::Corruption("malformed table head");
+  }
+  head.view = static_cast<TableView>(view);
+  return head;
+}
+
+Bytes ObjectCodec::SealBucket(fs::InodeNum dir_inode, Selector copy,
+                              uint8_t depth, uint32_t index,
+                              const Bytes& payload,
+                              const crypto::SymmetricKey& table_key,
+                              const crypto::SigningKey& dsk) {
+  Bytes wire{depth};
+  Append(wire, SealAndSign(BucketContext(dir_inode, copy, depth, index),
+                           payload, table_key, dsk));
+  return wire;
+}
+
+Result<Bytes> ObjectCodec::OpenBucket(fs::InodeNum dir_inode, Selector copy,
+                                      uint8_t depth, uint32_t index,
+                                      const Bytes& wire,
+                                      const crypto::SymmetricKey& table_key,
+                                      const crypto::VerifyKey& dvk) {
+  if (wire.empty() || wire[0] != depth) {
+    return Status::Corruption("table bucket of another depth");
+  }
+  auto payload = VerifyAndOpen(BucketContext(dir_inode, copy, depth, index),
+                               Bytes(wire.begin() + 1, wire.end()),
+                               table_key, dvk, "table bucket");
+  if (!payload.ok()) return Status::Corruption(payload.status().message());
+  return std::move(*payload);
+}
+
+Result<uint8_t> ObjectCodec::PeekBucketDepth(const Bytes& wire) {
+  if (wire.empty()) return Status::Corruption("empty table bucket");
+  return wire[0];
+}
+
+Result<Bytes> ObjectCodec::EncodeTableBucket(
+    fs::InodeNum dir_inode, Selector copy, TableView view, uint8_t depth,
+    uint32_t index, const MasterTable& rows,
+    const std::vector<fs::UserId>& universe, const ObjectKeyBundle& bundle,
+    std::vector<PendingSplitBlock>* blocks) {
+  auto key_it = bundle.table_keys.find(copy);
   if (key_it == bundle.table_keys.end()) {
     return Status::Internal("missing table key for copy " +
-                            std::to_string(copy_selector));
+                            std::to_string(copy));
   }
   const crypto::SymmetricKey& table_key = key_it->second;
-
   BinaryWriter w;
   w.PutU8(static_cast<uint8_t>(view));
-  // A zero-view copy exists but exposes nothing, not even the count.
-  w.PutU32(view == TableView::kNone
-               ? 0
-               : static_cast<uint32_t>(master.entries.size()));
-  switch (view) {
-    case TableView::kNone:
-      break;
-    case TableView::kNamesOnly:
-      for (const MasterEntry& e : master.entries) w.PutString(e.name);
-      break;
-    case TableView::kFull:
-      for (const MasterEntry& e : master.entries) {
+  w.PutU32(static_cast<uint32_t>(rows.entries.size()));
+  for (const MasterEntry& e : rows.entries) {
+    switch (view) {
+      case TableView::kNone:
+        return Status::Internal("a kNone copy has no buckets");
+      case TableView::kNamesOnly:
+        w.PutString(e.name);
+        break;
+      case TableView::kFull: {
         SHAROES_ASSIGN_OR_RETURN(RowRef row, RenderRow(e, universe, blocks));
         w.PutString(e.name);
         row.AppendTo(&w);
+        break;
       }
-      break;
-    case TableView::kExecOnly:
-      for (const MasterEntry& e : master.entries) {
+      case TableView::kExecOnly: {
         SHAROES_ASSIGN_OR_RETURN(RowRef row, RenderRow(e, universe, blocks));
         // Row id and row key are both derived from H_{DEK_this}(name); a
         // reader who knows the name can locate and open exactly that row.
@@ -380,75 +593,78 @@ Result<Bytes> ObjectCodec::EncodeTableCopy(
         Bytes enc_row = engine_->SymEncrypt(row_key, rw.Take());
         w.PutBytes(row_id_key.key);
         w.PutBytes(enc_row);
+        break;
       }
-      break;
+    }
   }
-  return SealAndSign(SigContext("table", dir_inode, copy_selector), w.Take(),
-                     table_key, bundle.data.sign);
+  return SealBucket(dir_inode, copy, depth, index, w.Take(), table_key,
+                    bundle.data.sign);
 }
 
-Bytes ObjectCodec::EncodeMasterTable(fs::InodeNum dir_inode,
-                                     const MasterTable& master,
-                                     const ObjectKeyBundle& bundle) {
+Bytes ObjectCodec::EncodeMasterBucket(fs::InodeNum dir_inode, uint8_t depth,
+                                      uint32_t index, const MasterTable& rows,
+                                      const ObjectKeyBundle& bundle) {
   auto it = bundle.table_keys.find(kMasterSelector);
   crypto::SymmetricKey key =
       it != bundle.table_keys.end() ? it->second : crypto::SymmetricKey{};
-  return SealAndSign(SigContext("table", dir_inode, kMasterSelector),
-                     master.Serialize(), key, bundle.data.sign);
+  return SealBucket(dir_inode, kMasterSelector, depth, index,
+                    rows.Serialize(), key, bundle.data.sign);
 }
 
-Result<DecodedTable> ObjectCodec::DecodeTableCopy(
-    fs::InodeNum dir_inode, Selector copy_selector, const Bytes& wire,
-    const crypto::SymmetricKey& table_key, const crypto::VerifyKey& dvk) {
-  SHAROES_ASSIGN_OR_RETURN(
-      Bytes payload,
-      VerifyAndOpen(SigContext("table", dir_inode, copy_selector), wire,
-                    table_key, dvk, "table copy"));
+Result<DecodedTable> ObjectCodec::DecodeTableBucket(
+    fs::InodeNum dir_inode, Selector copy, const TableHead& head,
+    uint32_t index, const Bytes& wire, const crypto::SymmetricKey& table_key,
+    const crypto::VerifyKey& dvk) {
+  SHAROES_ASSIGN_OR_RETURN(Bytes payload,
+                           OpenBucket(dir_inode, copy, head.depth, index,
+                                      wire, table_key, dvk));
   BinaryReader r(payload);
   DecodedTable t;
   uint8_t view = r.GetU8();
-  if (r.ok() && view > static_cast<uint8_t>(TableView::kExecOnly)) {
-    return Status::Corruption("bad table view kind");
-  }
-  t.view = static_cast<TableView>(view);
   uint32_t n = r.GetU32();
-  if (!r.ok() || n > r.remaining()) {
-    return Status::Corruption("truncated table copy");
+  if (!r.ok() || view != static_cast<uint8_t>(head.view) ||
+      n > r.remaining()) {
+    return Status::Corruption("table bucket does not match its head");
   }
-  switch (t.view) {
-    case TableView::kNone:
-      break;
-    case TableView::kNamesOnly:
-      for (uint32_t i = 0; i < n; ++i) t.names.push_back(r.GetString());
-      break;
-    case TableView::kFull:
-      for (uint32_t i = 0; i < n; ++i) {
+  t.view = head.view;
+  for (uint32_t i = 0; i < n && r.ok(); ++i) {
+    switch (t.view) {
+      case TableView::kNone:
+        return Status::Corruption("rows in a kNone table copy");
+      case TableView::kNamesOnly:
+        t.names.push_back(r.GetString());
+        break;
+      case TableView::kFull: {
         std::string name = r.GetString();
-        SHAROES_ASSIGN_OR_RETURN(RowRef row, RowRef::ReadFrom(&r));
+        auto row = RowRef::ReadFrom(&r);
+        if (!row.ok()) return Status::Corruption("malformed table row");
         t.names.push_back(name);
-        t.refs[name] = std::move(row);
+        t.refs[name] = std::move(*row);
+        break;
       }
-      break;
-    case TableView::kExecOnly:
-      for (uint32_t i = 0; i < n; ++i) {
+      case TableView::kExecOnly: {
         Bytes row_id = r.GetBytes();
         Bytes enc_row = r.GetBytes();
         t.exec_rows.emplace_back(std::move(row_id), std::move(enc_row));
+        break;
       }
-      break;
+    }
   }
-  SHAROES_RETURN_IF_ERROR(r.Finish("table copy"));
+  if (!r.Finish("table bucket").ok()) {
+    return Status::Corruption("truncated table bucket");
+  }
   return t;
 }
 
-Result<MasterTable> ObjectCodec::DecodeMasterTable(
-    fs::InodeNum dir_inode, const Bytes& wire,
+Result<MasterTable> ObjectCodec::DecodeMasterBucket(
+    fs::InodeNum dir_inode, uint8_t depth, uint32_t index, const Bytes& wire,
     const crypto::SymmetricKey& table_key, const crypto::VerifyKey& dvk) {
-  SHAROES_ASSIGN_OR_RETURN(
-      Bytes payload,
-      VerifyAndOpen(SigContext("table", dir_inode, kMasterSelector), wire,
-                    table_key, dvk, "master table"));
-  return MasterTable::Deserialize(payload);
+  SHAROES_ASSIGN_OR_RETURN(Bytes payload,
+                           OpenBucket(dir_inode, kMasterSelector, depth,
+                                      index, wire, table_key, dvk));
+  auto master = MasterTable::Deserialize(payload);
+  if (!master.ok()) return Status::Corruption("malformed master bucket");
+  return master;
 }
 
 Result<RowRef> ObjectCodec::ExecOnlyLookup(const DecodedTable& table,

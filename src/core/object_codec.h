@@ -2,9 +2,12 @@
 // filesystem state and the encrypted blobs the SSP stores.
 //
 //   metadata replica  = Sign_MSK( CTR_MEK(serialized CAP view) )
-//   table copy        = Sign_DSK( CTR_TK(rendered rows) ), where rendering
-//                       follows the copy's TableView (full / names-only /
-//                       per-row encryption for exec-only CAPs)
+//   table head        = Sign_DSK( CTR_TK(view | depth) ), one per copy and
+//                       one for the master (DESIGN.md §18)
+//   table bucket      = depth | Sign_DSK( CTR_TK(rendered rows) ): the rows
+//                       whose names hash to it, rendered per the copy's
+//                       TableView (full / names-only / per-row encryption
+//                       for exec-only CAPs), or master entries
 //   data block 0      = Sign_DSK( header | DataDescriptor ), cleartext
 //   data block k+1    = AES-GCM_DEK( chunk k ), anchored by the Merkle
 //                       root inside the signed descriptor
@@ -25,6 +28,7 @@
 #define SHAROES_CORE_OBJECT_CODEC_H_
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/refs.h"
@@ -41,7 +45,26 @@ struct PendingSplitBlock {
   Bytes wire;
 };
 
-/// A decoded directory-table copy as seen through one CAP.
+/// A stored table's signed head: the view its copy renders and the depth
+/// d of its 2^d buckets. A kNone copy has a head and no buckets; the
+/// master's head reads kFull.
+struct TableHead {
+  TableView view = TableView::kNone;
+  uint8_t depth = 0;
+
+  uint32_t buckets() const {
+    return view == TableView::kNone ? 0 : uint32_t{1} << depth;
+  }
+};
+
+/// A directory's master table as its writer holds it: every entry, and the
+/// bucket depth its stored tables are rendered at.
+struct StoredMaster {
+  MasterTable table;
+  uint8_t depth = 0;
+};
+
+/// A decoded bucket of a directory-table copy as seen through one CAP.
 struct DecodedTable {
   TableView view = TableView::kNone;
   /// kFull / kNamesOnly: visible names in table order.
@@ -88,22 +111,57 @@ class ObjectCodec {
                           std::nullopt);
 
   /// What a directory writer keeps of its own copy after rendering: the
-  /// copy's wire size, and its logical view when that view is kFull.
+  /// copy's head and, when its view is kFull, the logical content of every
+  /// bucket with a wire size for each (the rendered size of the buckets
+  /// this render wrote, an estimate for the others).
   struct ReaderCopy {
     Selector selector = kOtherSelector;
-    size_t wire_size = 0;
-    std::optional<DecodedTable> full;
+    TableHead head;
+    std::vector<DecodedTable> buckets;
+    std::vector<size_t> sizes;
   };
 
-  /// Appends puts for a directory's tables: every CAP copy, then the
-  /// master, then the split blocks the copies need. An empty `master`
-  /// renders a new directory. When `reader` is non-null, the copy with
-  /// `reader->selector` is reported back through it.
+  /// Which part of a directory's tables one render writes.
+  struct DirRender {
+    /// The bucket depth of every table after the render.
+    uint8_t depth = 0;
+    /// Null: a full render (a new directory, a resize, a rekey): every
+    /// head and every bucket, plus a delete for each bucket a shrink from
+    /// `stored_depth` leaves behind. Otherwise only the buckets that hold
+    /// one of these names, in the master and in every copy that has
+    /// buckets; heads are not rewritten.
+    const std::vector<std::string>* changed = nullptr;
+    uint8_t stored_depth = 0;
+    /// When non-null, the copy with `reader->selector` is reported back.
+    ReaderCopy* reader = nullptr;
+  };
+
+  /// Hysteresis of the bucket depth: a table grows when it averages more
+  /// than kGrowLoad entries per bucket and shrinks below kShrinkLoad.
+  static constexpr size_t kGrowLoad = 8;
+  static constexpr size_t kShrinkLoad = 2;
+  static constexpr uint8_t kMaxTableDepth = 20;
+  /// The depth a table of `entries` is first rendered at: the least d
+  /// with entries <= kGrowLoad * 2^d.
+  static uint8_t FreshDepth(size_t entries);
+  /// The depth after an update to `entries`: `depth` while the average
+  /// load stays within [kShrinkLoad, kGrowLoad], FreshDepth otherwise.
+  static uint8_t NextDepth(uint8_t depth, size_t entries);
+  /// The bucket of `name` among 2^depth in a table keyed by `table_key`:
+  /// the low bits of the keyed row id exec-only copies already derive.
+  /// The row id is an HMAC, and a warm lookup asks for it at every level,
+  /// so each (key, name) is derived once and remembered.
+  uint32_t BucketOf(const crypto::SymmetricKey& table_key,
+                    const std::string& name, uint8_t depth);
+
+  /// Appends puts for a directory's tables, in store order: per CAP copy
+  /// its head and buckets, then the master's, then the deletes of a
+  /// shrink, then the split blocks the rendered rows need.
   Status RenderDirTables(fs::InodeNum dir_inode, const OwnershipInfo& info,
                          const MasterTable& master,
                          const ObjectKeyBundle& bundle,
                          std::vector<ssp::Request>* out,
-                         ReaderCopy* reader = nullptr);
+                         const DirRender& render);
 
   /// The parent-table row for a child object.
   static MasterEntry EntryFor(const std::string& name,
@@ -171,33 +229,56 @@ class ObjectCodec {
                                              const crypto::SymmetricKey& mek,
                                              const crypto::VerifyKey& mvk);
 
-  // ----- Directory tables -----
+  // ----- Directory tables (DESIGN.md §18) -----
 
-  /// Renders, seals and signs one table copy from the master table.
-  /// `copy_selector` identifies both the copy and the CAP whose TableView
-  /// applies; `universe` is the copy's reader set (decides row splits).
-  /// Any split blocks that must be (re)stored are appended to `blocks`.
-  Result<Bytes> EncodeTableCopy(fs::InodeNum dir_inode, Selector copy_selector,
-                                TableView view, const MasterTable& master,
-                                const std::vector<fs::UserId>& universe,
-                                const ObjectKeyBundle& bundle,
-                                std::vector<PendingSplitBlock>* blocks);
+  /// Seals and signs a table head:
+  ///   wire   = envelope(sealed view | depth, sig)
+  ///   signed = SigContext("thead", dir_inode, copy) | sealed
+  Bytes EncodeTableHead(fs::InodeNum dir_inode, Selector copy,
+                        const TableHead& head,
+                        const crypto::SymmetricKey& table_key,
+                        const crypto::SigningKey& dsk);
+  /// Every failure — bad framing, a bad signature, an unknown view — is
+  /// Status::Corruption.
+  Result<TableHead> DecodeTableHead(fs::InodeNum dir_inode, Selector copy,
+                                    const Bytes& wire,
+                                    const crypto::SymmetricKey& table_key,
+                                    const crypto::VerifyKey& dvk);
 
-  /// Encodes the writer-only master copy.
-  Bytes EncodeMasterTable(fs::InodeNum dir_inode, const MasterTable& master,
-                          const ObjectKeyBundle& bundle);
-
-  /// Verifies (DVK), decrypts (table key) and parses a table copy.
-  Result<DecodedTable> DecodeTableCopy(fs::InodeNum dir_inode,
-                                       Selector copy_selector,
-                                       const Bytes& wire,
-                                       const crypto::SymmetricKey& table_key,
-                                       const crypto::VerifyKey& dvk);
-
-  Result<MasterTable> DecodeMasterTable(fs::InodeNum dir_inode,
-                                        const Bytes& wire,
-                                        const crypto::SymmetricKey& table_key,
-                                        const crypto::VerifyKey& dvk);
+  /// Renders, seals and signs bucket `index` of a copy: `rows`, the
+  /// master's entries whose names hash there, rendered per `view`.
+  /// `universe` is the copy's reader set (decides row splits); split
+  /// blocks the rows need are appended to `blocks`.
+  ///   wire   = depth | envelope(sealed rows, sig)
+  ///   signed = BucketContext(dir_inode, copy, depth, index) | sealed
+  Result<Bytes> EncodeTableBucket(fs::InodeNum dir_inode, Selector copy,
+                                  TableView view, uint8_t depth,
+                                  uint32_t index, const MasterTable& rows,
+                                  const std::vector<fs::UserId>& universe,
+                                  const ObjectKeyBundle& bundle,
+                                  std::vector<PendingSplitBlock>* blocks);
+  /// Bucket `index` of the writer-only master: its `rows`.
+  Bytes EncodeMasterBucket(fs::InodeNum dir_inode, uint8_t depth,
+                           uint32_t index, const MasterTable& rows,
+                           const ObjectKeyBundle& bundle);
+  /// The depth a bucket was rendered at, from its cleartext first byte:
+  /// a reader whose cached head names another depth re-fetches the head.
+  static Result<uint8_t> PeekBucketDepth(const Bytes& wire);
+  /// Verifies (DVK), decrypts (table key) and parses bucket `index` of a
+  /// copy whose head is `head`. Every failure — a bucket rendered for
+  /// another directory, copy, depth or index, another view than the
+  /// head's, bad framing — is Status::Corruption.
+  Result<DecodedTable> DecodeTableBucket(fs::InodeNum dir_inode,
+                                         Selector copy, const TableHead& head,
+                                         uint32_t index, const Bytes& wire,
+                                         const crypto::SymmetricKey& table_key,
+                                         const crypto::VerifyKey& dvk);
+  /// The master's entries in bucket `index`; failures as above.
+  Result<MasterTable> DecodeMasterBucket(fs::InodeNum dir_inode,
+                                         uint8_t depth, uint32_t index,
+                                         const Bytes& wire,
+                                         const crypto::SymmetricKey& table_key,
+                                         const crypto::VerifyKey& dvk);
 
   /// Resolves `name` inside an exec-only copy by deriving H_DEK(name)
   /// (paper §III-A). NotFound if no row matches.
@@ -280,16 +361,31 @@ class ObjectCodec {
                               const crypto::SymmetricKey& key,
                               const crypto::VerifyKey& verifier,
                               const std::string& what);
-  /// Renders the *logical* kFull view of a master table (no encryption,
-  /// no cost charges): a writer's own decoded copy after it has already
-  /// produced and paid for the encrypted copies.
-  Result<DecodedTable> RenderFullTableView(
-      const MasterTable& master, const std::vector<fs::UserId>& universe);
+  /// Renders the *logical* kFull view of every bucket of a copy (no
+  /// encryption, no cost charges): a writer's own decoded copy after it
+  /// has already produced and paid for the encrypted buckets.
+  Status RenderFullTableView(const MasterTable& master,
+                             const std::vector<fs::UserId>& universe,
+                             const crypto::SymmetricKey& table_key,
+                             ReaderCopy* reader);
+  /// Signs and seals one bucket payload.
+  Bytes SealBucket(fs::InodeNum dir_inode, Selector copy, uint8_t depth,
+                   uint32_t index, const Bytes& payload,
+                   const crypto::SymmetricKey& table_key,
+                   const crypto::SigningKey& dsk);
+  /// Verifies and opens one bucket; Corruption on every failure.
+  Result<Bytes> OpenBucket(fs::InodeNum dir_inode, Selector copy,
+                           uint8_t depth, uint32_t index, const Bytes& wire,
+                           const crypto::SymmetricKey& table_key,
+                           const crypto::VerifyKey& dvk);
   /// Builds a RowRef for one master entry as seen by `universe`,
   /// emitting split blocks when readers diverge.
   Result<RowRef> RenderRow(const MasterEntry& entry,
                            const std::vector<fs::UserId>& universe,
                            std::vector<PendingSplitBlock>* blocks);
+
+  /// Row-id prefixes by table key and name (BucketOf); cleared when full.
+  std::unordered_map<std::string, uint32_t> row_ids_;
 
   crypto::CryptoEngine* engine_;    // Not owned.
   const IdentityDirectory* dir_;    // Not owned.

@@ -137,11 +137,17 @@ void ShardedChannel::NoteWrite(const Request& req) {
       session_marks_[*ssp::RefOf(req)] = {true, {}};
       return;
     case ssp::OpVerb::kDeleteInode: {
-      // Range: every mark of the inode's family flips to deleted.
-      const ssp::ObjectFamily family = ssp::FamilyOf(req.op);
-      auto it = session_marks_.lower_bound({family, req.inode, 0});
-      auto end = session_marks_.upper_bound({family, req.inode, ~0ull});
-      for (; it != end; ++it) it->second = {true, {}};
+      // Range: every mark of the inode's family flips to deleted, and a
+      // metadata delete takes the inode's split blocks too (ApplyWalOp).
+      std::vector<ssp::ObjectFamily> families = {ssp::FamilyOf(req.op)};
+      if (req.op == OpCode::kDeleteInodeMetadata) {
+        families.push_back(ssp::ObjectFamily::kUserMetadata);
+      }
+      for (ssp::ObjectFamily family : families) {
+        auto it = session_marks_.lower_bound({family, req.inode, 0});
+        auto end = session_marks_.upper_bound({family, req.inode, ~0ull});
+        for (; it != end; ++it) it->second = {true, {}};
+      }
       return;
     }
     default:

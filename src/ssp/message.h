@@ -28,7 +28,8 @@ enum class OpCode : uint8_t {
   kGetMetadata = 3,
   kPutMetadata = 4,
   kDeleteMetadata = 5,       // One (inode, selector) replica.
-  kDeleteInodeMetadata = 6,  // Every replica of an inode.
+  kDeleteInodeMetadata = 6,  // Every replica, table object and split
+                             // block of an inode.
   kGetUserMetadata = 7,      // Split-point per-user blocks (paper §III-D.2).
   kPutUserMetadata = 8,
   kDeleteUserMetadata = 9,

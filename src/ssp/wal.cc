@@ -236,6 +236,11 @@ Status ApplyWalOp(const Request& op, ObjectStore* store) {
       return Status::OK();
     case OpVerb::kDeleteInode:
       store->DeleteInode(FamilyOf(op.op), op.inode);
+      // An inode's split blocks go with its metadata: one sub-op, however
+      // many users and groups the identity directory holds.
+      if (op.op == OpCode::kDeleteInodeMetadata) {
+        store->DeleteInode(ObjectFamily::kUserMetadata, op.inode);
+      }
       return Status::OK();
     default:
       return Status::Corruption("non-mutating op in WAL record");

@@ -250,12 +250,21 @@ TEST_F(BlockTamperTest, ForgedTailBlockByDekHolderDetected) {
   ASSERT_TRUE(root_view.ok()) << root_view.status();
   ASSERT_TRUE(root_view->dek.has_value() && root_view->dvk.has_value());
 
-  auto table_wire = world_->server().store().Get(ssp::ObjectRef::Metadata(
+  auto head_wire = world_->server().store().Get(ssp::ObjectRef::Metadata(
       root_ref.inode, core::TableSelector(root_ref.selector)));
+  ASSERT_TRUE(head_wire.has_value());
+  auto head = codec.DecodeTableHead(root_ref.inode, root_ref.selector,
+                                    *head_wire, *root_view->dek,
+                                    *root_view->dvk);
+  ASSERT_TRUE(head.ok()) << head.status();
+  uint32_t bucket =
+      codec.BucketOf(*root_view->dek, "doc.txt", head->depth);
+  auto table_wire = world_->server().store().Get(ssp::ObjectRef::Metadata(
+      root_ref.inode, core::BucketSelector(root_ref.selector, bucket)));
   ASSERT_TRUE(table_wire.has_value());
-  auto table =
-      codec.DecodeTableCopy(root_ref.inode, root_ref.selector, *table_wire,
-                            *root_view->dek, *root_view->dvk);
+  auto table = codec.DecodeTableBucket(root_ref.inode, root_ref.selector,
+                                       *head, bucket, *table_wire,
+                                       *root_view->dek, *root_view->dvk);
   ASSERT_TRUE(table.ok()) << table.status();
   auto row = table->refs.find("doc.txt");
   ASSERT_NE(row, table->refs.end());

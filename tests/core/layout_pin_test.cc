@@ -92,17 +92,17 @@ INSTANTIATE_TEST_SUITE_P(
     Legs, SharoesLayoutPin,
     ::testing::Values(
         SharoesLeg{Scheme::kScheme1, RevocationMode::kImmediate,
-                   "34589:0045599dcb83381ff208541576869765"
-                   "7dcedd493a40ba0ccedb5f58f0a92381"},
+                   "36977:f839615f2486dc687eb0967ea6671682"
+                   "c81e8910ce1f486823c29b64157f9f06"},
         SharoesLeg{Scheme::kScheme1, RevocationMode::kLazy,
-                   "34609:81a58de41617183c6ba388e149092b8f"
-                   "cb0a15b14adf353233ea7cafd045008c"},
+                   "36997:ec321969f4c563dbad0acca1868d6b80"
+                   "52ad6e6c3160c5793c7600f64144c592"},
         SharoesLeg{Scheme::kScheme2, RevocationMode::kImmediate,
-                   "34589:0c919c51bac2ec5a632dd4e9539e399f"
-                   "5393260cd1a47adaf5d9727676f046a5"},
+                   "36977:a0d5b3e43fbdec2ddfbf2bdc8da9578d"
+                   "e97b1410e20edc20c86d1d17c0535d0e"},
         SharoesLeg{Scheme::kScheme2, RevocationMode::kLazy,
-                   "34609:94b2fed3bc6156b41ed9fa3023cf0396"
-                   "58189d6c04c3fcb11dd2c0ac6cbd038a"}));
+                   "36997:7f6eaff0a7fb37291ef6ca15f3408466"
+                   "02fb9ed4fd8930ebc152510c82346779"}));
 
 TEST(LayoutPinTest, MigratedMultiBlockFile) {
   // The provisioner's own file encoder on a multi-chunk file and an
@@ -119,8 +119,8 @@ TEST(LayoutPinTest, MigratedMultiBlockFile) {
       Bytes{}));
   ASSERT_TRUE(world.MigrateAndMountAll(root).ok());
   EXPECT_EQ(StoreDigest(world.server().store()),
-            "25204:03f3a586ec8061f5ad657c212bd93d60"
-            "078177503b112469212c9a57bfd6f802");
+            "25684:2e122ec062000734fc2f8e50b75fa517"
+            "1847cecc657228e56883ae28bc46157b");
 }
 
 struct BaselineLeg {

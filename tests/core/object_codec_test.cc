@@ -186,13 +186,13 @@ TEST_F(ObjectCodecTest, TableCopyRoundTripFullView) {
 
   std::vector<PendingSplitBlock> blocks;
   auto universe = UniverseOf(info, kOwnerSelector, Scheme::kScheme2, dir_);
-  auto wire = codec_.EncodeTableCopy(dir_attrs.inode, kOwnerSelector,
-                                     TableView::kFull, master, universe,
-                                     bundle, &blocks);
+  auto wire = codec_.EncodeTableBucket(dir_attrs.inode, kOwnerSelector,
+                                       TableView::kFull, 0, 0, master,
+                                       universe, bundle, &blocks);
   ASSERT_TRUE(wire.ok());
-  auto table = codec_.DecodeTableCopy(dir_attrs.inode, kOwnerSelector, *wire,
-                                      bundle.table_keys.at(kOwnerSelector),
-                                      bundle.data.verify);
+  auto table = codec_.DecodeTableBucket(
+      dir_attrs.inode, kOwnerSelector, TableHead{TableView::kFull, 0}, 0, *wire,
+      bundle.table_keys.at(kOwnerSelector), bundle.data.verify);
   ASSERT_TRUE(table.ok()) << table.status();
   EXPECT_EQ(table->view, TableView::kFull);
   ASSERT_EQ(table->names.size(), 1u);
@@ -219,13 +219,13 @@ TEST_F(ObjectCodecTest, NamesOnlyViewHidesRefs) {
   ASSERT_TRUE(master.Add(e).ok());
 
   std::vector<PendingSplitBlock> blocks;
-  auto wire = codec_.EncodeTableCopy(dir_attrs.inode, kGroupSelector,
-                                     TableView::kNamesOnly, master, {2, 3},
-                                     bundle, &blocks);
+  auto wire = codec_.EncodeTableBucket(dir_attrs.inode, kGroupSelector,
+                                       TableView::kNamesOnly, 0, 0, master,
+                                       {2, 3}, bundle, &blocks);
   ASSERT_TRUE(wire.ok());
-  auto table = codec_.DecodeTableCopy(dir_attrs.inode, kGroupSelector, *wire,
-                                      bundle.table_keys.at(kGroupSelector),
-                                      bundle.data.verify);
+  auto table = codec_.DecodeTableBucket(
+      dir_attrs.inode, kGroupSelector, TableHead{TableView::kNamesOnly, 0},
+      0, *wire, bundle.table_keys.at(kGroupSelector), bundle.data.verify);
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(table->view, TableView::kNamesOnly);
   EXPECT_EQ(table->names, std::vector<std::string>{"visible-name"});
@@ -257,13 +257,14 @@ TEST_F(ObjectCodecTest, ExecOnlyLookupByName) {
   // Group class (--x for mode 0711) with members {2, 3}.
   auto universe = UniverseOf(info, kGroupSelector, Scheme::kScheme2, dir_);
   ASSERT_FALSE(universe.empty());
-  auto wire = codec_.EncodeTableCopy(dir_attrs.inode, kGroupSelector,
-                                     TableView::kExecOnly, master, universe,
-                                     bundle, &blocks);
+  auto wire = codec_.EncodeTableBucket(dir_attrs.inode, kGroupSelector,
+                                       TableView::kExecOnly, 0, 0, master,
+                                       universe, bundle, &blocks);
   ASSERT_TRUE(wire.ok()) << wire.status();
   const crypto::SymmetricKey& tkey = bundle.table_keys.at(kGroupSelector);
-  auto table = codec_.DecodeTableCopy(dir_attrs.inode, kGroupSelector, *wire,
-                                      tkey, bundle.data.verify);
+  auto table = codec_.DecodeTableBucket(
+      dir_attrs.inode, kGroupSelector, TableHead{TableView::kExecOnly, 0},
+      0, *wire, tkey, bundle.data.verify);
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(table->view, TableView::kExecOnly);
   EXPECT_TRUE(table->names.empty());  // No listing possible.
@@ -289,15 +290,15 @@ TEST_F(ObjectCodecTest, TableTamperDetected) {
   ObjectKeyBundle bundle = MakeBundle(specs, fs::FileType::kDirectory);
   MasterTable master;
   std::vector<PendingSplitBlock> blocks;
-  auto wire = codec_.EncodeTableCopy(dir_attrs.inode, kOwnerSelector,
-                                     TableView::kFull, master, {1}, bundle,
-                                     &blocks);
+  auto wire = codec_.EncodeTableBucket(dir_attrs.inode, kOwnerSelector,
+                                       TableView::kFull, 0, 0, master, {1},
+                                       bundle, &blocks);
   ASSERT_TRUE(wire.ok());
   Bytes bad = *wire;
   bad[bad.size() / 2] ^= 1;
-  auto table = codec_.DecodeTableCopy(dir_attrs.inode, kOwnerSelector, bad,
-                                      bundle.table_keys.at(kOwnerSelector),
-                                      bundle.data.verify);
+  auto table = codec_.DecodeTableBucket(
+      dir_attrs.inode, kOwnerSelector, TableHead{TableView::kFull, 0}, 0, bad,
+      bundle.table_keys.at(kOwnerSelector), bundle.data.verify);
   EXPECT_FALSE(table.ok());
 }
 
@@ -315,14 +316,153 @@ TEST_F(ObjectCodecTest, MasterTableRoundTrip) {
   e.mvk = engine_.NewSigningKeyPair().verify.Serialize();
   e.meks[kOwnerSelector] = engine_.NewSymmetricKey().Serialize();
   ASSERT_TRUE(master.Add(e).ok());
-  Bytes wire = codec_.EncodeMasterTable(dir_attrs.inode, master, bundle);
-  auto back = codec_.DecodeMasterTable(dir_attrs.inode, wire,
-                                       bundle.table_keys.at(kMasterSelector),
-                                       bundle.data.verify);
+  Bytes wire = codec_.EncodeMasterBucket(dir_attrs.inode, 0, 0, master, bundle);
+  auto back = codec_.DecodeMasterBucket(dir_attrs.inode, 0, 0, wire,
+                                        bundle.table_keys.at(kMasterSelector),
+                                        bundle.data.verify);
   ASSERT_TRUE(back.ok());
   ASSERT_EQ(back->entries.size(), 1u);
   EXPECT_EQ(back->entries[0].name, "x");
   EXPECT_EQ(back->entries[0].inode, 5u);
+}
+
+/// A master of `n` uniform file entries under an owner-only directory.
+MasterTable UniformMaster(crypto::CryptoEngine* engine,
+                          const IdentityDirectory& dir,
+                          const OwnershipInfo& info, int n) {
+  MasterTable master;
+  for (int i = 0; i < n; ++i) {
+    MasterEntry e;
+    e.name = "f" + std::to_string(i);
+    e.inode = 1000 + static_cast<fs::InodeNum>(i);
+    e.child = info;
+    e.child.type = fs::FileType::kFile;
+    e.mvk = engine->NewSigningKeyPair().verify.Serialize();
+    for (const ReplicaSpec& s : ReplicasFor(e.child, Scheme::kScheme2, dir)) {
+      e.meks[s.selector] = engine->NewSymmetricKey().Serialize();
+    }
+    EXPECT_TRUE(master.Add(e).ok());
+  }
+  return master;
+}
+
+TEST_F(ObjectCodecTest, BucketsPartitionTheTableByKeyedName) {
+  fs::InodeAttrs dir_attrs = FileAttrs(0700);
+  dir_attrs.type = fs::FileType::kDirectory;
+  OwnershipInfo info = OwnershipInfo::FromAttrs(dir_attrs);
+  auto specs = ReplicasFor(info, Scheme::kScheme2, dir_);
+  ObjectKeyBundle bundle = MakeBundle(specs, fs::FileType::kDirectory);
+  MasterTable master = UniformMaster(&engine_, dir_, info, 40);
+  const uint8_t depth = ObjectCodec::FreshDepth(master.entries.size());
+  EXPECT_EQ(depth, 3);  // 40 entries: the least d with 40 <= 8 * 2^d.
+  const crypto::SymmetricKey& key = bundle.table_keys.at(kOwnerSelector);
+  size_t seen = 0;
+  for (uint32_t b = 0; b < (1u << depth); ++b) {
+    MasterTable rows;
+    for (const MasterEntry& e : master.entries) {
+      if (codec_.BucketOf(key, e.name, depth) == b) rows.entries.push_back(e);
+    }
+    std::vector<PendingSplitBlock> blocks;
+    auto wire = codec_.EncodeTableBucket(dir_attrs.inode, kOwnerSelector,
+                                         TableView::kFull, depth, b, rows,
+                                         {1}, bundle, &blocks);
+    ASSERT_TRUE(wire.ok());
+    auto bucket = codec_.DecodeTableBucket(
+        dir_attrs.inode, kOwnerSelector, TableHead{TableView::kFull, depth},
+        b, *wire, key, bundle.data.verify);
+    ASSERT_TRUE(bucket.ok()) << bucket.status();
+    for (const std::string& name : bucket->names) {
+      EXPECT_EQ(codec_.BucketOf(key, name, depth), b);
+    }
+    seen += bucket->names.size();
+    auto mwire =
+        codec_.EncodeMasterBucket(dir_attrs.inode, depth, b, rows, bundle);
+    auto mbucket = codec_.DecodeMasterBucket(
+        dir_attrs.inode, depth, b, mwire,
+        bundle.table_keys.at(kMasterSelector), bundle.data.verify);
+    ASSERT_TRUE(mbucket.ok()) << mbucket.status();
+  }
+  EXPECT_EQ(seen, 40u);
+}
+
+TEST_F(ObjectCodecTest, DepthHasHysteresis) {
+  EXPECT_EQ(ObjectCodec::FreshDepth(0), 0);
+  EXPECT_EQ(ObjectCodec::FreshDepth(8), 0);
+  EXPECT_EQ(ObjectCodec::FreshDepth(9), 1);
+  EXPECT_EQ(ObjectCodec::FreshDepth(20), 2);
+  EXPECT_EQ(ObjectCodec::FreshDepth(10000), 11);
+  // A home directory churning between 12 and 20 entries resizes at most
+  // once: up past 16, and never back down above 7.
+  EXPECT_EQ(ObjectCodec::NextDepth(1, 16), 1);
+  EXPECT_EQ(ObjectCodec::NextDepth(1, 17), 2);
+  for (size_t n = 8; n <= 32; ++n) EXPECT_EQ(ObjectCodec::NextDepth(2, n), 2);
+  EXPECT_EQ(ObjectCodec::NextDepth(2, 7), 0);
+  EXPECT_EQ(ObjectCodec::NextDepth(2, 33), 3);
+  EXPECT_EQ(ObjectCodec::NextDepth(0, 0), 0);
+}
+
+TEST_F(ObjectCodecTest, SwappedBucketOrHeadIsCorruption) {
+  fs::InodeAttrs dir_attrs = FileAttrs(0750);
+  dir_attrs.type = fs::FileType::kDirectory;
+  OwnershipInfo info = OwnershipInfo::FromAttrs(dir_attrs);
+  auto specs = ReplicasFor(info, Scheme::kScheme2, dir_);
+  ObjectKeyBundle bundle = MakeBundle(specs, fs::FileType::kDirectory);
+  MasterTable master = UniformMaster(&engine_, dir_, info, 20);
+  const fs::InodeNum inode = dir_attrs.inode;
+  const crypto::SymmetricKey& key = bundle.table_keys.at(kOwnerSelector);
+  const TableHead head{TableView::kFull, 2};
+  auto encode = [&](fs::InodeNum dir, Selector copy, uint8_t depth,
+                    uint32_t b) {
+    std::vector<PendingSplitBlock> blocks;
+    auto wire = codec_.EncodeTableBucket(dir, copy, TableView::kFull, depth,
+                                         b, master, {1}, bundle, &blocks);
+    EXPECT_TRUE(wire.ok());
+    return *wire;
+  };
+  auto decode = [&](const Bytes& wire, uint32_t b) {
+    return codec_.DecodeTableBucket(inode, kOwnerSelector, head, b, wire,
+                                    key, bundle.data.verify)
+        .status();
+  };
+  ASSERT_TRUE(decode(encode(inode, kOwnerSelector, 2, 1), 1).ok());
+  // Another index, depth, copy or directory.
+  EXPECT_TRUE(decode(encode(inode, kOwnerSelector, 2, 3), 1).IsCorruption());
+  EXPECT_TRUE(decode(encode(inode, kOwnerSelector, 1, 1), 1).IsCorruption());
+  EXPECT_TRUE(decode(encode(inode, kGroupSelector, 2, 1), 1).IsCorruption());
+  EXPECT_TRUE(
+      decode(encode(inode + 1, kOwnerSelector, 2, 1), 1).IsCorruption());
+  // A depth byte rewritten to match the head does not help: it is signed.
+  Bytes relabeled = encode(inode, kOwnerSelector, 1, 1);
+  relabeled[0] = 2;
+  EXPECT_TRUE(decode(relabeled, 1).IsCorruption());
+  // A bucket served under a head of another view.
+  std::vector<PendingSplitBlock> blocks;
+  auto names = codec_.EncodeTableBucket(inode, kOwnerSelector,
+                                        TableView::kNamesOnly, 2, 1, master,
+                                        {1}, bundle, &blocks);
+  ASSERT_TRUE(names.ok());
+  EXPECT_TRUE(decode(*names, 1).IsCorruption());
+
+  // A head from another directory or copy.
+  Bytes other_head = codec_.EncodeTableHead(inode + 1, kOwnerSelector, head,
+                                            key, bundle.data.sign);
+  EXPECT_TRUE(codec_
+                  .DecodeTableHead(inode, kOwnerSelector, other_head, key,
+                                   bundle.data.verify)
+                  .status()
+                  .IsCorruption());
+  Bytes own_head = codec_.EncodeTableHead(inode, kOwnerSelector, head, key,
+                                          bundle.data.sign);
+  auto back = codec_.DecodeTableHead(inode, kOwnerSelector, own_head, key,
+                                     bundle.data.verify);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->depth, 2);
+  EXPECT_EQ(back->view, TableView::kFull);
+  EXPECT_TRUE(codec_
+                  .DecodeTableHead(inode, kGroupSelector, own_head, key,
+                                   bundle.data.verify)
+                  .status()
+                  .IsCorruption());
 }
 
 TEST_F(ObjectCodecTest, DataBlockRoundTripAndHeader) {
@@ -509,13 +649,13 @@ TEST_F(ObjectCodecTest, SplitRowEmitsBlocks) {
   }
   ASSERT_TRUE(master.Add(e).ok());
   std::vector<PendingSplitBlock> blocks;
-  auto wire = codec_.EncodeTableCopy(dir_attrs.inode, kGroupSelector,
-                                     TableView::kFull, master, {2, 3},
-                                     bundle, &blocks);
+  auto wire = codec_.EncodeTableBucket(dir_attrs.inode, kGroupSelector,
+                                       TableView::kFull, 0, 0, master, {2, 3},
+                                       bundle, &blocks);
   ASSERT_TRUE(wire.ok());
-  auto table = codec_.DecodeTableCopy(dir_attrs.inode, kGroupSelector, *wire,
-                                      bundle.table_keys.at(kGroupSelector),
-                                      bundle.data.verify);
+  auto table = codec_.DecodeTableBucket(
+      dir_attrs.inode, kGroupSelector, TableHead{TableView::kFull, 0}, 0, *wire,
+      bundle.table_keys.at(kGroupSelector), bundle.data.verify);
   ASSERT_TRUE(table.ok());
   const RowRef& row = table->refs.at("bobs");
   EXPECT_EQ(row.kind, RowRef::Kind::kSplit);

@@ -8,6 +8,7 @@
 #include "crypto/sha256.h"
 #include "net/network_model.h"
 #include "ssp/ssp_server.h"
+#include "ssp/wal.h"
 
 namespace sharoes::ssp {
 namespace {
@@ -238,6 +239,44 @@ TEST(ObjectStoreTest, CorruptionInjection) {
   EXPECT_TRUE(store.Replace(ObjectRef::Data(1, 0), Bytes{1, 2, 3}));
   EXPECT_EQ(store.Get(
       ObjectRef::Data(1, 0)), std::optional<Bytes>(Bytes{1, 2, 3}));
+}
+
+TEST(ObjectStoreTest, DeleteInodeMetadataTakesTheInodesSplitBlocks) {
+  // One kDeleteInodeMetadata removes an inode's replicas and its split
+  // blocks (the UserMetadata family), and nothing of another inode. A WAL
+  // written before that, which follows the delete with one
+  // kDeleteUserMetadata per user, replays to the same live objects.
+  for (bool tombstones : {false, true}) {
+    SCOPED_TRACE(tombstones ? "tombstones" : "plain");
+    auto fill = [&](ObjectStore* store) {
+      store->set_tombstones_enabled(tombstones);
+      for (fs::InodeNum inode : {42, 43}) {
+        ASSERT_TRUE(ApplyWalOp(Request::PutMetadata(inode, 1, {1}), store)
+                        .ok());
+        for (uint32_t user : {7u, 8u}) {
+          ASSERT_TRUE(
+              ApplyWalOp(Request::PutUserMetadata(inode, user, {2}), store)
+                  .ok());
+        }
+      }
+    };
+    ObjectStore now, before;
+    fill(&now);
+    fill(&before);
+    ASSERT_TRUE(ApplyWalOp(Request::DeleteInodeMetadata(42), &now).ok());
+    for (const Request& r :
+         {Request::DeleteInodeMetadata(42), Request::DeleteUserMetadata(42, 7),
+          Request::DeleteUserMetadata(42, 8)}) {
+      ASSERT_TRUE(ApplyWalOp(r, &before).ok());
+    }
+    for (ObjectStore* store : {&now, &before}) {
+      EXPECT_FALSE(store->Get(ObjectRef::Metadata(42, 1)).has_value());
+      EXPECT_FALSE(store->Get(ObjectRef::UserMetadata(42, 7)).has_value());
+      EXPECT_FALSE(store->Get(ObjectRef::UserMetadata(42, 8)).has_value());
+      EXPECT_TRUE(store->Get(ObjectRef::Metadata(43, 1)).has_value());
+      EXPECT_TRUE(store->Get(ObjectRef::UserMetadata(43, 7)).has_value());
+    }
+  }
 }
 
 TEST(SspServerTest, GetPutDeleteThroughWire) {
