@@ -271,7 +271,7 @@ Result<SharoesClient::Node> SharoesClient::FetchNode(const PlainRef& ref,
   std::shared_ptr<const MetadataView> cached_view =
       cache_.Get<MetadataView>(view_key);
   bool fetch_view = cached_view == nullptr;
-  Node node{ref, {}, nullptr, {}};
+  Node node{ref, {}, nullptr, {}, std::nullopt, {}};
   // The table's part of the batch: the head and the probe window, when
   // this level is cold (its view or the table's head is not cached).
   // With both cached, FetchTable fetches what a lookup misses, and this
@@ -318,7 +318,7 @@ Result<SharoesClient::Node> SharoesClient::FetchNode(const PlainRef& ref,
     node.view = *cached_view;
   }
   if (fetch_head) {
-    TakeTableProbe(node, resps[idx], table_blocks, &resps[idx + 1]);
+    TakeTableProbe(&node, resps[idx], table_blocks, &resps[idx + 1]);
     idx += 1 + table_blocks.size();
   }
   if (!data_blocks.empty() && node.view.CanReadData()) {
@@ -327,20 +327,21 @@ Result<SharoesClient::Node> SharoesClient::FetchNode(const PlainRef& ref,
   return node;
 }
 
-void SharoesClient::TakeTableProbe(const Node& dir, const ssp::Response& head,
+void SharoesClient::TakeTableProbe(Node* dir, const ssp::Response& head,
                                    const std::vector<uint32_t>& blocks,
                                    const ssp::Response* resps) {
-  const MetadataView& view = dir.view;
+  const MetadataView& view = dir->view;
   if (!view.attrs.is_dir() || !view.dek.has_value() ||
       !view.dvk.has_value() || !head.ok()) {
     return;
   }
-  const fs::InodeNum inode = dir.ref.inode;
-  const Selector sel = dir.ref.selector;
+  const fs::InodeNum inode = dir->ref.inode;
+  const Selector sel = dir->ref.selector;
   auto decoded =
       codec_.DecodeTableHead(inode, sel, head.payload, *view.dek, *view.dvk);
   if (!decoded.ok()) return;
   const TableHead h = *decoded;
+  dir->head = h;
   cache_.Put(TableHeadCacheKey(inode, sel), h, head.payload.size());
   for (size_t j = 0; j < blocks.size(); ++j) {
     if (blocks[j] >= h.buckets() || !resps[j].ok()) continue;
@@ -348,8 +349,10 @@ void SharoesClient::TakeTableProbe(const Node& dir, const ssp::Response& head,
                                            resps[j].payload, *view.dek,
                                            *view.dvk);
     if (!bucket.ok()) continue;
-    cache_.Put(BucketCacheKey(inode, sel, h.depth, blocks[j]),
-               std::move(*bucket), resps[j].payload.size());
+    auto sp = std::make_shared<const DecodedTable>(std::move(*bucket));
+    cache_.PutPtr(BucketCacheKey(inode, sel, h.depth, blocks[j]), sp,
+                  resps[j].payload.size());
+    dir->buckets[blocks[j]] = std::move(sp);
   }
 }
 
@@ -467,15 +470,20 @@ Result<SharoesClient::TableSlice> SharoesClient::FetchTable(
   const fs::InodeNum inode = dir.ref.inode;
   const Selector sel = dir.ref.selector;
   const crypto::SymmetricKey& key = *dir.view.dek;
-  // The buckets the caller needs under a head; those in the cache are
-  // taken now, so later puts cannot evict them before they are returned.
+  // The buckets the caller needs under a head; those the descent opened
+  // or the cache holds are taken now, so later puts cannot evict them
+  // before they are returned.
   std::map<uint32_t, std::shared_ptr<const DecodedTable>> have;
   auto wanted = [&](const TableHead& h) {
     have.clear();
+    const bool opened = dir.head.has_value() && dir.head->depth == h.depth;
     std::vector<uint32_t> missing;
     for (uint32_t b : BucketsFor(h, key, name)) {
-      if (auto cached = cache_.Get<DecodedTable>(
-              BucketCacheKey(inode, sel, h.depth, b))) {
+      auto it = opened ? dir.buckets.find(b) : dir.buckets.end();
+      if (it != dir.buckets.end()) {
+        have[b] = it->second;
+      } else if (auto cached = cache_.Get<DecodedTable>(
+                     BucketCacheKey(inode, sel, h.depth, b))) {
         have[b] = std::move(cached);
       } else {
         missing.push_back(b);
@@ -483,10 +491,14 @@ Result<SharoesClient::TableSlice> SharoesClient::FetchTable(
     }
     return missing;
   };
-  std::optional<TableHead> head;
-  if (auto cached = cache_.Get<TableHead>(TableHeadCacheKey(inode, sel))) {
-    head = *cached;
-    // The warm path: every bucket asked for is cached.
+  std::optional<TableHead> head = dir.head;
+  if (!head.has_value()) {
+    if (auto cached = cache_.Get<TableHead>(TableHeadCacheKey(inode, sel))) {
+      head = *cached;
+    }
+  }
+  if (head.has_value()) {
+    // The warm path: every bucket asked for is at hand.
     if (wanted(*head).empty()) {
       TableSlice slice{*head, {}};
       for (auto& [b, bucket] : have) slice.buckets.push_back(bucket);

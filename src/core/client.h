@@ -162,6 +162,11 @@ class SharoesClient : public FsClient {
     /// takes them from here, so a read never depends on the cache having
     /// kept them.
     std::map<uint32_t, std::shared_ptr<const OpenedBlock>> window;
+    /// A directory's table head and the buckets the same fetch opened, by
+    /// index: a lookup takes them from here, so a descent never depends on
+    /// the cache having kept them.
+    std::optional<TableHead> head;
+    std::map<uint32_t, std::shared_ptr<const DecodedTable>> buckets;
   };
   struct WriteBuffer {
     fs::InodeNum inode;
@@ -237,10 +242,11 @@ class SharoesClient : public FsClient {
   std::vector<uint32_t> BucketsFor(const TableHead& head,
                                    const crypto::SymmetricKey& key,
                                    const std::string* name);
-  /// Takes what FetchNode's batch fetched of `dir`'s table into the
-  /// cache, best-effort: its `head` and the buckets `blocks`. A failure
-  /// surfaces on the strict path, FetchTable.
-  void TakeTableProbe(const Node& dir, const ssp::Response& head,
+  /// Takes what FetchNode's batch fetched of `dir`'s table into
+  /// dir->head and dir->buckets and the cache, best-effort: its `head` and
+  /// the buckets `blocks`. A failure surfaces on the strict path,
+  /// FetchTable.
+  void TakeTableProbe(Node* dir, const ssp::Response& head,
                       const std::vector<uint32_t>& blocks,
                       const ssp::Response* resps);
   /// `dir`'s table through this client's CAP: its head and the bucket a

@@ -2,8 +2,8 @@
 // rewrites one bucket per copy that has rows, a reader whose cached head
 // predates a resize re-fetches it, a damaged table is Corruption, and two
 // writers whose names land in different buckets both keep their entries.
-// Also the constant-size unlink and the fresh create that ships no data
-// delete.
+// Also the constant-size unlink, the fresh create that ships no data
+// delete, and a descent that does not depend on the cache.
 
 #include <gtest/gtest.h>
 
@@ -219,6 +219,22 @@ TEST(DirBucketTest, FreshCreateShipsNoDataDelete) {
   auto back = world.client(kBob).Read("/d/fresh");
   ASSERT_TRUE(back.ok()) << back.status();
   EXPECT_EQ(ToString(*back), "v");
+}
+
+TEST(DirBucketTest, DescentWithoutACacheIsOneRoundTripPerLevel) {
+  // The head and buckets a level's batch fetched go straight to the
+  // lookup, so a client whose cache keeps nothing still resolves each
+  // level in one round trip: /, /home, /home/alice, then the file's view
+  // and data.
+  World::Options opts;
+  opts.cache_bytes = 0;
+  World world(opts);
+  ASSERT_TRUE(world.MigrateAndMountAll(World::DefaultTree()).ok());
+  uint64_t before = world.transport(kAlice).counters().round_trips;
+  auto read = world.client(kAlice).Read("/home/alice/notes.txt");
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(ToString(*read), "alice's notes");
+  EXPECT_EQ(world.transport(kAlice).counters().round_trips - before, 4u);
 }
 
 /// Grows or shrinks /d under a reader whose cached head predates it; the
