@@ -345,7 +345,7 @@ void SharoesClient::TakeTableProbe(Node* dir, const ssp::Response& head,
   cache_.Put(TableHeadCacheKey(inode, sel), h, head.payload.size());
   for (size_t j = 0; j < blocks.size(); ++j) {
     if (blocks[j] >= h.buckets() || !resps[j].ok()) continue;
-    auto bucket = codec_.DecodeTableBucket(inode, sel, h, blocks[j],
+    auto bucket = codec_.DecodeTableBucket(inode, sel, h.depth, blocks[j],
                                            resps[j].payload, *view.dek,
                                            *view.dvk);
     if (!bucket.ok()) continue;
@@ -379,13 +379,9 @@ Status SharoesClient::TakeDataWindow(Node* node,
 std::vector<uint32_t> SharoesClient::BucketsFor(
     const TableHead& head, const crypto::SymmetricKey& key,
     const std::string* name) {
+  if (name != nullptr) return {ObjectCodec::BucketOf(key, *name, head.depth)};
   std::vector<uint32_t> out;
-  if (name == nullptr) {
-    for (uint32_t b = 0; b < head.buckets(); ++b) out.push_back(b);
-  } else if (head.view == TableView::kFull ||
-             head.view == TableView::kExecOnly) {
-    out.push_back(codec_.BucketOf(key, *name, head.depth));
-  }
+  for (uint32_t b = 0; b < head.buckets(); ++b) out.push_back(b);
   return out;
 }
 
@@ -393,7 +389,7 @@ Result<SharoesClient::TableRead> SharoesClient::ReadTable(
     fs::InodeNum inode, Selector sel, const crypto::SymmetricKey& key,
     const crypto::VerifyKey& dvk, std::optional<TableHead> head,
     const std::function<std::vector<uint32_t>(const TableHead&)>& want) {
-  for (bool retried = false;; retried = true) {
+  for (;;) {
     const bool fresh = !head.has_value();
     std::vector<uint32_t> first = fresh ? ProbeWindow() : want(*head);
     std::vector<ssp::Request> gets;
@@ -438,23 +434,26 @@ Result<SharoesClient::TableRead> SharoesClient::ReadTable(
     bool stale = false;
     for (uint32_t b : needed) {
       ssp::Response& r = *got[b];
-      if (r.status == ssp::RespStatus::kNotFound ||
-          (r.ok() && ObjectCodec::PeekBucketDepth(r.payload).value_or(
-                         ObjectCodec::kMaxTableDepth + 1) != head->depth)) {
+      if (r.status == ssp::RespStatus::kNotFound) {
+        // Against a head fetched with the buckets, a damaged table.
+        if (fresh) {
+          return Status::Corruption("table bucket missing at its head's "
+                                    "depth");
+        }
         stale = true;
         continue;
       }
       SHAROES_RETURN_IF_ERROR(ssp::ReadStatus(r.status, "table bucket"));
+      if (!fresh && ObjectCodec::PeekBucketDepth(r.payload).value_or(
+                        head->depth) != head->depth) {
+        stale = true;
+        continue;
+      }
       read.wires[b] = std::move(r.payload);
     }
     if (!stale) return read;
-    // A bucket missing at the head's depth, or of another depth: a cached
-    // head may predate a resize, so it is fetched once more. Against a
-    // head fetched with the buckets it is a damaged table.
-    if (fresh || retried) {
-      return Status::Corruption("table bucket missing or of another depth "
-                                "than its head");
-    }
+    // A cached head may predate a resize: it is fetched once more, with
+    // the buckets it names.
     head.reset();
   }
 }
@@ -508,14 +507,13 @@ Result<SharoesClient::TableSlice> SharoesClient::FetchTable(
   SHAROES_ASSIGN_OR_RETURN(TableRead read,
                            ReadTable(inode, sel, key, *dir.view.dvk, head,
                                      wanted));
-  if (!head.has_value() || head->depth != read.head.depth ||
-      head->view != read.head.view) {
-    cache_.Put(TableHeadCacheKey(inode, sel), read.head, 2);
+  if (!head.has_value() || head->depth != read.head.depth) {
+    cache_.Put(TableHeadCacheKey(inode, sel), read.head, 1);
   }
   for (auto& [b, wire] : read.wires) {
     SHAROES_ASSIGN_OR_RETURN(
         DecodedTable bucket,
-        codec_.DecodeTableBucket(inode, sel, read.head, b, wire, key,
+        codec_.DecodeTableBucket(inode, sel, read.head.depth, b, wire, key,
                                  *dir.view.dvk));
     auto sp = std::make_shared<const DecodedTable>(std::move(bucket));
     cache_.PutPtr(BucketCacheKey(inode, sel, read.head.depth, b), sp,
@@ -624,10 +622,12 @@ Result<SharoesClient::Node> SharoesClient::ResolvePath(
       std::string nkey = NegDentryCacheKey(ref.inode, comp);
       neg_cache_.Put(nkey, true, nkey.size() + 1);
     };
+    // The bucket's own view: a copy's view changes at a chmod, which a
+    // cached head does not see.
+    const DecodedTable& bucket = *table.buckets.at(0);
     RowRef row;
-    switch (table.head.view) {
+    switch (bucket.view) {
       case TableView::kFull: {
-        const DecodedTable& bucket = *table.buckets.at(0);
         auto it = bucket.refs.find(comp);
         if (it == bucket.refs.end()) {
           remember_absent();
@@ -637,8 +637,7 @@ Result<SharoesClient::Node> SharoesClient::ResolvePath(
         break;
       }
       case TableView::kExecOnly: {
-        auto looked =
-            codec_.ExecOnlyLookup(*table.buckets.at(0), *node.view.dek, comp);
+        auto looked = codec_.ExecOnlyLookup(bucket, *node.view.dek, comp);
         if (!looked.ok()) {
           if (looked.status().IsNotFound()) remember_absent();
           return looked.status();
@@ -689,10 +688,6 @@ Result<std::vector<std::string>> SharoesClient::Readdir(
     return Status::PermissionDenied("no read permission on directory");
   }
   SHAROES_ASSIGN_OR_RETURN(TableSlice table, FetchTable(node, nullptr));
-  if (table.head.view == TableView::kExecOnly ||
-      table.head.view == TableView::kNone) {
-    return Status::PermissionDenied("directory CAP does not permit listing");
-  }
   std::vector<std::string> names;
   for (const auto& bucket : table.buckets) {
     names.insert(names.end(), bucket->names.begin(), bucket->names.end());
@@ -814,8 +809,8 @@ Result<StoredMaster> SharoesClient::FetchMaster(const Node& dir,
   for (const auto& [b, wire] : read.wires) {
     SHAROES_ASSIGN_OR_RETURN(
         MasterTable bucket,
-        codec_.DecodeMasterBucket(inode, read.head.depth, b, wire, it->second,
-                                  bundle.data.verify));
+        codec_.DecodeMasterBucket(inode, read.head.depth, b, wire,
+                                  it->second));
     for (MasterEntry& e : bucket.entries) {
       master.table.entries.push_back(std::move(e));
     }
@@ -873,7 +868,7 @@ Status SharoesClient::RenderDirTables(
   neg_cache_.ErasePrefix("n|" + id + "|");
   cache_.Put(MasterCacheKey(inode), StoredMaster{master.table, render.depth},
              master.table.Serialize().size());
-  cache_.Put(TableHeadCacheKey(inode, mine.selector), mine.head, 2);
+  cache_.Put(TableHeadCacheKey(inode, mine.selector), mine.head, 1);
   for (uint32_t b = 0; b < mine.buckets.size(); ++b) {
     cache_.Put(BucketCacheKey(inode, mine.selector, render.depth, b),
                std::move(mine.buckets[b]), mine.sizes[b]);

@@ -236,12 +236,11 @@ class SharoesClient : public FsClient {
   /// replies are skipped, so the strict path re-fetches and reports.
   Status TakeDataWindow(Node* node, const std::vector<uint32_t>& blocks,
                         const ssp::Response* resps);
-  /// The buckets of a copy under `head` that a lookup of `name` reads
-  /// (none unless the view has rows to look up), or every bucket (`name`
-  /// null).
-  std::vector<uint32_t> BucketsFor(const TableHead& head,
-                                   const crypto::SymmetricKey& key,
-                                   const std::string* name);
+  /// The bucket of a copy under `head` that a lookup of `name` reads, or
+  /// every bucket (`name` null).
+  static std::vector<uint32_t> BucketsFor(const TableHead& head,
+                                          const crypto::SymmetricKey& key,
+                                          const std::string* name);
   /// Takes what FetchNode's batch fetched of `dir`'s table into
   /// dir->head and dir->buckets and the cache, best-effort: its `head` and
   /// the buckets `blocks`. A failure surfaces on the strict path,
@@ -250,16 +249,17 @@ class SharoesClient : public FsClient {
                       const std::vector<uint32_t>& blocks,
                       const ssp::Response* resps);
   /// `dir`'s table through this client's CAP: its head and the bucket a
-  /// lookup of `name` needs (none unless the view is kFull or kExecOnly),
-  /// or every bucket (`name` null). Buckets come decoded from the cache or
-  /// one batch, and go into it: the one decode of a table copy.
+  /// lookup of `name` needs, or every bucket (`name` null). Buckets come
+  /// decoded from the cache or one batch, and go into it: the one decode
+  /// of a table copy.
   Result<TableSlice> FetchTable(const Node& dir, const std::string* name);
   /// Reads one stored table of `inode` (copy `sel`, or the master): its
   /// head, unless `head` is given, and the buckets `want(head)` lists.
   /// Without a head the first batch also asks for the probe window. A
   /// bucket that is missing or of another depth than a given head
-  /// re-fetches the head once; against a head fetched in the same read it
-  /// is Corruption.
+  /// re-fetches the head once. Against a head fetched in the same read, a
+  /// missing bucket is Corruption and one of another depth is returned:
+  /// its decode keeps the rows that hash to it at the head's depth.
   Result<TableRead> ReadTable(
       fs::InodeNum inode, Selector sel, const crypto::SymmetricKey& key,
       const crypto::VerifyKey& dvk, std::optional<TableHead> head,

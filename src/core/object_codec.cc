@@ -108,39 +108,34 @@ uint8_t ObjectCodec::NextDepth(uint8_t depth, size_t entries) {
 
 uint32_t ObjectCodec::BucketOf(const crypto::SymmetricKey& table_key,
                                const std::string& name, uint8_t depth) {
-  constexpr size_t kMaxRowIds = 1 << 14;
-  std::string memo(table_key.key.begin(), table_key.key.end());
-  memo += name;
-  auto it = row_ids_.find(memo);
-  if (it == row_ids_.end()) {
-    Bytes id =
-        crypto::kdf::DeriveLabeled(table_key, "sharoes-rowid:" + name).key;
-    uint32_t h = 0;
-    for (size_t i = 0; i < 4 && i < id.size(); ++i) {
-      h |= static_cast<uint32_t>(id[i]) << (8 * i);
-    }
-    if (row_ids_.size() >= kMaxRowIds) row_ids_.clear();
-    it = row_ids_.emplace(std::move(memo), h).first;
+  return RowIdBucket(
+      crypto::kdf::DeriveLabeled(table_key, "sharoes-rowid:" + name).key,
+      depth);
+}
+
+uint32_t ObjectCodec::RowIdBucket(const Bytes& row_id, uint8_t depth) {
+  uint32_t h = 0;
+  for (size_t i = 0; i < 4 && i < row_id.size(); ++i) {
+    h |= static_cast<uint32_t>(row_id[i]) << (8 * i);
   }
-  return it->second & ((uint32_t{1} << depth) - 1);
+  return h & ((uint32_t{1} << depth) - 1);
 }
 
 namespace {
 
 /// The master's entries bucket by bucket, in master order within each.
 std::vector<std::vector<const MasterEntry*>> Partition(
-    ObjectCodec* codec, const MasterTable& master,
-    const crypto::SymmetricKey& key, uint8_t depth) {
+    const MasterTable& master, const crypto::SymmetricKey& key,
+    uint8_t depth) {
   std::vector<std::vector<const MasterEntry*>> parts(size_t{1} << depth);
   for (const MasterEntry& e : master.entries) {
-    parts[codec->BucketOf(key, e.name, depth)].push_back(&e);
+    parts[ObjectCodec::BucketOf(key, e.name, depth)].push_back(&e);
   }
   return parts;
 }
 
 /// The buckets a render rewrites in a table keyed by `key`.
-std::vector<uint32_t> RenderedBuckets(ObjectCodec* codec,
-                                      const ObjectCodec::DirRender& render,
+std::vector<uint32_t> RenderedBuckets(const ObjectCodec::DirRender& render,
                                       const crypto::SymmetricKey& key) {
   std::set<uint32_t> picked;
   if (render.changed == nullptr) {
@@ -149,7 +144,7 @@ std::vector<uint32_t> RenderedBuckets(ObjectCodec* codec,
     }
   } else {
     for (const std::string& name : *render.changed) {
-      picked.insert(codec->BucketOf(key, name, render.depth));
+      picked.insert(ObjectCodec::BucketOf(key, name, render.depth));
     }
   }
   return {picked.begin(), picked.end()};
@@ -186,21 +181,20 @@ Status ObjectCodec::RenderDirTables(fs::InodeNum dir_inode,
     SHAROES_ASSIGN_OR_RETURN(const crypto::SymmetricKey* key,
                              key_of(spec.selector));
     TableView view = spec.Fields(fs::FileType::kDirectory).table_view;
-    TableHead head{view, view == TableView::kNone ? uint8_t{0}
-                                                  : render.depth};
+    const TableHead head{render.depth};
     std::vector<fs::UserId> universe =
         UniverseOf(info, spec.selector, scheme_, *dir_);
-    if (full) {
-      out->push_back(ssp::Request::PutMetadata(
-          dir_inode, TableSelector(spec.selector),
-          EncodeTableHead(dir_inode, spec.selector, head, *key,
-                          bundle.data.sign)));
-    }
     const bool mine = reader != nullptr && spec.selector == reader->selector;
     if (view != TableView::kNone) {
+      if (full) {
+        out->push_back(ssp::Request::PutMetadata(
+            dir_inode, TableSelector(spec.selector),
+            EncodeTableHead(dir_inode, spec.selector, head, *key,
+                            bundle.data.sign)));
+      }
       bucketed.push_back(spec.selector);
-      auto parts = Partition(this, master, *key, render.depth);
-      for (uint32_t b : RenderedBuckets(this, render, *key)) {
+      auto parts = Partition(master, *key, render.depth);
+      for (uint32_t b : RenderedBuckets(render, *key)) {
         SHAROES_ASSIGN_OR_RETURN(
             Bytes wire,
             EncodeTableBucket(dir_inode, spec.selector, view, render.depth, b,
@@ -230,12 +224,11 @@ Status ObjectCodec::RenderDirTables(fs::InodeNum dir_inode,
   if (full) {
     out->push_back(ssp::Request::PutMetadata(
         dir_inode, TableSelector(kMasterSelector),
-        EncodeTableHead(dir_inode, kMasterSelector,
-                        TableHead{TableView::kFull, render.depth},
+        EncodeTableHead(dir_inode, kMasterSelector, TableHead{render.depth},
                         *master_key, bundle.data.sign)));
   }
-  auto parts = Partition(this, master, *master_key, render.depth);
-  for (uint32_t b : RenderedBuckets(this, render, *master_key)) {
+  auto parts = Partition(master, *master_key, render.depth);
+  for (uint32_t b : RenderedBuckets(render, *master_key)) {
     out->push_back(ssp::Request::PutMetadata(
         dir_inode, BucketSelector(kMasterSelector, b),
         EncodeMasterBucket(dir_inode, render.depth, b, SubTable(parts[b]),
@@ -456,7 +449,7 @@ Result<RowRef> ObjectCodec::RenderRow(const MasterEntry& entry,
 Status ObjectCodec::RenderFullTableView(
     const MasterTable& master, const std::vector<fs::UserId>& universe,
     const crypto::SymmetricKey& table_key, ReaderCopy* reader) {
-  auto parts = Partition(this, master, table_key, reader->head.depth);
+  auto parts = Partition(master, table_key, reader->head.depth);
   for (const std::vector<const MasterEntry*>& rows : parts) {
     DecodedTable t;
     t.view = TableView::kFull;
@@ -492,33 +485,66 @@ Bytes BucketContext(fs::InodeNum dir_inode, Selector copy, uint8_t depth,
 
 }  // namespace
 
+Bytes ObjectCodec::SealTable(Selector copy, const Bytes& context,
+                             const Bytes& payload,
+                             const crypto::SymmetricKey& table_key,
+                             const crypto::SigningKey& dsk) {
+  if (copy != kMasterSelector) {
+    return SealAndSign(context, payload, table_key, dsk);
+  }
+  obs::PhaseScope crypto_phase(obs::Phase::kRenderEncrypt);
+  crypto::CryptoEngine::AeadSealed sealed =
+      engine_->AeadSeal(table_key, context, payload);
+  BinaryWriter w;
+  w.PutRaw(sealed.nonce);
+  w.PutBytes(sealed.ciphertext);
+  w.PutRaw(sealed.tag);
+  return w.Take();
+}
+
+Result<Bytes> ObjectCodec::OpenTable(Selector copy, const Bytes& context,
+                                     const Bytes& wire,
+                                     const crypto::SymmetricKey& table_key,
+                                     const crypto::VerifyKey& dvk,
+                                     const std::string& what) {
+  if (copy != kMasterSelector) {
+    auto payload = VerifyAndOpen(context, wire, table_key, dvk, what);
+    if (!payload.ok()) return Status::Corruption(payload.status().message());
+    return std::move(*payload);
+  }
+  obs::PhaseScope crypto_phase(obs::Phase::kDecryptVerify);
+  BinaryReader r(wire);
+  Bytes nonce = r.GetRaw(crypto::kAeadNonceSize);
+  Bytes ct = r.GetBytes();
+  Bytes tag = r.GetRaw(crypto::kAeadTagSize);
+  if (!r.Finish(what + " envelope").ok()) {
+    return Status::Corruption("malformed " + what);
+  }
+  auto payload = engine_->AeadOpen(table_key, context, nonce, ct, tag);
+  if (!payload.ok()) return Status::Corruption(what + " does not authenticate");
+  return std::move(*payload);
+}
+
 Bytes ObjectCodec::EncodeTableHead(fs::InodeNum dir_inode, Selector copy,
                                    const TableHead& head,
                                    const crypto::SymmetricKey& table_key,
                                    const crypto::SigningKey& dsk) {
-  BinaryWriter w;
-  w.PutU8(static_cast<uint8_t>(head.view));
-  w.PutU8(head.depth);
-  return SealAndSign(SigContext("thead", dir_inode, copy), w.Take(),
-                     table_key, dsk);
+  return SealTable(copy, SigContext("thead", dir_inode, copy),
+                   Bytes{head.depth}, table_key, dsk);
 }
 
 Result<TableHead> ObjectCodec::DecodeTableHead(
     fs::InodeNum dir_inode, Selector copy, const Bytes& wire,
     const crypto::SymmetricKey& table_key, const crypto::VerifyKey& dvk) {
-  auto payload = VerifyAndOpen(SigContext("thead", dir_inode, copy), wire,
-                               table_key, dvk, "table head");
-  if (!payload.ok()) return Status::Corruption(payload.status().message());
-  BinaryReader r(*payload);
+  SHAROES_ASSIGN_OR_RETURN(
+      Bytes payload, OpenTable(copy, SigContext("thead", dir_inode, copy),
+                               wire, table_key, dvk, "table head"));
+  BinaryReader r(payload);
   TableHead head;
-  uint8_t view = r.GetU8();
   head.depth = r.GetU8();
-  if (!r.Finish("table head").ok() ||
-      view > static_cast<uint8_t>(TableView::kExecOnly) ||
-      head.depth > kMaxTableDepth) {
+  if (!r.Finish("table head").ok() || head.depth > kMaxTableDepth) {
     return Status::Corruption("malformed table head");
   }
-  head.view = static_cast<TableView>(view);
   return head;
 }
 
@@ -528,24 +554,21 @@ Bytes ObjectCodec::SealBucket(fs::InodeNum dir_inode, Selector copy,
                               const crypto::SymmetricKey& table_key,
                               const crypto::SigningKey& dsk) {
   Bytes wire{depth};
-  Append(wire, SealAndSign(BucketContext(dir_inode, copy, depth, index),
-                           payload, table_key, dsk));
+  Append(wire, SealTable(copy, BucketContext(dir_inode, copy, depth, index),
+                         payload, table_key, dsk));
   return wire;
 }
 
 Result<Bytes> ObjectCodec::OpenBucket(fs::InodeNum dir_inode, Selector copy,
-                                      uint8_t depth, uint32_t index,
-                                      const Bytes& wire,
+                                      uint32_t index, const Bytes& wire,
                                       const crypto::SymmetricKey& table_key,
                                       const crypto::VerifyKey& dvk) {
-  if (wire.empty() || wire[0] != depth) {
-    return Status::Corruption("table bucket of another depth");
-  }
-  auto payload = VerifyAndOpen(BucketContext(dir_inode, copy, depth, index),
-                               Bytes(wire.begin() + 1, wire.end()),
-                               table_key, dvk, "table bucket");
-  if (!payload.ok()) return Status::Corruption(payload.status().message());
-  return std::move(*payload);
+  if (wire.empty()) return Status::Corruption("empty table bucket");
+  // The depth byte is cleartext and authenticated: a rewritten one fails
+  // here.
+  return OpenTable(copy, BucketContext(dir_inode, copy, wire[0], index),
+                   Bytes(wire.begin() + 1, wire.end()), table_key, dvk,
+                   "table bucket");
 }
 
 Result<uint8_t> ObjectCodec::PeekBucketDepth(const Bytes& wire) {
@@ -612,32 +635,41 @@ Bytes ObjectCodec::EncodeMasterBucket(fs::InodeNum dir_inode, uint8_t depth,
 }
 
 Result<DecodedTable> ObjectCodec::DecodeTableBucket(
-    fs::InodeNum dir_inode, Selector copy, const TableHead& head,
-    uint32_t index, const Bytes& wire, const crypto::SymmetricKey& table_key,
+    fs::InodeNum dir_inode, Selector copy, uint8_t depth, uint32_t index,
+    const Bytes& wire, const crypto::SymmetricKey& table_key,
     const crypto::VerifyKey& dvk) {
-  SHAROES_ASSIGN_OR_RETURN(Bytes payload,
-                           OpenBucket(dir_inode, copy, head.depth, index,
-                                      wire, table_key, dvk));
+  SHAROES_ASSIGN_OR_RETURN(
+      Bytes payload, OpenBucket(dir_inode, copy, index, wire, table_key, dvk));
+  // Rows of a bucket rendered at another depth that hash elsewhere at
+  // `depth` belong to another bucket of this table.
+  const bool stale = wire[0] != depth;
+  auto here = [&](const std::string& name) {
+    return !stale || BucketOf(table_key, name, depth) == index;
+  };
   BinaryReader r(payload);
   DecodedTable t;
   uint8_t view = r.GetU8();
   uint32_t n = r.GetU32();
-  if (!r.ok() || view != static_cast<uint8_t>(head.view) ||
+  if (!r.ok() || view == static_cast<uint8_t>(TableView::kNone) ||
+      view > static_cast<uint8_t>(TableView::kExecOnly) ||
       n > r.remaining()) {
-    return Status::Corruption("table bucket does not match its head");
+    return Status::Corruption("malformed table bucket");
   }
-  t.view = head.view;
+  t.view = static_cast<TableView>(view);
   for (uint32_t i = 0; i < n && r.ok(); ++i) {
     switch (t.view) {
       case TableView::kNone:
-        return Status::Corruption("rows in a kNone table copy");
-      case TableView::kNamesOnly:
-        t.names.push_back(r.GetString());
         break;
+      case TableView::kNamesOnly: {
+        std::string name = r.GetString();
+        if (here(name)) t.names.push_back(std::move(name));
+        break;
+      }
       case TableView::kFull: {
         std::string name = r.GetString();
         auto row = RowRef::ReadFrom(&r);
         if (!row.ok()) return Status::Corruption("malformed table row");
+        if (!here(name)) break;
         t.names.push_back(name);
         t.refs[name] = std::move(*row);
         break;
@@ -645,6 +677,7 @@ Result<DecodedTable> ObjectCodec::DecodeTableBucket(
       case TableView::kExecOnly: {
         Bytes row_id = r.GetBytes();
         Bytes enc_row = r.GetBytes();
+        if (stale && RowIdBucket(row_id, depth) != index) break;
         t.exec_rows.emplace_back(std::move(row_id), std::move(enc_row));
         break;
       }
@@ -658,12 +691,18 @@ Result<DecodedTable> ObjectCodec::DecodeTableBucket(
 
 Result<MasterTable> ObjectCodec::DecodeMasterBucket(
     fs::InodeNum dir_inode, uint8_t depth, uint32_t index, const Bytes& wire,
-    const crypto::SymmetricKey& table_key, const crypto::VerifyKey& dvk) {
+    const crypto::SymmetricKey& table_key) {
   SHAROES_ASSIGN_OR_RETURN(Bytes payload,
-                           OpenBucket(dir_inode, kMasterSelector, depth,
-                                      index, wire, table_key, dvk));
+                           OpenBucket(dir_inode, kMasterSelector, index, wire,
+                                      table_key, crypto::VerifyKey{}));
   auto master = MasterTable::Deserialize(payload);
   if (!master.ok()) return Status::Corruption("malformed master bucket");
+  if (wire[0] != depth) {
+    // Stale content, as in DecodeTableBucket.
+    std::erase_if(master->entries, [&](const MasterEntry& e) {
+      return BucketOf(table_key, e.name, depth) != index;
+    });
+  }
   return master;
 }
 

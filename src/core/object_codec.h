@@ -2,12 +2,15 @@
 // filesystem state and the encrypted blobs the SSP stores.
 //
 //   metadata replica  = Sign_MSK( CTR_MEK(serialized CAP view) )
-//   table head        = Sign_DSK( CTR_TK(view | depth) ), one per copy and
-//                       one for the master (DESIGN.md §18)
-//   table bucket      = depth | Sign_DSK( CTR_TK(rendered rows) ): the rows
-//                       whose names hash to it, rendered per the copy's
-//                       TableView (full / names-only / per-row encryption
-//                       for exec-only CAPs), or master entries
+//   table head        = Sign_DSK( CTR_TK(depth) ), one per copy that has
+//                       rows (DESIGN.md §18)
+//   table bucket      = depth | Sign_DSK( CTR_TK(view | rendered rows) ):
+//                       the rows whose names hash to it, rendered per the
+//                       copy's TableView (full / names-only / per-row
+//                       encryption for exec-only CAPs)
+//   master head,
+//   master bucket     = AES-GCM_MK( depth ), depth | AES-GCM_MK( entries ):
+//                       only writers hold MK, and they hold the DSK too
 //   data block 0      = Sign_DSK( header | DataDescriptor ), cleartext
 //   data block k+1    = AES-GCM_DEK( chunk k ), anchored by the Merkle
 //                       root inside the signed descriptor
@@ -28,7 +31,6 @@
 #define SHAROES_CORE_OBJECT_CODEC_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/refs.h"
@@ -45,16 +47,13 @@ struct PendingSplitBlock {
   Bytes wire;
 };
 
-/// A stored table's signed head: the view its copy renders and the depth
-/// d of its 2^d buckets. A kNone copy has a head and no buckets; the
-/// master's head reads kFull.
+/// A stored table's signed head: the depth d of its 2^d buckets. Each
+/// bucket carries its own view, so a chmod that changes a copy's view
+/// leaves no head that contradicts the buckets. A kNone copy has neither.
 struct TableHead {
-  TableView view = TableView::kNone;
   uint8_t depth = 0;
 
-  uint32_t buckets() const {
-    return view == TableView::kNone ? 0 : uint32_t{1} << depth;
-  }
+  uint32_t buckets() const { return uint32_t{1} << depth; }
 };
 
 /// A directory's master table as its writer holds it: every entry, and the
@@ -66,6 +65,7 @@ struct StoredMaster {
 
 /// A decoded bucket of a directory-table copy as seen through one CAP.
 struct DecodedTable {
+  /// The view the bucket was rendered in.
   TableView view = TableView::kNone;
   /// kFull / kNamesOnly: visible names in table order.
   std::vector<std::string> names;
@@ -125,11 +125,12 @@ class ObjectCodec {
   struct DirRender {
     /// The bucket depth of every table after the render.
     uint8_t depth = 0;
-    /// Null: a full render (a new directory, a resize, a rekey): every
-    /// head and every bucket, plus a delete for each bucket a shrink from
-    /// `stored_depth` leaves behind. Otherwise only the buckets that hold
-    /// one of these names, in the master and in every copy that has
-    /// buckets; heads are not rewritten.
+    /// Null: a full render (a new directory, a resize, a rekey): the head
+    /// and every bucket of the master and of each copy whose view is not
+    /// kNone, plus a delete for each bucket a shrink from `stored_depth`
+    /// leaves behind. Otherwise only the buckets that hold one of these
+    /// names, in the master and in every copy that has buckets; heads are
+    /// not rewritten.
     const std::vector<std::string>* changed = nullptr;
     uint8_t stored_depth = 0;
     /// When non-null, the copy with `reader->selector` is reported back.
@@ -149,14 +150,14 @@ class ObjectCodec {
   static uint8_t NextDepth(uint8_t depth, size_t entries);
   /// The bucket of `name` among 2^depth in a table keyed by `table_key`:
   /// the low bits of the keyed row id exec-only copies already derive.
-  /// The row id is an HMAC, and a warm lookup asks for it at every level,
-  /// so each (key, name) is derived once and remembered.
-  uint32_t BucketOf(const crypto::SymmetricKey& table_key,
-                    const std::string& name, uint8_t depth);
+  static uint32_t BucketOf(const crypto::SymmetricKey& table_key,
+                           const std::string& name, uint8_t depth);
+  /// The bucket of an exec-only row among 2^depth, from its row id.
+  static uint32_t RowIdBucket(const Bytes& row_id, uint8_t depth);
 
   /// Appends puts for a directory's tables, in store order: per CAP copy
-  /// its head and buckets, then the master's, then the deletes of a
-  /// shrink, then the split blocks the rendered rows need.
+  /// that has rows its head and buckets, then the master's, then the
+  /// deletes of a shrink, then the split blocks the rendered rows need.
   Status RenderDirTables(fs::InodeNum dir_inode, const OwnershipInfo& info,
                          const MasterTable& master,
                          const ObjectKeyBundle& bundle,
@@ -231,15 +232,16 @@ class ObjectCodec {
 
   // ----- Directory tables (DESIGN.md §18) -----
 
-  /// Seals and signs a table head:
-  ///   wire   = envelope(sealed view | depth, sig)
+  /// Seals and signs a table head (the master's is AEAD-sealed instead,
+  /// see SealTable):
+  ///   wire   = envelope(sealed depth, sig)
   ///   signed = SigContext("thead", dir_inode, copy) | sealed
   Bytes EncodeTableHead(fs::InodeNum dir_inode, Selector copy,
                         const TableHead& head,
                         const crypto::SymmetricKey& table_key,
                         const crypto::SigningKey& dsk);
-  /// Every failure — bad framing, a bad signature, an unknown view — is
-  /// Status::Corruption.
+  /// Every failure — bad framing, a bad signature, a depth out of range —
+  /// is Status::Corruption.
   Result<TableHead> DecodeTableHead(fs::InodeNum dir_inode, Selector copy,
                                     const Bytes& wire,
                                     const crypto::SymmetricKey& table_key,
@@ -249,7 +251,7 @@ class ObjectCodec {
   /// master's entries whose names hash there, rendered per `view`.
   /// `universe` is the copy's reader set (decides row splits); split
   /// blocks the rows need are appended to `blocks`.
-  ///   wire   = depth | envelope(sealed rows, sig)
+  ///   wire   = depth | envelope(sealed view | rows, sig)
   ///   signed = BucketContext(dir_inode, copy, depth, index) | sealed
   Result<Bytes> EncodeTableBucket(fs::InodeNum dir_inode, Selector copy,
                                   TableView view, uint8_t depth,
@@ -265,20 +267,22 @@ class ObjectCodec {
   /// a reader whose cached head names another depth re-fetches the head.
   static Result<uint8_t> PeekBucketDepth(const Bytes& wire);
   /// Verifies (DVK), decrypts (table key) and parses bucket `index` of a
-  /// copy whose head is `head`. Every failure — a bucket rendered for
-  /// another directory, copy, depth or index, another view than the
-  /// head's, bad framing — is Status::Corruption.
+  /// copy whose head says `depth`. A bucket signed for this index at
+  /// another depth is what a writer whose cached depth predates a resize
+  /// leaves: it reads as stale content, keeping only the rows that hash to
+  /// `index` at `depth`. Every failure — a bucket rendered for another
+  /// directory, copy or index, a rewritten depth byte, bad framing — is
+  /// Status::Corruption.
   Result<DecodedTable> DecodeTableBucket(fs::InodeNum dir_inode,
-                                         Selector copy, const TableHead& head,
+                                         Selector copy, uint8_t depth,
                                          uint32_t index, const Bytes& wire,
                                          const crypto::SymmetricKey& table_key,
                                          const crypto::VerifyKey& dvk);
-  /// The master's entries in bucket `index`; failures as above.
+  /// The master's entries in bucket `index`; depth and failures as above.
   Result<MasterTable> DecodeMasterBucket(fs::InodeNum dir_inode,
                                          uint8_t depth, uint32_t index,
                                          const Bytes& wire,
-                                         const crypto::SymmetricKey& table_key,
-                                         const crypto::VerifyKey& dvk);
+                                         const crypto::SymmetricKey& table_key);
 
   /// Resolves `name` inside an exec-only copy by deriving H_DEK(name)
   /// (paper §III-A). NotFound if no row matches.
@@ -368,14 +372,29 @@ class ObjectCodec {
                              const std::vector<fs::UserId>& universe,
                              const crypto::SymmetricKey& table_key,
                              ReaderCopy* reader);
+  /// Seals a table object's payload under `context`: signed with the DSK
+  /// for a copy, an AES-GCM tag under the master key for the master. Only
+  /// the directory's writers hold the master key, and they hold the DSK
+  /// too, so the tag authenticates the master to them as a signature
+  /// would, without a private-key operation per head and bucket.
+  Bytes SealTable(Selector copy, const Bytes& context, const Bytes& payload,
+                  const crypto::SymmetricKey& table_key,
+                  const crypto::SigningKey& dsk);
+  /// Opens what SealTable sealed; Corruption on every failure.
+  Result<Bytes> OpenTable(Selector copy, const Bytes& context,
+                          const Bytes& wire,
+                          const crypto::SymmetricKey& table_key,
+                          const crypto::VerifyKey& dvk,
+                          const std::string& what);
   /// Signs and seals one bucket payload.
   Bytes SealBucket(fs::InodeNum dir_inode, Selector copy, uint8_t depth,
                    uint32_t index, const Bytes& payload,
                    const crypto::SymmetricKey& table_key,
                    const crypto::SigningKey& dsk);
-  /// Verifies and opens one bucket; Corruption on every failure.
+  /// Verifies and opens bucket `index` at the depth its first byte names;
+  /// Corruption on every failure.
   Result<Bytes> OpenBucket(fs::InodeNum dir_inode, Selector copy,
-                           uint8_t depth, uint32_t index, const Bytes& wire,
+                           uint32_t index, const Bytes& wire,
                            const crypto::SymmetricKey& table_key,
                            const crypto::VerifyKey& dvk);
   /// Builds a RowRef for one master entry as seen by `universe`,
@@ -383,9 +402,6 @@ class ObjectCodec {
   Result<RowRef> RenderRow(const MasterEntry& entry,
                            const std::vector<fs::UserId>& universe,
                            std::vector<PendingSplitBlock>* blocks);
-
-  /// Row-id prefixes by table key and name (BucketOf); cleared when full.
-  std::unordered_map<std::string, uint32_t> row_ids_;
 
   crypto::CryptoEngine* engine_;    // Not owned.
   const IdentityDirectory* dir_;    // Not owned.

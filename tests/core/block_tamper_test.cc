@@ -263,7 +263,7 @@ TEST_F(BlockTamperTest, ForgedTailBlockByDekHolderDetected) {
       root_ref.inode, core::BucketSelector(root_ref.selector, bucket)));
   ASSERT_TRUE(table_wire.has_value());
   auto table = codec.DecodeTableBucket(root_ref.inode, root_ref.selector,
-                                       *head, bucket, *table_wire,
+                                       head->depth, bucket, *table_wire,
                                        *root_view->dek, *root_view->dvk);
   ASSERT_TRUE(table.ok()) << table.status();
   auto row = table->refs.find("doc.txt");

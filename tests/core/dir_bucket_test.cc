@@ -73,13 +73,12 @@ struct RecordedClient {
   std::unique_ptr<core::SharoesClient> client;
 };
 
-/// "/" (alice, rwxr-xr-x) holding directory "d" (alice:eng, rwxrwx---)
-/// with `files` files f0, f1, ... and an empty directory "e" alike.
-LocalNode TreeWith(int files) {
+/// "/" (alice, rwxr-xr-x) holding directory "d" (alice:eng, `d_mode`)
+/// with `files` files f0, f1, ... and an empty directory "e" (rwxrwx---).
+LocalNode TreeWith(int files, const char* d_mode = "rwxrwx---") {
   LocalNode root =
       LocalNode::Dir("", kAlice, kEng, World::ParseMode("rwxr-xr-x"));
-  LocalNode d =
-      LocalNode::Dir("d", kAlice, kEng, World::ParseMode("rwxrwx---"));
+  LocalNode d = LocalNode::Dir("d", kAlice, kEng, World::ParseMode(d_mode));
   for (int i = 0; i < files; ++i) {
     d.children.push_back(LocalNode::File("f" + std::to_string(i), kAlice,
                                          kEng, World::ParseMode("rw-rw----"),
@@ -117,10 +116,9 @@ TEST(DirBucketTest, MigrationRendersBucketsAtTheFreshDepth) {
   World world;
   ASSERT_TRUE(world.MigrateAndMountAll(TreeWith(40)).ok());
   fs::InodeNum d = InodeOf(world, "/d");
-  // Heads: owner, group and other copies plus the master. Buckets: 2^3
-  // each for the owner and group copies (rwx) and the master; the other
-  // copy (---) is kNone and has none.
-  EXPECT_EQ(CountTableObjects(world, d, /*buckets=*/false), 4u);
+  // Heads and 2^3 buckets each for the owner and group copies (rwx) and
+  // the master; the other copy (---) is kNone and has neither.
+  EXPECT_EQ(CountTableObjects(world, d, /*buckets=*/false), 3u);
   EXPECT_EQ(CountTableObjects(world, d, /*buckets=*/true), 3u * 8u);
   auto names = world.client(kBob).Readdir("/d");
   ASSERT_TRUE(names.ok()) << names.status();
@@ -278,6 +276,97 @@ TEST(DirBucketTest, StaleHeadAfterGrowIsRefetched) { ResizeUnderAReader(true); }
 
 TEST(DirBucketTest, StaleHeadAfterShrinkIsRefetched) {
   ResizeUnderAReader(false);
+}
+
+/// bob holds /d's master from before alice resizes /d; then bob creates
+/// (after a grow) or unlinks (after a shrink) a name, rendering one bucket
+/// at the depth he remembers. That may lose updates, never the table:
+/// fresh readers list /d, every name listed resolves or is not-found (an
+/// unlink whose bucket went astray leaves its entry), and a fresh writer's
+/// create lands.
+void ResizeUnderAWriter(bool grow) {
+  World world;
+  // grow: 12 entries (depth 1) -> 17 (depth 2). shrink: 17 (depth 2) ->
+  // 7 (depth 0).
+  ASSERT_TRUE(world.MigrateAndMountAll(TreeWith(grow ? 12 : 17)).ok());
+  auto& alice = world.client(kAlice);
+  auto& bob = world.client(kBob);
+  ASSERT_TRUE(bob.RefreshDir("/d").ok());  // Loads bob's master.
+  CreateOptions opts;
+  opts.mode = World::ParseMode("rw-rw----");
+  if (grow) {
+    // bob's bucket, at depth 1, is one a depth-2 reader reads.
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(alice.Create("/d/g" + std::to_string(i), opts).ok());
+    }
+    ASSERT_TRUE(bob.Create("/d/bobs", opts).ok());
+  } else {
+    // bob unlinks a name in bucket 0 of the master at depth 2: the one
+    // bucket a depth-0 reader reads.
+    fs::InodeNum d = InodeOf(world, "/d");
+    auto view = alice.cache().Get<core::MetadataView>(
+        "m|" + std::to_string(d) + "|" + std::to_string(core::kOwnerSelector));
+    ASSERT_NE(view, nullptr);
+    const crypto::SymmetricKey& key =
+        view->table_keys.at(core::kMasterSelector);
+    int target = 0;
+    while (target < 17 &&
+           core::ObjectCodec::BucketOf(key, "f" + std::to_string(target),
+                                       2) != 0) {
+      ++target;
+    }
+    ASSERT_LT(target, 17);
+    for (int i = 0, gone = 0; gone < 10; ++i) {
+      if (i == target) continue;
+      ASSERT_TRUE(alice.Unlink("/d/f" + std::to_string(i)).ok());
+      ++gone;
+    }
+    ASSERT_TRUE(bob.Unlink("/d/f" + std::to_string(target)).ok());
+  }
+  for (fs::UserId uid : {kAlice, kBob}) {
+    world.client(uid).DropCaches();
+    auto names = world.client(uid).Readdir("/d");
+    ASSERT_TRUE(names.ok()) << names.status();
+    EXPECT_FALSE(names->empty());
+    for (const std::string& name : *names) {
+      auto attrs = world.client(uid).Getattr("/d/" + name);
+      EXPECT_TRUE(attrs.ok() || attrs.status().IsNotFound())
+          << name << ": " << attrs.status();
+    }
+  }
+  ASSERT_TRUE(alice.Create("/d/after", opts).ok());
+  bob.DropCaches();
+  auto names = bob.Readdir("/d");
+  ASSERT_TRUE(names.ok()) << names.status();
+  EXPECT_NE(std::find(names->begin(), names->end(), "after"), names->end());
+  EXPECT_TRUE(bob.Getattr("/d/after").ok());
+}
+
+TEST(DirBucketTest, StaleDepthWriterAfterGrowLeavesAReadableTable) {
+  ResizeUnderAWriter(true);
+}
+
+TEST(DirBucketTest, StaleDepthWriterAfterShrinkLeavesAReadableTable) {
+  ResizeUnderAWriter(false);
+}
+
+TEST(DirBucketTest, WarmHeadReadsBucketsAWideningChmodRerendered) {
+  // /d is rwxr-----: bob's group copy is names-only. His cold lookup
+  // caches its head (depth 3) and buckets 0..3 before the exec check
+  // denies it; alice then widens the group to r-x, which re-renders every
+  // bucket full without rotating keys. bob's listing reads buckets 4..7
+  // in the new view under his cached head.
+  World world;
+  ASSERT_TRUE(world.MigrateAndMountAll(TreeWith(40, "rwxr-----")).ok());
+  auto& bob = world.client(kBob);
+  EXPECT_TRUE(bob.Getattr("/d/f0").status().IsPermissionDenied());
+  ASSERT_TRUE(
+      world.client(kAlice).Chmod("/d", World::ParseMode("rwxr-x---")).ok());
+  auto names = bob.Readdir("/d");
+  ASSERT_TRUE(names.ok()) << names.status();
+  EXPECT_EQ(names->size(), 40u);
+  bob.DropCaches();
+  EXPECT_TRUE(bob.Getattr("/d/f0").ok());
 }
 
 /// Moves the stored object at `from` over `to`.

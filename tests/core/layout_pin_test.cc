@@ -92,17 +92,17 @@ INSTANTIATE_TEST_SUITE_P(
     Legs, SharoesLayoutPin,
     ::testing::Values(
         SharoesLeg{Scheme::kScheme1, RevocationMode::kImmediate,
-                   "36977:f839615f2486dc687eb0967ea6671682"
-                   "c81e8910ce1f486823c29b64157f9f06"},
+                   "35809:e7c9560bb6a6545ea9b9400e2ee22185"
+                   "ea15bb9049cfc6ae6bceffa95e3fb69e"},
         SharoesLeg{Scheme::kScheme1, RevocationMode::kLazy,
-                   "36997:ec321969f4c563dbad0acca1868d6b80"
-                   "52ad6e6c3160c5793c7600f64144c592"},
+                   "35829:304090debdfb5a90d5042e50100a0fb4"
+                   "39ce9478c276e6940afe76cc24b9610e"},
         SharoesLeg{Scheme::kScheme2, RevocationMode::kImmediate,
-                   "36977:a0d5b3e43fbdec2ddfbf2bdc8da9578d"
-                   "e97b1410e20edc20c86d1d17c0535d0e"},
+                   "35809:ac7ff8223b2c21f23b12fdaf5ff9f124"
+                   "b121355759f3623eac0d6e6428183483"},
         SharoesLeg{Scheme::kScheme2, RevocationMode::kLazy,
-                   "36997:7f6eaff0a7fb37291ef6ca15f3408466"
-                   "02fb9ed4fd8930ebc152510c82346779"}));
+                   "35829:17a54898f5d729e3f2bc6877afb781c9"
+                   "3d5c537c0c90635d5815d8e9714d84fa"}));
 
 TEST(LayoutPinTest, MigratedMultiBlockFile) {
   // The provisioner's own file encoder on a multi-chunk file and an
@@ -119,8 +119,8 @@ TEST(LayoutPinTest, MigratedMultiBlockFile) {
       Bytes{}));
   ASSERT_TRUE(world.MigrateAndMountAll(root).ok());
   EXPECT_EQ(StoreDigest(world.server().store()),
-            "25684:2e122ec062000734fc2f8e50b75fa517"
-            "1847cecc657228e56883ae28bc46157b");
+            "25568:e6af5b1f59c55d690e41690e704be334"
+            "a34c966056ecf42a6eb9329e5debf558");
 }
 
 struct BaselineLeg {

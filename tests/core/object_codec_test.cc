@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "core/object_codec.h"
 #include "crypto/aead.h"
 #include "crypto/merkle.h"
@@ -191,7 +193,7 @@ TEST_F(ObjectCodecTest, TableCopyRoundTripFullView) {
                                        universe, bundle, &blocks);
   ASSERT_TRUE(wire.ok());
   auto table = codec_.DecodeTableBucket(
-      dir_attrs.inode, kOwnerSelector, TableHead{TableView::kFull, 0}, 0, *wire,
+      dir_attrs.inode, kOwnerSelector, 0, 0, *wire,
       bundle.table_keys.at(kOwnerSelector), bundle.data.verify);
   ASSERT_TRUE(table.ok()) << table.status();
   EXPECT_EQ(table->view, TableView::kFull);
@@ -224,7 +226,7 @@ TEST_F(ObjectCodecTest, NamesOnlyViewHidesRefs) {
                                        {2, 3}, bundle, &blocks);
   ASSERT_TRUE(wire.ok());
   auto table = codec_.DecodeTableBucket(
-      dir_attrs.inode, kGroupSelector, TableHead{TableView::kNamesOnly, 0},
+      dir_attrs.inode, kGroupSelector, 0,
       0, *wire, bundle.table_keys.at(kGroupSelector), bundle.data.verify);
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(table->view, TableView::kNamesOnly);
@@ -263,7 +265,7 @@ TEST_F(ObjectCodecTest, ExecOnlyLookupByName) {
   ASSERT_TRUE(wire.ok()) << wire.status();
   const crypto::SymmetricKey& tkey = bundle.table_keys.at(kGroupSelector);
   auto table = codec_.DecodeTableBucket(
-      dir_attrs.inode, kGroupSelector, TableHead{TableView::kExecOnly, 0},
+      dir_attrs.inode, kGroupSelector, 0,
       0, *wire, tkey, bundle.data.verify);
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(table->view, TableView::kExecOnly);
@@ -297,7 +299,7 @@ TEST_F(ObjectCodecTest, TableTamperDetected) {
   Bytes bad = *wire;
   bad[bad.size() / 2] ^= 1;
   auto table = codec_.DecodeTableBucket(
-      dir_attrs.inode, kOwnerSelector, TableHead{TableView::kFull, 0}, 0, bad,
+      dir_attrs.inode, kOwnerSelector, 0, 0, bad,
       bundle.table_keys.at(kOwnerSelector), bundle.data.verify);
   EXPECT_FALSE(table.ok());
 }
@@ -318,12 +320,33 @@ TEST_F(ObjectCodecTest, MasterTableRoundTrip) {
   ASSERT_TRUE(master.Add(e).ok());
   Bytes wire = codec_.EncodeMasterBucket(dir_attrs.inode, 0, 0, master, bundle);
   auto back = codec_.DecodeMasterBucket(dir_attrs.inode, 0, 0, wire,
-                                        bundle.table_keys.at(kMasterSelector),
-                                        bundle.data.verify);
+                                        bundle.table_keys.at(kMasterSelector));
   ASSERT_TRUE(back.ok());
   ASSERT_EQ(back->entries.size(), 1u);
   EXPECT_EQ(back->entries[0].name, "x");
   EXPECT_EQ(back->entries[0].inode, 5u);
+
+  // The master is AEAD-sealed under its key: a flipped byte, a bucket of
+  // another index or directory, or another key does not open.
+  const crypto::SymmetricKey& mkey = bundle.table_keys.at(kMasterSelector);
+  Bytes bad = wire;
+  bad[bad.size() / 2] ^= 1;
+  EXPECT_TRUE(codec_.DecodeMasterBucket(dir_attrs.inode, 0, 0, bad, mkey)
+                  .status()
+                  .IsCorruption());
+  Bytes moved =
+      codec_.EncodeMasterBucket(dir_attrs.inode, 1, 1, master, bundle);
+  EXPECT_TRUE(codec_.DecodeMasterBucket(dir_attrs.inode, 1, 0, moved, mkey)
+                  .status()
+                  .IsCorruption());
+  EXPECT_TRUE(codec_.DecodeMasterBucket(dir_attrs.inode + 1, 0, 0, wire, mkey)
+                  .status()
+                  .IsCorruption());
+  EXPECT_TRUE(codec_
+                  .DecodeMasterBucket(dir_attrs.inode, 0, 0, wire,
+                                      engine_.NewSymmetricKey())
+                  .status()
+                  .IsCorruption());
 }
 
 /// A master of `n` uniform file entries under an owner-only directory.
@@ -368,7 +391,7 @@ TEST_F(ObjectCodecTest, BucketsPartitionTheTableByKeyedName) {
                                          {1}, bundle, &blocks);
     ASSERT_TRUE(wire.ok());
     auto bucket = codec_.DecodeTableBucket(
-        dir_attrs.inode, kOwnerSelector, TableHead{TableView::kFull, depth},
+        dir_attrs.inode, kOwnerSelector, depth,
         b, *wire, key, bundle.data.verify);
     ASSERT_TRUE(bucket.ok()) << bucket.status();
     for (const std::string& name : bucket->names) {
@@ -379,7 +402,7 @@ TEST_F(ObjectCodecTest, BucketsPartitionTheTableByKeyedName) {
         codec_.EncodeMasterBucket(dir_attrs.inode, depth, b, rows, bundle);
     auto mbucket = codec_.DecodeMasterBucket(
         dir_attrs.inode, depth, b, mwire,
-        bundle.table_keys.at(kMasterSelector), bundle.data.verify);
+        bundle.table_keys.at(kMasterSelector));
     ASSERT_TRUE(mbucket.ok()) << mbucket.status();
   }
   EXPECT_EQ(seen, 40u);
@@ -410,38 +433,38 @@ TEST_F(ObjectCodecTest, SwappedBucketOrHeadIsCorruption) {
   MasterTable master = UniformMaster(&engine_, dir_, info, 20);
   const fs::InodeNum inode = dir_attrs.inode;
   const crypto::SymmetricKey& key = bundle.table_keys.at(kOwnerSelector);
-  const TableHead head{TableView::kFull, 2};
+  const TableHead head{2};
   auto encode = [&](fs::InodeNum dir, Selector copy, uint8_t depth,
-                    uint32_t b) {
+                    uint32_t b, TableView view = TableView::kFull) {
     std::vector<PendingSplitBlock> blocks;
-    auto wire = codec_.EncodeTableBucket(dir, copy, TableView::kFull, depth,
-                                         b, master, {1}, bundle, &blocks);
+    auto wire = codec_.EncodeTableBucket(dir, copy, view, depth, b, master,
+                                         {1}, bundle, &blocks);
     EXPECT_TRUE(wire.ok());
     return *wire;
   };
   auto decode = [&](const Bytes& wire, uint32_t b) {
-    return codec_.DecodeTableBucket(inode, kOwnerSelector, head, b, wire,
-                                    key, bundle.data.verify)
-        .status();
+    return codec_.DecodeTableBucket(inode, kOwnerSelector, head.depth, b,
+                                    wire, key, bundle.data.verify);
   };
   ASSERT_TRUE(decode(encode(inode, kOwnerSelector, 2, 1), 1).ok());
-  // Another index, depth, copy or directory.
-  EXPECT_TRUE(decode(encode(inode, kOwnerSelector, 2, 3), 1).IsCorruption());
-  EXPECT_TRUE(decode(encode(inode, kOwnerSelector, 1, 1), 1).IsCorruption());
-  EXPECT_TRUE(decode(encode(inode, kGroupSelector, 2, 1), 1).IsCorruption());
+  // Another index, copy or directory.
   EXPECT_TRUE(
-      decode(encode(inode + 1, kOwnerSelector, 2, 1), 1).IsCorruption());
+      decode(encode(inode, kOwnerSelector, 2, 3), 1).status().IsCorruption());
+  EXPECT_TRUE(
+      decode(encode(inode, kGroupSelector, 2, 1), 1).status().IsCorruption());
+  EXPECT_TRUE(decode(encode(inode + 1, kOwnerSelector, 2, 1), 1)
+                  .status()
+                  .IsCorruption());
   // A depth byte rewritten to match the head does not help: it is signed.
   Bytes relabeled = encode(inode, kOwnerSelector, 1, 1);
   relabeled[0] = 2;
-  EXPECT_TRUE(decode(relabeled, 1).IsCorruption());
-  // A bucket served under a head of another view.
-  std::vector<PendingSplitBlock> blocks;
-  auto names = codec_.EncodeTableBucket(inode, kOwnerSelector,
-                                        TableView::kNamesOnly, 2, 1, master,
-                                        {1}, bundle, &blocks);
-  ASSERT_TRUE(names.ok());
-  EXPECT_TRUE(decode(*names, 1).IsCorruption());
+  EXPECT_TRUE(decode(relabeled, 1).status().IsCorruption());
+  // A bucket reads in its own view: a chmod that changes the copy's view
+  // leaves no head to contradict it.
+  auto names = decode(encode(inode, kOwnerSelector, 2, 1,
+                             TableView::kNamesOnly), 1);
+  ASSERT_TRUE(names.ok()) << names.status();
+  EXPECT_EQ(names->view, TableView::kNamesOnly);
 
   // A head from another directory or copy.
   Bytes other_head = codec_.EncodeTableHead(inode + 1, kOwnerSelector, head,
@@ -457,12 +480,82 @@ TEST_F(ObjectCodecTest, SwappedBucketOrHeadIsCorruption) {
                                      bundle.data.verify);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->depth, 2);
-  EXPECT_EQ(back->view, TableView::kFull);
   EXPECT_TRUE(codec_
                   .DecodeTableHead(inode, kGroupSelector, own_head, key,
                                    bundle.data.verify)
                   .status()
                   .IsCorruption());
+}
+
+// A bucket signed for its index at another depth than the head's is what
+// a writer with a stale cached depth leaves: it decodes, keeping only the
+// rows that hash to that index at the head's depth.
+TEST_F(ObjectCodecTest, BucketOfAnotherDepthKeepsItsIndexsRows) {
+  fs::InodeAttrs dir_attrs = FileAttrs(0750);
+  dir_attrs.type = fs::FileType::kDirectory;
+  OwnershipInfo info = OwnershipInfo::FromAttrs(dir_attrs);
+  auto specs = ReplicasFor(info, Scheme::kScheme2, dir_);
+  ObjectKeyBundle bundle = MakeBundle(specs, fs::FileType::kDirectory);
+  MasterTable master = UniformMaster(&engine_, dir_, info, 40);
+  const fs::InodeNum inode = dir_attrs.inode;
+  const crypto::SymmetricKey& key = bundle.table_keys.at(kOwnerSelector);
+  const crypto::SymmetricKey& mkey = bundle.table_keys.at(kMasterSelector);
+  // Rendered at depth 0 (every row), or at depth 3 as bucket 1; read
+  // under heads of depth 2 as bucket 1.
+  for (uint8_t written : {uint8_t{0}, uint8_t{3}}) {
+    SCOPED_TRACE(written);
+    const uint32_t index = written == 0 ? 0 : 1;
+    MasterTable rows;
+    for (const MasterEntry& e : master.entries) {
+      if (ObjectCodec::BucketOf(key, e.name, written) == index) {
+        rows.entries.push_back(e);
+      }
+    }
+    std::set<std::string> expected;
+    for (const MasterEntry& e : rows.entries) {
+      if (ObjectCodec::BucketOf(key, e.name, 2) == index) {
+        expected.insert(e.name);
+      }
+    }
+    for (TableView view : {TableView::kFull, TableView::kExecOnly}) {
+      std::vector<PendingSplitBlock> blocks;
+      auto wire = codec_.EncodeTableBucket(inode, kOwnerSelector, view,
+                                           written, index, rows, {1}, bundle,
+                                           &blocks);
+      ASSERT_TRUE(wire.ok());
+      auto t = codec_.DecodeTableBucket(inode, kOwnerSelector, 2, index,
+                                        *wire, key, bundle.data.verify);
+      ASSERT_TRUE(t.ok()) << t.status();
+      if (view == TableView::kFull) {
+        EXPECT_EQ(std::set<std::string>(t->names.begin(), t->names.end()),
+                  expected);
+        EXPECT_EQ(t->refs.size(), expected.size());
+      } else {
+        EXPECT_EQ(t->exec_rows.size(), expected.size());
+        for (const std::string& name : expected) {
+          EXPECT_TRUE(codec_.ExecOnlyLookup(*t, key, name).ok()) << name;
+        }
+      }
+    }
+    MasterTable mrows;
+    for (const MasterEntry& e : master.entries) {
+      if (ObjectCodec::BucketOf(mkey, e.name, written) == index) {
+        mrows.entries.push_back(e);
+      }
+    }
+    auto mwire =
+        codec_.EncodeMasterBucket(inode, written, index, mrows, bundle);
+    auto m = codec_.DecodeMasterBucket(inode, 2, index, mwire, mkey);
+    ASSERT_TRUE(m.ok()) << m.status();
+    size_t kept = 0;
+    for (const MasterEntry& e : mrows.entries) {
+      kept += ObjectCodec::BucketOf(mkey, e.name, 2) == index;
+    }
+    EXPECT_EQ(m->entries.size(), kept);
+    for (const MasterEntry& e : m->entries) {
+      EXPECT_EQ(ObjectCodec::BucketOf(mkey, e.name, 2), index);
+    }
+  }
 }
 
 TEST_F(ObjectCodecTest, DataBlockRoundTripAndHeader) {
@@ -654,7 +747,7 @@ TEST_F(ObjectCodecTest, SplitRowEmitsBlocks) {
                                        bundle, &blocks);
   ASSERT_TRUE(wire.ok());
   auto table = codec_.DecodeTableBucket(
-      dir_attrs.inode, kGroupSelector, TableHead{TableView::kFull, 0}, 0, *wire,
+      dir_attrs.inode, kGroupSelector, 0, 0, *wire,
       bundle.table_keys.at(kGroupSelector), bundle.data.verify);
   ASSERT_TRUE(table.ok());
   const RowRef& row = table->refs.at("bobs");
