@@ -9,9 +9,9 @@
 // crypto job:
 //
 //   bench_crypto --self-check
-//     Cross-checks the AES-NI/CLMUL fast paths byte-for-byte against the
-//     portable implementations over a random corpus. Prints SKIP and
-//     exits 0 on CPUs without the extensions.
+//     Cross-checks the AES-NI/CLMUL and SHA-NI fast paths byte-for-byte
+//     against the portable implementations over a random corpus. Prints
+//     SKIP and exits 0 on CPUs without any of the extensions.
 //
 //   bench_crypto --json <path>
 //     Writes a GiB/s throughput table (aes_ctr / ghash / gcm_seal /
@@ -100,14 +100,26 @@ Bytes AccelCtr(const Bytes& key, const Bytes& iv, const Bytes& input,
 // ---------------------------------------------------------------------
 
 int SelfCheck() {
-  if (!CpuHasAesClmul()) {
-    std::printf("SKIP: CPU lacks AES-NI/PCLMUL/SSSE3; no fast path to "
-                "cross-check\n");
+  if (!CpuHasAesClmul() && !Sha256AccelAvailable()) {
+    std::printf("SKIP: CPU lacks AES-NI/PCLMUL/SSSE3 and SHA-NI; no fast "
+                "path to cross-check\n");
     return 0;
   }
   Rng rng(0x5E1F);
   size_t cases = 0;
-  for (int iter = 0; iter < 400; ++iter) {
+  // SHA-256: SHA-NI vs portable compression on random lengths.
+  for (int iter = 0; Sha256AccelAvailable() && iter < 400; ++iter) {
+    Bytes data = rng.NextBytes(rng.NextU64() % 8192);
+    ForceSha256Portable(true);
+    Bytes portable = Sha256Digest(data);
+    ForceSha256Portable(false);
+    if (portable != Sha256Digest(data)) {
+      std::printf("FAIL: SHA-256 mismatch (len=%zu)\n", data.size());
+      return 1;
+    }
+    ++cases;
+  }
+  for (int iter = 0; CpuHasAesClmul() && iter < 400; ++iter) {
     Bytes key = rng.NextBytes(16);
     Bytes iv = rng.NextBytes(kAesBlockSize);
     Bytes data = rng.NextBytes(rng.NextU64() % 8192);
@@ -298,6 +310,17 @@ void BM_Sha256(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(4096)->Arg(1 << 20);
+
+void BM_Sha256Portable(benchmark::State& state) {
+  Bytes data = BenchRng().NextBytes(state.range(0));
+  ForceSha256Portable(true);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Sha256Digest(data));
+  }
+  ForceSha256Portable(false);
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Sha256Portable)->Arg(64)->Arg(4096)->Arg(1 << 20);
 
 void BM_HmacSha256(benchmark::State& state) {
   Bytes key = BenchRng().NextBytes(16);

@@ -382,8 +382,9 @@ void RunClientThread(int t, const Options& opt, uint16_t port,
     } else {
       const int pick = zipf->Sample(rng);
       std::string path = "/shared/f" + std::to_string(pick);
-      // Evict the object (keep the dcache warm) so every read refetches
-      // metadata + data from the daemon instead of the client cache.
+      // Re-open the object (keep the dcache warm): every read refetches
+      // metadata and the descriptor from the daemon, and asks for the
+      // chunk blocks it already holds by digest (DESIGN.md §19).
       (void)client->EvictPath(path);
       auto content = client->Read(path);
       s = content.status();

@@ -625,11 +625,9 @@ Status BaselineClient::RemoveObject(const std::string& path,
   std::vector<ssp::Request> batch;
   batch.push_back(codec_.TablePut(parent, table));
   size_t table_size = batch.back().payload.size();
+  // The metadata delete takes the inode's per-user objects with it.
   batch.push_back(ssp::Request::DeleteInodeMetadata(*child));
   batch.push_back(ssp::Request::DeleteInodeData(*child));
-  for (fs::UserId uid : identity_->AllUsers()) {
-    batch.push_back(ssp::Request::DeleteUserMetadata(*child, uid));
-  }
   SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch)));
   cache_.Put("t|" + std::to_string(parent.attrs.inode), table, table_size);
   InvalidateInode(*child);

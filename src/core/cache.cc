@@ -54,6 +54,18 @@ void LruCache::ErasePrefix(const std::string& prefix) {
   }
 }
 
+std::vector<std::pair<std::string, std::shared_ptr<const void>>>
+LruCache::TakePrefix(const std::string& prefix) {
+  std::vector<std::pair<std::string, std::shared_ptr<const void>>> taken;
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = map_.lower_bound(prefix);
+  while (it != map_.end() && it->first.starts_with(prefix)) {
+    taken.emplace_back(it->first, it->second->value);
+    it = EraseLocked(it);
+  }
+  return taken;
+}
+
 void LruCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   lru_.clear();

@@ -13,6 +13,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/metrics.h"
 
@@ -77,6 +79,10 @@ class LruCache {
   /// End the prefix with the key's separator ("d|12|", not "d|12") or it
   /// also covers other inodes' keys ("d|120|0").
   void ErasePrefix(const std::string& prefix);
+  /// ErasePrefix that hands back what it dropped, key and value, for a
+  /// caller that re-files some of it under other keys.
+  std::vector<std::pair<std::string, std::shared_ptr<const void>>> TakePrefix(
+      const std::string& prefix);
   void Clear();
 
   size_t size_bytes() const;

@@ -150,6 +150,11 @@ std::string SharoesClient::DataCacheKey(fs::InodeNum inode, uint32_t block) {
   return "d|" + std::to_string(inode) + "|" + std::to_string(block);
 }
 
+std::string SharoesClient::CandidateCacheKey(fs::InodeNum inode,
+                                             uint32_t block) {
+  return "c|" + std::to_string(inode) + "|" + std::to_string(block);
+}
+
 std::string SharoesClient::TableHeadCacheKey(fs::InodeNum inode,
                                              Selector sel) {
   return "t|" + std::to_string(inode) + "|" + std::to_string(sel) + "|h";
@@ -184,11 +189,25 @@ std::string SharoesClient::NegDentryCacheKey(fs::InodeNum dir_inode,
   return "n|" + std::to_string(dir_inode) + "|" + name;
 }
 
-void SharoesClient::InvalidateInode(fs::InodeNum inode) {
+void SharoesClient::InvalidateInode(fs::InodeNum inode,
+                                    bool keep_candidates) {
   std::string id = std::to_string(inode);
   cache_.ErasePrefix("m|" + id + "|");
   cache_.ErasePrefix("t|" + id + "|");
-  cache_.ErasePrefix("d|" + id + "|");
+  // Chunk blocks opened from fetched wire become revalidation candidates
+  // (DESIGN.md §19); the descriptor and blocks sealed here go.
+  const std::string data = "d|" + id + "|";
+  if (!keep_candidates) cache_.ErasePrefix("c|" + id + "|");
+  for (auto& [key, value] : cache_.TakePrefix(data)) {
+    const auto block_index =
+        static_cast<uint32_t>(std::stoul(key.substr(data.size())));
+    if (!keep_candidates || block_index == 0) continue;
+    auto block = std::static_pointer_cast<const OpenedBlock>(value);
+    if (block->digest.empty()) continue;
+    const size_t size = block->wire_size;
+    cache_.PutPtr(CandidateCacheKey(inode, block_index), std::move(block),
+                  size);
+  }
   cache_.Erase(MasterCacheKey(inode));
   // Split refs are keyed by parent: these are the refs of this inode's
   // children, whose rows live in the table copies erased above.
@@ -271,7 +290,8 @@ Result<SharoesClient::Node> SharoesClient::FetchNode(const PlainRef& ref,
   std::shared_ptr<const MetadataView> cached_view =
       cache_.Get<MetadataView>(view_key);
   bool fetch_view = cached_view == nullptr;
-  Node node{ref, {}, nullptr, {}, std::nullopt, {}};
+  Node node;
+  node.ref = ref;
   // The table's part of the batch: the head and the probe window, when
   // this level is cold (its view or the table's head is not cached).
   // With both cached, FetchTable fetches what a lookup misses, and this
@@ -299,9 +319,7 @@ Result<SharoesClient::Node> SharoesClient::FetchNode(const PlainRef& ref,
     gets.push_back(ssp::Request::GetMetadata(
         ref.inode, BucketSelector(ref.selector, b)));
   }
-  for (uint32_t b : data_blocks) {
-    gets.push_back(ssp::Request::GetData(ref.inode, b));
-  }
+  for (uint32_t b : data_blocks) gets.push_back(DataGet(&node, b));
   SHAROES_ASSIGN_OR_RETURN(std::vector<ssp::Response> resps,
                            MultiGet(std::move(gets)));
   size_t idx = 0;
@@ -364,14 +382,13 @@ Status SharoesClient::TakeDataWindow(Node* node,
     // FirstDataWindow lists block 0 first whenever the descriptor is
     // unknown. It gates everything else: without it the chunk blocks'
     // generations cannot be validated against anything.
-    SHAROES_RETURN_IF_ERROR(ssp::ReadStatus(resps[0].status, "data block 0"));
-    SHAROES_RETURN_IF_ERROR(OpenDataBlock(node, 0, resps[0].payload));
+    SHAROES_RETURN_IF_ERROR(OpenDataReply(node, 0, resps[0]));
     j = 1;
   }
   for (; j < blocks.size(); ++j) {
     if (blocks[j] >= node->desc->block_count) continue;  // Past EOF.
     // Best effort: a block that fails to open is simply not taken.
-    if (resps[j].ok()) (void)OpenDataBlock(node, blocks[j], resps[j].payload);
+    (void)OpenDataReply(node, blocks[j], resps[j]);
   }
   return Status::OK();
 }
@@ -952,6 +969,39 @@ Status SharoesClient::Create(const std::string& path,
   return CreateObject(path, fs::FileType::kFile, opts);
 }
 
+ssp::Request SharoesClient::DataGet(Node* node, uint32_t block) {
+  ssp::Request get = ssp::Request::GetData(node->ref.inode, block);
+  const std::string key = CandidateCacheKey(node->ref.inode, block);
+  if (cache_.Contains(key)) {
+    auto candidate = cache_.Get<OpenedBlock>(key);
+    get.payload = candidate->digest;
+    node->candidates[block] = std::move(candidate);
+  }
+  return get;
+}
+
+Status SharoesClient::FetchBlocks(Node* node,
+                                  const std::vector<uint32_t>& blocks) {
+  // Readahead windows, one batched round trip each — or one RPC per
+  // block with batching off, the pre-batching wire behaviour kept as the
+  // benchmark comparator.
+  size_t window_size = std::max<size_t>(options_.readahead_blocks, 1);
+  for (size_t pos = 0; pos < blocks.size(); pos += window_size) {
+    size_t end = std::min(blocks.size(), pos + window_size);
+    std::vector<ssp::Request> gets;
+    gets.reserve(end - pos);
+    for (size_t j = pos; j < end; ++j) {
+      gets.push_back(DataGet(node, blocks[j]));
+    }
+    SHAROES_ASSIGN_OR_RETURN(std::vector<ssp::Response> resps,
+                             MultiGet(std::move(gets)));
+    for (size_t j = pos; j < end; ++j) {
+      SHAROES_RETURN_IF_ERROR(OpenDataReply(node, blocks[j], resps[j - pos]));
+    }
+  }
+  return Status::OK();
+}
+
 Result<Bytes> SharoesClient::FetchFileContent(Node node) {
   if (!node.view.CanReadData()) {
     return Status::PermissionDenied("CAP does not expose DEK/DVK");
@@ -969,7 +1019,7 @@ Result<Bytes> SharoesClient::FetchFileContent(Node node) {
     std::vector<uint32_t> window = FirstDataWindow(inode, nullptr);
     std::vector<ssp::Request> gets;
     gets.reserve(window.size());
-    for (uint32_t b : window) gets.push_back(ssp::Request::GetData(inode, b));
+    for (uint32_t b : window) gets.push_back(DataGet(&node, b));
     SHAROES_ASSIGN_OR_RETURN(std::vector<ssp::Response> resps,
                              MultiGet(std::move(gets)));
     Status taken = TakeDataWindow(&node, window, resps.data());
@@ -998,30 +1048,30 @@ Result<Bytes> SharoesClient::FetchFileContent(Node node) {
     if (node.window.count(i) != 0) continue;
     if (auto cached = cache_.Get<OpenedBlock>(DataCacheKey(inode, i))) {
       node.window.emplace(i, std::move(cached));
+      node.reused.insert(i);
     } else {
       missing.push_back(i);
     }
   }
-  // Fetch the missing blocks in readahead windows (one batched round
-  // trip per window) — or one RPC per block with batching off, the
-  // pre-batching wire behaviour kept as the benchmark comparator.
-  size_t window_size = std::max<size_t>(options_.readahead_blocks, 1);
-  for (size_t pos = 0; pos < missing.size(); pos += window_size) {
-    size_t end = std::min(missing.size(), pos + window_size);
-    std::vector<ssp::Request> gets;
-    gets.reserve(end - pos);
-    for (size_t j = pos; j < end; ++j) {
-      gets.push_back(ssp::Request::GetData(inode, missing[j]));
-    }
-    SHAROES_ASSIGN_OR_RETURN(std::vector<ssp::Response> resps,
-                             MultiGet(std::move(gets)));
-    for (size_t j = pos; j < end; ++j) {
-      const ssp::Response& sub = resps[j - pos];
-      SHAROES_RETURN_IF_ERROR(ssp::ReadStatus(
-          sub.status, "data block " + std::to_string(missing[j])));
-      SHAROES_RETURN_IF_ERROR(OpenDataBlock(&node, missing[j], sub.payload));
-    }
+  SHAROES_RETURN_IF_ERROR(FetchBlocks(&node, missing));
+  Result<Bytes> content = Reassemble(node);
+  if (content.ok() || node.reused.empty()) return content;
+  // A chunk this read did not download can be of another version than
+  // the descriptor just fetched: the cache may have dropped the
+  // descriptor and kept the chunks. Re-ask those chunks once,
+  // unconditionally, before calling the file corrupt.
+  std::vector<uint32_t> again(node.reused.begin(), node.reused.end());
+  node.reused.clear();
+  for (uint32_t i : again) {
+    node.window.erase(i);
+    cache_.Erase(CandidateCacheKey(inode, i));
   }
+  SHAROES_RETURN_IF_ERROR(FetchBlocks(&node, again));
+  return Reassemble(node);
+}
+
+Result<Bytes> SharoesClient::Reassemble(const Node& node) {
+  const DataDescriptor& desc = *node.desc;
   Bytes content;
   std::vector<Bytes> tags;  // Merkle leaves: blocks 1..block_count-1.
   for (uint32_t i = 1; i < desc.block_count; ++i) {
@@ -1047,22 +1097,29 @@ Result<Bytes> SharoesClient::FetchFileContent(Node node) {
   return content;
 }
 
+Result<bool> SharoesClient::CheckBlockHeader(
+    const Node& node, uint32_t index, const ObjectCodec::DataBlockHeader& h) {
+  if (index != 0 && h.write_gen != node.desc->GenOfBlock(index)) {
+    return Status::Corruption(
+        "data block generation does not match the descriptor");
+  }
+  // A block one key generation ahead was written after a lazy rotation.
+  const MetadataView& view = node.view;
+  bool rotated = h.key_gen == view.dek_gen + 1 && view.dek_next.has_value();
+  if (h.key_gen != view.dek_gen && !rotated) {
+    return Status::PermissionDenied(
+        "data re-encrypted under a rotated key (access revoked)");
+  }
+  return rotated;
+}
+
 Status SharoesClient::OpenDataBlock(Node* node, uint32_t index,
                                     const Bytes& wire) {
   fs::InodeNum inode = node->ref.inode;
   const MetadataView& view = node->view;
   SHAROES_ASSIGN_OR_RETURN(ObjectCodec::DataBlockHeader h,
                            ObjectCodec::PeekDataHeader(wire));
-  if (index != 0 && h.write_gen != node->desc->GenOfBlock(index)) {
-    return Status::Corruption(
-        "data block generation does not match the descriptor");
-  }
-  // A block one key generation ahead was written after a lazy rotation.
-  bool rotated = h.key_gen == view.dek_gen + 1 && view.dek_next.has_value();
-  if (h.key_gen != view.dek_gen && !rotated) {
-    return Status::PermissionDenied(
-        "data re-encrypted under a rotated key (access revoked)");
-  }
+  SHAROES_ASSIGN_OR_RETURN(bool rotated, CheckBlockHeader(*node, index, h));
   if (index == 0) {
     SHAROES_ASSIGN_OR_RETURN(DataDescriptor desc,
                              codec_.DecodeDescriptor(inode, wire, *view.dvk));
@@ -1076,9 +1133,37 @@ Status SharoesClient::OpenDataBlock(Node* node, uint32_t index,
       codec_.DecodeDataBlock(inode, index, wire,
                              rotated ? *view.dek_next : *view.dek,
                              &opened.tag));
+  opened.digest = ssp::BlobDigest(wire);
+  opened.header = h;
+  opened.wire_size = wire.size();
   auto shared = std::make_shared<const OpenedBlock>(std::move(opened));
   cache_.PutPtr(DataCacheKey(inode, index), shared, wire.size());
   node->window[index] = std::move(shared);
+  return Status::OK();
+}
+
+Status SharoesClient::OpenDataReply(Node* node, uint32_t index,
+                                    const ssp::Response& resp) {
+  if (resp.status == ssp::RespStatus::kNotModified &&
+      node->candidates.count(index) != 0) {
+    return TakeCandidate(node, index);
+  }
+  SHAROES_RETURN_IF_ERROR(
+      ssp::ReadStatus(resp.status, "data block " + std::to_string(index)));
+  return OpenDataBlock(node, index, resp.payload);
+}
+
+Status SharoesClient::TakeCandidate(Node* node, uint32_t index) {
+  const fs::InodeNum inode = node->ref.inode;
+  std::shared_ptr<const OpenedBlock> candidate =
+      std::move(node->candidates.at(index));
+  node->candidates.erase(index);
+  cache_.Erase(CandidateCacheKey(inode, index));
+  SHAROES_RETURN_IF_ERROR(
+      CheckBlockHeader(*node, index, candidate->header).status());
+  cache_.PutPtr(DataCacheKey(inode, index), candidate, candidate->wire_size);
+  node->window[index] = std::move(candidate);
+  node->reused.insert(index);
   return Status::OK();
 }
 
@@ -1193,9 +1278,11 @@ Status SharoesClient::CommitFileWrite(fs::InodeNum inode,
   cache_.Put(DataCacheKey(inode, 0), std::move(file.desc),
              file.desc_wire_size);
   for (ObjectCodec::SealedBlock& b : file.sealed) {
-    cache_.Put(DataCacheKey(inode, b.index),
-               OpenedBlock{std::move(b.plaintext), std::move(b.tag)},
-               b.wire_size);
+    OpenedBlock sealed;
+    sealed.chunk = std::move(b.plaintext);
+    sealed.tag = std::move(b.tag);
+    sealed.wire_size = b.wire_size;
+    cache_.Put(DataCacheKey(inode, b.index), std::move(sealed), b.wire_size);
   }
   return ExecuteBatch(std::move(puts));
 }
@@ -1388,7 +1475,7 @@ Status SharoesClient::RemoveObject(const std::string& path,
   batch.push_back(ssp::Request::DeleteInodeMetadata(child_inode));
   batch.push_back(ssp::Request::DeleteInodeData(child_inode));
   SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch)));
-  InvalidateInode(child_inode);
+  InvalidateInode(child_inode, /*keep_candidates=*/false);
   SHAROES_ASSIGN_OR_RETURN(std::string norm, NormalizePath(path));
   write_buffers_.erase(norm);
   // A removal ships now, so its bytes never bill the next op's flush.

@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 
 #include "core/cache.h"
 #include "core/file_versions.h"
@@ -133,23 +134,33 @@ class SharoesClient : public FsClient {
   const ClientOptions& options() const { return options_; }
   fs::UserId uid() const { return uid_; }
 
-  /// Drops all cached cleartext (forces re-fetch + re-decrypt; used by
-  /// benchmarks to separate warm/cold behaviour).
+  /// Drops all cached cleartext, revalidation candidates included
+  /// (forces re-fetch + re-decrypt; used by benchmarks to separate
+  /// warm/cold behaviour).
   void DropCaches();
-  /// Drops only the target object's cached state (metadata, tables, data)
-  /// while keeping the resolved path prefix warm — models a dcache-warm
-  /// client re-fetching one object, the unit the paper's Figure 13 times.
-  /// The object's own row ref stays cached with its parent's table, split
-  /// point or not, so the re-fetch pays no RSA op.
+  /// Re-opens one object (close-to-open): drops its cached view,
+  /// descriptor and tables (InvalidateInode) while keeping the resolved
+  /// path prefix warm — models a dcache-warm client re-fetching one
+  /// object, the unit the paper's Figure 13 times. The object's own row
+  /// ref stays cached with its parent's table, split point or not, so the
+  /// re-fetch pays no RSA op. Chunk blocks it opened from fetched wire
+  /// stay as candidates the next read revalidates by digest instead of
+  /// downloading (DESIGN.md §19); blocks it sealed itself are dropped.
   Status EvictPath(const std::string& path);
 
  private:
   /// A chunk block as the client caches it under "d|<inode>|<block>":
   /// its plaintext and AEAD tag (the block's Merkle leaf), so a cached
-  /// chunk always comes with the tag the root check needs.
+  /// chunk always comes with the tag the root check needs. A block opened
+  /// from fetched wire also keeps that wire's ssp::BlobDigest and header,
+  /// which let a re-open revalidate it instead of downloading it again
+  /// (DESIGN.md §19); a block this client sealed carries no digest.
   struct OpenedBlock {
     Bytes chunk;
     Bytes tag;
+    Bytes digest;
+    ObjectCodec::DataBlockHeader header;
+    size_t wire_size = 0;  // Its cache charge.
   };
   struct Node {
     PlainRef ref;
@@ -162,6 +173,13 @@ class SharoesClient : public FsClient {
     /// takes them from here, so a read never depends on the cache having
     /// kept them.
     std::map<uint32_t, std::shared_ptr<const OpenedBlock>> window;
+    /// The revalidation candidates this read asked for by digest
+    /// (DataGet), by block index.
+    std::map<uint32_t, std::shared_ptr<const OpenedBlock>> candidates;
+    /// The blocks in `window` this read did not download: cached ones and
+    /// revalidated candidates. A reassembly that fails its root check
+    /// re-asks them once.
+    std::set<uint32_t> reused;
     /// A directory's table head and the buckets the same fetch opened, by
     /// index: a lookup takes them from here, so a descent never depends on
     /// the cache having kept them.
@@ -233,7 +251,9 @@ class SharoesClient : public FsClient {
   /// node->desc and cached, and a failure is returned. The chunk blocks
   /// the descriptor validates go into node->window best-effort: blocks
   /// past its block_count (speculative overfetch) and non-ok or invalid
-  /// replies are skipped, so the strict path re-fetches and reports.
+  /// replies are skipped, so the strict path re-fetches and reports; a
+  /// candidate that fails its checks is dropped, so that re-fetch asks
+  /// for the block unconditionally.
   Status TakeDataWindow(Node* node, const std::vector<uint32_t>& blocks,
                         const ssp::Response* resps);
   /// The bucket of a copy under `head` that a lookup of `name` reads, or
@@ -324,20 +344,25 @@ class SharoesClient : public FsClient {
   /// under it, and its "M|" master table, so a writer re-renders a
   /// directory from the master the SSP holds) and the split refs of its
   /// children ("u|"/"g|" under it).
-  /// The inode's own split ref belongs to its parent's row and survives.
-  void InvalidateInode(fs::InodeNum inode);
+  /// The inode's own split ref belongs to its parent's row and survives,
+  /// and so do the chunk blocks it opened from fetched wire: they move to
+  /// "c|" keys as revalidation candidates (DESIGN.md §19), unless
+  /// `keep_candidates` is false (a removed inode), which drops them all.
+  void InvalidateInode(fs::InodeNum inode, bool keep_candidates = true);
 
   // --- Cache-key chokepoint ---
   // Every cache key is built here (and only here) so keying bugs — like
   // an unnormalized path aliasing "/shared//x" and "/shared/x" into
   // distinct negative dentries — cannot creep back in per call site.
-  // Prefixes: "d|" data block (descriptor or opened chunk), "t|" table
+  // Prefixes: "d|" data block (descriptor or opened chunk), "c|" a
+  // chunk's revalidation candidate, "t|" table
   // copy head and buckets, "M|" master table, "u|"/"g|" split blocks,
   // "n|" negative dentry ("m|" view keys live in ViewCacheKey, which
   // needs Scheme state). Split keys lead with the parent
   // inode ("<parent>|<child>|<id>"): the unwrapped ref is part of the
   // parent's row and dies with the parent's table, not with the child.
   static std::string DataCacheKey(fs::InodeNum inode, uint32_t block);
+  static std::string CandidateCacheKey(fs::InodeNum inode, uint32_t block);
   /// A table copy's keys: "t|<inode>|<sel>|h" its head, and
   /// "t|<inode>|<sel>|<depth>.<bucket>" each decoded bucket, so a bucket
   /// cached under one depth never answers a head of another.
@@ -372,14 +397,38 @@ class SharoesClient : public FsClient {
                                         const DataDescriptor* desc) const;
 
   // --- Data path ---
+  /// The get of data block `block` of `node`: conditional, carrying the
+  /// digest of the block's revalidation candidate ("c|" key, left there
+  /// by InvalidateInode), when there is one; the candidate is noted in
+  /// node->candidates.
+  ssp::Request DataGet(Node* node, uint32_t block);
+  /// Fetches `blocks` of `node` in readahead windows (one batched round
+  /// trip each) and opens every reply strictly (OpenDataReply).
+  Status FetchBlocks(Node* node, const std::vector<uint32_t>& blocks);
   Result<Bytes> FetchFileContent(Node node);
-  /// The one decode of a fetched data block of `node`. Every block's key
-  /// generation must be one this CAP holds a key for (dek, or dek_next
-  /// after a lazy rotation). Block 0 is verified into node->desc, and
-  /// cached. A chunk block's write generation is checked against
-  /// node->desc; it is opened, with its tag, into node->window and the
-  /// cache.
+  /// The file's content from node->window, checked against the
+  /// descriptor's tag root and size.
+  static Result<Bytes> Reassemble(const Node& node);
+  /// The one decode of a fetched data block of `node`, after
+  /// CheckBlockHeader. Block 0 is verified into node->desc, and cached. A
+  /// chunk block is opened, with its tag, wire digest and header, into
+  /// node->window and the cache.
   Status OpenDataBlock(Node* node, uint32_t index, const Bytes& wire);
+  /// The one reply rule of a data get: kNotModified to a conditional get
+  /// takes the candidate (TakeCandidate), kOk opens the wire
+  /// (OpenDataBlock), anything else is ssp::ReadStatus's error.
+  Status OpenDataReply(Node* node, uint32_t index, const ssp::Response& resp);
+  /// Takes node->candidates[index] into node->window after the header
+  /// checks a fetched block passes; only the AEAD open is skipped, its
+  /// bytes being ones already opened under the same AAD. A candidate that
+  /// fails is dropped.
+  Status TakeCandidate(Node* node, uint32_t index);
+  /// The header rule of every data block, fetched or revalidated: a chunk's
+  /// write generation matches node.desc, and its key generation is one
+  /// this CAP holds a key for (dek, or dek_next after a lazy rotation).
+  /// Returns whether the block is under dek_next.
+  static Result<bool> CheckBlockHeader(const Node& node, uint32_t index,
+                                       const ObjectCodec::DataBlockHeader& h);
   Status FlushBuffer(const std::string& path, WriteBuffer* buf);
   /// The one client write of file data: renders `content` through the
   /// codec at the inode's next write generation. Blocks in `kept` stay as

@@ -27,8 +27,8 @@ struct ShardedChannel::SubState {
   std::vector<uint8_t> acked;      // Per position: write acknowledged.
   std::vector<uint8_t> targeted;   // Per position: ever asked (reads).
   /// Reads, per position: the usable versioned reply (kOk/kNotFound/
-  /// kDeleted), decoded so SettleRead compares clean object bytes and
-  /// raw generations.
+  /// kDeleted, or kNotModified to a conditional get), decoded so
+  /// SettleRead compares clean object bytes and raw generations.
   std::vector<std::optional<ssp::VersionedReply>> replies;
   uint32_t replied = 0;  // Set entries in `replies`.
   uint32_t acks = 0;
@@ -65,7 +65,9 @@ ShardedChannel::ShardedChannel(ssp::PlacementRing ring,
       rng_(options.seed != 0 ? Rng(options.seed) : Rng()),
       links_(ring_.config().nodes, options.timeouts),
       fanout_hist_(
-          obs::MetricsRegistry::Global().histogram("client.rpc.shard_fanout")) {
+          obs::MetricsRegistry::Global().histogram("client.rpc.shard_fanout")),
+      repairs_skipped_counter_(obs::MetricsRegistry::Global().counter(
+          "client.shard.repairs_skipped")) {
   if (options_.max_attempts < 1) options_.max_attempts = 1;
 }
 
@@ -413,14 +415,29 @@ void ShardedChannel::SettleRead(SubState* sub) {
   //    replies is the freshest acknowledged state, and a tombstone wins
   //    ties — the R=K scrub heals a wrong suppression from the replica
   //    holding the strictly higher generation).
-  const ssp::Freshest fresh = ssp::SettleFreshest(sub->replies);
+  const ssp::Freshest fresh =
+      ssp::SettleFreshest(sub->replies, sub->req->payload);
   sub->done = true;
   // Deleted, or unanimous absence (kNotFound, possibly with lower-gen
   // tombstones that lost to nothing live). A winning tombstone is
   // propagated onto the live stale repliers.
-  if (fresh.deleted || oks.empty()) {
+  if (fresh.deleted || (oks.empty() && !fresh.live.has_value())) {
     sub->final = Response::NotFound();
     if (fresh.deleted) RepairStale(*sub, /*deleted=*/true, {}, fresh.gen);
+    return;
+  }
+  // A kNotModified winner (DESIGN.md §19): the freshest copy is the one
+  // the conditional get named, and no reply carries its bytes, so the
+  // stale repliers are left to the scrubber.
+  if (fresh.live.has_value() &&
+      sub->replies[*fresh.live]->status == RespStatus::kNotModified) {
+    sub->final = Response::NotModified();
+    for (const auto& r : sub->replies) {
+      if (r.has_value() && !(r->live() && r->gen == fresh.gen)) {
+        ++repairs_skipped_;
+        repairs_skipped_counter_->Increment();
+      }
+    }
     return;
   }
   const ssp::VersionedReply* winner = nullptr;
@@ -514,7 +531,8 @@ void ShardedChannel::RepairStale(const SubState& sub, bool deleted,
   // Best-effort: a failed repair just leaves the divergence for the next
   // read or the anti-entropy scrubber to heal.
   const std::vector<ssp::Repair> repairs = ssp::RepairsFor(
-      *ssp::RefOf(*sub.req), sub.replies, deleted, payload, gen);
+      *ssp::RefOf(*sub.req), sub.replies, deleted, payload, gen,
+      sub.req->payload);
   std::vector<ssp::NodeLinks::Ask> asks;
   for (const ssp::Repair& repair : repairs) {
     asks.push_back(

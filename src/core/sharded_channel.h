@@ -92,6 +92,9 @@ class ShardedChannel : public ssp::SspChannel {
   // the channel itself).
   uint64_t placement_refreshes() const { return placement_refreshes_; }
   uint64_t read_repairs() const { return read_repairs_; }
+  /// Stale repliers a read left unrepaired because a kNotModified won it
+  /// (no reply carried the bytes); also "client.shard.repairs_skipped".
+  uint64_t repairs_skipped() const { return repairs_skipped_; }
   uint64_t quorum_retry_rounds() const { return quorum_retry_rounds_; }
   const ssp::NodeLinks& links() const { return links_; }
 
@@ -138,8 +141,10 @@ class ShardedChannel : public ssp::SspChannel {
   /// freshest copy — or its own delete — regardless of blob family.
   std::map<ssp::ObjectRef, SessionMark> session_marks_;
   obs::Histogram* fanout_hist_;
+  obs::Counter* repairs_skipped_counter_;
   uint64_t placement_refreshes_ = 0;
   uint64_t read_repairs_ = 0;
+  uint64_t repairs_skipped_ = 0;
   uint64_t quorum_retry_rounds_ = 0;
 };
 

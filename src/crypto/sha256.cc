@@ -1,10 +1,19 @@
 #include "crypto/sha256.h"
 
+#include <atomic>
 #include <cstring>
+
+#if defined(__x86_64__) || defined(_M_X64)
+#define SHAROES_SHA_ACCEL_X86 1
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace sharoes::crypto {
 
 namespace {
+
+std::atomic<bool> g_force_portable{false};
 
 constexpr uint32_t kK[64] = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
@@ -21,16 +30,7 @@ constexpr uint32_t kK[64] = {
 
 inline uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
-}  // namespace
-
-void Sha256::Reset() {
-  state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-  total_len_ = 0;
-  buffer_len_ = 0;
-}
-
-void Sha256::ProcessBlock(const uint8_t* block) {
+void CompressPortable(uint32_t state[8], const uint8_t* block) {
   uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = static_cast<uint32_t>(block[4 * i]) << 24 |
@@ -44,8 +44,8 @@ void Sha256::ProcessBlock(const uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
   for (int i = 0; i < 64; ++i) {
     uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
@@ -64,14 +64,120 @@ void Sha256::ProcessBlock(const uint8_t* block) {
     a = temp1 + temp2;
   }
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+#if SHAROES_SHA_ACCEL_X86
+
+bool CpuHasShaNi() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool sha = (ebx >> 29) & 1;
+  return sha && __builtin_cpu_supports("sse4.1") &&
+         __builtin_cpu_supports("ssse3");
+}
+
+/// SHA-NI compression of `n` blocks. The state is kept as the two
+/// registers SHA256RNDS2 works on, ABEF and CDGH; each 4-round group adds
+/// its constants to a message schedule vector, and SHA256MSG1/MSG2
+/// extend the schedule four words at a time.
+__attribute__((target("sha,sse4.1,ssse3"))) void CompressShaNi(
+    uint32_t state[8], const uint8_t* data, size_t n) {
+  const __m128i kByteSwap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i state1 =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  tmp = _mm_shuffle_epi32(tmp, 0xB1);                 // CDAB.
+  state1 = _mm_shuffle_epi32(state1, 0x1B);           // EFGH.
+  __m128i state0 = _mm_alignr_epi8(tmp, state1, 8);   // ABEF.
+  state1 = _mm_blend_epi16(state1, tmp, 0xF0);        // CDGH.
+
+  for (; n > 0; --n, data += kSha256BlockSize) {
+    const __m128i abef_save = state0;
+    const __m128i cdgh_save = state1;
+    __m128i msg[4];
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      __m128i& cur = msg[g % 4];
+      if (g < 4) {
+        cur = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * g)),
+            kByteSwap);
+      }
+      __m128i wk = _mm_add_epi32(
+          cur, _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * g)));
+      state1 = _mm_sha256rnds2_epu32(state1, state0, wk);
+      if (g >= 3 && g <= 14) {
+        // Words 4(g+1)..4(g+1)+3 of the schedule.
+        __m128i& next = msg[(g + 1) % 4];
+        next = _mm_add_epi32(next, _mm_alignr_epi8(cur, msg[(g + 3) % 4], 4));
+        next = _mm_sha256msg2_epu32(next, cur);
+      }
+      wk = _mm_shuffle_epi32(wk, 0x0E);
+      state0 = _mm_sha256rnds2_epu32(state0, state1, wk);
+      if (g >= 1 && g <= 12) {
+        __m128i& prev = msg[(g + 3) % 4];
+        prev = _mm_sha256msg1_epu32(prev, cur);
+      }
+    }
+    state0 = _mm_add_epi32(state0, abef_save);
+    state1 = _mm_add_epi32(state1, cdgh_save);
+  }
+
+  tmp = _mm_shuffle_epi32(state0, 0x1B);        // FEBA.
+  state1 = _mm_shuffle_epi32(state1, 0xB1);     // DCHG.
+  state0 = _mm_blend_epi16(tmp, state1, 0xF0);  // DCBA.
+  state1 = _mm_alignr_epi8(state1, tmp, 8);     // HGFE.
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), state0);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), state1);
+}
+
+#else
+
+bool CpuHasShaNi() { return false; }
+void CompressShaNi(uint32_t*, const uint8_t*, size_t) {}
+
+#endif  // SHAROES_SHA_ACCEL_X86
+
+}  // namespace
+
+bool Sha256AccelAvailable() {
+  static const bool has = CpuHasShaNi();
+  return has;
+}
+
+bool Sha256AccelActive() {
+  return Sha256AccelAvailable() &&
+         !g_force_portable.load(std::memory_order_relaxed);
+}
+
+void ForceSha256Portable(bool portable) {
+  g_force_portable.store(portable, std::memory_order_relaxed);
+}
+
+void Sha256::Reset() {
+  state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  total_len_ = 0;
+  buffer_len_ = 0;
+}
+
+void Sha256::ProcessBlocks(const uint8_t* data, size_t n) {
+  if (Sha256AccelActive()) {
+    CompressShaNi(state_.data(), data, n);
+    return;
+  }
+  for (; n > 0; --n, data += kSha256BlockSize) {
+    CompressPortable(state_.data(), data);
+  }
 }
 
 void Sha256::Update(const uint8_t* data, size_t len) {
@@ -83,14 +189,15 @@ void Sha256::Update(const uint8_t* data, size_t len) {
     data += take;
     len -= take;
     if (buffer_len_ == kSha256BlockSize) {
-      ProcessBlock(buffer_.data());
+      ProcessBlocks(buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  while (len >= kSha256BlockSize) {
-    ProcessBlock(data);
-    data += kSha256BlockSize;
-    len -= kSha256BlockSize;
+  const size_t whole = len / kSha256BlockSize;
+  if (whole > 0) {
+    ProcessBlocks(data, whole);
+    data += whole * kSha256BlockSize;
+    len -= whole * kSha256BlockSize;
   }
   if (len > 0) {
     std::memcpy(buffer_.data(), data, len);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "crypto/sha256.h"
+
 namespace sharoes::ssp {
 
 namespace {
@@ -208,6 +210,7 @@ const char* RespStatusName(RespStatus status) {
     case RespStatus::kError: return "kError";
     case RespStatus::kWrongShard: return "kWrongShard";
     case RespStatus::kDeleted: return "kDeleted";
+    case RespStatus::kNotModified: return "kNotModified";
   }
   return "kUnknown";
 }
@@ -370,10 +373,6 @@ Request Request::PutUserMetadata(fs::InodeNum inode, uint32_t user,
   return Put(ObjectRef::UserMetadata(inode, user), std::move(payload));
 }
 
-Request Request::DeleteUserMetadata(fs::InodeNum inode, uint32_t user) {
-  return Delete(ObjectRef::UserMetadata(inode, user));
-}
-
 Request Request::GetData(fs::InodeNum inode, uint32_t block) {
   return Get(ObjectRef::Data(inode, block));
 }
@@ -448,6 +447,17 @@ Response Response::Deleted(uint64_t gen) {
   return Response{RespStatus::kDeleted, GenBytes(gen), {}};
 }
 
+Response Response::NotModified(std::optional<uint64_t> gen) {
+  return Response{RespStatus::kNotModified,
+                  gen.has_value() ? GenBytes(*gen) : Bytes{}, {}};
+}
+
+Bytes BlobDigest(const Bytes& blob) {
+  Bytes digest = crypto::Sha256Digest(blob);
+  digest.resize(kBlobDigestSize);
+  return digest;
+}
+
 Result<Response> Response::ReadFrom(BinaryReader* r, int depth) {
   if (depth >= kMaxBatchDepth) {
     return Status::Corruption("nested batch in response");
@@ -480,7 +490,8 @@ Result<Response> Response::Deserialize(const Bytes& data) {
 
 std::optional<VersionedReply> DecodeVersioned(const Response& resp) {
   if (resp.status != RespStatus::kOk && resp.status != RespStatus::kNotFound &&
-      resp.status != RespStatus::kDeleted) {
+      resp.status != RespStatus::kDeleted &&
+      resp.status != RespStatus::kNotModified) {
     return std::nullopt;
   }
   VersionedReply out;
@@ -501,7 +512,8 @@ std::optional<VersionedReply> DecodeVersioned(const Response& resp) {
 }
 
 Freshest SettleFreshest(
-    const std::vector<std::optional<VersionedReply>>& replies) {
+    const std::vector<std::optional<VersionedReply>>& replies,
+    const Bytes& asked) {
   // Each replica's per-key generation counts the gen-gated ops it has
   // applied to that key, so the highest generation among the replies is
   // the freshest acknowledged state — live or deleted. A tombstone wins
@@ -516,15 +528,25 @@ Freshest SettleFreshest(
       f.gen = std::max(f.gen, r->gen);
     }
   }
+  // Two live replies hold the same bytes when both carry them and they
+  // match, or when both are kNotModified (the asked bytes), or when the
+  // one kOk reply's digest is the asked one.
+  auto same = [&asked](const VersionedReply& a, const VersionedReply& b) {
+    const bool a_ok = a.status == RespStatus::kOk;
+    const bool b_ok = b.status == RespStatus::kOk;
+    if (a_ok && b_ok) return a.payload == b.payload;
+    if (!a_ok && !b_ok) return true;
+    return BlobDigest(a_ok ? a.payload : b.payload) == asked;
+  };
   bool diverged = false;
   for (size_t i = 0; i < replies.size(); ++i) {
     const auto& r = replies[i];
     if (!r.has_value() || r->gen != f.gen) continue;
     if (r->status == RespStatus::kDeleted) f.deleted = true;
-    if (r->status != RespStatus::kOk) continue;
+    if (!r->live()) continue;
     if (!f.live.has_value()) {
       f.live = i;
-    } else if (r->payload != replies[*f.live]->payload) {
+    } else if (!same(*r, *replies[*f.live])) {
       diverged = true;
     }
   }
@@ -535,15 +557,17 @@ Freshest SettleFreshest(
 std::vector<Repair> RepairsFor(
     const ObjectRef& ref,
     const std::vector<std::optional<VersionedReply>>& replies, bool deleted,
-    const Bytes& payload, uint64_t gen) {
+    const Bytes& payload, uint64_t gen, const Bytes& asked) {
   std::vector<Repair> repairs;
+  const bool payload_asked =
+      !asked.empty() && !deleted && BlobDigest(payload) == asked;
   for (size_t pos = 0; pos < replies.size(); ++pos) {
     const auto& r = replies[pos];
     if (!r.has_value()) continue;
-    const bool live = r->status == RespStatus::kOk;
-    if (deleted ? !live : (live && r->gen == gen && r->payload == payload)) {
-      continue;
-    }
+    const bool holds =
+        r->status == RespStatus::kOk ? r->payload == payload
+        : r->status == RespStatus::kNotModified && payload_asked;
+    if (deleted ? !r->live() : (holds && r->gen == gen)) continue;
     // Matching bytes at a lower generation still get the fix: a later
     // delete would tombstone that copy below the live ones, and a read
     // pairing the two would bring the key back.

@@ -203,7 +203,6 @@ struct Request {
   static Request GetUserMetadata(fs::InodeNum inode, uint32_t user);
   static Request PutUserMetadata(fs::InodeNum inode, uint32_t user,
                                  Bytes payload);
-  static Request DeleteUserMetadata(fs::InodeNum inode, uint32_t user);
   static Request GetData(fs::InodeNum inode, uint32_t block);
   static Request PutData(fs::InodeNum inode, uint32_t block, Bytes payload);
   static Request DeleteData(fs::InodeNum inode, uint32_t block);
@@ -261,11 +260,23 @@ enum class RespStatus : uint8_t {
                     // when the request carried kExtensionTagWantVersion —
                     // legacy readers still get plain kNotFound, so this
                     // status never reaches a pre-tombstone client.
+  kNotModified = 6,  // Conditional get (DESIGN.md §19): the live blob's
+                     // BlobDigest equals the digest the get carried, so
+                     // no bytes follow. A versioned read's payload is the
+                     // blob's 8-byte generation, as for kDeleted. Only
+                     // emitted to a get that carried a digest.
 };
 
 /// One past the largest valid RespStatus (array sizing, metric labels).
 inline constexpr size_t kNumRespStatuses =
-    static_cast<size_t>(RespStatus::kDeleted) + 1;
+    static_cast<size_t>(RespStatus::kNotModified) + 1;
+
+/// A conditional get's payload: the first kBlobDigestSize bytes of the
+/// SHA-256 of a blob the reader already holds. A get with a digest is
+/// answered kNotModified when the live blob has it, and as a plain get
+/// otherwise; a get payload of any other non-zero length is kBadRequest.
+inline constexpr size_t kBlobDigestSize = 16;
+Bytes BlobDigest(const Bytes& blob);
 
 /// Stable metric-label name for a response status ("kNotFound", ...).
 const char* RespStatusName(RespStatus status);
@@ -304,6 +315,9 @@ struct Response {
   // 8-byte generation. DecodeVersioned below is the one inverse.
   static Response Versioned(Bytes blob, uint64_t gen);
   static Response Deleted(uint64_t gen);
+  /// A conditional get's match: no payload, or with `gen` (a versioned
+  /// read) the blob's 8-byte generation.
+  static Response NotModified(std::optional<uint64_t> gen = std::nullopt);
 
  private:
   void AppendTo(BinaryWriter* w) const;
@@ -312,9 +326,15 @@ struct Response {
 
 /// One replica's decoded answer to a versioned read.
 struct VersionedReply {
-  RespStatus status = RespStatus::kNotFound;  // kOk, kNotFound or kDeleted.
+  /// kOk, kNotFound, kDeleted or kNotModified (a live blob whose bytes
+  /// are the ones the conditional get named by digest).
+  RespStatus status = RespStatus::kNotFound;
   Bytes payload;     // Object bytes (kOk only), generation suffix stripped.
   uint64_t gen = 0;  // The replica's per-key store generation.
+
+  bool live() const {
+    return status == RespStatus::kOk || status == RespStatus::kNotModified;
+  }
 };
 
 /// Decodes a versioned-read reply; nullopt for statuses that are no
@@ -325,16 +345,20 @@ std::optional<VersionedReply> DecodeVersioned(const Response& resp);
 struct Freshest {
   uint64_t gen = 0;      // Highest generation among live/deleted replies.
   bool deleted = false;  // A tombstone holds `gen`: tombstones win ties.
-  /// Index of the live winner: a kOk reply at `gen` that every other kOk
-  /// reply at `gen` matches byte-for-byte. Unset when a tombstone wins,
-  /// no live reply holds `gen`, or same-generation replies diverge.
+  /// Index of the live winner: a live reply at `gen` whose bytes every
+  /// other live reply at `gen` matches. Unset when a tombstone wins, no
+  /// live reply holds `gen`, or same-generation replies diverge.
   std::optional<size_t> live;
 };
 
 /// Applies the rule to replies indexed by replica position; unset
-/// entries (replicas that gave no usable answer) are skipped.
+/// entries (replicas that gave no usable answer) are skipped. `asked` is
+/// the digest a conditional get carried: a kNotModified reply's bytes
+/// are the ones it names, so it matches a kOk reply whose BlobDigest is
+/// `asked` (DESIGN.md §19).
 Freshest SettleFreshest(
-    const std::vector<std::optional<VersionedReply>>& replies);
+    const std::vector<std::optional<VersionedReply>>& replies,
+    const Bytes& asked = {});
 
 /// A fix a settled read owes the replier at replica position `pos`.
 struct Repair {
@@ -345,13 +369,14 @@ struct Repair {
 /// The one repair rule, for read repair and the scrubber (DESIGN.md
 /// §16). A tombstone winner (`deleted`) is re-deleted onto live repliers
 /// only (absence already agrees with it). A live winner `payload` is
-/// re-put on every replier not holding exactly it at `gen`. Fixes carry
-/// `gen` (when non-zero), so the receiving store gen-gates them. Unset
-/// replies get nothing.
+/// re-put on every replier not holding exactly it at `gen`; a
+/// kNotModified replier holds the bytes whose digest (`asked`) the get
+/// carried. Fixes carry `gen` (when non-zero), so the receiving
+/// store gen-gates them. Unset replies get nothing.
 std::vector<Repair> RepairsFor(
     const ObjectRef& ref,
     const std::vector<std::optional<VersionedReply>>& replies, bool deleted,
-    const Bytes& payload, uint64_t gen);
+    const Bytes& payload, uint64_t gen, const Bytes& asked = {});
 
 }  // namespace sharoes::ssp
 

@@ -27,6 +27,8 @@ struct ServingMetrics {
   obs::Counter* batch_subops;
   obs::Counter* bad_frames;
   obs::Counter* wrong_shard;
+  obs::Counter* not_modified;  // Conditional gets answered kNotModified,
+                               // batch sub-ops included.
 
   ServingMetrics() {
     auto& reg = obs::MetricsRegistry::Global();
@@ -44,6 +46,7 @@ struct ServingMetrics {
     batch_subops = reg.counter("ssp.batch_subops");
     bad_frames = reg.counter("ssp.bad_frames");
     wrong_shard = reg.counter("ssp.wrong_shard");
+    not_modified = reg.counter("ssp.not_modified");
   }
 };
 
@@ -293,11 +296,23 @@ Response SspServer::HandleOne(const Request& req, bool want_version,
     return Response::Ok(ToBytes(obs::SpanCollector::Global().ToJson()));
   }
   if (VerbOf(req.op) != OpVerb::kGet) return Response::BadRequest();
+  // A conditional get carries the digest of a blob the reader holds
+  // (DESIGN.md §19); the digest is computed only for such a get.
+  const bool conditional = !req.payload.empty();
+  if (conditional && req.payload.size() != kBlobDigestSize) {
+    return Response::BadRequest();
+  }
+  auto unchanged = [&](const Bytes& blob) {
+    if (!conditional || BlobDigest(blob) != req.payload) return false;
+    Metrics().not_modified->Increment();
+    return true;
+  };
   obs::PhaseScope store_phase(obs::Phase::kStore);
   const ObjectRef ref = *RefOf(req);
   if (!want_version) {
     std::optional<Bytes> blob = store_.Get(ref);
     if (!blob.has_value()) return Response::NotFound();
+    if (unchanged(*blob)) return Response::NotModified();
     return Response::Ok(std::move(*blob));
   }
   // Versioned read (quorum/repair/scrub path): expose the entry's
@@ -306,6 +321,7 @@ Response SspServer::HandleOne(const Request& req, bool want_version,
   auto v = store_.GetVersioned(ref);
   if (!v.has_value()) return Response::NotFound();
   if (v->tombstone) return Response::Deleted(v->gen);
+  if (unchanged(v->blob)) return Response::NotModified(v->gen);
   return Response::Versioned(std::move(v->blob), v->gen);
 }
 

@@ -6,6 +6,7 @@
 
 #include "baselines/baseline.h"
 #include "net/network_model.h"
+#include "obs/metrics.h"
 #include "testing/fault.h"
 
 namespace sharoes::baselines {
@@ -128,6 +129,29 @@ TEST_P(BaselineModeTest, MkdirReaddirUnlink) {
   EXPECT_TRUE(client.Rmdir("/docs/sub").ok());
   ASSERT_TRUE(client.Unlink("/docs/a.txt").ok());
   EXPECT_FALSE(client.Exists("/docs/a.txt"));
+}
+
+TEST_P(BaselineModeTest, UnlinkIsATablePutAndTwoInodeDeletes) {
+  BaselineWorld world(GetParam());
+  BaselineClient client = world.MakeClient(kUser);
+  ASSERT_TRUE(client.Mount().ok());
+  ASSERT_TRUE(client.Read("/docs/a.txt").ok());
+  constexpr fs::InodeNum kA = 3;  // Provisioning order, see BaselineWorld.
+  obs::Counter* subops =
+      obs::MetricsRegistry::Global().counter("ssp.batch_subops");
+  const uint64_t before = subops->Value();
+  ASSERT_TRUE(client.Unlink("/docs/a.txt").ok());
+  // The parent's table, then the inode's metadata (its per-user objects
+  // included) and its data: no sub-op per registered user.
+  EXPECT_EQ(subops->Value() - before, 3u);
+  for (fs::UserId uid : {kUser, kOther}) {
+    EXPECT_FALSE(world.server()
+                     .store()
+                     .Get(ssp::ObjectRef::UserMetadata(kA, uid))
+                     .has_value());
+  }
+  EXPECT_FALSE(
+      world.server().store().Get(ssp::ObjectRef::Data(kA, 0)).has_value());
 }
 
 TEST_P(BaselineModeTest, MultiBlockFile) {

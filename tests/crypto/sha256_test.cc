@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "util/bytes.h"
+#include "util/random.h"
 
 namespace sharoes::crypto {
 namespace {
@@ -78,6 +79,41 @@ TEST(Sha256Test, ResetAllowsReuse) {
 TEST(Sha256Test, DistinctInputsDistinctDigests) {
   EXPECT_NE(Sha256Digest(ToBytes("a")), Sha256Digest(ToBytes("b")));
   EXPECT_NE(Sha256Digest(Bytes{}), Sha256Digest(Bytes{0}));
+}
+
+// The SHA-NI compression against the portable one, byte for byte, over
+// random lengths (whole blocks, tails, and both split into two updates so
+// the buffered path runs too).
+TEST(Sha256Test, AcceleratedMatchesPortable) {
+  if (!Sha256AccelAvailable()) GTEST_SKIP() << "CPU lacks SHA-NI";
+  Rng rng(0x5A256);
+  for (int iter = 0; iter < 300; ++iter) {
+    Bytes data = rng.NextBytes(rng.NextU64() % 9000);
+    size_t split = data.empty() ? 0 : rng.NextU64() % data.size();
+    Bytes digests[2][2];
+    for (int portable = 0; portable < 2; ++portable) {
+      ForceSha256Portable(portable == 1);
+      ASSERT_EQ(Sha256AccelActive(), portable == 0);
+      digests[portable][0] = Sha256Digest(data);
+      Sha256 h;
+      h.Update(data.data(), split);
+      h.Update(data.data() + split, data.size() - split);
+      digests[portable][1] = h.Finish();
+    }
+    ForceSha256Portable(false);
+    EXPECT_EQ(digests[0][0], digests[1][0]) << "len " << data.size();
+    EXPECT_EQ(digests[0][1], digests[1][1]) << "split " << split;
+    EXPECT_EQ(digests[1][0], digests[1][1]);
+  }
+}
+
+TEST(Sha256Test, PortablePathMatchesKnownVector) {
+  ForceSha256Portable(true);
+  Bytes digest = Sha256Digest(ToBytes(
+      "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"));
+  ForceSha256Portable(false);
+  EXPECT_EQ(HexEncode(digest),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
 }
 
 }  // namespace

@@ -95,7 +95,8 @@ TEST(MessageTest, OpTableMapsEveryPointOpcodeToItsRef) {
        ObjectRef::Metadata(42, sel)},
       {Request::GetUserMetadata(43, 9), ObjectRef::UserMetadata(43, 9)},
       {Request::PutUserMetadata(43, 9, p), ObjectRef::UserMetadata(43, 9)},
-      {Request::DeleteUserMetadata(43, 9), ObjectRef::UserMetadata(43, 9)},
+      {Request::Delete(ObjectRef::UserMetadata(43, 9)),
+       ObjectRef::UserMetadata(43, 9)},
       {Request::GetData(44, 3), ObjectRef::Data(44, 3)},
       {Request::PutData(44, 3, p), ObjectRef::Data(44, 3)},
       {Request::DeleteData(44, 3), ObjectRef::Data(44, 3)},
@@ -265,8 +266,9 @@ TEST(ObjectStoreTest, DeleteInodeMetadataTakesTheInodesSplitBlocks) {
     fill(&before);
     ASSERT_TRUE(ApplyWalOp(Request::DeleteInodeMetadata(42), &now).ok());
     for (const Request& r :
-         {Request::DeleteInodeMetadata(42), Request::DeleteUserMetadata(42, 7),
-          Request::DeleteUserMetadata(42, 8)}) {
+         {Request::DeleteInodeMetadata(42),
+          Request::Delete(ObjectRef::UserMetadata(42, 7)),
+          Request::Delete(ObjectRef::UserMetadata(42, 8))}) {
       ASSERT_TRUE(ApplyWalOp(r, &before).ok());
     }
     for (ObjectStore* store : {&now, &before}) {
