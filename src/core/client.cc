@@ -986,6 +986,7 @@ Status SharoesClient::FetchBlocks(Node* node,
   // block with batching off, the pre-batching wire behaviour kept as the
   // benchmark comparator.
   size_t window_size = std::max<size_t>(options_.readahead_blocks, 1);
+  std::vector<uint32_t> refused;  // Candidates that failed their checks.
   for (size_t pos = 0; pos < blocks.size(); pos += window_size) {
     size_t end = std::min(blocks.size(), pos + window_size);
     std::vector<ssp::Request> gets;
@@ -996,10 +997,19 @@ Status SharoesClient::FetchBlocks(Node* node,
     SHAROES_ASSIGN_OR_RETURN(std::vector<ssp::Response> resps,
                              MultiGet(std::move(gets)));
     for (size_t j = pos; j < end; ++j) {
-      SHAROES_RETURN_IF_ERROR(OpenDataReply(node, blocks[j], resps[j - pos]));
+      const bool candidate = node->candidates.count(blocks[j]) != 0;
+      Status opened = OpenDataReply(node, blocks[j], resps[j - pos]);
+      if (!opened.ok() && candidate &&
+          resps[j - pos].status == ssp::RespStatus::kNotModified) {
+        refused.push_back(blocks[j]);
+        continue;
+      }
+      SHAROES_RETURN_IF_ERROR(opened);
     }
   }
-  return Status::OK();
+  // TakeCandidate dropped the refused candidates, so these gets carry no
+  // digest.
+  return refused.empty() ? Status::OK() : FetchBlocks(node, refused);
 }
 
 Result<Bytes> SharoesClient::FetchFileContent(Node node) {

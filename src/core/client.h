@@ -403,7 +403,9 @@ class SharoesClient : public FsClient {
   /// node->candidates.
   ssp::Request DataGet(Node* node, uint32_t block);
   /// Fetches `blocks` of `node` in readahead windows (one batched round
-  /// trip each) and opens every reply strictly (OpenDataReply).
+  /// trip each) and opens every reply strictly (OpenDataReply). A
+  /// candidate that fails its checks is fetched again without a digest,
+  /// once.
   Status FetchBlocks(Node* node, const std::vector<uint32_t>& blocks);
   Result<Bytes> FetchFileContent(Node node);
   /// The file's content from node->window, checked against the

@@ -31,6 +31,9 @@ struct ShardedChannel::SubState {
   /// SettleRead compares clean object bytes and raw generations.
   std::vector<std::optional<ssp::VersionedReply>> replies;
   uint32_t replied = 0;  // Set entries in `replies`.
+  /// A conditional get that SettleRead re-asks as a plain one; `req`
+  /// then points here.
+  std::optional<Request> plain;
   uint32_t acks = 0;
   bool wrong_shard = false;
   bool done = false;
@@ -417,6 +420,25 @@ void ShardedChannel::SettleRead(SubState* sub) {
   //    holding the strictly higher generation).
   const ssp::Freshest fresh =
       ssp::SettleFreshest(sub->replies, sub->req->payload);
+  // A kNotModified that wins nothing (its generation ties a kOk reply of
+  // other bytes) is no evidence the chain below can weigh: it holds no
+  // bytes, so a lone kOk would pass for a majority and be repaired over
+  // the copy the reader named. Ask the quorum again without the digest,
+  // once, so the read settles exactly as a plain one would.
+  const bool any_not_modified = std::any_of(
+      sub->replies.begin(), sub->replies.end(), [](const auto& r) {
+        return r.has_value() && r->status == RespStatus::kNotModified;
+      });
+  if (any_not_modified && !fresh.deleted && !fresh.live.has_value() &&
+      !sub->plain.has_value()) {
+    sub->plain = *sub->req;
+    sub->plain->payload.clear();
+    sub->req = &*sub->plain;
+    sub->replies.assign(sub->replies.size(), std::nullopt);
+    sub->targeted.assign(sub->targeted.size(), 0);
+    sub->replied = 0;
+    return;
+  }
   sub->done = true;
   // Deleted, or unanimous absence (kNotFound, possibly with lower-gen
   // tombstones that lost to nothing live). A winning tombstone is

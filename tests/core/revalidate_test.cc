@@ -187,19 +187,25 @@ TEST_F(RevalidateTest, BlocksTheReaderSealedItselfAreNotCandidates) {
 }
 
 TEST_F(RevalidateTest, FalseNotModifiedForAChangedChunkNeverReadsStale) {
-  ASSERT_TRUE(alice().WriteFile("/doc.txt", Blocks(2, 'a')).ok());
-  auto lied_to = LiedToBob();
-  ASSERT_TRUE(lied_to->Read("/doc.txt").ok());
-  // Every chunk changes; the faulty SSP claims each is unchanged.
-  const Bytes next = Blocks(2, 'q');
-  ASSERT_TRUE(alice().WriteFile("/doc.txt", next).ok());
-  ASSERT_TRUE(lied_to->EvictPath("/doc.txt").ok());
-  auto read = lied_to->Read("/doc.txt");
-  EXPECT_GE(liar_->lies(), 2);
-  // The candidates fail the new descriptor's write generations and are
-  // fetched again without a digest: the current content.
-  ASSERT_TRUE(read.ok()) << read.status();
-  EXPECT_EQ(*read, next);
+  // 2 chunks sit in the first data window; 7 run past it, into the
+  // strict path's readahead windows.
+  for (size_t chunks : {2, 7}) {
+    SCOPED_TRACE(chunks);
+    ASSERT_TRUE(alice().WriteFile("/doc.txt", Blocks(chunks, 'a')).ok());
+    auto lied_to = LiedToBob();
+    ASSERT_TRUE(lied_to->Read("/doc.txt").ok());
+    // Every chunk changes; the faulty SSP claims each is unchanged.
+    const Bytes next = Blocks(chunks, 'q');
+    ASSERT_TRUE(alice().WriteFile("/doc.txt", next).ok());
+    ASSERT_TRUE(lied_to->EvictPath("/doc.txt").ok());
+    const int lies = liar_->lies();
+    auto read = lied_to->Read("/doc.txt");
+    EXPECT_EQ(liar_->lies() - lies, static_cast<int>(chunks));
+    // The candidates fail the new descriptor's write generations and are
+    // fetched again without a digest: the current content.
+    ASSERT_TRUE(read.ok()) << read.status();
+    EXPECT_EQ(*read, next);
+  }
 }
 
 TEST_F(RevalidateTest, TamperedStoredChunkIsStillCorruption) {

@@ -214,5 +214,38 @@ TEST_F(StaleReplicaTest, NotModifiedWinnerSkipsAndCountsTheRepair) {
   EXPECT_EQ(Held(2), v2_);
 }
 
+TEST_F(StaleReplicaTest, DivergedCopiesAtOneGenerationSettleAsAPlainRead) {
+  // The two replicas an R=2 read asks hold different bytes at the same
+  // generation. A plain read sees a tie, answers by ring preference and
+  // repairs nothing. A conditional get naming either copy must settle the
+  // same way: a lone kOk beside a kNotModified is no majority, and
+  // repairing from it would overwrite the copy the reader named.
+  const ObjectRef ref = ObjectRef::Data(inode_, 2);
+  const std::vector<uint32_t> order = cluster_->ring().ReplicaIndicesFor(inode_);
+  const Bytes x{0x0a, 0x0a};
+  const Bytes y{0x0b, 0x0b, 0x0b};
+  auto store = [&](uint32_t node) -> ObjectStore& {
+    return cluster_->node(static_cast<int>(node))->server()->store();
+  };
+  ASSERT_TRUE(store(order[0]).Put(ref, x, 5));
+  ASSERT_TRUE(store(order[1]).Put(ref, y, 5));
+
+  for (const Bytes& held : {x, y}) {
+    auto reader = cluster_->MakeChannel();
+    auto got = reader->Call(ConditionalGet(inode_, 2, held));
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(got->status, RespStatus::kOk);
+    EXPECT_EQ(got->payload, x) << "ring preference answers the tie";
+    EXPECT_EQ(reader->read_repairs(), 0u);
+    EXPECT_EQ(store(order[0]).Get(ref), x);
+    EXPECT_EQ(store(order[1]).Get(ref), y);
+  }
+  auto reader = cluster_->MakeChannel();
+  auto plain = reader->Call(Request::GetData(inode_, 2));
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ(plain->payload, x);
+  EXPECT_EQ(reader->read_repairs(), 0u);
+}
+
 }  // namespace
 }  // namespace sharoes::ssp
