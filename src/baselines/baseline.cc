@@ -1,5 +1,7 @@
 #include "baselines/baseline.h"
 
+#include <map>
+
 #include "crypto/ctr.h"
 #include "crypto/merkle.h"
 #include "fs/path.h"
@@ -118,16 +120,15 @@ void BaselineCodec::FilePuts(fs::InodeNum inode, const Bytes& dek,
                              const Bytes& content,
                              std::vector<ssp::Request>* out,
                              std::vector<Bytes>* plain_out) {
-  size_t bs = options_.block_size;
   core::DataDescriptor desc;
   desc.size = content.size();
-  desc.block_count = core::BlockCount(content.size(), bs);
+  desc.block_count = core::BlockCount(content.size());
   // Baselines have no per-block AEAD tags; the zero root keeps the
   // descriptor wire shape shared with the SHAROES client.
   desc.tag_root = Bytes(crypto::kMerkleRootSize, 0);
   // Block 0 holds a directory's table, so a file's blocks start at 1.
   for (uint32_t i = 0; i < desc.block_count; ++i) {
-    auto [begin, end] = core::ChunkRange(i, content.size(), bs);
+    auto [begin, end] = core::ChunkRange(i, content.size());
     BinaryWriter w;
     if (i == 0) desc.AppendTo(&w);
     w.PutRaw(content.data() + begin, end - begin);
@@ -199,28 +200,10 @@ BaselineClient::BaselineClient(fs::UserId uid,
                                ssp::SspChannel* conn,
                                crypto::CryptoEngine* engine,
                                const BaselineOptions& options)
-    : uid_(uid),
-      principal_(identity->PrincipalOf(uid)),
-      user_priv_(std::move(user_private_key)),
-      identity_(identity),
-      conn_(conn),
-      engine_(engine),
+    : FsClient(uid, std::move(user_private_key), identity, conn, engine,
+               options.cache_bytes),
       options_(options),
-      codec_(identity, engine, options),
-      cache_(options.cache_bytes),
-      inode_counter_(engine->rng().NextU64() & 0xFFFFFFFFULL) {}
-
-void BaselineClient::ChargeClientOverhead() {
-  if (engine_->clock() != nullptr) {
-    engine_->clock()->AdvanceMs(core::kClientOverheadMs,
-                                CostCategory::kOther);
-  }
-}
-
-fs::InodeNum BaselineClient::AllocateInode() {
-  return (static_cast<uint64_t>(uid_) + 2) << 40 |
-         (inode_counter_++ & 0xFFFFFFFFFFull);
-}
+      codec_(identity, engine, options) {}
 
 void BaselineClient::InvalidateInode(fs::InodeNum inode) {
   // Whole keys, but for data blocks: "d|12|" must not cover "d|120|0".
@@ -230,25 +213,11 @@ void BaselineClient::InvalidateInode(fs::InodeNum inode) {
   cache_.ErasePrefix("d|" + id + "|");
 }
 
-Status BaselineClient::EvictPath(const std::string& path) {
-  BaselineRecord rec;
-  SHAROES_RETURN_IF_ERROR(ResolveInode(path, &rec).status());
-  InvalidateInode(rec.attrs.inode);
-  return Status::OK();
-}
-
-Status BaselineClient::Mount() {
-  principal_ = identity_->PrincipalOf(uid_);
-  ChargeClientOverhead();
+Status BaselineClient::OpenSuperblock() {
   SHAROES_ASSIGN_OR_RETURN(
-      ssp::Response resp,
-      conn_->Call(ssp::Request::GetSuperblock(kSuperblockSlot)));
-  SHAROES_RETURN_IF_ERROR(ssp::ReadStatus(resp.status, "superblock"));
-  SHAROES_ASSIGN_OR_RETURN(fs::Superblock sb,
-                           fs::Superblock::Deserialize(resp.payload));
-  (void)sb;
-  mounted_ = true;
-  return Status::OK();
+      Bytes sb, Get(ssp::Request::GetSuperblock(kSuperblockSlot),
+                    "superblock"));
+  return fs::Superblock::Deserialize(sb).status();
 }
 
 Result<BaselineRecord> BaselineClient::FetchRecord(fs::InodeNum inode) {
@@ -258,12 +227,10 @@ Result<BaselineRecord> BaselineClient::FetchRecord(fs::InodeNum inode) {
     case SecurityMode::kNoEncMdD:
     case SecurityMode::kNoEncMd: {
       SHAROES_ASSIGN_OR_RETURN(
-          ssp::Response resp,
-          conn_->Call(ssp::Request::GetMetadata(inode, 0)));
-      SHAROES_RETURN_IF_ERROR(ssp::ReadStatus(resp.status, "metadata"));
+          Bytes plain, Get(ssp::Request::GetMetadata(inode, 0), "metadata"));
       SHAROES_ASSIGN_OR_RETURN(BaselineRecord rec,
-                               BaselineRecord::Deserialize(resp.payload));
-      cache_.Put(key, rec, resp.payload.size());
+                               BaselineRecord::Deserialize(plain));
+      cache_.Put(key, rec, plain.size());
       return rec;
     }
     case SecurityMode::kPubOpt: {
@@ -272,8 +239,7 @@ Result<BaselineRecord> BaselineClient::FetchRecord(fs::InodeNum inode) {
       reqs.push_back(ssp::Request::GetMetadata(inode, 0));
       reqs.push_back(ssp::Request::GetUserMetadata(inode, uid_));
       SHAROES_ASSIGN_OR_RETURN(
-          ssp::Response resp,
-          conn_->Call(ssp::Request::Batch(std::move(reqs))));
+          ssp::Response resp, Rpc(ssp::Request::Batch(std::move(reqs))));
       SHAROES_RETURN_IF_ERROR(ssp::ReadStatus(resp.status, "record batch"));
       if (resp.batch.size() != 2) {
         return Status::IoError("short batch response");
@@ -296,14 +262,13 @@ Result<BaselineRecord> BaselineClient::FetchRecord(fs::InodeNum inode) {
     }
     case SecurityMode::kPublic: {
       SHAROES_ASSIGN_OR_RETURN(
-          ssp::Response resp,
-          conn_->Call(ssp::Request::GetUserMetadata(inode, uid_)));
-      SHAROES_RETURN_IF_ERROR(ssp::ReadStatus(resp.status, "metadata copy"));
+          Bytes sealed, Get(ssp::Request::GetUserMetadata(inode, uid_),
+                            "metadata copy"));
       SHAROES_ASSIGN_OR_RETURN(Bytes plain,
-                               engine_->PkDecrypt(user_priv_, resp.payload));
+                               engine_->PkDecrypt(user_priv_, sealed));
       SHAROES_ASSIGN_OR_RETURN(BaselineRecord rec,
                                BaselineRecord::Deserialize(plain));
-      cache_.Put(key, rec, resp.payload.size());
+      cache_.Put(key, rec, sealed.size());
       return rec;
     }
   }
@@ -314,28 +279,24 @@ Result<fs::DirTable> BaselineClient::FetchTable(const BaselineRecord& dir) {
   std::string key = "t|" + std::to_string(dir.attrs.inode);
   if (auto cached = cache_.Get<fs::DirTable>(key)) return *cached;
   SHAROES_ASSIGN_OR_RETURN(
-      ssp::Response resp,
-      conn_->Call(ssp::Request::GetData(dir.attrs.inode, 0)));
-  SHAROES_RETURN_IF_ERROR(ssp::ReadStatus(resp.status, "dir table"));
-  Bytes plain = resp.payload;
+      Bytes wire, Get(ssp::Request::GetData(dir.attrs.inode, 0), "dir table"));
+  Bytes plain = wire;
   if (options_.mode != SecurityMode::kNoEncMdD) {
     SHAROES_ASSIGN_OR_RETURN(crypto::SymmetricKey dek,
                              crypto::SymmetricKey::Deserialize(dir.dek));
-    SHAROES_ASSIGN_OR_RETURN(plain, engine_->SymDecrypt(dek, resp.payload));
+    SHAROES_ASSIGN_OR_RETURN(plain, engine_->SymDecrypt(dek, wire));
   }
   SHAROES_ASSIGN_OR_RETURN(fs::DirTable table,
                            fs::DirTable::Deserialize(plain));
-  cache_.Put(key, table, resp.payload.size());
+  cache_.Put(key, table, wire.size());
   return table;
 }
 
-Result<fs::InodeNum> BaselineClient::ResolveInode(const std::string& path,
-                                                  BaselineRecord* out_record) {
+Result<BaselineRecord> BaselineClient::ResolveRecord(const std::string& path) {
   if (!mounted_) return Status::FailedPrecondition("not mounted");
   SHAROES_ASSIGN_OR_RETURN(std::vector<std::string> comps,
                            fs::SplitPath(path));
-  fs::InodeNum inode = fs::kRootInode;
-  SHAROES_ASSIGN_OR_RETURN(BaselineRecord rec, FetchRecord(inode));
+  SHAROES_ASSIGN_OR_RETURN(BaselineRecord rec, FetchRecord(fs::kRootInode));
   for (const std::string& comp : comps) {
     if (!rec.attrs.is_dir()) {
       return Status::InvalidArgument("'" + comp +
@@ -346,25 +307,24 @@ Result<fs::InodeNum> BaselineClient::ResolveInode(const std::string& path,
     if (!child.has_value()) {
       return Status::NotFound("no entry named '" + comp + "'");
     }
-    inode = *child;
-    SHAROES_ASSIGN_OR_RETURN(rec, FetchRecord(inode));
+    SHAROES_ASSIGN_OR_RETURN(rec, FetchRecord(*child));
   }
-  if (out_record != nullptr) *out_record = std::move(rec);
-  return inode;
+  return rec;
 }
 
-Result<fs::InodeAttrs> BaselineClient::Getattr(const std::string& path) {
-  ChargeClientOverhead();
-  BaselineRecord rec;
-  SHAROES_RETURN_IF_ERROR(ResolveInode(path, &rec).status());
+Result<fs::InodeNum> BaselineClient::ResolveInode(const std::string& path) {
+  SHAROES_ASSIGN_OR_RETURN(BaselineRecord rec, ResolveRecord(path));
+  return rec.attrs.inode;
+}
+
+Result<fs::InodeAttrs> BaselineClient::Stat(const std::string& path) {
+  SHAROES_ASSIGN_OR_RETURN(BaselineRecord rec, ResolveRecord(path));
   return rec.attrs;
 }
 
-Result<std::vector<std::string>> BaselineClient::Readdir(
+Result<std::vector<std::string>> BaselineClient::ListDir(
     const std::string& path) {
-  ChargeClientOverhead();
-  BaselineRecord rec;
-  SHAROES_RETURN_IF_ERROR(ResolveInode(path, &rec).status());
+  SHAROES_ASSIGN_OR_RETURN(BaselineRecord rec, ResolveRecord(path));
   if (!rec.attrs.is_dir()) return Status::InvalidArgument("not a directory");
   SHAROES_ASSIGN_OR_RETURN(fs::DirTable table, FetchTable(rec));
   std::vector<std::string> names;
@@ -373,22 +333,11 @@ Result<std::vector<std::string>> BaselineClient::Readdir(
   return names;
 }
 
-Status BaselineClient::ExecuteBatch(std::vector<ssp::Request> requests) {
-  if (requests.empty()) return Status::OK();
-  SHAROES_ASSIGN_OR_RETURN(
-      ssp::Response resp,
-      conn_->Call(ssp::Request::Batch(std::move(requests))));
-  if (!resp.ok()) return Status::IoError("SSP rejected batch");
-  return Status::OK();
-}
-
 Status BaselineClient::CreateObject(const std::string& path,
                                     fs::FileType type,
                                     const core::CreateOptions& opts) {
-  ChargeClientOverhead();
   SHAROES_ASSIGN_OR_RETURN(fs::SplitParent sp, fs::SplitParentName(path));
-  BaselineRecord parent;
-  SHAROES_RETURN_IF_ERROR(ResolveInode(sp.parent, &parent).status());
+  SHAROES_ASSIGN_OR_RETURN(BaselineRecord parent, ResolveRecord(sp.parent));
   if (!parent.attrs.is_dir()) {
     return Status::InvalidArgument("parent is not a directory");
   }
@@ -417,29 +366,19 @@ Status BaselineClient::CreateObject(const std::string& path,
   if (type == fs::FileType::kDirectory) {
     batch1.push_back(codec_.TablePut(rec, fs::DirTable{}));
   }
-  SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch1)));
+  SHAROES_RETURN_IF_ERROR(ExecuteBatchNow(batch1));
 
   // Batch 2: the parent's updated table.
   SHAROES_RETURN_IF_ERROR(table.Add(sp.name, rec.attrs.inode));
   std::vector<ssp::Request> batch2;
   batch2.push_back(codec_.TablePut(parent, table));
-  size_t table_size = batch2.back().payload.size();
-  SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch2)));
+  SHAROES_RETURN_IF_ERROR(ExecuteBatchNow(batch2));
   // Keep what we just wrote in cache (the client has it all in memory).
-  cache_.Put("t|" + std::to_string(parent.attrs.inode), table, table_size);
+  cache_.Put("t|" + std::to_string(parent.attrs.inode), table,
+             batch2.back().payload.size());
   cache_.Put("m|" + std::to_string(rec.attrs.inode), rec,
              rec.Serialize().size());
   return Status::OK();
-}
-
-Status BaselineClient::Mkdir(const std::string& path,
-                             const core::CreateOptions& opts) {
-  return CreateObject(path, fs::FileType::kDirectory, opts);
-}
-
-Status BaselineClient::Create(const std::string& path,
-                              const core::CreateOptions& opts) {
-  return CreateObject(path, fs::FileType::kFile, opts);
 }
 
 Result<Bytes> BaselineClient::FetchFileContent(const BaselineRecord& record) {
@@ -459,13 +398,11 @@ Result<Bytes> BaselineClient::FetchFileContent(const BaselineRecord& record) {
   if (auto cached = cache_.Get<Bytes>(key0)) {
     plain0 = *cached;
   } else {
-    SHAROES_ASSIGN_OR_RETURN(ssp::Response resp,
-                             conn_->Call(ssp::Request::GetData(inode, 1)));
-    Status got = ssp::ReadStatus(resp.status, "data block 1");
-    if (got.IsNotFound()) return Bytes{};  // Never written.
-    SHAROES_RETURN_IF_ERROR(got);
-    SHAROES_ASSIGN_OR_RETURN(plain0, decode(resp.payload));
-    cache_.Put(key0, plain0, resp.payload.size());
+    Result<Bytes> wire = Get(ssp::Request::GetData(inode, 1), "data block 1");
+    if (wire.status().IsNotFound()) return Bytes{};  // Never written.
+    SHAROES_RETURN_IF_ERROR(wire.status());
+    SHAROES_ASSIGN_OR_RETURN(plain0, decode(*wire));
+    cache_.Put(key0, plain0, wire->size());
   }
   BinaryReader r0(plain0);
   SHAROES_ASSIGN_OR_RETURN(core::DataDescriptor desc,
@@ -487,8 +424,7 @@ Result<Bytes> BaselineClient::FetchFileContent(const BaselineRecord& record) {
     }
     if (!gets.empty()) {
       SHAROES_ASSIGN_OR_RETURN(
-          ssp::Response resp,
-          conn_->Call(ssp::Request::Batch(std::move(gets))));
+          ssp::Response resp, Rpc(ssp::Request::Batch(std::move(gets))));
       SHAROES_RETURN_IF_ERROR(ssp::ReadStatus(resp.status, "block batch"));
       if (resp.batch.size() != missing.size()) {
         return Status::IoError("short batch response");
@@ -514,103 +450,59 @@ Result<Bytes> BaselineClient::FetchFileContent(const BaselineRecord& record) {
   return content;
 }
 
-Result<Bytes> BaselineClient::Read(const std::string& path) {
-  ChargeClientOverhead();
-  auto buf_it = write_buffers_.find(path);
-  if (buf_it != write_buffers_.end()) return buf_it->second.content;
-  BaselineRecord rec;
-  SHAROES_RETURN_IF_ERROR(ResolveInode(path, &rec).status());
-  if (rec.attrs.is_dir()) {
-    return Status::InvalidArgument("cannot Read a directory");
-  }
-  if (!fs::Allows(rec.attrs, principal_, fs::Access::kRead)) {
-    return Status::PermissionDenied("no read permission");
-  }
+Result<Bytes> BaselineClient::ReadFile(const std::string& path) {
+  SHAROES_ASSIGN_OR_RETURN(BaselineRecord rec, ResolveRecord(path));
+  SHAROES_RETURN_IF_ERROR(CheckFileAccess(rec.attrs, fs::Access::kRead));
   return FetchFileContent(rec);
 }
 
-Status BaselineClient::Write(const std::string& path, const Bytes& content) {
-  auto it = write_buffers_.find(path);
-  if (it != write_buffers_.end()) {
-    it->second.content = content;
-    it->second.dirty = true;
-    return Status::OK();
-  }
-  BaselineRecord rec;
-  SHAROES_RETURN_IF_ERROR(ResolveInode(path, &rec).status());
-  if (rec.attrs.is_dir()) {
-    return Status::InvalidArgument("cannot Write a directory");
-  }
-  if (!fs::Allows(rec.attrs, principal_, fs::Access::kWrite)) {
-    return Status::PermissionDenied("no write permission");
-  }
-  write_buffers_[path] = WriteBuffer{rec.attrs.inode, content, true};
-  return Status::OK();
+Result<fs::InodeNum> BaselineClient::OpenForWrite(const std::string& path) {
+  SHAROES_ASSIGN_OR_RETURN(BaselineRecord rec, ResolveRecord(path));
+  SHAROES_RETURN_IF_ERROR(CheckFileAccess(rec.attrs, fs::Access::kWrite));
+  return rec.attrs.inode;
 }
 
-Status BaselineClient::FlushBuffer(WriteBuffer* buf,
-                                   const BaselineRecord& record) {
+Status BaselineClient::FlushBuffer(const std::string& path,
+                                   const WriteBuffer& buf) {
+  SHAROES_ASSIGN_OR_RETURN(BaselineRecord rec, ResolveRecord(path));
   if (options_.mode != SecurityMode::kNoEncMdD) {
     SHAROES_RETURN_IF_ERROR(
-        crypto::SymmetricKey::Deserialize(record.dek).status());
+        crypto::SymmetricKey::Deserialize(rec.dek).status());
   }
   std::vector<ssp::Request> puts;
   std::vector<Bytes> plains;
-  codec_.FilePuts(buf->inode, record.dek, buf->content, &puts, &plains);
+  codec_.FilePuts(buf.inode, rec.dek, buf.content, &puts, &plains);
   for (size_t i = 0; i < plains.size(); ++i) {
-    cache_.Put("d|" + std::to_string(buf->inode) + "|" + std::to_string(i + 1),
+    cache_.Put("d|" + std::to_string(buf.inode) + "|" + std::to_string(i + 1),
                std::move(plains[i]), puts[i].payload.size());
   }
-  return ExecuteBatch(std::move(puts));
+  return ExecuteBatchNow(puts);
 }
 
-Status BaselineClient::Close(const std::string& path) {
-  ChargeClientOverhead();
-  auto it = write_buffers_.find(path);
-  if (it == write_buffers_.end()) return Status::OK();
-  Status s = Status::OK();
-  if (it->second.dirty) {
-    BaselineRecord rec;
-    auto r = ResolveInode(path, &rec);
-    if (!r.ok()) {
-      s = r.status();
-    } else {
-      s = FlushBuffer(&it->second, rec);
-    }
-  }
-  write_buffers_.erase(it);
-  return s;
-}
-
-Status BaselineClient::Chmod(const std::string& path, fs::Mode mode) {
-  ChargeClientOverhead();
-  BaselineRecord rec;
-  SHAROES_RETURN_IF_ERROR(ResolveInode(path, &rec).status());
+Status BaselineClient::ChangeMode(const std::string& path, fs::Mode mode) {
+  SHAROES_ASSIGN_OR_RETURN(BaselineRecord rec, ResolveRecord(path));
   if (uid_ != rec.attrs.owner) {
     return Status::PermissionDenied("only the owner may chmod");
   }
   rec.attrs.mode = mode;
   std::vector<ssp::Request> batch;
   SHAROES_RETURN_IF_ERROR(codec_.RecordPuts(rec, &batch));
-  SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch)));
+  SHAROES_RETURN_IF_ERROR(ExecuteBatchNow(batch));
   InvalidateInode(rec.attrs.inode);
   return Status::OK();
 }
 
 Status BaselineClient::RemoveObject(const std::string& path,
                                     fs::FileType type) {
-  ChargeClientOverhead();
   SHAROES_ASSIGN_OR_RETURN(fs::SplitParent sp, fs::SplitParentName(path));
-  BaselineRecord parent;
-  SHAROES_RETURN_IF_ERROR(ResolveInode(sp.parent, &parent).status());
+  SHAROES_ASSIGN_OR_RETURN(BaselineRecord parent, ResolveRecord(sp.parent));
   if (!fs::Allows(parent.attrs, principal_, fs::Access::kWrite)) {
     return Status::PermissionDenied("no write permission on directory");
   }
   SHAROES_ASSIGN_OR_RETURN(fs::DirTable table, FetchTable(parent));
   auto child = table.Lookup(sp.name);
   if (!child.has_value()) return Status::NotFound("'" + path + "' not found");
-  BaselineRecord child_rec;
-  SHAROES_RETURN_IF_ERROR(ResolveInode(path, &child_rec).status());
+  SHAROES_ASSIGN_OR_RETURN(BaselineRecord child_rec, ResolveRecord(path));
   if (child_rec.attrs.type != type) {
     return Status::InvalidArgument("type mismatch for remove");
   }
@@ -624,29 +516,22 @@ Status BaselineClient::RemoveObject(const std::string& path,
   SHAROES_RETURN_IF_ERROR(table.Remove(sp.name));
   std::vector<ssp::Request> batch;
   batch.push_back(codec_.TablePut(parent, table));
-  size_t table_size = batch.back().payload.size();
   // The metadata delete takes the inode's per-user objects with it.
   batch.push_back(ssp::Request::DeleteInodeMetadata(*child));
   batch.push_back(ssp::Request::DeleteInodeData(*child));
-  SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch)));
-  cache_.Put("t|" + std::to_string(parent.attrs.inode), table, table_size);
+  SHAROES_RETURN_IF_ERROR(ExecuteBatchNow(batch));
+  cache_.Put("t|" + std::to_string(parent.attrs.inode), table,
+             batch[0].payload.size());
   InvalidateInode(*child);
-  write_buffers_.erase(path);
   return Status::OK();
 }
 
-Status BaselineClient::Rename(const std::string& from,
-                              const std::string& to) {
-  ChargeClientOverhead();
-  SHAROES_ASSIGN_OR_RETURN(fs::SplitParent src, fs::SplitParentName(from));
-  SHAROES_ASSIGN_OR_RETURN(fs::SplitParent dst, fs::SplitParentName(to));
-  if (to.size() > from.size() && to.compare(0, from.size(), from) == 0 &&
-      to[from.size()] == '/') {
-    return Status::InvalidArgument("cannot move a directory into itself");
-  }
-  if (from == to) return Status::OK();
-  BaselineRecord src_parent;
-  SHAROES_RETURN_IF_ERROR(ResolveInode(src.parent, &src_parent).status());
+Status BaselineClient::RenameEntry(const std::string& from,
+                                   const fs::SplitParent& src,
+                                   const std::string& to,
+                                   const fs::SplitParent& dst) {
+  SHAROES_ASSIGN_OR_RETURN(BaselineRecord src_parent,
+                           ResolveRecord(src.parent));
   if (!fs::Allows(src_parent.attrs, principal_, fs::Access::kWrite)) {
     return Status::PermissionDenied("no write permission on directory");
   }
@@ -662,49 +547,33 @@ Status BaselineClient::Rename(const std::string& from,
     SHAROES_RETURN_IF_ERROR(src_table.Remove(src.name));
     SHAROES_RETURN_IF_ERROR(src_table.Add(dst.name, *child));
     batch.push_back(codec_.TablePut(src_parent, src_table));
-    size_t size = batch.back().payload.size();
-    SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch)));
+    SHAROES_RETURN_IF_ERROR(ExecuteBatchNow(batch));
     cache_.Put("t|" + std::to_string(src_parent.attrs.inode), src_table,
-               size);
-  } else {
-    BaselineRecord dst_parent;
-    SHAROES_RETURN_IF_ERROR(ResolveInode(dst.parent, &dst_parent).status());
-    if (!fs::Allows(dst_parent.attrs, principal_, fs::Access::kWrite)) {
-      return Status::PermissionDenied("no write permission on directory");
-    }
-    if (dst_parent.attrs.inode == *child) {
-      return Status::InvalidArgument("cannot move a directory into itself");
-    }
-    SHAROES_ASSIGN_OR_RETURN(fs::DirTable dst_table, FetchTable(dst_parent));
-    if (dst_table.Contains(dst.name)) {
-      return Status::AlreadyExists("'" + to + "' already exists");
-    }
-    SHAROES_RETURN_IF_ERROR(src_table.Remove(src.name));
-    SHAROES_RETURN_IF_ERROR(dst_table.Add(dst.name, *child));
-    batch.push_back(codec_.TablePut(src_parent, src_table));
-    batch.push_back(codec_.TablePut(dst_parent, dst_table));
-    size_t src_size = batch[0].payload.size();
-    size_t dst_size = batch[1].payload.size();
-    SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch)));
-    cache_.Put("t|" + std::to_string(src_parent.attrs.inode), src_table,
-               src_size);
-    cache_.Put("t|" + std::to_string(dst_parent.attrs.inode), dst_table,
-               dst_size);
+               batch[0].payload.size());
+    return Status::OK();
   }
-  auto buf_it = write_buffers_.find(from);
-  if (buf_it != write_buffers_.end()) {
-    write_buffers_[to] = std::move(buf_it->second);
-    write_buffers_.erase(buf_it);
+  SHAROES_ASSIGN_OR_RETURN(BaselineRecord dst_parent,
+                           ResolveRecord(dst.parent));
+  if (!fs::Allows(dst_parent.attrs, principal_, fs::Access::kWrite)) {
+    return Status::PermissionDenied("no write permission on directory");
   }
+  if (dst_parent.attrs.inode == *child) {
+    return Status::InvalidArgument("cannot move a directory into itself");
+  }
+  SHAROES_ASSIGN_OR_RETURN(fs::DirTable dst_table, FetchTable(dst_parent));
+  if (dst_table.Contains(dst.name)) {
+    return Status::AlreadyExists("'" + to + "' already exists");
+  }
+  SHAROES_RETURN_IF_ERROR(src_table.Remove(src.name));
+  SHAROES_RETURN_IF_ERROR(dst_table.Add(dst.name, *child));
+  batch.push_back(codec_.TablePut(src_parent, src_table));
+  batch.push_back(codec_.TablePut(dst_parent, dst_table));
+  SHAROES_RETURN_IF_ERROR(ExecuteBatchNow(batch));
+  cache_.Put("t|" + std::to_string(src_parent.attrs.inode), src_table,
+             batch[0].payload.size());
+  cache_.Put("t|" + std::to_string(dst_parent.attrs.inode), dst_table,
+             batch[1].payload.size());
   return Status::OK();
-}
-
-Status BaselineClient::Unlink(const std::string& path) {
-  return RemoveObject(path, fs::FileType::kFile);
-}
-
-Status BaselineClient::Rmdir(const std::string& path) {
-  return RemoveObject(path, fs::FileType::kDirectory);
 }
 
 }  // namespace sharoes::baselines

@@ -1,6 +1,8 @@
-// The four comparison systems of the paper's evaluation (§V), sharing the
-// SHAROES client/SSP/network substrate so measured differences come only
-// from their security designs:
+// The four comparison systems of the paper's evaluation (§V). They share
+// with SHAROES the one client front end (core::FsClient: write buffers,
+// path rules, the per-op charge, every SSP exchange and the mutating-batch
+// reply rule), the SSP and the simulated network, so measured differences
+// come only from their security designs:
 //
 //   NO-ENC-MD-D : no encryption at all — the networking/implementation
 //                 baseline for a wide-area filesystem.
@@ -28,11 +30,8 @@
 #ifndef SHAROES_BASELINES_BASELINE_H_
 #define SHAROES_BASELINES_BASELINE_H_
 
-#include <map>
-#include <memory>
 #include <string>
 
-#include "core/cache.h"
 #include "core/fs_client.h"
 #include "core/identity.h"
 #include "core/migration.h"
@@ -64,7 +63,6 @@ struct BaselineRecord {
 struct BaselineOptions {
   SecurityMode mode = SecurityMode::kNoEncMdD;
   size_t cache_bytes = 64ull << 20;
-  size_t block_size = 4096;
 };
 
 /// The one writer of the baseline layout, shared by the provisioner and
@@ -118,7 +116,11 @@ class BaselineProvisioner {
   fs::InodeNum next_inode_ = fs::kRootInode;
 };
 
-/// The baseline client filesystem.
+/// The baseline client filesystem: the FsClient hooks over the per-mode
+/// records above. Permission checks are client-side. A read costs one
+/// round trip per record (PUB-OPT batches the sealed record with the
+/// wrapped key), per directory table and for block 1 with the descriptor,
+/// plus one batch for the rest of a file's blocks.
 class BaselineClient : public core::FsClient {
  public:
   BaselineClient(fs::UserId uid, crypto::RsaPrivateKey user_private_key,
@@ -126,61 +128,33 @@ class BaselineClient : public core::FsClient {
                  ssp::SspChannel* conn, crypto::CryptoEngine* engine,
                  const BaselineOptions& options);
 
-  Status Mount() override;
-  Result<fs::InodeAttrs> Getattr(const std::string& path) override;
-  Status Mkdir(const std::string& path,
-               const core::CreateOptions& opts) override;
-  Status Create(const std::string& path,
-                const core::CreateOptions& opts) override;
-  Result<Bytes> Read(const std::string& path) override;
-  Status Write(const std::string& path, const Bytes& content) override;
-  Status Close(const std::string& path) override;
-  Result<std::vector<std::string>> Readdir(const std::string& path) override;
-  Status Chmod(const std::string& path, fs::Mode mode) override;
-  Status Unlink(const std::string& path) override;
-  Status Rmdir(const std::string& path) override;
-  Status Rename(const std::string& from, const std::string& to) override;
-
-  core::LruCache& cache() { return cache_; }
-  void DropCaches() { cache_.Clear(); }
-  /// Drops one object's cached state, keeping the path prefix warm.
-  Status EvictPath(const std::string& path);
-
  private:
-  struct WriteBuffer {
-    fs::InodeNum inode;
-    Bytes content;
-    bool dirty = false;
-  };
+  // --- FsClient hooks (core/fs_client.h) ---
+  Status OpenSuperblock() override;
+  Result<fs::InodeAttrs> Stat(const std::string& path) override;
+  Result<fs::InodeNum> ResolveInode(const std::string& path) override;
+  Result<std::vector<std::string>> ListDir(const std::string& path) override;
+  Result<Bytes> ReadFile(const std::string& path) override;
+  Result<fs::InodeNum> OpenForWrite(const std::string& path) override;
+  Status FlushBuffer(const std::string& path, const WriteBuffer& buf) override;
+  Status CreateObject(const std::string& path, fs::FileType type,
+                      const core::CreateOptions& opts) override;
+  Status RemoveObject(const std::string& path, fs::FileType type) override;
+  Status RenameEntry(const std::string& from, const fs::SplitParent& src,
+                     const std::string& to,
+                     const fs::SplitParent& dst) override;
+  Status ChangeMode(const std::string& path, fs::Mode mode) override;
+  void InvalidateInode(fs::InodeNum inode) override;
 
   Result<BaselineRecord> FetchRecord(fs::InodeNum inode);
   Result<fs::DirTable> FetchTable(const BaselineRecord& dir);
-  Result<fs::InodeNum> ResolveInode(const std::string& path,
-                                    BaselineRecord* out_record);
-  Status CreateObject(const std::string& path, fs::FileType type,
-                      const core::CreateOptions& opts);
-  Status RemoveObject(const std::string& path, fs::FileType type);
-  Status FlushBuffer(WriteBuffer* buf, const BaselineRecord& record);
+  /// The record of the object at `path`, descending from the root.
+  Result<BaselineRecord> ResolveRecord(const std::string& path);
   Result<Bytes> FetchFileContent(const BaselineRecord& record);
-  Status ExecuteBatch(std::vector<ssp::Request> requests);
-  void ChargeClientOverhead();
-  fs::InodeNum AllocateInode();
-  void InvalidateInode(fs::InodeNum inode);
 
-  fs::UserId uid_;
-  fs::Principal principal_;
-  crypto::RsaPrivateKey user_priv_;
-  const core::IdentityDirectory* identity_;
-  ssp::SspChannel* conn_;
-  crypto::CryptoEngine* engine_;
   BaselineOptions options_;
   BaselineCodec codec_;
-  core::LruCache cache_;
-  bool mounted_ = false;
-  std::map<std::string, WriteBuffer> write_buffers_;
-  uint64_t inode_counter_;
 };
-
 
 }  // namespace sharoes::baselines
 

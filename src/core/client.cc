@@ -57,61 +57,11 @@ SharoesClient::SharoesClient(fs::UserId uid,
                              ssp::SspChannel* conn,
                              crypto::CryptoEngine* engine,
                              const ClientOptions& options)
-    : uid_(uid),
-      principal_(identity->PrincipalOf(uid)),
-      user_priv_(std::move(user_private_key)),
-      identity_(identity),
-      conn_(conn),
-      engine_(engine),
+    : FsClient(uid, std::move(user_private_key), identity, conn, engine,
+               options.cache_bytes),
       codec_(engine, identity, options.scheme),
       options_(options),
-      cache_(options.cache_bytes),
-      neg_cache_(kNegativeDentryBytes, nullptr, "client.dentry.neg"),
-      rpc_trips_counter_(
-          obs::MetricsRegistry::Global().counter("client.rpc.round_trips")),
-      inode_counter_(engine->rng().NextU64() & 0xFFFFFFFFULL) {}
-
-SharoesClient::OpScope::OpScope(SharoesClient* client, const char* op)
-    : client_(client),
-      span_(op),
-      start_trips_(client->rpc_round_trips_),
-      trips_hist_(obs::MetricsRegistry::Global().histogram(
-          std::string("client.rpc.round_trips.") + op)) {}
-
-SharoesClient::OpScope::~OpScope() {
-  trips_hist_->Record(client_->rpc_round_trips_ - start_trips_);
-}
-
-Result<ssp::Response> SharoesClient::Rpc(const ssp::Request& req) {
-  // Read barrier for the write-behind stage: before any read reaches the
-  // wire, staged mutations must land so the SSP answers reflect this
-  // client's own writes (read-your-writes). With staging on, a mutating
-  // request reaches the wire only as the flush batch itself
-  // (flushing_pending_); every other one is staged behind it.
-  if (!flushing_pending_ && !pending_writes_.empty()) {
-    SHAROES_RETURN_IF_ERROR(FlushPendingWrites());
-  }
-  ++rpc_round_trips_;
-  rpc_trips_counter_->Increment();
-  // Everything inside Call — serialization onto the socket, the server,
-  // the network, transport retries/backoff — is "waiting on the wire"
-  // from this op's point of view.
-  obs::PhaseScope wire_phase(obs::Phase::kWireWait);
-  return conn_->Call(req);
-}
-
-Result<Bytes> SharoesClient::Get(const ssp::Request& req,
-                                 const std::string& what) {
-  SHAROES_ASSIGN_OR_RETURN(ssp::Response resp, Rpc(req));
-  SHAROES_RETURN_IF_ERROR(ssp::ReadStatus(resp.status, what));
-  return std::move(resp.payload);
-}
-
-Result<std::string> SharoesClient::NormalizePath(const std::string& path) {
-  SHAROES_ASSIGN_OR_RETURN(std::vector<std::string> comps,
-                           fs::SplitPath(path));
-  return fs::JoinPath(comps);
-}
+      neg_cache_(kNegativeDentryBytes, nullptr, "client.dentry.neg") {}
 
 std::vector<uint32_t> SharoesClient::FirstDataWindow(
     fs::InodeNum inode, const DataDescriptor* desc) const {
@@ -133,12 +83,6 @@ std::vector<uint32_t> SharoesClient::FirstDataWindow(
     if (!cache_.Contains(DataCacheKey(inode, i))) blocks.push_back(i);
   }
   return blocks;
-}
-
-void SharoesClient::ChargeClientOverhead() {
-  if (engine_->clock() != nullptr) {
-    engine_->clock()->AdvanceMs(kClientOverheadMs, CostCategory::kOther);
-  }
 }
 
 std::string SharoesClient::ViewCacheKey(fs::InodeNum inode,
@@ -222,30 +166,12 @@ void SharoesClient::DropCaches() {
   group_secrets_.clear();
 }
 
-Status SharoesClient::EvictPath(const std::string& path) {
-  SHAROES_ASSIGN_OR_RETURN(Node node, ResolvePath(path));
-  InvalidateInode(node.ref.inode);
-  return Status::OK();
-}
-
-fs::InodeNum SharoesClient::AllocateInode() {
-  // Partitioned allocation: the high bits carry the creator's uid, so
-  // clients never contend on a shared counter (the SSP performs no
-  // computation and cannot allocate).
-  return (static_cast<uint64_t>(uid_) + 2) << 40 |
-         (inode_counter_++ & 0xFFFFFFFFFFull);
-}
-
-Status SharoesClient::Mount() {
-  OpScope span(this, "Mount");
-  principal_ = identity_->PrincipalOf(uid_);
-  ChargeClientOverhead();
+Status SharoesClient::OpenSuperblock() {
   SHAROES_ASSIGN_OR_RETURN(
       Bytes sealed, Get(ssp::Request::GetSuperblock(uid_),
                         "superblock of user " + std::to_string(uid_)));
   SHAROES_ASSIGN_OR_RETURN(superblock_,
                            codec_.DecodeSuperblock(user_priv_, sealed));
-  mounted_ = true;
   return Status::OK();
 }
 
@@ -671,32 +597,25 @@ Result<SharoesClient::Node> SharoesClient::ResolvePath(
   }
 }
 
-Result<fs::InodeAttrs> SharoesClient::Getattr(const std::string& path) {
-  OpScope span(this, "Getattr");
-  ChargeClientOverhead();
+Result<fs::InodeAttrs> SharoesClient::Stat(const std::string& path) {
   SHAROES_ASSIGN_OR_RETURN(Node node, ResolvePath(path));
   fs::InodeAttrs attrs = node.view.attrs;
-  // File sizes live in the signed data descriptor, not in metadata (plain
-  // writers hold no MSK — see DESIGN.md §5). Report the freshest size
-  // this client can know without extra round trips: a dirty write buffer
-  // or the locally cached descriptor.
   if (!attrs.is_dir()) {
-    SHAROES_ASSIGN_OR_RETURN(std::string norm, NormalizePath(path));
-    auto buf_it = write_buffers_.find(norm);
-    if (buf_it != write_buffers_.end()) {
-      attrs.size = buf_it->second.content.size();
-    } else if (auto desc = cache_.Get<DataDescriptor>(
-                   DataCacheKey(node.ref.inode, 0))) {
+    if (auto desc =
+            cache_.Get<DataDescriptor>(DataCacheKey(node.ref.inode, 0))) {
       attrs.size = desc->size;
     }
   }
   return attrs;
 }
 
-Result<std::vector<std::string>> SharoesClient::Readdir(
+Result<fs::InodeNum> SharoesClient::ResolveInode(const std::string& path) {
+  SHAROES_ASSIGN_OR_RETURN(Node node, ResolvePath(path));
+  return node.ref.inode;
+}
+
+Result<std::vector<std::string>> SharoesClient::ListDir(
     const std::string& path) {
-  OpScope span(this, "Readdir");
-  ChargeClientOverhead();
   SHAROES_ASSIGN_OR_RETURN(Node node, ResolvePath(path, ReadIntent::kTable));
   if (!node.view.attrs.is_dir()) {
     return Status::InvalidArgument("not a directory");
@@ -726,48 +645,13 @@ Status SharoesClient::ExecuteBatch(std::vector<ssp::Request> requests) {
   }
   if (pending_writes_.size() >= options_.write_batch_ops ||
       pending_write_bytes_ >= options_.write_batch_bytes) {
-    return FlushPendingWrites();
+    return FlushStaged();
   }
   return Status::OK();
 }
 
-Status SharoesClient::ExecuteBatchNow(
-    const std::vector<ssp::Request>& requests) {
-  SHAROES_ASSIGN_OR_RETURN(ssp::Response resp,
-                           Rpc(ssp::Request::Batch(requests)));
-  if (!resp.ok()) {
-    std::string what = std::string("SSP rejected batch of ") +
-                       std::to_string(requests.size()) + " ops (" +
-                       ssp::RespStatusName(resp.status) + ")";
-    // kError = well-formed but not executed with a durability guarantee;
-    // the idempotent sub-ops are safe to re-issue. kBadRequest is final.
-    return resp.status == ssp::RespStatus::kError ? Status::Unavailable(what)
-                                                  : Status::IoError(what);
-  }
-  if (resp.batch.size() != requests.size()) {
-    return Status::IoError("SSP answered " +
-                           std::to_string(resp.batch.size()) +
-                           " sub-responses to a batch of " +
-                           std::to_string(requests.size()));
-  }
-  for (size_t i = 0; i < resp.batch.size(); ++i) {
-    const ssp::Response& sub = resp.batch[i];
-    if (sub.status == ssp::RespStatus::kBadRequest ||
-        sub.status == ssp::RespStatus::kError) {
-      std::string what =
-          std::string("SSP rejected batched sub-op ") + std::to_string(i) +
-          "/" + std::to_string(requests.size()) + " (" +
-          ssp::OpCodeName(requests[i].op) + ": " +
-          ssp::RespStatusName(sub.status) + ")";
-      return sub.status == ssp::RespStatus::kError ? Status::Unavailable(what)
-                                                   : Status::IoError(what);
-    }
-  }
-  return Status::OK();
-}
-
-Status SharoesClient::FlushPendingWrites() {
-  if (pending_writes_.empty()) return Status::OK();
+Status SharoesClient::FlushStaged() {
+  if (flushing_pending_ || pending_writes_.empty()) return Status::OK();
   obs::PhaseScope flush_phase(obs::Phase::kStageFlush);
   flushing_pending_ = true;
   Status shipped = ExecuteBatchNow(pending_writes_);
@@ -798,11 +682,6 @@ Status SharoesClient::SettleBatch(const std::vector<ssp::Request>& requests,
   }
   for (fs::InodeNum inode : named) InvalidateInode(inode);
   return outcome;
-}
-
-Status SharoesClient::Fsync() {
-  OpScope scope(this, "Fsync");
-  return FlushPendingWrites();
 }
 
 Result<StoredMaster> SharoesClient::FetchMaster(const Node& dir,
@@ -895,8 +774,6 @@ Status SharoesClient::RenderDirTables(
 
 Status SharoesClient::CreateObject(const std::string& path, fs::FileType type,
                                    const CreateOptions& opts) {
-  OpScope span(this, type == fs::FileType::kDirectory ? "Mkdir" : "Create");
-  ChargeClientOverhead();
   if (!ModeSupported(type, opts.mode)) {
     return Status::Unsupported("mode " + opts.mode.ToString() +
                                " is not representable for a " +
@@ -957,16 +834,6 @@ Status SharoesClient::CreateObject(const std::string& path, fs::FileType type,
                empty.table.Serialize().size());
   }
   return Status::OK();
-}
-
-Status SharoesClient::Mkdir(const std::string& path,
-                            const CreateOptions& opts) {
-  return CreateObject(path, fs::FileType::kDirectory, opts);
-}
-
-Status SharoesClient::Create(const std::string& path,
-                             const CreateOptions& opts) {
-  return CreateObject(path, fs::FileType::kFile, opts);
 }
 
 ssp::Request SharoesClient::DataGet(Node* node, uint32_t block) {
@@ -1177,47 +1044,24 @@ Status SharoesClient::TakeCandidate(Node* node, uint32_t index) {
   return Status::OK();
 }
 
-Result<Bytes> SharoesClient::Read(const std::string& path) {
-  OpScope span(this, "Read");
-  ChargeClientOverhead();
-  SHAROES_ASSIGN_OR_RETURN(std::string norm, NormalizePath(path));
-  auto buf_it = write_buffers_.find(norm);
-  if (buf_it != write_buffers_.end()) return buf_it->second.content;
+Result<Bytes> SharoesClient::ReadFile(const std::string& path) {
   SHAROES_ASSIGN_OR_RETURN(Node node, ResolvePath(path, ReadIntent::kData));
-  if (node.view.attrs.is_dir()) {
-    return Status::InvalidArgument("cannot Read a directory");
-  }
-  if (!fs::Allows(node.view.attrs, principal_, fs::Access::kRead)) {
-    return Status::PermissionDenied("no read permission");
-  }
+  SHAROES_RETURN_IF_ERROR(CheckFileAccess(node.view.attrs, fs::Access::kRead));
   return FetchFileContent(std::move(node));
 }
 
-Status SharoesClient::Write(const std::string& path, const Bytes& content) {
-  OpScope span(this, "Write");
-  // Buffers key by the canonical spelling: "/a//b/" and "/a/b" are the
-  // same file and must hit the same dirty buffer.
-  SHAROES_ASSIGN_OR_RETURN(std::string norm, NormalizePath(path));
-  auto it = write_buffers_.find(norm);
-  if (it != write_buffers_.end()) {
-    it->second.content = content;
-    return Status::OK();
-  }
+Result<fs::InodeNum> SharoesClient::OpenForWrite(const std::string& path) {
   SHAROES_ASSIGN_OR_RETURN(Node node, ResolvePath(path));
-  if (node.view.attrs.is_dir()) {
-    return Status::InvalidArgument("cannot Write a directory");
-  }
-  if (!fs::Allows(node.view.attrs, principal_, fs::Access::kWrite)) {
-    return Status::PermissionDenied("no write permission");
-  }
+  SHAROES_RETURN_IF_ERROR(
+      CheckFileAccess(node.view.attrs, fs::Access::kWrite));
   if (!node.view.CanWriteData()) {
     return Status::PermissionDenied("CAP does not expose DEK/DSK");
   }
-  write_buffers_[norm] = WriteBuffer{node.ref.inode, content};
-  return Status::OK();
+  return node.ref.inode;
 }
 
-Status SharoesClient::FlushBuffer(const std::string& path, WriteBuffer* buf) {
+Status SharoesClient::FlushBuffer(const std::string& path,
+                                  const WriteBuffer& buf) {
   SHAROES_ASSIGN_OR_RETURN(Node node, ResolvePath(path));
   if (!node.view.CanWriteData()) {
     return Status::PermissionDenied("CAP does not expose DEK/DSK");
@@ -1228,24 +1072,23 @@ Status SharoesClient::FlushBuffer(const std::string& path, WriteBuffer* buf) {
   const bool key_rotated = node.view.dek_next.has_value();
   const crypto::SymmetricKey& dek =
       key_rotated ? *node.view.dek_next : *node.view.dek;
-  const Bytes& content = buf->content;
-  fs::InodeNum inode = buf->inode;
+  const Bytes& content = buf.content;
+  fs::InodeNum inode = buf.inode;
 
   // The paper divides files into blocks precisely so a write does not
   // re-encrypt the whole file (§II-B). When the previous version is in
   // the local cache, only changed blocks are re-encrypted and shipped.
   // Diff only when keys did not rotate and the file did not shrink.
-  const size_t bs = options_.block_size;
   std::optional<std::map<uint32_t, ObjectCodec::KeptBlock>> kept;
   auto old_desc = cache_.Get<DataDescriptor>(DataCacheKey(inode, 0));
   if (old_desc != nullptr && !key_rotated &&
-      1 + ChunkCount(content.size(), bs) >= old_desc->block_count) {
+      1 + ChunkCount(content.size()) >= old_desc->block_count) {
     kept.emplace();
     for (uint32_t i = 1; i < old_desc->block_count; ++i) {
       // A kept block's cached tag goes into the new descriptor's root,
       // which must commit to every chunk block, kept or rewritten.
       auto old = cache_.Get<OpenedBlock>(DataCacheKey(inode, i));
-      auto [begin, end] = ChunkRange(i - 1, content.size(), bs);
+      auto [begin, end] = ChunkRange(i - 1, content.size());
       if (old != nullptr &&
           std::equal(old->chunk.begin(), old->chunk.end(),
                      content.begin() + begin, content.begin() + end)) {
@@ -1274,7 +1117,7 @@ Result<ObjectCodec::RenderedFile> SharoesClient::RenderFileWrite(
   if (kept == nullptr && !versions_.Unwritten(inode)) {
     puts->push_back(ssp::Request::DeleteInodeData(inode));
   }
-  return codec_.RenderFile(inode, content, options_.block_size,
+  return codec_.RenderFile(inode, content,
                            ObjectCodec::DataBlockHeader{key_gen, write_gen},
                            dek, dsk, kept, puts);
 }
@@ -1314,26 +1157,7 @@ Result<uint64_t> SharoesClient::NextWriteGen(fs::InodeNum inode) {
   return versions_.Next(inode, h.write_gen);
 }
 
-Status SharoesClient::Close(const std::string& path) {
-  OpScope span(this, "Close");
-  ChargeClientOverhead();
-  SHAROES_ASSIGN_OR_RETURN(std::string norm, NormalizePath(path));
-  auto it = write_buffers_.find(norm);
-  Status s = Status::OK();
-  if (it != write_buffers_.end()) {
-    s = FlushBuffer(path, &it->second);
-    write_buffers_.erase(it);
-  }
-  // Close is a durability point: whatever the write-behind layer staged
-  // (this file's blocks, and any earlier logical ops sharing the batch)
-  // ships now, so a Close that returned OK means the SSP acked the data.
-  Status flushed = FlushPendingWrites();
-  return s.ok() ? flushed : s;
-}
-
-Status SharoesClient::Chmod(const std::string& path, fs::Mode mode) {
-  OpScope span(this, "Chmod");
-  ChargeClientOverhead();
+Status SharoesClient::ChangeMode(const std::string& path, fs::Mode mode) {
   SHAROES_ASSIGN_OR_RETURN(Node node, ResolvePath(path));
   fs::InodeAttrs attrs = node.view.attrs;
   if (uid_ != attrs.owner) {
@@ -1441,13 +1265,11 @@ Status SharoesClient::Chmod(const std::string& path, fs::Mode mode) {
   InvalidateInode(attrs.inode);
   // A revocation or rekey never waits in the stage; a widening chmod
   // stages like a create.
-  return revoke || dir_weakened ? FlushPendingWrites() : Status::OK();
+  return revoke || dir_weakened ? FlushStaged() : Status::OK();
 }
 
 Status SharoesClient::RemoveObject(const std::string& path,
                                    fs::FileType type) {
-  OpScope span(this, type == fs::FileType::kDirectory ? "Rmdir" : "Unlink");
-  ChargeClientOverhead();
   SHAROES_ASSIGN_OR_RETURN(fs::SplitParent sp, fs::SplitParentName(path));
   SHAROES_ASSIGN_OR_RETURN(WriterDirContext ctx, LoadDirForWrite(sp.parent));
   const MasterEntry* entry = ctx.master.table.Find(sp.name);
@@ -1486,29 +1308,13 @@ Status SharoesClient::RemoveObject(const std::string& path,
   batch.push_back(ssp::Request::DeleteInodeData(child_inode));
   SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch)));
   InvalidateInode(child_inode, /*keep_candidates=*/false);
-  SHAROES_ASSIGN_OR_RETURN(std::string norm, NormalizePath(path));
-  write_buffers_.erase(norm);
-  // A removal ships now, so its bytes never bill the next op's flush.
-  return FlushPendingWrites();
+  return Status::OK();
 }
 
-Status SharoesClient::Rename(const std::string& from,
-                             const std::string& to) {
-  OpScope span(this, "Rename");
-  ChargeClientOverhead();
-  SHAROES_ASSIGN_OR_RETURN(fs::SplitParent src, fs::SplitParentName(from));
-  SHAROES_ASSIGN_OR_RETURN(fs::SplitParent dst, fs::SplitParentName(to));
-  // Compare canonical spellings: "/a//b" and "/a/b" are the same path, and
-  // the prefix test below only works on canonical forms.
-  SHAROES_ASSIGN_OR_RETURN(std::string nfrom, NormalizePath(from));
-  SHAROES_ASSIGN_OR_RETURN(std::string nto, NormalizePath(to));
-  // Moving a directory under itself would orphan the subtree.
-  if (nto.size() > nfrom.size() && nto.compare(0, nfrom.size(), nfrom) == 0 &&
-      nto[nfrom.size()] == '/') {
-    return Status::InvalidArgument("cannot move a directory into itself");
-  }
-  if (nfrom == nto) return Status::OK();
-
+Status SharoesClient::RenameEntry(const std::string& from,
+                                  const fs::SplitParent& src,
+                                  const std::string& to,
+                                  const fs::SplitParent& dst) {
   SHAROES_ASSIGN_OR_RETURN(WriterDirContext src_ctx,
                            LoadDirForWrite(src.parent));
   MasterEntry* entry = src_ctx.master.table.Find(src.name);
@@ -1547,28 +1353,6 @@ Status SharoesClient::Rename(const std::string& from,
     SHAROES_RETURN_IF_ERROR(RenderDirTables(dst_ctx, &batch, &dst_changed));
     SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch)));
   }
-  // Any buffered writes follow the move — the file itself, and when a
-  // directory moves, every buffered file underneath it (their old paths
-  // no longer resolve, so a stranded buffer would flush into NotFound or,
-  // worse, a recreated file at the old path).
-  std::vector<std::pair<std::string, WriteBuffer>> moved_bufs;
-  for (auto it = write_buffers_.begin(); it != write_buffers_.end();) {
-    const std::string& key = it->first;
-    bool exact = key == nfrom;
-    bool under = key.size() > nfrom.size() &&
-                 key.compare(0, nfrom.size(), nfrom) == 0 &&
-                 key[nfrom.size()] == '/';
-    if (exact || under) {
-      moved_bufs.emplace_back(nto + key.substr(nfrom.size()),
-                              std::move(it->second));
-      it = write_buffers_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (auto& [new_key, buf] : moved_bufs) {
-    write_buffers_[new_key] = std::move(buf);
-  }
   return Status::OK();
 }
 
@@ -1594,15 +1378,7 @@ Status SharoesClient::RefreshDir(const std::string& path) {
   std::vector<ssp::Request> batch;
   SHAROES_RETURN_IF_ERROR(RenderDirTables(ctx, &batch, nullptr));
   SHAROES_RETURN_IF_ERROR(ExecuteBatch(std::move(batch)));
-  return FlushPendingWrites();
-}
-
-Status SharoesClient::Unlink(const std::string& path) {
-  return RemoveObject(path, fs::FileType::kFile);
-}
-
-Status SharoesClient::Rmdir(const std::string& path) {
-  return RemoveObject(path, fs::FileType::kDirectory);
+  return FlushStaged();
 }
 
 }  // namespace sharoes::core

@@ -1,15 +1,18 @@
 // SharoesClient: the SHAROES client filesystem (paper §IV-A).
 //
-// Implements the FsClient interface over the untrusted SSP using the full
-// CAP machinery: in-band key distribution through directory-table rows,
-// per-class metadata replicas, per-CAP table copies, split-point blocks,
-// per-user superblocks, group key blocks, and immediate or lazy
-// revocation on chmod.
+// Implements the FsClient hooks (core/fs_client.h) over the untrusted SSP
+// using the full CAP machinery: in-band key distribution through
+// directory-table rows, per-class metadata replicas, per-CAP table copies,
+// split-point blocks, per-user superblocks, group key blocks, and
+// immediate or lazy revocation on chmod. On top of the shared front end
+// it keeps its own data path (Merkle-checked chunk blocks, revalidation
+// candidates, rollback detection) and the write-behind stage whose flush
+// is the front end's read barrier.
 //
 // Costs: every SSP exchange is one round trip on the simulated WAN;
 // every cryptographic primitive charges the calibrated crypto cost; the
 // fixed client-side handling cost per logical operation is charged to
-// OTHER. The decomposition matches the paper's Figure 13.
+// OTHER by the front end. The decomposition matches the paper's Figure 13.
 
 #ifndef SHAROES_CORE_CLIENT_H_
 #define SHAROES_CORE_CLIENT_H_
@@ -24,7 +27,6 @@
 #include "core/file_versions.h"
 #include "core/fs_client.h"
 #include "core/object_codec.h"
-#include "obs/trace.h"
 #include "ssp/ssp_server.h"
 
 namespace sharoes::core {
@@ -39,7 +41,6 @@ struct ClientOptions {
   Scheme scheme = Scheme::kScheme2;
   RevocationMode revocation = RevocationMode::kImmediate;
   size_t cache_bytes = 64ull << 20;
-  size_t block_size = 4096;
   /// Group id attached to newly created objects.
   fs::GroupId default_group = fs::kInvalidGroup;
   /// Batched read path (DESIGN.md §11): data blocks fetched per batched
@@ -82,33 +83,10 @@ class SharoesClient : public FsClient {
                 const IdentityDirectory* identity, ssp::SspChannel* conn,
                 crypto::CryptoEngine* engine, const ClientOptions& options);
 
-  Status Mount() override;
-  Result<fs::InodeAttrs> Getattr(const std::string& path) override;
-  Status Mkdir(const std::string& path, const CreateOptions& opts) override;
-  Status Create(const std::string& path, const CreateOptions& opts) override;
-  Result<Bytes> Read(const std::string& path) override;
-  Status Write(const std::string& path, const Bytes& content) override;
-  Status Close(const std::string& path) override;
-  Result<std::vector<std::string>> Readdir(const std::string& path) override;
-  Status Chmod(const std::string& path, fs::Mode mode) override;
-  Status Unlink(const std::string& path) override;
-  Status Rmdir(const std::string& path) override;
-  Status Rename(const std::string& from, const std::string& to) override;
-
   /// Re-renders every table copy of a directory (owner or writer CAP
   /// required). Used after group-key rotation so split blocks are
   /// re-wrapped under the fresh group key.
   Status RefreshDir(const std::string& path);
-
-  /// Drains the write-behind stage (ClientOptions::write_batch_ops):
-  /// every staged mutating sub-op ships as one kBatch and the combined
-  /// outcome is returned. A no-op (OK) when nothing is staged or staging
-  /// is off, so callers may fsync unconditionally. On a transient
-  /// failure (Unavailable / DeadlineExceeded) the staged ops are KEPT
-  /// for the next flush attempt — replaying them is safe because every
-  /// sub-op is idempotent — so a transient fault can never silently
-  /// drop an acked-to-the-application write.
-  Status Fsync() override;
 
   /// Packs read-only sub-ops (kGet*) into one kBatch round trip and
   /// surfaces the per-sub-op responses — statuses are NOT collapsed into
@@ -120,33 +98,12 @@ class SharoesClient : public FsClient {
   /// Mutations are rejected; they go through the all-or-error write path.
   Result<std::vector<ssp::Response>> MultiGet(std::vector<ssp::Request> gets);
 
-  /// SSP round trips this client has issued (every Call on the channel,
-  /// batched or not). Also counted process-wide as
-  /// "client.rpc.round_trips" with per-op histograms
-  /// "client.rpc.round_trips.<Op>" in the global registry. Against a
-  /// cluster this counts LOGICAL round trips — a batch fanned out to
-  /// several shards in parallel inside one Call is one round trip (the
-  /// op's WAN cost is the max per shard, not the sum); the fan-out
-  /// width is its own histogram, "client.rpc.shard_fanout".
-  uint64_t rpc_round_trips() const { return rpc_round_trips_; }
-
-  LruCache& cache() { return cache_; }
   const ClientOptions& options() const { return options_; }
-  fs::UserId uid() const { return uid_; }
 
   /// Drops all cached cleartext, revalidation candidates included
   /// (forces re-fetch + re-decrypt; used by benchmarks to separate
   /// warm/cold behaviour).
-  void DropCaches();
-  /// Re-opens one object (close-to-open): drops its cached view,
-  /// descriptor and tables (InvalidateInode) while keeping the resolved
-  /// path prefix warm — models a dcache-warm client re-fetching one
-  /// object, the unit the paper's Figure 13 times. The object's own row
-  /// ref stays cached with its parent's table, split point or not, so the
-  /// re-fetch pays no RSA op. Chunk blocks it opened from fetched wire
-  /// stay as candidates the next read revalidates by digest instead of
-  /// downloading (DESIGN.md §19); blocks it sealed itself are dropped.
-  Status EvictPath(const std::string& path);
+  void DropCaches() override;
 
  private:
   /// A chunk block as the client caches it under "d|<inode>|<block>":
@@ -186,11 +143,6 @@ class SharoesClient : public FsClient {
     std::optional<TableHead> head;
     std::map<uint32_t, std::shared_ptr<const DecodedTable>> buckets;
   };
-  struct WriteBuffer {
-    fs::InodeNum inode;
-    Bytes content;
-  };
-
   /// What the caller of ResolvePath will need at the final level, so the
   /// descent's last fetch can speculatively batch it in (0 extra round
   /// trips; unneeded sub-gets come back as harmless kNotFound).
@@ -213,23 +165,36 @@ class SharoesClient : public FsClient {
     std::vector<std::shared_ptr<const DecodedTable>> buckets;
   };
 
-  /// RAII around one public client op: the trace span plus a sample in
-  /// "client.rpc.round_trips.<op>" of how many SSP round trips the op
-  /// issued — with batching, round trips are the op's WAN cost, so they
-  /// are first-class observable next to latency.
-  class OpScope {
-   public:
-    OpScope(SharoesClient* client, const char* op);
-    ~OpScope();
-    OpScope(const OpScope&) = delete;
-    OpScope& operator=(const OpScope&) = delete;
-
-   private:
-    SharoesClient* client_;
-    obs::ClientSpan span_;
-    uint64_t start_trips_;
-    obs::Histogram* trips_hist_;
-  };
+  // --- FsClient hooks (fs_client.h) ---
+  Status OpenSuperblock() override;
+  /// A file's size is the locally cached descriptor's, when there is one:
+  /// sizes live in the signed data descriptor, not in metadata (plain
+  /// writers hold no MSK — DESIGN.md §5).
+  Result<fs::InodeAttrs> Stat(const std::string& path) override;
+  Result<fs::InodeNum> ResolveInode(const std::string& path) override;
+  Result<std::vector<std::string>> ListDir(const std::string& path) override;
+  Result<Bytes> ReadFile(const std::string& path) override;
+  Result<fs::InodeNum> OpenForWrite(const std::string& path) override;
+  Status FlushBuffer(const std::string& path, const WriteBuffer& buf) override;
+  Status CreateObject(const std::string& path, fs::FileType type,
+                      const CreateOptions& opts) override;
+  Status RemoveObject(const std::string& path, fs::FileType type) override;
+  Status RenameEntry(const std::string& from, const fs::SplitParent& src,
+                     const std::string& to,
+                     const fs::SplitParent& dst) override;
+  Status ChangeMode(const std::string& path, fs::Mode mode) override;
+  /// A re-open keeps the inode's chunk blocks opened from fetched wire as
+  /// revalidation candidates (DESIGN.md §19); blocks it sealed itself are
+  /// dropped.
+  void InvalidateInode(fs::InodeNum inode) override {
+    InvalidateInode(inode, /*keep_candidates=*/true);
+  }
+  /// Ships pending_writes_ as one kBatch (the write-behind stage's flush
+  /// point). Clears the stage on success and on definitive rejection;
+  /// keeps it on transient failure (the ops are idempotent, so the next
+  /// flush replays them safely). OK while nothing is staged or while the
+  /// stage's own batch is on the wire.
+  Status FlushStaged() override;
 
   // --- Resolution ---
   Result<Node> ResolvePath(const std::string& path,
@@ -290,11 +255,6 @@ class SharoesClient : public FsClient {
   Result<GroupSecret> FetchGroupSecret(fs::GroupId gid);
 
   // --- Mutation helpers ---
-  /// Common mkdir/create implementation.
-  Status CreateObject(const std::string& path, fs::FileType type,
-                      const CreateOptions& opts);
-  /// Common unlink/rmdir implementation.
-  Status RemoveObject(const std::string& path, fs::FileType type);
   /// Loads the parent directory as a writer: node + bundle-ish context.
   struct WriterDirContext {
     Node node;
@@ -316,16 +276,6 @@ class SharoesClient : public FsClient {
   /// the requests are staged into pending_writes_ and shipped at the
   /// next flush point, so several logical ops share one round trip.
   Status ExecuteBatch(std::vector<ssp::Request> requests);
-  /// The wire half of ExecuteBatch: one batched round trip, verifying
-  /// each sub-response. Envelope or sub-op kError maps to Unavailable
-  /// (well-formed, not executed — safe to re-issue); kBadRequest maps
-  /// to IoError (definitive rejection). Takes the requests by const ref
-  /// so a failed flush can keep its staged ops.
-  Status ExecuteBatchNow(const std::vector<ssp::Request>& requests);
-  /// Ships pending_writes_ as one kBatch. Clears the stage on success
-  /// and on definitive rejection; keeps it on transient failure (the
-  /// ops are idempotent, so the next flush replays them safely).
-  Status FlushPendingWrites();
   /// The one rule for a batch whose fate is decided (`outcome`): an
   /// acknowledged batch makes its pending versions the floor; a dropped
   /// one forgets them and invalidates every inode its sub-ops name, so
@@ -337,8 +287,6 @@ class SharoesClient : public FsClient {
   Result<StoredMaster> FetchMaster(const Node& dir,
                                    const ObjectKeyBundle& bundle);
 
-  fs::InodeNum AllocateInode();
-  void ChargeClientOverhead();
   std::string ViewCacheKey(fs::InodeNum inode, Selector sel) const;
   /// Drops what is cached about `inode` ("m|", "t|", "d|", "n|"
   /// under it, and its "M|" master table, so a writer re-renders a
@@ -348,7 +296,7 @@ class SharoesClient : public FsClient {
   /// and so do the chunk blocks it opened from fetched wire: they move to
   /// "c|" keys as revalidation candidates (DESIGN.md §19), unless
   /// `keep_candidates` is false (a removed inode), which drops them all.
-  void InvalidateInode(fs::InodeNum inode, bool keep_candidates = true);
+  void InvalidateInode(fs::InodeNum inode, bool keep_candidates);
 
   // --- Cache-key chokepoint ---
   // Every cache key is built here (and only here) so keying bugs — like
@@ -380,15 +328,6 @@ class SharoesClient : public FsClient {
   static std::string NegDentryCacheKey(fs::InodeNum dir_inode,
                                        const std::string& name);
 
-  /// Every SSP exchange funnels through here: one Call = one round trip,
-  /// counted per-instance and into "client.rpc.round_trips".
-  Result<ssp::Response> Rpc(const ssp::Request& req);
-  /// The one read of a single object: one Rpc, the reply mapped by
-  /// ssp::ReadStatus. A caller may give its own meaning only to NotFound.
-  Result<Bytes> Get(const ssp::Request& req, const std::string& what);
-  /// Canonical spelling for write-buffer keys and subtree-prefix logic:
-  /// "/a//b/" and "/a/b" must address the same dirty buffer.
-  static Result<std::string> NormalizePath(const std::string& path);
   /// The data blocks a read batches into its first fetch: the uncached
   /// ones of a small initial window of chunks. With
   /// `desc` (block 0) null the window is speculative and starts with
@@ -431,7 +370,6 @@ class SharoesClient : public FsClient {
   /// Returns whether the block is under dek_next.
   static Result<bool> CheckBlockHeader(const Node& node, uint32_t index,
                                        const ObjectCodec::DataBlockHeader& h);
-  Status FlushBuffer(const std::string& path, WriteBuffer* buf);
   /// The one client write of file data: renders `content` through the
   /// codec at the inode's next write generation. Blocks in `kept` stay as
   /// stored; with `kept` null the inode's old blocks are deleted first.
@@ -453,28 +391,16 @@ class SharoesClient : public FsClient {
   /// a peek at the stored header when versions_ says one is needed.
   Result<uint64_t> NextWriteGen(fs::InodeNum inode);
 
-  fs::UserId uid_;
-  fs::Principal principal_;
-  crypto::RsaPrivateKey user_priv_;
-  const IdentityDirectory* identity_;
-  ssp::SspChannel* conn_;
-  crypto::CryptoEngine* engine_;
   ObjectCodec codec_;
   ClientOptions options_;
-  LruCache cache_;
   /// Names proven absent by a full descent, keyed "n|<dir_inode>|<name>"
   /// (hits/misses surface as "client.dentry.neg.*"). Separate from the
   /// main cache so tiny negative entries are not evicted by data blocks
   /// and vice versa. Holds kNegativeDentryBytes and is invalidated by the
   /// same InvalidateInode / table-rerender discipline as positive entries.
   LruCache neg_cache_;
-  obs::Counter* rpc_trips_counter_;
-  uint64_t rpc_round_trips_ = 0;
-
-  bool mounted_ = false;
   SuperblockPayload superblock_;
   std::map<fs::GroupId, GroupSecret> group_secrets_;
-  std::map<std::string, WriteBuffer> write_buffers_;  // By path.
   /// Write-behind stage (DESIGN.md §12): mutating sub-ops accepted by
   /// ExecuteBatch but not yet shipped, in client submission order (the
   /// server applies batch sub-ops in order, so staging preserves the
@@ -482,13 +408,12 @@ class SharoesClient : public FsClient {
   /// ClientOptions::write_batch_ops lists.
   std::vector<ssp::Request> pending_writes_;
   size_t pending_write_bytes_ = 0;
-  /// True while FlushPendingWrites is on the wire: its own kBatch (and
+  /// True while FlushStaged is on the wire: its own kBatch (and
   /// any read the flush path issues) must not re-enter the barrier.
   bool flushing_pending_ = false;
   /// Per-inode version state: the rollback floor (it survives
   /// DropCaches), pending versions and the must-peek marks.
   FileVersions versions_;
-  uint64_t inode_counter_;
 };
 
 }  // namespace sharoes::core

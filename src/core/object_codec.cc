@@ -268,14 +268,14 @@ MasterEntry ObjectCodec::EntryFor(const std::string& name,
 }
 
 ObjectCodec::RenderedFile ObjectCodec::RenderFile(
-    fs::InodeNum inode, const Bytes& content, size_t block_size,
-    const DataBlockHeader& header, const crypto::SymmetricKey& dek,
-    const crypto::SigningKey& dsk, const std::map<uint32_t, KeptBlock>* kept,
+    fs::InodeNum inode, const Bytes& content, const DataBlockHeader& header,
+    const crypto::SymmetricKey& dek, const crypto::SigningKey& dsk,
+    const std::map<uint32_t, KeptBlock>* kept,
     std::vector<ssp::Request>* out) {
   RenderedFile file;
   DataDescriptor& desc = file.desc;
   desc.size = content.size();
-  desc.block_count = 1 + ChunkCount(content.size(), block_size);
+  desc.block_count = 1 + ChunkCount(content.size());
   desc.write_gen = header.write_gen;
   desc.block_gens.assign(desc.block_count - 1, header.write_gen);
   // Chunk blocks seal first: their AEAD tags are the Merkle leaves the
@@ -291,7 +291,7 @@ ObjectCodec::RenderedFile ObjectCodec::RenderFile(
         continue;
       }
     }
-    auto [begin, end] = ChunkRange(idx - 1, content.size(), block_size);
+    auto [begin, end] = ChunkRange(idx - 1, content.size());
     Bytes chunk(content.begin() + begin, content.begin() + end);
     Bytes tag;
     wires[idx] = EncodeDataBlock(inode, idx, header, chunk, dek, &tag);

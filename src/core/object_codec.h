@@ -195,7 +195,7 @@ class ObjectCodec {
   /// every chunk tag. Appends the puts in store order: the descriptor
   /// (block 0), then the sealed chunk blocks in index order.
   RenderedFile RenderFile(fs::InodeNum inode, const Bytes& content,
-                          size_t block_size, const DataBlockHeader& header,
+                          const DataBlockHeader& header,
                           const crypto::SymmetricKey& dek,
                           const crypto::SigningKey& dsk,
                           const std::map<uint32_t, KeptBlock>* kept,

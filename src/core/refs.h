@@ -179,23 +179,27 @@ struct DataDescriptor {
   static Result<DataDescriptor> ReadFrom(BinaryReader* r);
 };
 
+/// The one chunk size of the on-SSP layout, for SHAROES and the
+/// baselines alike: a file's content is split into runs of this many
+/// bytes, each sealed into its own data block.
+inline constexpr size_t kBlockSize = 4096;
+
 /// The one split of file content into chunks, shared by every writer:
-/// chunk k is the k-th run of `block_size` bytes and is stored in block
+/// chunk k is the k-th run of kBlockSize bytes and is stored in block
 /// k+1. SHAROES stores no chunk for an empty file; the baselines store one
 /// (possibly empty) chunk, because their descriptor rides in it.
-inline uint32_t ChunkCount(size_t size, size_t block_size) {
-  return static_cast<uint32_t>((size + block_size - 1) / block_size);
+inline uint32_t ChunkCount(size_t size) {
+  return static_cast<uint32_t>((size + kBlockSize - 1) / kBlockSize);
 }
 /// The baselines' block count: at least the one chunk carrying the
 /// descriptor.
-inline uint32_t BlockCount(size_t size, size_t block_size) {
-  return std::max<uint32_t>(1, ChunkCount(size, block_size));
+inline uint32_t BlockCount(size_t size) {
+  return std::max<uint32_t>(1, ChunkCount(size));
 }
 /// The byte range [first, second) of chunk `idx` in a `size`-byte file.
-inline std::pair<size_t, size_t> ChunkRange(uint32_t idx, size_t size,
-                                            size_t block_size) {
-  return {std::min(idx * block_size, size),
-          std::min((idx + 1) * block_size, size)};
+inline std::pair<size_t, size_t> ChunkRange(uint32_t idx, size_t size) {
+  return {std::min(idx * kBlockSize, size),
+          std::min((idx + 1) * kBlockSize, size)};
 }
 
 /// Pseudo-user id namespace for group split blocks in the SSP's per-user

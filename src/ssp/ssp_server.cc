@@ -27,8 +27,6 @@ struct ServingMetrics {
   obs::Counter* batch_subops;
   obs::Counter* bad_frames;
   obs::Counter* wrong_shard;
-  obs::Counter* not_modified;  // Conditional gets answered kNotModified,
-                               // batch sub-ops included.
 
   ServingMetrics() {
     auto& reg = obs::MetricsRegistry::Global();
@@ -46,7 +44,6 @@ struct ServingMetrics {
     batch_subops = reg.counter("ssp.batch_subops");
     bad_frames = reg.counter("ssp.bad_frames");
     wrong_shard = reg.counter("ssp.wrong_shard");
-    not_modified = reg.counter("ssp.not_modified");
   }
 };
 
@@ -153,7 +150,13 @@ Bytes SspServer::HandleWire(const Bytes& request_bytes, bool* sever) {
       std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
           .count()));
   if (req->op == OpCode::kBatch) m.batch_subops->Add(req->batch.size());
+  // Every status answered counts, a batch's sub-op replies included: a
+  // client that batches its reads answers most kNotFound and
+  // kNotModified statuses inside a batch.
   m.responses[static_cast<size_t>(resp.status)]->Increment();
+  for (const Response& sub : resp.batch) {
+    m.responses[static_cast<size_t>(sub.status)]->Increment();
+  }
   if (resp.status == RespStatus::kBadRequest) {
     obs::Log(obs::Severity::kWarn, "ssp.request_rejected",
              {{"op", OpCodeName(req->op)},
@@ -303,9 +306,7 @@ Response SspServer::HandleOne(const Request& req, bool want_version,
     return Response::BadRequest();
   }
   auto unchanged = [&](const Bytes& blob) {
-    if (!conditional || BlobDigest(blob) != req.payload) return false;
-    Metrics().not_modified->Increment();
-    return true;
+    return conditional && BlobDigest(blob) == req.payload;
   };
   obs::PhaseScope store_phase(obs::Phase::kStore);
   const ObjectRef ref = *RefOf(req);

@@ -14,13 +14,6 @@ void Check(const Status& s, const char* what) {
   }
 }
 
-void DropClientCaches(core::FsClient& fs) {
-  if (auto* sh = dynamic_cast<core::SharoesClient*>(&fs)) sh->DropCaches();
-  if (auto* bl = dynamic_cast<baselines::BaselineClient*>(&fs)) {
-    bl->DropCaches();
-  }
-}
-
 void ChargeCpu(BenchWorld& world, double ms) {
   world.clock().AdvanceMs(ms, CostCategory::kOther);
 }
@@ -45,7 +38,7 @@ AndrewResult RunAndrew(BenchWorld& world, const AndrewParams& params) {
   result.phase[0] = world.clock().snapshot() - before;
 
   // Phase 2: copy the source tree (create + write every file).
-  DropClientCaches(fs);
+  fs.DropCaches();
   before = world.clock().snapshot();
   for (const SourceFile& f : tree.files) {
     std::string path = base + "/" + f.dir + "/" + f.name;
@@ -55,7 +48,7 @@ AndrewResult RunAndrew(BenchWorld& world, const AndrewParams& params) {
   result.phase[1] = world.clock().snapshot() - before;
 
   // Phase 3: examine the status of every file (no data access).
-  DropClientCaches(fs);
+  fs.DropCaches();
   before = world.clock().snapshot();
   Check(fs.Getattr(base).status(), "stat base");
   for (const std::string& dir : tree.dirs) {
@@ -68,7 +61,7 @@ AndrewResult RunAndrew(BenchWorld& world, const AndrewParams& params) {
   result.phase[2] = world.clock().snapshot() - before;
 
   // Phase 4: examine every byte of every file.
-  DropClientCaches(fs);
+  fs.DropCaches();
   before = world.clock().snapshot();
   for (const SourceFile& f : tree.files) {
     auto r = fs.Read(base + "/" + f.dir + "/" + f.name);
@@ -83,7 +76,7 @@ AndrewResult RunAndrew(BenchWorld& world, const AndrewParams& params) {
 
   // Phase 5: compile and link — read each .c, burn CPU, write the .o,
   // then link everything into one binary.
-  DropClientCaches(fs);
+  fs.DropCaches();
   before = world.clock().snapshot();
   std::vector<std::string> objects;
   Bytes binary;

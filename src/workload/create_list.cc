@@ -37,10 +37,7 @@ CreateListResult RunCreateList(BenchWorld& world,
   result.create = world.clock().snapshot() - before;
 
   // LIST phase ("ls -lR"): stat every directory and file, cold caches.
-  if (auto* sh = dynamic_cast<core::SharoesClient*>(&fs)) sh->DropCaches();
-  if (auto* bl = dynamic_cast<baselines::BaselineClient*>(&fs)) {
-    bl->DropCaches();
-  }
+  fs.DropCaches();
   before = world.clock().snapshot();
   auto top = fs.Readdir("/work");
   Check(top.status(), "readdir /work");

@@ -77,7 +77,6 @@ BenchWorld::BenchWorld(const BenchWorldOptions& opts) : opts_(opts) {
     core::Provisioner::Options popts;
     popts.scheme = opts.scheme;
     popts.user_key_bits = opts.user_key_bits;
-    popts.block_size = opts.block_size;
     core::Provisioner prov(&identity_, &server_, admin_engine_.get(), popts);
     auto stats = prov.Migrate(root);
     assert(stats.ok());
@@ -85,7 +84,6 @@ BenchWorld::BenchWorld(const BenchWorldOptions& opts) : opts_(opts) {
   } else {
     baselines::BaselineOptions bopts;
     bopts.mode = ModeFor(opts.variant);
-    bopts.block_size = opts.block_size;
     baselines::BaselineProvisioner prov(&identity_, &server_,
                                         admin_engine_.get(), bopts);
     Status s = prov.Migrate(root);
@@ -106,24 +104,18 @@ BenchWorld::BenchWorld(const BenchWorldOptions& opts) : opts_(opts) {
     core::ClientOptions copts;
     copts.scheme = opts.scheme;
     copts.cache_bytes = opts.cache_bytes;
-    copts.block_size = opts.block_size;
     copts.readahead_blocks = opts.readahead_blocks;
     copts.write_batch_ops = opts.write_batch_ops;
-    auto client = std::make_unique<core::SharoesClient>(
+    client_ = std::make_unique<core::SharoesClient>(
         kBenchUser, bench_user_priv_, &identity_, conn_.get(), engine_.get(),
         copts);
-    sharoes_client_ = client.get();
-    client_ = std::move(client);
   } else {
     baselines::BaselineOptions bopts;
     bopts.mode = ModeFor(opts.variant);
     bopts.cache_bytes = opts.cache_bytes;
-    bopts.block_size = opts.block_size;
-    auto client = std::make_unique<baselines::BaselineClient>(
+    client_ = std::make_unique<baselines::BaselineClient>(
         kBenchUser, bench_user_priv_, &identity_, conn_.get(), engine_.get(),
         bopts);
-    baseline_client_ = client.get();
-    client_ = std::move(client);
   }
   Status s = client_->Mount();
   assert(s.ok());
@@ -143,17 +135,11 @@ void BenchWorld::Reset() {
   clock_.Reset();
   transport_->ResetCounters();
   engine_->ResetOpCounts();
-  if (sharoes_client_ != nullptr) sharoes_client_->DropCaches();
-  if (baseline_client_ != nullptr) baseline_client_->DropCaches();
+  client_->DropCaches();
 }
 
 void BenchWorld::SetCacheBytes(size_t bytes) {
-  if (sharoes_client_ != nullptr) {
-    sharoes_client_->cache().set_capacity(bytes);
-  }
-  if (baseline_client_ != nullptr) {
-    baseline_client_->cache().set_capacity(bytes);
-  }
+  client_->cache().set_capacity(bytes);
 }
 
 }  // namespace sharoes::workload

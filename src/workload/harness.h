@@ -47,7 +47,6 @@ struct BenchWorldOptions {
   crypto::CryptoCostModel crypto_model =
       crypto::CryptoCostModel::PaperCalibrated();
   size_t cache_bytes = 64ull << 20;
-  size_t block_size = 4096;
   /// User identity key size. 2048 (the paper's NIST parameter set) keeps
   /// the PUBLIC baseline's RSA block counts faithful.
   size_t user_key_bits = 2048;
@@ -103,8 +102,6 @@ class BenchWorld {
   std::unique_ptr<net::Transport> transport_;
   std::unique_ptr<ssp::SspConnection> conn_;
   std::unique_ptr<core::FsClient> client_;
-  core::SharoesClient* sharoes_client_ = nullptr;       // If variant Sharoes.
-  baselines::BaselineClient* baseline_client_ = nullptr;  // Otherwise.
   crypto::RsaPrivateKey bench_user_priv_;
 };
 

@@ -19,12 +19,7 @@ void Check(const Status& s, const char* what) {
 // Evicts one object while keeping the path prefix warm — Figure 13 times
 // single operations on a dcache-warm client.
 void Evict(core::FsClient& fs, const std::string& path) {
-  if (auto* sh = dynamic_cast<core::SharoesClient*>(&fs)) {
-    Check(sh->EvictPath(path), "evict");
-  }
-  if (auto* bl = dynamic_cast<baselines::BaselineClient*>(&fs)) {
-    Check(bl->EvictPath(path), "evict");
-  }
+  Check(fs.EvictPath(path), "evict");
 }
 }  // namespace
 

@@ -56,10 +56,7 @@ PostmarkResult RunPostmark(BenchWorld& world, const PostmarkParams& params,
       static_cast<size_t>(cache_fraction * static_cast<double>(
                                                result.data_bytes));
   world.SetCacheBytes(cache_bytes);
-  if (auto* sh = dynamic_cast<core::SharoesClient*>(&fs)) sh->DropCaches();
-  if (auto* bl = dynamic_cast<baselines::BaselineClient*>(&fs)) {
-    bl->DropCaches();
-  }
+  fs.DropCaches();
 
   // Transaction phase: each transaction pairs a data op (read or append)
   // with a file-set op (create or delete), as in Katcher's Postmark.

@@ -62,12 +62,19 @@ class BaselineWorld {
   }
 
   BaselineClient MakeClient(fs::UserId uid) {
+    return ClientOver(uid, NewLink());
+  }
+  /// A new link to the SSP, for a client built over a wrapper of it.
+  ssp::SspChannel* NewLink() {
     transports_.push_back(std::make_unique<net::Transport>(
         &clock_, net::NetworkModel::Zero()));
     conns_.push_back(std::make_unique<ssp::SspConnection>(
         &server_, transports_.back().get()));
-    return BaselineClient(uid, keys_.at(uid), &identity_,
-                          conns_.back().get(), engine_.get(), options_);
+    return conns_.back().get();
+  }
+  BaselineClient ClientOver(fs::UserId uid, ssp::SspChannel* channel) {
+    return BaselineClient(uid, keys_.at(uid), &identity_, channel,
+                          engine_.get(), options_);
   }
 
   ssp::SspServer& server() { return server_; }
@@ -238,6 +245,84 @@ TEST_P(BaselineModeTest, EvictKeepsInodesWhoseNumberItPrefixes) {
   // The evicted inode itself is fetched again.
   ASSERT_TRUE(client.Read("/docs/a.txt").ok());
   EXPECT_GT(world.round_trips() - before, 0u);
+}
+
+// The four tests below pin the front end a baseline shares with SHAROES
+// (core::FsClient): write buffers keyed by the canonical path, moved with
+// a renamed directory and visible to Getattr, and the mutating-batch
+// reply rule.
+
+TEST_P(BaselineModeTest, AliasedPathBufferIsReadAndFlushed) {
+  BaselineWorld world(GetParam());
+  BaselineClient client = world.MakeClient(kUser);
+  ASSERT_TRUE(client.Mount().ok());
+  ASSERT_TRUE(client.Write("/docs//a.txt", ToBytes("buffered")).ok());
+  auto read = client.Read("/docs/a.txt");
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(ToString(*read), "buffered");
+  ASSERT_TRUE(client.Close("/docs/a.txt/").ok());
+  BaselineClient other = world.MakeClient(kOther);
+  ASSERT_TRUE(other.Mount().ok());
+  read = other.Read("/docs/a.txt");
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(ToString(*read), "buffered");
+}
+
+TEST_P(BaselineModeTest, RenamedDirectoryCarriesItsBufferedFile) {
+  BaselineWorld world(GetParam());
+  BaselineClient client = world.MakeClient(kUser);
+  ASSERT_TRUE(client.Mount().ok());
+  core::CreateOptions dir_opts;
+  dir_opts.mode = fs::Mode::FromOctal(0755);
+  ASSERT_TRUE(client.Mkdir("/docs/d", dir_opts).ok());
+  ASSERT_TRUE(client.Create("/docs/d/f", core::CreateOptions{}).ok());
+  ASSERT_TRUE(client.Write("/docs/d/f", ToBytes("in flight")).ok());
+  ASSERT_TRUE(client.Rename("/docs/d", "/docs/e").ok());
+  ASSERT_TRUE(client.Close("/docs/e/f").ok());
+  BaselineClient other = world.MakeClient(kOther);
+  ASSERT_TRUE(other.Mount().ok());
+  auto read = other.Read("/docs/e/f");
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(ToString(*read), "in flight");
+}
+
+TEST_P(BaselineModeTest, RejectedBatchSubOpFailsTheOp) {
+  // A channel that answers the last sub-op of every mutating batch
+  // kBadRequest: the envelope is kOk, so only the sub-op reply says the
+  // write did not land.
+  class RejectLastSubOp : public ssp::SspChannel {
+   public:
+    explicit RejectLastSubOp(ssp::SspChannel* inner) : inner_(inner) {}
+    Result<ssp::Response> Call(const ssp::Request& req) override {
+      SHAROES_ASSIGN_OR_RETURN(ssp::Response resp, inner_->Call(req));
+      if (req.op == ssp::OpCode::kBatch && !resp.batch.empty() &&
+          ssp::IsMutatingOp(req.batch.back().op)) {
+        resp.batch.back() = ssp::Response::BadRequest();
+      }
+      return resp;
+    }
+
+   private:
+    ssp::SspChannel* inner_;
+  };
+  BaselineWorld world(GetParam());
+  RejectLastSubOp channel(world.NewLink());
+  BaselineClient client = world.ClientOver(kUser, &channel);
+  ASSERT_TRUE(client.Mount().ok());
+  Status s = client.WriteFile("/docs/a.txt", ToBytes("rejected"));
+  EXPECT_TRUE(s.IsIoError()) << s;
+  s = client.Create("/docs/new.txt", core::CreateOptions{});
+  EXPECT_TRUE(s.IsIoError()) << s;
+}
+
+TEST_P(BaselineModeTest, GetattrReportsTheBufferedSize) {
+  BaselineWorld world(GetParam());
+  BaselineClient client = world.MakeClient(kUser);
+  ASSERT_TRUE(client.Mount().ok());
+  ASSERT_TRUE(client.Write("/docs/a.txt", Bytes(100, 'x')).ok());
+  auto attrs = client.Getattr("/docs//a.txt");
+  ASSERT_TRUE(attrs.ok()) << attrs.status();
+  EXPECT_EQ(attrs->size, 100u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, BaselineModeTest,

@@ -81,7 +81,7 @@ class RevalidateTest : public ::testing::Test {
 
   uint64_t NotModifiedReplies() {
     return obs::MetricsRegistry::Global()
-        .counter("ssp.not_modified")
+        .counter("ssp.responses.kNotModified")
         ->Value();
   }
 

@@ -7,6 +7,7 @@
 
 #include "crypto/sha256.h"
 #include "net/network_model.h"
+#include "obs/metrics.h"
 #include "ssp/ssp_server.h"
 #include "ssp/wal.h"
 
@@ -279,6 +280,30 @@ TEST(ObjectStoreTest, DeleteInodeMetadataTakesTheInodesSplitBlocks) {
       EXPECT_TRUE(store->Get(ObjectRef::UserMetadata(43, 7)).has_value());
     }
   }
+}
+
+TEST(SspServerTest, EveryBatchSubOpStatusIsCounted) {
+  // ssp.responses.<status> counts each status the server answers, a
+  // batch's sub-op replies included: one missing key in a batch of two
+  // gets is one kNotFound, and the hit and the envelope are two kOk.
+  SspServer server;
+  auto& reg = obs::MetricsRegistry::Global();
+  obs::Counter* not_found = reg.counter("ssp.responses.kNotFound");
+  obs::Counter* ok = reg.counter("ssp.responses.kOk");
+  ASSERT_TRUE(Response::Deserialize(server.HandleWire(
+                                        Request::PutMetadata(1, 0, {42})
+                                            .Serialize()))
+                  ->ok());
+  const uint64_t not_found0 = not_found->Value();
+  const uint64_t ok0 = ok->Value();
+  auto resp = Response::Deserialize(server.HandleWire(
+      Request::Batch({Request::GetMetadata(1, 0), Request::GetMetadata(1, 9)})
+          .Serialize()));
+  ASSERT_TRUE(resp.ok());
+  ASSERT_EQ(resp->batch.size(), 2u);
+  EXPECT_EQ(resp->batch[1].status, RespStatus::kNotFound);
+  EXPECT_EQ(not_found->Value(), not_found0 + 1);
+  EXPECT_EQ(ok->Value(), ok0 + 2);
 }
 
 TEST(SspServerTest, GetPutDeleteThroughWire) {

@@ -306,8 +306,8 @@ TEST(WalRecovery, CompactionUnderLoadSurvivesHardKills) {
 
 TEST(WalRecovery, AndrewSequenceSurvivesHardKillChurn) {
   // Full-stack version: a mounted SharoesClient behind RetryingConnection
-  // runs the Andrew sequence while a controller SIGKILLs the daemon
-  // repeatedly. No graceful snapshot ever happens, so every restart
+  // runs the Andrew sequence while its channel SIGKILLs the daemon three
+  // times. No graceful snapshot ever happens, so every restart
   // recovers purely from the log — and the transcript plus the final
   // store must be byte-identical to a crash-free run.
   using sharoes::testing::MakeClient;
@@ -316,8 +316,34 @@ TEST(WalRecovery, AndrewSequenceSurvivesHardKillChurn) {
   using sharoes::testing::RunAndrewSequence;
   using sharoes::testing::TcpFactory;
 
-  auto run = [](const std::string& dir, bool churn, Bytes* transcript_out,
-                Bytes* store_out) {
+  // The client's channel. After each acknowledged call it kills the
+  // daemon once the WAL has logged another quarter of the records the
+  // clean run's Andrew sequence logs. So every kill lands while the
+  // sequence still has ops to send, however fast or loaded the host is,
+  // and between two requests: the next call finds its connection dead
+  // and reconnects, and no request is applied twice.
+  class KillingChannel : public SspChannel {
+   public:
+    KillingChannel(SspChannel* inner, RestartableDaemon* daemon,
+                   std::vector<uint64_t> kill_at)
+        : inner_(inner), daemon_(daemon), kill_at_(std::move(kill_at)) {}
+    Result<Response> Call(const Request& req) override {
+      Result<Response> resp = inner_->Call(req);
+      if (!kill_at_.empty() && daemon_->wal_sequence() >= kill_at_.front()) {
+        kill_at_.erase(kill_at_.begin());
+        daemon_->RestartHard();
+      }
+      return resp;
+    }
+
+   private:
+    SspChannel* inner_;
+    RestartableDaemon* daemon_;
+    std::vector<uint64_t> kill_at_;
+  };
+  uint64_t sequence_records = 0;
+  auto run = [&sequence_records](const std::string& dir, bool churn,
+                                 Bytes* transcript_out, Bytes* store_out) {
     RestartableDaemon::Options opts;
     opts.wal_dir = dir;
     RestartableDaemon daemon(opts);
@@ -332,20 +358,16 @@ TEST(WalRecovery, AndrewSequenceSurvivesHardKillChurn) {
     retry.max_backoff_ms = 200;
     retry.seed = 7;
     core::RetryingConnection conn(TcpFactory(&daemon), retry);
-    auto client = MakeClient(enterprise.get(), &conn, engine.get());
+    const uint64_t start = daemon.wal_sequence();
+    std::vector<uint64_t> kill_at;
+    for (uint64_t i = 1; churn && i <= 3; ++i) {
+      kill_at.push_back(start + i * sequence_records / 4);
+    }
+    KillingChannel channel(&conn, &daemon, std::move(kill_at));
+    auto client = MakeClient(enterprise.get(), &channel, engine.get());
     ASSERT_TRUE(client->Mount().ok());
-
-    std::atomic<bool> done{false};
-    std::thread controller([&] {
-      if (!churn) return;
-      for (int i = 0; i < 3 && !done.load(); ++i) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        daemon.RestartHard();
-      }
-    });
     auto transcript = RunAndrewSequence(client.get());
-    done.store(true);
-    controller.join();
+    if (!churn) sequence_records = daemon.wal_sequence() - start;
     ASSERT_TRUE(transcript.ok()) << transcript.status();
     *transcript_out = std::move(*transcript);
     if (churn) {
@@ -361,6 +383,7 @@ TEST(WalRecovery, AndrewSequenceSurvivesHardKillChurn) {
   run(FreshDir("andrew_clean"), /*churn=*/false, &clean_transcript,
       &clean_store);
   ASSERT_FALSE(clean_transcript.empty());
+  ASSERT_GE(sequence_records, 4u);
 
   int rounds = CrashRounds(1);
   for (int round = 0; round < rounds; ++round) {

@@ -106,6 +106,14 @@ class RestartableDaemon {
     return server_.get();
   }
 
+  /// The live WAL's last sequence number: every mutating sub-op the
+  /// daemon logged, counted across restarts (0 without a WAL or while
+  /// down).
+  uint64_t wal_sequence() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return wal_ != nullptr ? wal_->last_sequence() : 0;
+  }
+
   /// What the most recent WAL-mode Start() recovered.
   ssp::WalRecoveryInfo last_recovery() {
     std::lock_guard<std::mutex> lock(mu_);

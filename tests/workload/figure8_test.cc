@@ -149,7 +149,7 @@ TEST_F(Figure8Test, AppendCloseShipsDescriptorAndLastChunk) {
   // efficiently by avoiding re-encrypting entire files after a write". An
   // append to a warm multi-chunk file seals and ships only the chunk it
   // changed plus the signed descriptor; the first chunk stays as stored.
-  const size_t bs = world_->options().block_size;
+  const size_t bs = core::kBlockSize;
   core::CreateOptions copts;
   ASSERT_TRUE(fs_->Create("/work/log.bin", copts).ok());
   ASSERT_TRUE(

@@ -71,6 +71,36 @@ TEST(HarnessTest, AllVariantsMountAndOperate) {
   }
 }
 
+TEST(HarnessTest, EvictAndDropCachesThroughFsClientOnly) {
+  // The workloads reach every variant through FsClient& alone: EvictPath
+  // re-fetches one object with its path prefix warm, DropCaches the whole
+  // path.
+  for (SystemVariant v : AllVariants()) {
+    SCOPED_TRACE(VariantName(v));
+    BenchWorld world(SmallWorld(v));
+    core::FsClient& fs = world.client();
+    ASSERT_TRUE(fs.Create("/work/f", core::CreateOptions{}).ok());
+    ASSERT_TRUE(fs.WriteFile("/work/f", ToBytes("contents")).ok());
+    auto trips = [&] { return world.transport().counters().round_trips; };
+    auto read_cost = [&](uint64_t* cost) {
+      const uint64_t before = trips();
+      auto content = fs.Read("/work/f");
+      ASSERT_TRUE(content.ok()) << content.status();
+      EXPECT_EQ(ToString(*content), "contents");
+      *cost = trips() - before;
+    };
+    uint64_t warm = 0, evicted = 0, dropped = 0;
+    read_cost(&warm);
+    ASSERT_TRUE(fs.EvictPath("/work/f").ok());
+    read_cost(&evicted);
+    fs.DropCaches();
+    read_cost(&dropped);
+    EXPECT_GT(evicted, warm);
+    EXPECT_GT(dropped, evicted);
+    EXPECT_TRUE(fs.EvictPath("/work/missing").IsNotFound());
+  }
+}
+
 TEST(HarnessTest, MeasureAndResetSemantics) {
   BenchWorld world(SmallWorld(SystemVariant::kSharoes));
   CostSnapshot cost = world.Measure([&] {
