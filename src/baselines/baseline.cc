@@ -312,11 +312,6 @@ Result<BaselineRecord> BaselineClient::ResolveRecord(const std::string& path) {
   return rec;
 }
 
-Result<fs::InodeNum> BaselineClient::ResolveInode(const std::string& path) {
-  SHAROES_ASSIGN_OR_RETURN(BaselineRecord rec, ResolveRecord(path));
-  return rec.attrs.inode;
-}
-
 Result<fs::InodeAttrs> BaselineClient::Stat(const std::string& path) {
   SHAROES_ASSIGN_OR_RETURN(BaselineRecord rec, ResolveRecord(path));
   return rec.attrs;

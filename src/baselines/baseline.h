@@ -132,7 +132,6 @@ class BaselineClient : public core::FsClient {
   // --- FsClient hooks (core/fs_client.h) ---
   Status OpenSuperblock() override;
   Result<fs::InodeAttrs> Stat(const std::string& path) override;
-  Result<fs::InodeNum> ResolveInode(const std::string& path) override;
   Result<std::vector<std::string>> ListDir(const std::string& path) override;
   Result<Bytes> ReadFile(const std::string& path) override;
   Result<fs::InodeNum> OpenForWrite(const std::string& path) override;

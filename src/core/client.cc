@@ -609,11 +609,6 @@ Result<fs::InodeAttrs> SharoesClient::Stat(const std::string& path) {
   return attrs;
 }
 
-Result<fs::InodeNum> SharoesClient::ResolveInode(const std::string& path) {
-  SHAROES_ASSIGN_OR_RETURN(Node node, ResolvePath(path));
-  return node.ref.inode;
-}
-
 Result<std::vector<std::string>> SharoesClient::ListDir(
     const std::string& path) {
   SHAROES_ASSIGN_OR_RETURN(Node node, ResolvePath(path, ReadIntent::kTable));

@@ -171,7 +171,6 @@ class SharoesClient : public FsClient {
   /// sizes live in the signed data descriptor, not in metadata (plain
   /// writers hold no MSK — DESIGN.md §5).
   Result<fs::InodeAttrs> Stat(const std::string& path) override;
-  Result<fs::InodeNum> ResolveInode(const std::string& path) override;
   Result<std::vector<std::string>> ListDir(const std::string& path) override;
   Result<Bytes> ReadFile(const std::string& path) override;
   Result<fs::InodeNum> OpenForWrite(const std::string& path) override;

@@ -189,8 +189,8 @@ Status FsClient::Fsync() {
 }
 
 Status FsClient::EvictPath(const std::string& path) {
-  SHAROES_ASSIGN_OR_RETURN(fs::InodeNum inode, ResolveInode(path));
-  InvalidateInode(inode);
+  SHAROES_ASSIGN_OR_RETURN(fs::InodeAttrs attrs, Stat(path));
+  InvalidateInode(attrs.inode);
   return Status::OK();
 }
 
@@ -222,32 +222,30 @@ Status FsClient::ExecuteBatchNow(const std::vector<ssp::Request>& requests) {
   if (requests.empty()) return Status::OK();
   SHAROES_ASSIGN_OR_RETURN(ssp::Response resp,
                            Rpc(ssp::Request::Batch(requests)));
+  const std::string of = std::to_string(requests.size());
+  // kError = well-formed but not executed with a durability guarantee;
+  // the idempotent sub-ops are safe to re-issue. kBadRequest is final.
+  auto rejected = [](ssp::RespStatus status, const std::string& what) {
+    return status == ssp::RespStatus::kError ? Status::Unavailable(what)
+                                             : Status::IoError(what);
+  };
   if (!resp.ok()) {
-    std::string what = std::string("SSP rejected batch of ") +
-                       std::to_string(requests.size()) + " ops (" +
-                       ssp::RespStatusName(resp.status) + ")";
-    // kError = well-formed but not executed with a durability guarantee;
-    // the idempotent sub-ops are safe to re-issue. kBadRequest is final.
-    return resp.status == ssp::RespStatus::kError ? Status::Unavailable(what)
-                                                  : Status::IoError(what);
+    return rejected(resp.status, "SSP rejected batch of " + of + " ops (" +
+                                     ssp::RespStatusName(resp.status) + ")");
   }
   if (resp.batch.size() != requests.size()) {
     return Status::IoError("SSP answered " +
                            std::to_string(resp.batch.size()) +
-                           " sub-responses to a batch of " +
-                           std::to_string(requests.size()));
+                           " sub-responses to a batch of " + of);
   }
   for (size_t i = 0; i < resp.batch.size(); ++i) {
-    const ssp::Response& sub = resp.batch[i];
-    if (sub.status == ssp::RespStatus::kBadRequest ||
-        sub.status == ssp::RespStatus::kError) {
-      std::string what =
-          std::string("SSP rejected batched sub-op ") + std::to_string(i) +
-          "/" + std::to_string(requests.size()) + " (" +
-          ssp::OpCodeName(requests[i].op) + ": " +
-          ssp::RespStatusName(sub.status) + ")";
-      return sub.status == ssp::RespStatus::kError ? Status::Unavailable(what)
-                                                   : Status::IoError(what);
+    const ssp::RespStatus status = resp.batch[i].status;
+    if (status == ssp::RespStatus::kBadRequest ||
+        status == ssp::RespStatus::kError) {
+      return rejected(status, "SSP rejected batched sub-op " +
+                                  std::to_string(i) + "/" + of + " (" +
+                                  ssp::OpCodeName(requests[i].op) + ": " +
+                                  ssp::RespStatusName(status) + ")");
     }
   }
   return Status::OK();

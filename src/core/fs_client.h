@@ -111,16 +111,13 @@ class FsClient {
 
   /// Write + Close.
   Status WriteFile(const std::string& path, const Bytes& content) {
-    Status s = Write(path, content);
-    if (!s.ok()) return s;
+    SHAROES_RETURN_IF_ERROR(Write(path, content));
     return Close(path);
   }
 
   /// Read + extend + Write (append workloads). Does not Close.
   Status Append(const std::string& path, const Bytes& extra) {
-    auto cur = Read(path);
-    if (!cur.ok()) return cur.status();
-    Bytes next = std::move(*cur);
+    SHAROES_ASSIGN_OR_RETURN(Bytes next, Read(path));
     next.insert(next.end(), extra.begin(), extra.end());
     return Write(path, next);
   }
@@ -165,10 +162,8 @@ class FsClient {
 
   /// Fetches and opens the superblock (Mount).
   virtual Status OpenSuperblock() = 0;
-  /// The attributes of the object at `path` (Getattr).
+  /// The attributes of the object at `path` (Getattr, EvictPath).
   virtual Result<fs::InodeAttrs> Stat(const std::string& path) = 0;
-  /// The inode at `path` (EvictPath).
-  virtual Result<fs::InodeNum> ResolveInode(const std::string& path) = 0;
   /// The names in the directory at `path` (Readdir).
   virtual Result<std::vector<std::string>> ListDir(
       const std::string& path) = 0;

@@ -14,9 +14,11 @@
 // compare-and-swaps — so executing a request twice (e.g. the daemon
 // applied a put but died before replying, and the retry replays it)
 // leaves the store in exactly the state of executing it once. Batches
-// are flat vectors of such requests and inherit the property. But the
-// safety is *checked*, not assumed: a request is re-sent after it may
-// have executed only when every constituent op passes
+// are flat vectors of such requests; the server acknowledges a re-sent
+// batch that mutates a key twice without applying it again, since its
+// effect is already held (DESIGN.md §12). But the safety is *checked*,
+// not assumed: a request is re-sent after it may have executed only
+// when every constituent op passes
 // ssp::IsIdempotentOp — mutating batches are NOT blanket-retried, they
 // are replayed only as idempotent-verified sub-op sets. A future
 // non-idempotent opcode therefore fails closed (its transport error

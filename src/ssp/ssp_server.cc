@@ -1,7 +1,9 @@
 #include "ssp/ssp_server.h"
 
 #include <chrono>
+#include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 
@@ -181,6 +183,60 @@ Bytes SspServer::HandleWire(const Bytes& request_bytes, bool* sever) {
   return wire;
 }
 
+namespace {
+
+/// True iff `batch` re-sends one the store applied (the daemon died
+/// before its reply): it mutates a key twice (point op or ranged delete),
+/// which applying again would walk through its old states and raise its
+/// generation, and every key holds the state the batch leaves it in. A
+/// batch that mutates each key once, or carries a gen-gated repair op,
+/// needs no such care.
+bool IsAppliedBatch(const std::vector<Request>& batch,
+                    const ObjectStore& store) {
+  std::map<ObjectRef, const Request*> last;  // Each key's last point op.
+  std::set<std::pair<ObjectFamily, uint64_t>> ranges;
+  bool repeated = false;
+  for (const Request& sub : batch) {
+    if (!IsMutatingOp(sub.op)) continue;
+    if (sub.has_store_gen) return false;
+    if (VerbOf(sub.op) == OpVerb::kDeleteInode) {
+      ranges.insert({FamilyOf(sub.op), sub.inode});
+      if (sub.op == OpCode::kDeleteInodeMetadata) {
+        ranges.insert({ObjectFamily::kUserMetadata, sub.inode});
+      }
+      // A key the range takes ends dead unless a later op puts it.
+      repeated |= std::erase_if(last, [&](const auto& kv) {
+                    return ranges.contains({kv.first.family, kv.first.k1});
+                  }) > 0;
+      continue;
+    }
+    const ObjectRef ref = *RefOf(sub);
+    repeated |= last.contains(ref) || ranges.contains({ref.family, ref.k1});
+    last[ref] = &sub;
+  }
+  if (!repeated) return false;
+  for (const auto& [ref, sub] : last) {
+    const auto held = store.GetVersioned(ref);
+    const bool live = held.has_value() && !held->tombstone;
+    if (VerbOf(sub->op) == OpVerb::kPut
+            ? !live || held->blob != sub->payload
+            : live || (!held.has_value() && store.tombstones_enabled())) {
+      return false;
+    }
+  }
+  // Reached, in practice, only by a re-send or a rewrite of stored bytes.
+  if (ranges.empty()) return true;
+  for (const ObjectVersion& v : store.ListVersions()) {
+    if (!v.tombstone && ranges.contains({v.ref.family, v.ref.k1}) &&
+        !last.contains(v.ref)) {
+      return false;  // A live key the batch's ranged delete would take.
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 Response SspServer::Handle(const Request& req) {
   // Bracket the whole request (appends + store applies) in the WAL's
   // shared-side guard so a compaction cut never lands between a sub-op's
@@ -194,6 +250,11 @@ Response SspServer::Handle(const Request& req) {
   Response resp;
   bool mutated = false;
   uint64_t max_wal_seq = 0;
+  // A re-sent batch is acknowledged without being logged or applied
+  // again, once everything logged so far is durable.
+  const bool replayed =
+      req.op == OpCode::kBatch && IsAppliedBatch(req.batch, store_);
+  if (replayed && wal != nullptr) max_wal_seq = wal->last_sequence();
   if (req.op == OpCode::kBatch) {
     resp.status = RespStatus::kOk;
     resp.batch.reserve(req.batch.size());
@@ -213,11 +274,12 @@ Response SspServer::Handle(const Request& req) {
       mutated = mutated || IsMutatingOp(sub.op);
       // Sub-requests never carry extensions on the wire; the top-level
       // frame's versioned-read flag covers every sub-read.
-      resp.batch.push_back(HandleOne(sub, req.want_version, &max_wal_seq));
+      resp.batch.push_back(
+          HandleOne(sub, req.want_version, replayed, &max_wal_seq));
     }
   } else {
     mutated = IsMutatingOp(req.op);
-    resp = HandleOne(req, req.want_version, &max_wal_seq);
+    resp = HandleOne(req, req.want_version, /*replayed=*/false, &max_wal_seq);
   }
 
   // One durability point per top-level request: under sync=always a
@@ -239,7 +301,7 @@ Response SspServer::Handle(const Request& req) {
 }
 
 Response SspServer::HandleOne(const Request& req, bool want_version,
-                              uint64_t* max_wal_seq) {
+                              bool replayed, uint64_t* max_wal_seq) {
   // Shard-ownership gate (placement.h): a store-scoped op for a routing
   // key this daemon does not replicate is refused before it can touch
   // the WAL or the store — the reply tells the client its cluster
@@ -263,8 +325,10 @@ Response SspServer::HandleOne(const Request& req, bool want_version,
   // replays, so a recovered store is byte-identical by construction.
   // Log-before-apply: an op that reaches the store is always in the log
   // (the reverse — logged but not applied due to a crash — is exactly
-  // what replay repairs).
+  // what replay repairs). A mutation of a re-sent batch is answered
+  // without either: the store already holds the batch's effect.
   if (IsMutatingOp(req.op)) {
+    if (replayed) return Response::Ok();
     if (Wal* wal = wal_.load(std::memory_order_acquire)) {
       uint64_t seq = 0;
       Status appended = wal->Append(req, &seq);

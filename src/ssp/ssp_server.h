@@ -86,8 +86,9 @@ class SspServer {
   /// batch shares a single durability point. `want_version` is the
   /// top-level frame's versioned-read flag (a kBatch's flag covers all
   /// sub-reads): live hits gain an 8-byte generation suffix, tombstones
-  /// answer kDeleted instead of kNotFound.
-  Response HandleOne(const Request& req, bool want_version,
+  /// answer kDeleted instead of kNotFound. A mutation of a `replayed`
+  /// batch (IsAppliedBatch) is answered kOk, neither logged nor applied.
+  Response HandleOne(const Request& req, bool want_version, bool replayed,
                      uint64_t* max_wal_seq);
   /// Publishes this server's store accounting as registry gauges
   /// (ssp.store.*). Several live servers sum in the snapshot.

@@ -306,6 +306,45 @@ TEST(SspServerTest, EveryBatchSubOpStatusIsCounted) {
   EXPECT_EQ(ok->Value(), ok0 + 2);
 }
 
+TEST(SspServerTest, ReplayedBatchLeavesTheStoreAsOneApplyDid) {
+  // A client re-sends a mutating batch the daemon applied but did not
+  // answer. The batch mutates keys more than once (a directory's table
+  // written twice, a block put then deleted, a user block put then
+  // dropped with its inode), so applying it again must not walk those
+  // keys through their intermediate states and raise their generations.
+  // The first apply still equals the sub-ops sent one by one.
+  const Request batch = Request::Batch(
+      {Request::PutMetadata(1, 0, {1}), Request::PutData(2, 0, {2}),
+       Request::PutUserMetadata(3, 100, {3}), Request::PutMetadata(1, 0, {4}),
+       Request::DeleteData(2, 0), Request::DeleteInodeMetadata(3),
+       Request::PutMetadata(1, 9, {5})});
+  for (bool tombstones : {false, true}) {
+    SspServer server, one_by_one;
+    for (SspServer* s : {&server, &one_by_one}) {
+      s->store().set_tombstones_enabled(tombstones);
+      ASSERT_EQ(s->Handle(Request::PutMetadata(1, 0, {7})).status,
+                RespStatus::kOk);
+    }
+    for (const Request& sub : batch.batch) {
+      ASSERT_EQ(one_by_one.Handle(sub).status, RespStatus::kOk);
+    }
+    Response first = server.Handle(batch);
+    ASSERT_EQ(first.status, RespStatus::kOk);
+    ASSERT_EQ(first.batch.size(), batch.batch.size());
+    for (const Response& sub : first.batch) {
+      EXPECT_EQ(sub.status, RespStatus::kOk);
+    }
+    const Bytes once = server.store().Serialize();
+    EXPECT_EQ(once, one_by_one.store().Serialize())
+        << "tombstones " << tombstones;
+    Response again = server.Handle(batch);
+    EXPECT_EQ(again.status, RespStatus::kOk);
+    EXPECT_EQ(again.batch.size(), batch.batch.size());
+    EXPECT_EQ(server.store().Serialize(), once)
+        << "tombstones " << tombstones;
+  }
+}
+
 TEST(SspServerTest, GetPutDeleteThroughWire) {
   SspServer server;
   Bytes resp_wire =

@@ -30,6 +30,7 @@
 
 #include "core/retrying_connection.h"
 #include "obs/metrics.h"
+#include "ssp/fault_injection.h"
 #include "ssp/object_store.h"
 #include "ssp/tcp_service.h"
 #include "ssp/wal.h"
@@ -306,47 +307,35 @@ TEST(WalRecovery, CompactionUnderLoadSurvivesHardKills) {
 
 TEST(WalRecovery, AndrewSequenceSurvivesHardKillChurn) {
   // Full-stack version: a mounted SharoesClient behind RetryingConnection
-  // runs the Andrew sequence while its channel SIGKILLs the daemon three
-  // times. No graceful snapshot ever happens, so every restart
+  // runs the Andrew sequence while a controller SIGKILLs the daemon
+  // three times. No graceful snapshot ever happens, so every restart
   // recovers purely from the log — and the transcript plus the final
   // store must be byte-identical to a crash-free run.
+  //
+  // The controller kills on WAL progress, not on a timer: once the log
+  // has grown by another quarter of the records the clean run's Andrew
+  // sequence logs. So every kill lands while the sequence still has ops
+  // to send, however fast or loaded the host is. In churn runs each
+  // reply also waits 1 ms after its request is applied, so the kill
+  // lands while the request that crossed the mark is in flight: applied,
+  // its reply lost, and re-sent to the restarted daemon.
   using sharoes::testing::MakeClient;
   using sharoes::testing::MakeEngine;
   using sharoes::testing::ProvisionOverTcp;
   using sharoes::testing::RunAndrewSequence;
   using sharoes::testing::TcpFactory;
 
-  // The client's channel. After each acknowledged call it kills the
-  // daemon once the WAL has logged another quarter of the records the
-  // clean run's Andrew sequence logs. So every kill lands while the
-  // sequence still has ops to send, however fast or loaded the host is,
-  // and between two requests: the next call finds its connection dead
-  // and reconnects, and no request is applied twice.
-  class KillingChannel : public SspChannel {
-   public:
-    KillingChannel(SspChannel* inner, RestartableDaemon* daemon,
-                   std::vector<uint64_t> kill_at)
-        : inner_(inner), daemon_(daemon), kill_at_(std::move(kill_at)) {}
-    Result<Response> Call(const Request& req) override {
-      Result<Response> resp = inner_->Call(req);
-      if (!kill_at_.empty() && daemon_->wal_sequence() >= kill_at_.front()) {
-        kill_at_.erase(kill_at_.begin());
-        daemon_->RestartHard();
-      }
-      return resp;
-    }
-
-   private:
-    SspChannel* inner_;
-    RestartableDaemon* daemon_;
-    std::vector<uint64_t> kill_at_;
-  };
   uint64_t sequence_records = 0;
   auto run = [&sequence_records](const std::string& dir, bool churn,
                                  Bytes* transcript_out, Bytes* store_out) {
+    FaultPolicy::Options delay;
+    delay.delay_prob = 1.0;
+    delay.delay_ms = 1;
+    FaultPolicy delay_replies(delay);
     RestartableDaemon::Options opts;
     opts.wal_dir = dir;
     RestartableDaemon daemon(opts);
+    if (churn) daemon.set_injector(&delay_replies);
     daemon.Start();
     auto enterprise = ProvisionOverTcp(&daemon);
 
@@ -358,15 +347,24 @@ TEST(WalRecovery, AndrewSequenceSurvivesHardKillChurn) {
     retry.max_backoff_ms = 200;
     retry.seed = 7;
     core::RetryingConnection conn(TcpFactory(&daemon), retry);
-    const uint64_t start = daemon.wal_sequence();
-    std::vector<uint64_t> kill_at;
-    for (uint64_t i = 1; churn && i <= 3; ++i) {
-      kill_at.push_back(start + i * sequence_records / 4);
-    }
-    KillingChannel channel(&conn, &daemon, std::move(kill_at));
-    auto client = MakeClient(enterprise.get(), &channel, engine.get());
+    auto client = MakeClient(enterprise.get(), &conn, engine.get());
     ASSERT_TRUE(client->Mount().ok());
+
+    const uint64_t start = daemon.wal_sequence();
+    std::atomic<bool> done{false};
+    std::thread controller([&] {
+      for (uint64_t i = 1; churn && i <= 3; ++i) {
+        const uint64_t kill_at = start + i * sequence_records / 4;
+        while (!done.load() && daemon.wal_sequence() < kill_at) {
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+        if (done.load()) return;
+        daemon.RestartHard();
+      }
+    });
     auto transcript = RunAndrewSequence(client.get());
+    done.store(true);
+    controller.join();
     if (!churn) sequence_records = daemon.wal_sequence() - start;
     ASSERT_TRUE(transcript.ok()) << transcript.status();
     *transcript_out = std::move(*transcript);
