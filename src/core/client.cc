@@ -63,16 +63,19 @@ SharoesClient::SharoesClient(fs::UserId uid,
       options_(options),
       neg_cache_(kNegativeDentryBytes, nullptr, "client.dentry.neg") {}
 
-std::vector<uint32_t> SharoesClient::FirstDataWindow(
-    fs::InodeNum inode, const DataDescriptor* desc) const {
+size_t SharoesClient::ColdWindowChunks() const {
   // Before the descriptor is fetched the block count is unknown, so the
   // speculative first window stays small: big enough to cover most files
   // in one round trip, small enough that a one-chunk file wastes only a
-  // few tiny kNotFound sub-responses. A cached descriptor knows the EOF,
-  // so nothing past it is asked for.
+  // few tiny kNotFound sub-responses.
   constexpr size_t kInitialReadChunks = 4;
-  uint32_t end = 1 + static_cast<uint32_t>(std::min<size_t>(
-                         options_.readahead_blocks, kInitialReadChunks));
+  return std::min(options_.readahead_blocks, kInitialReadChunks);
+}
+
+std::vector<uint32_t> SharoesClient::FirstDataWindow(
+    fs::InodeNum inode, const DataDescriptor* desc) const {
+  // A cached descriptor knows the EOF, so nothing past it is asked for.
+  uint32_t end = 1 + static_cast<uint32_t>(ColdWindowChunks());
   std::vector<uint32_t> blocks;
   if (desc == nullptr) {
     blocks.push_back(0);
@@ -897,12 +900,7 @@ Result<Bytes> SharoesClient::FetchFileContent(Node node) {
     Status taken = TakeDataWindow(&node, window, resps.data());
     if (taken.IsNotFound()) {
       if (versions_.NeverWritten(inode)) return Bytes{};
-      // A file this client saw written loses its data only with its
-      // metadata (an unlink: the view fetch says NotFound). Otherwise the
-      // SSP dropped the data, which must not read as an empty file.
-      cache_.Erase(ViewCacheKey(inode, node.ref.selector));
-      SHAROES_RETURN_IF_ERROR(FetchNode(node.ref, false, false).status());
-      return Status::Corruption("data dropped: block 0 missing at the SSP");
+      return DataDropped(node.ref, "block 0");
     }
     SHAROES_RETURN_IF_ERROR(taken);
   }
@@ -913,6 +911,13 @@ Result<Bytes> SharoesClient::FetchFileContent(Node node) {
   SHAROES_RETURN_IF_ERROR(
       versions_.Observe(inode, desc.write_gen, desc.tag_root));
 
+  // The signed descriptor names every chunk block: one the SSP does not
+  // have was dropped, and the file must not read as a shorter one.
+  auto fetch = [&](const std::vector<uint32_t>& blocks) {
+    Status fetched = FetchBlocks(&node, blocks);
+    return fetched.IsNotFound() ? DataDropped(node.ref, "a chunk block")
+                                : fetched;
+  };
   // Chunk blocks the first window opened are in node.window already; the
   // rest come from the cache or the SSP.
   std::vector<uint32_t> missing;
@@ -925,7 +930,7 @@ Result<Bytes> SharoesClient::FetchFileContent(Node node) {
       missing.push_back(i);
     }
   }
-  SHAROES_RETURN_IF_ERROR(FetchBlocks(&node, missing));
+  SHAROES_RETURN_IF_ERROR(fetch(missing));
   Result<Bytes> content = Reassemble(node);
   if (content.ok() || node.reused.empty()) return content;
   // A chunk this read did not download can be of another version than
@@ -938,8 +943,17 @@ Result<Bytes> SharoesClient::FetchFileContent(Node node) {
     node.window.erase(i);
     cache_.Erase(CandidateCacheKey(inode, i));
   }
-  SHAROES_RETURN_IF_ERROR(FetchBlocks(&node, again));
+  SHAROES_RETURN_IF_ERROR(fetch(again));
   return Reassemble(node);
+}
+
+Status SharoesClient::DataDropped(const PlainRef& ref,
+                                  const std::string& block) {
+  // A file loses its data only with its metadata (an unlink: the view
+  // fetch says NotFound). Otherwise the SSP dropped the data.
+  cache_.Erase(ViewCacheKey(ref.inode, ref.selector));
+  SHAROES_RETURN_IF_ERROR(FetchNode(ref, false, false).status());
+  return Status::Corruption("data dropped: " + block + " missing at the SSP");
 }
 
 Result<Bytes> SharoesClient::Reassemble(const Node& node) {
@@ -1072,36 +1086,86 @@ Status SharoesClient::FlushBuffer(const std::string& path,
 
   // The paper divides files into blocks precisely so a write does not
   // re-encrypt the whole file (§II-B). When the previous version is in
-  // the local cache, only changed blocks are re-encrypted and shipped.
-  // Diff only when keys did not rotate and the file did not shrink.
+  // the local cache, only changed chunks are re-encrypted and shipped, and
+  // a write that grows the file keeps its old chunks and seals the new
+  // bytes as chunks of their own (DESIGN.md §13). Diff only when keys did
+  // not rotate.
+  std::vector<size_t> ends = PackedChunkEnds(content.size());
   std::optional<std::map<uint32_t, ObjectCodec::KeptBlock>> kept;
   auto old_desc = cache_.Get<DataDescriptor>(DataCacheKey(inode, 0));
-  if (old_desc != nullptr && !key_rotated &&
-      1 + ChunkCount(content.size()) >= old_desc->block_count) {
+  if (old_desc != nullptr && !key_rotated) {
+    std::vector<std::shared_ptr<const OpenedBlock>> old(
+        old_desc->block_count);
+    for (uint32_t i = 1; i < old.size(); ++i) {
+      old[i] = cache_.Get<OpenedBlock>(DataCacheKey(inode, i));
+    }
+    if (content.size() >= old_desc->size) {
+      ends = GrownChunkEnds(*old_desc, old, content.size());
+    }
     kept.emplace();
-    for (uint32_t i = 1; i < old_desc->block_count; ++i) {
+    for (uint32_t i = 1; i < old.size() && i <= ends.size(); ++i) {
       // A kept block's cached tag goes into the new descriptor's root,
       // which must commit to every chunk block, kept or rewritten.
-      auto old = cache_.Get<OpenedBlock>(DataCacheKey(inode, i));
-      auto [begin, end] = ChunkRange(i - 1, content.size());
-      if (old != nullptr &&
-          std::equal(old->chunk.begin(), old->chunk.end(),
-                     content.begin() + begin, content.begin() + end)) {
-        (*kept)[i] = {old_desc->GenOfBlock(i), old->tag};
+      const size_t begin = i == 1 ? 0 : ends[i - 2];
+      if (old[i] != nullptr &&
+          std::equal(old[i]->chunk.begin(), old[i]->chunk.end(),
+                     content.begin() + begin, content.begin() + ends[i - 1])) {
+        (*kept)[i] = {old_desc->GenOfBlock(i), old[i]->tag};
       }
     }
   }
   std::vector<ssp::Request> puts;
   SHAROES_ASSIGN_OR_RETURN(
       ObjectCodec::RenderedFile file,
-      RenderFileWrite(inode, content, dek, *node.view.dsk,
+      RenderFileWrite(inode, content, ends, dek, *node.view.dsk,
                       node.view.dek_gen + (key_rotated ? 1 : 0),
                       kept.has_value() ? &*kept : nullptr, &puts));
+  // A shrink or a re-pack can leave fewer chunks than the file had; with a
+  // diff basis the blocks past the new end go one by one, in the same
+  // batch.
+  if (kept.has_value()) {
+    for (uint32_t i = file.desc.block_count; i < old_desc->block_count; ++i) {
+      puts.push_back(ssp::Request::DeleteData(inode, i));
+    }
+  }
   return CommitFileWrite(inode, std::move(file), std::move(puts));
 }
 
+std::vector<size_t> SharoesClient::GrownChunkEnds(
+    const DataDescriptor& old_desc,
+    const std::vector<std::shared_ptr<const OpenedBlock>>& old,
+    size_t size) const {
+  // The old chunks' ends: from the cached chunks' lengths when every one
+  // is cached and they add up, else from the size when the block count is
+  // a packed file's. A wrong guess only costs chunks that are not kept.
+  std::vector<size_t> ends;
+  for (uint32_t i = 1; i < old.size() && old[i] != nullptr; ++i) {
+    ends.push_back((ends.empty() ? 0 : ends.back()) + old[i]->chunk.size());
+  }
+  if (ends.size() + 1 != old.size() ||
+      (!ends.empty() && ends.back() != old_desc.size)) {
+    if (old.size() != 1 + ChunkCount(old_desc.size)) {
+      return PackedChunkEnds(size);
+    }
+    ends = PackedChunkEnds(old_desc.size);
+  }
+  for (size_t end = old_desc.size; end < size;) {
+    end = std::min(end + kBlockSize, size);
+    ends.push_back(end);
+  }
+  // The bound: more chunks than the packed layout only within the cold
+  // first read window, so no reader pays a round trip for a short chunk.
+  // Past it the file re-packs: full chunks stay as stored, and the
+  // content from the first short chunk on is sealed again in full ones.
+  if (ends.size() <= std::max<size_t>(ColdWindowChunks(), ChunkCount(size))) {
+    return ends;
+  }
+  return PackedChunkEnds(size);
+}
+
 Result<ObjectCodec::RenderedFile> SharoesClient::RenderFileWrite(
-    fs::InodeNum inode, const Bytes& content, const crypto::SymmetricKey& dek,
+    fs::InodeNum inode, const Bytes& content,
+    const std::vector<size_t>& chunk_ends, const crypto::SymmetricKey& dek,
     const crypto::SigningKey& dsk, uint32_t key_gen,
     const std::map<uint32_t, ObjectCodec::KeptBlock>* kept,
     std::vector<ssp::Request>* puts) {
@@ -1112,7 +1176,7 @@ Result<ObjectCodec::RenderedFile> SharoesClient::RenderFileWrite(
   if (kept == nullptr && !versions_.Unwritten(inode)) {
     puts->push_back(ssp::Request::DeleteInodeData(inode));
   }
-  return codec_.RenderFile(inode, content,
+  return codec_.RenderFile(inode, content, chunk_ends,
                            ObjectCodec::DataBlockHeader{key_gen, write_gen},
                            dek, dsk, kept, puts);
 }
@@ -1222,7 +1286,8 @@ Status SharoesClient::ChangeMode(const std::string& path, fs::Mode mode) {
       dek_gen += 1;
       dek_next.reset();
       SHAROES_ASSIGN_OR_RETURN(
-          rewrite, RenderFileWrite(attrs.inode, content, bundle.dek,
+          rewrite, RenderFileWrite(attrs.inode, content,
+                                   PackedChunkEnds(content.size()), bundle.dek,
                                    bundle.data.sign, dek_gen,
                                    /*kept=*/nullptr, &batch));
     } else if (!dek_next.has_value()) {

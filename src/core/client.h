@@ -327,8 +327,14 @@ class SharoesClient : public FsClient {
   static std::string NegDentryCacheKey(fs::InodeNum dir_inode,
                                        const std::string& name);
 
+  /// The chunks a cold read asks for together with block 0, before it
+  /// knows the block count: min(readahead_blocks, 4). A write lays out
+  /// more chunks than a packed file has only up to this many
+  /// (GrownChunkEnds), so short chunks never cost a cold reader a round
+  /// trip.
+  size_t ColdWindowChunks() const;
   /// The data blocks a read batches into its first fetch: the uncached
-  /// ones of a small initial window of chunks. With
+  /// ones of the first ColdWindowChunks() chunks. With
   /// `desc` (block 0) null the window is speculative and starts with
   /// block 0; otherwise its block_count caps it.
   std::vector<uint32_t> FirstDataWindow(fs::InodeNum inode,
@@ -346,6 +352,9 @@ class SharoesClient : public FsClient {
   /// once.
   Status FetchBlocks(Node* node, const std::vector<uint32_t>& blocks);
   Result<Bytes> FetchFileContent(Node node);
+  /// The error of a read that found data block `block` of `ref` missing:
+  /// the view's NotFound when the file is gone, else Corruption.
+  Status DataDropped(const PlainRef& ref, const std::string& block);
   /// The file's content from node->window, checked against the
   /// descriptor's tag root and size.
   static Result<Bytes> Reassemble(const Node& node);
@@ -369,11 +378,23 @@ class SharoesClient : public FsClient {
   /// Returns whether the block is under dek_next.
   static Result<bool> CheckBlockHeader(const Node& node, uint32_t index,
                                        const ObjectCodec::DataBlockHeader& h);
-  /// The one client write of file data: renders `content` through the
-  /// codec at the inode's next write generation. Blocks in `kept` stay as
-  /// stored; with `kept` null the inode's old blocks are deleted first.
+  /// The chunk ends of a write that grows a file from `old_desc` (whose
+  /// cached chunk blocks are `old`, null where not cached, indexed by
+  /// block) to `size` bytes (DESIGN.md §13): the old chunks as stored,
+  /// then the new bytes in chunks of at most kBlockSize; the packed layout
+  /// instead when that passes the bound or the old chunks' ends are
+  /// unknown.
+  std::vector<size_t> GrownChunkEnds(
+      const DataDescriptor& old_desc,
+      const std::vector<std::shared_ptr<const OpenedBlock>>& old,
+      size_t size) const;
+  /// The one client write of file data: renders `content` as the chunks
+  /// ending at `chunk_ends` through the codec at the inode's next write
+  /// generation. Blocks in `kept` stay as stored; with `kept` null the
+  /// inode's old blocks are deleted first.
   Result<ObjectCodec::RenderedFile> RenderFileWrite(
       fs::InodeNum inode, const Bytes& content,
+      const std::vector<size_t>& chunk_ends,
       const crypto::SymmetricKey& dek, const crypto::SigningKey& dsk,
       uint32_t key_gen,
       const std::map<uint32_t, ObjectCodec::KeptBlock>* kept,

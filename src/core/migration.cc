@@ -160,9 +160,10 @@ Result<Provisioner::MigratedObject> Provisioner::MigrateNode(
   } else {
     ++stats->files;
     // Migration is the file's first write (generation 1).
-    codec_.RenderFile(inode, spec.content, ObjectCodec::DataBlockHeader{0, 1},
-                      obj.bundle.dek, obj.bundle.data.sign, /*kept=*/nullptr,
-                      &puts);
+    codec_.RenderFile(inode, spec.content,
+                      PackedChunkEnds(spec.content.size()),
+                      ObjectCodec::DataBlockHeader{0, 1}, obj.bundle.dek,
+                      obj.bundle.data.sign, /*kept=*/nullptr, &puts);
   }
   for (ssp::Request& put : puts) {
     CountPut(put, stats);

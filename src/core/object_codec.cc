@@ -268,14 +268,15 @@ MasterEntry ObjectCodec::EntryFor(const std::string& name,
 }
 
 ObjectCodec::RenderedFile ObjectCodec::RenderFile(
-    fs::InodeNum inode, const Bytes& content, const DataBlockHeader& header,
+    fs::InodeNum inode, const Bytes& content,
+    const std::vector<size_t>& chunk_ends, const DataBlockHeader& header,
     const crypto::SymmetricKey& dek, const crypto::SigningKey& dsk,
     const std::map<uint32_t, KeptBlock>* kept,
     std::vector<ssp::Request>* out) {
   RenderedFile file;
   DataDescriptor& desc = file.desc;
   desc.size = content.size();
-  desc.block_count = 1 + ChunkCount(content.size());
+  desc.block_count = 1 + static_cast<uint32_t>(chunk_ends.size());
   desc.write_gen = header.write_gen;
   desc.block_gens.assign(desc.block_count - 1, header.write_gen);
   // Chunk blocks seal first: their AEAD tags are the Merkle leaves the
@@ -291,8 +292,9 @@ ObjectCodec::RenderedFile ObjectCodec::RenderFile(
         continue;
       }
     }
-    auto [begin, end] = ChunkRange(idx - 1, content.size());
-    Bytes chunk(content.begin() + begin, content.begin() + end);
+    const size_t begin = idx == 1 ? 0 : chunk_ends[idx - 2];
+    Bytes chunk(content.begin() + begin,
+                content.begin() + chunk_ends[idx - 1]);
     Bytes tag;
     wires[idx] = EncodeDataBlock(inode, idx, header, chunk, dek, &tag);
     tags[idx - 1] = tag;

@@ -190,11 +190,14 @@ class ObjectCodec {
   };
 
   /// Renders one file write under `header` (key and write generation):
-  /// splits `content` into chunks, seals the chunk blocks not in `kept`
-  /// (null: none kept), then signs the descriptor whose Merkle root covers
-  /// every chunk tag. Appends the puts in store order: the descriptor
-  /// (block 0), then the sealed chunk blocks in index order.
+  /// splits `content` into the chunks that end at `chunk_ends` (ascending,
+  /// the last at content.size(), none longer than kBlockSize; see
+  /// PackedChunkEnds), seals the chunk blocks not in `kept` (null: none
+  /// kept), then signs the descriptor whose Merkle root covers every chunk
+  /// tag. Appends the puts in store order: the descriptor (block 0), then
+  /// the sealed chunk blocks in index order.
   RenderedFile RenderFile(fs::InodeNum inode, const Bytes& content,
+                          const std::vector<size_t>& chunk_ends,
                           const DataBlockHeader& header,
                           const crypto::SymmetricKey& dek,
                           const crypto::SigningKey& dsk,

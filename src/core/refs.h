@@ -148,7 +148,13 @@ struct GroupSecret {
 ///
 /// Block 0 is the file's commit record. Chunk k of the content lives in
 /// block k+1, so `block_count` is 1 + the chunk count (1 for an empty
-/// file, which is the descriptor alone). `write_gen` is the monotonically
+/// file, which is the descriptor alone). Chunks hold at most kBlockSize
+/// bytes each and the content is their concatenation in block order: a
+/// packed file's chunks are ChunkRange's runs, and a file that took an
+/// append keeps its old chunks and holds the appended bytes in short
+/// chunks of their own (DESIGN.md §13). The descriptor stores no chunk
+/// length; `block_count` is stored, never derived from `size`.
+/// `write_gen` is the monotonically
 /// increasing flush counter used for freshness/rollback detection (the
 /// paper's §VIII future work, SUNDR-style). `block_gens[k]` records the
 /// generation at which chunk k (block k+1) was last rewritten: the
@@ -180,14 +186,16 @@ struct DataDescriptor {
 };
 
 /// The one chunk size of the on-SSP layout, for SHAROES and the
-/// baselines alike: a file's content is split into runs of this many
-/// bytes, each sealed into its own data block.
+/// baselines alike: no chunk holds more than this many bytes, and each is
+/// sealed into its own data block.
 inline constexpr size_t kBlockSize = 4096;
 
-/// The one split of file content into chunks, shared by every writer:
-/// chunk k is the k-th run of kBlockSize bytes and is stored in block
-/// k+1. SHAROES stores no chunk for an empty file; the baselines store one
-/// (possibly empty) chunk, because their descriptor rides in it.
+/// The packed split of file content into chunks: chunk k is the k-th run
+/// of kBlockSize bytes and is stored in block k+1. The baselines store
+/// every file packed; SHAROES stores a file packed until an append gives
+/// it short chunks (DataDescriptor). SHAROES stores no chunk for an empty
+/// file; the baselines store one (possibly empty) chunk, because their
+/// descriptor rides in it.
 inline uint32_t ChunkCount(size_t size) {
   return static_cast<uint32_t>((size + kBlockSize - 1) / kBlockSize);
 }
@@ -196,10 +204,19 @@ inline uint32_t ChunkCount(size_t size) {
 inline uint32_t BlockCount(size_t size) {
   return std::max<uint32_t>(1, ChunkCount(size));
 }
-/// The byte range [first, second) of chunk `idx` in a `size`-byte file.
+/// The byte range [first, second) of chunk `idx` of a packed `size`-byte
+/// file.
 inline std::pair<size_t, size_t> ChunkRange(uint32_t idx, size_t size) {
   return {std::min(idx * kBlockSize, size),
           std::min((idx + 1) * kBlockSize, size)};
+}
+/// The end offsets of a packed `size`-byte file's chunks, in block order.
+inline std::vector<size_t> PackedChunkEnds(size_t size) {
+  std::vector<size_t> ends;
+  for (uint32_t k = 0; k < ChunkCount(size); ++k) {
+    ends.push_back(ChunkRange(k, size).second);
+  }
+  return ends;
 }
 
 /// Pseudo-user id namespace for group split blocks in the SSP's per-user

@@ -100,6 +100,38 @@ TEST_F(PartialUpdateTest, AppendWritesOnlyNewAndLastBlocks) {
   EXPECT_EQ(*read, expected);
 }
 
+TEST_F(PartialUpdateTest, AppendShipsOnlyItsOwnBytes) {
+  // The last chunk holds 4000 B. A warm owner's 300 B append seals one
+  // short chunk of its own bytes (DESIGN.md §13) instead of sealing and
+  // shipping the 4000 B chunk again.
+  const size_t bs = core::kBlockSize;
+  auto& alice = world_->client(kAlice);
+  Bytes content(2 * bs + 4000, 'a');
+  ASSERT_TRUE(alice.WriteFile("/big.bin", content).ok());
+  std::map<uint32_t, Bytes> before = StoredBlocks();
+  ASSERT_EQ(before.size(), 4u);
+
+  net::Transport& link = world_->transport(kAlice);
+  link.ResetCounters();
+  world_->engine(kAlice).ResetOpCounts();
+  Bytes extra(300, 'x');
+  ASSERT_TRUE(alice.Append("/big.bin", extra).ok());
+  ASSERT_TRUE(alice.Close("/big.bin").ok());
+  EXPECT_EQ(link.counters().round_trips, 1u);
+  EXPECT_EQ(world_->engine(kAlice).op_counts().sym_encrypt, 1u);
+  EXPECT_EQ(world_->engine(kAlice).op_counts().sign, 1u);
+  EXPECT_LT(link.counters().bytes_up, 300u + 700u);
+
+  std::map<uint32_t, Bytes> after = StoredBlocks();
+  EXPECT_EQ(after.size(), 5u);
+  for (uint32_t i = 1; i <= 3; ++i) EXPECT_EQ(after[i], before[i]) << i;
+  content.insert(content.end(), extra.begin(), extra.end());
+  world_->client(kBob).DropCaches();
+  auto read = world_->client(kBob).Read("/big.bin");
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(*read, content);
+}
+
 TEST_F(PartialUpdateTest, ShrinkFallsBackToFullRewrite) {
   auto& alice = world_->client(kAlice);
   ASSERT_TRUE(alice.Read("/big.bin").ok());

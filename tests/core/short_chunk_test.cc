@@ -1,0 +1,280 @@
+// Short chunks (DESIGN.md §13): an append to a warm file keeps every
+// stored chunk and seals only the appended bytes, as chunks of their own,
+// while the file's chunk count stays within the cold first read window.
+// These tests pin the edges of that layout: tampering with a short chunk,
+// the re-pack past the window, shrinking, a lazy key rotation and
+// revalidation after an append.
+
+#include <gtest/gtest.h>
+
+#include "core/object_codec.h"
+#include "crypto/aead.h"
+#include "obs/metrics.h"
+#include "testing/world.h"
+
+namespace sharoes {
+namespace {
+
+using core::kBlockSize;
+using testing::kAlice;
+using testing::kBob;
+using testing::kCarol;
+using testing::kEng;
+using testing::World;
+
+/// `n` bytes of `c`.
+Bytes Fill(size_t n, char c) { return Bytes(n, static_cast<uint8_t>(c)); }
+
+class ShortChunkTest : public ::testing::Test {
+ protected:
+  void SetUp() override { Start(World::Options()); }
+
+  void Start(const World::Options& opts) {
+    world_ = std::make_unique<World>(opts);
+    core::LocalNode root =
+        core::LocalNode::Dir("", kAlice, kEng, World::ParseMode("rwxr-xr-x"));
+    root.children.push_back(core::LocalNode::File(
+        "doc.txt", kAlice, kEng, World::ParseMode("rw-rw-r--"), Bytes()));
+    ASSERT_TRUE(world_->MigrateAndMountAll(root).ok());
+    auto attrs = alice().Getattr("/doc.txt");
+    ASSERT_TRUE(attrs.ok());
+    inode_ = attrs->inode;
+    content_.clear();
+  }
+
+  core::SharoesClient& alice() { return world_->client(kAlice); }
+  core::SharoesClient& bob() { return world_->client(kBob); }
+  ssp::ObjectStore& store() { return world_->server().store(); }
+
+  /// Alice's whole-file write, remembered as the expected content.
+  void Write(const Bytes& content) {
+    ASSERT_TRUE(alice().WriteFile("/doc.txt", content).ok());
+    content_ = content;
+  }
+  /// Alice's append and close.
+  void Append(const Bytes& extra) {
+    ASSERT_TRUE(alice().Append("/doc.txt", extra).ok());
+    ASSERT_TRUE(alice().Close("/doc.txt").ok());
+    content_.insert(content_.end(), extra.begin(), extra.end());
+  }
+
+  /// The stored data blocks, by index.
+  std::map<uint32_t, Bytes> Stored() {
+    std::map<uint32_t, Bytes> out;
+    for (uint32_t i = 0; i < 32; ++i) {
+      auto blob = store().Get(ssp::ObjectRef::Data(inode_, i));
+      if (blob.has_value()) out[i] = *blob;
+    }
+    return out;
+  }
+  /// The descriptor of alice's last write, from her cache.
+  uint32_t BlockCount() {
+    auto desc = alice().cache().Get<core::DataDescriptor>(
+        "d|" + std::to_string(inode_) + "|0");
+    return desc == nullptr ? 0 : desc->block_count;
+  }
+  /// The length of each stored chunk, in block order: a chunk block's
+  /// wire is key_gen u32 | write_gen u64 | nonce | u32 length | ciphertext
+  /// | tag | u32 0, and GCM ciphertext is as long as the chunk.
+  std::vector<size_t> ChunkSizes() {
+    std::vector<size_t> sizes;
+    for (const auto& [idx, wire] : Stored()) {
+      if (idx == 0) continue;
+      BinaryReader r(wire);
+      r.GetU32();
+      r.GetU64();
+      r.GetRaw(crypto::kAeadNonceSize);
+      sizes.push_back(r.GetU32());
+    }
+    return sizes;
+  }
+  /// The store holds exactly blocks 0..BlockCount()-1.
+  void ExpectNoBlockPastTheEnd() {
+    std::map<uint32_t, Bytes> stored = Stored();
+    ASSERT_FALSE(stored.empty());
+    EXPECT_EQ(stored.size(), BlockCount());
+    EXPECT_EQ(stored.rbegin()->first + 1, BlockCount());
+  }
+
+  Result<Bytes> ColdReadAsBob() {
+    bob().DropCaches();
+    return bob().Read("/doc.txt");
+  }
+  void ExpectCorruption() {
+    auto read = ColdReadAsBob();
+    ASSERT_FALSE(read.ok()) << "tampered file read as plaintext";
+    EXPECT_TRUE(read.status().IsCorruption()) << read.status();
+  }
+
+  std::unique_ptr<World> world_;
+  fs::InodeNum inode_ = 0;
+  Bytes content_;
+};
+
+TEST_F(ShortChunkTest, AppendAddsAChunkOfItsOwnBytes) {
+  Write(Fill(4000, 'a'));
+  Append(Fill(300, 'b'));
+  Append(Fill(200, 'c'));
+  EXPECT_EQ(ChunkSizes(), (std::vector<size_t>{4000, 300, 200}));
+  auto read = ColdReadAsBob();
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(*read, content_);
+}
+
+TEST_F(ShortChunkTest, SwappedDroppedOrStaleShortChunkIsCorruption) {
+  Write(Fill(4000, 'a'));
+  Append(Fill(300, 'b'));
+  Append(Fill(300, 'c'));  // Same length as block 2: a swap keeps the size.
+  std::map<uint32_t, Bytes> v1 = Stored();
+  ASSERT_EQ(v1.size(), 4u);
+
+  // Swapped: the two short chunks trade places.
+  store().Put(ssp::ObjectRef::Data(inode_, 2), v1[3]);
+  store().Put(ssp::ObjectRef::Data(inode_, 3), v1[2]);
+  ExpectCorruption();
+  store().Put(ssp::ObjectRef::Data(inode_, 2), v1[2]);
+  store().Put(ssp::ObjectRef::Data(inode_, 3), v1[3]);
+  auto read = ColdReadAsBob();
+  ASSERT_TRUE(read.ok()) << read.status();
+
+  // Dropped: the last short chunk is gone; the descriptor still counts it.
+  store().Delete(ssp::ObjectRef::Data(inode_, 3));
+  ExpectCorruption();
+  store().Put(ssp::ObjectRef::Data(inode_, 3), v1[3]);
+
+  // Stale: alice rewrites the last short chunk in place, and the SSP
+  // serves its previous, validly sealed version under the new descriptor.
+  Bytes edited = content_;
+  edited.back() = 'Z';
+  Write(edited);
+  std::map<uint32_t, Bytes> v2 = Stored();
+  ASSERT_EQ(v2.size(), 4u);
+  EXPECT_EQ(v2[1], v1[1]);
+  EXPECT_EQ(v2[2], v1[2]);
+  EXPECT_NE(v2[3], v1[3]);
+  store().Put(ssp::ObjectRef::Data(inode_, 3), v1[3]);
+  ExpectCorruption();
+}
+
+TEST_F(ShortChunkTest, AppendsPastTheWindowRepackAndEachColdReadIsOneTrip) {
+  // Bob's path is warm; each of his re-opens then costs the view, block 0
+  // and the first window in one batch.
+  Write(Fill(100, 'a'));
+  ASSERT_TRUE(bob().Read("/doc.txt").ok());
+  for (int i = 0; i < 9; ++i) {
+    SCOPED_TRACE(i);
+    Append(Fill(100, static_cast<char>('b' + i)));
+    // Never more chunks than the cold first window holds, and no block
+    // left past the descriptor's count.
+    EXPECT_LE(BlockCount(), 1u + 4u);
+    ExpectNoBlockPastTheEnd();
+    ASSERT_TRUE(bob().EvictPath("/doc.txt").ok());
+    world_->transport(kBob).ResetCounters();
+    auto read = bob().Read("/doc.txt");
+    ASSERT_TRUE(read.ok()) << read.status();
+    EXPECT_EQ(*read, content_);
+    EXPECT_EQ(world_->transport(kBob).counters().round_trips, 1u);
+  }
+  // Three short appends fill the window of four; the next re-packs into
+  // one chunk (deleting blocks 2..4), and the run starts again: 900 B,
+  // then the ninth append's 100.
+  EXPECT_EQ(ChunkSizes(), (std::vector<size_t>{900, 100}));
+}
+
+TEST_F(ShortChunkTest, RepackPastTheWindowKeepsFullChunksAndDeletesTheRest) {
+  Write(Fill(2 * kBlockSize, 'a'));
+  Append(Fill(100, 'b'));
+  Append(Fill(100, 'c'));
+  EXPECT_EQ(ChunkSizes(),
+            (std::vector<size_t>{kBlockSize, kBlockSize, 100, 100}));
+  std::map<uint32_t, Bytes> before = Stored();
+  Append(Fill(100, 'd'));  // A fifth chunk: past the window of four.
+  std::map<uint32_t, Bytes> after = Stored();
+  EXPECT_EQ(ChunkSizes(), (std::vector<size_t>{kBlockSize, kBlockSize, 300}));
+  ASSERT_EQ(after.size(), 4u);  // Block 4 was deleted in the same batch.
+  ExpectNoBlockPastTheEnd();
+  EXPECT_EQ(after[1], before[1]);
+  EXPECT_EQ(after[2], before[2]);
+  auto read = ColdReadAsBob();
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(*read, content_);
+}
+
+TEST_F(ShortChunkTest, ShrinkOfAShortChunkedFileLeavesNoBlockPastTheEnd) {
+  Write(Fill(4000, 'a'));
+  Append(Fill(300, 'b'));
+  Append(Fill(200, 'c'));
+  ASSERT_EQ(Stored().size(), 4u);
+  Write(Fill(1000, 'x'));
+  EXPECT_EQ(Stored().size(), 2u);
+  ExpectNoBlockPastTheEnd();
+  auto read = ColdReadAsBob();
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(*read, content_);
+}
+
+TEST_F(ShortChunkTest, WriterWithoutTheChunksCachedRewritesPacked) {
+  Write(Fill(4000, 'a'));
+  Append(Fill(300, 'b'));
+  // Bob writes (the group may) with a cache that never saw the chunks.
+  bob().DropCaches();
+  ASSERT_TRUE(bob().Append("/doc.txt", Fill(50, 'q')).ok());
+  ASSERT_TRUE(bob().Close("/doc.txt").ok());
+  content_.insert(content_.end(), 50, 'q');
+  auto read = ColdReadAsBob();
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(*read, content_);
+  alice().DropCaches();
+  read = alice().Read("/doc.txt");
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(*read, content_);
+}
+
+TEST_F(ShortChunkTest, LazyRevocationWriteRepacksUnderTheNewKey) {
+  World::Options opts;
+  opts.revocation = core::RevocationMode::kLazy;
+  Start(opts);
+  Write(Fill(4000, 'a'));
+  Append(Fill(300, 'b'));
+  ASSERT_EQ(Stored().size(), 3u);
+  // Carol (other) loses read: the next writer rotates the data key.
+  ASSERT_TRUE(
+      alice().Chmod("/doc.txt", World::ParseMode("rw-rw----")).ok());
+  ASSERT_TRUE(alice().Read("/doc.txt").ok());  // Warm again.
+  Append(Fill(300, 'c'));
+  std::map<uint32_t, Bytes> after = Stored();
+  // Packed: 4600 bytes in 2 chunks, every block under key generation 1.
+  ASSERT_EQ(after.size(), 3u);
+  EXPECT_EQ(ChunkSizes(), (std::vector<size_t>{kBlockSize, 504}));
+  for (const auto& [idx, wire] : after) {
+    auto h = core::ObjectCodec::PeekDataHeader(wire);
+    ASSERT_TRUE(h.ok());
+    EXPECT_EQ(h->key_gen, 1u) << "block " << idx;
+  }
+  auto read = ColdReadAsBob();
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(*read, content_);
+  world_->client(kCarol).DropCaches();
+  EXPECT_FALSE(world_->client(kCarol).Read("/doc.txt").ok());
+}
+
+TEST_F(ShortChunkTest, ReopenAfterAnAppendDownloadsOnlyTheNewChunk) {
+  Write(Fill(4000, 'a'));
+  ASSERT_TRUE(bob().Read("/doc.txt").ok());
+  Append(Fill(300, 'b'));
+  ASSERT_TRUE(bob().EvictPath("/doc.txt").ok());
+  auto* not_modified = obs::MetricsRegistry::Global().counter(
+      "ssp.responses.kNotModified");
+  const uint64_t nm = not_modified->Value();
+  net::Transport& link = world_->transport(kBob);
+  link.ResetCounters();
+  auto read = bob().Read("/doc.txt");
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(*read, content_);
+  EXPECT_EQ(not_modified->Value() - nm, 1u);  // The 4000 B chunk.
+  EXPECT_EQ(link.counters().round_trips, 1u);
+  EXPECT_LT(link.counters().bytes_down, 300u + 1000u);
+}
+
+}  // namespace
+}  // namespace sharoes
