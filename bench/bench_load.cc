@@ -128,7 +128,6 @@ std::unique_ptr<crypto::CryptoEngine> MakeEngine(SimClock* clock,
                                                  uint64_t seed) {
   crypto::CryptoEngineOptions opts;
   opts.cost_model = crypto::CryptoCostModel::Zero();
-  opts.signing_key_bits = 512;
   opts.rng_seed = seed;
   return std::make_unique<crypto::CryptoEngine>(clock, opts);
 }

@@ -1,12 +1,9 @@
-// Ablation of the paper's §IV-A.1 revocation strategies:
-//
-//   immediate (the paper's prototype): chmod re-encrypts the file under a
-//       fresh key right away — cost grows with file size;
-//   lazy (Plutus-style, implemented here as an extension): chmod only
-//       records the next key; the next writer performs the rotation.
-//
-// The sweep shows the trade-off the paper describes: immediate pays the
-// re-encryption at revocation time, lazy defers it to the next update.
+// Cost of the paper's §IV-A.1 immediate revocation, the one strategy the
+// client implements: a chmod that takes access away re-encrypts the file
+// under fresh keys right away, so its cost grows with file size, while a
+// chmod that only grants access re-renders metadata and stays flat. The
+// next-write column is the first write after the revocation, at the new
+// key generation.
 
 #include <cstdio>
 
@@ -87,9 +84,9 @@ void Run() {
   std::printf(
       "\nShape: revoking chmod cost grows with file size (download +"
       " re-encrypt + upload), while permission-granting chmod stays flat"
-      " (metadata-only). The paper's prototype uses immediate revocation;"
-      " lazy revocation (ClientOptions::revocation = kLazy) moves the"
-      " re-encryption into the next write instead.\n");
+      " (metadata-only). Like the paper's prototype, the client revokes"
+      " immediately: the chmod pays the re-encryption, and no later write"
+      " owes a key rotation.\n");
 }
 
 }  // namespace

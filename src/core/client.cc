@@ -642,7 +642,7 @@ Status SharoesClient::ExecuteBatch(std::vector<ssp::Request> requests) {
     pending_writes_.push_back(std::move(r));
   }
   if (pending_writes_.size() >= options_.write_batch_ops ||
-      pending_write_bytes_ >= options_.write_batch_bytes) {
+      pending_write_bytes_ >= kWriteBatchBytes) {
     return FlushStaged();
   }
   return Status::OK();
@@ -983,20 +983,17 @@ Result<Bytes> SharoesClient::Reassemble(const Node& node) {
   return content;
 }
 
-Result<bool> SharoesClient::CheckBlockHeader(
+Status SharoesClient::CheckBlockHeader(
     const Node& node, uint32_t index, const ObjectCodec::DataBlockHeader& h) {
   if (index != 0 && h.write_gen != node.desc->GenOfBlock(index)) {
     return Status::Corruption(
         "data block generation does not match the descriptor");
   }
-  // A block one key generation ahead was written after a lazy rotation.
-  const MetadataView& view = node.view;
-  bool rotated = h.key_gen == view.dek_gen + 1 && view.dek_next.has_value();
-  if (h.key_gen != view.dek_gen && !rotated) {
+  if (h.key_gen != node.view.dek_gen) {
     return Status::PermissionDenied(
         "data re-encrypted under a rotated key (access revoked)");
   }
-  return rotated;
+  return Status::OK();
 }
 
 Status SharoesClient::OpenDataBlock(Node* node, uint32_t index,
@@ -1005,7 +1002,7 @@ Status SharoesClient::OpenDataBlock(Node* node, uint32_t index,
   const MetadataView& view = node->view;
   SHAROES_ASSIGN_OR_RETURN(ObjectCodec::DataBlockHeader h,
                            ObjectCodec::PeekDataHeader(wire));
-  SHAROES_ASSIGN_OR_RETURN(bool rotated, CheckBlockHeader(*node, index, h));
+  SHAROES_RETURN_IF_ERROR(CheckBlockHeader(*node, index, h));
   if (index == 0) {
     SHAROES_ASSIGN_OR_RETURN(DataDescriptor desc,
                              codec_.DecodeDescriptor(inode, wire, *view.dvk));
@@ -1016,9 +1013,7 @@ Status SharoesClient::OpenDataBlock(Node* node, uint32_t index,
   OpenedBlock opened;
   SHAROES_ASSIGN_OR_RETURN(
       opened.chunk,
-      codec_.DecodeDataBlock(inode, index, wire,
-                             rotated ? *view.dek_next : *view.dek,
-                             &opened.tag));
+      codec_.DecodeDataBlock(inode, index, wire, *view.dek, &opened.tag));
   opened.digest = ssp::BlobDigest(wire);
   opened.header = h;
   opened.wire_size = wire.size();
@@ -1045,8 +1040,7 @@ Status SharoesClient::TakeCandidate(Node* node, uint32_t index) {
       std::move(node->candidates.at(index));
   node->candidates.erase(index);
   cache_.Erase(CandidateCacheKey(inode, index));
-  SHAROES_RETURN_IF_ERROR(
-      CheckBlockHeader(*node, index, candidate->header).status());
+  SHAROES_RETURN_IF_ERROR(CheckBlockHeader(*node, index, candidate->header));
   cache_.PutPtr(DataCacheKey(inode, index), candidate, candidate->wire_size);
   node->window[index] = std::move(candidate);
   node->reused.insert(index);
@@ -1075,12 +1069,6 @@ Status SharoesClient::FlushBuffer(const std::string& path,
   if (!node.view.CanWriteData()) {
     return Status::PermissionDenied("CAP does not expose DEK/DSK");
   }
-  // Lazy revocation: a pending key means this writer performs the
-  // rotation — new data goes out under dek_next (and every block must be
-  // re-encrypted, so block-level diffing is disabled for that flush).
-  const bool key_rotated = node.view.dek_next.has_value();
-  const crypto::SymmetricKey& dek =
-      key_rotated ? *node.view.dek_next : *node.view.dek;
   const Bytes& content = buf.content;
   fs::InodeNum inode = buf.inode;
 
@@ -1088,12 +1076,11 @@ Status SharoesClient::FlushBuffer(const std::string& path,
   // re-encrypt the whole file (§II-B). When the previous version is in
   // the local cache, only changed chunks are re-encrypted and shipped, and
   // a write that grows the file keeps its old chunks and seals the new
-  // bytes as chunks of their own (DESIGN.md §13). Diff only when keys did
-  // not rotate.
+  // bytes as chunks of their own (DESIGN.md §13).
   std::vector<size_t> ends = PackedChunkEnds(content.size());
   std::optional<std::map<uint32_t, ObjectCodec::KeptBlock>> kept;
   auto old_desc = cache_.Get<DataDescriptor>(DataCacheKey(inode, 0));
-  if (old_desc != nullptr && !key_rotated) {
+  if (old_desc != nullptr) {
     std::vector<std::shared_ptr<const OpenedBlock>> old(
         old_desc->block_count);
     for (uint32_t i = 1; i < old.size(); ++i) {
@@ -1117,9 +1104,9 @@ Status SharoesClient::FlushBuffer(const std::string& path,
   std::vector<ssp::Request> puts;
   SHAROES_ASSIGN_OR_RETURN(
       ObjectCodec::RenderedFile file,
-      RenderFileWrite(inode, content, ends, dek, *node.view.dsk,
-                      node.view.dek_gen + (key_rotated ? 1 : 0),
-                      kept.has_value() ? &*kept : nullptr, &puts));
+      RenderFileWrite(inode, content, ends, *node.view.dek, *node.view.dsk,
+                      node.view.dek_gen, kept.has_value() ? &*kept : nullptr,
+                      &puts));
   // A shrink or a re-pack can leave fewer chunks than the file had; with a
   // diff basis the blocks past the new end go one by one, in the same
   // batch.
@@ -1272,28 +1259,22 @@ Status SharoesClient::ChangeMode(const std::string& path, fs::Mode mode) {
   }
 
   std::vector<ssp::Request> batch;
-  std::optional<crypto::SymmetricKey> dek_next = node.view.dek_next;
   uint32_t dek_gen = node.view.dek_gen;
   bool revoke = lost_read || lost_write;
   std::optional<ObjectCodec::RenderedFile> rewrite;
   if (revoke && attrs.type == fs::FileType::kFile) {
-    if (options_.revocation == RevocationMode::kImmediate) {
-      // Re-encrypt the file under fresh keys right now: the same write a
-      // flush performs, with the rotated keys and no kept blocks.
-      SHAROES_ASSIGN_OR_RETURN(Bytes content, FetchFileContent(node));
-      bundle.dek = engine_->NewSymmetricKey();
-      if (lost_write) bundle.data = engine_->NewSigningKeyPair();
-      dek_gen += 1;
-      dek_next.reset();
-      SHAROES_ASSIGN_OR_RETURN(
-          rewrite, RenderFileWrite(attrs.inode, content,
-                                   PackedChunkEnds(content.size()), bundle.dek,
-                                   bundle.data.sign, dek_gen,
-                                   /*kept=*/nullptr, &batch));
-    } else if (!dek_next.has_value()) {
-      // Lazy: record the next key; the next writer rotates.
-      dek_next = engine_->NewSymmetricKey();
-    }
+    // Re-encrypt the file under fresh keys right now (paper §IV-A.1): the
+    // same write a flush performs, with the rotated keys and no kept
+    // blocks.
+    SHAROES_ASSIGN_OR_RETURN(Bytes content, FetchFileContent(node));
+    bundle.dek = engine_->NewSymmetricKey();
+    if (lost_write) bundle.data = engine_->NewSigningKeyPair();
+    dek_gen += 1;
+    SHAROES_ASSIGN_OR_RETURN(
+        rewrite, RenderFileWrite(attrs.inode, content,
+                                 PackedChunkEnds(content.size()), bundle.dek,
+                                 bundle.data.sign, dek_gen,
+                                 /*kept=*/nullptr, &batch));
   }
   if ((revoke || dir_weakened) && attrs.type == fs::FileType::kDirectory) {
     // Rotate every table key; copies are rebuilt below under new keys
@@ -1306,8 +1287,7 @@ Status SharoesClient::ChangeMode(const std::string& path, fs::Mode mode) {
 
   // Rebuild every metadata replica with the new mode (selectors and MEKs
   // are class-stable, so parent rows and superblocks stay valid).
-  codec_.RenderReplicas(new_attrs, new_specs, bundle, &batch, dek_gen,
-                        dek_next);
+  codec_.RenderReplicas(new_attrs, new_specs, bundle, &batch, dek_gen);
   // Directories: re-render the tables (view kinds / keys may have changed).
   if (attrs.type == fs::FileType::kDirectory) {
     WriterDirContext ctx;

@@ -4,7 +4,8 @@
 // using the full CAP machinery: in-band key distribution through
 // directory-table rows, per-class metadata replicas, per-CAP table copies,
 // split-point blocks, per-user superblocks, group key blocks, and
-// immediate or lazy revocation on chmod. On top of the shared front end
+// immediate revocation on chmod (the file is re-encrypted under fresh
+// keys during the chmod, paper §IV-A.1). On top of the shared front end
 // it keeps its own data path (Merkle-checked chunk blocks, revalidation
 // candidates, rollback detection) and the write-behind stage whose flush
 // is the front end's read barrier.
@@ -31,15 +32,8 @@
 
 namespace sharoes::core {
 
-/// Revocation strategy on permission-narrowing chmod (paper §IV-A.1).
-enum class RevocationMode {
-  kImmediate,  // Rotate keys and re-encrypt data during the chmod.
-  kLazy,       // Record the next key; the next writer rotates (Plutus).
-};
-
 struct ClientOptions {
   Scheme scheme = Scheme::kScheme2;
-  RevocationMode revocation = RevocationMode::kImmediate;
   size_t cache_bytes = 64ull << 20;
   /// Group id attached to newly created objects.
   fs::GroupId default_group = fs::kInvalidGroup;
@@ -56,7 +50,7 @@ struct ClientOptions {
   /// renders, metadata objects, 4 KiB data blocks) are staged
   /// client-side and shipped as one kBatch at the next flush point —
   /// Close, Fsync(), the end of Unlink/Rmdir/RefreshDir and of a
-  /// revoking Chmod, this staged-sub-op threshold, write_batch_bytes, or
+  /// revoking Chmod, this staged-sub-op threshold, kWriteBatchBytes, or
   /// any read RPC (the read barrier that preserves read-your-writes). So
   /// Create, Mkdir, Write, Rename and a widening Chmod stage, and a
   /// create + WriteFile is one round trip. 0 disables staging: every
@@ -68,11 +62,12 @@ struct ClientOptions {
   /// flushed (client destroyed without Close/Fsync) are dropped — the
   /// same contract as an OS page cache.
   size_t write_batch_ops = 16;
-  /// Staged-payload byte bound that forces a flush regardless of
-  /// write_batch_ops (only meaningful with staging on), so a run of
-  /// large data blocks cannot grow one batch without limit.
-  size_t write_batch_bytes = 1 << 20;
 };
+
+/// Staged-payload byte bound that forces a flush regardless of
+/// write_batch_ops (only meaningful with staging on), so a run of large
+/// data blocks cannot grow one batch without limit.
+inline constexpr size_t kWriteBatchBytes = 1 << 20;
 
 class SharoesClient : public FsClient {
  public:
@@ -373,11 +368,11 @@ class SharoesClient : public FsClient {
   /// fails is dropped.
   Status TakeCandidate(Node* node, uint32_t index);
   /// The header rule of every data block, fetched or revalidated: a chunk's
-  /// write generation matches node.desc, and its key generation is one
-  /// this CAP holds a key for (dek, or dek_next after a lazy rotation).
-  /// Returns whether the block is under dek_next.
-  static Result<bool> CheckBlockHeader(const Node& node, uint32_t index,
-                                       const ObjectCodec::DataBlockHeader& h);
+  /// write generation matches node.desc, and its key generation is the
+  /// view's dek_gen (a block under a later generation was re-encrypted by
+  /// a revoking chmod this CAP no longer has the key for).
+  static Status CheckBlockHeader(const Node& node, uint32_t index,
+                                 const ObjectCodec::DataBlockHeader& h);
   /// The chunk ends of a write that grows a file from `old_desc` (whose
   /// cached chunk blocks are `old`, null where not cached, indexed by
   /// block) to `size` bytes (DESIGN.md §13): the old chunks as stored,

@@ -122,10 +122,6 @@ Result<Provisioner::MigratedObject> Provisioner::MigrateNode(
   attrs.acl = spec.acl;
   attrs.size = spec.content.size();
   if (!ModeSupported(spec.type, spec.mode)) {
-    if (options_.strict_modes) {
-      return Status::Unsupported("unsupported mode " + spec.mode.ToString() +
-                                 " at '" + path + "'");
-    }
     stats->degraded_paths.push_back(path);
   }
   OwnershipInfo info = OwnershipInfo::FromAttrs(attrs);

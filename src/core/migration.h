@@ -83,9 +83,6 @@ class Provisioner {
     /// RSA modulus bits for user/group identity keys. 2048 in the paper;
     /// tests may shrink for speed (virtual costs are unaffected).
     size_t user_key_bits = 2048;
-    /// Reject trees containing unsupported permission settings instead of
-    /// degrading them.
-    bool strict_modes = false;
   };
 
   Provisioner(IdentityDirectory* identity, ssp::SspServer* server,

@@ -86,11 +86,11 @@ ObjectKeyBundle ObjectCodec::NewBundle(fs::FileType type,
 void ObjectCodec::RenderReplicas(
     const fs::InodeAttrs& attrs, const std::vector<ReplicaSpec>& specs,
     const ObjectKeyBundle& bundle, std::vector<ssp::Request>* out,
-    uint32_t dek_gen, const std::optional<crypto::SymmetricKey>& dek_next) {
+    uint32_t dek_gen) {
   for (const ReplicaSpec& spec : specs) {
     out->push_back(ssp::Request::PutMetadata(
         attrs.inode, spec.selector,
-        EncodeMetadataReplica(spec, attrs, bundle, dek_gen, dek_next)));
+        EncodeMetadataReplica(spec, attrs, bundle, dek_gen)));
   }
 }
 
@@ -313,10 +313,10 @@ ObjectCodec::RenderedFile ObjectCodec::RenderFile(
   return file;
 }
 
-MetadataView ObjectCodec::BuildView(
-    const ReplicaSpec& spec, const fs::InodeAttrs& attrs,
-    const ObjectKeyBundle& bundle, uint32_t dek_gen,
-    const std::optional<crypto::SymmetricKey>& dek_next) {
+MetadataView ObjectCodec::BuildView(const ReplicaSpec& spec,
+                                    const fs::InodeAttrs& attrs,
+                                    const ObjectKeyBundle& bundle,
+                                    uint32_t dek_gen) {
   CapFields fields = spec.Fields(attrs.type);
   MetadataView view;
   view.attrs = attrs;
@@ -328,7 +328,6 @@ MetadataView ObjectCodec::BuildView(
     } else {
       view.dek = bundle.dek;
     }
-    if (dek_next.has_value()) view.dek_next = dek_next;
     view.dek_gen = dek_gen;
   }
   if (fields.dvk) view.dvk = bundle.data.verify;
@@ -345,11 +344,11 @@ MetadataView ObjectCodec::BuildView(
   return view;
 }
 
-Bytes ObjectCodec::EncodeMetadataReplica(
-    const ReplicaSpec& spec, const fs::InodeAttrs& attrs,
-    const ObjectKeyBundle& bundle, uint32_t dek_gen,
-    const std::optional<crypto::SymmetricKey>& dek_next) {
-  MetadataView view = BuildView(spec, attrs, bundle, dek_gen, dek_next);
+Bytes ObjectCodec::EncodeMetadataReplica(const ReplicaSpec& spec,
+                                         const fs::InodeAttrs& attrs,
+                                         const ObjectKeyBundle& bundle,
+                                         uint32_t dek_gen) {
+  MetadataView view = BuildView(spec, attrs, bundle, dek_gen);
   auto mek_it = bundle.meks.find(spec.selector);
   // The caller must have generated a MEK for every replica it encodes.
   crypto::SymmetricKey mek =

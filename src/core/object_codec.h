@@ -81,8 +81,9 @@ class ObjectCodec {
               Scheme scheme)
       : engine_(engine), dir_(dir), scheme_(scheme) {}
 
-  /// Cleartext per-block header: `key_gen` lets readers pick dek vs.
-  /// dek_next (lazy revocation) before decrypting; `write_gen` is the
+  /// Cleartext per-block header: `key_gen` is the data-key generation the
+  /// block was sealed under, so a reader whose view holds an older key
+  /// learns of a revoking chmod before decrypting; `write_gen` is the
   /// file's write generation for freshness/rollback detection
   /// (SUNDR-style, the paper's §VIII future work). Both are associated
   /// data of a chunk block's AEAD seal and signed in the descriptor block,
@@ -101,14 +102,12 @@ class ObjectCodec {
   ObjectKeyBundle NewBundle(fs::FileType type,
                             const std::vector<ReplicaSpec>& specs);
 
-  /// Appends a put for every metadata replica of the object. `dek_gen` and
-  /// `dek_next` carry the data-key rotation state (chmod).
+  /// Appends a put for every metadata replica of the object. `dek_gen` is
+  /// the data-key generation (a revoking chmod advances it).
   void RenderReplicas(const fs::InodeAttrs& attrs,
                       const std::vector<ReplicaSpec>& specs,
                       const ObjectKeyBundle& bundle,
-                      std::vector<ssp::Request>* out, uint32_t dek_gen = 0,
-                      const std::optional<crypto::SymmetricKey>& dek_next =
-                          std::nullopt);
+                      std::vector<ssp::Request>* out, uint32_t dek_gen = 0);
 
   /// What a directory writer keeps of its own copy after rendering: the
   /// copy's head and, when its view is kFull, the logical content of every
@@ -207,22 +206,17 @@ class ObjectCodec {
   // ----- Metadata replicas -----
 
   /// Builds the logical CAP view of a metadata object (no crypto).
-  /// `dek_gen` is the current data-key generation; `dek_next` (lazy
-  /// revocation) is exposed to every CAP that holds the DEK.
+  /// `dek_gen` is the current data-key generation.
   static MetadataView BuildView(const ReplicaSpec& spec,
                                 const fs::InodeAttrs& attrs,
                                 const ObjectKeyBundle& bundle,
-                                uint32_t dek_gen = 0,
-                                const std::optional<crypto::SymmetricKey>&
-                                    dek_next = std::nullopt);
+                                uint32_t dek_gen = 0);
 
   /// Builds and seals one CAP view of a metadata object.
   Bytes EncodeMetadataReplica(const ReplicaSpec& spec,
                               const fs::InodeAttrs& attrs,
                               const ObjectKeyBundle& bundle,
-                              uint32_t dek_gen = 0,
-                              const std::optional<crypto::SymmetricKey>&
-                                  dek_next = std::nullopt);
+                              uint32_t dek_gen = 0);
 
   /// Verifies (MVK), decrypts (MEK) and parses a metadata replica.
   /// IntegrityError on bad signature; Corruption on undecodable bytes;

@@ -141,8 +141,7 @@ Bytes MetadataView::Serialize() const {
   PutOptionalBytes(&w, dvk.has_value(), dvk ? dvk->Serialize() : Bytes{});
   PutOptionalBytes(&w, msk.has_value(), msk ? msk->Serialize() : Bytes{});
   PutOptionalBytes(&w, mvk.has_value(), mvk ? mvk->Serialize() : Bytes{});
-  PutOptionalBytes(&w, dek_next.has_value(),
-                   dek_next ? dek_next->Serialize() : Bytes{});
+  w.PutU8(0);  // Retired pending-key presence byte.
   w.PutU32(dek_gen);
   PutKeyMap(&w, table_keys);
   PutKeyMap(&w, meks);
@@ -173,9 +172,8 @@ Result<MetadataView> MetadataView::Deserialize(const Bytes& data) {
     SHAROES_ASSIGN_OR_RETURN(v.mvk,
                              crypto::VerifyKey::Deserialize(r.GetBytes()));
   }
-  if (r.GetU8()) {
-    SHAROES_ASSIGN_OR_RETURN(v.dek_next,
-                             crypto::SymmetricKey::Deserialize(r.GetBytes()));
+  if (r.GetU8() != 0) {
+    return Status::Corruption("metadata view sets the retired pending key");
   }
   v.dek_gen = r.GetU32();
   SHAROES_ASSIGN_OR_RETURN(v.table_keys, GetKeyMap(&r));

@@ -76,10 +76,10 @@ struct MetadataView {
   std::optional<crypto::VerifyKey> dvk;
   std::optional<crypto::SigningKey> msk;
   std::optional<crypto::VerifyKey> mvk;     // Owner bundle only.
-  /// Pending data key under lazy revocation (next writer rotates to it).
-  std::optional<crypto::SymmetricKey> dek_next;
   /// Generation of `dek`; data blocks record the generation they were
-  /// written under so readers pick dek vs. dek_next correctly.
+  /// written under, so a reader holding a key a revoking chmod rotated
+  /// away learns it before decrypting. The serialized view keeps a
+  /// retired presence byte before it, always 0.
   uint32_t dek_gen = 0;
   /// Directory writer/owner CAPs: keys of every table copy.
   std::map<Selector, crypto::SymmetricKey> table_keys;

@@ -16,8 +16,8 @@ namespace sharoes::crypto::kdf {
 /// Derives the per-row key H_DEK(name).
 SymmetricKey DeriveNameKey(const SymmetricKey& dek, std::string_view name);
 
-/// Generic labelled derivation (used for lazy-revocation key rotation):
-/// 16 bytes of HMAC(base, label).
+/// Generic labelled derivation (used for the exec-only row ids of a
+/// directory table): 16 bytes of HMAC(base, label).
 SymmetricKey DeriveLabeled(const SymmetricKey& base, std::string_view label);
 
 }  // namespace sharoes::crypto::kdf

@@ -151,7 +151,7 @@ SigningKeyPair CryptoEngine::NewSigningKeyPair() {
   ChargeFixed(options_.cost_model.sign_keygen_ms);
   if (options_.signing_key_pool > 0) {
     if (pool_.size() < options_.signing_key_pool) {
-      RsaKeyPair kp = GenerateRsaKeyPair(options_.signing_key_bits, rng_);
+      RsaKeyPair kp = GenerateRsaKeyPair(kSigningKeyBits, rng_);
       pool_.push_back(SigningKeyPair{SigningKey{kp.priv}, VerifyKey{kp.pub}});
       return pool_.back();
     }
@@ -159,7 +159,7 @@ SigningKeyPair CryptoEngine::NewSigningKeyPair() {
     pool_next_ = (pool_next_ + 1) % pool_.size();
     return pair;
   }
-  RsaKeyPair kp = GenerateRsaKeyPair(options_.signing_key_bits, rng_);
+  RsaKeyPair kp = GenerateRsaKeyPair(kSigningKeyBits, rng_);
   return SigningKeyPair{SigningKey{kp.priv}, VerifyKey{kp.pub}};
 }
 

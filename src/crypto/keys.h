@@ -89,14 +89,15 @@ enum class ChargePolicy {
   kMeasured,    // Charge actual wall-clock duration of each primitive.
 };
 
+/// Bits of the RSA substitute for ESIGN-class signing keys. Small to keep
+/// real key generation cheap; the *virtual* cost charged is
+/// sign_keygen_ms regardless.
+inline constexpr size_t kSigningKeyBits = 512;
+
 /// Options controlling the engine.
 struct CryptoEngineOptions {
   CryptoCostModel cost_model = CryptoCostModel::PaperCalibrated();
   ChargePolicy charge_policy = ChargePolicy::kCalibrated;
-  /// Bits of the RSA substitute for ESIGN-class signing keys. Small by
-  /// default to keep real key generation cheap; the *virtual* cost charged
-  /// is sign_keygen_ms regardless.
-  size_t signing_key_bits = 512;
   /// If > 0, signing key pairs are served from a pool of this many
   /// distinct pre-generated pairs, cycling after exhaustion. This keeps
   /// wall-clock time of large benchmarks low; virtual keygen cost is

@@ -8,6 +8,12 @@ namespace sharoes::workload {
 
 namespace {
 
+// Every world pays the paper-calibrated crypto prices and starts with a
+// 64 MiB client cache (cache sweeps go through SetCacheBytes); its engines
+// are seeded from kWorldSeed.
+constexpr size_t kCacheBytes = 64ull << 20;
+constexpr uint64_t kWorldSeed = 0xBE4C;
+
 /// Process-wide cache of user identity keys: RSA-2048 generation is the
 /// only genuinely slow wall-clock setup step, and benchmarks build many
 /// worlds (per variant, per cache size). Key *usage* costs are virtual,
@@ -49,10 +55,8 @@ std::string VariantName(SystemVariant v) {
 
 BenchWorld::BenchWorld(const BenchWorldOptions& opts) : opts_(opts) {
   crypto::CryptoEngineOptions admin_opts;
-  admin_opts.cost_model = opts.crypto_model;
-  admin_opts.signing_key_bits = 512;
   admin_opts.signing_key_pool = opts.signing_key_pool;
-  admin_opts.rng_seed = opts.seed + 1;
+  admin_opts.rng_seed = kWorldSeed + 1;
   admin_engine_ = std::make_unique<crypto::CryptoEngine>(&clock_, admin_opts);
 
   // Register the enterprise users (the bench user is the first).
@@ -92,10 +96,8 @@ BenchWorld::BenchWorld(const BenchWorldOptions& opts) : opts_(opts) {
   }
 
   crypto::CryptoEngineOptions eng_opts;
-  eng_opts.cost_model = opts.crypto_model;
-  eng_opts.signing_key_bits = 512;
   eng_opts.signing_key_pool = opts.signing_key_pool;
-  eng_opts.rng_seed = opts.seed + 2;
+  eng_opts.rng_seed = kWorldSeed + 2;
   engine_ = std::make_unique<crypto::CryptoEngine>(&clock_, eng_opts);
   transport_ = std::make_unique<net::Transport>(&clock_, opts.network);
   conn_ = std::make_unique<ssp::SspConnection>(&server_, transport_.get());
@@ -103,7 +105,7 @@ BenchWorld::BenchWorld(const BenchWorldOptions& opts) : opts_(opts) {
   if (opts.variant == SystemVariant::kSharoes) {
     core::ClientOptions copts;
     copts.scheme = opts.scheme;
-    copts.cache_bytes = opts.cache_bytes;
+    copts.cache_bytes = kCacheBytes;
     copts.readahead_blocks = opts.readahead_blocks;
     copts.write_batch_ops = opts.write_batch_ops;
     client_ = std::make_unique<core::SharoesClient>(
@@ -112,7 +114,7 @@ BenchWorld::BenchWorld(const BenchWorldOptions& opts) : opts_(opts) {
   } else {
     baselines::BaselineOptions bopts;
     bopts.mode = ModeFor(opts.variant);
-    bopts.cache_bytes = opts.cache_bytes;
+    bopts.cache_bytes = kCacheBytes;
     client_ = std::make_unique<baselines::BaselineClient>(
         kBenchUser, bench_user_priv_, &identity_, conn_.get(), engine_.get(),
         bopts);

@@ -44,9 +44,6 @@ inline std::vector<SystemVariant> MacroVariants() {  // Figures 10-12.
 struct BenchWorldOptions {
   SystemVariant variant = SystemVariant::kSharoes;
   net::NetworkModel network = net::NetworkModel::PaperDsl();
-  crypto::CryptoCostModel crypto_model =
-      crypto::CryptoCostModel::PaperCalibrated();
-  size_t cache_bytes = 64ull << 20;
   /// User identity key size. 2048 (the paper's NIST parameter set) keeps
   /// the PUBLIC baseline's RSA block counts faithful.
   size_t user_key_bits = 2048;
@@ -57,7 +54,6 @@ struct BenchWorldOptions {
   /// per-user replication cost scales with this.
   size_t registered_users = 1;
   core::Scheme scheme = core::Scheme::kScheme2;
-  uint64_t seed = 0xBE4C;
   /// Batched-read knob (Sharoes variant only). 0 pins the client to one
   /// get per round trip — the unbatched comparator the read-RTT benchmark
   /// measures against.

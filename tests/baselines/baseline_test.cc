@@ -23,7 +23,6 @@ class BaselineWorld {
   explicit BaselineWorld(SecurityMode mode, int extra_files = 0) {
     crypto::CryptoEngineOptions eo;
     eo.cost_model = crypto::CryptoCostModel::Zero();
-    eo.signing_key_bits = 512;
     eo.rng_seed = 808;
     engine_ = std::make_unique<crypto::CryptoEngine>(&clock_, eo);
     for (fs::UserId uid : {kUser, kOther}) {

@@ -415,7 +415,6 @@ TEST(BatchedReadTest, ReadOnlyBatchSubErrorIsRetriedInPlace) {
   // the world's in-process server.
   crypto::CryptoEngineOptions eng_opts;
   eng_opts.cost_model = crypto::CryptoCostModel::Zero();
-  eng_opts.signing_key_bits = 512;
   eng_opts.rng_seed = 0x5B5B;
   crypto::CryptoEngine engine(&world.clock(), eng_opts);
   net::Transport transport(&world.clock(), net::NetworkModel::Zero());

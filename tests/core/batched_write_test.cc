@@ -175,27 +175,39 @@ TEST(BatchedWriteTest, OpsThresholdBoundsTheStage) {
 }
 
 TEST(BatchedWriteTest, ByteThresholdBoundsTheStage) {
-  // Same property for the byte bound: staged payload bytes force a flush
-  // even when the sub-op count stays far below write_batch_ops.
+  // Same property for the byte bound: once the staged payload passes
+  // kWriteBatchBytes the stage ships, though the sub-op count stays far
+  // below write_batch_ops and no flush point came. Each create stages its
+  // metadata replicas and the parent's table blocks; the loop stops at the
+  // first round trip, whose one batch carries about the bound (the stage
+  // counts a fixed per-sub-op frame estimate, a little above the wire's).
   World::Options opts = StagingOpts(1u << 20);
-  opts.write_batch_bytes = 2048;
+  opts.signing_key_pool = 8;  // Some 200 creates: pooled keygen is faster.
   World world(opts);
   ASSERT_TRUE(world.MigrateAndMountAll(World::DefaultTree()).ok());
   auto& alice = world.client(kAlice);
   CreateOptions fmode;
   fmode.mode = World::ParseMode("rw-rw----");
   ASSERT_TRUE(alice.Create("/shared/b0.txt", fmode).ok());
-  uint64_t warm = world.transport(kAlice).counters().round_trips;
-  for (int i = 1; i < 6; ++i) {
+  const net::Transport::Counters warm = world.transport(kAlice).counters();
+  int created = 1;
+  while (world.transport(kAlice).counters().round_trips == warm.round_trips &&
+         created < 4096) {
     ASSERT_TRUE(
-        alice.Create("/shared/b" + std::to_string(i) + ".txt", fmode).ok());
+        alice.Create("/shared/b" + std::to_string(created++) + ".txt", fmode)
+            .ok());
   }
-  EXPECT_GT(world.transport(kAlice).counters().round_trips, warm)
+  const net::Transport::Counters& after = world.transport(kAlice).counters();
+  ASSERT_EQ(after.round_trips, warm.round_trips + 1)
       << "the byte threshold never fired";
+  const uint64_t shipped = after.bytes_up - warm.bytes_up;
+  EXPECT_GT(shipped, kWriteBatchBytes * 9 / 10) << "shipped below the bound";
+  EXPECT_LT(shipped, kWriteBatchBytes * 11 / 10) << "stage outgrew the bound";
   ASSERT_TRUE(alice.Fsync().ok());
   auto names = world.client(kBob).Readdir("/shared");
   ASSERT_TRUE(names.ok()) << names.status();
-  EXPECT_NE(std::find(names->begin(), names->end(), "b5.txt"), names->end());
+  const std::string last = "b" + std::to_string(created - 1) + ".txt";
+  EXPECT_NE(std::find(names->begin(), names->end(), last), names->end());
 }
 
 TEST(BatchedWriteTest, TransientFaultKeepsStagedWrites) {
@@ -268,7 +280,6 @@ TEST(BatchedWriteTest, SubOpFaultIsDiagnosableAndKept) {
 
   crypto::CryptoEngineOptions eng_opts;
   eng_opts.cost_model = crypto::CryptoCostModel::Zero();
-  eng_opts.signing_key_bits = 512;
   eng_opts.rng_seed = 0x57;
   crypto::CryptoEngine engine(&world.clock(), eng_opts);
   net::Transport transport(&world.clock(), net::NetworkModel::Zero());

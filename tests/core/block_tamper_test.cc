@@ -228,7 +228,6 @@ TEST_F(BlockTamperTest, ForgedTailBlockByDekHolderDetected) {
   SimClock clock;
   crypto::CryptoEngineOptions eng_opts;
   eng_opts.cost_model = crypto::CryptoCostModel::Zero();
-  eng_opts.signing_key_bits = 512;
   eng_opts.rng_seed = 0xF06;
   crypto::CryptoEngine eng(&clock, eng_opts);
   ObjectCodec codec(&eng, &world_->identity(), core::Scheme::kScheme2);

@@ -177,7 +177,6 @@ TEST(ClientEdgeTest, ManyFilesInOneDirectory) {
 crypto::CryptoEngineOptions TamperedEngineOptions() {
   crypto::CryptoEngineOptions eng_opts;
   eng_opts.cost_model = crypto::CryptoCostModel::Zero();
-  eng_opts.signing_key_bits = 512;
   eng_opts.rng_seed = 0xBA7C4;
   return eng_opts;
 }

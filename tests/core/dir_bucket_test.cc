@@ -55,7 +55,6 @@ struct RecordedClient {
         recorder(&conn) {
     crypto::CryptoEngineOptions eng;
     eng.cost_model = crypto::CryptoCostModel::Zero();
-    eng.signing_key_bits = 512;
     eng.rng_seed = 77 + uid;
     engine = std::make_unique<crypto::CryptoEngine>(&world->clock(), eng);
     core::ClientOptions opts;

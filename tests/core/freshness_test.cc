@@ -98,7 +98,6 @@ class FreshnessTest : public ::testing::Test {
   std::unique_ptr<core::SharoesClient> LossyAlice(size_t write_batch_ops) {
     crypto::CryptoEngineOptions eng_opts;
     eng_opts.cost_model = crypto::CryptoCostModel::Zero();
-    eng_opts.signing_key_bits = 512;
     eng_opts.rng_seed = 0xFE5C;
     engine_ = std::make_unique<crypto::CryptoEngine>(&world_->clock(),
                                                      eng_opts);

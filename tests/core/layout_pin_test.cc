@@ -16,7 +16,6 @@ namespace sharoes {
 namespace {
 
 using core::CreateOptions;
-using core::RevocationMode;
 using core::Scheme;
 using testing::kAlice;
 using testing::World;
@@ -37,18 +36,15 @@ Bytes Pattern(size_t n, uint8_t salt) {
 
 struct SharoesLeg {
   Scheme scheme;
-  RevocationMode revocation;
   const char* digest;
 };
 
 /// Migrates DefaultTree(), then as alice: create + 3-block-and-100-byte
 /// write, a one-byte overwrite (the block diff path), chmod to owner-only
-/// (a revocation), mkdir, a cross-directory rename and an unlink. Lazy
-/// legs write once more after the chmod so the dek_next rotation runs.
-std::string RunSharoesSequence(Scheme scheme, RevocationMode revocation) {
+/// (a revocation), mkdir, a cross-directory rename and an unlink.
+std::string RunSharoesSequence(Scheme scheme) {
   World::Options opts;
   opts.scheme = scheme;
-  opts.revocation = revocation;
   World world(opts);
   EXPECT_TRUE(world.MigrateAndMountAll(World::DefaultTree()).ok());
   auto& alice = world.client(kAlice);
@@ -62,10 +58,6 @@ std::string RunSharoesSequence(Scheme scheme, RevocationMode revocation) {
   EXPECT_TRUE(alice.WriteFile("/shared/pin.bin", content).ok());
   EXPECT_TRUE(
       alice.Chmod("/shared/pin.bin", World::ParseMode("rw-------")).ok());
-  if (revocation == RevocationMode::kLazy) {
-    content[100] ^= 0x01;
-    EXPECT_TRUE(alice.WriteFile("/shared/pin.bin", content).ok());
-  }
   CreateOptions dir_opts;
   dir_opts.mode = World::ParseMode("rwxrwx---");
   EXPECT_TRUE(alice.Mkdir("/shared/sub", dir_opts).ok());
@@ -85,24 +77,18 @@ class SharoesLayoutPin : public ::testing::TestWithParam<SharoesLeg> {};
 
 TEST_P(SharoesLayoutPin, StoreBytesMatchGolden) {
   const SharoesLeg& leg = GetParam();
-  EXPECT_EQ(RunSharoesSequence(leg.scheme, leg.revocation), leg.digest);
+  EXPECT_EQ(RunSharoesSequence(leg.scheme), leg.digest);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Legs, SharoesLayoutPin,
     ::testing::Values(
-        SharoesLeg{Scheme::kScheme1, RevocationMode::kImmediate,
+        SharoesLeg{Scheme::kScheme1,
                    "35809:e7c9560bb6a6545ea9b9400e2ee22185"
                    "ea15bb9049cfc6ae6bceffa95e3fb69e"},
-        SharoesLeg{Scheme::kScheme1, RevocationMode::kLazy,
-                   "35829:304090debdfb5a90d5042e50100a0fb4"
-                   "39ce9478c276e6940afe76cc24b9610e"},
-        SharoesLeg{Scheme::kScheme2, RevocationMode::kImmediate,
+        SharoesLeg{Scheme::kScheme2,
                    "35809:ac7ff8223b2c21f23b12fdaf5ff9f124"
-                   "b121355759f3623eac0d6e6428183483"},
-        SharoesLeg{Scheme::kScheme2, RevocationMode::kLazy,
-                   "35829:17a54898f5d729e3f2bc6877afb781c9"
-                   "3d5c537c0c90635d5815d8e9714d84fa"}));
+                   "b121355759f3623eac0d6e6428183483"}));
 
 TEST(LayoutPinTest, MigratedMultiBlockFile) {
   // The provisioner's own file encoder on a multi-chunk file and an

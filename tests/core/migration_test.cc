@@ -82,30 +82,6 @@ TEST(MigrationTest, UnsupportedModesDegradeWithReport) {
   EXPECT_EQ(world.migration_stats().degraded_paths[0], "/odd");
 }
 
-TEST(MigrationTest, StrictModeRejectsUnsupported) {
-  SimClock clock;
-  crypto::CryptoEngineOptions eo;
-  eo.cost_model = crypto::CryptoCostModel::Zero();
-  eo.signing_key_bits = 512;
-  eo.rng_seed = 3;
-  crypto::CryptoEngine engine(&clock, eo);
-  core::IdentityDirectory identity;
-  ssp::SspServer server;
-  core::Provisioner::Options popts;
-  popts.user_key_bits = 512;
-  popts.strict_modes = true;
-  core::Provisioner prov(&identity, &server, &engine, popts);
-  ASSERT_TRUE(prov.CreateUser(kAlice, "alice").ok());
-
-  LocalNode root =
-      LocalNode::Dir("", kAlice, kEng, World::ParseMode("rwxr-xr-x"));
-  root.children.push_back(
-      LocalNode::Dir("odd", kAlice, kEng, World::ParseMode("rwxr-x-wx")));
-  auto stats = prov.Migrate(root);
-  EXPECT_FALSE(stats.ok());
-  EXPECT_TRUE(stats.status().IsUnsupported()) << stats.status();
-}
-
 TEST(MigrationTest, MigrateRejectsFileRoot) {
   World world;
   LocalNode bad = LocalNode::File("f", kAlice, kEng,

@@ -9,6 +9,7 @@
 #include "core/object_codec.h"
 #include "crypto/aead.h"
 #include "crypto/merkle.h"
+#include "util/binary_io.h"
 
 namespace sharoes::core {
 namespace {
@@ -22,7 +23,6 @@ class ObjectCodecTest : public ::testing::Test {
   static crypto::CryptoEngineOptions EngineOptions() {
     crypto::CryptoEngineOptions o;
     o.cost_model = crypto::CryptoCostModel::Zero();
-    o.signing_key_bits = 512;
     o.rng_seed = 404;
     return o;
   }
@@ -162,6 +162,33 @@ TEST_F(ObjectCodecTest, MetadataReplicaSwapDetected) {
       bundle.meta.verify);
   EXPECT_FALSE(view.ok());
   EXPECT_TRUE(view.status().IsIntegrityError()) << view.status();
+}
+
+TEST_F(ObjectCodecTest, ViewWithRetiredPendingKeyIsCorruption) {
+  // A view serializes attrs, five key presence bytes (all absent here),
+  // the retired pending-key presence byte, dek_gen and two key maps. No
+  // writer sets that byte, so a view that sets it, with a key after it,
+  // is Corruption rather than a key the reader would ignore.
+  fs::InodeAttrs attrs = FileAttrs(0640);
+  auto wire = [&](bool pending) {
+    BinaryWriter w;
+    attrs.AppendTo(&w);
+    for (int i = 0; i < 5; ++i) w.PutU8(0);
+    w.PutU8(pending ? 1 : 0);
+    if (pending) w.PutBytes(engine_.NewSymmetricKey().Serialize());
+    w.PutU32(1);  // dek_gen.
+    w.PutU32(0);  // table_keys.
+    w.PutU32(0);  // meks.
+    return w.Take();
+  };
+  MetadataView plain;
+  plain.attrs = attrs;
+  plain.dek_gen = 1;
+  ASSERT_EQ(wire(false), plain.Serialize());
+  ASSERT_TRUE(MetadataView::Deserialize(wire(false)).ok());
+  auto view = MetadataView::Deserialize(wire(true));
+  EXPECT_FALSE(view.ok());
+  EXPECT_TRUE(view.status().IsCorruption()) << view.status();
 }
 
 TEST_F(ObjectCodecTest, TableCopyRoundTripFullView) {

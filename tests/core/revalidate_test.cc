@@ -109,7 +109,6 @@ class RevalidateTest : public ::testing::Test {
   std::unique_ptr<core::SharoesClient> LiedToBob() {
     crypto::CryptoEngineOptions eng_opts;
     eng_opts.cost_model = crypto::CryptoCostModel::Zero();
-    eng_opts.signing_key_bits = 512;
     eng_opts.rng_seed = 0xB0B;
     engine_ = std::make_unique<crypto::CryptoEngine>(&world_->clock(),
                                                      eng_opts);

@@ -1,5 +1,5 @@
 // Revocation tests (paper §IV-A.1): chmod-driven permission changes with
-// immediate and lazy re-encryption, plus group-membership revocation.
+// immediate re-encryption, plus group-membership revocation.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@ namespace sharoes {
 namespace {
 
 using core::CreateOptions;
-using core::RevocationMode;
 using testing::kAlice;
 using testing::kBob;
 using testing::kCarol;
@@ -91,36 +90,6 @@ TEST(RevocationTest, ImmediateRevocationDefeatsCachedKey) {
   // only the historical copy she already had.
   world.client(kCarol).DropCaches();
   EXPECT_FALSE(world.client(kCarol).Read("/doc.txt").ok());
-}
-
-TEST(RevocationTest, LazyRevocationDefersReencryptionUntilWrite) {
-  World::Options opts;
-  opts.revocation = RevocationMode::kLazy;
-  World world(opts);
-  ASSERT_TRUE(world.MigrateAndMountAll(TreeWithSharedFile()).ok());
-
-  ASSERT_TRUE(world.client(kAlice)
-                  .Chmod("/doc.txt", World::ParseMode("rw-r-----"))
-                  .ok());
-
-  // Carol is denied through the filesystem (her CAP lost the DEK)...
-  world.client(kCarol).DropCaches();
-  EXPECT_FALSE(world.client(kCarol).Read("/doc.txt").ok());
-  // ...but the stored ciphertext has NOT yet been rewritten: bob still
-  // reads under the old generation.
-  world.client(kBob).DropCaches();
-  auto bob = world.client(kBob).Read("/doc.txt");
-  ASSERT_TRUE(bob.ok()) << bob.status();
-  EXPECT_EQ(ToString(*bob), "version one");
-
-  // The next write rotates to the pending key.
-  ASSERT_TRUE(world.client(kAlice)
-                  .WriteFile("/doc.txt", ToBytes("version two"))
-                  .ok());
-  world.client(kBob).DropCaches();
-  bob = world.client(kBob).Read("/doc.txt");
-  ASSERT_TRUE(bob.ok()) << bob.status();
-  EXPECT_EQ(ToString(*bob), "version two");
 }
 
 TEST(RevocationTest, ChmodByNonOwnerDenied) {
@@ -258,7 +227,6 @@ TEST(RevocationTest, FailedImmediateChmodKeepsFileReadable) {
 
   crypto::CryptoEngineOptions eng_opts;
   eng_opts.cost_model = crypto::CryptoCostModel::Zero();
-  eng_opts.signing_key_bits = 512;
   eng_opts.rng_seed = 0xC4A0D;
   crypto::CryptoEngine engine(&world.clock(), eng_opts);
   net::Transport transport(&world.clock(), net::NetworkModel::Zero());

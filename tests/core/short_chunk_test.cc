@@ -2,8 +2,8 @@
 // stored chunk and seals only the appended bytes, as chunks of their own,
 // while the file's chunk count stays within the cold first read window.
 // These tests pin the edges of that layout: tampering with a short chunk,
-// the re-pack past the window, shrinking, a lazy key rotation and
-// revalidation after an append.
+// the re-pack past the window, shrinking, and revalidation after an
+// append.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@ namespace {
 using core::kBlockSize;
 using testing::kAlice;
 using testing::kBob;
-using testing::kCarol;
 using testing::kEng;
 using testing::World;
 
@@ -27,10 +26,8 @@ Bytes Fill(size_t n, char c) { return Bytes(n, static_cast<uint8_t>(c)); }
 
 class ShortChunkTest : public ::testing::Test {
  protected:
-  void SetUp() override { Start(World::Options()); }
-
-  void Start(const World::Options& opts) {
-    world_ = std::make_unique<World>(opts);
+  void SetUp() override {
+    world_ = std::make_unique<World>();
     core::LocalNode root =
         core::LocalNode::Dir("", kAlice, kEng, World::ParseMode("rwxr-xr-x"));
     root.children.push_back(core::LocalNode::File(
@@ -39,7 +36,6 @@ class ShortChunkTest : public ::testing::Test {
     auto attrs = alice().Getattr("/doc.txt");
     ASSERT_TRUE(attrs.ok());
     inode_ = attrs->inode;
-    content_.clear();
   }
 
   core::SharoesClient& alice() { return world_->client(kAlice); }
@@ -228,34 +224,6 @@ TEST_F(ShortChunkTest, WriterWithoutTheChunksCachedRewritesPacked) {
   read = alice().Read("/doc.txt");
   ASSERT_TRUE(read.ok()) << read.status();
   EXPECT_EQ(*read, content_);
-}
-
-TEST_F(ShortChunkTest, LazyRevocationWriteRepacksUnderTheNewKey) {
-  World::Options opts;
-  opts.revocation = core::RevocationMode::kLazy;
-  Start(opts);
-  Write(Fill(4000, 'a'));
-  Append(Fill(300, 'b'));
-  ASSERT_EQ(Stored().size(), 3u);
-  // Carol (other) loses read: the next writer rotates the data key.
-  ASSERT_TRUE(
-      alice().Chmod("/doc.txt", World::ParseMode("rw-rw----")).ok());
-  ASSERT_TRUE(alice().Read("/doc.txt").ok());  // Warm again.
-  Append(Fill(300, 'c'));
-  std::map<uint32_t, Bytes> after = Stored();
-  // Packed: 4600 bytes in 2 chunks, every block under key generation 1.
-  ASSERT_EQ(after.size(), 3u);
-  EXPECT_EQ(ChunkSizes(), (std::vector<size_t>{kBlockSize, 504}));
-  for (const auto& [idx, wire] : after) {
-    auto h = core::ObjectCodec::PeekDataHeader(wire);
-    ASSERT_TRUE(h.ok());
-    EXPECT_EQ(h->key_gen, 1u) << "block " << idx;
-  }
-  auto read = ColdReadAsBob();
-  ASSERT_TRUE(read.ok()) << read.status();
-  EXPECT_EQ(*read, content_);
-  world_->client(kCarol).DropCaches();
-  EXPECT_FALSE(world_->client(kCarol).Read("/doc.txt").ok());
 }
 
 TEST_F(ShortChunkTest, ReopenAfterAnAppendDownloadsOnlyTheNewChunk) {

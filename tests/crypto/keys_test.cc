@@ -11,7 +11,6 @@ namespace {
 
 CryptoEngineOptions FastOptions() {
   CryptoEngineOptions o;
-  o.signing_key_bits = 512;
   o.rng_seed = 42;
   return o;
 }

@@ -30,7 +30,6 @@ struct DataCodec {
   static crypto::CryptoEngineOptions EngineOptions() {
     crypto::CryptoEngineOptions o;
     o.cost_model = crypto::CryptoCostModel::Zero();
-    o.signing_key_bits = 512;
     o.rng_seed = 0xDE5C;
     return o;
   }

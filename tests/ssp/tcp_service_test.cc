@@ -78,7 +78,6 @@ TEST(TcpEndToEndTest, RemoteProvisionAndMountOverSockets) {
   SimClock clock;
   crypto::CryptoEngineOptions eng_opts;
   eng_opts.cost_model = crypto::CryptoCostModel::Zero();
-  eng_opts.signing_key_bits = 512;
   eng_opts.rng_seed = 606;
   crypto::CryptoEngine engine(&clock, eng_opts);
 

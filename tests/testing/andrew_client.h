@@ -61,7 +61,6 @@ inline std::unique_ptr<Enterprise> ProvisionOverTcp(
   auto ent = std::make_unique<Enterprise>();
   crypto::CryptoEngineOptions eng_opts;
   eng_opts.cost_model = crypto::CryptoCostModel::Zero();
-  eng_opts.signing_key_bits = 512;
   eng_opts.rng_seed = 4242;
   ent->engine = std::make_unique<crypto::CryptoEngine>(&ent->clock, eng_opts);
 
@@ -99,7 +98,6 @@ inline std::unique_ptr<crypto::CryptoEngine> MakeEngine(SimClock* clock,
                                                         uint64_t seed) {
   crypto::CryptoEngineOptions eng_opts;
   eng_opts.cost_model = crypto::CryptoCostModel::Zero();
-  eng_opts.signing_key_bits = 512;
   eng_opts.rng_seed = seed;
   return std::make_unique<crypto::CryptoEngine>(clock, eng_opts);
 }

@@ -28,27 +28,22 @@ class World {
  public:
   struct Options {
     core::Scheme scheme = core::Scheme::kScheme2;
-    core::RevocationMode revocation = core::RevocationMode::kImmediate;
     size_t cache_bytes = 64ull << 20;
     size_t user_key_bits = 512;   // Small keys: fast tests, same logic.
-    size_t signing_key_bits = 512;
     size_t signing_key_pool = 0;  // Fresh signing keys by default.
     uint64_t seed = 0x5EED;
     // Batched-read knob, passed straight into ClientOptions so tests can
     // pit the batched and per-block (0) wire behaviours against each other.
     size_t readahead_blocks = 32;
-    // Write-behind knobs (ops=0 = immediate per-op round trips, pinned
-    // here although the library stages by default; bytes bounds the
-    // staged payload between flushes).
+    // Write-behind knob (0 = immediate per-op round trips, pinned here
+    // although the library stages by default).
     size_t write_batch_ops = 0;
-    size_t write_batch_bytes = 1 << 20;
   };
 
   World() : World(Options()) {}
   explicit World(const Options& opts) : opts_(opts) {
     crypto::CryptoEngineOptions eng_opts;
     eng_opts.cost_model = crypto::CryptoCostModel::Zero();
-    eng_opts.signing_key_bits = opts.signing_key_bits;
     eng_opts.signing_key_pool = opts.signing_key_pool;
     eng_opts.rng_seed = opts.seed;
     admin_engine_ = std::make_unique<crypto::CryptoEngine>(&clock_, eng_opts);
@@ -89,7 +84,6 @@ class World {
   Status Mount(fs::UserId uid) {
     crypto::CryptoEngineOptions eng_opts;
     eng_opts.cost_model = crypto::CryptoCostModel::Zero();
-    eng_opts.signing_key_bits = opts_.signing_key_bits;
     eng_opts.signing_key_pool = opts_.signing_key_pool;
     eng_opts.rng_seed = opts_.seed + uid;
     engines_[uid] =
@@ -100,11 +94,9 @@ class World {
         &server_, transports_[uid].get());
     core::ClientOptions copts;
     copts.scheme = opts_.scheme;
-    copts.revocation = opts_.revocation;
     copts.cache_bytes = opts_.cache_bytes;
     copts.readahead_blocks = opts_.readahead_blocks;
     copts.write_batch_ops = opts_.write_batch_ops;
-    copts.write_batch_bytes = opts_.write_batch_bytes;
     copts.default_group = DefaultGroupOf(uid);
     clients_[uid] = std::make_unique<core::SharoesClient>(
         uid, user_keys_.at(uid), &identity_, conns_[uid].get(),
