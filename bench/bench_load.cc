@@ -135,14 +135,6 @@ std::unique_ptr<crypto::CryptoEngine> MakeEngine(SimClock* clock,
 constexpr net::TcpTimeouts kTimeouts{/*connect_ms=*/2000, /*send_ms=*/5000,
                                      /*recv_ms=*/5000};
 
-core::RetryingConnection::ChannelFactory TcpFactory(uint16_t port) {
-  return [port]() -> Result<std::unique_ptr<ssp::SspChannel>> {
-    auto channel = ssp::TcpSspChannel::Connect("127.0.0.1", port, kTimeouts);
-    if (!channel.ok()) return channel.status();
-    return std::unique_ptr<ssp::SspChannel>(std::move(*channel));
-  };
-}
-
 /// `--cluster N`: N in-process daemons behind one placement ring. The
 /// ring must outlive the servers (each serving thread checks ownership
 /// against it per request), so the harness owns both.
@@ -306,8 +298,9 @@ void RunClientThread(int t, const Options& opt, uint16_t port,
   } else {
     core::RetryOptions retry;
     retry.seed = 9000 + static_cast<uint64_t>(t);
-    channel = std::make_unique<core::RetryingConnection>(TcpFactory(port),
-                                                         retry);
+    channel = std::make_unique<core::RetryingConnection>(
+        core::RetryingConnection::Dialer("127.0.0.1", port, kTimeouts),
+        retry);
   }
   if (channel == nullptr) {
     out->errors += 1;
@@ -524,8 +517,9 @@ int Run(const Options& opt) {
   }
   auto make_channel = [&]() -> std::unique_ptr<ssp::SspChannel> {
     if (cluster != nullptr) return MakeShardedChannel(*cluster, 7);
-    return std::make_unique<core::RetryingConnection>(TcpFactory(port),
-                                                      core::RetryOptions{});
+    return std::make_unique<core::RetryingConnection>(
+        core::RetryingConnection::Dialer("127.0.0.1", port, kTimeouts),
+        core::RetryOptions{});
   };
 
   // 2. Provision the enterprise and the shared read tree — in cluster

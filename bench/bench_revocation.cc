@@ -50,7 +50,7 @@ double ChmodCost(size_t file_size, CostSnapshot* next_write_cost) {
 }
 
 void Run() {
-  Heading("Revocation ablation: immediate re-encryption cost vs file size");
+  Heading("Revocation cost: immediate re-encryption vs file size");
   Table table({"file size", "chmod+revoke (ms)", "next write (ms)",
                "getattr-only chmod (ms)"});
   for (size_t size : {size_t{4} << 10, size_t{64} << 10, size_t{256} << 10,

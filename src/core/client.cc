@@ -654,12 +654,12 @@ Status SharoesClient::FlushStaged() {
   flushing_pending_ = true;
   Status shipped = ExecuteBatchNow(pending_writes_);
   flushing_pending_ = false;
-  // Transient outcomes (not executed, or executed without the ack — both
-  // replay-safe for these idempotent sub-ops) keep the stage, and its
-  // pending versions, so the next flush point retries; anything else
-  // resolves the ops' fate, so the stage clears and the error surfaces
-  // exactly once.
-  if (shipped.IsUnavailable() || shipped.IsDeadlineExceeded()) return shipped;
+  // Unavailable (not executed, or executed without the ack — both
+  // replay-safe for these idempotent sub-ops; either SSP channel's answer
+  // to a spent retry budget) keeps the stage, and its pending versions,
+  // so the next flush point retries; anything else resolves the ops'
+  // fate, so the stage clears and the error surfaces exactly once.
+  if (shipped.IsUnavailable()) return shipped;
   shipped = SettleBatch(pending_writes_, std::move(shipped));
   pending_writes_.clear();
   pending_write_bytes_ = 0;

@@ -185,8 +185,8 @@ class SharoesClient : public FsClient {
   }
   /// Ships pending_writes_ as one kBatch (the write-behind stage's flush
   /// point). Clears the stage on success and on definitive rejection;
-  /// keeps it on transient failure (the ops are idempotent, so the next
-  /// flush replays them safely). OK while nothing is staged or while the
+  /// keeps it on Unavailable (the ops are idempotent, so the next flush
+  /// replays them safely). OK while nothing is staged or while the
   /// stage's own batch is on the wire.
   Status FlushStaged() override;
 

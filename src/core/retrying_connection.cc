@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
+#include <utility>
 
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "ssp/tcp_service.h"
 
 namespace sharoes::core {
 
@@ -18,7 +20,6 @@ struct RetryMetrics {
   obs::Counter* retries;
   obs::Counter* reconnects;
   obs::Counter* exhausted;
-  obs::Counter* batch_sub_retries;
 
   RetryMetrics() {
     auto& reg = obs::MetricsRegistry::Global();
@@ -26,50 +27,12 @@ struct RetryMetrics {
     retries = reg.counter("client.retry.retries");
     reconnects = reg.counter("client.retry.reconnects");
     exhausted = reg.counter("client.retry.exhausted");
-    batch_sub_retries = reg.counter("client.retry.batch_sub_retries");
   }
 };
 
 RetryMetrics& Metrics() {
   static RetryMetrics* metrics = new RetryMetrics();  // Never dies.
   return *metrics;
-}
-
-/// True iff the request is a batch containing only reads. Such a batch
-/// may be replayed wholesale when any sub-op reports kError: re-running
-/// the already-succeeded gets is free of side effects. A batch with any
-/// mutation is NOT retried on sub-errors here — the server already
-/// answers a top-level kError when durability fails, and partial sub-op
-/// outcomes are the client's ExecuteBatch error to report.
-bool IsReadOnlyBatch(const ssp::Request& req) {
-  if (req.op != ssp::OpCode::kBatch) return false;
-  for (const ssp::Request& sub : req.batch) {
-    if (ssp::IsMutatingOp(sub.op)) return false;
-  }
-  return true;
-}
-
-bool HasTransientSubError(const ssp::Response& resp) {
-  for (const ssp::Response& sub : resp.batch) {
-    if (sub.status == ssp::RespStatus::kError) return true;
-  }
-  return false;
-}
-
-/// True iff the request may be transparently re-sent after it might
-/// already have executed (transport failure post-send, or a durability
-/// kError from the server after the store apply). A batch — the shape
-/// the client's write-behind layer ships — is replay-safe only when
-/// EVERY sub-op is individually idempotent; this is the gate that keeps
-/// a future non-idempotent opcode from riding a blanket retry.
-bool IsReplaySafe(const ssp::Request& req) {
-  if (req.op == ssp::OpCode::kBatch) {
-    for (const ssp::Request& sub : req.batch) {
-      if (!ssp::IsIdempotentOp(sub.op)) return false;
-    }
-    return true;
-  }
-  return ssp::IsIdempotentOp(req.op);
 }
 }  // namespace
 
@@ -90,14 +53,23 @@ RetryingConnection::RetryingConnection(ChannelFactory factory,
   if (options_.max_attempts < 1) options_.max_attempts = 1;
 }
 
+RetryingConnection::ChannelFactory RetryingConnection::Dialer(
+    std::string host, uint16_t port, const net::TcpTimeouts& timeouts) {
+  return [host = std::move(host), port,
+          timeouts]() -> Result<std::unique_ptr<ssp::SspChannel>> {
+    auto channel = ssp::TcpSspChannel::Connect(host, port, timeouts);
+    if (!channel.ok()) return channel.status();
+    return std::unique_ptr<ssp::SspChannel>(std::move(*channel));
+  };
+}
+
 Result<ssp::Response> RetryingConnection::Call(const ssp::Request& req) {
   Metrics().calls->Increment();
   // Join (or start) the ambient trace so every wire attempt below
   // carries the same trace id with an increasing attempt number; the
   // server's structured log lines then reconstruct the retry story.
   obs::RpcTraceScope trace_scope;
-  const bool replay_safe = IsReplaySafe(req);
-  Status last_error = Status::IoError("no attempt made");
+  std::string last_error = "no attempt made";
   for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
     trace_scope.set_attempt(static_cast<uint8_t>(std::min(attempt, 255)));
     if (attempt > 0) {
@@ -109,8 +81,8 @@ Result<ssp::Response> RetryingConnection::Call(const ssp::Request& req) {
     if (channel_ == nullptr) {
       auto fresh = factory_();
       if (!fresh.ok()) {
-        last_error = fresh.status();
-        if (!IsRetryable(last_error)) return last_error;
+        if (!IsRetryable(fresh.status())) return fresh.status();
+        last_error = fresh.status().ToString();
         continue;
       }
       channel_ = std::move(*fresh);
@@ -121,36 +93,16 @@ Result<ssp::Response> RetryingConnection::Call(const ssp::Request& req) {
     }
     auto resp = channel_->Call(req);
     if (resp.ok()) {
-      if (resp->status == ssp::RespStatus::kError) {
-        // Transient server-side failure. For reads and idempotent
-        // mutations the request either was not executed (fault
-        // injection, overload) or executed without a durability
-        // guarantee (WAL sync failure) — both are safe to replay. A
-        // non-idempotent request might have taken effect in the second
-        // case, so it must surface instead of being re-sent.
-        last_error = Status::IoError("SSP reported transient error");
-        if (!replay_safe) return last_error;
-        continue;
-      }
-      if (resp->status == ssp::RespStatus::kOk && IsReadOnlyBatch(req) &&
-          HasTransientSubError(*resp)) {
-        // A per-sub-op injected fault inside a pure-read batch: replaying
-        // the whole batch is side-effect free, so absorb it here instead
-        // of surfacing Unavailable to the read path.
-        Metrics().batch_sub_retries->Increment();
-        last_error =
-            Status::IoError("SSP reported transient error for batch sub-op");
-        continue;
-      }
-      return resp;
+      if (resp->status != ssp::RespStatus::kError) return resp;
+      // Not executed (fault injection, overload) or executed without a
+      // durability guarantee (WAL sync failure): replaying either is safe.
+      last_error = "SSP reported transient error";
+      continue;
     }
-    last_error = resp.status();
-    if (!IsRetryable(last_error)) return last_error;
+    if (!IsRetryable(resp.status())) return resp.status();
+    last_error = resp.status().ToString();
     // The socket is in an unknown state (possibly mid-frame); drop it
-    // and reconnect on the next attempt. A transport failure after the
-    // frame left means the server may have executed the request, so
-    // only replay-safe requests go around again.
-    if (!replay_safe) return last_error;
+    // and reconnect on the next attempt.
     channel_.reset();
   }
   Metrics().exhausted->Increment();
@@ -158,8 +110,8 @@ Result<ssp::Response> RetryingConnection::Call(const ssp::Request& req) {
            {{"op", ssp::OpCodeName(req.op)},
             {"trace", obs::TraceIdHex(obs::CurrentTrace().trace_id)},
             {"attempts", static_cast<uint64_t>(options_.max_attempts)},
-            {"error", last_error.ToString()}});
-  return last_error;
+            {"error", last_error}});
+  return Status::Unavailable(last_error);
 }
 
 }  // namespace sharoes::core

@@ -8,23 +8,20 @@
 // jitter. SharoesClient and the Provisioner sit behind it unchanged —
 // they just see an SspChannel.
 //
-// Why retry is safe: every request in ssp/message.h is an idempotent
-// put/get/delete addressed by absolute coordinates (inode, selector,
-// user, group, block) — there are no appends, counters, or
-// compare-and-swaps — so executing a request twice (e.g. the daemon
-// applied a put but died before replying, and the retry replays it)
-// leaves the store in exactly the state of executing it once. Batches
-// are flat vectors of such requests; the server acknowledges a re-sent
-// batch that mutates a key twice without applying it again, since its
-// effect is already held (DESIGN.md §12). But the safety is *checked*,
-// not assumed: a request is re-sent after it may have executed only
-// when every constituent op passes
-// ssp::IsIdempotentOp — mutating batches are NOT blanket-retried, they
-// are replayed only as idempotent-verified sub-op sets. A future
-// non-idempotent opcode therefore fails closed (its transport error
-// surfaces to the caller) until it carries a request id + dedup window.
-// The op-level invariant is asserted by RetryIdempotence in
-// tests/core/client_fault_test.cc.
+// Why retry is safe: every request in ssp/message.h is a put/get/delete
+// addressed by absolute coordinates (inode, selector, user, group,
+// block) — there are no appends, counters, or compare-and-swaps — so
+// executing a request twice (e.g. the daemon applied a put but died
+// before replying, and the retry replays it) leaves the store in exactly
+// the state of executing it once. Batches are flat vectors of such
+// requests, and the server acknowledges a re-sent batch that mutates a
+// key twice without applying it again (DESIGN.md §12). The safety is
+// the server's guarantee, pinned by RetryIdempotence in
+// tests/core/client_fault_test.cc, so every request is retried alike.
+//
+// A spent budget reads as kUnavailable carrying the last error's text,
+// as an unfinished quorum does on a cluster (core::ShardedChannel): to
+// everything above the channel, "the SSP did not answer this time".
 //
 // What is deliberately NOT retried: kCorruption (a malicious SSP sending
 // garbage must surface, per the threat model), kIntegrityError (ditto —
@@ -37,7 +34,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 
+#include "net/tcp_stream.h"
 #include "ssp/ssp_server.h"
 #include "util/random.h"
 
@@ -77,15 +76,17 @@ class RetryingConnection : public ssp::SspChannel {
 
   RetryingConnection(ChannelFactory factory, const RetryOptions& options);
 
-  /// Executes the request, reconnecting/retrying per RetryOptions. After
-  /// the attempt budget is exhausted the last transport error is
-  /// returned (an exhausted kError reply becomes kIoError — callers
-  /// never see RespStatus::kError through this channel). A batch made
-  /// entirely of reads is also replayed when any *sub-response* is
-  /// kError — replaying pure gets is side-effect free — so the batched
-  /// read path never sees transient sub-op faults either. Mixed or
-  /// mutating batches do not get sub-op replay: the server answers a
-  /// top-level kError for durability failures, which is retried above.
+  /// The one TCP dialer: a factory that connects a ssp::TcpSspChannel to
+  /// host:port under `timeouts`.
+  static ChannelFactory Dialer(std::string host, uint16_t port,
+                               const net::TcpTimeouts& timeouts);
+
+  /// Executes the request, reconnecting/retrying per RetryOptions.
+  /// kIoError, kDeadlineExceeded and a RespStatus::kError reply are
+  /// retried; once the attempt budget is spent on them the Call returns
+  /// kUnavailable carrying the last error's text, so callers never see
+  /// RespStatus::kError through this channel. Any other error returns
+  /// unchanged at once.
   Result<ssp::Response> Call(const ssp::Request& req) override;
 
   /// Observability (tests, CLI verbose output). Like the channel itself

@@ -171,17 +171,6 @@ bool IsBatchableOp(OpCode op) {
   return VerbOf(op) == OpVerb::kGet || IsMutatingOp(op);
 }
 
-bool IsIdempotentOp(OpCode op) {
-  // Reads and admin snapshots have no effects to repeat; puts and
-  // deletes are absolute assignments to fixed coordinates (no appends,
-  // counters, or compare-and-swaps), so a replay reproduces the same
-  // final state. kBatch is deliberately excluded: a batch is idempotent
-  // iff every sub-op is, which is the caller's per-request question
-  // (see core::RetryingConnection), not a property of the wrapper.
-  return static_cast<size_t>(op) < kNumOpCodes &&
-         VerbOf(op) != OpVerb::kBatch;
-}
-
 std::optional<ObjectRef> RefOf(const Request& r) {
   if (!IsPointVerb(VerbOf(r.op))) return std::nullopt;
   switch (FamilyOf(r.op)) {

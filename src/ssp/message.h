@@ -68,16 +68,6 @@ bool IsMutatingOp(OpCode op);
 /// opcode cannot silently ride inside a batch.
 bool IsBatchableOp(OpCode op);
 
-/// True iff executing the op twice leaves the store in the state of
-/// executing it once — the property that makes transparent transport
-/// retry (core::RetryingConnection) safe for it. Every current opcode
-/// qualifies (absolute-coordinate puts/gets/deletes); any future
-/// non-idempotent opcode must return false here, which makes the retry
-/// layer refuse to replay it until it carries a request id + dedup
-/// window. kBatch itself returns false — batch idempotence is the AND
-/// over sub-ops and is decided per request by the retry layer.
-bool IsIdempotentOp(OpCode op);
-
 /// Replica selector: which copy of an inode's metadata. Scheme-2 uses a
 /// CAP id, Scheme-1 a hash of the user id; the baselines use selector 0.
 using Selector = uint64_t;

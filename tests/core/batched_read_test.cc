@@ -12,8 +12,6 @@
 #include <vector>
 
 #include "core/client.h"
-#include "core/retrying_connection.h"
-#include "obs/metrics.h"
 #include "ssp/message.h"
 #include "testing/fault.h"
 #include "testing/world.h"
@@ -377,89 +375,6 @@ TEST(BatchedReadTest, TransientFaultIsUnavailableNotNotFound) {
     Status healed = c.op(world);
     EXPECT_TRUE(healed.ok()) << healed;
   }
-}
-
-/// Wraps a channel and, when armed, rewrites one sub-response of the next
-/// pure-read batch to kError — the per-sub-op transient fault shape the
-/// retry layer must absorb for side-effect-free batches.
-class SubErrorChannel : public ssp::SspChannel {
- public:
-  explicit SubErrorChannel(ssp::SspChannel* inner) : inner_(inner) {}
-  void Arm() { armed_ = true; }
-  bool armed() const { return armed_; }
-
-  Result<ssp::Response> Call(const ssp::Request& req) override {
-    auto resp = inner_->Call(req);
-    if (!resp.ok() || !armed_ || req.op != ssp::OpCode::kBatch) return resp;
-    for (const ssp::Request& sub : req.batch) {
-      if (ssp::IsMutatingOp(sub.op)) return resp;
-    }
-    if (!resp->batch.empty()) {
-      armed_ = false;
-      resp->batch.back().status = ssp::RespStatus::kError;
-      resp->batch.back().payload.clear();
-    }
-    return resp;
-  }
-
- private:
-  ssp::SspChannel* inner_;  // Not owned.
-  bool armed_ = false;
-};
-
-TEST(BatchedReadTest, ReadOnlyBatchSubErrorIsRetriedInPlace) {
-  World world(BatchedOpts(true));
-  ASSERT_TRUE(world.MigrateAndMountAll(World::DefaultTree()).ok());
-
-  // A hand-built alice over RetryingConnection -> SubErrorChannel ->
-  // the world's in-process server.
-  crypto::CryptoEngineOptions eng_opts;
-  eng_opts.cost_model = crypto::CryptoCostModel::Zero();
-  eng_opts.rng_seed = 0x5B5B;
-  crypto::CryptoEngine engine(&world.clock(), eng_opts);
-  net::Transport transport(&world.clock(), net::NetworkModel::Zero());
-  ssp::SspConnection real(&world.server(), &transport);
-  SubErrorChannel flaky(&real);
-  RetryOptions retry;
-  retry.max_attempts = 4;
-  retry.initial_backoff_ms = 0;
-  RetryingConnection conn(
-      [&flaky]() -> Result<std::unique_ptr<ssp::SspChannel>> {
-        // Non-owning pass-through: the retry layer may "reconnect", but
-        // it always lands back on the same armed wrapper.
-        struct Fwd : ssp::SspChannel {
-          explicit Fwd(ssp::SspChannel* c) : c_(c) {}
-          Result<ssp::Response> Call(const ssp::Request& req) override {
-            return c_->Call(req);
-          }
-          ssp::SspChannel* c_;
-        };
-        return std::unique_ptr<ssp::SspChannel>(new Fwd(&flaky));
-      },
-      retry);
-  ClientOptions copts;
-  copts.scheme = Scheme::kScheme2;
-  copts.default_group = kEng;
-  SharoesClient alice(kAlice, world.user_key(kAlice), &world.identity(),
-                      &conn, &engine, copts);
-  ASSERT_TRUE(alice.Mount().ok());
-
-  Bytes big = BlocksOfPattern(6, 5);
-  CreateOptions fopts;
-  fopts.mode = World::ParseMode("rw-rw----");
-  ASSERT_TRUE(alice.Create("/shared/flaky.bin", fopts).ok());
-  ASSERT_TRUE(alice.WriteFile("/shared/flaky.bin", big).ok());
-  alice.DropCaches();
-
-  auto* sub_retries = obs::MetricsRegistry::Global().counter(
-      "client.retry.batch_sub_retries");
-  uint64_t before = sub_retries->Value();
-  flaky.Arm();
-  auto content = alice.Read("/shared/flaky.bin");
-  ASSERT_TRUE(content.ok()) << content.status();
-  EXPECT_EQ(*content, big);
-  EXPECT_FALSE(flaky.armed()) << "the fault was never injected";
-  EXPECT_GT(sub_retries->Value(), before);
 }
 
 TEST(BatchedReadTest, WriteBufferKeysAreCanonical) {

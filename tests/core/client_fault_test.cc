@@ -6,7 +6,8 @@
 // With retries disabled the same schedule fails. Also pins down the two
 // boundary contracts retry relies on: every SSP op is idempotent, and
 // payload corruption is rejected by the integrity layer, never masked by
-// the transport.
+// the transport. And a spent budget reads as Unavailable on a lone
+// daemon and on a cluster alike, so a write-behind stage outlives it.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -24,10 +26,13 @@
 #include "core/client.h"
 #include "core/migration.h"
 #include "core/retrying_connection.h"
+#include "core/sharded_channel.h"
+#include "net/network_model.h"
 #include "ssp/fault_injection.h"
 #include "ssp/tcp_service.h"
 #include "ssp/wal.h"
 #include "testing/andrew_client.h"
+#include "testing/cluster.h"
 #include "testing/fault.h"
 #include "testing/restartable.h"
 
@@ -36,6 +41,8 @@ namespace {
 
 using sharoes::testing::Enterprise;
 using sharoes::testing::Fault;
+using sharoes::testing::kAlice;
+using sharoes::testing::kStaff;
 using sharoes::testing::MakeClient;
 using sharoes::testing::MakeEngine;
 using sharoes::testing::ProvisionOverTcp;
@@ -45,6 +52,7 @@ using sharoes::testing::ScriptedInjector;
 using sharoes::testing::SlurpFile;
 using sharoes::testing::SpillFile;
 using sharoes::testing::TcpFactory;
+using sharoes::testing::TestCluster;
 
 /// Every file in `dir`, by name.
 std::map<std::string, Bytes> SlurpDir(const std::string& dir) {
@@ -298,13 +306,12 @@ TEST_F(ClientFaultTest, WithoutRetriesTheSameScheduleFails) {
   ASSERT_TRUE(client->Mount().ok());
 
   // The deterministic part of the schedule alone — one restart under the
-  // client's live connection — is already fatal without retry.
+  // client's live connection — is already fatal without retry: the one
+  // attempt fails, and a spent budget reads as Unavailable.
   daemon_->Restart();
   auto transcript = RunAndrewSequence(client.get());
   ASSERT_FALSE(transcript.ok());
-  EXPECT_TRUE(transcript.status().IsIoError() ||
-              transcript.status().IsDeadlineExceeded())
-      << transcript.status();
+  EXPECT_TRUE(transcript.status().IsUnavailable()) << transcript.status();
   EXPECT_EQ(conn.retries(), 0u);
 }
 
@@ -453,6 +460,117 @@ TEST(RetryingConnectionTest, NonRetryableErrorsSurfaceImmediately) {
   ASSERT_FALSE(resp.ok());
   EXPECT_EQ(resp.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(factory_calls, 1);  // No retry on a caller error.
+}
+
+/// An in-process link that fails like a severed socket while `*down`.
+class GatedLink : public ssp::SspChannel {
+ public:
+  GatedLink(ssp::SspChannel* inner, const bool* down)
+      : inner_(inner), down_(down) {}
+  Result<ssp::Response> Call(const ssp::Request& req) override {
+    if (*down_) return Status::IoError("link severed");
+    return inner_->Call(req);
+  }
+
+ private:
+  ssp::SspChannel* inner_;  // Not owned.
+  const bool* down_;
+};
+
+/// Alice creates and writes a file with staging on, and the flush at its
+/// Close meets an SSP that stays unreachable past `link`'s retry budget
+/// (`set_reachable(false)`). The Close must answer Unavailable and keep
+/// the stage, so once the SSP is back the next Fsync ships the file and
+/// bob reads it. `admin` provisions the enterprise and carries bob.
+void StagedCloseOutlivesAnOutage(
+    ssp::SspChannel* admin, ssp::SspChannel* link,
+    const std::function<void(bool)>& set_reachable) {
+  constexpr fs::UserId kBob = 101;
+  SimClock clock;
+  auto engine = MakeEngine(&clock, 4242);
+  IdentityDirectory identity;
+  Provisioner::Options popts;
+  popts.user_key_bits = 512;
+  Provisioner prov(&identity, /*server=*/nullptr, engine.get(), popts);
+  prov.set_remote_channel(admin);
+  auto alice = prov.CreateUser(kAlice, "alice");
+  ASSERT_TRUE(alice.ok()) << alice.status();
+  auto bob = prov.CreateUser(kBob, "bob");
+  ASSERT_TRUE(bob.ok()) << bob.status();
+  ASSERT_TRUE(prov.CreateGroup(kStaff, "staff", {kAlice, kBob}).ok());
+  ASSERT_TRUE(prov.Migrate(LocalNode::Dir("", kAlice, kStaff,
+                                          fs::Mode::FromOctal(0775)))
+                  .ok());
+
+  ClientOptions copts;
+  copts.default_group = kStaff;
+  ASSERT_GT(copts.write_batch_ops, 0u) << "staging must be on";
+  SharoesClient writer(kAlice, alice->priv, &identity, link, engine.get(),
+                       copts);
+  ASSERT_TRUE(writer.Mount().ok());
+  CreateOptions fopts;
+  fopts.mode = fs::Mode::FromOctal(0644);
+  ASSERT_TRUE(writer.Create("/report.txt", fopts).ok());
+  ASSERT_TRUE(writer.Write("/report.txt", ToBytes("kept through")).ok());
+
+  set_reachable(false);
+  Status closed = writer.Close("/report.txt");
+  EXPECT_TRUE(closed.IsUnavailable()) << closed;
+  set_reachable(true);
+  Status synced = writer.Fsync();
+  ASSERT_TRUE(synced.ok()) << synced;
+
+  SharoesClient reader(kBob, bob->priv, &identity, admin, engine.get(),
+                       copts);
+  ASSERT_TRUE(reader.Mount().ok());
+  auto read = reader.Read("/report.txt");
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(ToString(*read), "kept through");
+}
+
+TEST(SpentRetryBudget, StagedCloseKeepsItsWritesOnEitherChannel) {
+  {
+    SCOPED_TRACE("lone daemon: the dial is refused");
+    SimClock clock;
+    ssp::SspServer server;
+    net::Transport transport(&clock, net::NetworkModel::Zero());
+    ssp::SspConnection direct(&server, &transport);
+    bool down = false;
+    RetryOptions retry;
+    retry.max_attempts = 3;
+    retry.initial_backoff_ms = 1;
+    retry.seed = 5;
+    RetryingConnection link(
+        [&]() -> Result<std::unique_ptr<ssp::SspChannel>> {
+          if (down) return Status::IoError("connection refused");
+          return std::unique_ptr<ssp::SspChannel>(
+              new GatedLink(&direct, &down));
+        },
+        retry);
+    StagedCloseOutlivesAnOutage(&direct, &link,
+                                [&](bool reachable) { down = !reachable; });
+  }
+  {
+    SCOPED_TRACE("cluster: every node is down");
+    TestCluster cluster(TestCluster::Options{.tag = "spent_budget"});
+    cluster.Start();
+    auto admin = cluster.MakeChannel();
+    ShardedChannelOptions sopts;
+    sopts.max_attempts = 3;
+    sopts.initial_backoff_ms = 1;
+    auto link = cluster.MakeChannel(sopts);
+    ASSERT_NE(link, nullptr);
+    StagedCloseOutlivesAnOutage(
+        admin.get(), link.get(), [&](bool reachable) {
+          for (int i = 0; i < cluster.size(); ++i) {
+            if (reachable) {
+              cluster.node(i)->Start();
+            } else {
+              cluster.node(i)->Kill();
+            }
+          }
+        });
+  }
 }
 
 TEST(RetryIdempotence, EveryOpcodeIsSafeToReplay) {

@@ -239,8 +239,7 @@ TEST(GetTracesTest, ReturnsTheSpanCollectorJson) {
 }
 
 TEST(GetTracesTest, IsIdempotentButNotBatchable) {
-  EXPECT_TRUE(IsIdempotentOp(OpCode::kGetTraces));  // Safe to retry...
-  EXPECT_FALSE(IsMutatingOp(OpCode::kGetTraces));   // ...never WAL-logged...
+  EXPECT_FALSE(IsMutatingOp(OpCode::kGetTraces));   // Never WAL-logged...
   EXPECT_FALSE(IsBatchableOp(OpCode::kGetTraces));  // ...and no batch rides.
 }
 

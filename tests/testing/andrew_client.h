@@ -102,16 +102,13 @@ inline std::unique_ptr<crypto::CryptoEngine> MakeEngine(SimClock* clock,
   return std::make_unique<crypto::CryptoEngine>(clock, eng_opts);
 }
 
+/// Dials a started daemon; its port holds across restarts.
 inline core::RetryingConnection::ChannelFactory TcpFactory(
     RestartableDaemon* daemon) {
-  return [daemon]() -> Result<std::unique_ptr<ssp::SspChannel>> {
-    net::TcpTimeouts timeouts{/*connect_ms=*/2000, /*send_ms=*/5000,
-                              /*recv_ms=*/5000};
-    auto channel =
-        ssp::TcpSspChannel::Connect("127.0.0.1", daemon->port(), timeouts);
-    if (!channel.ok()) return channel.status();
-    return std::unique_ptr<ssp::SspChannel>(std::move(*channel));
-  };
+  return core::RetryingConnection::Dialer(
+      "127.0.0.1", daemon->port(),
+      net::TcpTimeouts{/*connect_ms=*/2000, /*send_ms=*/5000,
+                       /*recv_ms=*/5000});
 }
 
 constexpr int kSourceFiles = 5;

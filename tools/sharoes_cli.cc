@@ -42,10 +42,11 @@
 //                        that every sharoes_sspd was started with; ops
 //                        are sharded by consistent hashing and written
 //                        to / read from quorums (DESIGN.md §15).
-// Transport fault tolerance (every SSP op is an idempotent put/get/
-// delete, so blanket retry is safe — see core/retrying_connection.h).
+// Transport fault tolerance (the daemon makes every SSP op safe to
+// replay, so every op is retried alike — see core/retrying_connection.h).
 // One retry budget for one daemon or a cluster (an attempt is then a
-// quorum round; the cluster path has no other retry layer):
+// quorum round; the cluster path has no other retry layer); a spent
+// budget fails the op as unavailable on either:
 //        --retries N            attempts per op incl. the first (8;
 //                               1 disables retry)
 //        --retry-backoff-ms N   initial backoff, doubled per retry (10)
@@ -197,15 +198,10 @@ std::unique_ptr<core::ShardedChannel> OpenCluster(const Args& args) {
 /// the retry flags are its budget and the timeout flags its deadlines.
 std::unique_ptr<ssp::SspChannel> MakeChannel(const Args& args) {
   if (!args.cluster.empty()) return OpenCluster(args);
-  auto factory = [host = args.host, port = args.port,
-                  timeouts = args.transport.timeouts]()
-      -> Result<std::unique_ptr<ssp::SspChannel>> {
-    auto channel = ssp::TcpSspChannel::Connect(host, port, timeouts);
-    if (!channel.ok()) return channel.status();
-    return std::unique_ptr<ssp::SspChannel>(std::move(*channel));
-  };
-  return std::make_unique<core::RetryingConnection>(std::move(factory),
-                                                    args.transport);
+  return std::make_unique<core::RetryingConnection>(
+      core::RetryingConnection::Dialer(args.host, args.port,
+                                       args.transport.timeouts),
+      args.transport);
 }
 
 void Provision(const Args& args) {
