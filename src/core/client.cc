@@ -93,6 +93,11 @@ std::string SharoesClient::ViewCacheKey(fs::InodeNum inode,
   return "m|" + std::to_string(inode) + "|" + std::to_string(sel);
 }
 
+std::string SharoesClient::FetchedViewCacheKey(fs::InodeNum inode,
+                                               Selector sel) {
+  return "v|" + std::to_string(inode) + "|" + std::to_string(sel);
+}
+
 std::string SharoesClient::DataCacheKey(fs::InodeNum inode, uint32_t block) {
   return "d|" + std::to_string(inode) + "|" + std::to_string(block);
 }
@@ -139,10 +144,22 @@ std::string SharoesClient::NegDentryCacheKey(fs::InodeNum dir_inode,
 void SharoesClient::InvalidateInode(fs::InodeNum inode,
                                     bool keep_candidates) {
   std::string id = std::to_string(inode);
-  cache_.ErasePrefix("m|" + id + "|");
+  // Views and chunk blocks opened from fetched wire become revalidation
+  // candidates (DESIGN.md §19); the descriptor and what this client built
+  // or sealed itself go.
+  const std::string views = "m|" + id + "|";
+  if (!keep_candidates) cache_.ErasePrefix("v|" + id + "|");
+  for (auto& [key, value] : cache_.TakePrefix(views)) {
+    if (!keep_candidates) continue;
+    const std::string fetched = FetchedViewCacheKey(
+        inode, static_cast<Selector>(std::stoull(key.substr(views.size()))));
+    if (!cache_.Contains(fetched)) continue;
+    FetchedView candidate = *cache_.Get<FetchedView>(fetched);
+    candidate.view = std::static_pointer_cast<const MetadataView>(value);
+    const size_t size = candidate.wire_size;
+    cache_.Put(fetched, std::move(candidate), size);
+  }
   cache_.ErasePrefix("t|" + id + "|");
-  // Chunk blocks opened from fetched wire become revalidation candidates
-  // (DESIGN.md §19); the descriptor and blocks sealed here go.
   const std::string data = "d|" + id + "|";
   if (!keep_candidates) cache_.ErasePrefix("c|" + id + "|");
   for (auto& [key, value] : cache_.TakePrefix(data)) {
@@ -219,6 +236,17 @@ Result<SharoesClient::Node> SharoesClient::FetchNode(const PlainRef& ref,
   std::shared_ptr<const MetadataView> cached_view =
       cache_.Get<MetadataView>(view_key);
   bool fetch_view = cached_view == nullptr;
+  // A re-open's candidate (InvalidateInode) is asked for by digest, under
+  // the ref it was opened with only.
+  std::shared_ptr<const FetchedView> candidate;
+  const std::string fetched = FetchedViewCacheKey(ref.inode, ref.selector);
+  if (fetch_view && cache_.Contains(fetched)) {
+    candidate = cache_.Get<FetchedView>(fetched);
+    if (candidate->view == nullptr || !(candidate->mek == ref.mek) ||
+        !(candidate->mvk == ref.mvk)) {
+      candidate.reset();
+    }
+  }
   Node node;
   node.ref = ref;
   // The table's part of the batch: the head and the probe window, when
@@ -239,6 +267,7 @@ Result<SharoesClient::Node> SharoesClient::FetchNode(const PlainRef& ref,
   std::vector<ssp::Request> gets;
   if (fetch_view) {
     gets.push_back(ssp::Request::GetMetadata(ref.inode, ref.selector));
+    if (candidate != nullptr) gets.back().payload = candidate->digest;
   }
   if (fetch_head) {
     gets.push_back(ssp::Request::GetMetadata(ref.inode,
@@ -254,13 +283,27 @@ Result<SharoesClient::Node> SharoesClient::FetchNode(const PlainRef& ref,
   size_t idx = 0;
   if (fetch_view) {
     const ssp::Response& r = resps[idx++];
-    SHAROES_RETURN_IF_ERROR(ssp::ReadStatus(
-        r.status, "metadata " + std::to_string(ref.inode) + " replica " +
-                      std::to_string(ref.selector)));
-    SHAROES_ASSIGN_OR_RETURN(
-        node.view, codec_.DecodeMetadataReplica(ref.inode, ref.selector,
-                                                r.payload, ref.mek, ref.mvk));
-    cache_.Put(view_key, node.view, r.payload.size());
+    // Whatever the reply, the candidate is taken or dropped here.
+    cache_.Erase(fetched);
+    FetchedView record;
+    if (r.status == ssp::RespStatus::kNotModified && candidate != nullptr) {
+      // The bytes this ref already opened: no decrypt, no verify.
+      record = *candidate;
+    } else {
+      SHAROES_RETURN_IF_ERROR(ssp::ReadStatus(
+          r.status, "metadata " + std::to_string(ref.inode) + " replica " +
+                        std::to_string(ref.selector)));
+      SHAROES_ASSIGN_OR_RETURN(
+          MetadataView view,
+          codec_.DecodeMetadataReplica(ref.inode, ref.selector, r.payload,
+                                       ref.mek, ref.mvk));
+      record = {std::make_shared<const MetadataView>(std::move(view)),
+                ssp::BlobDigest(r.payload), ref.mek, ref.mvk,
+                r.payload.size()};
+    }
+    node.view = *record.view;
+    cache_.PutPtr(view_key, std::move(record.view), record.wire_size);
+    cache_.Put(fetched, std::move(record), ssp::kBlobDigestSize);
   } else {
     node.view = *cached_view;
   }
@@ -1136,18 +1179,10 @@ std::vector<size_t> SharoesClient::GrownChunkEnds(
     }
     ends = PackedChunkEnds(old_desc.size);
   }
-  for (size_t end = old_desc.size; end < size;) {
-    end = std::min(end + kBlockSize, size);
-    ends.push_back(end);
-  }
   // The bound: more chunks than the packed layout only within the cold
   // first read window, so no reader pays a round trip for a short chunk.
-  // Past it the file re-packs: full chunks stay as stored, and the
-  // content from the first short chunk on is sealed again in full ones.
-  if (ends.size() <= std::max<size_t>(ColdWindowChunks(), ChunkCount(size))) {
-    return ends;
-  }
-  return PackedChunkEnds(size);
+  return RepackTail(std::move(ends), size,
+                    std::max<size_t>(ColdWindowChunks(), ChunkCount(size)));
 }
 
 Result<ObjectCodec::RenderedFile> SharoesClient::RenderFileWrite(

@@ -114,6 +114,18 @@ class SharoesClient : public FsClient {
     ObjectCodec::DataBlockHeader header;
     size_t wire_size = 0;  // Its cache charge.
   };
+  /// A metadata view decoded from fetched replica wire, as the client
+  /// keeps it under "v|<inode>|<sel>" beside the view's "m|" entry: the
+  /// wire's ssp::BlobDigest and the ref's MEK and MVK. A re-open
+  /// (InvalidateInode) moves the view in, and the entry becomes a
+  /// revalidation candidate (DESIGN.md §19).
+  struct FetchedView {
+    std::shared_ptr<const MetadataView> view;  // Null until a re-open.
+    Bytes digest;
+    crypto::SymmetricKey mek;
+    crypto::VerifyKey mvk;
+    size_t wire_size = 0;  // The view's cache charge.
+  };
   struct Node {
     PlainRef ref;
     MetadataView view;
@@ -177,9 +189,9 @@ class SharoesClient : public FsClient {
                      const std::string& to,
                      const fs::SplitParent& dst) override;
   Status ChangeMode(const std::string& path, fs::Mode mode) override;
-  /// A re-open keeps the inode's chunk blocks opened from fetched wire as
-  /// revalidation candidates (DESIGN.md §19); blocks it sealed itself are
-  /// dropped.
+  /// A re-open keeps the inode's views and chunk blocks opened from
+  /// fetched wire as revalidation candidates (DESIGN.md §19); what it
+  /// built or sealed itself is dropped.
   void InvalidateInode(fs::InodeNum inode) override {
     InvalidateInode(inode, /*keep_candidates=*/true);
   }
@@ -193,7 +205,10 @@ class SharoesClient : public FsClient {
   // --- Resolution ---
   Result<Node> ResolvePath(const std::string& path,
                            ReadIntent intent = ReadIntent::kNone);
-  /// The node at `ref`, its view from the cache or the SSP. With
+  /// The node at `ref`, its view from the cache or the SSP: by digest
+  /// when a re-open left a candidate opened under this same ref (inode,
+  /// selector, MEK, MVK), which a kNotModified reply takes without a
+  /// decrypt or a verify. With
   /// batching on (readahead_blocks > 0) the view fetch is coalesced with
   /// this level's other likely-needed objects (with want_table, the
   /// table's head and probe window when the view or the head is not
@@ -287,9 +302,10 @@ class SharoesClient : public FsClient {
   /// directory from the master the SSP holds) and the split refs of its
   /// children ("u|"/"g|" under it).
   /// The inode's own split ref belongs to its parent's row and survives,
-  /// and so do the chunk blocks it opened from fetched wire: they move to
-  /// "c|" keys as revalidation candidates (DESIGN.md §19), unless
-  /// `keep_candidates` is false (a removed inode), which drops them all.
+  /// and so do the views and chunk blocks it opened from fetched wire:
+  /// the views move into their "v|" entries and the chunks to "c|" keys,
+  /// as revalidation candidates (DESIGN.md §19), unless `keep_candidates`
+  /// is false (a removed inode), which drops them all.
   void InvalidateInode(fs::InodeNum inode, bool keep_candidates);
 
   // --- Cache-key chokepoint ---
@@ -297,7 +313,8 @@ class SharoesClient : public FsClient {
   // an unnormalized path aliasing "/shared//x" and "/shared/x" into
   // distinct negative dentries — cannot creep back in per call site.
   // Prefixes: "d|" data block (descriptor or opened chunk), "c|" a
-  // chunk's revalidation candidate, "t|" table
+  // chunk's revalidation candidate, "v|" a fetched view's digest (and,
+  // after a re-open, the view as a candidate), "t|" table
   // copy head and buckets, "M|" master table, "u|"/"g|" split blocks,
   // "n|" negative dentry ("m|" view keys live in ViewCacheKey, which
   // needs Scheme state). Split keys lead with the parent
@@ -305,6 +322,7 @@ class SharoesClient : public FsClient {
   // parent's row and dies with the parent's table, not with the child.
   static std::string DataCacheKey(fs::InodeNum inode, uint32_t block);
   static std::string CandidateCacheKey(fs::InodeNum inode, uint32_t block);
+  static std::string FetchedViewCacheKey(fs::InodeNum inode, Selector sel);
   /// A table copy's keys: "t|<inode>|<sel>|h" its head, and
   /// "t|<inode>|<sel>|<depth>.<bucket>" each decoded bucket, so a bucket
   /// cached under one depth never answers a head of another.
@@ -375,10 +393,9 @@ class SharoesClient : public FsClient {
                                  const ObjectCodec::DataBlockHeader& h);
   /// The chunk ends of a write that grows a file from `old_desc` (whose
   /// cached chunk blocks are `old`, null where not cached, indexed by
-  /// block) to `size` bytes (DESIGN.md §13): the old chunks as stored,
-  /// then the new bytes in chunks of at most kBlockSize; the packed layout
-  /// instead when that passes the bound or the old chunks' ends are
-  /// unknown.
+  /// block) to `size` bytes (DESIGN.md §13): RepackTail of the old
+  /// chunks' ends under the bound max(ColdWindowChunks(),
+  /// ChunkCount(size)); the packed layout when those ends are unknown.
   std::vector<size_t> GrownChunkEnds(
       const DataDescriptor& old_desc,
       const std::vector<std::shared_ptr<const OpenedBlock>>& old,

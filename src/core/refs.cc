@@ -311,6 +311,36 @@ Result<GroupSecret> GroupSecret::Deserialize(const Bytes& data) {
   return g;
 }
 
+std::vector<size_t> RepackTail(std::vector<size_t> old_ends, size_t size,
+                               size_t bound) {
+  std::vector<size_t> ends = std::move(old_ends);
+  for (size_t end = ends.empty() ? 0 : ends.back(); end < size;) {
+    end = std::min(end + kBlockSize, size);
+    ends.push_back(end);
+  }
+  if (ends.size() <= bound) return ends;
+  // Re-packing chunks k.. re-seals size - begin bytes and leaves room for
+  // bound - (k + packed) more chunks, so the appends until the next
+  // re-pack number that room plus this one. The scores bytes / appends
+  // are compared as cross products. With no k that fits, k = 0: packed.
+  size_t best_k = 0, best_bytes = 0, best_appends = 0;
+  for (size_t k = ends.size(); k-- > 0;) {
+    const size_t begin = k == 0 ? 0 : ends[k - 1];
+    const size_t chunks = k + ChunkCount(size - begin);
+    if (chunks > bound) continue;
+    const size_t bytes = size - begin, appends = bound - chunks + 1;
+    if (best_appends == 0 || bytes * best_appends < best_bytes * appends) {
+      best_k = k;
+      best_bytes = bytes;
+      best_appends = appends;
+    }
+  }
+  const size_t begin = best_k == 0 ? 0 : ends[best_k - 1];
+  ends.resize(best_k);
+  for (size_t end : PackedChunkEnds(size - begin)) ends.push_back(begin + end);
+  return ends;
+}
+
 void DataDescriptor::AppendTo(BinaryWriter* w) const {
   w->PutU64(size);
   w->PutU32(block_count);

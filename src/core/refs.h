@@ -218,6 +218,17 @@ inline std::vector<size_t> PackedChunkEnds(size_t size) {
   }
   return ends;
 }
+/// The chunk ends of a file grown from chunks ending at `old_ends` (in
+/// block order, the last at the old size) to `size` bytes, with at most
+/// `bound` chunks (DESIGN.md §13): the old chunks as stored, then the new
+/// bytes in chunks of at most kBlockSize. Past the bound, chunks k.. (from
+/// byte begin_k) are re-packed into packed_k full chunks, for the k that
+/// fits the bound and re-seals the fewest bytes per append it makes room
+/// for, (size - begin_k) / (bound - (k + packed_k) + 1), the shorter tail
+/// on a tie. k = 0 is the packed layout, which is also the answer when no
+/// k fits.
+std::vector<size_t> RepackTail(std::vector<size_t> old_ends, size_t size,
+                               size_t bound);
 
 /// Pseudo-user id namespace for group split blocks in the SSP's per-user
 /// metadata keyspace.

@@ -29,11 +29,14 @@ Bytes Blocks(size_t chunks, uint8_t seed) {
 }
 
 /// Forwards to a real in-process connection, but answers every
-/// conditional data get kNotModified, whatever the SSP holds: a faulty
-/// SSP claiming a changed chunk is unchanged.
+/// conditional get of `op` (data gets unless told otherwise) kNotModified
+/// while armed, whatever the SSP holds: a faulty SSP claiming a changed
+/// object is unchanged. Disarmed it only counts.
 class NotModifiedLiar : public ssp::SspChannel {
  public:
-  explicit NotModifiedLiar(ssp::SspChannel* inner) : inner_(inner) {}
+  explicit NotModifiedLiar(ssp::SspChannel* inner,
+                           ssp::OpCode op = ssp::OpCode::kGetData)
+      : inner_(inner), op_(op) {}
 
   Result<ssp::Response> Call(const ssp::Request& req) override {
     SHAROES_ASSIGN_OR_RETURN(ssp::Response resp, inner_->Call(req));
@@ -47,19 +50,31 @@ class NotModifiedLiar : public ssp::SspChannel {
     return resp;
   }
 
+  void set_armed(bool armed) { armed_ = armed; }
   int lies() const { return lies_; }
+  /// Conditional gets of `op` seen, and the payload bytes of every reply
+  /// to a get of `op`.
+  int conditional_gets() const { return conditional_gets_; }
+  uint64_t bytes_down() const { return bytes_down_; }
 
  private:
   void Lie(const ssp::Request& req, ssp::Response* resp) {
-    if (req.op == ssp::OpCode::kGetData && !req.payload.empty() &&
+    if (req.op != op_) return;
+    if (!req.payload.empty()) ++conditional_gets_;
+    if (armed_ && !req.payload.empty() &&
         resp->status == ssp::RespStatus::kOk) {
       *resp = ssp::Response::NotModified();
       ++lies_;
     }
+    bytes_down_ += resp->payload.size();
   }
 
   ssp::SspChannel* inner_;  // Not owned.
+  ssp::OpCode op_;
+  bool armed_ = true;
   int lies_ = 0;
+  int conditional_gets_ = 0;
+  uint64_t bytes_down_ = 0;
 };
 
 class RevalidateTest : public ::testing::Test {
@@ -105,8 +120,10 @@ class RevalidateTest : public ::testing::Test {
     return r;
   }
 
-  /// A second client of Bob's whose SSP replies go through `liar_`.
-  std::unique_ptr<core::SharoesClient> LiedToBob() {
+  /// A second client of Bob's whose SSP replies go through `liar_`, which
+  /// lies to conditional gets of `op`.
+  std::unique_ptr<core::SharoesClient> LiedToBob(
+      ssp::OpCode op = ssp::OpCode::kGetData) {
     crypto::CryptoEngineOptions eng_opts;
     eng_opts.cost_model = crypto::CryptoCostModel::Zero();
     eng_opts.rng_seed = 0xB0B;
@@ -116,7 +133,7 @@ class RevalidateTest : public ::testing::Test {
                                                   net::NetworkModel::Zero());
     real_ = std::make_unique<ssp::SspConnection>(&world_->server(),
                                                  transport_.get());
-    liar_ = std::make_unique<NotModifiedLiar>(real_.get());
+    liar_ = std::make_unique<NotModifiedLiar>(real_.get(), op);
     core::ClientOptions copts;
     copts.default_group = kEng;
     auto bob = std::make_unique<core::SharoesClient>(
@@ -142,8 +159,9 @@ TEST_F(RevalidateTest, ReopenOfAnUnchangedFileDownloadsNoChunk) {
   Reread again = ReopenAsBob();
   ASSERT_TRUE(again.content.ok()) << again.content.status();
   EXPECT_EQ(*again.content, content);
-  EXPECT_EQ(again.not_modified, 3u);
-  // One batch: the metadata replica, block 0 and three conditional gets.
+  EXPECT_EQ(again.not_modified, 4u);  // The view and three chunks.
+  // One batch: the metadata replica, block 0 and three chunks; all but
+  // block 0 asked for by digest.
   EXPECT_EQ(again.round_trips, 1u);
   EXPECT_LT(again.bytes_down, kBlock) << "a chunk was downloaded again";
 
@@ -166,7 +184,7 @@ TEST_F(RevalidateTest, RemoteRewriteOfOneChunkDownloadsOnlyThatChunk) {
   Reread again = ReopenAsBob();
   ASSERT_TRUE(again.content.ok()) << again.content.status();
   EXPECT_EQ(*again.content, next);
-  EXPECT_EQ(again.not_modified, 2u);
+  EXPECT_EQ(again.not_modified, 3u);  // The view, chunks 1 and 3.
   EXPECT_EQ(again.round_trips, 1u);
   EXPECT_GT(again.bytes_down, kBlock);
   EXPECT_LT(again.bytes_down, 2 * kBlock);
@@ -174,7 +192,8 @@ TEST_F(RevalidateTest, RemoteRewriteOfOneChunkDownloadsOnlyThatChunk) {
 
 TEST_F(RevalidateTest, BlocksTheReaderSealedItselfAreNotCandidates) {
   // Alice reads back her own write: her blocks carry no digest, so her
-  // re-open downloads them as before and asks nothing conditionally.
+  // re-open downloads them as before; only her view, which she fetched,
+  // is asked for by digest.
   const Bytes content = Blocks(2, 'k');
   ASSERT_TRUE(alice().WriteFile("/doc.txt", content).ok());
   ASSERT_TRUE(alice().EvictPath("/doc.txt").ok());
@@ -182,7 +201,7 @@ TEST_F(RevalidateTest, BlocksTheReaderSealedItselfAreNotCandidates) {
   auto read = alice().Read("/doc.txt");
   ASSERT_TRUE(read.ok()) << read.status();
   EXPECT_EQ(*read, content);
-  EXPECT_EQ(NotModifiedReplies(), nm);
+  EXPECT_EQ(NotModifiedReplies(), nm + 1);
 }
 
 TEST_F(RevalidateTest, FalseNotModifiedForAChangedChunkNeverReadsStale) {
@@ -217,7 +236,7 @@ TEST_F(RevalidateTest, TamperedStoredChunkIsStillCorruption) {
   store.Put(ssp::ObjectRef::Data(inode_, 2), *blob);
 
   Reread again = ReopenAsBob();
-  EXPECT_EQ(again.not_modified, 1u);  // Block 1 is untouched.
+  EXPECT_EQ(again.not_modified, 2u);  // The view; block 1 is untouched.
   ASSERT_FALSE(again.content.ok());
   EXPECT_TRUE(again.content.status().IsCorruption()) << again.content.status();
 }
@@ -245,6 +264,86 @@ TEST_F(RevalidateTest, LostDescriptorWithCachedChunksReadsTheRewrite) {
   auto read = bob().Read("/doc.txt");
   ASSERT_TRUE(read.ok()) << read.status();
   EXPECT_EQ(*read, next);
+}
+
+TEST_F(RevalidateTest, ReopenRevalidatesTheView) {
+  // A re-open asks for the metadata replica by digest too: an unchanged
+  // view costs no replica bytes and no verify, so the one verify left is
+  // the descriptor's.
+  const Bytes content = Blocks(1, 'v');
+  ASSERT_TRUE(alice().WriteFile("/doc.txt", content).ok());
+  auto tapped = LiedToBob(ssp::OpCode::kGetMetadata);
+  liar_->set_armed(false);
+  ASSERT_TRUE(tapped->Read("/doc.txt").ok());
+  ASSERT_TRUE(tapped->EvictPath("/doc.txt").ok());
+  engine_->ResetOpCounts();
+  const uint64_t replica_bytes = liar_->bytes_down();
+  auto read = tapped->Read("/doc.txt");
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(*read, content);
+  EXPECT_EQ(engine_->op_counts().verify, 1u);
+  EXPECT_EQ(engine_->op_counts().sym_decrypt, 0u);
+  EXPECT_EQ(liar_->bytes_down() - replica_bytes, 0u);
+  EXPECT_EQ(liar_->conditional_gets(), 1);
+}
+
+TEST_F(RevalidateTest, ViewCandidateOfAnotherRefIsNotTaken) {
+  // The migration tool re-renders the store: every object gets fresh keys
+  // at the same inode, and the file a new mode. Bob's candidates of the
+  // root and the file were opened under the old refs, so his next fetch
+  // of either asks for it plainly, and a faulty SSP's kNotModified has
+  // nothing to answer.
+  auto lied_to = LiedToBob(ssp::OpCode::kGetMetadata);
+  ASSERT_TRUE(lied_to->Read("/doc.txt").ok());
+  // The control: under the same ref the view is asked for by digest.
+  ASSERT_TRUE(lied_to->EvictPath("/doc.txt").ok());
+  ASSERT_TRUE(lied_to->Getattr("/doc.txt").ok());
+  ASSERT_EQ(liar_->conditional_gets(), 1);
+
+  core::LocalNode root =
+      core::LocalNode::Dir("", kAlice, kEng, World::ParseMode("rwxr-xr-x"));
+  root.children.push_back(core::LocalNode::File(
+      "doc.txt", kAlice, kEng, World::ParseMode("rw-r--r--"), Bytes()));
+  ASSERT_TRUE(world_->provisioner().Migrate(root).ok());
+  ASSERT_TRUE(lied_to->EvictPath("/doc.txt").ok());
+  ASSERT_TRUE(lied_to->EvictPath("/").ok());
+  ASSERT_TRUE(lied_to->Mount().ok());  // The new superblock: new root ref.
+  auto attrs = lied_to->Getattr("/doc.txt");
+  ASSERT_TRUE(attrs.ok()) << attrs.status();
+  EXPECT_EQ(attrs->inode, inode_);
+  EXPECT_EQ(attrs->mode, World::ParseMode("rw-r--r--"));
+  EXPECT_EQ(liar_->conditional_gets(), 1);
+  EXPECT_EQ(liar_->lies(), 0);
+}
+
+TEST_F(RevalidateTest, LyingNotModifiedAfterARevokingChmodIsStillDenied) {
+  // After alice's chmod takes bob's read access away, a faulty SSP
+  // answers bob's conditional get of the view kNotModified, so he opens
+  // the view that still holds the old DEK. The file's blocks were
+  // re-sealed under the rotated key: the read fails PermissionDenied at
+  // block 0's key generation and never returns plaintext.
+  ASSERT_TRUE(alice().WriteFile("/doc.txt", Blocks(2, 'a')).ok());
+  auto lied_to = LiedToBob(ssp::OpCode::kGetMetadata);
+  liar_->set_armed(false);
+  ASSERT_TRUE(lied_to->Read("/doc.txt").ok());
+  ASSERT_TRUE(alice().Chmod("/doc.txt", World::ParseMode("rw-------")).ok());
+  liar_->set_armed(true);
+  ASSERT_TRUE(lied_to->EvictPath("/doc.txt").ok());
+  auto read = lied_to->Read("/doc.txt");
+  EXPECT_GE(liar_->lies(), 1);
+  ASSERT_FALSE(read.ok()) << "a revoked reader read plaintext";
+  EXPECT_TRUE(read.status().IsPermissionDenied()) << read.status();
+}
+
+TEST_F(RevalidateTest, RemovedFileKeepsNoViewCandidate) {
+  // Alice fetched her view of the file at SetUp; a re-open keeps it as a
+  // candidate, an unlink drops it.
+  const std::string key = "v|" + std::to_string(inode_) + "|" +
+                          std::to_string(core::kOwnerSelector);
+  ASSERT_TRUE(alice().EvictPath("/doc.txt").ok());
+  ASSERT_TRUE(alice().cache().Contains(key));
+  ASSERT_TRUE(alice().Unlink("/doc.txt").ok());
+  EXPECT_FALSE(alice().cache().Contains(key));
 }
 
 }  // namespace

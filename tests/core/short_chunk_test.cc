@@ -2,8 +2,8 @@
 // stored chunk and seals only the appended bytes, as chunks of their own,
 // while the file's chunk count stays within the cold first read window.
 // These tests pin the edges of that layout: tampering with a short chunk,
-// the re-pack past the window, shrinking, and revalidation after an
-// append.
+// the re-pack past the window and the tail it picks (RepackTail),
+// shrinking, and revalidation after an append.
 
 #include <gtest/gtest.h>
 
@@ -172,9 +172,10 @@ TEST_F(ShortChunkTest, AppendsPastTheWindowRepackAndEachColdReadIsOneTrip) {
     EXPECT_EQ(world_->transport(kBob).counters().round_trips, 1u);
   }
   // Three short appends fill the window of four; the next re-packs into
-  // one chunk (deleting blocks 2..4), and the run starts again: 900 B,
-  // then the ninth append's 100.
-  EXPECT_EQ(ChunkSizes(), (std::vector<size_t>{900, 100}));
+  // one chunk (deleting blocks 2..4), and the run starts again. At 900 B
+  // the cheapest tail keeps the 500 B chunk and re-packs the 400 B after
+  // it; the ninth append's 100 follows.
+  EXPECT_EQ(ChunkSizes(), (std::vector<size_t>{500, 400, 100}));
 }
 
 TEST_F(ShortChunkTest, RepackPastTheWindowKeepsFullChunksAndDeletesTheRest) {
@@ -239,9 +240,142 @@ TEST_F(ShortChunkTest, ReopenAfterAnAppendDownloadsOnlyTheNewChunk) {
   auto read = bob().Read("/doc.txt");
   ASSERT_TRUE(read.ok()) << read.status();
   EXPECT_EQ(*read, content_);
-  EXPECT_EQ(not_modified->Value() - nm, 1u);  // The 4000 B chunk.
+  EXPECT_EQ(not_modified->Value() - nm, 2u);  // The view, the 4000 B chunk.
   EXPECT_EQ(link.counters().round_trips, 1u);
   EXPECT_LT(link.counters().bytes_down, 300u + 1000u);
+}
+
+TEST_F(ShortChunkTest, RewriteToTheBaseKeepsEveryBaseChunk) {
+  // A base of three chunks (4096, 4096, 808), seven short appends, then
+  // the owner's rewrite to the base: the base's chunks are never
+  // re-sealed, so the store holds their first blobs, and a reader who
+  // read the base re-opens without downloading a chunk.
+  Bytes base(2 * kBlockSize + 808);
+  for (size_t i = 0; i < base.size(); ++i) base[i] = static_cast<uint8_t>(i);
+  Write(base);
+  ASSERT_TRUE(bob().Read("/doc.txt").ok());
+  std::map<uint32_t, Bytes> first = Stored();
+  ASSERT_EQ(first.size(), 4u);
+  for (size_t n : {64, 100, 128, 90, 80, 120, 110}) {
+    Append(Fill(n, 'x'));
+    std::map<uint32_t, Bytes> now = Stored();
+    for (uint32_t i = 1; i <= 3; ++i) EXPECT_EQ(now[i], first[i]) << i;
+  }
+  Write(base);
+  std::map<uint32_t, Bytes> after = Stored();
+  ASSERT_EQ(after.size(), 4u);
+  for (uint32_t i = 1; i <= 3; ++i) EXPECT_EQ(after[i], first[i]) << i;
+
+  ASSERT_TRUE(bob().EvictPath("/doc.txt").ok());
+  auto* not_modified = obs::MetricsRegistry::Global().counter(
+      "ssp.responses.kNotModified");
+  const uint64_t nm = not_modified->Value();
+  net::Transport& link = world_->transport(kBob);
+  link.ResetCounters();
+  auto read = bob().Read("/doc.txt");
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(*read, base);
+  EXPECT_EQ(not_modified->Value() - nm, 4u);  // The view and three chunks.
+  EXPECT_EQ(link.counters().round_trips, 1u);
+  EXPECT_LT(link.counters().bytes_down, 808u) << "a chunk was downloaded";
+}
+
+TEST_F(ShortChunkTest, GrowingFileUploadStaysBounded) {
+  // The case the amortized score can lose: a small file that keeps
+  // growing re-packs now and then. Each append still uploads at most one
+  // chunk's worth beyond its own bytes, and every re-open stays one trip.
+  // The framing covers the descriptor block, the batch envelope and the
+  // per-block wire of a re-pack (headers, nonces, tags, deletes).
+  constexpr size_t kFraming = 1024;
+  Write(Fill(500, 'a'));
+  ASSERT_TRUE(bob().Read("/doc.txt").ok());
+  net::Transport& up = world_->transport(kAlice);
+  for (size_t i = 0; i < 40; ++i) {
+    SCOPED_TRACE(i);
+    const size_t n = 64 + (i * 197) % 449;  // 64..512 B.
+    up.ResetCounters();
+    Append(Fill(n, static_cast<char>('b' + i % 24)));
+    EXPECT_LE(up.counters().bytes_up, kBlockSize + n + kFraming);
+    EXPECT_LE(BlockCount(), 1u + 4u);
+    ExpectNoBlockPastTheEnd();
+    ASSERT_TRUE(bob().EvictPath("/doc.txt").ok());
+    world_->transport(kBob).ResetCounters();
+    auto read = bob().Read("/doc.txt");
+    ASSERT_TRUE(read.ok()) << read.status();
+    EXPECT_EQ(*read, content_);
+    EXPECT_EQ(world_->transport(kBob).counters().round_trips, 1u);
+  }
+}
+
+/// RepackTail from `old_ends` after one append per entry of `appends`,
+/// under the bound a writer uses, max(4, ChunkCount(size)).
+std::vector<std::vector<size_t>> Grow(std::vector<size_t> ends,
+                                      const std::vector<size_t>& appends) {
+  std::vector<std::vector<size_t>> layouts;
+  for (size_t n : appends) {
+    const size_t size = (ends.empty() ? 0 : ends.back()) + n;
+    ends = core::RepackTail(ends, size,
+                            std::max<size_t>(4, core::ChunkCount(size)));
+    layouts.push_back(ends);
+  }
+  return layouts;
+}
+
+TEST(RepackTailTest, PicksTheTailWithTheFewestBytesPerAppend) {
+  struct Case {
+    const char* name;
+    std::vector<size_t> old_ends;
+    size_t size;
+    size_t bound;
+    std::vector<size_t> want;
+  };
+  const std::vector<Case> cases = {
+      {"within the bound the new bytes are a chunk of their own",
+       {4096, 8192, 9000}, 9064, 4, {4096, 8192, 9000, 9064}},
+      {"a base's short chunk outlives small appends",
+       {4096, 8192, 9000, 9064}, 9164, 4, {4096, 8192, 9000, 9164}},
+      {"appends that outweigh it re-pack it: room for two more",
+       {4096, 8192, 9000, 9500}, 9900, 4, {4096, 8192, 9900}},
+      {"four short chunks re-pack whole",
+       {100, 200, 300, 400}, 500, 4, {500}},
+      {"a small file keeps its first chunk",
+       {500, 600, 700, 800}, 900, 4, {500, 900}},
+      {"full chunks stay, the short ones re-pack",
+       {4096, 8192, 8292, 8392}, 8492, 4, {4096, 8192, 8492}},
+      {"no tail fits: packed",
+       {100, 4196, 8292, 12388, 16484}, 16584, 5,
+       core::PackedChunkEnds(16584)},
+      {"an empty file", {}, 9000, 4, {4096, 8192, 9000}},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(core::RepackTail(c.old_ends, c.size, c.bound), c.want)
+        << c.name;
+  }
+}
+
+TEST(RepackTailTest, BaseChunksSurviveSevenAppends) {
+  // The appends add up to less than the base's 808 B chunk, so each
+  // re-pack takes only the appended bytes (see the table's crossover).
+  const std::vector<size_t> base = {4096, 8192, 9000};
+  const auto layouts = Grow(base, {64, 100, 128, 90, 80, 120, 110});
+  for (const auto& ends : layouts) {
+    ASSERT_GE(ends.size(), 3u);
+    EXPECT_EQ(std::vector<size_t>(ends.begin(), ends.begin() + 3), base);
+    EXPECT_LE(ends.size(), 4u);
+  }
+  EXPECT_EQ(layouts.back(), (std::vector<size_t>{4096, 8192, 9000, 9692}));
+}
+
+TEST(RepackTailTest, SmallFilesThatKeepGrowing) {
+  // The AppendsPastTheWindow... scenario: 100 B, then 100 B appends.
+  auto layouts = Grow({100}, std::vector<size_t>(9, 100));
+  EXPECT_EQ(layouts[3], (std::vector<size_t>{500}));
+  EXPECT_EQ(layouts[7], (std::vector<size_t>{500, 900}));
+  EXPECT_EQ(layouts.back(), (std::vector<size_t>{500, 900, 1000}));
+  // 500 B, then 100 B appends: each re-pack keeps the chunks before it.
+  layouts = Grow({500}, std::vector<size_t>(8, 100));
+  EXPECT_EQ(layouts.back(), (std::vector<size_t>{500, 900, 1200, 1300}));
+  for (const auto& ends : layouts) EXPECT_LE(ends.size(), 4u);
 }
 
 }  // namespace

@@ -139,7 +139,8 @@ bool Eventually(const std::function<bool()>& cond) {
 }
 
 /// A 3-node cluster (K=3, W=2, R=2) whose node 2, the preferred replica of
-/// the key, holds v1 at a lower generation while nodes 0 and 1 hold v2.
+/// the inode, holds v1 of a data block and of a metadata replica at a
+/// lower generation while nodes 0 and 1 hold v2.
 class StaleReplicaTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -156,19 +157,30 @@ class StaleReplicaTest : public ::testing::Test {
     ASSERT_NE(inode_, 0u) << "no key prefers node 2 below 1000";
     auto writer = cluster_->MakeChannel();
     ASSERT_TRUE(writer->Call(Request::PutData(inode_, 1, v1_))->ok());
+    ASSERT_TRUE(writer->Call(Request::PutMetadata(inode_, kView, v1_))->ok());
     ASSERT_TRUE(Eventually([&] { return Held(2) == v1_; }));
+    ASSERT_TRUE(Eventually([&] { return HeldView(2) == v1_; }));
     cluster_->node(2)->KillHard();
     auto put = writer->Call(Request::PutData(inode_, 1, v2_));
     ASSERT_TRUE(put.ok() && put->ok()) << "W=2 must ack without node 2";
+    put = writer->Call(Request::PutMetadata(inode_, kView, v2_));
+    ASSERT_TRUE(put.ok() && put->ok()) << "W=2 must ack without node 2";
     cluster_->node(2)->Restart();
     ASSERT_EQ(Held(2), v1_) << "node 2 must recover v1 from its WAL";
+    ASSERT_EQ(HeldView(2), v1_);
   }
 
-  Bytes Held(int node) {
-    auto blob = cluster_->node(node)->server()->store().Get(
-        ObjectRef::Data(inode_, 1));
+  Bytes Held(int node, const ObjectRef& ref) {
+    auto blob = cluster_->node(node)->server()->store().Get(ref);
     return blob.has_value() ? *blob : Bytes{};
   }
+  Bytes Held(int node) { return Held(node, ObjectRef::Data(inode_, 1)); }
+  Bytes HeldView(int node) {
+    return Held(node, ObjectRef::Metadata(inode_, kView));
+  }
+
+  /// The selector of the metadata replica.
+  static constexpr Selector kView = 3;
 
   std::unique_ptr<TestCluster> cluster_;
   uint64_t inode_ = 0;
@@ -188,6 +200,32 @@ TEST_F(StaleReplicaTest, ConditionalReadOfTheStaleCopyGetsTheFreshestBytes) {
   EXPECT_GE(reader->read_repairs(), 1u);
   EXPECT_EQ(reader->repairs_skipped(), 0u);
   EXPECT_EQ(Held(2), v2_);
+}
+
+TEST_F(StaleReplicaTest, ConditionalReadOfAStaleViewGetsTheFreshestView) {
+  // The same rule for a metadata replica, which a client's re-open asks
+  // for by the digest of the view it last opened: the stale replica's
+  // kNotModified loses to the fresher v2, which is returned and repaired.
+  const uint64_t not_modified =
+      obs::MetricsRegistry::Global()
+          .counter("ssp.responses.kNotModified")
+          ->Value();
+  auto reader = cluster_->MakeChannel();
+  Request get = Request::GetMetadata(inode_, kView);
+  get.payload = BlobDigest(v1_);
+  auto got = reader->Call(get);
+  ASSERT_TRUE(got.ok()) << got.status();
+  ASSERT_EQ(got->status, RespStatus::kOk);
+  EXPECT_EQ(got->payload, v2_);
+  EXPECT_GE(obs::MetricsRegistry::Global()
+                    .counter("ssp.responses.kNotModified")
+                    ->Value() -
+                not_modified,
+            1u)
+      << "the stale replica answered by digest";
+  EXPECT_GE(reader->read_repairs(), 1u);
+  EXPECT_EQ(reader->repairs_skipped(), 0u);
+  EXPECT_EQ(HeldView(2), v2_);
 }
 
 TEST_F(StaleReplicaTest, NotModifiedWinnerSkipsAndCountsTheRepair) {
